@@ -77,7 +77,7 @@ FanoutCost MeasureFanout(Platform& platform, int n) {
 
   const auto before = dfunc::DataPlaneStats::Get().snapshot();
   dbase::Stopwatch watch;
-  auto result = platform.Invoke("Share", std::move(args));
+  auto result = platform.Invoke({"Share", std::move(args)});
   FanoutCost cost;
   cost.millis = watch.ElapsedMillis();
   const auto after = dfunc::DataPlaneStats::Get().snapshot();

@@ -81,7 +81,7 @@ dbase::Result<std::string> RunImageApp(dandelion::Platform& platform, int index)
   dfunc::DataSetList args;
   args.push_back(dfunc::DataSet{
       "ImageKey", {dfunc::DataItem{"", dbase::StrFormat("img%d", index)}}});
-  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke("CompressImage", std::move(args)));
+  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke({"CompressImage", std::move(args)}));
   const dfunc::DataSet* status = dfunc::FindSet(results, "StoreStatus");
   if (status == nullptr || status->items.empty()) {
     return dbase::Internal("CompressImage produced no StoreStatus");

@@ -108,7 +108,7 @@ dbase::Status InstallLogApp(dandelion::Platform& platform, const LogAppConfig& c
 dbase::Result<std::string> RunLogApp(dandelion::Platform& platform, const LogAppConfig& config) {
   dfunc::DataSetList args;
   args.push_back(dfunc::DataSet{"AccessToken", {dfunc::DataItem{"", config.auth_token}}});
-  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke("RenderLogs", std::move(args)));
+  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke({"RenderLogs", std::move(args)}));
   const dfunc::DataSet* html = dfunc::FindSet(results, "HTMLOutput");
   if (html == nullptr || html->items.empty()) {
     return dbase::Internal("RenderLogs produced no HTMLOutput");

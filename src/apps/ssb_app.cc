@@ -186,7 +186,7 @@ dbase::Result<std::string> RunSsbQuery(dandelion::Platform& platform,
     keys.items.push_back(dfunc::DataItem{"", dbase::StrFormat("lineorder_p%d", p)});
   }
   args.push_back(std::move(keys));
-  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke("SsbQuery", std::move(args)));
+  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke({"SsbQuery", std::move(args)}));
   const dfunc::DataSet* result = dfunc::FindSet(results, "QueryResult");
   if (result == nullptr || result->items.empty()) {
     return dbase::Internal("SsbQuery produced no QueryResult");

@@ -128,7 +128,7 @@ dbase::Result<std::string> RunText2Sql(dandelion::Platform& platform,
                                        const std::string& question) {
   dfunc::DataSetList args;
   args.push_back(dfunc::DataSet{"Question", {dfunc::DataItem{"", question}}});
-  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke("Text2Sql", std::move(args)));
+  ASSIGN_OR_RETURN(dfunc::DataSetList results, platform.Invoke({"Text2Sql", std::move(args)}));
   const dfunc::DataSet* answer = dfunc::FindSet(results, "Answer");
   if (answer == nullptr || answer->items.empty()) {
     return dbase::Internal("Text2Sql produced no Answer");

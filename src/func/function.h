@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/base/clock.h"
 #include "src/base/status.h"
 #include "src/func/data.h"
 #include "src/vfs/memfs.h"
@@ -49,19 +50,18 @@ class FunctionCtx {
 
   // --- Cooperative preemption ---------------------------------------------
   // Thread-based isolation backends cannot hard-kill a runaway function
-  // (the process backend can); they set this flag on timeout. Long-running
-  // loops should poll cancelled() — the stand-in for the paper's preemption
-  // of over-deadline tasks (§5 footnote 2).
+  // (the process backend can). Long-running loops should poll cancelled()
+  // — the stand-in for the paper's preemption of over-deadline tasks (§5
+  // footnote 2). It turns true when the invocation-wide cancel flag (client
+  // cancel / invocation deadline) is set or when this execution's absolute
+  // deadline on dbase::MonotonicClock has passed.
+  static constexpr dbase::Micros kNoDeadline = INT64_MAX;
   void set_cancel_flag(const std::atomic<bool>* flag) { cancel_ = flag; }
-  // Second kill switch: the invocation-wide cancel flag (client cancel /
-  // invocation deadline), independent of the per-execution timeout flag.
-  void set_invocation_cancel_flag(const std::atomic<bool>* flag) {
-    invocation_cancel_ = flag;
-  }
+  void set_deadline(dbase::Micros deadline_us) { deadline_us_ = deadline_us; }
   bool cancelled() const {
     return (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) ||
-           (invocation_cancel_ != nullptr &&
-            invocation_cancel_->load(std::memory_order_relaxed));
+           (deadline_us_ != kNoDeadline &&
+            dbase::MonotonicClock::Get()->NowMicros() >= deadline_us_);
   }
 
  private:
@@ -69,7 +69,7 @@ class FunctionCtx {
   DataSetList outputs_;
   std::unique_ptr<dvfs::MemFs> fs_;  // Lazily created.
   const std::atomic<bool>* cancel_ = nullptr;
-  const std::atomic<bool>* invocation_cancel_ = nullptr;
+  dbase::Micros deadline_us_ = kNoDeadline;
 };
 
 // A compute function body. Returning a non-OK status fails the instance;

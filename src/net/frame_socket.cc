@@ -257,7 +257,12 @@ void FrameSocket::FlushWrites() {
       ++iov_count;
       skip = 0;
     }
-    const ssize_t n = writev(fd_, iov, iov_count);
+    // MSG_NOSIGNAL: a peer that already hung up surfaces as EPIPE and a
+    // kUnavailable close, never as a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iov_count);
+    const ssize_t n = sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -265,7 +270,7 @@ void FrameSocket::FlushWrites() {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         break;
       }
-      Close(dbase::Unavailable("writev() failed"));
+      Close(dbase::Unavailable("sendmsg() failed"));
       return;
     }
     bytes_sent_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);

@@ -3,9 +3,10 @@
 // state machine that adopts each body straight into a refcounted
 // dbase::Buffer, so frame handlers (and the aliasing UnmarshalSets under
 // them) view the receive bytes without copying. The write side is a
-// scatter queue flushed with writev — MarshalSetsScatter chunks go from
-// their original backing buffers to the kernel with no intermediate
-// assembly.
+// scatter queue flushed with gathered sendmsg(MSG_NOSIGNAL) —
+// MarshalSetsScatter chunks go from their original backing buffers to the
+// kernel with no intermediate assembly, and a vanished peer is an error
+// return, not a SIGPIPE.
 //
 // Threading: all methods are loop-thread-only unless noted. Cross-thread
 // senders (NodeClient callers) go through EventLoop::Post. Lifetime is
@@ -81,7 +82,7 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   // Reads until EAGAIN (or the per-wake budget), advancing the
   // header/body state machine and dispatching complete frames.
   void OnReadable();
-  // writev's the send queue until EAGAIN or empty; adjusts EPOLLOUT.
+  // Sends the queue until EAGAIN or empty; adjusts EPOLLOUT.
   void FlushWrites();
   void UpdateInterest();
 

@@ -1,5 +1,6 @@
 #include "src/net/node_client.h"
 
+#include <future>
 #include <utility>
 
 namespace dnet {
@@ -318,42 +319,19 @@ void NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
   });
 }
 
-dbase::Result<WireOutcome> NodeClient::Invoke(const std::string& peer, WireInvoke invoke,
-                                              dbase::Micros timeout_us) {
-  struct Shared {
-    dbase::Latch latch{1};
-    dbase::Result<WireOutcome> result{dbase::Unavailable("unset")};
-  };
-  auto shared = std::make_shared<Shared>();
-  InvokeAsync(peer, std::move(invoke), timeout_us > 0 ? timeout_us : kDefaultRequestTimeout,
-              [shared](dbase::Result<WireOutcome> outcome) {
-                shared->result = std::move(outcome);
-                shared->latch.CountDown();
-              });
-  shared->latch.Wait();
-  return std::move(shared->result);
-}
-
-dbase::Result<dbase::BufferSlice> NodeClient::RawRequest(const std::string& peer,
-                                                         FrameType type, std::string body,
-                                                         FrameType expect,
-                                                         dbase::Micros timeout_us) {
+void NodeClient::RawRequestAsync(const std::string& peer, FrameType type, std::string body,
+                                 FrameType expect, dbase::Micros timeout_us,
+                                 RawCallback callback) {
   if (!running_.load(std::memory_order_relaxed)) {
-    return dbase::FailedPrecondition("NodeClient not started");
+    callback(dbase::FailedPrecondition("NodeClient not started"));
+    return;
   }
-  struct Shared {
-    dbase::Latch latch{1};
-    dbase::Result<dbase::BufferSlice> result{dbase::Unavailable("unset")};
-  };
-  auto shared = std::make_shared<Shared>();
-  loop_->Post([this, peer, type, expect, body = std::move(body), timeout_us, shared]() mutable {
+  loop_->Post([this, peer, type, expect, body = std::move(body), timeout_us,
+               callback = std::move(callback)]() mutable {
     Pending pending;
     pending.expect = expect;
     pending.peer = peer;
-    pending.on_raw = [shared](dbase::Result<dbase::BufferSlice> result) {
-      shared->result = std::move(result);
-      shared->latch.CountDown();
-    };
+    pending.on_raw = std::move(callback);
     std::vector<dbase::BufferSlice> chunks;
     if (!body.empty()) {
       chunks.push_back(dbase::BufferSlice(dbase::Buffer::FromString(std::move(body))));
@@ -361,16 +339,15 @@ dbase::Result<dbase::BufferSlice> NodeClient::RawRequest(const std::string& peer
     SendRequest(peer, type, 0, std::move(chunks),
                 timeout_us > 0 ? timeout_us : kDefaultRequestTimeout, std::move(pending));
   });
-  shared->latch.Wait();
-  return std::move(shared->result);
 }
 
-dbase::Result<WireNodeStatus> NodeClient::Gossip(const std::string& peer,
-                                                 dbase::Micros timeout_us) {
-  ASSIGN_OR_RETURN(dbase::BufferSlice body,
-                   RawRequest(peer, FrameType::kGossipReq, std::string(), FrameType::kGossip,
-                              timeout_us));
-  return DecodeNodeStatus(body);
+void NodeClient::GossipAsync(const std::string& peer, dbase::Micros timeout_us,
+                             GossipCallback callback) {
+  RawRequestAsync(peer, FrameType::kGossipReq, std::string(), FrameType::kGossip, timeout_us,
+                  [callback = std::move(callback)](auto body) {
+                    callback(body.ok() ? DecodeNodeStatus(*body)
+                                       : dbase::Result<WireNodeStatus>(body.status()));
+                  });
 }
 
 void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
@@ -384,9 +361,11 @@ void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
 
 dbase::Result<WireMeshReply> NodeClient::MeshCall(const std::string& peer, std::string request,
                                                   dbase::Micros timeout_us) {
-  ASSIGN_OR_RETURN(dbase::BufferSlice body,
-                   RawRequest(peer, FrameType::kMeshCall, std::move(request),
-                              FrameType::kMeshReply, timeout_us));
+  auto reply = std::make_shared<std::promise<dbase::Result<dbase::BufferSlice>>>();
+  std::future<dbase::Result<dbase::BufferSlice>> replied = reply->get_future();
+  RawRequestAsync(peer, FrameType::kMeshCall, std::move(request), FrameType::kMeshReply,
+                  timeout_us, [reply](auto result) { reply->set_value(std::move(result)); });
+  ASSIGN_OR_RETURN(dbase::BufferSlice body, replied.get());
   return DecodeMeshReply(body);
 }
 

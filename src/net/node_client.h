@@ -1,7 +1,7 @@
 // NodeClient: the router/frontend side of the dnet wire. One EventLoop
 // thread multiplexes a pooled connection per peer; callers on any thread
-// issue invokes (async or blocking), gossip probes, cancels, and mesh
-// calls. A connection is (re)established lazily on first use and failures
+// send async invokes and gossip probes, cancels, and blocking mesh calls.
+// A connection is (re)established lazily on first use and failures
 // fail fast: every request pending on a dead connection completes with
 // kUnavailable ("peer lost") so the layer above (Cluster) can map it to
 // the retry-eligible FailureKind and re-route.
@@ -50,6 +50,7 @@ class NodeClient {
   };
 
   using OutcomeCallback = std::function<void(dbase::Result<WireOutcome>)>;
+  using GossipCallback = std::function<void(dbase::Result<WireNodeStatus>)>;
 
   explicit NodeClient(Config config);
   ~NodeClient();
@@ -70,12 +71,12 @@ class NodeClient {
   // invoke). timeout_us <= 0 means no client-side timer. Thread-safe.
   void InvokeAsync(const std::string& peer, WireInvoke invoke, dbase::Micros timeout_us,
                    OutcomeCallback callback);
-  // Blocking wrapper over InvokeAsync.
-  dbase::Result<WireOutcome> Invoke(const std::string& peer, WireInvoke invoke,
-                                    dbase::Micros timeout_us);
 
-  // Requests a status snapshot from the peer (blocking, bounded).
-  dbase::Result<WireNodeStatus> Gossip(const std::string& peer, dbase::Micros timeout_us);
+  // Requests a status snapshot from the peer. The callback fires exactly
+  // once, on the loop thread (or inline when the client is not running):
+  // the decoded status, kUnavailable when the peer is lost, or
+  // kDeadlineExceeded after timeout_us. Thread-safe.
+  void GossipAsync(const std::string& peer, dbase::Micros timeout_us, GossipCallback callback);
 
   // Fire-and-forget cancel for an invocation sent earlier.
   void Cancel(const std::string& peer, uint64_t request_id);
@@ -88,12 +89,14 @@ class NodeClient {
   NodeClient& operator=(const NodeClient&) = delete;
 
  private:
+  using RawCallback = std::function<void(dbase::Result<dbase::BufferSlice>)>;
+
   struct Pending {
     FrameType expect;  // kOutcome, kGossip, or kMeshReply.
     std::string peer;
-    OutcomeCallback on_outcome;                                    // expect == kOutcome.
-    std::function<void(dbase::Result<dbase::BufferSlice>)> on_raw; // gossip / mesh.
-    dbase::EventLoop::TimerId timer = 0;                           // 0 = none.
+    OutcomeCallback on_outcome;            // expect == kOutcome.
+    RawCallback on_raw;                    // gossip / mesh.
+    dbase::EventLoop::TimerId timer = 0;  // 0 = none.
   };
 
   struct Peer {
@@ -119,10 +122,10 @@ class NodeClient {
   void OnFrame(const std::string& peer, const FrameHeader& header, dbase::BufferSlice body);
   void OnPeerClosed(const std::string& peer, const dbase::Status& reason);
   void FailPending(uint64_t request_id, const dbase::Status& status);
-  // Blocking request helper for gossip/mesh.
-  dbase::Result<dbase::BufferSlice> RawRequest(const std::string& peer, FrameType type,
-                                               std::string body, FrameType expect,
-                                               dbase::Micros timeout_us);
+  // Request helper for gossip/mesh: `callback` gets the reply body, with the
+  // same exactly-once contract as GossipAsync.
+  void RawRequestAsync(const std::string& peer, FrameType type, std::string body,
+                       FrameType expect, dbase::Micros timeout_us, RawCallback callback);
 
   Config config_;
   std::unique_ptr<dbase::EventLoop> loop_;

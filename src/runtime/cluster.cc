@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <utility>
 
@@ -76,18 +77,9 @@ void Cluster::EnsureClientStarted() {
   client_->Start();
   client_started_ = true;
   if (config_.gossip_interval_us > 0) {
-    gossip_thread_ = std::make_unique<dbase::JoiningThread>("cluster-gossip", [this] {
-      std::unique_lock<std::mutex> lock(gossip_mu_);
-      while (!stopping_) {
-        gossip_cv_.wait_for(lock, std::chrono::microseconds(config_.gossip_interval_us));
-        if (stopping_) {
-          break;
-        }
-        lock.unlock();
-        GossipNow();
-        lock.lock();
-      }
-    });
+    // A tick while the previous round is still open skips.
+    gossip_tick_ = dbase::TimerService::Get()->Every(config_.gossip_interval_us,
+                                                     [this] { StartGossipRound(nullptr); });
   }
 }
 
@@ -449,14 +441,6 @@ InvocationHandle Cluster::InvokeAsync(
                       });
 }
 
-void Cluster::InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                          std::function<void(dbase::Result<dfunc::DataSetList>, int)> callback) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  (void)InvokeAsync(std::move(request), std::move(callback));
-}
-
 Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
   struct WaitState {
     std::mutex mu;
@@ -506,14 +490,6 @@ Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
   return std::move(state->routed);
 }
 
-Cluster::RoutedResult Cluster::Invoke(const std::string& composition,
-                                      dfunc::DataSetList args) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  return Invoke(std::move(request));
-}
-
 std::string Cluster::NodeName(int index) const {
   if (index < 0) {
     return "";
@@ -551,29 +527,51 @@ std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
   return splits;
 }
 
+struct Cluster::GossipRound {
+  std::vector<RemoteSlot*> slots;  // Every remote slot, in slot order.
+  std::atomic<size_t> outstanding{0};
+};
+
 void Cluster::GossipNow() {
-  std::vector<RemoteSlot*> slots;
+  dbase::Latch closed(1);
+  StartGossipRound([&closed] { closed.CountDown(); });
+  closed.Wait();
+}
+
+void Cluster::StartGossipRound(std::function<void()> on_closed) {
+  {
+    std::lock_guard<std::mutex> lock(gossip_mu_);
+    if (on_closed) {
+      gossip_waiters_.push_back(std::move(on_closed));
+    }
+    if (gossip_open_) {
+      return;
+    }
+    gossip_open_ = true;
+  }
+  auto round = std::make_shared<GossipRound>();
   dnet::NodeClient* client = nullptr;
   {
     std::lock_guard<std::mutex> lock(remotes_mu_);
     client = client_started_ ? client_.get() : nullptr;
-    slots.reserve(remotes_.size());
     for (const auto& slot : remotes_) {
-      slots.push_back(slot.get());
+      round->slots.push_back(slot.get());
     }
   }
-  if (client == nullptr || slots.empty()) {
-    return;
-  }
+  // One share per probe plus the starter's, released once every probe is
+  // out, so the round cannot close while probes are still being sent.
+  round->outstanding.store(round->slots.size() + 1, std::memory_order_relaxed);
+  const auto release = [this, round] {
+    if (round->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      CloseGossipRound(*round);
+    }
+  };
   const dbase::Micros timeout =
       config_.gossip_interval_us > 0
           ? std::min(config_.gossip_interval_us, kGossipTimeoutCapUs)
           : kGossipTimeoutCapUs;
-
-  std::vector<dpolicy::MemberSignals> signals;
-  signals.reserve(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    RemoteSlot* slot = slots[i];
+  for (size_t i = 0; i < round->slots.size(); ++i) {
+    RemoteSlot* slot = round->slots[i];
     bool probe = true;
     {
       std::lock_guard<std::mutex> slot_lock(slot->mu);
@@ -582,47 +580,60 @@ void Cluster::GossipNow() {
       // rejoin when they come back.
       probe = !(slot->state == dpolicy::MemberState::kLeft && slot->last_gossip_us == 0);
     }
-    dbase::Result<dnet::WireNodeStatus> status =
-        probe ? client->Gossip(slot->name, timeout)
-              : dbase::Result<dnet::WireNodeStatus>(dbase::Unavailable("removed"));
-    dpolicy::MemberSignals member;
-    member.name = slot->name;
-    if (status.ok()) {
-      const dbase::Micros heard = dbase::MonotonicClock::Get()->NowMicros();
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      slot->status = std::move(status).value();
-      slot->last_gossip_us = heard;
-      // Gossiped residency feeds locality routing: route a composition to
-      // the node that already holds its context/data.
-      const int global_index = num_nodes() + static_cast<int>(i);
-      for (const std::string& composition : slot->status.resident_compositions) {
-        NoteAffinityFromGossip(composition, global_index);
-      }
+    if (!probe || client == nullptr) {
+      release();
+      continue;
     }
-    {
+    const int index = num_nodes() + static_cast<int>(i);
+    client->GossipAsync(slot->name, timeout, [this, slot, index, release](auto status) {
+      if (status.ok()) {
+        std::lock_guard<std::mutex> slot_lock(slot->mu);
+        slot->status = std::move(status).value();
+        slot->last_gossip_us = dbase::MonotonicClock::Get()->NowMicros();
+        // Gossiped residency feeds locality routing: route a composition to
+        // the node that already holds its context/data.
+        for (const std::string& composition : slot->status.resident_compositions) {
+          NoteAffinity(composition, index);
+        }
+      }
+      release();
+    });
+  }
+  release();
+}
+
+void Cluster::CloseGossipRound(const GossipRound& round) {
+  if (!round.slots.empty()) {
+    std::vector<dpolicy::MemberSignals> signals;
+    signals.reserve(round.slots.size());
+    for (RemoteSlot* slot : round.slots) {
+      dpolicy::MemberSignals member;
+      member.name = slot->name;
       std::lock_guard<std::mutex> slot_lock(slot->mu);
       member.last_heard_us = slot->last_gossip_us;
       if (slot->status.admission_cap > 0) {
         member.utilization = static_cast<double>(slot->status.inflight) /
                              static_cast<double>(slot->status.admission_cap);
       }
+      signals.push_back(std::move(member));
     }
-    signals.push_back(std::move(member));
+    dpolicy::MembershipDecision decision;
+    {
+      std::lock_guard<std::mutex> lock(policy_mu_);
+      decision = membership_.Tick(dbase::MonotonicClock::Get()->NowMicros(), signals);
+    }
+    ApplyMembership(decision);
+    gossip_rounds_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  dpolicy::MembershipDecision decision;
+  std::vector<std::function<void()>> waiters;
   {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    decision = membership_.Tick(dbase::MonotonicClock::Get()->NowMicros(), signals);
+    std::lock_guard<std::mutex> lock(gossip_mu_);
+    gossip_open_ = false;
+    waiters.swap(gossip_waiters_);
   }
-  ApplyMembership(decision);
-  gossip_rounds_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Cluster::NoteAffinityFromGossip(const std::string& composition, int index) {
-  // Slot mutex is held by the caller; only affinity_mu_ is taken here.
-  std::lock_guard<std::mutex> lock(affinity_mu_);
-  affinity_[composition] = index;
+  for (const auto& waiter : waiters) {
+    waiter();
+  }
 }
 
 void Cluster::ApplyMembership(const dpolicy::MembershipDecision& decision) {
@@ -718,17 +729,19 @@ void Cluster::Shutdown() {
   if (shut_down_.exchange(true, std::memory_order_relaxed)) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(gossip_mu_);
-    stopping_ = true;
-  }
-  gossip_cv_.notify_all();
-  gossip_thread_.reset();
+  dnet::NodeClient* client = nullptr;
+  dbase::TimerService::Id gossip_tick = 0;
   {
     std::lock_guard<std::mutex> lock(remotes_mu_);
-    if (client_started_) {
-      client_->Stop();
-    }
+    client = client_started_ ? client_.get() : nullptr;
+    gossip_tick = std::exchange(gossip_tick_, 0);
+  }
+  // Neither under remotes_mu_: a running tick takes it, and stopping the
+  // client fails the open round's probes, whose close applies membership
+  // (taking remotes_mu_) on the client's loop thread.
+  dbase::TimerService::Get()->Cancel(gossip_tick);
+  if (client != nullptr) {
+    client->Stop();
   }
   for (auto& node : nodes_) {
     node->Shutdown();

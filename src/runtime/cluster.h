@@ -22,24 +22,23 @@
 // Dandelion functions are pure — and are absorbed by a router-side
 // RetryPolicy (breaker keyed by node) that re-routes to surviving nodes;
 // remote jail kills and other deterministic function failures surface
-// unchanged. Node join/leave is policy-driven: a gossip loop feeds
+// unchanged. Node join/leave is policy-driven: periodic gossip rounds feed
 // dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones,
 // re-admits rejoiners, and emits fleet scale hints.
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/timer_service.h"
 #include "src/net/node_client.h"
 #include "src/policy/membership.h"
 #include "src/policy/retry.h"
@@ -78,7 +77,7 @@ class Cluster {
     // Backstop timeout for remote invokes carrying no deadline.
     dbase::Micros remote_invoke_timeout_us = 120 * dbase::kMicrosPerSecond;
     // Gossip cadence for remote signals + membership; 0 disables the
-    // background loop (tests drive GossipNow() by hand).
+    // periodic round (tests drive GossipNow() by hand).
     dbase::Micros gossip_interval_us = 200 * dbase::kMicrosPerMilli;
     dpolicy::MembershipOptions membership;
     // Router-side absorption of kPeerLost (breakers keyed by node name).
@@ -144,11 +143,6 @@ class Cluster {
       InvocationRequest request,
       std::function<void(dbase::Result<dfunc::DataSetList>, int node)> callback);
 
-  // Legacy shims over the request API.
-  RoutedResult Invoke(const std::string& composition, dfunc::DataSetList args);
-  void InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                   std::function<void(dbase::Result<dfunc::DataSetList>, int node)> callback);
-
   // Per-node served-invocation counters (locals then remotes).
   std::vector<uint64_t> InvocationsPerNode() const;
 
@@ -160,8 +154,9 @@ class Cluster {
   };
   std::vector<CoreSplit> CoreSplits() const;
 
-  // One synchronous gossip + membership round (the background loop runs
-  // this on gossip_interval_us; tests call it directly).
+  // Runs one gossip + membership round and blocks until it closes (joining
+  // the periodic round when one is already open). Tests and benches call it
+  // to refresh membership on demand.
   void GossipNow();
 
   // The statz "cluster" section's source of truth.
@@ -227,12 +222,20 @@ class Cluster {
                       int attempts, std::set<int> tried, bool shed_rerouted);
   InvocationHandle InvokeRouted(InvocationRequest request, RoutedCallback callback);
   void NoteAffinity(const std::string& composition, int index);
-  void NoteAffinityFromGossip(const std::string& composition, int index);
   int AffinityFor(const std::string& composition) const;
   std::string NodeName(int index) const;
   RemoteSlot* remote_slot(int index) const;
   void EnsureClientStarted();
   void ApplyMembership(const dpolicy::MembershipDecision& decision);
+
+  // Gossip rounds. A round probes every remote slot asynchronously; the
+  // replies land on the NodeClient loop thread, and the last one closes the
+  // round: membership Tick, ApplyMembership, gossip_rounds_ += 1 (skipped
+  // when there are no remote slots), then the waiters run. At most one
+  // round is open at a time; `on_closed` (may be null) joins the open one.
+  struct GossipRound;
+  void StartGossipRound(std::function<void()> on_closed);
+  void CloseGossipRound(const GossipRound& round);
 
   Config config_;
   std::vector<std::unique_ptr<Platform>> nodes_;
@@ -265,11 +268,11 @@ class Cluster {
   std::atomic<uint64_t> no_eligible_node_{0};
   std::atomic<uint64_t> gossip_rounds_{0};
 
-  // Background gossip loop.
   std::mutex gossip_mu_;
-  std::condition_variable gossip_cv_;
-  bool stopping_ = false;
-  std::unique_ptr<dbase::JoiningThread> gossip_thread_;
+  bool gossip_open_ = false;                           // Guarded by gossip_mu_.
+  std::vector<std::function<void()>> gossip_waiters_;  // Guarded by gossip_mu_.
+
+  dbase::TimerService::Id gossip_tick_ = 0;  // Guarded by remotes_mu_.
 
   std::atomic<bool> shut_down_{false};
 };

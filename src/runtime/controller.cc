@@ -1,7 +1,6 @@
 #include "src/runtime/controller.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 namespace dandelion {
@@ -20,7 +19,7 @@ ControlPlane::ControlPlane(WorkerSet* workers, std::unique_ptr<dpolicy::Elastici
 ControlPlane::~ControlPlane() { Stop(); }
 
 void ControlPlane::Start() {
-  if (running_.exchange(true)) {
+  if (tick_ != 0) {
     return;
   }
   // Baseline the counters so the first interval measures only new growth.
@@ -29,22 +28,10 @@ void ControlPlane::Start() {
   last_compute_popped_ = snapshot.compute_popped;
   last_comm_pushed_ = snapshot.comm_pushed;
   last_comm_popped_ = snapshot.comm_popped;
-
-  thread_ = dbase::JoiningThread("ctrl-plane", [this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(config_.interval_us));
-      if (!running_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      StepOnce();
-    }
-  });
+  tick_ = dbase::TimerService::Get()->Every(config_.interval_us, [this] { StepOnce(); });
 }
 
-void ControlPlane::Stop() {
-  running_.store(false);
-  thread_.Join();
-}
+void ControlPlane::Stop() { dbase::TimerService::Get()->Cancel(std::exchange(tick_, 0)); }
 
 uint64_t ControlPlane::AddSignalSource(SignalSource source) {
   std::lock_guard<std::mutex> lock(mu_);

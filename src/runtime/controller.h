@@ -8,7 +8,6 @@
 #ifndef SRC_RUNTIME_CONTROLLER_H_
 #define SRC_RUNTIME_CONTROLLER_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -17,7 +16,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
-#include "src/base/thread.h"
+#include "src/base/timer_service.h"
 #include "src/policy/elasticity.h"
 #include "src/runtime/engine.h"
 
@@ -65,16 +64,18 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
+  // Start arms a TimerService tick that runs StepOnce every interval_us;
+  // Stop cancels it, waiting for a running tick to finish.
   void Start();
   void Stop();
 
-  // One sampling step; called by the background thread, and directly by
-  // unit tests for determinism.
+  // One sampling step; called by the control tick, and directly by unit
+  // tests for determinism.
   Decision StepOnce();
 
   // Registers an augmenter that fills signals the WorkerSet cannot see
   // (dispatcher gauges, frontend admission counters, pool occupancy). Runs
-  // on the control thread each tick; must not block. Returns an id for
+  // in the control tick on the timer thread; must not block. Returns an id for
   // RemoveSignalSource, so a component that dies before the control plane
   // (e.g. a replaced frontend) can withdraw its contribution.
   using SignalSource = std::function<void(dpolicy::ElasticitySignals*)>;
@@ -84,7 +85,7 @@ class ControlPlane {
   // Registers a periodic callback driven by the same control tick, after
   // the elasticity decision (subsystems with their own policies — e.g. the
   // sandbox pool's prewarm step — share the control cadence instead of
-  // spawning private timer threads). Runs on the control thread with the
+  // spawning private timer threads). Runs in the control tick with the
   // tick's sample time; must not block.
   using Ticker = std::function<void(dbase::Micros now_us)>;
   uint64_t AddTicker(Ticker ticker);
@@ -100,11 +101,9 @@ class ControlPlane {
   WorkerSet* workers_;
   Config config_;
   std::unique_ptr<dpolicy::ElasticityPolicy> policy_;
+  dbase::TimerService::Id tick_ = 0;  // 0 while stopped; Start/Stop serialize.
 
-  std::atomic<bool> running_{false};
-  dbase::JoiningThread thread_;
-
-  // Last cumulative queue counters, for growth-rate deltas (control thread
+  // Last cumulative queue counters, for growth-rate deltas (control tick
   // plus test-driven StepOnce; not synchronized — callers serialize).
   uint64_t last_compute_pushed_ = 0;
   uint64_t last_compute_popped_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 
 #include "src/base/log.h"
@@ -94,21 +95,27 @@ Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
       retry_policy_(config.retry) {}
 
 Dispatcher::~Dispatcher() {
-  // Stop the retry scheduler first: its drain path fails pending relaunches
-  // through OnInstanceDone, whose callbacks re-enter DisarmReaper — the
-  // reaper state must still be alive at that point.
+  // Pending relaunches first: failing one runs its invocation callback,
+  // which disarms the reaper, so the reaper entries must still be alive.
+  // Each fails with its original status, so every in-flight invocation
+  // still completes exactly once.
+  std::map<dbase::TimerService::Id, std::shared_ptr<RetryJob>> retries;
   {
-    std::lock_guard<std::mutex> lock(retry_sched_mu_);
-    retry_stop_ = true;
+    std::lock_guard<std::mutex> lock(retry_mu_);
+    retries.swap(retry_jobs_);
   }
-  retry_sched_cv_.notify_all();
-  retry_thread_.Join();
+  for (const auto& [timer, job] : retries) {
+    dbase::TimerService::Get()->Cancel(timer);
+    OnInstanceDone(job->inv, job->node_index, job->instance_index, job->original_status);
+  }
+  std::map<const InvocationControl*, dbase::TimerService::Id> reapers;
   {
     std::lock_guard<std::mutex> lock(reaper_mu_);
-    reaper_stop_ = true;
+    reapers.swap(reaper_entries_);
   }
-  reaper_cv_.notify_all();
-  reaper_thread_.Join();
+  for (const auto& [key, timer] : reapers) {
+    dbase::TimerService::Get()->Cancel(timer);
+  }
 }
 
 DispatcherStats Dispatcher::Stats() const {
@@ -257,22 +264,6 @@ dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(InvocationRequest request) 
     return dbase::DeadlineExceeded("blocking invoke timed out");
   }
   return std::move(state->result);
-}
-
-void Dispatcher::InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                             ResultCallback callback) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  (void)Submit(std::move(request), std::move(callback));
-}
-
-dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(const std::string& composition,
-                                                     dfunc::DataSetList args) {
-  InvocationRequest request;
-  request.composition = composition;
-  request.args = std::move(args);
-  return Invoke(std::move(request));
 }
 
 std::shared_ptr<Dispatcher::InvocationState> Dispatcher::InvokeGraphAsync(
@@ -730,56 +721,23 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
   OnInstanceDone(inv, node_index, instance_index, std::move(status));
 }
 
-// ---------------------------------------------------------- Retry scheduler
+// --------------------------------------------------------- Retry relaunch
 
 void Dispatcher::ScheduleRetry(dbase::Micros due_us, RetryJob job) {
-  {
-    std::lock_guard<std::mutex> lock(retry_sched_mu_);
-    if (!retry_stop_) {
-      retry_jobs_.emplace(due_us, std::move(job));
-      if (!retry_thread_.joinable()) {
-        retry_thread_ =
-            dbase::JoiningThread("retry-scheduler", [this] { RetrySchedulerLoop(); });
+  auto pending = std::make_shared<RetryJob>(std::move(job));
+  std::lock_guard<std::mutex> lock(retry_mu_);
+  // The callback takes retry_mu_ before reading `timer`, so it always sees
+  // the id assigned here.
+  pending->timer = dbase::TimerService::Get()->At(due_us, [this, pending] {
+    {
+      std::lock_guard<std::mutex> callback_lock(retry_mu_);
+      if (retry_jobs_.erase(pending->timer) == 0) {
+        return;  // The destructor took the job and fails it.
       }
-      retry_sched_cv_.notify_one();
-      return;
     }
-  }
-  // Shutting down: surface the original failure instead of dropping the
-  // instance completion on the floor.
-  OnInstanceDone(job.inv, job.node_index, job.instance_index, job.original_status);
-}
-
-void Dispatcher::RetrySchedulerLoop() {
-  std::unique_lock<std::mutex> lock(retry_sched_mu_);
-  while (true) {
-    if (retry_stop_) {
-      // Drain: pending relaunches fail with their original status so every
-      // in-flight invocation still completes exactly once.
-      auto jobs = std::move(retry_jobs_);
-      retry_jobs_.clear();
-      lock.unlock();
-      for (auto& [due, job] : jobs) {
-        OnInstanceDone(job.inv, job.node_index, job.instance_index, job.original_status);
-      }
-      return;
-    }
-    if (retry_jobs_.empty()) {
-      retry_sched_cv_.wait(lock);
-      continue;
-    }
-    const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    auto it = retry_jobs_.begin();
-    if (it->first > now) {
-      retry_sched_cv_.wait_for(lock, std::chrono::microseconds(it->first - now + 50));
-      continue;
-    }
-    RetryJob job = std::move(it->second);
-    retry_jobs_.erase(it);
-    lock.unlock();
-    RelaunchCompute(std::move(job));
-    lock.lock();
-  }
+    RelaunchCompute(std::move(*pending));
+  });
+  retry_jobs_.emplace(pending->timer, pending);
 }
 
 void Dispatcher::RelaunchCompute(RetryJob job) {
@@ -1047,71 +1005,42 @@ void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv
 
 void Dispatcher::ArmReaper(const InvocationControl* key, dbase::Micros deadline_us,
                            const std::shared_ptr<InvocationState>& inv) {
-  bool spawn = false;
+  const std::weak_ptr<InvocationState> weak = inv;
+  const dbase::TimerService::Id timer =
+      dbase::TimerService::Get()->At(deadline_us, [this, weak] {
+        const std::shared_ptr<InvocationState> expired = weak.lock();
+        if (expired == nullptr) {
+          return;
+        }
+        std::unique_lock<std::mutex> inv_lock(expired->mu);
+        if (!expired->done) {
+          expired->control->RequestStop(dbase::StatusCode::kDeadlineExceeded);
+          FailLocked(expired, dbase::DeadlineExceeded("invocation deadline exceeded"));
+        }
+      });
   {
     std::lock_guard<std::mutex> lock(reaper_mu_);
-    if (reaper_stop_) {
-      return;
-    }
-    reaper_entries_[key] = ReaperEntry{deadline_us, inv};
-    spawn = !reaper_thread_.joinable();
-    if (spawn) {
-      reaper_thread_ = dbase::JoiningThread("invocation-reaper", [this] { ReaperLoop(); });
-    }
+    reaper_entries_[key] = timer;
   }
-  reaper_cv_.notify_one();
+  // The invocation may have finished before its entry existed; its own
+  // DisarmReaper then found nothing, so drop the timer here.
+  if (inv->control->done()) {
+    DisarmReaper(key);
+  }
 }
 
 void Dispatcher::DisarmReaper(const InvocationControl* key) {
-  std::lock_guard<std::mutex> lock(reaper_mu_);
-  reaper_entries_.erase(key);
-}
-
-void Dispatcher::ReaperLoop() {
-  std::unique_lock<std::mutex> lock(reaper_mu_);
-  while (!reaper_stop_) {
-    if (reaper_entries_.empty()) {
-      reaper_cv_.wait(lock);
-      continue;
+  dbase::TimerService::Id timer = 0;
+  {
+    std::lock_guard<std::mutex> lock(reaper_mu_);
+    const auto it = reaper_entries_.find(key);
+    if (it == reaper_entries_.end()) {
+      return;
     }
-    const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    dbase::Micros nearest = INT64_MAX;
-    std::vector<std::shared_ptr<InvocationState>> expired;
-    for (auto it = reaper_entries_.begin(); it != reaper_entries_.end();) {
-      if (it->second.deadline_us <= now) {
-        if (auto inv = it->second.inv.lock()) {
-          expired.push_back(std::move(inv));
-        }
-        it = reaper_entries_.erase(it);
-      } else {
-        nearest = std::min(nearest, it->second.deadline_us);
-        ++it;
-      }
-    }
-    if (!expired.empty()) {
-      // Fire outside the reaper lock: FailLocked runs the invocation
-      // callback, which re-enters DisarmReaper.
-      lock.unlock();
-      for (const auto& inv : expired) {
-        std::unique_lock<std::mutex> inv_lock(inv->mu);
-        if (!inv->done) {
-          if (inv->control != nullptr) {
-            inv->control->RequestStop(dbase::StatusCode::kDeadlineExceeded);
-          }
-          FailLocked(inv, dbase::DeadlineExceeded("invocation deadline exceeded"));
-        }
-      }
-      lock.lock();
-      continue;
-    }
-    // Bound the sleep: a deadline in the far future would overflow the
-    // nanosecond conversion inside wait_for, which then returns instantly
-    // and turns this loop into a spin that starves ArmReaper callers.
-    // Waking once a second to re-scan costs nothing.
-    const dbase::Micros sleep_us =
-        std::min<dbase::Micros>(nearest - now + 500, dbase::kMicrosPerSecond);
-    reaper_cv_.wait_for(lock, std::chrono::microseconds(sleep_us));
+    timer = it->second;
+    reaper_entries_.erase(it);
   }
+  dbase::TimerService::Get()->Cancel(timer);
 }
 
 }  // namespace dandelion

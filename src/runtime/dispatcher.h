@@ -11,13 +11,12 @@
 // InvocationHandle. The shared InvocationControl propagates the deadline
 // and the cancel flag into nested compositions, queued engine tasks, and
 // running sandboxes; a dead invocation launches no further instances. A
-// deadline reaper thread terminates past-deadline invocations even when
-// they are parked on slow communication calls.
+// deadline reaper timer terminates past-deadline invocations even when they
+// are parked on slow communication calls.
 #ifndef SRC_RUNTIME_DISPATCHER_H_
 #define SRC_RUNTIME_DISPATCHER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,7 +26,7 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/base/thread.h"
+#include "src/base/timer_service.h"
 #include "src/dsl/graph.h"
 #include "src/func/data.h"
 #include "src/func/registry.h"
@@ -130,12 +129,6 @@ class Dispatcher {
   // the invocation is cancelled and kDeadlineExceeded returned.
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
 
-  // Legacy shims over the request API (no deadline, interactive class).
-  void InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                   ResultCallback callback);
-  dbase::Result<dfunc::DataSetList> Invoke(const std::string& composition,
-                                           dfunc::DataSetList args);
-
   DispatcherStats Stats() const;
   // Per-function circuit-breaker states (statz's `breaker` section).
   std::vector<dpolicy::BreakerSnapshot> Breakers() const;
@@ -157,9 +150,10 @@ class Dispatcher {
     dfunc::FunctionSpec spec;
     std::shared_ptr<const dfunc::DataSetList> inputs;
     int attempt = 0;
-    // The failure that triggered the retry — surfaced if the invocation
-    // died while the retry was pending.
+    // The failure that triggered the retry — surfaced if the dispatcher is
+    // destroyed while the retry is pending.
     dbase::Status original_status;
+    dbase::TimerService::Id timer = 0;  // Set under retry_mu_ when armed.
   };
 
   // Starts one graph invocation; the control block is shared across nesting
@@ -196,27 +190,25 @@ class Dispatcher {
   // Every compute instance completes through OnComputeOutcome: it feeds the
   // failure kind into the RetryPolicy/breaker, and either schedules a
   // backed-off relaunch (retry-safe kinds, budget permitting) or lets the
-  // failure surface through OnInstanceDone. Relaunches run on a lazily
-  // spawned scheduler thread (same idiom as the deadline reaper).
+  // failure surface through OnInstanceDone. A relaunch is a TimerService
+  // callback at the backoff's due time.
   void OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, size_t node_index,
                         size_t instance_index, const dfunc::FunctionSpec& spec,
                         std::shared_ptr<const dfunc::DataSetList> retained_inputs, int attempt,
                         ExecOutcome outcome);
   void ScheduleRetry(dbase::Micros due_us, RetryJob job);
   void RelaunchCompute(RetryJob job);
-  void RetrySchedulerLoop();
 
   // --- Deadline reaper ------------------------------------------------------
   // Fails a root invocation at its deadline even when no instance is
-  // running to observe it (e.g. parked on a long comm call). The thread is
-  // spawned lazily on the first deadline-carrying Submit. Entries are
-  // keyed by the control block's address, not the invocation id — callers
-  // may reuse explicit ids, and two live invocations must not clobber each
-  // other's reaper entries.
+  // running to observe it (e.g. parked on a long comm call): one TimerService
+  // timer per deadline-carrying Submit, cancelled when the invocation
+  // finishes. Entries are keyed by the control block's address, not the
+  // invocation id — callers may reuse explicit ids, and two live invocations
+  // must not clobber each other's reaper entries.
   void ArmReaper(const InvocationControl* key, dbase::Micros deadline_us,
                  const std::shared_ptr<InvocationState>& inv);
   void DisarmReaper(const InvocationControl* key);
-  void ReaperLoop();
 
   const dfunc::FunctionRegistry* functions_;
   const CompositionRegistry* compositions_;
@@ -236,28 +228,18 @@ class Dispatcher {
   std::atomic<uint64_t> skipped_instances_{0};
   std::atomic<int64_t> inflight_by_class_[kNumPriorityClasses] = {};
 
-  struct ReaperEntry {
-    dbase::Micros deadline_us = 0;
-    std::weak_ptr<InvocationState> inv;
-  };
   std::mutex reaper_mu_;
-  std::condition_variable reaper_cv_;
-  // Keyed by control-block address (unique per live invocation; the
-  // wrapped callback keeps the control alive until it disarms).
-  std::map<const InvocationControl*, ReaperEntry> reaper_entries_;
-  bool reaper_stop_ = false;                        // Guarded by reaper_mu_.
-  dbase::JoiningThread reaper_thread_;              // Guarded by reaper_mu_ (spawn).
+  // Reaper timer per control-block address (unique per live invocation;
+  // the wrapped callback keeps the control alive until it disarms).
+  std::map<const InvocationControl*, dbase::TimerService::Id> reaper_entries_;
 
-  // --- Retry policy + scheduler ---------------------------------------------
+  // --- Retry policy + pending relaunches ------------------------------------
   std::atomic<uint64_t> sandbox_failures_{0};
   mutable std::mutex retry_mu_;
-  dpolicy::RetryPolicy retry_policy_;               // Guarded by retry_mu_.
-  std::mutex retry_sched_mu_;
-  std::condition_variable retry_sched_cv_;
-  // Pending relaunches keyed by their due time on the monotonic clock.
-  std::multimap<dbase::Micros, RetryJob> retry_jobs_;
-  bool retry_stop_ = false;                         // Guarded by retry_sched_mu_.
-  dbase::JoiningThread retry_thread_;               // Guarded by retry_sched_mu_ (spawn).
+  dpolicy::RetryPolicy retry_policy_;  // Guarded by retry_mu_.
+  // Pending relaunches by timer id, guarded by retry_mu_. Whoever erases a
+  // job owns it: its timer callback relaunches it, the destructor fails it.
+  std::map<dbase::TimerService::Id, std::shared_ptr<RetryJob>> retry_jobs_;
 };
 
 }  // namespace dandelion

@@ -256,7 +256,7 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     options.cancel_flag = task.control->stop_flag();
     if (task.control->deadline_us() > 0) {
       // The invocation deadline clamps the per-function timeout so the
-      // DeadlineWatchdog preempts at whichever comes first.
+      // sandbox preempts at whichever comes first.
       const dbase::Micros remaining = task.control->deadline_us() - now;
       const dbase::Micros spec_timeout =
           options.timeout_us > 0 ? options.timeout_us : task.spec.timeout_us;

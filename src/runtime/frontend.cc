@@ -42,7 +42,7 @@ void WriteAll(int fd, const std::string& data) {
   const dbase::Stopwatch watch;
   size_t offset = 0;
   while (offset < data.size() && watch.ElapsedMicros() < dbase::kMicrosPerSecond) {
-    const ssize_t n = write(fd, data.data() + offset, data.size() - offset);
+    const ssize_t n = send(fd, data.data() + offset, data.size() - offset, MSG_NOSIGNAL);
     if (n > 0) {
       offset += static_cast<size_t>(n);
       continue;
@@ -86,7 +86,7 @@ bool WantsKeepAlive(const dhttp::HttpRequest& request) {
 // and the marshalled sets follow as scatter chunks whose large payloads
 // alias the result items' backing buffers (a producer's context region, or
 // even the original request body for a pass-through composition) all the
-// way into writev.
+// way into sendmsg.
 WireChunks InvocationResponseWire(dbase::Result<dfunc::DataSetList> result) {
   if (result.ok()) {
     dfunc::DataSetList sets = std::move(result).value();
@@ -832,8 +832,9 @@ void HttpFrontend::FlushPipeline(const ConnectionPtr& conn) {
 
 void HttpFrontend::TryWrite(const ConnectionPtr& conn) {
   while (conn->HasPendingOut()) {
-    // Gather the queued chunks into one writev: header, framing, and
+    // Gather the queued chunks into one sendmsg: header, framing, and
     // payload slices go to the kernel without ever being concatenated.
+    // MSG_NOSIGNAL: a client that hung up is EPIPE here, not a SIGPIPE.
     constexpr size_t kMaxIov = 64;
     iovec iov[kMaxIov];
     size_t iov_count = 0;
@@ -847,7 +848,10 @@ void HttpFrontend::TryWrite(const ConnectionPtr& conn) {
       skip = 0;
       ++iov_count;
     }
-    const ssize_t n = writev(conn->fd, iov, static_cast<int>(iov_count));
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    const ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_pending -= static_cast<size_t>(n);
       total_response_bytes_ -= static_cast<size_t>(n);

@@ -96,7 +96,7 @@ struct FrontendConfig {
   int dispatch_threads = -1;
 };
 
-// A response as an ordered chunk sequence for gathered (writev) output:
+// A response as an ordered chunk sequence for gathered (sendmsg) output:
 // framing/header chunks own their bytes via refcounted buffers, large
 // payload chunks alias the marshalled set slices directly — the frontend
 // never concatenates a big response into one contiguous string.
@@ -155,7 +155,7 @@ class HttpFrontend {
     };
     State state = State::kReading;
     std::string in;   // Received, not-yet-consumed bytes.
-    // Response chunks awaiting write, gathered with writev. out_offset is
+    // Response chunks awaiting write, gathered into sendmsg. out_offset is
     // the cursor into the front chunk (partial writes advance it without
     // memmoving anything); out_pending is the total unsent byte count
     // across all chunks (the budget-accounting quantity).

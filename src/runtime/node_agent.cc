@@ -137,22 +137,26 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
   auto submit = [this, request = std::move(request), done = std::move(done), invocation_id,
                  klass]() mutable {
     // The handle is captured by the completion so the report (failure
-    // kind, absorbed retries) is readable at outcome-build time.
+    // kind, absorbed retries) is readable at outcome-build time. Both sides
+    // touch it under inflight_mu_.
     auto handle = std::make_shared<InvocationHandle>();
     auto callback = [this, done = std::move(done), handle, invocation_id,
                      klass](dbase::Result<dfunc::DataSetList> result) {
       inflight_[klass].fetch_sub(1, std::memory_order_relaxed);
       served_.fetch_add(1, std::memory_order_relaxed);
-      if (invocation_id != 0) {
+      InvocationHandle self;
+      {
         std::lock_guard<std::mutex> lock(inflight_mu_);
-        // The completion can outrun Submit's return: leave a token so the
-        // submit side knows not to insert a handle for a dead invocation.
-        if (inflight_handles_.erase(invocation_id) == 0) {
+        // The completion can outrun Submit's return: the handle is then
+        // still empty, and a token tells the submit side not to insert a
+        // handle for a dead invocation.
+        self = *handle;
+        if (invocation_id != 0 && inflight_handles_.erase(invocation_id) == 0) {
           completed_early_.insert(invocation_id);
         }
       }
       dnet::WireOutcome outcome;
-      const InvocationReport report = handle->Report();
+      const InvocationReport report = self.Report();
       outcome.failure_kind = static_cast<uint8_t>(report.failure_kind);
       outcome.retries_attempted = static_cast<uint32_t>(report.retries_attempted);
       if (result.ok()) {
@@ -164,17 +168,18 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
       }
       done(std::move(outcome));
       {
+        // Notify under the lock: Stop() may destroy this agent the moment
+        // it sees zero, condition variable included.
         std::lock_guard<std::mutex> drain_lock(drain_mu_);
         outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+        drain_cv_.notify_all();
       }
-      drain_cv_.notify_all();
     };
-    *handle = platform_->Submit(std::move(request), std::move(callback));
-    if (invocation_id != 0) {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      if (completed_early_.erase(invocation_id) == 0) {
-        inflight_handles_[invocation_id] = *handle;
-      }
+    InvocationHandle submitted = platform_->Submit(std::move(request), std::move(callback));
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    *handle = submitted;
+    if (invocation_id != 0 && completed_early_.erase(invocation_id) == 0) {
+      inflight_handles_[invocation_id] = std::move(submitted);
     }
   };
   if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(submit)) {
@@ -210,10 +215,10 @@ void NodeAgent::HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn do
     }
     done(std::move(reply));
     {
-      std::lock_guard<std::mutex> drain_lock(drain_mu_);
+      std::lock_guard<std::mutex> drain_lock(drain_mu_);  // See HandleInvoke.
       outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      drain_cv_.notify_all();
     }
-    drain_cv_.notify_all();
   };
   if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(serve)) {
     return;

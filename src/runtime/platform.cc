@@ -37,7 +37,6 @@ Platform::Platform(PlatformConfig config) : config_(config) {
   if (config.enable_control_plane) {
     ControlPlane::Config control_config;
     control_config.interval_us = config.control_interval_us;
-    control_config.history_limit = config.control_history_limit;
     std::unique_ptr<dpolicy::ElasticityPolicy> policy =
         config.elasticity_policy_factory ? config.elasticity_policy_factory()
                                          : dpolicy::CreatePolicy(config.elasticity_policy);
@@ -152,16 +151,6 @@ InvocationHandle Platform::Submit(InvocationRequest request,
 
 dbase::Result<dfunc::DataSetList> Platform::Invoke(InvocationRequest request) {
   return dispatcher_->Invoke(std::move(request));
-}
-
-dbase::Result<dfunc::DataSetList> Platform::Invoke(const std::string& composition,
-                                                   dfunc::DataSetList args) {
-  return dispatcher_->Invoke(composition, std::move(args));
-}
-
-void Platform::InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                           Dispatcher::ResultCallback callback) {
-  dispatcher_->InvokeAsync(composition, std::move(args), std::move(callback));
 }
 
 }  // namespace dandelion

@@ -40,8 +40,6 @@ struct PlatformConfig {
   // Overrides elasticity_policy with a custom-configured policy instance
   // (tests, sim-vs-runtime parity runs).
   std::function<std::unique_ptr<dpolicy::ElasticityPolicy>()> elasticity_policy_factory;
-  // Decision-history ring-buffer cap (ControlPlane::Config::history_limit).
-  size_t control_history_limit = 4096;
   // Fraction of compute launches whose binary load misses the in-memory
   // cache (Fig. 6 uses 3%).
   double binary_cold_fraction = 0.0;
@@ -89,13 +87,6 @@ class Platform {
   // Blocking counterpart; deadline-aware (returns kDeadlineExceeded instead
   // of waiting forever).
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
-
-  // Legacy shims over the request API (no deadline, interactive class) so
-  // examples and benches migrate incrementally.
-  dbase::Result<dfunc::DataSetList> Invoke(const std::string& composition,
-                                           dfunc::DataSetList args);
-  void InvokeAsync(const std::string& composition, dfunc::DataSetList args,
-                   Dispatcher::ResultCallback callback);
 
   // --- Introspection -------------------------------------------------------
   dhttp::ServiceMesh& mesh() { return mesh_; }

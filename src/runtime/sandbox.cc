@@ -7,11 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 #include <thread>
 
 #include "src/base/log.h"
@@ -96,92 +92,10 @@ dbase::Micros EffectiveTimeout(const dfunc::FunctionSpec& spec, const SandboxOpt
 }
 
 // ---------------------------------------------------------------------------
-// Deadline watchdog: a single background thread that flips cancel flags when
-// deadlines pass. Keeps the thread-flavoured backends' critical path free of
-// thread spawns — the property that makes the CHERI backend the fastest row
-// of Table 1.
-// ---------------------------------------------------------------------------
-class DeadlineWatchdog {
- public:
-  static DeadlineWatchdog* Get() {
-    static DeadlineWatchdog* instance = new DeadlineWatchdog();
-    return instance;
-  }
-
-  // Registers a cancel flag to be set at `deadline`; returns a ticket used
-  // to deregister.
-  uint64_t Arm(dbase::Micros deadline, std::atomic<bool>* flag) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t ticket = next_ticket_++;
-    entries_[ticket] = Entry{deadline, flag};
-    // Wake the watchdog only when this deadline is sooner than the one it
-    // is already sleeping toward. Arming is on every sandbox execution's
-    // critical path; an unconditional notify would cost a futex wake (and,
-    // on one core, a context switch) per function instance.
-    if (deadline < sleeping_until_) {
-      sleeping_until_ = deadline;
-      cv_.notify_one();
-    }
-    return ticket;
-  }
-
-  void Disarm(uint64_t ticket) {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(ticket);
-  }
-
- private:
-  struct Entry {
-    dbase::Micros deadline;
-    std::atomic<bool>* flag;
-  };
-
-  DeadlineWatchdog() {
-    thread_ = std::thread([this] { Loop(); });
-    thread_.detach();  // Process-lifetime singleton.
-  }
-
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      if (entries_.empty()) {
-        sleeping_until_ = INT64_MAX;
-        cv_.wait(lock);
-        continue;
-      }
-      const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-      dbase::Micros nearest = INT64_MAX;
-      for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->second.deadline <= now) {
-          it->second.flag->store(true, std::memory_order_relaxed);
-          it = entries_.erase(it);
-        } else {
-          nearest = std::min(nearest, it->second.deadline);
-          ++it;
-        }
-      }
-      if (nearest != INT64_MAX) {
-        sleeping_until_ = nearest;
-        cv_.wait_for(lock, std::chrono::microseconds(nearest - now + 100));
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<uint64_t, Entry> entries_;
-  uint64_t next_ticket_ = 1;
-  // Earliest deadline the loop is currently sleeping toward (guarded by
-  // mu_); INT64_MAX while idle. May run stale-early after a Disarm, which
-  // only causes a harmless spurious wake.
-  dbase::Micros sleeping_until_ = INT64_MAX;
-  std::thread thread_;
-};
-
-// ---------------------------------------------------------------------------
 // Thread-based sandbox (CHERI stand-in) + the cost-injecting variants.
 // Executes inline on the engine's core — run-to-completion, no context
-// switch (§5) — with the watchdog providing cooperative preemption.
+// switch (§5) — with a deadline the body polls providing cooperative
+// preemption.
 // ---------------------------------------------------------------------------
 class ThreadSandbox : public SandboxExecutor {
  public:
@@ -194,40 +108,34 @@ class ThreadSandbox : public SandboxExecutor {
     outcome.timings.pool_hit = options.prewarmed;
     dbase::Stopwatch watch;
 
-    // Binary load (modelled; §7.4 cached vs. uncached). A pre-warmed
-    // sandbox loaded its binary at pool-fill time — nothing to pay here,
-    // and the timing rows must say so (setup_us distinguishes pool-hit ~0
-    // from a cold create).
+    // Binary load (modelled; §7.4 cached vs. uncached), then the sandbox
+    // setup surcharge (VM enter for kvm-sim, runtime init for wasm-sim;
+    // zero for the CHERI stand-in — its point is that a sandbox is just a
+    // capability switch within the address space). A pre-warmed sandbox
+    // paid both at pool-fill time — nothing to pay here, and the timing
+    // rows must say so (setup_us distinguishes pool-hit 0 from a cold
+    // create).
     if (!options.prewarmed) {
-      const dbase::Micros load = LoadCost(costs_, spec.binary_bytes, options.binary_cached);
-      dbase::SpinFor(load);
-    }
-    outcome.timings.load_us = watch.ElapsedMicros();
-
-    // Sandbox setup surcharge (VM enter for kvm-sim, runtime init for
-    // wasm-sim; zero for the CHERI stand-in — its point is that a sandbox
-    // is just a capability switch within the address space).
-    watch.Restart();
-    if (!options.prewarmed) {
+      dbase::SpinFor(LoadCost(costs_, spec.binary_bytes, options.binary_cached));
+      outcome.timings.load_us = watch.ElapsedMicros();
+      watch.Restart();
       dbase::SpinFor(costs_.setup_us);
+      outcome.timings.setup_us = watch.ElapsedMicros();
     }
-    outcome.timings.setup_us = watch.ElapsedMicros();
 
-    // Execute inline with a watchdog-enforced cooperative deadline. The
-    // invocation's external cancel flag rides along: the body's
-    // cancelled() poll returns true for either, and the outcome below
-    // distinguishes timeout from cancellation.
+    // Execute inline with a cooperative deadline: the body's cancelled()
+    // poll turns true once the deadline passes or the invocation's cancel
+    // flag flips. A body that returns at or after the deadline timed out
+    // unless it was cancelled externally.
     watch.Restart();
     const dbase::Micros timeout = EffectiveTimeout(spec, options);
-    std::atomic<bool> cancel{false};
-    const uint64_t ticket = DeadlineWatchdog::Get()->Arm(
-        dbase::MonotonicClock::Get()->NowMicros() + timeout, &cancel);
-    (void)RunFunctionBodyAgainstContext(spec, context, &cancel, options.cancel_flag,
+    const dbase::Micros deadline = dbase::MonotonicClock::Get()->NowMicros() + timeout;
+    (void)RunFunctionBodyAgainstContext(spec, context, options.cancel_flag, deadline,
                                         options.input_sets.get());
-    DeadlineWatchdog::Get()->Disarm(ticket);
     const bool externally_cancelled =
         options.cancel_flag != nullptr && options.cancel_flag->load(std::memory_order_relaxed);
-    const bool timed_out = cancel.load(std::memory_order_relaxed) && !externally_cancelled;
+    const bool timed_out =
+        !externally_cancelled && dbase::MonotonicClock::Get()->NowMicros() >= deadline;
     dbase::Micros exec = watch.ElapsedMicros();
 
     // Emulate slower generated code by stretching execution time.
@@ -329,7 +237,7 @@ class ProcessSandbox : public SandboxExecutor {
         // this call never returns; unjailed it is a harmless open+leak.
         (void)syscall(SYS_openat, AT_FDCWD, "/dev/null", O_RDONLY);
       }
-      (void)RunFunctionBodyAgainstContext(spec, context, nullptr, nullptr);
+      (void)RunFunctionBodyAgainstContext(spec, context);
       if (fault_crash_partial) {
         // Tear the outcome the body just wrote — plausible header, garbage
         // length — then die. The parent must discard the context and any
@@ -449,8 +357,8 @@ WaitDecode DecodeWaitStatus(int wait_status, const std::string& function_name) {
 
 dbase::Status RunFunctionBodyAgainstContext(const dfunc::FunctionSpec& spec,
                                             MemoryContext& context,
-                                            const std::atomic<bool>* timeout_flag,
-                                            const std::atomic<bool>* invocation_cancel,
+                                            const std::atomic<bool>* cancel_flag,
+                                            dbase::Micros deadline_us,
                                             const dfunc::DataSetList* preloaded_inputs) {
   dfunc::DataSetList input_sets;
   if (preloaded_inputs != nullptr) {
@@ -466,8 +374,8 @@ dbase::Status RunFunctionBodyAgainstContext(const dfunc::FunctionSpec& spec,
     input_sets = std::move(inputs).value();
   }
   dfunc::FunctionCtx ctx(std::move(input_sets));
-  ctx.set_cancel_flag(timeout_flag);
-  ctx.set_invocation_cancel_flag(invocation_cancel);
+  ctx.set_cancel_flag(cancel_flag);
+  ctx.set_deadline(deadline_us);
   dbase::Status status = spec.body(ctx);
   if (status.ok()) {
     status = ctx.CollectFsOutputs();

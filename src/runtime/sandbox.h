@@ -82,7 +82,7 @@ struct SandboxOptions {
   // Overrides the FunctionSpec timeout when > 0.
   dbase::Micros timeout_us = 0;
   // External kill switch (the invocation's cancel flag). Thread-flavoured
-  // backends merge it with their deadline flag so the function's
+  // backends hand it to the function with the execution deadline, so the
   // cancelled() poll sees both; the process backend SIGKILLs the child
   // when it flips. A set flag yields a kCancelled outcome.
   const std::atomic<bool>* cancel_flag = nullptr;
@@ -147,16 +147,18 @@ dbase::Micros ModeledLoadCostUs(const BackendCostModel& costs, uint64_t binary_b
 // Runs the function body in-process against a context already holding
 // marshalled inputs, leaving the outcome in the context. Shared by the
 // thread-flavoured backends, the forked child of the process backend, and
-// the sandbox pool's pre-forked template children. `timeout_flag` is the
-// per-execution deadline flag and `invocation_cancel` the invocation-wide
-// kill switch (either may be null). `preloaded_inputs`, when non-null,
-// bypasses LoadInputSets: the body consumes these sets directly (aliased
-// payloads stay refcount bumps) — the in-process zero-copy input path.
-dbase::Status RunFunctionBodyAgainstContext(const dfunc::FunctionSpec& spec,
-                                            MemoryContext& context,
-                                            const std::atomic<bool>* timeout_flag,
-                                            const std::atomic<bool>* invocation_cancel,
-                                            const dfunc::DataSetList* preloaded_inputs = nullptr);
+// the sandbox pool's pre-forked template children. `cancel_flag` (may be
+// null) is the invocation-wide kill switch and `deadline_us` the execution's
+// absolute deadline on dbase::MonotonicClock; the body's cancelled() poll
+// sees both. Forked children pass neither: the parent SIGKILLs them.
+// `preloaded_inputs`, when non-null, bypasses LoadInputSets: the body
+// consumes these sets directly (aliased payloads stay refcount bumps) — the
+// in-process zero-copy input path.
+dbase::Status RunFunctionBodyAgainstContext(
+    const dfunc::FunctionSpec& spec, MemoryContext& context,
+    const std::atomic<bool>* cancel_flag = nullptr,
+    dbase::Micros deadline_us = dfunc::FunctionCtx::kNoDeadline,
+    const dfunc::DataSetList* preloaded_inputs = nullptr);
 
 }  // namespace dandelion
 

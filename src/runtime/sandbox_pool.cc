@@ -27,9 +27,10 @@ namespace {
 // The go-pipe write in Execute() is the liveness probe for the template
 // child: if the child died, every read end is closed (the parent dropped
 // its own at Arm) and the write must come back EPIPE — not raise SIGPIPE
-// and kill the whole runtime. Ignored process-wide, once, when the first
-// process-backend pool is built; nothing else in the runtime relies on
-// SIGPIPE's default action.
+// and kill the whole runtime. The go-pipe is a pipe, not a socket, so
+// MSG_NOSIGNAL (which every socket write in the runtime uses instead) does
+// not apply: SIGPIPE is ignored process-wide, once, when the first
+// process-backend pool is built.
 void IgnoreSigpipeOnce() {
   static std::once_flag once;
   std::call_once(once, [] { signal(SIGPIPE, SIG_IGN); });
@@ -170,7 +171,7 @@ class ProcessWarmSandbox : public WarmSandbox {
         if (fault_forbidden) {
           (void)syscall(SYS_openat, AT_FDCWD, "/dev/null", O_RDONLY);
         }
-        (void)RunFunctionBodyAgainstContext(spec_, *context_, nullptr, nullptr);
+        (void)RunFunctionBodyAgainstContext(spec_, *context_);
         if (fault_crash_partial) {
           ContextHeader torn;
           torn.state = 0;

@@ -132,8 +132,6 @@ int main(int argc, char** argv) {
   sem_init(&g_shutdown, 0, 0);
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
-  // A router tearing down mid-write must not kill the node.
-  std::signal(SIGPIPE, SIG_IGN);
 
   dandelion::PlatformConfig config;
   config.num_workers = flags.workers;

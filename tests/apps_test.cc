@@ -50,7 +50,7 @@ TEST(LogAppTest, BadTokenProducesEmptyRender) {
   // the log-fetch HTTP node and Render are skipped (§4.4) → empty output.
   dfunc::DataSetList args;
   args.push_back(dfunc::DataSet{"AccessToken", {dfunc::DataItem{"", "wrong-token"}}});
-  auto result = platform.Invoke("RenderLogs", std::move(args));
+  auto result = platform.Invoke({"RenderLogs", std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const dfunc::DataSet* html = dfunc::FindSet(*result, "HTMLOutput");
   ASSERT_NE(html, nullptr);

@@ -1,5 +1,5 @@
 // Unit tests for src/base: status/result, clocks, RNG, stats, queues,
-// threads, strings.
+// threads, the timer service, strings.
 #include <gtest/gtest.h>
 
 // GCC 12 emits bogus -Wmaybe-uninitialized reports from std::variant
@@ -10,6 +10,10 @@
 #endif
 
 #include <atomic>
+#include <chrono>
+#include <ctime>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "src/base/status.h"
 #include "src/base/string_util.h"
 #include "src/base/thread.h"
+#include "src/base/timer_service.h"
 
 namespace dbase {
 namespace {
@@ -639,6 +644,120 @@ TEST(ThreadTest, WorkerPoolRejectsAfterShutdown) {
   WorkerPool pool(1, "test");
   pool.Shutdown();
   EXPECT_FALSE(pool.Submit([] {}));
+}
+
+// ------------------------------------------------------------ TimerService
+// Each test builds its own service, so the process-wide one is untouched.
+
+Micros NowPlus(Micros delta_us) { return MonotonicClock::Get()->NowMicros() + delta_us; }
+
+TEST(TimerServiceTest, FiresInDueOrder) {
+  TimerService timers;
+  std::mutex mu;
+  std::vector<int> fired;
+  Latch done(3);
+  for (const int ms : {30, 10, 20}) {
+    timers.At(NowPlus(ms * kMicrosPerMilli), [&, ms] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        fired.push_back(ms);
+      }
+      done.CountDown();
+    });
+  }
+  ASSERT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_EQ(fired, (std::vector<int>{10, 20, 30}));
+}
+
+TEST(TimerServiceTest, CancelBeforeFiringMeansNeverRuns) {
+  TimerService timers;
+  std::atomic<bool> ran{false};
+  const TimerService::Id id = timers.At(NowPlus(20 * kMicrosPerMilli), [&] { ran = true; });
+  EXPECT_TRUE(timers.Cancel(id));
+  EXPECT_FALSE(timers.Cancel(id));  // Already gone.
+  Latch later(1);
+  timers.At(NowPlus(40 * kMicrosPerMilli), [&] { later.CountDown(); });
+  ASSERT_TRUE(later.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_FALSE(ran.load());
+}
+
+TEST(TimerServiceTest, CancelWaitsForRunningCallback) {
+  TimerService timers;
+  Latch started(1);
+  std::atomic<bool> finished{false};
+  const TimerService::Id id = timers.At(NowPlus(0), [&] {
+    started.CountDown();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished = true;
+  });
+  started.Wait();
+  EXPECT_FALSE(timers.Cancel(id));  // It ran, so false — but only once it returned.
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(TimerServiceTest, CancelFromInsideCallbackDoesNotWait) {
+  TimerService timers;
+  std::atomic<TimerService::Id> self{0};
+  std::atomic<bool> cancelled{true};
+  Latch done(1);
+  self = timers.At(NowPlus(20 * kMicrosPerMilli), [&] {
+    cancelled = timers.Cancel(self.load());
+    done.CountDown();
+  });
+  ASSERT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_FALSE(cancelled.load());
+}
+
+TEST(TimerServiceTest, CallbackMayScheduleAgain) {
+  TimerService timers;
+  std::atomic<int> runs{0};
+  Latch done(1);
+  std::function<void()> tick = [&] {
+    if (runs.fetch_add(1) + 1 < 3) {
+      timers.At(NowPlus(kMicrosPerMilli), tick);
+    } else {
+      done.CountDown();
+    }
+  };
+  timers.At(NowPlus(0), tick);
+  ASSERT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_EQ(runs.load(), 3);
+}
+
+Micros ProcessCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<Micros>(ts.tv_sec) * kMicrosPerSecond + ts.tv_nsec / 1000;
+}
+
+TEST(TimerServiceTest, FarFutureDueDoesNotSpin) {
+  TimerService timers;
+  std::atomic<bool> far_ran{false};
+  const TimerService::Id far = timers.At(INT64_MAX, [&] { far_ran = true; });
+  Latch near(1);
+  timers.At(NowPlus(10 * kMicrosPerMilli), [&] { near.CountDown(); });
+  ASSERT_TRUE(near.WaitFor(5 * kMicrosPerSecond));
+  // The timer thread now sleeps toward INT64_MAX. An overflowing wait
+  // would return at once and burn this whole interval on CPU.
+  const Micros cpu_before = ProcessCpuMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(ProcessCpuMicros() - cpu_before, 20 * kMicrosPerMilli);
+  EXPECT_FALSE(far_ran.load());
+  EXPECT_TRUE(timers.Cancel(far));
+}
+
+TEST(TimerServiceTest, EveryRepeatsUntilCancelled) {
+  TimerService timers;
+  std::atomic<int> ticks{0};
+  const TimerService::Id id = timers.Every(2 * kMicrosPerMilli, [&] { ticks.fetch_add(1); });
+  while (ticks.load() < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  timers.Cancel(id);  // Pending or running: either way it never runs again.
+  const int cancelled_at = ticks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ticks.load(), cancelled_at);
+  EXPECT_FALSE(timers.Cancel(id));
 }
 
 // ------------------------------------------------------------------ String

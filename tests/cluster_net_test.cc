@@ -134,7 +134,7 @@ TEST(ClusterNetTest, RemoteInvokeEndToEnd) {
 
   for (int i = 0; i < 4; ++i) {
     const std::string payload = "remote-" + std::to_string(i);
-    auto routed = cluster.Invoke("Id", EchoArgs(payload));
+    auto routed = cluster.Invoke({"Id", EchoArgs(payload)});
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), payload);
     EXPECT_EQ(routed.attempts, 1);
@@ -161,9 +161,9 @@ TEST(ClusterNetTest, RemoteInvokeAddsZeroPayloadCopies) {
     Cluster local(config);
     ASSERT_TRUE(local.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
     ASSERT_TRUE(local.RegisterCompositionDsl(kNodeDsl).ok());
-    ASSERT_TRUE(local.Invoke("Id", EchoArgs("warmup")).ok());
+    ASSERT_TRUE(local.Invoke({"Id", EchoArgs("warmup")}).ok());
     const auto before = dfunc::DataPlaneStats::Get().snapshot();
-    auto routed = local.Invoke("Id", EchoArgs(std::string(kPayloadBytes, 'q')));
+    auto routed = local.Invoke({"Id", EchoArgs(std::string(kPayloadBytes, 'q'))});
     const auto after = dfunc::DataPlaneStats::Get().snapshot();
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     local_copied = after.bytes_copied - before.bytes_copied;
@@ -176,10 +176,10 @@ TEST(ClusterNetTest, RemoteInvokeAddsZeroPayloadCopies) {
       RemoteClusterConfig({{"nz", node.port()}}, LoadBalancePolicy::kRoundRobin));
   // Warm-up: connection establishment and first-invoke setup out of the
   // measured window.
-  ASSERT_TRUE(cluster.Invoke("Id", EchoArgs("warmup")).ok());
+  ASSERT_TRUE(cluster.Invoke({"Id", EchoArgs("warmup")}).ok());
 
   const auto before = dfunc::DataPlaneStats::Get().snapshot();
-  auto routed = cluster.Invoke("Id", EchoArgs(std::string(kPayloadBytes, 'q')));
+  auto routed = cluster.Invoke({"Id", EchoArgs(std::string(kPayloadBytes, 'q'))});
   const auto after = dfunc::DataPlaneStats::Get().snapshot();
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   ASSERT_EQ(routed.sets()[0].items[0].data.size(), kPayloadBytes);
@@ -225,7 +225,7 @@ TEST(ClusterNetTest, ShedPeerReroutesToSibling) {
 
   // Occupy A (round-robin starts there) with a napping invocation.
   dbase::Latch nap_done(1);
-  cluster.InvokeAsync("Nap", EchoArgs("occupy"),
+  cluster.InvokeAsync({"Nap", EchoArgs("occupy")},
                       [&](dbase::Result<DataSetList> result, int node) {
                         EXPECT_TRUE(result.ok()) << result.status().ToString();
                         EXPECT_EQ(node, 0);
@@ -240,13 +240,13 @@ TEST(ClusterNetTest, ShedPeerReroutesToSibling) {
   ASSERT_TRUE(arrived()) << "occupier never reached node A";
 
   // Round-robin sends this one to B directly.
-  auto direct = cluster.Invoke("Id", EchoArgs("direct"));
+  auto direct = cluster.Invoke({"Id", EchoArgs("direct")});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_EQ(direct.node_name, "nb");
 
   // This one is aimed at A, which sheds at its cap — the router re-routes
   // it once to B instead of surfacing the 429-equivalent.
-  auto rerouted = cluster.Invoke("Id", EchoArgs("rerouted"));
+  auto rerouted = cluster.Invoke({"Id", EchoArgs("rerouted")});
   ASSERT_TRUE(rerouted.ok()) << rerouted.status().ToString();
   EXPECT_EQ(rerouted.node_name, "nb");
   EXPECT_EQ(rerouted.attempts, 2);
@@ -275,7 +275,7 @@ TEST(ClusterNetTest, PeerLossMidInvokeReroutesToSurvivor) {
   std::atomic<int> served_by{-1};
   std::atomic<bool> ok{false};
   dbase::StatusCode code = dbase::StatusCode::kOk;
-  cluster.InvokeAsync("Nap", EchoArgs("survivor"),
+  cluster.InvokeAsync({"Nap", EchoArgs("survivor")},
                       [&](dbase::Result<DataSetList> result, int node) {
                         ok.store(result.ok());
                         if (!result.ok()) code = result.status().code();
@@ -399,7 +399,7 @@ TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
 
   // Sanity: every process answers before the kill.
   for (int i = 0; i < 3; ++i) {
-    auto warm = cluster.Invoke("Id", EchoArgs("warm"));
+    auto warm = cluster.Invoke({"Id", EchoArgs("warm")});
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   }
 
@@ -409,7 +409,7 @@ TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
   std::atomic<bool> ok{false};
   std::string failure;
   std::mutex failure_mu;
-  cluster.InvokeAsync("Work", EchoArgs("600000"),
+  cluster.InvokeAsync({"Work", EchoArgs("600000")},
                       [&](dbase::Result<DataSetList> result, int) {
                         ok.store(result.ok());
                         if (!result.ok()) {
@@ -505,7 +505,7 @@ TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {
     EXPECT_GE(stats.membership.evictions, 1u);
   }
   // With no eligible node, invokes fail fast instead of hanging.
-  auto unroutable = cluster.Invoke("Id", EchoArgs("nowhere"));
+  auto unroutable = cluster.Invoke({"Id", EchoArgs("nowhere")});
   EXPECT_FALSE(unroutable.ok());
   EXPECT_EQ(unroutable.status().code(), dbase::StatusCode::kUnavailable);
 
@@ -519,7 +519,7 @@ TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {
     EXPECT_EQ(FindPeer(stats, "nc")->state, "active");
     EXPECT_GE(stats.membership.rejoins, 1u);
   }
-  auto routed = cluster.Invoke("Id", EchoArgs("welcome back"));
+  auto routed = cluster.Invoke({"Id", EchoArgs("welcome back")});
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.node_name, "nc");
 }
@@ -534,10 +534,10 @@ TEST(ClusterNetTest, GossipFillsPeerStatsAndLocalitysticks) {
 
   // First placement falls back to least-loaded; afterwards the serve
   // history pins the composition to that node.
-  auto first = cluster.Invoke("Id", EchoArgs("first"));
+  auto first = cluster.Invoke({"Id", EchoArgs("first")});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   for (int i = 0; i < 5; ++i) {
-    auto routed = cluster.Invoke("Id", EchoArgs("again"));
+    auto routed = cluster.Invoke({"Id", EchoArgs("again")});
     ASSERT_TRUE(routed.ok());
     EXPECT_EQ(routed.node_index, first.node_index);
   }
@@ -571,10 +571,12 @@ int BlockingConnect(uint16_t port) {
   return fd;
 }
 
+// MSG_NOSIGNAL: the server may drop us mid-write (that is the point), and
+// the write must then fail with EPIPE instead of killing the test binary.
 void SendRaw(int fd, const std::string& bytes) {
   size_t offset = 0;
   while (offset < bytes.size()) {
-    const ssize_t n = write(fd, bytes.data() + offset, bytes.size() - offset);
+    const ssize_t n = send(fd, bytes.data() + offset, bytes.size() - offset, MSG_NOSIGNAL);
     if (n <= 0) return;  // Peer already dropped us — that is the point.
     offset += static_cast<size_t>(n);
   }
@@ -701,7 +703,7 @@ TEST(ClusterNetTest, HostileFramesDropTheConnectionNotTheServer) {
   // router after all of the above.
   Cluster cluster(
       RemoteClusterConfig({{"nh", node.port()}}, LoadBalancePolicy::kRoundRobin));
-  auto routed = cluster.Invoke("Id", EchoArgs("still alive"));
+  auto routed = cluster.Invoke({"Id", EchoArgs("still alive")});
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), "still alive");
 }
@@ -711,7 +713,7 @@ TEST(ClusterNetTest, HostileFramesDropTheConnectionNotTheServer) {
 void HttpSendAll(int fd, const std::string& data) {
   size_t offset = 0;
   while (offset < data.size()) {
-    const ssize_t n = write(fd, data.data() + offset, data.size() - offset);
+    const ssize_t n = send(fd, data.data() + offset, data.size() - offset, MSG_NOSIGNAL);
     ASSERT_GT(n, 0);
     offset += static_cast<size_t>(n);
   }

@@ -74,7 +74,7 @@ TEST(ClusterTest, RoundRobinSpreadsEvenly) {
   ASSERT_TRUE(cluster.RegisterCompositionDsl(kIdDsl).ok());
 
   for (int i = 0; i < 9; ++i) {
-    auto routed = cluster.Invoke("Id", EchoArgs("x" + std::to_string(i)));
+    auto routed = cluster.Invoke({"Id", EchoArgs("x" + std::to_string(i))});
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     EXPECT_EQ(routed.node_index, i % 3);
   }
@@ -88,7 +88,7 @@ TEST(ClusterTest, ResultsCorrectRegardlessOfNode) {
   ASSERT_TRUE(cluster.RegisterCompositionDsl(kIdDsl).ok());
   for (int i = 0; i < 12; ++i) {
     const std::string payload = "payload-" + std::to_string(i);
-    auto routed = cluster.Invoke("Id", EchoArgs(payload));
+    auto routed = cluster.Invoke({"Id", EchoArgs(payload)});
     ASSERT_TRUE(routed.ok());
     EXPECT_EQ(routed.sets()[0].items[0].data, payload);
   }
@@ -114,14 +114,14 @@ TEST(ClusterTest, LeastLoadedAvoidsBusyNode) {
 
   // First request picks node 0 (all empty) and stays in flight there.
   dbase::Latch slow_done(1);
-  cluster.InvokeAsync("Slow", EchoArgs("occupy"),
+  cluster.InvokeAsync({"Slow", EchoArgs("occupy")},
                       [&](dbase::Result<DataSetList> result, int node) {
                         EXPECT_TRUE(result.ok());
                         EXPECT_EQ(node, 0);
                         slow_done.CountDown();
                       });
   // While node 0 is busy, least-loaded must route elsewhere.
-  auto routed = cluster.Invoke("Id", EchoArgs("quick"));
+  auto routed = cluster.Invoke({"Id", EchoArgs("quick")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.node_index, 1);
   ASSERT_TRUE(slow_done.WaitFor(5 * dbase::kMicrosPerSecond));
@@ -141,7 +141,7 @@ TEST(ClusterTest, ForEachNodeConfiguresServices) {
 
 TEST(ClusterTest, UnknownCompositionFailsButReportsNode) {
   Cluster cluster(SmallClusterConfig(2, LoadBalancePolicy::kRoundRobin));
-  auto routed = cluster.Invoke("Ghost", {});
+  auto routed = cluster.Invoke({"Ghost", {}});
   EXPECT_FALSE(routed.ok());
   EXPECT_GE(routed.node_index, 0);
 }
@@ -150,7 +150,7 @@ TEST(ClusterTest, SingleNodeClusterWorks) {
   Cluster cluster(SmallClusterConfig(1, LoadBalancePolicy::kLeastLoaded));
   ASSERT_TRUE(cluster.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
   ASSERT_TRUE(cluster.RegisterCompositionDsl(kIdDsl).ok());
-  auto routed = cluster.Invoke("Id", EchoArgs("solo"));
+  auto routed = cluster.Invoke({"Id", EchoArgs("solo")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.node_index, 0);
 }
@@ -196,7 +196,7 @@ TEST(ClusterTest, ConcurrentInvocationsAcrossNodes) {
   dbase::Latch latch(kTotal);
   std::atomic<int> correct{0};
   for (int i = 0; i < kTotal; ++i) {
-    cluster.InvokeAsync("Id", EchoArgs("v" + std::to_string(i)),
+    cluster.InvokeAsync({"Id", EchoArgs("v" + std::to_string(i))},
                         [&, i](dbase::Result<DataSetList> result, int) {
                           if (result.ok() &&
                               (*result)[0].items[0].data == "v" + std::to_string(i)) {
@@ -234,13 +234,13 @@ TEST(ClusterTest, LocalitySticksToTheWarmNodeAndFallsBackForColdOnes) {
 
   // A composition never seen before has no affinity: the first invoke pays
   // the least-loaded scan (all idle → node 0) and warms that node.
-  auto routed = cluster.Invoke("Sticky", EchoArgs("warm"));
+  auto routed = cluster.Invoke({"Sticky", EchoArgs("warm")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.node_index, 0);
 
   // Park an in-flight Sticky on the warm node.
   dbase::Latch parked(1);
-  cluster.InvokeAsync("Sticky", EchoArgs("occupy"),
+  cluster.InvokeAsync({"Sticky", EchoArgs("occupy")},
                       [&](dbase::Result<DataSetList> result, int node) {
                         EXPECT_TRUE(result.ok());
                         EXPECT_EQ(node, 0);
@@ -249,13 +249,13 @@ TEST(ClusterTest, LocalitySticksToTheWarmNodeAndFallsBackForColdOnes) {
 
   // A cold composition still load-balances: node 0 is busier, so Id's
   // first invoke lands on node 1 (and warms it for Id).
-  routed = cluster.Invoke("Id", EchoArgs("cold"));
+  routed = cluster.Invoke({"Id", EchoArgs("cold")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.node_index, 1);
 
   // Sticky keeps going to its warm node even though node 1 is idle —
   // exactly the trade locality makes against pure least-loaded.
-  routed = cluster.Invoke("Sticky", EchoArgs("again"));
+  routed = cluster.Invoke({"Sticky", EchoArgs("again")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.node_index, 0);
 

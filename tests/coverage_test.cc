@@ -40,7 +40,7 @@ TEST(EngineStatsTest, QueueWaitPercentilesPopulated) {
   for (int i = 0; i < 20; ++i) {
     dfunc::DataSetList args;
     args.push_back(dfunc::DataSet{"in", {dfunc::DataItem{"", "x"}}});
-    ASSERT_TRUE(platform.Invoke("Id", std::move(args)).ok());
+    ASSERT_TRUE(platform.Invoke({"Id", std::move(args)}).ok());
   }
   const auto stats = platform.engine_stats();
   EXPECT_EQ(stats.compute_tasks, 20u);

@@ -225,7 +225,7 @@ composition Fan(in) => out {
   const auto before = dfunc::DataPlaneStats::Get().snapshot();
   DataSetList args;
   args.push_back(DataSet{"in", {DataItem{"", "abcdefgh"}}});  // N = 8 instances.
-  auto result = platform.Invoke("Fan", std::move(args));
+  auto result = platform.Invoke({"Fan", std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 8u);
   EXPECT_EQ((*result)[0].items[0].data, "[a:1]");

@@ -173,6 +173,14 @@ TEST(FunctionCtxTest, CancelFlag) {
   EXPECT_FALSE(ctx.cancelled());
   flag.store(true);
   EXPECT_TRUE(ctx.cancelled());
+
+  // The execution deadline cancels on its own, with no flag set.
+  flag.store(false);
+  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
+  ctx.set_deadline(now + 60 * dbase::kMicrosPerSecond);
+  EXPECT_FALSE(ctx.cancelled());
+  ctx.set_deadline(now);
+  EXPECT_TRUE(ctx.cancelled());
 }
 
 // --------------------------------------------------------------- Registry

@@ -127,8 +127,7 @@ composition Work(in) => out { echo(in = all in) => (out = out); }
 
   // Occupy the only compute worker so the victim invocation stays queued.
   dbase::Latch blocker_done(1);
-  platform.InvokeAsync("Block", SingleArg("in", "x"),
-                       [&](auto) { blocker_done.CountDown(); });
+  platform.Submit({"Block", SingleArg("in", "x")}, [&](auto) { blocker_done.CountDown(); });
   while (!started->load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
@@ -297,7 +296,7 @@ TEST(InvocationTest, FunctionTimeoutDoesNotCountAsInvocationDeadline) {
                   .RegisterCompositionDsl(
                       "composition H(in) => out { hog(in = all in) => (out = out); }")
                   .ok());
-  auto result = platform.Invoke("H", SingleArg("in", "x"));  // No deadline.
+  auto result = platform.Invoke({"H", SingleArg("in", "x")});  // No deadline.
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(platform.dispatcher_stats().invocations_deadline_exceeded, 0u);
@@ -371,7 +370,7 @@ TEST(InvocationTest, BlockingInvokeReturnsDeadlineExceededInsteadOfHanging) {
                         config);
 
   const dbase::Stopwatch watch;
-  auto result = dispatcher.Invoke("Nap", SingleArg("in", "x"));
+  auto result = dispatcher.Invoke({"Nap", SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kDeadlineExceeded);
   EXPECT_LT(watch.ElapsedMicros(), 300 * dbase::kMicrosPerMilli);

@@ -1,16 +1,23 @@
 // Unit tests for the dnet wire format: header encode/decode with every
 // rejection path, invoke/outcome/status/join/mesh body round trips, the
-// zero-copy aliasing contract of DecodeInvoke, and checked (never clamping)
-// parsing of truncated or corrupt bodies.
+// zero-copy aliasing contract of DecodeInvoke, checked (never clamping)
+// parsing of truncated or corrupt bodies, and FrameSocket's SIGPIPE-free
+// writes.
 #include "src/net/wire.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/base/buffer.h"
+#include "src/base/event_loop.h"
 #include "src/func/data.h"
+#include "src/net/frame_socket.h"
 
 namespace dnet {
 namespace {
@@ -221,6 +228,34 @@ TEST(WireJoinTest, RoundTrip) {
   auto decoded = DecodeJoin(SliceOf(EncodeJoin(WireJoin{"router-a"})));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->node_name, "router-a");
+}
+
+// Writing to a peer that already hung up must close the socket kUnavailable
+// and leave the process alive with SIGPIPE at its default, fatal action —
+// the socket layer cannot lean on anyone ignoring the signal process-wide.
+TEST(FrameSocketTest, WriteToClosedPeerClosesUnavailableWithoutSigpipe) {
+  struct sigaction default_action {};
+  struct sigaction saved_action {};
+  default_action.sa_handler = SIG_DFL;
+  sigemptyset(&default_action.sa_mask);
+  ASSERT_EQ(sigaction(SIGPIPE, &default_action, &saved_action), 0);
+
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0, fds), 0);
+  close(fds[1]);
+  auto loop = dbase::EventLoop::Create();
+  ASSERT_TRUE(loop.ok());
+  std::optional<dbase::Status> closed;
+  auto socket = FrameSocket::Adopt(
+      loop->get(), fds[0], FrameLimits{}, [](const FrameHeader&, dbase::BufferSlice) {},
+      [&closed](const dbase::Status& reason) { closed = reason; });
+  ASSERT_TRUE(socket.ok());
+  (*socket)->SendFrame(FrameType::kGossipReq, 0, 1, std::string());
+
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->code(), dbase::StatusCode::kUnavailable);
+  EXPECT_TRUE((*socket)->closed());
+  sigaction(SIGPIPE, &saved_action, nullptr);
 }
 
 TEST(WireMeshTest, RoundTrip) {

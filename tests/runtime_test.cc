@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <csignal>
+#include <filesystem>
+#include <fstream>
 
 #include "src/base/clock.h"
 #include "src/http/http_parser.h"
@@ -22,6 +24,7 @@
 #include "src/runtime/controller.h"
 #include "src/runtime/dispatcher.h"
 #include "src/runtime/engine.h"
+#include "src/runtime/fault.h"
 #include "src/runtime/frontend.h"
 #include "src/runtime/jail.h"
 #include "src/runtime/memory_context.h"
@@ -599,7 +602,7 @@ TEST(PlatformTest, SingleFunctionComposition) {
                   .RegisterCompositionDsl(
                       "composition Id(in) => out { echo(in = all in) => (out = out); }")
                   .ok());
-  auto result = platform.Invoke("Id", SingleArg("in", "ping"));
+  auto result = platform.Invoke({"Id", SingleArg("in", "ping")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].name, "out");
@@ -621,7 +624,7 @@ TEST(PlatformTest, MatMulComposition) {
   DataSetList args;
   args.push_back(DataSet{"A", {DataItem{"", dfunc::EncodeInt64Array(a)}}});
   args.push_back(DataSet{"B", {DataItem{"", dfunc::EncodeInt64Array(b)}}});
-  auto result = platform.Invoke("MM", std::move(args));
+  auto result = platform.Invoke({"MM", std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(dfunc::DecodeInt64Array((*result)[0].items[0].data).value(),
             dfunc::MultiplyMatrices(a, b, n));
@@ -662,7 +665,7 @@ composition Fan(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Fan", SingleArg("in", "abc"));
+  auto result = platform.Invoke({"Fan", SingleArg("in", "abc")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 3u);
   EXPECT_EQ((*result)[0].items[0].data, "[a]");
@@ -683,7 +686,7 @@ composition Group(in) => out {
 )")
                   .ok());
   // "abca" → keys a (x2), b, c → 3 instances, deterministic key order.
-  auto result = platform.Invoke("Group", SingleArg("in", "abca"));
+  auto result = platform.Invoke({"Group", SingleArg("in", "abca")});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ((*result)[0].items.size(), 3u);
   EXPECT_EQ((*result)[0].items[0].data, "[aa]");
@@ -703,7 +706,7 @@ composition Fan(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Fan", SingleArg("in", ""));
+  auto result = platform.Invoke({"Fan", SingleArg("in", "")});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE((*result)[0].items.empty());
 }
@@ -717,7 +720,7 @@ TEST(PlatformTest, NonOptionalEmptyInputSkipsFunction) {
                   .ok());
   DataSetList args;
   args.push_back(DataSet{"in", {}});  // Empty set → function skipped (§4.4).
-  auto result = platform.Invoke("Skip", std::move(args));
+  auto result = platform.Invoke({"Skip", std::move(args)});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE((*result)[0].items.empty());
   EXPECT_EQ(platform.dispatcher_stats().skipped_instances, 1u);
@@ -743,7 +746,7 @@ composition Opt(trigger, maybe) => out {
                   .ok());
   DataSetList args = SingleArg("trigger", "go");
   args.push_back(DataSet{"maybe", {}});
-  auto result = platform.Invoke("Opt", std::move(args));
+  auto result = platform.Invoke({"Opt", std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "0");
 }
@@ -755,7 +758,7 @@ TEST(PlatformTest, ComputeFailureFailsInvocation) {
                   .RegisterCompositionDsl(
                       "composition F(in) => out { fail(in = all in) => (out = o); }")
                   .ok());
-  auto result = platform.Invoke("F", SingleArg("in", "x"));
+  auto result = platform.Invoke({"F", SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kInternal);
   EXPECT_EQ(platform.dispatcher_stats().invocations_failed, 1u);
@@ -778,7 +781,7 @@ composition Call(req) => resp {
   req.method = dhttp::Method::kPost;
   req.target = "http://echo.internal/";
   req.body = "payload";
-  auto result = platform.Invoke("Call", SingleArg("req", req.Serialize()));
+  auto result = platform.Invoke({"Call", SingleArg("req", req.Serialize())});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto response = dhttp::ParseResponse((*result)[0].items[0].data);
   ASSERT_TRUE(response.ok());
@@ -799,7 +802,7 @@ composition Call(req) => resp {
                   .ok());
   dhttp::HttpRequest req;
   req.target = "http://unknown.host/";
-  auto result = platform.Invoke("Call", SingleArg("req", req.Serialize()));
+  auto result = platform.Invoke({"Call", SingleArg("req", req.Serialize())});
   ASSERT_TRUE(result.ok());  // §4.4: failure forwarded, not raised.
   auto response = dhttp::ParseResponse((*result)[0].items[0].data);
   ASSERT_TRUE(response.ok());
@@ -816,7 +819,7 @@ composition Outer(x) => y {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Outer", SingleArg("x", "nested"));
+  auto result = platform.Invoke({"Outer", SingleArg("x", "nested")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "nested");
 }
@@ -827,14 +830,14 @@ TEST(PlatformTest, UnknownCalleeFails) {
                   .RegisterCompositionDsl(
                       "composition G(in) => out { Ghost(in = all in) => (out = o); }")
                   .ok());
-  auto result = platform.Invoke("G", SingleArg("in", "x"));
+  auto result = platform.Invoke({"G", SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kNotFound);
 }
 
 TEST(PlatformTest, UnknownCompositionFails) {
   Platform platform(FastPlatformConfig());
-  auto result = platform.Invoke("NoSuch", {});
+  auto result = platform.Invoke({"NoSuch", {}});
   EXPECT_FALSE(result.ok());
 }
 
@@ -866,14 +869,14 @@ TEST(PlatformTest, ConcurrentInvocations) {
   dbase::Latch latch(kInvocations);
   std::atomic<int> correct{0};
   for (int i = 0; i < kInvocations; ++i) {
-    platform.InvokeAsync("Id", SingleArg("in", "v" + std::to_string(i)),
-                         [&, i](dbase::Result<DataSetList> result) {
-                           if (result.ok() &&
-                               (*result)[0].items[0].data == "v" + std::to_string(i)) {
-                             correct.fetch_add(1);
-                           }
-                           latch.CountDown();
-                         });
+    platform.Submit({"Id", SingleArg("in", "v" + std::to_string(i))},
+                    [&, i](dbase::Result<DataSetList> result) {
+                      if (result.ok() &&
+                          (*result)[0].items[0].data == "v" + std::to_string(i)) {
+                        correct.fetch_add(1);
+                      }
+                      latch.CountDown();
+                    });
   }
   ASSERT_TRUE(latch.WaitFor(30 * dbase::kMicrosPerSecond));
   EXPECT_EQ(correct.load(), kInvocations);
@@ -888,7 +891,7 @@ TEST(PlatformTest, ProcessBackendEndToEnd) {
                   .RegisterCompositionDsl(
                       "composition Id(in) => out { echo(in = all in) => (out = out); }")
                   .ok());
-  auto result = platform.Invoke("Id", SingleArg("in", "forked"));
+  auto result = platform.Invoke({"Id", SingleArg("in", "forked")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "forked");
 }
@@ -900,7 +903,7 @@ TEST(PlatformTest, MemoryReleasedAfterInvocation) {
                   .RegisterCompositionDsl(
                       "composition Id(in) => out { echo(in = all in) => (out = out); }")
                   .ok());
-  ASSERT_TRUE(platform.Invoke("Id", SingleArg("in", "x")).ok());
+  ASSERT_TRUE(platform.Invoke({"Id", SingleArg("in", "x")}).ok());
   // The invocation callback fires from inside the engine's task completion;
   // the context itself is released moments later when the task object is
   // destroyed — poll briefly.
@@ -965,7 +968,7 @@ composition Rev(req) => resp {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Rev", SingleArg("req", "abc"));
+  auto result = platform.Invoke({"Rev", SingleArg("req", "abc")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto response = dhttp::ParseResponse((*result)[0].items[0].data);
   ASSERT_TRUE(response.ok());
@@ -1043,7 +1046,7 @@ composition Diamond(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Diamond", SingleArg("in", "MiXeD"));
+  auto result = platform.Invoke({"Diamond", SingleArg("in", "MiXeD")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*result)[0].items[0].data, "MIXED|mixed");
 }
@@ -1062,7 +1065,7 @@ composition Share(in) => out {
 )")
                   .ok());
   // "echo2" is not registered: expect failure naming the callee.
-  auto bad = platform.Invoke("Share", SingleArg("in", "x"));
+  auto bad = platform.Invoke({"Share", SingleArg("in", "x")});
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("echo2"), std::string::npos);
 }
@@ -1077,7 +1080,7 @@ composition Both(in) => up, down {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("Both", SingleArg("in", "AbC"));
+  auto result = platform.Invoke({"Both", SingleArg("in", "AbC")});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_EQ((*result)[0].name, "up");
@@ -1097,7 +1100,7 @@ composition A(in) => out { B(in = all in) => (out = out); }
 composition B(in) => out { A(in = all in) => (out = out); }
 )")
                   .ok());
-  auto result = platform.Invoke("A", SingleArg("in", "x"));
+  auto result = platform.Invoke({"A", SingleArg("in", "x")});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbase::StatusCode::kResourceExhausted);
 }
@@ -1115,7 +1118,7 @@ composition Outer(x) => y { Inner(in = all optional x) => (y = out); }
                   .ok());
   DataSetList args;
   args.push_back(DataSet{"x", {}});  // Empty: Inner's echo skips instantly.
-  auto result = platform.Invoke("Outer", std::move(args));
+  auto result = platform.Invoke({"Outer", std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE((*result)[0].items.empty());
 }
@@ -1132,7 +1135,7 @@ composition FanNested(in) => out {
 }
 )")
                   .ok());
-  auto result = platform.Invoke("FanNested", SingleArg("in", "xy"));
+  auto result = platform.Invoke({"FanNested", SingleArg("in", "xy")});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 2u);
   EXPECT_EQ((*result)[0].items[0].data, "[x]");
@@ -1164,7 +1167,7 @@ TEST(PlatformTest, FilesystemViewFunctionEndToEnd) {
                   .ok());
   DataSetList args;
   args.push_back(DataSet{"docs", {DataItem{"b", "second"}, DataItem{"a", "first"}}});
-  auto result = platform.Invoke("Cat", std::move(args));
+  auto result = platform.Invoke({"Cat", std::move(args)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ((*result)[0].items.size(), 1u);
   // ListDir is sorted, so "a" comes before "b".
@@ -1270,6 +1273,85 @@ TEST(FrontendTest, HostileContentLengthRejected) {
     EXPECT_EQ(response->status_code, c.expected_status) << hostile_length;
   }
   frontend.Stop();
+}
+
+// ----------------------------------------------------------- Thread census
+
+// Names of this process's threads, one per /proc/self/task entry.
+std::vector<std::string> ThreadNames() {
+  std::vector<std::string> names;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    names.push_back(name);
+  }
+  return names;
+}
+
+// A node's deadline reaping, retry backoff and control ticks all ride the
+// one process-wide timer thread: a Platform adds its engine workers and at
+// most that thread, however many of those timers it has used.
+TEST(ThreadCensusTest, PlatformTimersShareOneThread) {
+  FaultInjector::Get().Reset();
+  const size_t threads_before = ThreadNames().size();
+
+  PlatformConfig config = FastPlatformConfig();
+  config.num_workers = 2;
+  config.enable_control_plane = true;
+  config.control_interval_us = 5 * dbase::kMicrosPerMilli;
+  config.sleep_for_modeled_latency = true;  // The comm call really parks.
+  Platform platform(config);
+  platform.mesh().Register(
+      "slow.internal", std::make_shared<dhttp::EchoService>(),
+      dhttp::LatencyModel{.base_us = 500 * dbase::kMicrosPerMilli, .per_kb_us = 0.0,
+                          .jitter_sigma = 0.0});
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(R"(
+composition Call(req) => resp { HTTP(Request = each req) => (resp = Response); }
+composition Id(in) => out { echo(in = all in) => (out = out); }
+)")
+                  .ok());
+
+  // Only the deadline reaper can fail an invocation parked on a comm call.
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kPost;
+  req.target = "http://slow.internal/";
+  req.body = "ping";
+  InvocationRequest parked{"Call", SingleArg("req", req.Serialize())};
+  parked.deadline_us = InvocationRequest::DeadlineIn(30 * dbase::kMicrosPerMilli);
+  auto reaped = platform.Invoke(std::move(parked));
+  ASSERT_FALSE(reaped.ok());
+  EXPECT_EQ(reaped.status().code(), dbase::StatusCode::kDeadlineExceeded);
+
+  // One injected transient failure, absorbed by a backed-off relaunch.
+  FaultInjector::Get().Arm(FaultPoint::kTransientResourceExhausted,
+                           FaultPlan{.every_n = 1, .limit = 1});
+  dbase::Latch retried_done(1);
+  InvocationHandle retried = platform.Submit({"Id", SingleArg("in", "again")},
+                                             [&](dbase::Result<DataSetList> result) {
+                                               EXPECT_TRUE(result.ok());
+                                               retried_done.CountDown();
+                                             });
+  ASSERT_TRUE(retried_done.WaitFor(10 * dbase::kMicrosPerSecond));
+  FaultInjector::Get().Reset();
+  EXPECT_EQ(retried.Report().retries_attempted, 1u);
+
+  const dbase::Micros give_up =
+      dbase::MonotonicClock::Get()->NowMicros() + 5 * dbase::kMicrosPerSecond;
+  while (platform.control_plane()->GetSummary().decisions < 2 &&
+         dbase::MonotonicClock::Get()->NowMicros() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(platform.control_plane()->GetSummary().decisions, 2u);
+
+  const std::vector<std::string> names = ThreadNames();
+  EXPECT_LE(names.size(), threads_before + static_cast<size_t>(config.num_workers) + 1);
+  for (const std::string& name : names) {
+    EXPECT_NE(name, "ctrl-plane");
+    EXPECT_NE(name.rfind("invocation-rea", 0), 0u) << name;
+    EXPECT_NE(name.rfind("retry-schedule", 0), 0u) << name;
+  }
 }
 
 }  // namespace
