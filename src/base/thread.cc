@@ -2,19 +2,25 @@
 
 #include <pthread.h>
 #include <sched.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include <utility>
 
 namespace dbase {
 
+// The thread names itself, first thing in its body: naming another thread
+// opens and writes /proc/self/task/<tid>/comm, while naming yourself is one
+// prctl. Linux caps names at 15 chars + NUL.
 JoiningThread::JoiningThread(std::string name, std::function<void()> fn)
-    : name_(std::move(name)), thread_(std::move(fn)) {
+    : name_(std::move(name)),
+      thread_([short_name = name_.substr(0, 15), fn = std::move(fn)] {
 #ifdef __linux__
-  // Thread names are capped at 15 chars + NUL on Linux.
-  std::string short_name = name_.substr(0, 15);
-  pthread_setname_np(thread_.native_handle(), short_name.c_str());
+        prctl(PR_SET_NAME, short_name.c_str(), 0, 0, 0);
 #endif
-}
+        fn();
+      }) {}
 
 JoiningThread& JoiningThread::operator=(JoiningThread&& other) {
   if (this != &other) {

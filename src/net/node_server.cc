@@ -14,13 +14,23 @@ namespace dnet {
 
 NodeServer::NodeServer(Config config) : config_(std::move(config)) {}
 
-NodeServer::~NodeServer() { Stop(); }
+NodeServer::~NodeServer() {
+  Stop();
+  if (config_.listen_fd >= 0) {
+    close(config_.listen_fd);
+  }
+}
 
 dbase::Status NodeServer::Start() {
   if (running_.load(std::memory_order_relaxed)) {
     return dbase::FailedPrecondition("NodeServer already started");
   }
-  ASSIGN_OR_RETURN(listen_fd_, ListenLoopback(config_.port, 128));
+  if (config_.listen_fd >= 0) {
+    // Connections that arrived before this point wait in its backlog.
+    listen_fd_ = std::exchange(config_.listen_fd, -1);
+  } else {
+    ASSIGN_OR_RETURN(listen_fd_, ListenLoopback(config_.port, 128));
+  }
   auto port = BoundPort(listen_fd_);
   if (!port.ok()) {
     close(listen_fd_);

@@ -36,6 +36,10 @@ class NodeServer {
   struct Config {
     // 0 picks an ephemeral port; read the result from port() after Start.
     uint16_t port = 0;
+    // A listening, non-blocking socket (ListenLoopback's result) for Start()
+    // to adopt instead of binding `port`; -1 binds. The server owns it: Stop()
+    // closes it, and so does the destructor if Start() never ran.
+    int listen_fd = -1;
     std::string node_name = "node";
     FrameLimits limits;
   };
@@ -65,7 +69,8 @@ class NodeServer {
   void set_status_provider(StatusProvider provider) { status_provider_ = std::move(provider); }
   void set_mesh_handler(MeshHandler handler) { on_mesh_ = std::move(handler); }
 
-  // Binds, starts the loop thread, begins accepting.
+  // Binds (or adopts Config::listen_fd), starts the loop thread, begins
+  // accepting.
   dbase::Status Start();
   // Stops accepting, drops connections, joins the loop thread. In-flight
   // invocations are cancelled through the cancel handler.

@@ -75,6 +75,7 @@ int InstallSyscallJail(const JailOptions& options) {
   //   [read: fd must be the go-pipe]
   //   [write: fd must be stderr]
   //   [mmap: must be MAP_ANONYMOUS (no file-backed mappings)]
+  //   [mprotect: PROT_EXEC must be clear]
   //   [default: KILL_PROCESS]
   //
   // The allowlist is the *completion set* of a pure Dandelion function:
@@ -142,6 +143,16 @@ int InstallSyscallJail(const JailOptions& options) {
   jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mmap, 0, 3);
   stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(3));
   jump(BPF_JMP | BPF_JSET | BPF_K, MAP_ANONYMOUS, 0, 1);
+  stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
+  stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
+
+  // mprotect: glibc grows a thread's malloc arena by turning reserved
+  // PROT_NONE pages read-write, and a forked child allocates from the arena
+  // of the engine thread that forked it. Making memory executable stays
+  // forbidden. prot is args[2].
+  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mprotect, 0, 3);
+  stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(2));
+  jump(BPF_JMP | BPF_JSET | BPF_K, PROT_EXEC, 1, 0);
   stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
   stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
 

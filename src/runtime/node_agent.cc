@@ -15,6 +15,7 @@ NodeAgent::NodeAgent(Platform* platform, NodeAgentConfig config)
       server_([this] {
         dnet::NodeServer::Config server_config;
         server_config.port = config_.port;
+        server_config.listen_fd = config_.listen_fd;
         server_config.node_name = config_.node_name;
         server_config.limits = config_.limits;
         return server_config;

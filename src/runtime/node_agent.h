@@ -39,6 +39,9 @@ struct NodeAgentConfig {
   std::string node_name = "node";
   // 0 picks an ephemeral port; the bound port is readable via port().
   uint16_t port = 0;
+  // An already-bound listener for the server to adopt instead of binding
+  // `port` (dnet::NodeServer::Config::listen_fd); -1 binds.
+  int listen_fd = -1;
   // Per-class admission caps, same semantics as the HTTP frontend's:
   // arriving work beyond the cap is shed immediately (kUnavailable with
   // the shed frame flag) instead of queueing blindly. 0 = uncapped.
@@ -47,7 +50,7 @@ struct NodeAgentConfig {
   // How many recently-served composition names travel in gossip (the
   // locality signal); oldest drop first.
   size_t max_resident_gossip = 64;
-  dnet::FrameLimits limits;
+  dnet::FrameLimits limits{};
   // Offload threads for dispatch setup and mesh serving.
   int dispatch_threads = 2;
 };

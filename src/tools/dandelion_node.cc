@@ -5,6 +5,17 @@
 // handshake line from stdout, and points a Cluster router at the ports.
 // SIGTERM/SIGINT shut the node down cleanly.
 //
+// Boot order is parse → bind → announce → build → serve. Flags and every
+// composition are parsed first, so malformed input exits (status 1 or 2)
+// before the handshake. The node then binds its listener and prints
+// "LISTENING <port>" — its only stdout line — and only then builds the
+// Platform and starts the NodeAgent on the already-bound socket. A router
+// may connect and send as soon as it reads the line: the kernel queues the
+// connection and its frames until the agent's loop runs, so the node's
+// start-up overlaps the router's own. A failure after the announcement
+// (registration, agent start) exits with status 1, and the router sees
+// the peer drop.
+//
 // Flags (--key=value):
 //   --name=<node name>       gossip/logging identity            [node]
 //   --port=<port>            listen port, 0 = ephemeral         [0]
@@ -27,11 +38,16 @@
 #include <cstdlib>
 #include <semaphore.h>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/status.h"
+#include "src/dsl/graph.h"
+#include "src/dsl/parser.h"
 #include "src/func/builtins.h"
+#include "src/net/frame_socket.h"
 #include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
 
@@ -123,16 +139,55 @@ constexpr const char* kDefaultCompositions[] = {
     "composition Fail(in) => out { fail(in = all in) => (out = out); }",
 };
 
+// _Exit, not exit: after the Platform is built its engine threads are
+// running, and static destructors and at-exit hooks (LeakSanitizer's, in
+// sanitizer builds) racing them can deadlock the exit. stderr is unbuffered
+// and stdout holds nothing unflushed, so nothing is lost.
+void Must(const dbase::Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", status.ToString().c_str());
+    std::_Exit(1);
+  }
+}
+
+// Parses one DSL text into graphs, ready to register once a Platform exists.
+dbase::Status ParseDsl(std::string_view dsl, std::vector<ddsl::CompositionGraph>* graphs) {
+  ASSIGN_OR_RETURN(auto asts, ddsl::ParseCompositions(dsl));
+  for (const auto& ast : asts) {
+    ASSIGN_OR_RETURN(auto graph, ddsl::CompositionGraph::FromAst(ast));
+    graphs->push_back(std::move(graph));
+  }
+  return dbase::OkStatus();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Parse: bad flags or compositions exit before the handshake.
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) return 2;
+  std::vector<ddsl::CompositionGraph> graphs;
+  for (const char* dsl : kDefaultCompositions) {
+    Must(ParseDsl(dsl, &graphs));
+  }
+  for (const std::string& dsl : flags.dsl) {
+    Must(ParseDsl(dsl, &graphs));
+  }
 
   sem_init(&g_shutdown, 0, 0);
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
 
+  // Bind and announce. fflush because the pipe to the parent is
+  // block-buffered.
+  auto listener = dnet::ListenLoopback(flags.port, 128);
+  Must(listener.status());
+  auto port = dnet::BoundPort(*listener);
+  Must(port.status());
+  std::printf("LISTENING %u\n", static_cast<unsigned>(*port));
+  std::fflush(stdout);
+
+  // Build and serve on the announced socket.
   dandelion::PlatformConfig config;
   config.num_workers = flags.workers;
   config.enable_control_plane = flags.control_plane;
@@ -141,37 +196,22 @@ int main(int argc, char** argv) {
     config.backend = dandelion::IsolationBackend::kProcess;
   }
   dandelion::Platform platform(config);
-
-  auto must = [](const dbase::Status& status) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-  };
-  must(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}));
-  must(platform.RegisterFunction({.name = "matmul", .body = dfunc::MatMulFunction}));
-  must(platform.RegisterFunction({.name = "array_stats", .body = dfunc::ArrayStatsFunction}));
-  must(platform.RegisterFunction({.name = "fail", .body = dfunc::FailingFunction}));
-  must(platform.RegisterFunction({.name = "work", .body = WorkFunction}));
-  for (const char* dsl : kDefaultCompositions) {
-    must(platform.RegisterCompositionDsl(dsl));
-  }
-  for (const std::string& dsl : flags.dsl) {
-    must(platform.RegisterCompositionDsl(dsl));
+  Must(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}));
+  Must(platform.RegisterFunction({.name = "matmul", .body = dfunc::MatMulFunction}));
+  Must(platform.RegisterFunction({.name = "array_stats", .body = dfunc::ArrayStatsFunction}));
+  Must(platform.RegisterFunction({.name = "fail", .body = dfunc::FailingFunction}));
+  Must(platform.RegisterFunction({.name = "work", .body = WorkFunction}));
+  for (ddsl::CompositionGraph& graph : graphs) {
+    Must(platform.RegisterComposition(std::move(graph)));
   }
 
   dandelion::NodeAgentConfig agent_config;
   agent_config.node_name = flags.name;
-  agent_config.port = flags.port;
+  agent_config.listen_fd = *listener;
   agent_config.max_inflight_interactive = flags.interactive_cap;
   agent_config.max_inflight_batch = flags.batch_cap;
   dandelion::NodeAgent agent(&platform, agent_config);
-  must(agent.Start());
-
-  // The handshake line the spawning parent blocks on; fflush because the
-  // pipe to the parent is block-buffered.
-  std::printf("LISTENING %u\n", static_cast<unsigned>(agent.port()));
-  std::fflush(stdout);
+  Must(agent.Start());
 
   while (sem_wait(&g_shutdown) != 0 && errno == EINTR) {
   }

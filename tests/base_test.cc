@@ -1,6 +1,7 @@
 // Unit tests for src/base: status/result, clocks, RNG, stats, queues,
 // threads, the timer service, strings.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
 // GCC 12 emits bogus -Wmaybe-uninitialized reports from std::variant
 // internals under -O2 -DNDEBUG (gcc bug 105593); Result<T> wraps a variant,
@@ -644,6 +645,17 @@ TEST(ThreadTest, WorkerPoolRejectsAfterShutdown) {
   WorkerPool pool(1, "test");
   pool.Shutdown();
   EXPECT_FALSE(pool.Submit([] {}));
+}
+
+// The thread names itself before the body runs, so the body already sees
+// its own (truncated) name.
+TEST(ThreadTest, JoiningThreadNameIsVisibleInsideTheBody) {
+  char seen[16] = {};
+  {
+    JoiningThread thread("a-rather-long-thread-name",
+                         [&seen] { prctl(PR_GET_NAME, seen, 0, 0, 0); });
+  }
+  EXPECT_STREQ(seen, "a-rather-long-t");
 }
 
 // ------------------------------------------------------------ TimerService

@@ -4,7 +4,8 @@
 // zero-copy accounting, cross-node shedding, peer-loss absorption via the
 // retry taxonomy, gossip-driven membership (suspect → evict → rejoin),
 // mesh calls carried over the wire, protocol hygiene against hostile
-// frames, and the statz cluster section.
+// frames, the statz cluster section, and the spawned node's boot
+// handshake and self-contained binary.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -18,6 +19,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <libgen.h>
 #include <optional>
 #include <string>
@@ -333,10 +335,19 @@ std::string NodeBinaryPath() {
   return std::string(dirname(dir.data())) + "/dandelion_node";
 }
 
-SpawnedNode SpawnNode(const std::string& name) {
+SpawnedNode SpawnNode(const std::string& name,
+                      const std::vector<std::string>& extra_flags = {}) {
   SpawnedNode node;
   const std::string binary = NodeBinaryPath();
   if (binary.empty() || access(binary.c_str(), X_OK) != 0) return node;
+
+  // argv is built before fork: the child of a threaded process must not
+  // allocate.
+  std::vector<std::string> args = {binary, "--name=" + name, "--port=0", "--workers=2"};
+  args.insert(args.end(), extra_flags.begin(), extra_flags.end());
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
 
   int fds[2];
   if (pipe(fds) != 0) return node;
@@ -350,10 +361,7 @@ SpawnedNode SpawnNode(const std::string& name) {
     dup2(fds[1], STDOUT_FILENO);
     close(fds[0]);
     close(fds[1]);
-    const std::string name_flag = "--name=" + name;
-    const char* argv[] = {binary.c_str(), name_flag.c_str(), "--port=0",
-                          "--workers=2", nullptr};
-    execv(binary.c_str(), const_cast<char**>(argv));
+    execv(binary.c_str(), argv.data());
     _exit(127);
   }
   close(fds[1]);
@@ -434,6 +442,89 @@ TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
 
   n1.Kill(SIGTERM);
   n2.Kill(SIGTERM);
+}
+
+// ------------------------------------------------------- node boot handshake
+
+// LISTENING means the port accepts connections; the node may still be
+// building its Platform, and frames sent meanwhile wait in the kernel. So
+// the very first invoke succeeds with no warm-up and no re-route.
+TEST(ClusterNetTest, InvokeRightAfterListeningSucceeds) {
+  SpawnedNode node = SpawnNode("early");
+  if (!node.ok()) {
+    GTEST_SKIP() << "cannot spawn dandelion_node (no loopback or binary missing)";
+  }
+  Cluster cluster(RemoteClusterConfig({{"early", node.port}}, LoadBalancePolicy::kRoundRobin));
+  auto routed = cluster.Invoke({"Id", EchoArgs("first")});
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), "first");
+  EXPECT_EQ(routed.attempts, 1);
+  EXPECT_EQ(cluster.Stats().reroutes_peer_lost, 0u);
+  node.Kill(SIGTERM);
+}
+
+// A node that announces its port and then fails to boot is a lost peer the
+// router learns about at once, not an invoke that hangs until its timeout.
+TEST(ClusterNetTest, NodeFailingAfterAnnounceSurfacesPromptlyAsPeerLost) {
+  // The extra composition parses, so the node announces; registering it
+  // collides with the built-in Id, so the node exits right after.
+  SpawnedNode node = SpawnNode(
+      "doomed", {"--dsl=composition Id(in) => out { echo(in = all in) => (out = out); }"});
+  if (!node.ok()) {
+    // Tell "nodes cannot run here" from "the node died before announcing".
+    SpawnedNode plain = SpawnNode("plain");
+    const bool can_spawn = plain.ok();
+    plain.Kill(SIGTERM);
+    ASSERT_FALSE(can_spawn) << "the node exited before announcing its port";
+    GTEST_SKIP() << "cannot spawn dandelion_node (no loopback or binary missing)";
+  }
+  Cluster cluster(RemoteClusterConfig({{"doomed", node.port}}, LoadBalancePolicy::kRoundRobin));
+  const auto start = std::chrono::steady_clock::now();
+  auto routed = cluster.Invoke({"Id", EchoArgs("nobody home")});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(routed.ok());
+  EXPECT_EQ(routed.status().code(), dbase::StatusCode::kUnavailable)
+      << routed.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+
+  // The node exits on its own, promptly: an exit that wedges (static
+  // destructors racing engine threads) would strand the port.
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 500 && reaped == 0; ++i) {
+    reaped = waitpid(node.pid, &status, WNOHANG);
+    if (reaped == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped != node.pid) {
+    node.Kill();
+    FAIL() << "the node did not exit within 5 s of failing to boot";
+  }
+  node.pid = -1;
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
+// The node links its C++ runtime statically, so exec skips loading
+// libstdc++.so. Sanitizer builds link it dynamically on purpose.
+TEST(ClusterNetTest, NodeBinaryIsSelfContained) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer builds keep the node's C++ runtime shared";
+#else
+  SpawnedNode node = SpawnNode("maps");
+  if (!node.ok()) {
+    GTEST_SKIP() << "cannot spawn dandelion_node (no loopback or binary missing)";
+  }
+  std::ifstream maps("/proc/" + std::to_string(node.pid) + "/maps");
+  ASSERT_TRUE(maps.is_open());
+  size_t mappings = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    ++mappings;
+    EXPECT_EQ(line.find("libstdc++.so"), std::string::npos) << line;
+  }
+  EXPECT_GT(mappings, 0u);
+  node.Kill(SIGTERM);
+#endif
 }
 
 // ------------------------------------------------------------- mesh calls

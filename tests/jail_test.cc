@@ -8,12 +8,15 @@
 // that the unconfined path still executes correctly.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/thread.h"
@@ -140,6 +143,67 @@ TEST_F(JailTest, ForbiddenSyscallIsKilledNotExecuted) {
   EXPECT_EQ(report.failure_kind, FailureKind::kJailKill);
   // Deterministic function behaviour is never retried.
   EXPECT_EQ(report.retries_attempted, 0u);
+}
+
+// Making memory executable is still outside the allowlist, even though
+// plain mprotect (malloc arena growth) is inside it.
+TEST_F(JailTest, ExecutableMprotectIsKilled) {
+  dandelion::Platform platform(ProcessConfig());
+  dfunc::FunctionSpec spec = EchoSpec();
+  spec.body = [](dfunc::FunctionCtx& ctx) {
+    void* page = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    const bool exec = page != MAP_FAILED && ::mprotect(page, 4096, PROT_READ | PROT_EXEC) == 0;
+    ctx.EmitOutput("out", exec ? "executable" : "refused");
+    return dbase::OkStatus();
+  };
+  ASSERT_TRUE(platform.RegisterFunction(std::move(spec)).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
+
+  dandelion::InvocationRequest request;
+  request.composition = "Run";
+  request.args = OneInput("x");
+  dbase::Latch latch(1);
+  dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
+  auto handle = platform.Submit(std::move(request),
+                                [&](dbase::Result<dfunc::DataSetList> r) {
+                                  result = std::move(r);
+                                  latch.CountDown();
+                                });
+  ASSERT_TRUE(latch.WaitFor(10 * kMicrosPerSecond));
+  if (!SandboxCapabilities::Get().seccomp_filter) {
+    GTEST_SKIP() << "seccomp filters unavailable: " << SandboxCapabilities::Get().detail;
+  }
+  ASSERT_FALSE(result.ok()) << "jailed function made memory executable";
+  EXPECT_EQ(result.status().code(), dbase::StatusCode::kPermissionDenied)
+      << result.status().message();
+  EXPECT_EQ(handle.Report().failure_kind, FailureKind::kJailKill);
+}
+
+// About 4 MiB held live in 64 KiB blocks: below the mmap threshold, so it
+// comes from the forking engine thread's malloc arena, which glibc grows
+// with mprotect. The jail must let that through.
+TEST_F(JailTest, ArenaGrowthInsideTheJailSucceeds) {
+  dandelion::Platform platform(ProcessConfig());
+  dfunc::FunctionSpec spec = EchoSpec();
+  spec.body = [](dfunc::FunctionCtx& ctx) {
+    constexpr size_t kBlockBytes = 64 * 1024;
+    std::vector<std::unique_ptr<char[]>> blocks;
+    for (int i = 0; i < 64; ++i) {
+      blocks.push_back(std::make_unique<char[]>(kBlockBytes));
+      blocks.back()[kBlockBytes - 1] = static_cast<char>(i);
+    }
+    ctx.EmitOutput("out", std::to_string(blocks.size()) + " blocks");
+    return dbase::OkStatus();
+  };
+  ASSERT_TRUE(platform.RegisterFunction(std::move(spec)).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
+
+  dandelion::InvocationRequest request;
+  request.composition = "Run";
+  request.args = OneInput("x");
+  auto result = platform.Invoke(std::move(request));
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ((*result)[0].items[0].data, "64 blocks");
 }
 
 TEST_F(JailTest, PureInMemoryFunctionRunsJailedUnmodified) {

@@ -1,15 +1,19 @@
 // Unit tests for the dnet wire format: header encode/decode with every
 // rejection path, invoke/outcome/status/join/mesh body round trips, the
 // zero-copy aliasing contract of DecodeInvoke, checked (never clamping)
-// parsing of truncated or corrupt bodies, and FrameSocket's SIGPIPE-free
-// writes.
+// parsing of truncated or corrupt bodies, FrameSocket's SIGPIPE-free
+// writes, and NodeServer adopting an already-bound listener.
 #include "src/net/wire.h"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "src/base/event_loop.h"
 #include "src/func/data.h"
 #include "src/net/frame_socket.h"
+#include "src/net/node_server.h"
 
 namespace dnet {
 namespace {
@@ -256,6 +261,71 @@ TEST(FrameSocketTest, WriteToClosedPeerClosesUnavailableWithoutSigpipe) {
   EXPECT_EQ(closed->code(), dbase::StatusCode::kUnavailable);
   EXPECT_TRUE((*socket)->closed());
   sigaction(SIGPIPE, &saved_action, nullptr);
+}
+
+// Reads exactly `n` bytes from a blocking socket; shorter on EOF/timeout.
+std::string ReadExactly(int fd, size_t n) {
+  std::string out(n, '\0');
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = read(fd, out.data() + got, n - got);
+    if (r <= 0) break;
+    got += static_cast<size_t>(r);
+  }
+  out.resize(got);
+  return out;
+}
+
+// A server handed an already-bound listener serves on it: port() is that
+// socket's port, a join sent before Start() waits in the kernel and is
+// answered, and Stop() closes the socket.
+TEST(NodeServerTest, AdoptedListenerServesAndIsClosedOnStop) {
+  auto listener = ListenLoopback(0, 16);
+  if (!listener.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << listener.status().ToString();
+  }
+  auto bound = BoundPort(*listener);
+  ASSERT_TRUE(bound.ok());
+
+  NodeServer::Config config;
+  config.node_name = "adopter";
+  config.listen_fd = *listener;
+  NodeServer server(config);
+
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(*bound);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string body = EncodeJoin(WireJoin{"early-router"});
+  FrameHeader join;
+  join.type = FrameType::kJoin;
+  join.body_len = static_cast<uint32_t>(body.size());
+  join.request_id = 5;
+  const std::string frame = EncodeFrameHeader(join) + body;
+  ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.port(), *bound);
+  auto ack = DecodeFrameHeader(ReadExactly(fd, kFrameHeaderBytes), FrameLimits{});
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, FrameType::kJoinAck);
+  EXPECT_EQ(ack->request_id, 5u);
+  auto ack_body = DecodeJoin(SliceOf(ReadExactly(fd, ack->body_len)));
+  ASSERT_TRUE(ack_body.ok()) << ack_body.status().ToString();
+  EXPECT_EQ(ack_body->node_name, "adopter");
+  close(fd);
+
+  server.Stop();
+  errno = 0;
+  EXPECT_EQ(fcntl(*listener, F_GETFD), -1);
+  EXPECT_EQ(errno, EBADF);
 }
 
 TEST(WireMeshTest, RoundTrip) {
