@@ -1,8 +1,10 @@
 // Multi-node cluster demo (§5's cluster manager): three worker nodes behind
 // a load balancer, each running the same registered functions and
 // compositions; invocations are spread round-robin or to the least-loaded
-// node. The paper uses Dirigent for this role — here the nodes are
-// in-process Platform instances.
+// node. The paper uses Dirigent for this role. Here the nodes are
+// in-process Platform instances, each serving the dnet node wire on its
+// own loopback port, so every invocation crosses the same wire a spawned
+// dandelion_node would.
 #include <cstdio>
 
 #include "src/base/clock.h"

@@ -7,10 +7,11 @@ namespace dnet {
 namespace {
 
 constexpr dbase::Micros kDefaultRequestTimeout = 5 * dbase::kMicrosPerSecond;
+constexpr dbase::Micros kConnectTimeoutUs = 2 * dbase::kMicrosPerSecond;
 
 }  // namespace
 
-NodeClient::NodeClient(Config config) : config_(std::move(config)) {}
+NodeClient::NodeClient(std::string node_name) : node_name_(std::move(node_name)) {}
 
 NodeClient::~NodeClient() { Stop(); }
 
@@ -45,10 +46,14 @@ void NodeClient::Stop() {
   loop_thread_.reset();
   peers_.clear();
   pending_.clear();
-  loop_.reset();
+  // loop_ stays alive (stopped): a Post racing this Stop parks in its queue
+  // instead of touching freed memory. Start() replaces it.
 }
 
 void NodeClient::AddPeer(const std::string& name, uint16_t port) {
+  if (!running_.load(std::memory_order_relaxed)) {
+    return;
+  }
   loop_->Post([this, name, port] {
     Peer& peer = peers_[name];
     if (peer.socket != nullptr && peer.port != port) {
@@ -60,6 +65,9 @@ void NodeClient::AddPeer(const std::string& name, uint16_t port) {
 }
 
 void NodeClient::RemovePeer(const std::string& name) {
+  if (!running_.load(std::memory_order_relaxed)) {
+    return;
+  }
   loop_->Post([this, name] {
     auto it = peers_.find(name);
     if (it == peers_.end()) {
@@ -93,19 +101,15 @@ void NodeClient::PublishSnapshot(const std::string& name) {
   const Peer& peer = it->second;
   PeerSnapshot snap;
   snap.name = name;
-  snap.port = peer.port;
-  snap.connected = peer.socket != nullptr && !peer.socket->closed();
-  snap.inflight = peer.inflight;
   snap.invokes_sent = peer.invokes_sent;
   snap.sheds_received = peer.sheds_received;
   snap.peer_lost_failures = peer.peer_lost_failures;
   snap.bytes_sent = peer.bytes_sent_closed;
   snap.bytes_received = peer.bytes_received_closed;
-  if (snap.connected) {
+  if (peer.socket != nullptr && !peer.socket->closed()) {
     snap.bytes_sent += peer.socket->bytes_sent();
     snap.bytes_received += peer.socket->bytes_received();
   }
-  snap.last_gossip_us = peer.last_gossip_us;
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_[name] = std::move(snap);
 }
@@ -120,12 +124,12 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
     return peer.socket.get();
   }
   peer.socket.reset();
-  auto fd = ConnectLoopback(peer.port, config_.connect_timeout_us);
+  auto fd = ConnectLoopback(peer.port, kConnectTimeoutUs);
   if (!fd.ok()) {
     return nullptr;
   }
   auto socket = FrameSocket::Adopt(
-      loop_.get(), *fd, config_.limits,
+      loop_.get(), *fd, FrameLimits{},
       [this, name](const FrameHeader& header, dbase::BufferSlice body) {
         OnFrame(name, header, std::move(body));
       },
@@ -135,12 +139,12 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
   }
   peer.socket = std::move(socket).value();
   // Hello; the ack needs no pending entry (request id 0 is never issued).
-  peer.socket->SendFrame(FrameType::kJoin, 0, 0, EncodeJoin(WireJoin{config_.node_name}));
+  peer.socket->SendFrame(FrameType::kJoin, 0, 0, EncodeJoin(WireJoin{node_name_}));
   PublishSnapshot(name);
   return peer.socket.get();
 }
 
-void NodeClient::SendRequest(const std::string& name, FrameType type, uint16_t flags,
+void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t request_id,
                              std::vector<dbase::BufferSlice> body, dbase::Micros timeout_us,
                              Pending pending) {
   FrameSocket* socket = EnsureConnected(name);
@@ -160,7 +164,6 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint16_t f
     }
     return;
   }
-  const uint64_t request_id = next_request_id_++;
   if (timeout_us > 0) {
     const bool chase_cancel = type == FrameType::kInvoke;
     pending.timer = loop_->AddTimer(timeout_us, [this, request_id, name, chase_cancel] {
@@ -179,13 +182,11 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint16_t f
       FailPending(request_id, dbase::DeadlineExceeded("remote call timed out"));
     });
   }
-  Peer& peer = peer_it->second;
-  peer.inflight++;
   if (type == FrameType::kInvoke) {
-    peer.invokes_sent++;
+    peer_it->second.invokes_sent++;
   }
   pending_.emplace(request_id, std::move(pending));
-  socket->SendFrame(type, flags, request_id, std::move(body));
+  socket->SendFrame(type, 0, request_id, std::move(body));
   PublishSnapshot(name);
 }
 
@@ -198,11 +199,6 @@ void NodeClient::FailPending(uint64_t request_id, const dbase::Status& status) {
   pending_.erase(it);
   if (pending.timer != 0) {
     loop_->CancelTimer(pending.timer);
-  }
-  auto peer = peers_.find(pending.peer);
-  if (peer != peers_.end() && peer->second.inflight > 0) {
-    peer->second.inflight--;
-    PublishSnapshot(pending.peer);
   }
   if (pending.on_outcome) {
     pending.on_outcome(status);
@@ -262,14 +258,6 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
     loop_->CancelTimer(pending.timer);
   }
   auto peer = peers_.find(name);
-  if (peer != peers_.end()) {
-    if (peer->second.inflight > 0) {
-      peer->second.inflight--;
-    }
-    if (header.type == FrameType::kGossip) {
-      peer->second.last_gossip_us = dbase::MonotonicClock::Get()->NowMicros();
-    }
-  }
   if (pending.on_outcome) {
     auto outcome = DecodeOutcome(body);
     if (outcome.ok()) {
@@ -297,26 +285,29 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
   }
 }
 
-void NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
-                             dbase::Micros timeout_us, OutcomeCallback callback) {
+uint64_t NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
+                                 dbase::Micros timeout_us, OutcomeCallback callback) {
   if (!running_.load(std::memory_order_relaxed)) {
     callback(dbase::FailedPrecondition("NodeClient not started"));
-    return;
+    return 0;
   }
   // Encode on the caller's thread: scatter marshalling promotes payloads
   // into shared buffers here, keeping the loop thread on socket work.
   auto chunks = EncodeInvoke(invoke);
   auto shared_cb = std::make_shared<OutcomeCallback>(std::move(callback));
-  loop_->Post([this, peer, chunks = std::move(chunks), timeout_us, shared_cb]() mutable {
+  const uint64_t request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  loop_->Post([this, peer, request_id, chunks = std::move(chunks), timeout_us,
+               shared_cb]() mutable {
     Pending pending;
     pending.expect = FrameType::kOutcome;
     pending.peer = peer;
     pending.on_outcome = [shared_cb](dbase::Result<WireOutcome> outcome) {
       (*shared_cb)(std::move(outcome));
     };
-    SendRequest(peer, FrameType::kInvoke, 0, std::move(chunks), timeout_us,
+    SendRequest(peer, FrameType::kInvoke, request_id, std::move(chunks), timeout_us,
                 std::move(pending));
   });
+  return request_id;
 }
 
 void NodeClient::RawRequestAsync(const std::string& peer, FrameType type, std::string body,
@@ -336,8 +327,9 @@ void NodeClient::RawRequestAsync(const std::string& peer, FrameType type, std::s
     if (!body.empty()) {
       chunks.push_back(dbase::BufferSlice(dbase::Buffer::FromString(std::move(body))));
     }
-    SendRequest(peer, type, 0, std::move(chunks),
-                timeout_us > 0 ? timeout_us : kDefaultRequestTimeout, std::move(pending));
+    SendRequest(peer, type, next_request_id_.fetch_add(1, std::memory_order_relaxed),
+                std::move(chunks), timeout_us > 0 ? timeout_us : kDefaultRequestTimeout,
+                std::move(pending));
   });
 }
 
@@ -351,6 +343,9 @@ void NodeClient::GossipAsync(const std::string& peer, dbase::Micros timeout_us,
 }
 
 void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
+  if (!running_.load(std::memory_order_relaxed)) {
+    return;
+  }
   loop_->Post([this, peer, request_id] {
     auto it = peers_.find(peer);
     if (it != peers_.end() && it->second.socket != nullptr && !it->second.socket->closed()) {

@@ -28,31 +28,21 @@ namespace dnet {
 
 class NodeClient {
  public:
-  struct Config {
-    std::string node_name = "router";
-    FrameLimits limits;
-    dbase::Micros connect_timeout_us = 2 * dbase::kMicrosPerSecond;
-  };
-
   // Per-peer transport counters for statz (a snapshot, not live refs).
   struct PeerSnapshot {
     std::string name;
-    uint16_t port = 0;
-    bool connected = false;
-    uint64_t inflight = 0;
     uint64_t invokes_sent = 0;
     uint64_t sheds_received = 0;
     uint64_t peer_lost_failures = 0;
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
-    // Monotonic time of the last gossip reply; 0 = never.
-    dbase::Micros last_gossip_us = 0;
   };
 
   using OutcomeCallback = std::function<void(dbase::Result<WireOutcome>)>;
   using GossipCallback = std::function<void(dbase::Result<WireNodeStatus>)>;
 
-  explicit NodeClient(Config config);
+  // `node_name` introduces this client in its kJoin hello.
+  explicit NodeClient(std::string node_name);
   ~NodeClient();
 
   dbase::Status Start();
@@ -68,9 +58,11 @@ class NodeClient {
   // thread (or inline on immediate connect failure): the decoded outcome,
   // kUnavailable "peer lost ..." when the connection dies first, or
   // kDeadlineExceeded when timeout_us elapses (a kCancel chases the
-  // invoke). timeout_us <= 0 means no client-side timer. Thread-safe.
-  void InvokeAsync(const std::string& peer, WireInvoke invoke, dbase::Micros timeout_us,
-                   OutcomeCallback callback);
+  // invoke). timeout_us <= 0 means no client-side timer. Returns the
+  // request id Cancel() names this invoke by (0 when the client is not
+  // running); ids only grow. Thread-safe.
+  uint64_t InvokeAsync(const std::string& peer, WireInvoke invoke, dbase::Micros timeout_us,
+                       OutcomeCallback callback);
 
   // Requests a status snapshot from the peer. The callback fires exactly
   // once, on the loop thread (or inline when the client is not running):
@@ -78,7 +70,10 @@ class NodeClient {
   // kDeadlineExceeded after timeout_us. Thread-safe.
   void GossipAsync(const std::string& peer, dbase::Micros timeout_us, GossipCallback callback);
 
-  // Fire-and-forget cancel for an invocation sent earlier.
+  // Fire-and-forget kCancel for the invoke InvokeAsync returned
+  // `request_id` for. The peer cancels the invocation and still answers it
+  // (kCancelled); an id it no longer serves is ignored. Safe at any time,
+  // a no-op once the client has stopped.
   void Cancel(const std::string& peer, uint64_t request_id);
 
   // Carries a serialized mesh request to the peer (blocking, bounded).
@@ -102,21 +97,19 @@ class NodeClient {
   struct Peer {
     uint16_t port = 0;
     std::shared_ptr<FrameSocket> socket;  // Null until connected.
-    uint64_t inflight = 0;
     uint64_t invokes_sent = 0;
     uint64_t sheds_received = 0;
     uint64_t peer_lost_failures = 0;
     // Byte counters accumulated from connections that already closed.
     uint64_t bytes_sent_closed = 0;
     uint64_t bytes_received_closed = 0;
-    dbase::Micros last_gossip_us = 0;
   };
 
   // Loop-thread-only. Connects if needed; null on failure.
   FrameSocket* EnsureConnected(const std::string& peer);
-  // Loop-thread-only central send: connects, registers the pending entry,
-  // arms the timeout, ships the frame.
-  void SendRequest(const std::string& peer, FrameType type, uint16_t flags,
+  // Loop-thread-only central send: connects, registers the pending entry
+  // under `request_id`, arms the timeout, ships the frame.
+  void SendRequest(const std::string& peer, FrameType type, uint64_t request_id,
                    std::vector<dbase::BufferSlice> body, dbase::Micros timeout_us,
                    Pending pending);
   void OnFrame(const std::string& peer, const FrameHeader& header, dbase::BufferSlice body);
@@ -127,7 +120,7 @@ class NodeClient {
   void RawRequestAsync(const std::string& peer, FrameType type, std::string body,
                        FrameType expect, dbase::Micros timeout_us, RawCallback callback);
 
-  Config config_;
+  const std::string node_name_;
   std::unique_ptr<dbase::EventLoop> loop_;
   std::unique_ptr<dbase::JoiningThread> loop_thread_;
   std::atomic<bool> running_{false};
@@ -135,7 +128,8 @@ class NodeClient {
   // Loop-thread-only (peer table mutations are posted to the loop).
   std::map<std::string, Peer> peers_;
   std::map<uint64_t, Pending> pending_;
-  uint64_t next_request_id_ = 1;
+  // Drawn on the caller's thread, so InvokeAsync can hand the id back.
+  std::atomic<uint64_t> next_request_id_{1};
 
   // Mirror of the peer table for thread-safe snapshots.
   mutable std::mutex snapshot_mu_;

@@ -7,47 +7,69 @@
 #include <utility>
 
 #include "src/base/clock.h"
+#include "src/base/log.h"
 #include "src/http/http_parser.h"
+#include "src/runtime/node_agent.h"
 
 namespace dandelion {
 
 namespace {
+// Backstop timeout for routed invokes carrying no deadline.
+constexpr dbase::Micros kInvokeTimeoutUs = 120 * dbase::kMicrosPerSecond;
 // Grace added to the router-side timeout when the request carries a
 // deadline, so the serving node's own deadline machinery (which produces
 // the richer report) wins the race against the client timer.
-constexpr dbase::Micros kRemoteDeadlineGraceUs = 100 * dbase::kMicrosPerMilli;
+constexpr dbase::Micros kDeadlineGraceUs = 100 * dbase::kMicrosPerMilli;
 // Per-peer gossip timeout cap: one slow peer must not stall the round.
 constexpr dbase::Micros kGossipTimeoutCapUs = 500 * dbase::kMicrosPerMilli;
 }  // namespace
 
+// An in-process engine: a Platform served by its own NodeAgent on an
+// ephemeral loopback port, which the router reaches like any spawned node.
+struct Cluster::LocalNode {
+  LocalNode(const PlatformConfig& config, const std::string& name)
+      : platform(config), agent(&platform, NodeAgentConfig{.node_name = name}) {}
+
+  Platform platform;
+  NodeAgent agent;
+};
+
+// One routed invocation, shared by its wire attempts and its handle's
+// cancel hook.
+struct Cluster::Routed {
+  InvocationRequest request;
+  RoutedCallback callback;
+  std::shared_ptr<InvocationControl> control;
+
+  std::mutex mu;
+  // The attempt on the wire now: where Cancel() sends kCancel.
+  std::string peer;         // Guarded by mu.
+  uint64_t request_id = 0;  // Guarded by mu; 0 = none sent yet.
+
+  void Finish(dbase::Result<dfunc::DataSetList> result, int node, int attempts) {
+    control->MarkDone(result.status(), dbase::MonotonicClock::Get()->NowMicros());
+    callback(std::move(result), node, attempts);
+  }
+};
+
 Cluster::Cluster(Config config)
     : config_(std::move(config)),
-      remote_retry_(config_.remote_retry),
+      client_(std::make_shared<dnet::NodeClient>(config_.router_name)),
       membership_(config_.membership) {
-  // With remote nodes configured a router-only cluster (0 locals) is
-  // legitimate; a fully empty cluster is not.
+  // A client that cannot start fails every invoke with kFailedPrecondition.
+  (void)client_->Start();
+  // With remote nodes configured a router-only cluster (0 in-process
+  // nodes) is legitimate; a fully empty cluster is not.
   const int locals = config_.remote_nodes.empty() ? std::max(1, config_.num_nodes)
                                                   : std::max(0, config_.num_nodes);
-  nodes_.reserve(static_cast<size_t>(locals));
   for (int n = 0; n < locals; ++n) {
-    nodes_.push_back(std::make_unique<Platform>(config_.node_config));
-    served_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-    inflight_.push_back(std::make_unique<std::atomic<int64_t>>(0));
-  }
-  // Every local node's mesh can carry remote-registered hosts over the
-  // node wire — the same socket path invokes ride.
-  for (auto& node : nodes_) {
-    node->mesh().SetRemoteTransport(
-        [this](const std::string& peer, const dhttp::SanitizedRequest& request)
+    const std::string name = "local-" + std::to_string(n);
+    auto local = std::make_unique<LocalNode>(config_.node_config, name);
+    // Every in-process node's mesh can carry remote-registered hosts over
+    // the node wire — the same socket path invokes ride.
+    local->platform.mesh().SetRemoteTransport(
+        [client = client_.get()](const std::string& peer, const dhttp::SanitizedRequest& request)
             -> dbase::Result<dhttp::MeshCallResult> {
-          dnet::NodeClient* client = nullptr;
-          {
-            std::lock_guard<std::mutex> lock(remotes_mu_);
-            client = client_started_ ? client_.get() : nullptr;
-          }
-          if (client == nullptr) {
-            return dbase::FailedPrecondition("cluster has no remote nodes");
-          }
           ASSIGN_OR_RETURN(
               dnet::WireMeshReply reply,
               client->MeshCall(peer, request.request.Serialize(), 2 * dbase::kMicrosPerSecond));
@@ -57,25 +79,16 @@ Cluster::Cluster(Config config)
           result.latency_us = reply.latency_us;
           return result;
         });
+    const dbase::Status started = local->agent.Start();
+    if (!started.ok()) {
+      DLOG(Warning) << name << " cannot serve the node wire: " << started.ToString();
+    }
+    (void)AddNode(name, local->agent.port(), /*remote=*/false);
+    locals_.push_back(std::move(local));
   }
   for (const RemoteNode& remote : config_.remote_nodes) {
     (void)AddRemoteNode(remote.name, remote.port);
   }
-}
-
-Cluster::~Cluster() { Shutdown(); }
-
-void Cluster::EnsureClientStarted() {
-  // Caller holds remotes_mu_.
-  if (client_started_) {
-    return;
-  }
-  dnet::NodeClient::Config client_config;
-  client_config.node_name = config_.router_name;
-  client_config.limits = config_.limits;
-  client_ = std::make_unique<dnet::NodeClient>(client_config);
-  client_->Start();
-  client_started_ = true;
   if (config_.gossip_interval_us > 0) {
     // A tick while the previous round is still open skips.
     gossip_tick_ = dbase::TimerService::Get()->Every(config_.gossip_interval_us,
@@ -83,38 +96,43 @@ void Cluster::EnsureClientStarted() {
   }
 }
 
+Cluster::~Cluster() { Shutdown(); }
+
+Platform& Cluster::node(int index) { return locals_[static_cast<size_t>(index)]->platform; }
+
 dbase::Status Cluster::AddRemoteNode(const std::string& name, uint16_t port) {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  for (auto& slot : remotes_) {
+  return AddNode(name, port, /*remote=*/true);
+}
+
+dbase::Status Cluster::AddNode(const std::string& name, uint16_t port, bool remote) {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  for (auto& slot : slots_) {
     if (slot->name != name) {
       continue;
     }
     std::lock_guard<std::mutex> slot_lock(slot->mu);
     if (slot->state != dpolicy::MemberState::kLeft) {
-      return dbase::AlreadyExists("remote node already joined: " + name);
+      return dbase::AlreadyExists("node already joined: " + name);
     }
     // Administrative rejoin of an evicted/removed node (possibly on a new
     // port after a restart).
-    slot->port = port;
     slot->state = dpolicy::MemberState::kActive;
     slot->last_gossip_us = 0;
-    EnsureClientStarted();
     client_->RemovePeer(name);
     client_->AddPeer(name, port);
     return dbase::OkStatus();
   }
-  EnsureClientStarted();
   client_->AddPeer(name, port);
-  auto slot = std::make_unique<RemoteSlot>();
+  auto slot = std::make_unique<NodeSlot>();
   slot->name = name;
-  slot->port = port;
-  remotes_.push_back(std::move(slot));
+  slot->remote = remote;
+  slots_.push_back(std::move(slot));
   return dbase::OkStatus();
 }
 
 void Cluster::RemoveRemoteNode(const std::string& name) {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  for (auto& slot : remotes_) {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  for (auto& slot : slots_) {
     if (slot->name != name) {
       continue;
     }
@@ -124,44 +142,41 @@ void Cluster::RemoveRemoteNode(const std::string& name) {
     }
     // Administrative leave really disconnects (unlike staleness eviction,
     // which keeps probing so the node can rejoin when it recovers).
-    if (client_started_) {
-      client_->RemovePeer(name);
-    }
+    client_->RemovePeer(name);
     return;
   }
 }
 
 int Cluster::total_nodes() const {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  return num_nodes() + static_cast<int>(remotes_.size());
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  return static_cast<int>(slots_.size());
 }
 
-Cluster::RemoteSlot* Cluster::remote_slot(int index) const {
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  const int r = index - num_nodes();
-  if (r < 0 || r >= static_cast<int>(remotes_.size())) {
+Cluster::NodeSlot* Cluster::slot_at(int index) const {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  if (index < 0 || index >= static_cast<int>(slots_.size())) {
     return nullptr;
   }
-  return remotes_[static_cast<size_t>(r)].get();
+  return slots_[static_cast<size_t>(index)].get();
 }
 
 dbase::Status Cluster::RegisterFunction(const dfunc::FunctionSpec& spec) {
-  for (auto& node : nodes_) {
-    RETURN_IF_ERROR(node->RegisterFunction(spec));
+  for (auto& local : locals_) {
+    RETURN_IF_ERROR(local->platform.RegisterFunction(spec));
   }
   return dbase::OkStatus();
 }
 
 dbase::Status Cluster::RegisterCompositionDsl(std::string_view dsl_source) {
-  for (auto& node : nodes_) {
-    RETURN_IF_ERROR(node->RegisterCompositionDsl(dsl_source));
+  for (auto& local : locals_) {
+    RETURN_IF_ERROR(local->platform.RegisterCompositionDsl(dsl_source));
   }
   return dbase::OkStatus();
 }
 
 void Cluster::ForEachNode(const std::function<void(Platform&)>& setup) {
-  for (auto& node : nodes_) {
-    setup(*node);
+  for (auto& local : locals_) {
+    setup(local->platform);
   }
 }
 
@@ -180,10 +195,7 @@ bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspe
   if (exclude.count(index) > 0) {
     return false;
   }
-  if (index < num_nodes()) {
-    return true;
-  }
-  RemoteSlot* slot = remote_slot(index);
+  NodeSlot* slot = slot_at(index);
   if (slot == nullptr) {
     return false;
   }
@@ -200,16 +212,7 @@ bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspe
 }
 
 double Cluster::NodeLoad(int index) const {
-  if (index < num_nodes()) {
-    const auto& node = nodes_[static_cast<size_t>(index)];
-    const EngineStats stats = node->engine_stats();
-    const double queued =
-        static_cast<double>(stats.compute_queue_len + stats.comm_queue_len);
-    const double inflight = static_cast<double>(
-        inflight_[static_cast<size_t>(index)]->load(std::memory_order_relaxed));
-    return queued + inflight;
-  }
-  RemoteSlot* slot = remote_slot(index);
+  NodeSlot* slot = slot_at(index);
   if (slot == nullptr) {
     return std::numeric_limits<double>::max();
   }
@@ -243,18 +246,12 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
   if (config_.policy == LoadBalancePolicy::kLocality) {
     const int affine = AffinityFor(request.composition);
     if (affine >= 0 && affine < total && Eligible(affine, exclude, false)) {
-      bool saturated = false;
-      if (affine >= num_nodes()) {
-        if (RemoteSlot* slot = remote_slot(affine); slot != nullptr) {
-          std::lock_guard<std::mutex> lock(slot->mu);
-          saturated = slot->status.admission_cap > 0 &&
-                      slot->status.inflight +
-                              static_cast<uint64_t>(std::max<int64_t>(
-                                  0, slot->inflight.load(std::memory_order_relaxed))) >=
-                          slot->status.admission_cap;
-        }
-      }
-      if (!saturated) {
+      NodeSlot* slot = slot_at(affine);
+      const uint64_t router_inflight = static_cast<uint64_t>(
+          std::max<int64_t>(0, slot->inflight.load(std::memory_order_relaxed)));
+      std::lock_guard<std::mutex> lock(slot->mu);
+      if (slot->status.admission_cap == 0 ||
+          slot->status.inflight + router_inflight < slot->status.admission_cap) {
         return affine;
       }
     }
@@ -295,72 +292,49 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
   return -1;
 }
 
-void Cluster::Dispatch(InvocationRequest request, RoutedCallback callback, int attempts,
-                       std::set<int> tried, bool shed_rerouted,
-                       InvocationHandle* first_handle) {
+void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<int> tried,
+                       bool shed_rerouted) {
+  const InvocationRequest& request = routed->request;
+  if (routed->control->stop_requested()) {
+    // Cancelled between attempts: nothing is on the wire to chase.
+    routed->Finish(dbase::Cancelled("invocation cancelled"), -1, attempts);
+    return;
+  }
   const int index = PickNode(request, tried);
   if (index < 0) {
     no_eligible_node_.fetch_add(1, std::memory_order_relaxed);
-    callback(dbase::Unavailable("no eligible cluster node for '" + request.composition + "'"),
-             -1, attempts + 1);
+    routed->Finish(
+        dbase::Unavailable("no eligible cluster node for '" + request.composition + "'"), -1,
+        attempts + 1);
     return;
   }
-  if (index < num_nodes()) {
-    served_[static_cast<size_t>(index)]->fetch_add(1, std::memory_order_relaxed);
-    inflight_[static_cast<size_t>(index)]->fetch_add(1, std::memory_order_relaxed);
-    NoteAffinity(request.composition, index);
-    InvocationHandle handle = nodes_[static_cast<size_t>(index)]->Submit(
-        std::move(request),
-        [this, index, attempts,
-         callback = std::move(callback)](dbase::Result<dfunc::DataSetList> result) {
-          inflight_[static_cast<size_t>(index)]->fetch_sub(1, std::memory_order_relaxed);
-          callback(std::move(result), index, attempts + 1);
-        });
-    if (first_handle != nullptr) {
-      *first_handle = handle;
-    }
-    return;
-  }
-  DispatchRemote(index, std::move(request), std::move(callback), attempts, std::move(tried),
-                 shed_rerouted);
-}
-
-void Cluster::DispatchRemote(int index, InvocationRequest request, RoutedCallback callback,
-                             int attempts, std::set<int> tried, bool shed_rerouted) {
-  RemoteSlot* slot = remote_slot(index);
-  dnet::NodeClient* client = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    client = client_started_ ? client_.get() : nullptr;
-  }
-  if (slot == nullptr || client == nullptr) {
-    callback(dbase::Internal("remote slot vanished"), index, attempts + 1);
-    return;
-  }
+  NodeSlot* slot = slot_at(index);
 
   dnet::WireInvoke wire;
   wire.composition = request.composition;
-  // Payloads are refcounted slices (PR 7): this copy shares buffers, and a
+  // Payloads are refcounted slices: this copy shares buffers, and a
   // re-route after a shed or a dead peer re-sends the same bytes without
   // materializing them twice.
   wire.args = request.args;
   wire.priority = static_cast<uint8_t>(request.priority);
   wire.invocation_id = request.id;
-  dbase::Micros timeout = config_.remote_invoke_timeout_us;
+  dbase::Micros timeout = kInvokeTimeoutUs;
   if (request.deadline_us > 0) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     const dbase::Micros remaining = request.deadline_us > now ? request.deadline_us - now : 1;
     wire.remaining_deadline_us = remaining;
-    timeout = std::min(timeout, remaining + kRemoteDeadlineGraceUs);
+    timeout = std::min(timeout, remaining + kDeadlineGraceUs);
   }
 
   slot->inflight.fetch_add(1, std::memory_order_relaxed);
-  client->InvokeAsync(
+  // From here on `request` is read-only shared state: the completion may
+  // already be running (and re-routing) on the client's loop thread.
+  const uint64_t request_id = client_->InvokeAsync(
       slot->name, std::move(wire), timeout,
-      [this, index, slot, request = std::move(request), callback = std::move(callback), attempts,
-       tried = std::move(tried), shed_rerouted](dbase::Result<dnet::WireOutcome> raw) mutable {
+      [this, index, slot, routed, attempts, tried = std::move(tried),
+       shed_rerouted](dbase::Result<dnet::WireOutcome> raw) mutable {
         slot->inflight.fetch_sub(1, std::memory_order_relaxed);
-        const bool interactive = request.priority != PriorityClass::kBatch;
+        const bool interactive = routed->request.priority != PriorityClass::kBatch;
 
         if (!raw.ok()) {
           // Transport-level failure. kUnavailable means the peer (or the
@@ -384,13 +358,12 @@ void Cluster::DispatchRemote(int index, InvocationRequest request, RoutedCallbac
             if (decision.retry) {
               reroutes_peer_lost_.fetch_add(1, std::memory_order_relaxed);
               tried.insert(index);
-              Dispatch(std::move(request), std::move(callback), attempts + 1, std::move(tried),
-                       shed_rerouted, nullptr);
+              Dispatch(std::move(routed), attempts + 1, std::move(tried), shed_rerouted);
               return;
             }
             reroute_denied_.fetch_add(1, std::memory_order_relaxed);
           }
-          callback(raw.status(), index, attempts + 1);
+          routed->Finish(raw.status(), index, attempts + 1);
           return;
         }
 
@@ -399,8 +372,7 @@ void Cluster::DispatchRemote(int index, InvocationRequest request, RoutedCallbac
           // 429-style admission shed: re-route once, then surface.
           reroutes_shed_.fetch_add(1, std::memory_order_relaxed);
           tried.insert(index);
-          Dispatch(std::move(request), std::move(callback), attempts + 1, std::move(tried),
-                   /*shed_rerouted=*/true, nullptr);
+          Dispatch(std::move(routed), attempts + 1, std::move(tried), /*shed_rerouted=*/true);
           return;
         }
         if (outcome.code == dbase::StatusCode::kOk) {
@@ -409,15 +381,30 @@ void Cluster::DispatchRemote(int index, InvocationRequest request, RoutedCallbac
             remote_retry_.OnSuccess(slot->name);
           }
           slot->served.fetch_add(1, std::memory_order_relaxed);
-          NoteAffinity(request.composition, index);
-          callback(std::move(outcome.sets), index, attempts + 1);
+          NoteAffinity(routed->request.composition, index);
+          routed->Finish(std::move(outcome.sets), index, attempts + 1);
           return;
         }
         // A failure the node itself reported: deterministic function
-        // failures (including jail kills, never retry-safe) and errors its
-        // own RetryPolicy already gave up on surface unchanged.
-        callback(dbase::Status(outcome.code, std::move(outcome.message)), index, attempts + 1);
+        // failures (including jail kills, never retry-safe), cancels, and
+        // errors its own RetryPolicy already gave up on surface unchanged.
+        routed->Finish(dbase::Status(outcome.code, std::move(outcome.message)), index,
+                       attempts + 1);
       });
+  {
+    std::lock_guard<std::mutex> lock(routed->mu);
+    // Request ids only grow, so a stale attempt never overwrites the
+    // re-route that already replaced it.
+    if (request_id > routed->request_id) {
+      routed->peer = slot->name;
+      routed->request_id = request_id;
+    }
+  }
+  // A Cancel() that ran before this attempt was recorded had nothing to
+  // chase; send its kCancel now.
+  if (routed->control->stop_requested()) {
+    client_->Cancel(slot->name, request_id);
+  }
 }
 
 InvocationHandle Cluster::InvokeRouted(InvocationRequest request, RoutedCallback callback) {
@@ -426,8 +413,29 @@ InvocationHandle Cluster::InvokeRouted(InvocationRequest request, RoutedCallback
     // serving a re-sent invocation and the cancel path agree on identity.
     request.id = next_invocation_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  InvocationHandle handle;
-  Dispatch(std::move(request), std::move(callback), /*attempts=*/0, {}, false, &handle);
+  auto routed = std::make_shared<Routed>();
+  routed->control = std::make_shared<InvocationControl>(
+      request.id, request.priority, request.deadline_us,
+      dbase::MonotonicClock::Get()->NowMicros());
+  routed->request = std::move(request);
+  routed->callback = std::move(callback);
+  // The hook holds the client and the invocation weakly: a Cancel() after
+  // the Cluster is gone, or after the invocation finished, does nothing.
+  routed->control->set_cancel_hook(
+      [weak_client = std::weak_ptr<dnet::NodeClient>(client_),
+       weak_routed = std::weak_ptr<Routed>(routed)] {
+        const std::shared_ptr<dnet::NodeClient> client = weak_client.lock();
+        const std::shared_ptr<Routed> live = weak_routed.lock();
+        if (client == nullptr || live == nullptr) {
+          return;
+        }
+        std::lock_guard<std::mutex> lock(live->mu);
+        if (live->request_id != 0) {
+          client->Cancel(live->peer, live->request_id);
+        }
+      });
+  InvocationHandle handle(routed->control);
+  Dispatch(std::move(routed), /*attempts=*/0, {}, /*shed_rerouted=*/false);
   return handle;
 }
 
@@ -491,24 +499,15 @@ Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
 }
 
 std::string Cluster::NodeName(int index) const {
-  if (index < 0) {
-    return "";
-  }
-  if (index < num_nodes()) {
-    return "local-" + std::to_string(index);
-  }
-  RemoteSlot* slot = remote_slot(index);
+  NodeSlot* slot = slot_at(index);
   return slot != nullptr ? slot->name : "";
 }
 
 std::vector<uint64_t> Cluster::InvocationsPerNode() const {
+  std::lock_guard<std::mutex> lock(slots_mu_);
   std::vector<uint64_t> counts;
-  counts.reserve(served_.size());
-  for (const auto& counter : served_) {
-    counts.push_back(counter->load(std::memory_order_relaxed));
-  }
-  std::lock_guard<std::mutex> lock(remotes_mu_);
-  for (const auto& slot : remotes_) {
+  counts.reserve(slots_.size());
+  for (const auto& slot : slots_) {
     counts.push_back(slot->served.load(std::memory_order_relaxed));
   }
   return counts;
@@ -516,11 +515,11 @@ std::vector<uint64_t> Cluster::InvocationsPerNode() const {
 
 std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
   std::vector<CoreSplit> splits;
-  splits.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
+  splits.reserve(locals_.size());
+  for (const auto& local : locals_) {
     // One role scan per node (full EngineStats would lock every queue shard
     // just to read two ints); comm derived so the split sums to the pool.
-    const WorkerSet& workers = node->workers();
+    const WorkerSet& workers = local->platform.workers();
     const int compute = workers.compute_workers();
     splits.push_back({compute, workers.total_workers() - compute});
   }
@@ -528,7 +527,7 @@ std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
 }
 
 struct Cluster::GossipRound {
-  std::vector<RemoteSlot*> slots;  // Every remote slot, in slot order.
+  std::vector<NodeSlot*> slots;  // Every slot, in node-index order.
   std::atomic<size_t> outstanding{0};
 };
 
@@ -550,11 +549,9 @@ void Cluster::StartGossipRound(std::function<void()> on_closed) {
     gossip_open_ = true;
   }
   auto round = std::make_shared<GossipRound>();
-  dnet::NodeClient* client = nullptr;
   {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    client = client_started_ ? client_.get() : nullptr;
-    for (const auto& slot : remotes_) {
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    for (const auto& slot : slots_) {
       round->slots.push_back(slot.get());
     }
   }
@@ -571,7 +568,7 @@ void Cluster::StartGossipRound(std::function<void()> on_closed) {
           ? std::min(config_.gossip_interval_us, kGossipTimeoutCapUs)
           : kGossipTimeoutCapUs;
   for (size_t i = 0; i < round->slots.size(); ++i) {
-    RemoteSlot* slot = round->slots[i];
+    NodeSlot* slot = round->slots[i];
     bool probe = true;
     {
       std::lock_guard<std::mutex> slot_lock(slot->mu);
@@ -580,12 +577,12 @@ void Cluster::StartGossipRound(std::function<void()> on_closed) {
       // rejoin when they come back.
       probe = !(slot->state == dpolicy::MemberState::kLeft && slot->last_gossip_us == 0);
     }
-    if (!probe || client == nullptr) {
+    if (!probe) {
       release();
       continue;
     }
-    const int index = num_nodes() + static_cast<int>(i);
-    client->GossipAsync(slot->name, timeout, [this, slot, index, release](auto status) {
+    const int index = static_cast<int>(i);
+    client_->GossipAsync(slot->name, timeout, [this, slot, index, release](auto status) {
       if (status.ok()) {
         std::lock_guard<std::mutex> slot_lock(slot->mu);
         slot->status = std::move(status).value();
@@ -606,7 +603,7 @@ void Cluster::CloseGossipRound(const GossipRound& round) {
   if (!round.slots.empty()) {
     std::vector<dpolicy::MemberSignals> signals;
     signals.reserve(round.slots.size());
-    for (RemoteSlot* slot : round.slots) {
+    for (NodeSlot* slot : round.slots) {
       dpolicy::MemberSignals member;
       member.name = slot->name;
       std::lock_guard<std::mutex> slot_lock(slot->mu);
@@ -637,11 +634,13 @@ void Cluster::CloseGossipRound(const GossipRound& round) {
 }
 
 void Cluster::ApplyMembership(const dpolicy::MembershipDecision& decision) {
+  // Scale hints are only counted (MembershipStats); the transitions are
+  // applied.
   for (const dpolicy::MemberTransition& transition : decision.transitions) {
-    RemoteSlot* found = nullptr;
+    NodeSlot* found = nullptr;
     {
-      std::lock_guard<std::mutex> lock(remotes_mu_);
-      for (const auto& slot : remotes_) {
+      std::lock_guard<std::mutex> lock(slots_mu_);
+      for (const auto& slot : slots_) {
         if (slot->name == transition.name) {
           found = slot.get();
           break;
@@ -654,10 +653,6 @@ void Cluster::ApplyMembership(const dpolicy::MembershipDecision& decision) {
     std::lock_guard<std::mutex> slot_lock(found->mu);
     found->state = transition.to;
   }
-  if (config_.apply_scale_in && decision.desired_nodes_delta < 0 &&
-      !decision.drain_candidate.empty()) {
-    RemoveRemoteNode(decision.drain_candidate);
-  }
 }
 
 Cluster::ClusterStats Cluster::Stats() const {
@@ -668,27 +663,14 @@ Cluster::ClusterStats Cluster::Stats() const {
   stats.no_eligible_node = no_eligible_node_.load(std::memory_order_relaxed);
   stats.gossip_rounds = gossip_rounds_.load(std::memory_order_relaxed);
 
-  for (int n = 0; n < num_nodes(); ++n) {
-    PeerStats peer;
-    peer.name = "local-" + std::to_string(n);
-    peer.remote = false;
-    peer.state = "active";
-    peer.served = served_[static_cast<size_t>(n)]->load(std::memory_order_relaxed);
-    peer.inflight = inflight_[static_cast<size_t>(n)]->load(std::memory_order_relaxed);
-    stats.peers.push_back(std::move(peer));
-  }
-
-  std::vector<dnet::NodeClient::PeerSnapshot> wire;
+  const std::vector<dnet::NodeClient::PeerSnapshot> wire = client_->SnapshotPeers();
+  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
   {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    if (client_started_) {
-      wire = client_->SnapshotPeers();
-    }
-    const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    for (const auto& slot : remotes_) {
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    for (const auto& slot : slots_) {
       PeerStats peer;
       peer.name = slot->name;
-      peer.remote = true;
+      peer.remote = slot->remote;
       peer.served = slot->served.load(std::memory_order_relaxed);
       peer.inflight = slot->inflight.load(std::memory_order_relaxed);
       {
@@ -729,22 +711,16 @@ void Cluster::Shutdown() {
   if (shut_down_.exchange(true, std::memory_order_relaxed)) {
     return;
   }
-  dnet::NodeClient* client = nullptr;
-  dbase::TimerService::Id gossip_tick = 0;
-  {
-    std::lock_guard<std::mutex> lock(remotes_mu_);
-    client = client_started_ ? client_.get() : nullptr;
-    gossip_tick = std::exchange(gossip_tick_, 0);
-  }
-  // Neither under remotes_mu_: a running tick takes it, and stopping the
+  // Neither under slots_mu_: a running tick takes it, and stopping the
   // client fails the open round's probes, whose close applies membership
-  // (taking remotes_mu_) on the client's loop thread.
-  dbase::TimerService::Get()->Cancel(gossip_tick);
-  if (client != nullptr) {
-    client->Stop();
-  }
-  for (auto& node : nodes_) {
-    node->Shutdown();
+  // (taking slots_mu_) on the client's loop thread. Stopping the client
+  // first fails every routed invoke still on the wire; the in-process
+  // nodes then see their router gone and cancel what it left behind.
+  dbase::TimerService::Get()->Cancel(std::exchange(gossip_tick_, 0));
+  client_->Stop();
+  for (auto& local : locals_) {
+    local->agent.Stop();
+    local->platform.Shutdown();
   }
 }
 

@@ -2,29 +2,32 @@
 // balances composition invocations across nodes. We extended Dirigent to
 // support Dandelion worker nodes."
 //
-// Two node flavors live behind one Invoke/InvokeAsync API:
-//
-//   - local nodes: N in-process Platform instances (the single-process
-//     stand-in the earlier PRs built everything on), and
-//   - remote nodes: engine processes reached over the dnet wire (ROADMAP
-//     "Distributed data plane") through one connection-pooling NodeClient.
+// Every node is reached the same way: over the dnet wire (ROADMAP
+// "Distributed data plane") through one connection-pooling NodeClient.
+// Nodes are either spawned engine processes (dandelion_node) or the
+// Cluster's own in-process Platforms, each served by a NodeAgent on an
+// ephemeral loopback port. Both join through the same path, so placement,
+// shedding, peer loss, gossip and cancel exist once; "in-process" only
+// decides who owns the engine.
 //
 // Routing is locality-aware under LoadBalancePolicy::kLocality: a
 // composition goes to the node that served it most recently (locally
-// observed, plus the resident-composition lists remote nodes gossip),
-// falling back to kLeastLoaded when the sticky node is saturated, suspect
-// or gone. Remote load is read from gossiped ElasticitySignals.
+// observed, plus the resident-composition lists nodes gossip), falling
+// back to kLeastLoaded when the sticky node is saturated, suspect or gone.
+// Node load is read from gossiped ElasticitySignals plus what the router
+// itself has in flight toward the node.
 //
-// Cross-node shedding: a peer that responds 429-style (kUnavailable with
+// Cross-node shedding: a node that responds 429-style (kUnavailable with
 // the shed frame flag) gets the invocation re-routed once to another node
-// before the error surfaces. Remote transport failures map into the PR 8
-// failure taxonomy as FailureKind::kPeerLost — retry-safe, because
-// Dandelion functions are pure — and are absorbed by a router-side
-// RetryPolicy (breaker keyed by node) that re-routes to surviving nodes;
-// remote jail kills and other deterministic function failures surface
-// unchanged. Node join/leave is policy-driven: periodic gossip rounds feed
+// before the error surfaces. Transport failures map into the failure
+// taxonomy as FailureKind::kPeerLost — retry-safe, because Dandelion
+// functions are pure — and are absorbed by a router-side RetryPolicy
+// (breaker keyed by node) that re-routes to surviving nodes; jail kills
+// and other deterministic function failures surface unchanged. A routed
+// handle's Cancel() sends kCancel for the attempt currently on the wire.
+// Node join/leave is policy-driven: periodic gossip rounds feed
 // dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones,
-// re-admits rejoiners, and emits fleet scale hints.
+// re-admits rejoiners, and emits fleet scale hints (counted, not acted on).
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
 
@@ -49,7 +52,7 @@ namespace dandelion {
 enum class LoadBalancePolicy {
   kRoundRobin,
   // Routes to the node with the fewest in-flight invocations + queued
-  // engine tasks (gossiped backlog for remote nodes).
+  // engine tasks (router in-flight plus the gossiped backlog).
   kLeastLoaded,
   // Sticky composition→node affinity from serve history and gossiped
   // residency; falls back to kLeastLoaded when the affine node is
@@ -65,7 +68,8 @@ class Cluster {
   };
 
   struct Config {
-    // In-process nodes; 0 is allowed when remote nodes are configured.
+    // In-process nodes (joined first, as local-0, local-1, ...); 0 is
+    // allowed when remote nodes are configured.
     int num_nodes = 2;
     PlatformConfig node_config;
     LoadBalancePolicy policy = LoadBalancePolicy::kRoundRobin;
@@ -73,18 +77,10 @@ class Cluster {
     // Engine processes to dial over the dnet wire (loopback ports).
     std::vector<RemoteNode> remote_nodes;
     std::string router_name = "router";
-    dnet::FrameLimits limits;
-    // Backstop timeout for remote invokes carrying no deadline.
-    dbase::Micros remote_invoke_timeout_us = 120 * dbase::kMicrosPerSecond;
-    // Gossip cadence for remote signals + membership; 0 disables the
+    // Gossip cadence for node signals + membership; 0 disables the
     // periodic round (tests drive GossipNow() by hand).
     dbase::Micros gossip_interval_us = 200 * dbase::kMicrosPerMilli;
     dpolicy::MembershipOptions membership;
-    // Router-side absorption of kPeerLost (breakers keyed by node name).
-    dpolicy::RetryOptions remote_retry;
-    // When the membership policy emits a scale-in hint, actually drain
-    // (remove) the nominated node instead of just counting the hint.
-    bool apply_scale_in = false;
   };
 
   explicit Cluster(Config config);
@@ -93,26 +89,27 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Local (in-process) nodes.
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  Platform& node(int index) { return *nodes_[static_cast<size_t>(index)]; }
-  // Locals + remote nodes ever added (remote slots persist through
-  // eviction so node indices stay stable).
+  // In-process nodes: node indices [0, num_nodes()).
+  int num_nodes() const { return static_cast<int>(locals_.size()); }
+  Platform& node(int index);
+  // Every node ever joined, in-process ones included (slots persist
+  // through eviction so node indices stay stable).
   int total_nodes() const;
 
-  // Dynamic membership: join a running engine process / drain one. Join
-  // makes the node routable immediately; the membership policy evicts it
-  // if it never answers gossip.
+  // Dynamic membership: join a running engine process / drain one (any
+  // node, by name). Join makes the node routable immediately; the
+  // membership policy evicts it if it never answers gossip.
   dbase::Status AddRemoteNode(const std::string& name, uint16_t port);
   void RemoveRemoteNode(const std::string& name);
 
-  // Registration is cluster-wide for local nodes (a node can only serve
-  // what it has registered); remote nodes register their own functions at
-  // spawn (see src/tools/dandelion_node.cc).
+  // Registration is cluster-wide for in-process nodes (a node can only
+  // serve what it has registered); spawned nodes register their own
+  // functions at spawn (see src/tools/dandelion_node.cc).
   dbase::Status RegisterFunction(const dfunc::FunctionSpec& spec);
   dbase::Status RegisterCompositionDsl(std::string_view dsl_source);
 
-  // Applies `setup` to every local node — e.g. registering mesh services.
+  // Applies `setup` to every in-process node — e.g. registering mesh
+  // services.
   void ForEachNode(const std::function<void(Platform&)>& setup);
 
   // Load-balanced invocation. Returns the result plus which node served it
@@ -131,23 +128,24 @@ class Cluster {
     }
     const dfunc::DataSetList& sets() const { return result->value(); }
   };
-  // Routed invokes take first-class requests: the deadline and cancel flag
-  // travel with the invocation to whichever node serves it (remote nodes
-  // get the *remaining* time re-anchored on their own clock), and
-  // placement can consider the request class (under kLeastLoaded,
-  // interactive requests pay the load scan while batch spreads
-  // round-robin — backlog smoothing is enough for work that tolerates
-  // queueing).
+  // Routed invokes take first-class requests: the deadline travels with
+  // the invocation to whichever node serves it (as the *remaining* time,
+  // re-anchored on the node's clock), the returned handle's Cancel()
+  // reaches that node, and placement can consider the request class
+  // (under kLeastLoaded, interactive requests pay the load scan while
+  // batch spreads round-robin — backlog smoothing is enough for work that
+  // tolerates queueing).
   RoutedResult Invoke(InvocationRequest request);
   InvocationHandle InvokeAsync(
       InvocationRequest request,
       std::function<void(dbase::Result<dfunc::DataSetList>, int node)> callback);
 
-  // Per-node served-invocation counters (locals then remotes).
+  // Per-node served-invocation counters, in node-index order.
   std::vector<uint64_t> InvocationsPerNode() const;
 
-  // Per-local-node compute/comm core split — cluster-wide view of what each
-  // node's elasticity control plane (configured via node_config) has done.
+  // Compute/comm core split of each in-process node — the cluster-wide view
+  // of what each node's elasticity control plane (configured via
+  // node_config) has done.
   struct CoreSplit {
     int compute_workers = 0;
     int comm_workers = 0;
@@ -162,11 +160,11 @@ class Cluster {
   // The statz "cluster" section's source of truth.
   struct PeerStats {
     std::string name;
-    bool remote = false;
+    bool remote = false;  // A spawned node rather than an in-process one.
     std::string_view state = "active";
     uint64_t served = 0;
     int64_t inflight = 0;  // Router-side in-flight toward this node.
-    // Remote-only wire counters (from the NodeClient).
+    // Wire counters (from the NodeClient).
     uint64_t invokes_sent = 0;
     uint64_t sheds_received = 0;
     uint64_t peer_lost_failures = 0;
@@ -194,9 +192,12 @@ class Cluster {
   void Shutdown();
 
  private:
-  struct RemoteSlot {
+  // One node as the router sees it. Node indices are join order; slots are
+  // never erased (indices stay stable), and evicted ones sit in
+  // MemberState::kLeft until their node gossips again.
+  struct NodeSlot {
     std::string name;
-    uint16_t port = 0;
+    bool remote = false;
     std::atomic<uint64_t> served{0};
     std::atomic<int64_t> inflight{0};
     mutable std::mutex mu;
@@ -204,52 +205,49 @@ class Cluster {
     dbase::Micros last_gossip_us = 0;         // 0 = never heard.
     dpolicy::MemberState state = dpolicy::MemberState::kActive;
   };
+  struct LocalNode;
+  struct Routed;
 
-  // Node indices are global: [0, num_nodes) local, then remotes in join
-  // order. Remote slots are never erased (indices stay stable); evicted
-  // slots sit in MemberState::kLeft until their node gossips again.
   // Internal terminal callback: result, serving node index, total
   // placement attempts (so RoutedResult can report re-routes).
   using RoutedCallback =
       std::function<void(dbase::Result<dfunc::DataSetList>, int node, int attempts)>;
 
+  dbase::Status AddNode(const std::string& name, uint16_t port, bool remote);
   int PickNode(const InvocationRequest& request, const std::set<int>& exclude);
   double NodeLoad(int index) const;
   bool Eligible(int index, const std::set<int>& exclude, bool allow_suspect) const;
-  void Dispatch(InvocationRequest request, RoutedCallback callback, int attempts,
-                std::set<int> tried, bool shed_rerouted, InvocationHandle* first_handle);
-  void DispatchRemote(int index, InvocationRequest request, RoutedCallback callback,
-                      int attempts, std::set<int> tried, bool shed_rerouted);
+  void Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<int> tried,
+                bool shed_rerouted);
   InvocationHandle InvokeRouted(InvocationRequest request, RoutedCallback callback);
   void NoteAffinity(const std::string& composition, int index);
   int AffinityFor(const std::string& composition) const;
   std::string NodeName(int index) const;
-  RemoteSlot* remote_slot(int index) const;
-  void EnsureClientStarted();
+  NodeSlot* slot_at(int index) const;
   void ApplyMembership(const dpolicy::MembershipDecision& decision);
 
-  // Gossip rounds. A round probes every remote slot asynchronously; the
-  // replies land on the NodeClient loop thread, and the last one closes the
-  // round: membership Tick, ApplyMembership, gossip_rounds_ += 1 (skipped
-  // when there are no remote slots), then the waiters run. At most one
-  // round is open at a time; `on_closed` (may be null) joins the open one.
+  // Gossip rounds. A round probes every slot asynchronously; the replies
+  // land on the NodeClient loop thread, and the last one closes the round:
+  // membership Tick, ApplyMembership, gossip_rounds_ += 1 (skipped when
+  // there are no slots), then the waiters run. At most one round is open at
+  // a time; `on_closed` (may be null) joins the open one.
   struct GossipRound;
   void StartGossipRound(std::function<void()> on_closed);
   void CloseGossipRound(const GossipRound& round);
 
   Config config_;
-  std::vector<std::unique_ptr<Platform>> nodes_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> served_;
-  std::vector<std::unique_ptr<std::atomic<int64_t>>> inflight_;
+  // Shared so a routed handle's cancel hook can hold it weakly: a handle
+  // that outlives the Cluster cancels nothing.
+  std::shared_ptr<dnet::NodeClient> client_;
   std::atomic<uint64_t> round_robin_{0};
   std::atomic<uint64_t> next_invocation_id_{1};
 
-  // Remote side. remotes_ is append-only under remotes_mu_; slots are
-  // heap-allocated so raw pointers stay valid across growth.
-  mutable std::mutex remotes_mu_;
-  std::vector<std::unique_ptr<RemoteSlot>> remotes_;
-  std::unique_ptr<dnet::NodeClient> client_;
-  bool client_started_ = false;  // Guarded by remotes_mu_.
+  // slots_ is append-only under slots_mu_; slots are heap-allocated so raw
+  // pointers stay valid across growth.
+  mutable std::mutex slots_mu_;
+  std::vector<std::unique_ptr<NodeSlot>> slots_;
+  // The engines behind the in-process slots; fixed after construction.
+  std::vector<std::unique_ptr<LocalNode>> locals_;
 
   // Composition → global node index (most recent server / gossiped
   // residency).
@@ -272,7 +270,7 @@ class Cluster {
   bool gossip_open_ = false;                           // Guarded by gossip_mu_.
   std::vector<std::function<void()>> gossip_waiters_;  // Guarded by gossip_mu_.
 
-  dbase::TimerService::Id gossip_tick_ = 0;  // Guarded by remotes_mu_.
+  dbase::TimerService::Id gossip_tick_ = 0;
 
   std::atomic<bool> shut_down_{false};
 };

@@ -174,20 +174,7 @@ InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback ca
   // which path (completion, failure, cancel, reaper) finishes first.
   ResultCallback wrapped = [this, control, class_index, cb = std::move(callback)](
                                dbase::Result<dfunc::DataSetList> result) mutable {
-    InvocationPhase phase = InvocationPhase::kSucceeded;
-    if (!result.ok()) {
-      switch (result.status().code()) {
-        case dbase::StatusCode::kCancelled:
-          phase = InvocationPhase::kCancelled;
-          break;
-        case dbase::StatusCode::kDeadlineExceeded:
-          phase = InvocationPhase::kDeadlineExceeded;
-          break;
-        default:
-          phase = InvocationPhase::kFailed;
-      }
-    }
-    control->MarkDone(phase, dbase::MonotonicClock::Get()->NowMicros());
+    control->MarkDone(result.status(), dbase::MonotonicClock::Get()->NowMicros());
     inflight_by_class_[class_index].fetch_sub(1, std::memory_order_relaxed);
     DisarmReaper(control.get());
     if (cb) {

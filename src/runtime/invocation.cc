@@ -48,6 +48,13 @@ InvocationControl::InvocationControl(uint64_t id, PriorityClass priority,
                                      dbase::Micros deadline_us, dbase::Micros submit_time_us)
     : id_(id), priority_(priority), deadline_us_(deadline_us), submit_time_us_(submit_time_us) {}
 
+void InvocationControl::Cancel() {
+  RequestStop(dbase::StatusCode::kCancelled);
+  if (cancel_hook_ && !cancel_hook_ran_.exchange(true, std::memory_order_acq_rel)) {
+    cancel_hook_();
+  }
+}
+
 void InvocationControl::RequestStop(dbase::StatusCode reason) {
   // First reason wins: record it before publishing the flag so a reader
   // that observes stop_ always sees a reason.
@@ -86,7 +93,20 @@ void InvocationControl::MarkFirstRun(dbase::Micros now_us) {
                                  std::memory_order_release);
 }
 
-void InvocationControl::MarkDone(InvocationPhase phase, dbase::Micros now_us) {
+void InvocationControl::MarkDone(const dbase::Status& outcome, dbase::Micros now_us) {
+  InvocationPhase phase = InvocationPhase::kSucceeded;
+  switch (outcome.code()) {
+    case dbase::StatusCode::kOk:
+      break;
+    case dbase::StatusCode::kCancelled:
+      phase = InvocationPhase::kCancelled;
+      break;
+    case dbase::StatusCode::kDeadlineExceeded:
+      phase = InvocationPhase::kDeadlineExceeded;
+      break;
+    default:
+      phase = InvocationPhase::kFailed;
+  }
   dbase::Micros expected = 0;
   finish_us_.compare_exchange_strong(expected, now_us, std::memory_order_relaxed);
   phase_.store(static_cast<int>(phase), std::memory_order_release);

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -105,9 +106,13 @@ class InvocationControl {
   // The cooperative kill switch sandboxes poll (FunctionCtx::cancelled()).
   const std::atomic<bool>* stop_flag() const { return &stop_; }
 
-  // Requests termination; the first reason recorded wins. Idempotent.
-  void Cancel() { RequestStop(dbase::StatusCode::kCancelled); }
+  // Requests termination; the first reason recorded wins. Idempotent. The
+  // first Cancel() also runs the cancel hook.
+  void Cancel();
   void RequestStop(dbase::StatusCode reason);
+  // How Cancel() reaches an invocation served in another process (a routed
+  // invocation's serving node). Set before the control is shared.
+  void set_cancel_hook(std::function<void()> hook) { cancel_hook_ = std::move(hook); }
 
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
   bool done() const;
@@ -120,7 +125,8 @@ class InvocationControl {
 
   // Lifecycle bookkeeping (set-once semantics where it matters).
   void MarkFirstRun(dbase::Micros now_us);
-  void MarkDone(InvocationPhase phase, dbase::Micros now_us);
+  // Terminal phase from the invocation's final status.
+  void MarkDone(const dbase::Status& outcome, dbase::Micros now_us);
   void CountLaunched() { instances_launched_.fetch_add(1, std::memory_order_relaxed); }
   void CountAborted() { instances_aborted_.fetch_add(1, std::memory_order_relaxed); }
   void CountPoolHit() { instances_pool_hits_.fetch_add(1, std::memory_order_relaxed); }
@@ -150,6 +156,8 @@ class InvocationControl {
   std::atomic<uint64_t> instances_pool_hits_{0};
   std::atomic<int> failure_kind_{static_cast<int>(dpolicy::FailureKind::kNone)};
   std::atomic<uint64_t> retries_{0};
+  std::function<void()> cancel_hook_;  // Immutable once shared.
+  std::atomic<bool> cancel_hook_ran_{false};
 };
 
 // The caller's view of an in-flight invocation. Cheap to copy; an empty

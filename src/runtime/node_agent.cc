@@ -9,6 +9,12 @@
 
 namespace dandelion {
 
+namespace {
+// How many recently-served composition names travel in gossip (the
+// locality signal); oldest drop first.
+constexpr size_t kMaxResidentGossip = 64;
+}  // namespace
+
 NodeAgent::NodeAgent(Platform* platform, NodeAgentConfig config)
     : platform_(platform),
       config_(std::move(config)),
@@ -59,8 +65,9 @@ void NodeAgent::Stop() {
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     handles.reserve(inflight_handles_.size());
-    for (auto& [id, handle] : inflight_handles_) {
-      handles.push_back(handle);
+    for (auto& [id, entry] : inflight_handles_) {
+      entry.cancelled = true;
+      handles.push_back(entry.handle);
     }
   }
   for (auto& handle : handles) {
@@ -77,7 +84,6 @@ void NodeAgent::Stop() {
   }
   std::lock_guard<std::mutex> lock(inflight_mu_);
   inflight_handles_.clear();
-  completed_early_.clear();
 }
 
 void NodeAgent::NoteServed(const std::string& composition) {
@@ -87,7 +93,7 @@ void NodeAgent::NoteServed(const std::string& composition) {
     resident_.erase(it);
   }
   resident_.push_back(composition);
-  while (resident_.size() > config_.max_resident_gossip) {
+  while (resident_.size() > kMaxResidentGossip) {
     resident_.pop_front();
   }
 }
@@ -135,25 +141,28 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
   NoteServed(request.composition);
 
   const uint64_t invocation_id = request.id;
+  if (invocation_id != 0) {
+    // Registered before the submit is queued: a kCancel, which the server
+    // handles after this returns, always finds the entry.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    inflight_handles_[invocation_id] = Inflight{};
+  }
   auto submit = [this, request = std::move(request), done = std::move(done), invocation_id,
                  klass]() mutable {
-    // The handle is captured by the completion so the report (failure
-    // kind, absorbed retries) is readable at outcome-build time. Both sides
-    // touch it under inflight_mu_.
-    auto handle = std::make_shared<InvocationHandle>();
-    auto callback = [this, done = std::move(done), handle, invocation_id,
+    auto callback = [this, done = std::move(done), invocation_id,
                      klass](dbase::Result<dfunc::DataSetList> result) {
       inflight_[klass].fetch_sub(1, std::memory_order_relaxed);
       served_.fetch_add(1, std::memory_order_relaxed);
+      // The handle carries the report (failure kind, absorbed retries). It
+      // is empty when the completion outran Submit's return; the submit
+      // side then finds no entry to fill.
       InvocationHandle self;
       {
         std::lock_guard<std::mutex> lock(inflight_mu_);
-        // The completion can outrun Submit's return: the handle is then
-        // still empty, and a token tells the submit side not to insert a
-        // handle for a dead invocation.
-        self = *handle;
-        if (invocation_id != 0 && inflight_handles_.erase(invocation_id) == 0) {
-          completed_early_.insert(invocation_id);
+        auto it = inflight_handles_.find(invocation_id);
+        if (it != inflight_handles_.end()) {
+          self = it->second.handle;
+          inflight_handles_.erase(it);
         }
       }
       dnet::WireOutcome outcome;
@@ -177,10 +186,17 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
       }
     };
     InvocationHandle submitted = platform_->Submit(std::move(request), std::move(callback));
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    *handle = submitted;
-    if (invocation_id != 0 && completed_early_.erase(invocation_id) == 0) {
-      inflight_handles_[invocation_id] = std::move(submitted);
+    bool cancelled = false;
+    {
+      std::lock_guard<std::mutex> lock(inflight_mu_);
+      auto it = inflight_handles_.find(invocation_id);
+      if (it != inflight_handles_.end()) {
+        it->second.handle = submitted;
+        cancelled = it->second.cancelled;
+      }
+    }
+    if (cancelled) {
+      submitted.Cancel();  // The cancel arrived before the handle existed.
     }
   };
   if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(submit)) {
@@ -197,9 +213,10 @@ void NodeAgent::HandleCancel(uint64_t invocation_id) {
     if (it == inflight_handles_.end()) {
       return;
     }
-    handle = it->second;
+    it->second.cancelled = true;
+    handle = it->second.handle;
   }
-  handle.Cancel();
+  handle.Cancel();  // Empty until Submit returns; the submit side applies it then.
 }
 
 void NodeAgent::HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn done) {

@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "src/base/status.h"
@@ -47,9 +46,6 @@ struct NodeAgentConfig {
   // the shed frame flag) instead of queueing blindly. 0 = uncapped.
   size_t max_inflight_interactive = 256;
   size_t max_inflight_batch = 256;
-  // How many recently-served composition names travel in gossip (the
-  // locality signal); oldest drop first.
-  size_t max_resident_gossip = 64;
   dnet::FrameLimits limits{};
   // Offload threads for dispatch setup and mesh serving.
   int dispatch_threads = 2;
@@ -103,12 +99,15 @@ class NodeAgent {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  // Cancel currency: invocation id → handle, while in flight. An id whose
-  // completion outran Submit's return parks in completed_early_ so the
-  // submit side skips the (now pointless) handle insert.
+  // Cancel currency: invocation id → handle, from accept until completion.
+  // The handle stays empty until Submit returns; a cancel landing before
+  // then is remembered and applied once the handle exists.
+  struct Inflight {
+    InvocationHandle handle;
+    bool cancelled = false;
+  };
   std::mutex inflight_mu_;
-  std::map<uint64_t, InvocationHandle> inflight_handles_;
-  std::set<uint64_t> completed_early_;
+  std::map<uint64_t, Inflight> inflight_handles_;
 
   // Recently-served compositions, most recent last (gossip residency).
   std::mutex resident_mu_;

@@ -2,10 +2,11 @@
 // router and engine nodes (in-process NodeAgents and spawned
 // dandelion_node daemons), covering remote invocation end-to-end,
 // zero-copy accounting, cross-node shedding, peer-loss absorption via the
-// retry taxonomy, gossip-driven membership (suspect → evict → rejoin),
-// mesh calls carried over the wire, protocol hygiene against hostile
-// frames, the statz cluster section, and the spawned node's boot
-// handshake and self-contained binary.
+// retry taxonomy, routed cancel (handle and client disconnect),
+// gossip-driven membership (suspect → evict → rejoin), mesh calls carried
+// over the wire, protocol hygiene against hostile frames, the statz
+// cluster section, and the spawned node's boot handshake and
+// self-contained binary.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -60,10 +61,14 @@ DataSetList EchoArgs(std::string value) {
   return args;
 }
 
-// Holds an engine worker for a while before echoing — the occupier for
-// shed and peer-loss scenarios.
+// Holds an engine worker for 500 ms before echoing — the occupier for
+// shed, peer-loss and cancel scenarios. The nap ends early once the
+// invocation is cancelled, so a cancel is visible well before 500 ms.
 dbase::Status NapEcho(dfunc::FunctionCtx& ctx) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const auto wake = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (!ctx.cancelled() && std::chrono::steady_clock::now() < wake) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   return dfunc::EchoFunction(ctx);
 }
 
@@ -151,23 +156,23 @@ TEST(ClusterNetTest, RemoteInvokeEndToEnd) {
 TEST(ClusterNetTest, RemoteInvokeAddsZeroPayloadCopies) {
   constexpr size_t kPayloadBytes = 1 << 20;
 
-  // Baseline: the same invocation served by one in-process local node. The
-  // only payload copy on this path is the sandbox boundary itself (function
+  // Baseline: the same invocation on a bare Platform, no wire at all (a
+  // Cluster's in-process nodes are reached over the wire too). The only
+  // payload copy on this path is the sandbox boundary itself (function
   // outputs marshal into the sandbox's memory context before the aliased
   // read-back).
   uint64_t local_copied = 0;
   uint64_t local_aliased = 0;
   {
-    Cluster::Config config = RemoteClusterConfig({}, LoadBalancePolicy::kRoundRobin);
-    config.num_nodes = 1;
-    Cluster local(config);
+    Platform local(FastPlatformConfig());
     ASSERT_TRUE(local.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+    ASSERT_TRUE(local.RegisterFunction({.name = "nap", .body = NapEcho}).ok());
     ASSERT_TRUE(local.RegisterCompositionDsl(kNodeDsl).ok());
     ASSERT_TRUE(local.Invoke({"Id", EchoArgs("warmup")}).ok());
     const auto before = dfunc::DataPlaneStats::Get().snapshot();
-    auto routed = local.Invoke({"Id", EchoArgs(std::string(kPayloadBytes, 'q'))});
+    auto result = local.Invoke({"Id", EchoArgs(std::string(kPayloadBytes, 'q'))});
     const auto after = dfunc::DataPlaneStats::Get().snapshot();
-    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
     local_copied = after.bytes_copied - before.bytes_copied;
     local_aliased = after.bytes_aliased - before.bytes_aliased;
   }
@@ -186,10 +191,10 @@ TEST(ClusterNetTest, RemoteInvokeAddsZeroPayloadCopies) {
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   ASSERT_EQ(routed.sets()[0].items[0].data.size(), kPayloadBytes);
 
-  // The wire is a seam of the PR 7 zero-copy plane, not an excuse to copy:
+  // The wire is a seam of the zero-copy plane, not an excuse to copy:
   // scatter-encode → writev on the way out, aliasing unmarshal over the
   // receive buffer on the way in, at both ends. Crossing the wire must add
-  // ZERO payload copies over the local path — only aliases (request encode
+  // ZERO payload copies over the bare platform — only aliases (request encode
   // + decode, outcome encode + decode move the payload by reference four
   // more times).
   EXPECT_EQ(after.bytes_copied - before.bytes_copied, local_copied);
@@ -307,6 +312,51 @@ TEST(ClusterNetTest, PeerLossMidInvokeReroutesToSurvivor) {
   const auto* peer_a = FindPeer(stats, "na");
   ASSERT_NE(peer_a, nullptr);
   EXPECT_EQ(peer_a->state, "suspect");
+}
+
+// ----------------------------------------------------------------- cancel
+
+// Polls `done` for up to `limit_ms`; true once it holds.
+template <typename Predicate>
+bool WaitUntil(Predicate done, int limit_ms) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(limit_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ClusterNetTest, RoutedHandleCancelReachesTheServingNode) {
+  AgentNode node(NodeAgentConfig{.node_name = "nx"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  Cluster cluster(RemoteClusterConfig({{"nx", node.port()}}, LoadBalancePolicy::kRoundRobin));
+
+  dbase::Latch done(1);
+  std::atomic<int> code{-1};
+  const auto start = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::duration elapsed{};
+  InvocationHandle handle =
+      cluster.InvokeAsync({"Nap", EchoArgs("cancel me")},
+                          [&](dbase::Result<DataSetList> result, int) {
+                            elapsed = std::chrono::steady_clock::now() - start;
+                            code.store(static_cast<int>(result.status().code()));
+                            done.CountDown();
+                          });
+  EXPECT_TRUE(handle.valid());
+  ASSERT_TRUE(WaitUntil(
+      [&] { return node.platform().dispatcher_stats().invocations_started >= 1; }, 1000))
+      << "the nap never reached the node";
+
+  handle.Cancel();
+  ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
+  EXPECT_EQ(code.load(), static_cast<int>(dbase::StatusCode::kCancelled));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(400)) << "the nap ran to its end";
+  EXPECT_TRUE(handle.done());
+  EXPECT_EQ(handle.Report().phase, InvocationPhase::kCancelled);
+  EXPECT_EQ(node.platform().dispatcher_stats().invocations_cancelled, 1u);
+  // A cancel is the caller's decision, not a node failure: no re-route.
+  EXPECT_EQ(cluster.Stats().reroutes_peer_lost, 0u);
 }
 
 // ------------------------------------------------- multi-process peer kill
@@ -881,6 +931,50 @@ TEST(ClusterNetTest, StatzReportsClusterSection) {
     EXPECT_NE(body.find("\"nb\":{\"remote\":true"), std::string::npos) << body;
     EXPECT_NE(body.find("\"bytes_sent\":"), std::string::npos);
   }
+  frontend.Stop();
+}
+
+TEST(ClusterNetTest, ClientDisconnectCancelsOnTheServingNode) {
+  AgentNode remote(NodeAgentConfig{.node_name = "nb"});
+  SKIP_WITHOUT_LOOPBACK(remote);
+  Cluster cluster(
+      RemoteClusterConfig({{"nb", remote.port()}}, LoadBalancePolicy::kRoundRobin));
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "nap", .body = NapEcho}).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(kNodeDsl).ok());
+  HttpFrontend frontend(&platform, FrontendConfig{});
+  frontend.AttachCluster(&cluster);
+  auto started = frontend.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+
+  dhttp::HttpRequest request;
+  request.method = dhttp::Method::kPost;
+  request.target = "/invoke/Nap";
+  request.headers.Add("X-Dandelion-Raw", "1");
+  request.body = "hang up on me";
+  const int fd = BlockingConnect(frontend.port());
+  HttpSendAll(fd, request.Serialize());
+  ASSERT_TRUE(WaitUntil(
+      [&] { return remote.platform().dispatcher_stats().invocations_started >= 1; }, 1000))
+      << "the nap never reached the node";
+
+  // The client vanishes mid-nap (RST via SO_LINGER 0, not a half-close):
+  // the frontend cancels the routed handle, which sends kCancel to the
+  // serving node.
+  linger hard_close{};
+  hard_close.l_onoff = 1;
+  hard_close.l_linger = 0;
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard_close, sizeof(hard_close)), 0);
+  const auto hung_up = std::chrono::steady_clock::now();
+  close(fd);
+  ASSERT_TRUE(WaitUntil(
+      [&] { return remote.platform().dispatcher_stats().invocations_cancelled >= 1; }, 2000));
+  EXPECT_LT(std::chrono::steady_clock::now() - hung_up, std::chrono::milliseconds(400))
+      << "the nap ran to its end";
+  EXPECT_EQ(remote.platform().dispatcher_stats().invocations_cancelled, 1u);
   frontend.Stop();
 }
 

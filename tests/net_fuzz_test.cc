@@ -1,24 +1,28 @@
-// Seeded-mutation fuzz driver for every dnet decoder. The node wire is a
-// trust boundary: any process that can reach the port can send any bytes.
-// Each decoder gets a fixed budget of mutated valid encodings (byte flips,
-// truncations, and length fields overwritten with edge values) and must
-// never crash, must reject with kInvalidArgument, and must only accept
-// bodies that re-encode within FrameLimits to bytes it decodes again
-// unchanged. Mutated inputs sit in exact-size heap blocks, so an
-// out-of-bounds read is an AddressSanitizer finding (ctest -L fuzz runs
-// under ASan+UBSan in CI).
+// Seeded-mutation fuzzing of every dnet decoder and of the HTTP request
+// head scan + parse. The node wire and the frontend port are trust
+// boundaries: anyone who can reach them can send any bytes. Each decoder
+// gets a fixed budget of mutated valid encodings (byte flips, truncations,
+// and length fields overwritten with edge values) and must never crash,
+// must reject with kInvalidArgument, and must only accept bodies that
+// re-encode within FrameLimits to bytes it decodes again unchanged.
+// Mutated inputs sit in exact-size heap blocks, so an out-of-bounds read
+// is an AddressSanitizer finding (ctest -L fuzz runs under ASan+UBSan in
+// CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/base/buffer.h"
 #include "src/func/data.h"
+#include "src/http/http_parser.h"
 #include "src/net/wire.h"
 
 namespace dnet {
@@ -234,6 +238,42 @@ TEST(WireFuzzTest, MeshReplyBody) {
       "DecodeMeshReply", 0x589965CC75374CC3ull, {EncodeMeshReply(reply)},
       [](const dbase::BufferSlice& body) { return DecodeMeshReply(body); },
       [](const WireMeshReply& decoded) { return EncodeMeshReply(decoded); });
+}
+
+// What the frontend does with buffered request bytes: locate the head and
+// its framing length, then parse exactly the framed message. Bytes past it
+// belong to the next pipelined request; a message still missing bytes is
+// a rejection here (the frontend would wait for more).
+dbase::Result<dhttp::HttpRequest> ScanThenParse(std::string_view bytes) {
+  ASSIGN_OR_RETURN(std::optional<dhttp::MessageHead> head,
+                   dhttp::ScanMessageHead(bytes, /*max_head_bytes=*/1 << 16));
+  if (!head.has_value() || head->content_length > bytes.size() - head->head_bytes) {
+    return dbase::InvalidArgument("incomplete message");
+  }
+  EXPECT_EQ(bytes.substr(head->head_bytes - 4, 4), "\r\n\r\n");
+  ASSIGN_OR_RETURN(dhttp::HttpRequest request,
+                   dhttp::ParseRequest(bytes.substr(0, head->head_bytes + head->content_length)));
+  // Scanner and parser must agree on the framing, or a pipelined stream
+  // desyncs (request smuggling).
+  EXPECT_EQ(request.body.size(), head->content_length);
+  return request;
+}
+
+TEST(HttpFuzzTest, RequestHeadScanAndParse) {
+  const std::string invoke =
+      "POST /invoke/Id HTTP/1.1\r\nHost: frontend\r\nX-Dandelion-Raw: 1\r\n"
+      "Content-Length: 11\r\n\r\nhello world";
+  const std::string statz = "GET /statz HTTP/1.1\r\n\r\n";
+  FuzzDecoder(
+      "ScanMessageHead+ParseRequest", 0x2545F4914F6CDD1Dull,
+      {invoke, statz,
+       // Identical duplicate lengths are tolerated.
+       "PUT /invoke/Sum HTTP/1.0\r\nContent-Length: 3\r\ncontent-length: 3\r\n"
+       "X-Dandelion-Deadline-Ms: 250\r\n\r\nabc",
+       // Pipelined: the second request is not part of the first's framing.
+       invoke + statz},
+      [](const dbase::BufferSlice& bytes) { return ScanThenParse(bytes.view()); },
+      [](const dhttp::HttpRequest& request) { return request.Serialize(); });
 }
 
 }  // namespace
