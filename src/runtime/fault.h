@@ -29,7 +29,7 @@ enum class FaultPoint {
   // without needing a hostile function registered.
   kChildForbiddenSyscall,
   // Pooled template child is killed between fill and dispatch, so the
-  // go-pipe write at Execute() finds it gone — drives kPoolChildLost and
+  // go-channel send at Execute() finds it gone — drives kPoolChildLost and
   // the transparent cold-fork fallback.
   kPoolTemplateDeath,
   // Engine synthesizes a transient kResourceExhausted instead of running

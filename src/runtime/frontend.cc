@@ -1100,21 +1100,24 @@ std::string HttpFrontend::StatzJson() const {
   json += "},\"control_plane\":{";
   if (ControlPlane* control = platform_->control_plane(); control != nullptr) {
     const ControlPlane::Summary summary = control->GetSummary();
+    // Policy names and reasons come from user-suppliable policy objects:
+    // escape them like every other caller-supplied string.
+    json += "\"enabled\":true,\"policy\":";
+    AppendJsonString(&json, summary.policy_name);
     json += dbase::StrFormat(
-        "\"enabled\":true,\"policy\":\"%s\",\"compute_workers\":%d,"
-        "\"comm_workers\":%d,\"decisions\":%llu,\"shifts_toward_compute\":%llu,"
-        "\"shifts_toward_comm\":%llu",
-        summary.policy_name, engine.compute_workers, engine.comm_workers,
-        u(summary.decisions), u(summary.shifts_toward_compute),
-        u(summary.shifts_toward_comm));
+        ",\"compute_workers\":%d,\"comm_workers\":%d,\"decisions\":%llu,"
+        "\"shifts_toward_compute\":%llu,\"shifts_toward_comm\":%llu",
+        engine.compute_workers, engine.comm_workers, u(summary.decisions),
+        u(summary.shifts_toward_compute), u(summary.shifts_toward_comm));
     if (summary.decisions > 0) {
       json += dbase::StrFormat(
           ",\"last_decision\":{\"time_us\":%lld,\"signal\":%.3f,"
-          "\"shift_toward_compute\":%d,\"shifted\":%d,\"panic\":%s,"
-          "\"reason\":\"%s\"}",
+          "\"shift_toward_compute\":%d,\"shifted\":%d,\"panic\":%s,\"reason\":",
           static_cast<long long>(summary.last.time_us), summary.last.action.signal,
           summary.last.action.shift_toward_compute, summary.last.shifted,
-          summary.last.action.panic ? "true" : "false", summary.last.action.reason);
+          summary.last.action.panic ? "true" : "false");
+      AppendJsonString(&json, summary.last.action.reason);
+      json += "}";
     }
   } else {
     json += dbase::StrFormat(
@@ -1139,13 +1142,13 @@ std::string HttpFrontend::StatzJson() const {
         json.push_back(',');
       }
       first = false;
-      // Function names are caller-supplied: escape them (a quote or
-      // backslash in a registered name must not corrupt the document).
+      // Function names and policy reasons are caller-supplied: escape them
+      // (a quote or backslash must not corrupt the document).
       AppendJsonString(&json, name);
-      json += dbase::StrFormat(":{\"depth\":%d,\"rate_per_sec\":%.2f,"
-                               "\"reason\":\"%s\"}",
-                               decision.target_depth, decision.rate_per_sec,
-                               decision.reason);
+      json += dbase::StrFormat(":{\"depth\":%d,\"rate_per_sec\":%.2f,\"reason\":",
+                               decision.target_depth, decision.rate_per_sec);
+      AppendJsonString(&json, decision.reason);
+      json += "}";
     }
     json += "}";
   } else {

@@ -72,7 +72,7 @@ int InstallSyscallJail(const JailOptions& options) {
   // Hand-rolled classic-BPF allowlist. Layout:
   //   [arch check] [load nr]
   //   [plain-allowed syscalls: JEQ -> ALLOW]
-  //   [read: fd must be the go-pipe]
+  //   [read: fd must be the go channel]
   //   [write: fd must be stderr]
   //   [mmap: must be MAP_ANONYMOUS (no file-backed mappings)]
   //   [mprotect: PROT_EXEC must be clear]
@@ -121,7 +121,7 @@ int InstallSyscallJail(const JailOptions& options) {
   // Argument-gated blocks share a shape: on syscall-number mismatch skip
   // the block; on argument mismatch jump to the trailing "reload nr"
   // instruction and fall through the remaining checks to the default KILL.
-  // read(fd, ...): only the go-pipe a pooled template parks on.
+  // read(fd, ...): only the go channel a pooled template parks on.
   if (options.allow_read_fd >= 0) {
     jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_read, 0, 3);
     stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(0));  // low word of args[0]

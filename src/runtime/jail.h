@@ -2,9 +2,9 @@
 // syscall jail" item). The paper ptrace-jails every process sandbox so any
 // syscall kills it; seccomp-BPF gets the same containment without a tracer
 // context switch per syscall. The filter is installed in the child after
-// fork (cold path) or after the Arm() ack (pooled template), allows only the
+// fork (cold path) or after the fork-safety ack (pooled template), allows only the
 // minimal completion set a pure Dandelion function needs — memory
-// management, futex, clock reads, stderr writes, the go-pipe read, exit —
+// management, futex, clock reads, stderr writes, the go-channel read, exit —
 // and kills the process (SIGSYS via SECCOMP_RET_KILL_PROCESS) on anything
 // else. The parent decodes that death as FailureKind::kJailKill.
 #ifndef SRC_RUNTIME_JAIL_H_
@@ -31,9 +31,9 @@ bool SyscallJailEnabled();
 void SetSyscallJailEnabled(bool enabled);
 
 struct JailOptions {
-  // Pooled template children park on a go-pipe read; the filter permits
+  // Pooled template children park on a go-channel read; the filter permits
   // read(2) only on this fd. -1 forbids read entirely (cold children have
-  // no pipe to wait on).
+  // no channel to wait on).
   int allow_read_fd = -1;
 };
 

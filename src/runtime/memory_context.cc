@@ -314,7 +314,9 @@ dbase::Status MemoryContext::StoreOutcome(const dbase::Status& status,
   return dbase::OkStatus();
 }
 
-dbase::Result<dfunc::DataSetList> MemoryContext::LoadOutputSets() const {
+dbase::Result<std::string_view> MemoryContext::OutcomePayload() const {
+  // Everything here may have been written by a hostile child: no header
+  // field is trusted before it is checked.
   const ContextHeader header = ReadHeader();
   if (header.magic != ContextHeader::kMagic) {
     return dbase::Internal("context header corrupted (bad magic)");
@@ -322,32 +324,30 @@ dbase::Result<dfunc::DataSetList> MemoryContext::LoadOutputSets() const {
   if (header.state == ContextHeader::kStatePending) {
     return dbase::Internal("function did not produce an outcome (state still pending)");
   }
+  if (header.state < 0 || header.state > static_cast<int32_t>(dbase::StatusCode::kCancelled)) {
+    return dbase::Internal("context header corrupted (bad state)");
+  }
   ASSIGN_OR_RETURN(std::string_view payload, ReadAt(kHeaderSize, header.payload_len));
   const auto code = static_cast<dbase::StatusCode>(header.state);
   if (code != dbase::StatusCode::kOk) {
     return dbase::Status(code, std::string(payload));
   }
+  return payload;
+}
+
+dbase::Result<dfunc::DataSetList> MemoryContext::LoadOutputSets() const {
+  ASSIGN_OR_RETURN(std::string_view payload, OutcomePayload());
   return dfunc::UnmarshalSets(payload);
 }
 
 dbase::Result<dfunc::DataSetList> MemoryContext::LoadOutputSetsAliased(
     std::shared_ptr<const void> keepalive) const {
-  const ContextHeader header = ReadHeader();
-  if (keepalive == nullptr || header.magic != ContextHeader::kMagic ||
-      header.payload_len < kAliasReadbackMinBytes) {
+  if (keepalive == nullptr || ReadHeader().payload_len < kAliasReadbackMinBytes) {
     // Small outputs (or error outcomes) are cheaper to copy than to pin a
-    // whole context's committed pages for; corrupt headers take the copying
-    // path's error handling.
+    // whole context's committed pages for.
     return LoadOutputSets();
   }
-  if (header.state == ContextHeader::kStatePending) {
-    return dbase::Internal("function did not produce an outcome (state still pending)");
-  }
-  ASSIGN_OR_RETURN(std::string_view payload, ReadAt(kHeaderSize, header.payload_len));
-  const auto code = static_cast<dbase::StatusCode>(header.state);
-  if (code != dbase::StatusCode::kOk) {
-    return dbase::Status(code, std::string(payload));
-  }
+  ASSIGN_OR_RETURN(std::string_view payload, OutcomePayload());
   auto buffer = dbase::Buffer::Wrap(payload.data(), payload.size(), std::move(keepalive));
   return dfunc::UnmarshalSets(dbase::BufferSlice(std::move(buffer)));
 }

@@ -171,7 +171,9 @@ class MemoryContext {
   dbase::Status StoreInputSets(const dfunc::DataSetList& inputs);
 
   // Reads the header+payload the function left behind. Non-OK state becomes
-  // that error Status.
+  // that error Status; a header no valid outcome could have written (bad
+  // magic, a state that is no StatusCode, a length past the region) is an
+  // error Status, never an out-of-bounds read.
   dbase::Result<dfunc::DataSetList> LoadOutputSets() const;
 
   // Zero-copy variant: output item payloads become slices aliasing this
@@ -212,6 +214,10 @@ class MemoryContext {
       : data_(data), capacity_(capacity), accountant_(accountant), shared_(shared) {}
 
   static constexpr uint64_t kHeaderSize = 16;
+
+  // The payload of a successful outcome, after checking every header field;
+  // an error outcome becomes its Status.
+  dbase::Result<std::string_view> OutcomePayload() const;
 
   char* data_ = nullptr;
   uint64_t capacity_ = 0;

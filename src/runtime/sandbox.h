@@ -19,6 +19,8 @@
 #ifndef SRC_RUNTIME_SANDBOX_H_
 #define SRC_RUNTIME_SANDBOX_H_
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <memory>
 #include <string>
@@ -62,18 +64,6 @@ struct ExecOutcome {
   // RetryPolicy keys off this, never off the Status alone.
   dpolicy::FailureKind failure = dpolicy::FailureKind::kNone;
 };
-
-// Classification of a waitpid() status from a sandbox child, shared by the
-// cold process backend and the pool's template children so signal decoding
-// lives in exactly one place. Deadline/cancel SIGKILLs are resolved by the
-// caller *before* decoding (the parent knows why it killed); DecodeWaitStatus
-// only sees deaths the parent did not cause.
-struct WaitDecode {
-  dpolicy::FailureKind kind = dpolicy::FailureKind::kNone;
-  dbase::Status status;
-};
-
-WaitDecode DecodeWaitStatus(int wait_status, const std::string& function_name);
 
 struct SandboxOptions {
   // Whether the function binary is in the node's in-memory cache (§7.4
@@ -144,21 +134,31 @@ std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend,
 dbase::Micros ModeledLoadCostUs(const BackendCostModel& costs, uint64_t binary_bytes,
                                 bool cached);
 
-// Runs the function body in-process against a context already holding
-// marshalled inputs, leaving the outcome in the context. Shared by the
-// thread-flavoured backends, the forked child of the process backend, and
-// the sandbox pool's pre-forked template children. `cancel_flag` (may be
-// null) is the invocation-wide kill switch and `deadline_us` the execution's
-// absolute deadline on dbase::MonotonicClock; the body's cancelled() poll
-// sees both. Forked children pass neither: the parent SIGKILLs them.
-// `preloaded_inputs`, when non-null, bypasses LoadInputSets: the body
-// consumes these sets directly (aliased payloads stay refcount bumps) — the
-// in-process zero-copy input path.
-dbase::Status RunFunctionBodyAgainstContext(
-    const dfunc::FunctionSpec& spec, MemoryContext& context,
-    const std::atomic<bool>* cancel_flag = nullptr,
-    dbase::Micros deadline_us = dfunc::FunctionCtx::kNoDeadline,
-    const dfunc::DataSetList* preloaded_inputs = nullptr);
+// The kProcess child lifecycle, one path for the cold backend (a child per
+// execution) and the pool's template children (a child forked at fill time
+// and parked until dispatch).
+struct SandboxChild {
+  pid_t pid = -1;  // < 0: no child is running (fork, channel or ack failed).
+  int go_fd = -1;  // Parked children only: the parent's end of the go channel.
+};
+
+// Samples the jail and fault-point decisions before fork — the child must
+// never touch lazily-initialised parent state — then forks a child that
+// runs `spec` over the MAP_SHARED `context`. With `park`, the child first
+// touches the heap and acks over an AF_UNIX socketpair (the fork-safety
+// probe, DESIGN.md), is jailed with read(2) allowed on its end only, and
+// blocks until one go byte arrives on it; EOF exits without running the
+// body. A parked child that misses the ack is killed and reaped.
+SandboxChild ForkSandboxChild(const dfunc::FunctionSpec& spec, MemoryContext& context,
+                              bool park);
+
+// Waits for a running child and reaps it: the cancel flag or the deadline
+// SIGKILLs it, otherwise its exit wakes the caller at once. The outcome is
+// the cancel, the deadline, the crash or jail kill, or the read-back of what
+// the child wrote. `timings` carries the load and setup phases measured so
+// far.
+ExecOutcome AwaitSandboxChild(pid_t pid, const dfunc::FunctionSpec& spec, MemoryContext& context,
+                              const SandboxOptions& options, SandboxTimings timings);
 
 }  // namespace dandelion
 

@@ -1,50 +1,26 @@
 #include "src/runtime/sandbox_pool.h"
 
 #include <errno.h>
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/syscall.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
-
 #include <algorithm>
 #include <mutex>
-#include <thread>
 
-#include "src/base/log.h"
 #include "src/base/string_util.h"
 #include "src/runtime/fault.h"
-#include "src/runtime/jail.h"
 
 namespace dandelion {
 
 namespace {
 
-// The go-pipe write in Execute() is the liveness probe for the template
-// child: if the child died, every read end is closed (the parent dropped
-// its own at Arm) and the write must come back EPIPE — not raise SIGPIPE
-// and kill the whole runtime. The go-pipe is a pipe, not a socket, so
-// MSG_NOSIGNAL (which every socket write in the runtime uses instead) does
-// not apply: SIGPIPE is ignored process-wide, once, when the first
-// process-backend pool is built.
-void IgnoreSigpipeOnce() {
-  static std::once_flag once;
-  std::call_once(once, [] { signal(SIGPIPE, SIG_IGN); });
-}
-
 // Serialized size of ContextHeader ([u32][i32][u64]); the parent widens
 // the scrub extent past its own touched() mark to cover the child's
 // outcome writes starting at offset 0.
 constexpr uint64_t kContextHeaderBytes = 16;
-
-// How long Arm() waits for a fresh template child's liveness ack. Arming
-// runs off the critical path (Tick's fill half), so a generous bound costs
-// nothing; a child that misses it is killed and the fill falls back cold.
-constexpr int kArmAckTimeoutMs = 200;
 
 // ---------------------------------------------------------------------------
 // Thread-flavoured warm sandbox: the binary load and setup cost models were
@@ -75,242 +51,77 @@ class ThreadWarmSandbox : public WarmSandbox {
 };
 
 // ---------------------------------------------------------------------------
-// Process warm sandbox: fork-from-template. A child is forked at arm time
-// over the MAP_SHARED context and parks on a pipe; memory stays COW-shared
-// with the parent image until dispatch. Execute() writes one go byte and
-// waits like the cold process backend (cancel → SIGKILL, deadline →
-// SIGKILL). The child is single-use; Recycle() re-forks.
+// Process warm sandbox: fork-from-template. ForkSandboxChild parks a child
+// over the MAP_SHARED context at arm time; memory stays COW-shared with the
+// parent image until dispatch. Execute() sends one go byte and waits like
+// the cold process backend, through the same AwaitSandboxChild. The child is
+// single-use; Recycle() re-forks.
 //
 // Fork-safety caveat (see DESIGN.md; pooling makes fork-then-park the
 // steady state, so it bites harder here than on the cold backend): the
-// template is forked from a multithreaded runtime — control-plane ticks,
-// engine workers running Recycle — and later executes the full function
-// body, which allocates. If another thread held an allocator lock at fork
-// time, the child's first malloc deadlocks. Arm() therefore makes the
-// fresh child touch the heap immediately and write an ack byte; a child
-// that misses the ack deadline is killed and the fill falls back to the
-// cold path, instead of a wedged template eating a request's whole
-// deadline at dispatch before the SIGKILL.
+// template is forked from a multithreaded runtime and later executes the
+// full function body, which allocates. If another thread held an allocator
+// lock at fork time, the child's first malloc deadlocks — so a parked child
+// touches the heap and acks before ForkSandboxChild returns it, and one
+// that misses the ack is killed and the fill falls back to the cold path.
 // ---------------------------------------------------------------------------
 class ProcessWarmSandbox : public WarmSandbox {
  public:
   ProcessWarmSandbox(dfunc::FunctionSpec spec, std::shared_ptr<MemoryContext> context)
       : WarmSandbox(std::move(spec), std::move(context)) {}
 
-  ~ProcessWarmSandbox() override { DisarmKill(); }
+  // A parked template child is killed outright on retire: closing the go
+  // channel would wake it too, but later-forked siblings inherit the
+  // parent's end and would hold EOF off indefinitely.
+  ~ProcessWarmSandbox() override { ReapChild(); }
 
   bool Arm() {
-    if (pid_ > 0) {
-      return true;  // Template child already parked.
+    if (child_.pid <= 0) {
+      child_ = ForkSandboxChild(spec_, *context_, /*park=*/true);
+      clean_exit_ = false;
     }
-    int fds[2];
-    if (pipe(fds) != 0) {
-      return false;
-    }
-    int ack[2];
-    if (pipe(ack) != 0) {
-      close(fds[0]);
-      close(fds[1]);
-      return false;
-    }
-    // Jail and fault decisions happen pre-fork (the child must not touch
-    // lazily-initialised parent state). Fault points for a pooled child are
-    // sampled at arm time: the child is the unit of injection.
-    const bool install_jail =
-        SyscallJailEnabled() && SandboxCapabilities::Get().seccomp_filter;
-    FaultInjector& faults = FaultInjector::Get();
-    const bool fault_crash_before =
-        faults.ShouldFire(FaultPoint::kChildCrashBeforeOutcome);
-    const bool fault_crash_partial =
-        faults.ShouldFire(FaultPoint::kChildCrashAfterPartialWrite);
-    const bool fault_forbidden = faults.ShouldFire(FaultPoint::kChildForbiddenSyscall);
-    const pid_t pid = fork();
-    if (pid < 0) {
-      close(fds[0]);
-      close(fds[1]);
-      close(ack[0]);
-      close(ack[1]);
-      return false;
-    }
-    if (pid == 0) {
-      close(fds[1]);
-      close(ack[0]);
-      // Liveness probe (fork-safety caveat above): exercise the allocator
-      // the function body will need, then ack. A child that inherited a
-      // held malloc lock wedges right here — before the ack — so the
-      // parent retires it instead of shelving a time bomb.
-      void* probe = malloc(64);
-      static volatile void* sink;  // Escape: keeps the pair from being elided.
-      sink = probe;
-      free(probe);
-      char ok = 'a';
-      ssize_t w;
-      do {
-        w = write(ack[1], &ok, 1);
-      } while (w < 0 && errno == EINTR);
-      close(ack[1]);
-      // Confinement starts *after* the ack (the probe needs the allocator's
-      // full freedom) and *before* the park, so the whole shelved lifetime
-      // is jailed. The filter's only read permission is this go-pipe fd.
-      if (install_jail) {
-        JailOptions jail_options;
-        jail_options.allow_read_fd = fds[0];
-        if (InstallSyscallJail(jail_options) != 0) {
-          _exit(125);  // Fail closed: never park an unjailed template.
-        }
-      }
-      // Template child: park until dispatch. EOF (parent retired us) or a
-      // short read exits without running the body.
-      char go = 0;
-      ssize_t n;
-      do {
-        n = read(fds[0], &go, 1);
-      } while (n < 0 && errno == EINTR);
-      if (n == 1) {
-        if (fault_crash_before) __builtin_trap();
-        if (fault_forbidden) {
-          (void)syscall(SYS_openat, AT_FDCWD, "/dev/null", O_RDONLY);
-        }
-        (void)RunFunctionBodyAgainstContext(spec_, *context_);
-        if (fault_crash_partial) {
-          ContextHeader torn;
-          torn.state = 0;
-          torn.payload_len = context_->capacity();
-          context_->WriteHeader(torn);
-          __builtin_trap();
-        }
-      }
-      _exit(0);
-    }
-    close(fds[0]);
-    close(ack[1]);
-    struct pollfd pfd;
-    pfd.fd = ack[0];
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready;
-    do {
-      ready = poll(&pfd, 1, kArmAckTimeoutMs);
-    } while (ready < 0 && errno == EINTR);
-    bool alive = ready > 0;
-    if (alive) {
-      char got = 0;
-      ssize_t r;
-      do {
-        r = read(ack[0], &got, 1);
-      } while (r < 0 && errno == EINTR);
-      alive = r == 1;
-    }
-    close(ack[0]);
-    if (!alive) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      close(fds[1]);
-      return false;
-    }
-    pid_ = pid;
-    go_fd_ = fds[1];
-    clean_exit_ = false;
-    reaped_ = false;
-    return true;
+    return child_.pid > 0;
   }
 
   ExecOutcome Execute(const SandboxOptions& options) override {
     ExecOutcome outcome;
     outcome.timings.pool_hit = true;
-    if (pid_ <= 0) {
+    if (child_.pid <= 0) {
       outcome.status = dbase::Internal("warm sandbox has no template child");
       return outcome;
     }
     dbase::Stopwatch watch;
-    // "Setup" on a pool hit is one pipe write — the fork already happened
-    // at fill time. This is the ~0 that distinguishes pool-hit rows from a
-    // cold fork in fig02/tab01 breakdowns.
+    // "Setup" on a pool hit is one send — the fork already happened at fill
+    // time. This is the ~0 that distinguishes pool-hit rows from a cold fork
+    // in fig02/tab01 breakdowns. MSG_NOSIGNAL turns a dead template into
+    // EPIPE here instead of a process-killing SIGPIPE.
     ssize_t n;
     do {
-      n = write(go_fd_, "g", 1);
+      n = send(child_.go_fd, "g", 1, MSG_NOSIGNAL);
     } while (n < 0 && errno == EINTR);
     outcome.timings.setup_us = watch.ElapsedMicros();
     if (n != 1) {
-      // EPIPE/short write: the template child died between fill and
-      // dispatch (OOM kill, operator signal, injected fault). The inputs
-      // are already marshalled in our MAP_SHARED context, so the engine can
-      // recover with a transparent cold fork over the same context —
-      // kPoolChildLost tells it to.
+      // EPIPE: the template child died between fill and dispatch (OOM
+      // kill, operator signal, injected fault). The inputs are already
+      // marshalled in our MAP_SHARED context, so the engine can recover
+      // with a transparent cold fork over the same context — kPoolChildLost
+      // tells it to.
       ReapChild();
       outcome.failure = dpolicy::FailureKind::kPoolChildLost;
       outcome.status = dbase::Unavailable(dbase::StrFormat(
           "warm sandbox template child for '%s' died before dispatch", spec_.name.c_str()));
       return outcome;
     }
-
-    watch.Restart();
-    const dbase::Micros timeout =
-        options.timeout_us > 0 ? options.timeout_us : spec_.timeout_us;
-    const dbase::Micros deadline = dbase::MonotonicClock::Get()->NowMicros() + timeout;
-    int wait_status = 0;
-    bool timed_out = false;
-    bool cancelled = false;
-    while (true) {
-      const pid_t done = waitpid(pid_, &wait_status, WNOHANG);
-      if (done == pid_) {
-        break;
-      }
-      if (done < 0) {
-        pid_ = -1;
-        CloseGoFd();
-        outcome.status = dbase::Internal("waitpid failed");
-        return outcome;
-      }
-      if (options.cancel_flag != nullptr &&
-          options.cancel_flag->load(std::memory_order_relaxed)) {
-        kill(pid_, SIGKILL);
-        waitpid(pid_, &wait_status, 0);
-        cancelled = true;
-        break;
-      }
-      if (dbase::MonotonicClock::Get()->NowMicros() > deadline) {
-        kill(pid_, SIGKILL);
-        waitpid(pid_, &wait_status, 0);
-        timed_out = true;
-        break;
-      }
-      std::this_thread::yield();
-    }
-    pid_ = -1;
+    const pid_t pid = child_.pid;
     CloseGoFd();
-    outcome.timings.execute_us = watch.ElapsedMicros();
-
-    watch.Restart();
-    const WaitDecode decode = DecodeWaitStatus(wait_status, spec_.name);
-    if (cancelled) {
-      outcome.failure = dpolicy::FailureKind::kCancelKill;
-      outcome.status = dbase::Cancelled(
-          dbase::StrFormat("function '%s' killed on cancellation", spec_.name.c_str()));
-    } else if (timed_out) {
-      outcome.failure = dpolicy::FailureKind::kDeadlineKill;
-      outcome.status = dbase::DeadlineExceeded(
-          dbase::StrFormat("function '%s' killed after %lld us timeout", spec_.name.c_str(),
-                           static_cast<long long>(timeout)));
-    } else if (decode.kind != dpolicy::FailureKind::kNone) {
-      outcome.failure = decode.kind;
-      outcome.status = decode.status;
-    } else {
-      clean_exit_ = true;
-      auto outputs = context_->LoadOutputSets();
-      if (outputs.ok()) {
-        outcome.outputs = std::move(outputs).value();
-        outcome.status = dbase::OkStatus();
-      } else {
-        outcome.status = outputs.status();
-      }
-    }
-    outcome.timings.output_us = watch.ElapsedMicros();
+    child_.pid = -1;
+    outcome = AwaitSandboxChild(pid, spec_, *context_, options, outcome.timings);
+    clean_exit_ = outcome.failure == dpolicy::FailureKind::kNone;
     return outcome;
   }
 
   bool Recycle() override {
-    if (pid_ > 0) {
+    if (child_.pid > 0) {
       // Never dispatched (e.g. the invocation died in the queue): only the
       // parent's input marshalling dirtied the context; the parked child
       // stays armed over the re-zeroed region.
@@ -333,48 +144,38 @@ class ProcessWarmSandbox : public WarmSandbox {
   }
 
   void SimulateTemplateDeath() override {
-    // Kill and reap the parked child but leave the bookkeeping (pid_,
-    // go_fd_) believing it is alive, so the next Execute() discovers the
-    // death the way production would: the go-pipe write fails. reaped_
-    // keeps the later cleanup from kill()ing a recycled pid.
-    if (pid_ > 0 && !reaped_) {
-      kill(pid_, SIGKILL);
-      waitpid(pid_, nullptr, 0);
-      reaped_ = true;
+    // Kill the parked child and wait until it is a zombie, but leave the
+    // bookkeeping believing it is alive, so the next Execute() discovers
+    // the death the way production would: the go send fails. Not reaping
+    // keeps the pid ours, so the later cleanup cannot hit a recycled pid.
+    if (child_.pid > 0) {
+      kill(child_.pid, SIGKILL);
+      siginfo_t info;
+      while (waitid(P_PID, static_cast<id_t>(child_.pid), &info, WEXITED | WNOWAIT) != 0 &&
+             errno == EINTR) {
+      }
     }
   }
 
  private:
   void CloseGoFd() {
-    if (go_fd_ >= 0) {
-      close(go_fd_);
-      go_fd_ = -1;
+    if (child_.go_fd >= 0) {
+      close(child_.go_fd);
+      child_.go_fd = -1;
     }
   }
 
   void ReapChild() {
-    if (pid_ > 0) {
-      if (!reaped_) {
-        kill(pid_, SIGKILL);
-        waitpid(pid_, nullptr, 0);
-      }
-      reaped_ = false;
-      pid_ = -1;
+    if (child_.pid > 0) {
+      kill(child_.pid, SIGKILL);
+      waitpid(child_.pid, nullptr, 0);
+      child_.pid = -1;
     }
     CloseGoFd();
   }
 
-  // A parked template child is killed outright on retire: closing the go
-  // pipe would wake it too, but later-forked siblings inherit this pipe's
-  // write end and would hold EOF open indefinitely.
-  void DisarmKill() { ReapChild(); }
-
-  pid_t pid_ = -1;
-  int go_fd_ = -1;
+  SandboxChild child_;
   bool clean_exit_ = false;
-  // Set when SimulateTemplateDeath already reaped the child while pid_
-  // still reads as armed (the injected-death seam).
-  bool reaped_ = false;
 };
 
 }  // namespace
@@ -389,9 +190,6 @@ SandboxPool::SandboxPool(Config config, MemoryAccountant* accountant)
   config_.max_depth_per_function = std::max(0, config_.max_depth_per_function);
   config_.max_total = std::max(0, config_.max_total);
   config_.interactive_reserve = std::max(0, config_.interactive_reserve);
-  if (config_.backend == IsolationBackend::kProcess) {
-    IgnoreSigpipeOnce();
-  }
 }
 
 SandboxPool::~SandboxPool() { Shutdown(); }

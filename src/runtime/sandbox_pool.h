@@ -17,8 +17,9 @@
 //
 // Backends:
 //   kProcess  — fork-from-template: a child is forked at fill time over a
-//               MAP_SHARED context and parks on a go-pipe; COW shares the
-//               parent image until dispatch writes inputs and releases it.
+//               MAP_SHARED context and parks on its go channel (an AF_UNIX
+//               socketpair); COW shares the parent image until dispatch
+//               writes inputs and releases it.
 //               The template child is single-use (it _exit()s after the
 //               body); Release re-forks during recycle, off the next
 //               request's critical path.
@@ -68,7 +69,7 @@ struct SandboxPoolStats {
   uint64_t recycled = 0;       // Released sandboxes scrubbed and re-shelved.
   uint64_t retired = 0;        // Destroyed: over target, clamped, unhealthy, drain.
   uint64_t arrivals = 0;       // Dispatch-side arrivals (the EWMA feed).
-  // Template child found dead at dispatch (go-pipe write failed); the
+  // Template child found dead at dispatch (go-channel send failed); the
   // engine fell back to a cold fork transparently instead of failing the
   // invocation.
   uint64_t pool_child_lost = 0;
@@ -105,7 +106,7 @@ class WarmSandbox {
 
   // Fault-injection seam (FaultPoint::kPoolTemplateDeath): kills the parked
   // template child without telling the bookkeeping, so the next Execute()
-  // finds the go-pipe dead — exactly what a child OOM-killed between fill
+  // finds the go channel dead — exactly what a child OOM-killed between fill
   // and dispatch looks like. No-op for backends without a parked child.
   virtual void SimulateTemplateDeath() {}
 

@@ -11,9 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <iterator>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,6 +21,7 @@
 #include "src/func/data.h"
 #include "src/http/http_parser.h"
 #include "src/net/wire.h"
+#include "tests/fuzz_util.h"
 
 namespace dnet {
 namespace {
@@ -31,65 +29,6 @@ namespace {
 using dfunc::DataItem;
 using dfunc::DataSet;
 using dfunc::DataSetList;
-
-constexpr int kIterationsPerDecoder = 4000;
-
-// xorshift64: deterministic, so a failure replays from its iteration number.
-class Mutator {
- public:
-  explicit Mutator(uint64_t seed) : state_(seed) {}
-
-  uint64_t Next() {
-    state_ ^= state_ << 13;
-    state_ ^= state_ >> 7;
-    state_ ^= state_ << 17;
-    return state_;
-  }
-
-  // One to three mutations of `bytes`.
-  std::string Mutate(std::string bytes) {
-    const int rounds = 1 + static_cast<int>(Next() % 3);
-    for (int r = 0; r < rounds; ++r) {
-      switch (Next() % 3) {
-        case 0:  // Flip a byte.
-          if (!bytes.empty()) {
-            bytes[Next() % bytes.size()] ^= static_cast<char>(1 + Next() % 255);
-          }
-          break;
-        case 1:  // Truncate.
-          bytes.resize(Next() % (bytes.size() + 1));
-          break;
-        default:  // Overwrite a 32-bit little-endian length field.
-          if (bytes.size() >= 4) {
-            const size_t offset = Next() % (bytes.size() - 3);
-            const uint32_t remaining = static_cast<uint32_t>(bytes.size() - offset - 4);
-            const uint32_t edges[] = {0,          1,          remaining,  remaining + 1,
-                                      remaining - 1, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu,
-                                      4096,       4097,       72u << 20,  (72u << 20) + 1,
-                                      static_cast<uint32_t>(Next())};
-            const uint32_t value = edges[Next() % std::size(edges)];
-            for (int i = 0; i < 4; ++i) {
-              bytes[offset + static_cast<size_t>(i)] = static_cast<char>((value >> (8 * i)) & 0xff);
-            }
-          }
-          break;
-      }
-    }
-    return bytes;
-  }
-
- private:
-  uint64_t state_;
-};
-
-// The bytes in a heap block of exactly their size: one byte past the end
-// is outside the allocation.
-dbase::BufferSlice ExactSlice(const std::string& bytes) {
-  std::shared_ptr<char[]> memory(new char[bytes.size()]);
-  std::memcpy(memory.get(), bytes.data(), bytes.size());
-  const char* data = memory.get();
-  return dbase::BufferSlice(dbase::Buffer::Wrap(data, bytes.size(), std::move(memory)));
-}
 
 std::string Concat(const std::vector<dbase::BufferSlice>& chunks) {
   std::string out;
@@ -107,35 +46,15 @@ DataSetList SampleSets() {
   return sets;
 }
 
-// Runs the budget for one decoder. `decode` maps a body slice to a Result;
-// `encode` maps a decoded value back to body bytes.
+// Accepted bodies must also re-encode within the frame limit.
 template <typename Decode, typename Encode>
-void FuzzDecoder(const char* name, uint64_t seed, const std::vector<std::string>& seeds,
-                 Decode decode, Encode encode) {
-  for (const std::string& valid : seeds) {
-    ASSERT_TRUE(decode(ExactSlice(valid)).ok()) << name << ": a seed does not decode";
-  }
-  Mutator mutator(seed);
-  int accepted = 0;
-  for (int i = 0; i < kIterationsPerDecoder; ++i) {
-    const std::string input = mutator.Mutate(seeds[static_cast<size_t>(i) % seeds.size()]);
-    auto decoded = decode(ExactSlice(input));
-    if (!decoded.ok()) {
-      ASSERT_EQ(decoded.status().code(), dbase::StatusCode::kInvalidArgument)
-          << name << " iteration " << i << ": " << decoded.status().ToString();
-      continue;
-    }
-    ++accepted;
-    const std::string again = encode(*decoded);
-    ASSERT_LE(again.size(), FrameLimits{}.max_body_bytes) << name << " iteration " << i;
-    auto redecoded = decode(ExactSlice(again));
-    ASSERT_TRUE(redecoded.ok()) << name << " iteration " << i << ": "
-                                << redecoded.status().ToString();
-    ASSERT_EQ(encode(*redecoded), again) << name << " iteration " << i;
-  }
-  // Not a correctness bound: a budget where nothing decodes only ever
-  // exercises the rejection paths.
-  EXPECT_GT(accepted, 0) << name;
+void FuzzWireDecoder(const char* name, uint64_t seed, const std::vector<std::string>& seeds,
+                     Decode decode, Encode encode) {
+  dfuzz::FuzzDecoder(name, seed, seeds, decode, [name, encode](const auto& value) {
+    std::string bytes = encode(value);
+    EXPECT_LE(bytes.size(), FrameLimits{}.max_body_bytes) << name;
+    return bytes;
+  });
 }
 
 TEST(WireFuzzTest, FrameHeader) {
@@ -151,7 +70,7 @@ TEST(WireFuzzTest, FrameHeader) {
     header.request_id = 0x0102030405060708ull * type;
     seeds.push_back(EncodeFrameHeader(header));
   }
-  FuzzDecoder(
+  FuzzWireDecoder(
       "DecodeFrameHeader", 0x9E3779B97F4A7C15ull, seeds,
       [&limits](const dbase::BufferSlice& bytes) {
         auto header = DecodeFrameHeader(bytes.view(), limits);
@@ -180,7 +99,7 @@ TEST(WireFuzzTest, InvokeBody) {
     invoke.composition = "Id";
     seeds.push_back(Concat(EncodeInvoke(invoke)));
   }
-  FuzzDecoder(
+  FuzzWireDecoder(
       "DecodeInvoke", 0xD1B54A32D192ED03ull, seeds,
       [](const dbase::BufferSlice& body) { return DecodeInvoke(body); },
       [](WireInvoke invoke) { return Concat(EncodeInvoke(invoke)); });
@@ -201,7 +120,7 @@ TEST(WireFuzzTest, OutcomeBody) {
     outcome.retries_attempted = 2;
     seeds.push_back(Concat(EncodeOutcome(outcome)));
   }
-  FuzzDecoder(
+  FuzzWireDecoder(
       "DecodeOutcome", 0xA0761D6478BD642Full, seeds,
       [](const dbase::BufferSlice& body) { return DecodeOutcome(body); },
       [](WireOutcome outcome) { return Concat(EncodeOutcome(outcome)); });
@@ -217,14 +136,14 @@ TEST(WireFuzzTest, NodeStatusBody) {
   status.resident_compositions = {"Id", "MatMulChain", ""};
   status.inflight = 5;
   status.admission_cap = 256;
-  FuzzDecoder(
+  FuzzWireDecoder(
       "DecodeNodeStatus", 0xE7037ED1A0B428DBull, {EncodeNodeStatus(status)},
       [](const dbase::BufferSlice& body) { return DecodeNodeStatus(body); },
       [](const WireNodeStatus& decoded) { return EncodeNodeStatus(decoded); });
 }
 
 TEST(WireFuzzTest, JoinBody) {
-  FuzzDecoder(
+  FuzzWireDecoder(
       "DecodeJoin", 0x8EBC6AF09C88C6E3ull, {EncodeJoin(WireJoin{"router-a"}), EncodeJoin({})},
       [](const dbase::BufferSlice& body) { return DecodeJoin(body); },
       [](const WireJoin& join) { return EncodeJoin(join); });
@@ -234,7 +153,7 @@ TEST(WireFuzzTest, MeshReplyBody) {
   WireMeshReply reply;
   reply.latency_us = 777;
   reply.response = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
-  FuzzDecoder(
+  FuzzWireDecoder(
       "DecodeMeshReply", 0x589965CC75374CC3ull, {EncodeMeshReply(reply)},
       [](const dbase::BufferSlice& body) { return DecodeMeshReply(body); },
       [](const WireMeshReply& decoded) { return EncodeMeshReply(decoded); });
@@ -264,7 +183,7 @@ TEST(HttpFuzzTest, RequestHeadScanAndParse) {
       "POST /invoke/Id HTTP/1.1\r\nHost: frontend\r\nX-Dandelion-Raw: 1\r\n"
       "Content-Length: 11\r\n\r\nhello world";
   const std::string statz = "GET /statz HTTP/1.1\r\n\r\n";
-  FuzzDecoder(
+  FuzzWireDecoder(
       "ScanMessageHead+ParseRequest", 0x2545F4914F6CDD1Dull,
       {invoke, statz,
        // Identical duplicate lengths are tolerated.

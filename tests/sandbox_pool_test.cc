@@ -1,10 +1,15 @@
 // Tests for the pre-warmed sandbox pool: the PrewarmPolicy decision logic
 // under a fake clock, the SandboxPool acquire/scrub/return lifecycle on
 // both the thread and process backends, depth clamps and the interactive
-// reserve, pool-miss fallback to the cold path, and the invocation edge
-// cases the pool introduces (cancel racing completion on a pooled sandbox,
-// deadline expiring while the task is still queued, priority bypass).
+// reserve, a dead template absorbed without SIGPIPE, the worker's CPU while
+// a process child runs (cold and pooled), pool-miss fallback to the cold
+// path, and the invocation edge cases the pool introduces (cancel racing
+// completion on a pooled sandbox, deadline expiring while the task is still
+// queued, priority bypass).
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <signal.h>
+#include <time.h>
 
 #include <atomic>
 #include <memory>
@@ -14,6 +19,7 @@
 #include "src/base/thread.h"
 #include "src/func/registry.h"
 #include "src/runtime/invocation.h"
+#include "src/runtime/jail.h"
 #include "src/runtime/memory_context.h"
 #include "src/runtime/platform.h"
 #include "src/runtime/sandbox_pool.h"
@@ -153,7 +159,7 @@ void RunLifecycle(IsolationBackend backend) {
   EXPECT_EQ(outcome.outputs[0].items[0].data, "ping");
   EXPECT_TRUE(outcome.timings.pool_hit);
   EXPECT_EQ(outcome.timings.load_us, 0);
-  // A pool hit's setup is one pipe write (process) or nothing (thread) —
+  // A pool hit's setup is one go-channel send (process) or nothing (thread) —
   // far below the cold fork / modelled setup cost.
   EXPECT_LT(outcome.timings.setup_us, 5 * kMicrosPerMilli);
 
@@ -236,6 +242,148 @@ TEST(SandboxPoolTest, ProcessBackendScrubsLargePayloadAcrossLeases) {
   pool.Release(std::move(again));
   pool.Shutdown();
 }
+
+// A process pool with one armed template for `spec`, leased.
+std::shared_ptr<WarmSandbox> LeaseProcessTemplate(SandboxPool& pool,
+                                                  const dfunc::FunctionSpec& spec) {
+  pool.Acquire(spec, PriorityClass::kInteractive);  // Prime the arrival EWMA.
+  pool.Tick(0);
+  pool.Tick(100 * kMicrosPerMilli);
+  return pool.Acquire(spec, PriorityClass::kInteractive);
+}
+
+// The go channel is a socket written with MSG_NOSIGNAL: a template that died
+// before dispatch is an EPIPE absorbed as kPoolChildLost, never a SIGPIPE,
+// and building a process pool leaves the process's signal disposition alone.
+TEST(SandboxPoolTest, DeadTemplateIsChildLostWithoutTouchingSigpipe) {
+  struct sigaction default_action = {};
+  default_action.sa_handler = SIG_DFL;
+  sigemptyset(&default_action.sa_mask);
+  struct sigaction previous = {};
+  ASSERT_EQ(sigaction(SIGPIPE, &default_action, &previous), 0);
+  {
+    SandboxPool pool(PoolConfig(IsolationBackend::kProcess), nullptr);
+    const dfunc::FunctionSpec spec = EchoSpec();
+    auto warm = LeaseProcessTemplate(pool, spec);
+    ASSERT_NE(warm, nullptr);
+    ASSERT_TRUE(warm->context()
+                    ->StoreInputSets({dfunc::DataSet{"in", {dfunc::DataItem{"", "ping"}}}})
+                    .ok());
+    warm->SimulateTemplateDeath();
+    const dandelion::ExecOutcome outcome = warm->Execute(dandelion::SandboxOptions{});
+    EXPECT_EQ(outcome.failure, dpolicy::FailureKind::kPoolChildLost);
+    EXPECT_EQ(outcome.status.code(), dbase::StatusCode::kUnavailable);
+    pool.Release(std::move(warm));
+  }
+  struct sigaction now = {};
+  ASSERT_EQ(sigaction(SIGPIPE, nullptr, &now), 0);
+  EXPECT_EQ(now.sa_handler, SIG_DFL);
+  sigaction(SIGPIPE, &previous, nullptr);
+}
+
+Micros ThreadCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<Micros>(ts.tv_sec) * kMicrosPerSecond + ts.tv_nsec / 1000;
+}
+
+// The engine worker sleeps on the child instead of spinning: across a
+// 100 ms child, the calling thread burns well under 10 ms of CPU on the
+// cold executor and on a pooled template alike.
+//
+// The caller and the child are pinned to different cores, as on a busy
+// engine where the child does not get the worker's core: sharing one core,
+// a spinning waiter would hand it to the child on every yield and look
+// idle. The wait is measured, not the confinement (jail_test covers that),
+// so the jail is off: it would kill the child for sched_setaffinity, and
+// sanitizer runtimes make syscalls of their own.
+class ProcessWaitCpuTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved_), &saved_), 0);
+    std::vector<int> cpus;
+    for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        cpus.push_back(cpu);
+      }
+    }
+    if (cpus.size() < 2) {
+      GTEST_SKIP() << "needs two usable cores";
+    }
+    child_cpu_ = cpus[1];
+    ASSERT_TRUE(PinTo(cpus[0]));
+    pinned_ = true;
+    dandelion::SetSyscallJailEnabled(false);
+  }
+
+  void TearDown() override {
+    if (pinned_) {
+      sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+    dandelion::SetSyscallJailEnabled(jail_was_enabled_);
+  }
+
+  // Pins the calling thread (or a single-threaded child) to one core.
+  static bool PinTo(int cpu) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+
+  int child_cpu_ = -1;
+
+ private:
+  const bool jail_was_enabled_ = dandelion::SyscallJailEnabled();
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+TEST_P(ProcessWaitCpuTest, WaitingOnTheChildCostsNoCpu) {
+  const bool pooled = GetParam();
+  dfunc::FunctionSpec spec = EchoSpec("spin");
+  spec.body = [child_cpu = child_cpu_](dfunc::FunctionCtx& ctx) {
+    if (!PinTo(child_cpu)) {
+      return dbase::Internal("could not pin the child");
+    }
+    dbase::SpinFor(100 * kMicrosPerMilli);
+    ctx.EmitOutput("out", "spun");
+    return dbase::OkStatus();
+  };
+  SandboxPool pool(PoolConfig(IsolationBackend::kProcess), nullptr);
+  const auto cold = dandelion::CreateSandboxExecutor(IsolationBackend::kProcess);
+  std::shared_ptr<WarmSandbox> warm;
+  std::shared_ptr<dandelion::MemoryContext> context;
+  if (pooled) {
+    warm = LeaseProcessTemplate(pool, spec);
+    ASSERT_NE(warm, nullptr);
+    context = warm->context();
+  } else {
+    auto created = dandelion::MemoryContext::Create(spec.context_bytes, nullptr,
+                                                    /*shared=*/true);
+    ASSERT_TRUE(created.ok());
+    context = std::move(created).value();
+  }
+  ASSERT_TRUE(context->StoreInputSets({dfunc::DataSet{"in", {dfunc::DataItem{"", "x"}}}}).ok());
+
+  const dbase::Stopwatch wall;
+  const Micros cpu_before = ThreadCpuMicros();
+  const dandelion::ExecOutcome outcome =
+      pooled ? warm->Execute(dandelion::SandboxOptions{})
+             : cold->Execute(spec, *context, dandelion::SandboxOptions{});
+  const Micros cpu = ThreadCpuMicros() - cpu_before;
+
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.message();
+  EXPECT_EQ(outcome.outputs[0].items[0].data, "spun");
+  EXPECT_GE(wall.ElapsedMicros(), 100 * kMicrosPerMilli);  // The call spanned the child.
+  EXPECT_LT(cpu, 10 * kMicrosPerMilli) << "worker CPU while the child ran: " << cpu << " us";
+  pool.Release(std::move(warm));
+}
+
+INSTANTIATE_TEST_SUITE_P(ColdAndPooled, ProcessWaitCpuTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Pooled" : "Cold";
+                         });
 
 TEST(SandboxPoolTest, DepthClampsPerFunctionAndGlobally) {
   SandboxPool::Config config = PoolConfig(IsolationBackend::kThread);
