@@ -11,8 +11,10 @@ Micros MonotonicClock::NowMicros() const {
 }
 
 MonotonicClock* MonotonicClock::Get() {
-  static MonotonicClock clock;
-  return &clock;
+  // Leaked: the process reactor and timer threads are never joined and may
+  // still read the clock while static destructors run at exit.
+  static MonotonicClock* const clock = new MonotonicClock();
+  return clock;
 }
 
 void Stopwatch::Restart() { start_ = MonotonicClock::Get()->NowMicros(); }

@@ -5,9 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/base/log.h"
+#include "src/base/thread.h"
 
 namespace dbase {
 namespace {
@@ -15,6 +17,31 @@ namespace {
 constexpr int kMaxEventsPerWait = 64;
 
 }  // namespace
+
+EventLoop* EventLoop::Process() {
+  // Leaked together with its thread, which is never joined: reachable from
+  // this static, so leak checkers stay quiet.
+  struct Reactor {
+    std::unique_ptr<EventLoop> loop;
+    JoiningThread thread;
+  };
+  static Reactor* const reactor = [] {
+    auto loop = Create();
+    if (!loop.ok()) {
+      DLOG(Error) << "cannot create the process reactor: " << loop.status().ToString();
+      std::abort();
+    }
+    auto* created = new Reactor{std::move(loop).value(), JoiningThread()};
+    created->thread = JoiningThread("reactor", [loop = created->loop.get()] { loop->Run(); });
+    // Return only once Run() owns the loop, so running() holds for every
+    // caller from here on.
+    Latch running(1);
+    created->loop->Post([&running] { running.CountDown(); });
+    running.Wait();
+    return created;
+  }();
+  return reactor->loop.get();
+}
 
 Result<std::unique_ptr<EventLoop>> EventLoop::Create() {
   const int epoll_fd = epoll_create1(EPOLL_CLOEXEC);
@@ -140,7 +167,7 @@ int EventLoop::NextTimeoutMillis(Micros now) const {
 }
 
 void EventLoop::Run() {
-  loop_thread_id_ = std::this_thread::get_id();
+  loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
   epoll_event events[kMaxEventsPerWait];
   while (!stopped_.load(std::memory_order_acquire)) {
     const Micros now = MonotonicClock::Get()->NowMicros();
@@ -175,7 +202,87 @@ void EventLoop::Run() {
   // A Stop() racing the final wait may leave closures behind; run them so
   // shutdown work posted just before Stop() is not silently dropped.
   RunPosted();
-  loop_thread_id_ = std::thread::id();
+  loop_thread_id_.store(std::thread::id(), std::memory_order_release);
+}
+
+EventLoop::Scope::Scope(EventLoop* loop) : loop_(loop) {}
+
+EventLoop::Scope::~Scope() { Close(); }
+
+Status EventLoop::Scope::Add(int fd, uint32_t events, FdCallback callback) {
+  if (state_->closed.load(std::memory_order_relaxed)) {
+    return FailedPrecondition("event loop scope closed");
+  }
+  RETURN_IF_ERROR(loop_->Add(fd, events, std::move(callback)));
+  state_->fds.insert(fd);
+  return OkStatus();
+}
+
+Status EventLoop::Scope::Modify(int fd, uint32_t events) { return loop_->Modify(fd, events); }
+
+void EventLoop::Scope::Remove(int fd) {
+  if (state_->fds.erase(fd) > 0) {
+    loop_->Remove(fd);
+  }
+}
+
+void EventLoop::Scope::Post(std::function<void()> fn) {
+  loop_->Post([state = state_, fn = std::move(fn)] {
+    if (!state->closed.load(std::memory_order_relaxed)) {
+      fn();
+    }
+  });
+}
+
+EventLoop::TimerId EventLoop::Scope::AddTimer(Micros delay, std::function<void()> fn) {
+  if (state_->closed.load(std::memory_order_relaxed)) {
+    return 0;
+  }
+  // Ids are handed out in order on the loop thread: this is the next one.
+  const TimerId id = loop_->next_timer_id_;
+  state_->timers.insert(id);
+  return loop_->AddTimer(delay, [state = state_, id, fn = std::move(fn)] {
+    state->timers.erase(id);
+    fn();
+  });
+}
+
+void EventLoop::Scope::CancelTimer(TimerId id) {
+  if (state_->timers.erase(id) > 0) {
+    loop_->CancelTimer(id);
+  }
+}
+
+void EventLoop::Scope::Close(std::function<void()> last) {
+  if (state_->closed.load(std::memory_order_acquire)) {
+    return;
+  }
+  const auto close_on_loop = [this, &last] {
+    if (state_->closed.exchange(true, std::memory_order_acq_rel)) {
+      return;  // A concurrent Close() got here first.
+    }
+    if (last) {
+      last();
+    }
+    for (int fd : state_->fds) {
+      loop_->Remove(fd);
+    }
+    state_->fds.clear();
+    for (TimerId id : state_->timers) {
+      loop_->CancelTimer(id);
+    }
+    state_->timers.clear();
+  };
+  if (loop_->IsLoopThread() || !loop_->running()) {
+    close_on_loop();
+    return;
+  }
+  Latch closed(1);
+  loop_->Post([&] {
+    close_on_loop();
+    closed.CountDown();
+  });
+  closed.Wait();
 }
 
 }  // namespace dbase

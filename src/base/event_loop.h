@@ -1,9 +1,12 @@
-// Epoll-based event loop: the reactor under the async HTTP frontend. One
-// thread calls Run(); it multiplexes socket readiness, one-shot timers, and
-// closures posted from other threads (woken through an eventfd). All fd and
-// timer registration is expected to happen on the loop thread except Post()
-// and Stop(), which are safe from anywhere — async work (engine completions)
-// re-enters the loop by posting a closure rather than touching loop state.
+// Epoll-based event loop: the process's one reactor. EventLoop::Process()
+// is the shared instance the HTTP frontend, every dnet NodeServer and the
+// NodeClient register on. One thread calls Run(); it multiplexes socket
+// readiness, one-shot timers, and closures posted from other threads (woken
+// through an eventfd). All fd and timer registration is expected to happen
+// on the loop thread except Post() and Stop(), which are safe from anywhere
+// — async work (engine completions) re-enters the loop by posting a closure
+// rather than touching loop state. Components register through an
+// EventLoop::Scope, so that stopping one never lets its callbacks run on.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_
 
@@ -14,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,9 +32,18 @@ class EventLoop {
   // Receives the EPOLLIN/EPOLLOUT/EPOLLHUP/... bitmask that fired.
   using FdCallback = std::function<void(uint32_t events)>;
   using TimerId = uint64_t;
+  class Scope;
+
+  // The process-wide reactor, started on first use on a thread named
+  // `reactor` and intentionally leaked, like TimerService::Get(). Its
+  // callbacks must not block: every socket in the process waits behind a
+  // running one. Like the timer thread, it does not survive fork(): a child
+  // forked after first use must exec before it starts a component.
+  static EventLoop* Process();
 
   // Creates the epoll instance and the wakeup eventfd; fails (Unavailable)
-  // only when the kernel refuses the descriptors.
+  // only when the kernel refuses the descriptors. Beyond Process(), only
+  // tests create loops.
   static Result<std::unique_ptr<EventLoop>> Create();
   ~EventLoop();
 
@@ -64,7 +77,13 @@ class EventLoop {
   void CancelTimer(TimerId id);
 
   // True when called from inside Run() on the loop thread.
-  bool IsLoopThread() const { return std::this_thread::get_id() == loop_thread_id_; }
+  bool IsLoopThread() const {
+    return std::this_thread::get_id() == loop_thread_id_.load(std::memory_order_acquire);
+  }
+  // True while some thread is inside Run().
+  bool running() const {
+    return loop_thread_id_.load(std::memory_order_acquire) != std::thread::id();
+  }
 
  private:
   EventLoop(int epoll_fd, int wakeup_fd);
@@ -92,12 +111,59 @@ class EventLoop {
   using TimerKey = std::pair<Micros, TimerId>;
   std::priority_queue<TimerKey, std::vector<TimerKey>, std::greater<TimerKey>> timer_heap_;
   TimerId next_timer_id_ = 1;
-  std::thread::id loop_thread_id_;
+  std::atomic<std::thread::id> loop_thread_id_{};
 
   // Cross-thread state.
   std::mutex posted_mu_;
   std::vector<std::function<void()>> posted_;
   std::atomic<bool> stopped_{false};
+};
+
+// One component's registrations on a loop: its fds, its timers, and the
+// closures it posts. Post() and Close() are thread-safe; the rest is
+// loop-thread-only. Owners whose completions may outlive them hold the
+// scope by shared_ptr and let those completions post through it.
+class EventLoop::Scope {
+ public:
+  explicit Scope(EventLoop* loop);
+  ~Scope();  // Close()s.
+
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  // EventLoop::Add/Modify/Remove, tracked by the scope. Add fails on a
+  // closed scope; Remove ignores fds it does not hold, so a late Remove
+  // never unhooks another owner's reuse of the number.
+  Status Add(int fd, uint32_t events, FdCallback callback);
+  Status Modify(int fd, uint32_t events);
+  void Remove(int fd);
+  // EventLoop::Post, except the closure is dropped unrun if the scope has
+  // closed by the time its turn comes.
+  void Post(std::function<void()> fn);
+  // EventLoop::AddTimer/CancelTimer; a closed scope arms nothing (id 0).
+  TimerId AddTimer(Micros delay, std::function<void()> fn);
+  void CancelTimer(TimerId id);
+
+  // Runs `last` (if any) on the loop, then removes the scope's fds and
+  // cancels its timers; closures posted through it that have not run yet
+  // never will. Inline on the loop thread (from the scope's own callbacks
+  // too), or on a loop nobody runs; otherwise it posts itself and waits,
+  // so a running callback finishes first. Once it returns nothing
+  // registered through the scope runs again. Idempotent; `last` sees the
+  // scope already closed, so it may Remove and CancelTimer, not register.
+  void Close(std::function<void()> last = nullptr);
+
+ private:
+  // Shared with the wrapped closures and timers, which may outlive the
+  // scope.
+  struct State {
+    std::atomic<bool> closed{false};
+    std::set<int> fds;          // Loop-thread-only.
+    std::set<TimerId> timers;   // Loop-thread-only.
+  };
+
+  EventLoop* const loop_;
+  const std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 
 }  // namespace dbase

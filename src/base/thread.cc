@@ -54,28 +54,6 @@ bool Latch::WaitFor(Micros timeout_us) {
   return cv_.wait_for(lock, std::chrono::microseconds(timeout_us), [&] { return count_ <= 0; });
 }
 
-WorkerPool::WorkerPool(int num_threads, std::string name) {
-  threads_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back(name + "-" + std::to_string(i), [this] {
-      while (auto task = tasks_.Pop()) {
-        (*task)();
-      }
-    });
-  }
-}
-
-WorkerPool::~WorkerPool() { Shutdown(); }
-
-bool WorkerPool::Submit(std::function<void()> task) { return tasks_.Push(std::move(task)); }
-
-void WorkerPool::Shutdown() {
-  tasks_.Close();
-  for (auto& t : threads_) {
-    t.Join();
-  }
-}
-
 bool PinCurrentThreadToCpu(int cpu) {
 #ifdef __linux__
   cpu_set_t set;

@@ -1,6 +1,5 @@
-// Threading helpers: named joining threads, a countdown latch, and a small
-// fixed worker pool used for offloading data movement (the dispatcher
-// "offloads tasks that are not part of the control flow", §6.1).
+// Threading helpers: named joining threads, a countdown latch, and CPU
+// pinning.
 #ifndef SRC_BASE_THREAD_H_
 #define SRC_BASE_THREAD_H_
 
@@ -9,9 +8,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "src/base/queue.h"
+#include "src/base/clock.h"
 
 namespace dbase {
 
@@ -52,27 +50,6 @@ class Latch {
   std::mutex mu_;
   std::condition_variable cv_;
   int count_;
-};
-
-// Fixed-size worker pool over an MpmcQueue. Used for transfer offloading.
-class WorkerPool {
- public:
-  explicit WorkerPool(int num_threads, std::string name = "worker");
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  // Returns false if the pool is shutting down.
-  bool Submit(std::function<void()> task);
-  // Drains outstanding tasks and stops the workers.
-  void Shutdown();
-
-  int num_threads() const { return static_cast<int>(threads_.size()); }
-
- private:
-  MpmcQueue<std::function<void()>> tasks_;
-  std::vector<JoiningThread> threads_;
 };
 
 // Pins the calling thread to the given CPU if possible; best-effort (the

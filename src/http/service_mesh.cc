@@ -68,21 +68,26 @@ MeshCallResult ServiceMesh::CallRemote(const std::string& peer,
   return std::move(carried).value();
 }
 
-MeshCallResult ServiceMesh::Call(const SanitizedRequest& request) {
+MeshCallResult ServiceMesh::Call(const SanitizedRequest& request, std::string_view carried_to) {
   total_calls_.fetch_add(1, std::memory_order_relaxed);
 
   Endpoint endpoint;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = endpoints_.find(request.uri.host);
-    if (it == endpoints_.end()) {
-      MeshCallResult out;
-      out.response = HttpResponse::Make(502, "Bad Gateway",
-                                        "no route to host: " + request.uri.host);
-      out.latency_us = 50;  // Fast local failure.
-      return out;
+    if (it != endpoints_.end()) {
+      endpoint = it->second;
     }
-    endpoint = it->second;
+  }
+  if (endpoint.service == nullptr && (endpoint.peer.empty() || !carried_to.empty())) {
+    MeshCallResult out;
+    out.response = HttpResponse::Make(
+        502, "Bad Gateway",
+        carried_to.empty() ? "no route to host: " + request.uri.host
+                           : "host " + request.uri.host + " not served on " +
+                                 std::string(carried_to));
+    out.latency_us = 50;  // Fast local failure.
+    return out;
   }
 
   // Remote host: the owning peer's mesh serves it, one hop over the node

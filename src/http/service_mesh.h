@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/base/clock.h"
@@ -78,8 +79,11 @@ class ServiceMesh {
 
   // Carries out a sanitized request: routes on the URI host, invokes the
   // service (locally, or on the owning peer via the remote transport), and
-  // samples the latency model. Unknown hosts yield 502.
-  MeshCallResult Call(const SanitizedRequest& request);
+  // samples the latency model. Unknown hosts yield 502. `carried_to` names
+  // this node when another node carried the request here: then only local
+  // endpoints serve it, and any other host yields 502 instead of a further
+  // hop, so a call can never bounce between nodes.
+  MeshCallResult Call(const SanitizedRequest& request, std::string_view carried_to = {});
 
   uint64_t total_calls() const { return total_calls_.load(std::memory_order_relaxed); }
   uint64_t remote_calls() const { return remote_calls_.load(std::memory_order_relaxed); }

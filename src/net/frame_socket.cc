@@ -25,16 +25,16 @@ constexpr int kMaxIov = 64;
 
 }  // namespace
 
-dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(dbase::EventLoop* loop, int fd,
-                                                               FrameLimits limits,
+dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(dbase::EventLoop::Scope* scope,
+                                                               int fd, FrameLimits limits,
                                                                FrameHandler on_frame,
                                                                CloseHandler on_close) {
   int nodelay = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   std::shared_ptr<FrameSocket> sock(
-      new FrameSocket(loop, fd, limits, std::move(on_frame), std::move(on_close)));
+      new FrameSocket(scope, fd, limits, std::move(on_frame), std::move(on_close)));
   std::weak_ptr<FrameSocket> weak = sock;
-  const dbase::Status added = loop->Add(fd, EPOLLIN, [weak](uint32_t events) {
+  const dbase::Status added = scope->Add(fd, EPOLLIN, [weak](uint32_t events) {
     // Pin across dispatch: Close() inside OnEvent may drop the owner's
     // last reference while frames below it are still being handled.
     if (auto self = weak.lock()) {
@@ -51,9 +51,9 @@ dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(dbase::EventLoop*
   return sock;
 }
 
-FrameSocket::FrameSocket(dbase::EventLoop* loop, int fd, FrameLimits limits, FrameHandler on_frame,
-                         CloseHandler on_close)
-    : loop_(loop),
+FrameSocket::FrameSocket(dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
+                         FrameHandler on_frame, CloseHandler on_close)
+    : scope_(scope),
       fd_(fd),
       limits_(limits),
       on_frame_(std::move(on_frame)),
@@ -65,7 +65,7 @@ FrameSocket::~FrameSocket() {
   if (fd_ >= 0) {
     // Owner dropped us without Close() (loop teardown): release the fd
     // without firing callbacks into a half-destroyed owner.
-    loop_->Remove(fd_);
+    scope_->Remove(fd_);
     close(fd_);
     fd_ = -1;
   }
@@ -112,7 +112,7 @@ void FrameSocket::Close(const dbase::Status& reason) {
   if (fd_ < 0) {
     return;
   }
-  loop_->Remove(fd_);
+  scope_->Remove(fd_);
   close(fd_);
   fd_ = -1;
   send_queue_.clear();
@@ -299,7 +299,7 @@ void FrameSocket::UpdateInterest() {
   if (want == armed_events_) {
     return;
   }
-  if (!loop_->Modify(fd_, want).ok()) {
+  if (!scope_->Modify(fd_, want).ok()) {
     Close(dbase::Unavailable("epoll_ctl(MOD) failed"));
     return;
   }

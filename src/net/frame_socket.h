@@ -9,7 +9,7 @@
 // return, not a SIGPIPE.
 //
 // Threading: all methods are loop-thread-only unless noted. Cross-thread
-// senders (NodeClient callers) go through EventLoop::Post. Lifetime is
+// senders (NodeClient callers) post through the owner's scope. Lifetime is
 // shared_ptr-managed: callbacks pin the socket for the duration of a
 // dispatch, so an on_close handler may drop the owner's last reference
 // mid-callback safely.
@@ -42,11 +42,12 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   // (kInvalidArgument). The fd is already closed when this runs.
   using CloseHandler = std::function<void(const dbase::Status& reason)>;
 
-  // Adopts a connected non-blocking `fd` and registers it on `loop`.
-  // Loop-thread-only. On registration failure the fd is closed and the
-  // error returned.
-  static dbase::Result<std::shared_ptr<FrameSocket>> Adopt(dbase::EventLoop* loop, int fd,
-                                                           FrameLimits limits,
+  // Adopts a connected non-blocking `fd` and registers it through the
+  // owner's `scope`, which must outlive the socket's open life (owners
+  // Close() their sockets before their scope). Loop-thread-only. On
+  // registration failure the fd is closed and the error returned.
+  static dbase::Result<std::shared_ptr<FrameSocket>> Adopt(dbase::EventLoop::Scope* scope,
+                                                           int fd, FrameLimits limits,
                                                            FrameHandler on_frame,
                                                            CloseHandler on_close);
   ~FrameSocket();
@@ -75,7 +76,7 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   FrameSocket& operator=(const FrameSocket&) = delete;
 
  private:
-  FrameSocket(dbase::EventLoop* loop, int fd, FrameLimits limits, FrameHandler on_frame,
+  FrameSocket(dbase::EventLoop::Scope* scope, int fd, FrameLimits limits, FrameHandler on_frame,
               CloseHandler on_close);
 
   void OnEvent(uint32_t events);
@@ -86,7 +87,7 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   void FlushWrites();
   void UpdateInterest();
 
-  dbase::EventLoop* const loop_;
+  dbase::EventLoop::Scope* const scope_;
   int fd_;
   const FrameLimits limits_;
   const FrameHandler on_frame_;

@@ -19,9 +19,8 @@ dbase::Status NodeClient::Start() {
   if (running_.load(std::memory_order_relaxed)) {
     return dbase::FailedPrecondition("NodeClient already started");
   }
-  ASSIGN_OR_RETURN(loop_, dbase::EventLoop::Create());
+  scope_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
   running_.store(true, std::memory_order_relaxed);
-  loop_thread_ = std::make_unique<dbase::JoiningThread>("dnet-client", [this] { loop_->Run(); });
   return dbase::OkStatus();
 }
 
@@ -29,8 +28,7 @@ void NodeClient::Stop() {
   if (!running_.exchange(false, std::memory_order_relaxed)) {
     return;
   }
-  dbase::Latch drained(1);
-  loop_->Post([this, &drained] {
+  scope_->Close([this] {
     // Closing each socket fails its pending requests through
     // OnPeerClosed, so blocked callers wake with "peer lost".
     for (auto& [name, peer] : peers_) {
@@ -39,22 +37,16 @@ void NodeClient::Stop() {
         peer.socket->Close(dbase::Unavailable("client stopping"));
       }
     }
-    drained.CountDown();
+    peers_.clear();
+    pending_.clear();
   });
-  drained.Wait();
-  loop_->Stop();
-  loop_thread_.reset();
-  peers_.clear();
-  pending_.clear();
-  // loop_ stays alive (stopped): a Post racing this Stop parks in its queue
-  // instead of touching freed memory. Start() replaces it.
 }
 
 void NodeClient::AddPeer(const std::string& name, uint16_t port) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  loop_->Post([this, name, port] {
+  scope_->Post([this, name, port] {
     Peer& peer = peers_[name];
     if (peer.socket != nullptr && peer.port != port) {
       peer.socket->Close(dbase::Unavailable("peer re-addressed"));
@@ -68,7 +60,7 @@ void NodeClient::RemovePeer(const std::string& name) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  loop_->Post([this, name] {
+  scope_->Post([this, name] {
     auto it = peers_.find(name);
     if (it == peers_.end()) {
       return;
@@ -129,7 +121,7 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
     return nullptr;
   }
   auto socket = FrameSocket::Adopt(
-      loop_.get(), *fd, FrameLimits{},
+      scope_.get(), *fd, FrameLimits{},
       [this, name](const FrameHeader& header, dbase::BufferSlice body) {
         OnFrame(name, header, std::move(body));
       },
@@ -166,7 +158,7 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t r
   }
   if (timeout_us > 0) {
     const bool chase_cancel = type == FrameType::kInvoke;
-    pending.timer = loop_->AddTimer(timeout_us, [this, request_id, name, chase_cancel] {
+    pending.timer = scope_->AddTimer(timeout_us, [this, request_id, name, chase_cancel] {
       auto it = pending_.find(request_id);
       if (it == pending_.end()) {
         return;
@@ -198,7 +190,7 @@ void NodeClient::FailPending(uint64_t request_id, const dbase::Status& status) {
   Pending pending = std::move(it->second);
   pending_.erase(it);
   if (pending.timer != 0) {
-    loop_->CancelTimer(pending.timer);
+    scope_->CancelTimer(pending.timer);
   }
   if (pending.on_outcome) {
     pending.on_outcome(status);
@@ -255,7 +247,7 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
   Pending pending = std::move(it->second);
   pending_.erase(it);
   if (pending.timer != 0) {
-    loop_->CancelTimer(pending.timer);
+    scope_->CancelTimer(pending.timer);
   }
   auto peer = peers_.find(name);
   if (pending.on_outcome) {
@@ -292,11 +284,11 @@ uint64_t NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
     return 0;
   }
   // Encode on the caller's thread: scatter marshalling promotes payloads
-  // into shared buffers here, keeping the loop thread on socket work.
+  // into shared buffers here, keeping the reactor on socket work.
   auto chunks = EncodeInvoke(invoke);
   auto shared_cb = std::make_shared<OutcomeCallback>(std::move(callback));
   const uint64_t request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  loop_->Post([this, peer, request_id, chunks = std::move(chunks), timeout_us,
+  scope_->Post([this, peer, request_id, chunks = std::move(chunks), timeout_us,
                shared_cb]() mutable {
     Pending pending;
     pending.expect = FrameType::kOutcome;
@@ -317,7 +309,7 @@ void NodeClient::RawRequestAsync(const std::string& peer, FrameType type, std::s
     callback(dbase::FailedPrecondition("NodeClient not started"));
     return;
   }
-  loop_->Post([this, peer, type, expect, body = std::move(body), timeout_us,
+  scope_->Post([this, peer, type, expect, body = std::move(body), timeout_us,
                callback = std::move(callback)]() mutable {
     Pending pending;
     pending.expect = expect;
@@ -346,7 +338,7 @@ void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  loop_->Post([this, peer, request_id] {
+  scope_->Post([this, peer, request_id] {
     auto it = peers_.find(peer);
     if (it != peers_.end() && it->second.socket != nullptr && !it->second.socket->closed()) {
       it->second.socket->SendFrame(FrameType::kCancel, 0, request_id, std::string());
@@ -356,6 +348,10 @@ void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
 
 dbase::Result<WireMeshReply> NodeClient::MeshCall(const std::string& peer, std::string request,
                                                   dbase::Micros timeout_us) {
+  if (dbase::EventLoop::Process()->IsLoopThread()) {
+    return dbase::FailedPrecondition("mesh call to '" + peer +
+                                     "' would block the reactor it needs for the reply");
+  }
   auto reply = std::make_shared<std::promise<dbase::Result<dbase::BufferSlice>>>();
   std::future<dbase::Result<dbase::BufferSlice>> replied = reply->get_future();
   RawRequestAsync(peer, FrameType::kMeshCall, std::move(request), FrameType::kMeshReply,

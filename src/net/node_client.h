@@ -1,6 +1,8 @@
-// NodeClient: the router/frontend side of the dnet wire. One EventLoop
-// thread multiplexes a pooled connection per peer; callers on any thread
-// send async invokes and gossip probes, cancels, and blocking mesh calls.
+// NodeClient: the router/frontend side of the dnet wire. A pooled
+// connection per peer lives on the process reactor
+// (dbase::EventLoop::Process()), registered through the client's scope;
+// callers on any thread send async invokes and gossip probes, cancels, and
+// blocking mesh calls (never from the reactor itself).
 // A connection is (re)established lazily on first use and failures
 // fail fast: every request pending on a dead connection completes with
 // kUnavailable ("peer lost") so the layer above (Cluster) can map it to
@@ -20,7 +22,6 @@
 #include "src/base/clock.h"
 #include "src/base/event_loop.h"
 #include "src/base/status.h"
-#include "src/base/thread.h"
 #include "src/net/frame_socket.h"
 #include "src/net/wire.h"
 
@@ -54,8 +55,8 @@ class NodeClient {
   void RemovePeer(const std::string& name);
   std::vector<PeerSnapshot> SnapshotPeers() const;
 
-  // Sends one invoke; the callback fires exactly once from the loop
-  // thread (or inline on immediate connect failure): the decoded outcome,
+  // Sends one invoke; the callback fires exactly once from the reactor
+  // (or inline on immediate connect failure): the decoded outcome,
   // kUnavailable "peer lost ..." when the connection dies first, or
   // kDeadlineExceeded when timeout_us elapses (a kCancel chases the
   // invoke). timeout_us <= 0 means no client-side timer. Returns the
@@ -65,7 +66,7 @@ class NodeClient {
                        OutcomeCallback callback);
 
   // Requests a status snapshot from the peer. The callback fires exactly
-  // once, on the loop thread (or inline when the client is not running):
+  // once, on the reactor (or inline when the client is not running):
   // the decoded status, kUnavailable when the peer is lost, or
   // kDeadlineExceeded after timeout_us. Thread-safe.
   void GossipAsync(const std::string& peer, dbase::Micros timeout_us, GossipCallback callback);
@@ -76,7 +77,9 @@ class NodeClient {
   // a no-op once the client has stopped.
   void Cancel(const std::string& peer, uint64_t request_id);
 
-  // Carries a serialized mesh request to the peer (blocking, bounded).
+  // Carries a serialized mesh request to the peer (blocking, bounded). On
+  // the reactor thread it fails at once with kFailedPrecondition: the reply
+  // could only arrive through the loop it would be blocking.
   dbase::Result<WireMeshReply> MeshCall(const std::string& peer, std::string request,
                                         dbase::Micros timeout_us);
 
@@ -105,9 +108,9 @@ class NodeClient {
     uint64_t bytes_received_closed = 0;
   };
 
-  // Loop-thread-only. Connects if needed; null on failure.
+  // Reactor-only. Connects if needed; null on failure.
   FrameSocket* EnsureConnected(const std::string& peer);
-  // Loop-thread-only central send: connects, registers the pending entry
+  // Reactor-only central send: connects, registers the pending entry
   // under `request_id`, arms the timeout, ships the frame.
   void SendRequest(const std::string& peer, FrameType type, uint64_t request_id,
                    std::vector<dbase::BufferSlice> body, dbase::Micros timeout_us,
@@ -121,11 +124,10 @@ class NodeClient {
                        FrameType expect, dbase::Micros timeout_us, RawCallback callback);
 
   const std::string node_name_;
-  std::unique_ptr<dbase::EventLoop> loop_;
-  std::unique_ptr<dbase::JoiningThread> loop_thread_;
+  std::unique_ptr<dbase::EventLoop::Scope> scope_;  // One per Start().
   std::atomic<bool> running_{false};
 
-  // Loop-thread-only (peer table mutations are posted to the loop).
+  // Reactor-only (peer table mutations are posted to it).
   std::map<std::string, Peer> peers_;
   std::map<uint64_t, Pending> pending_;
   // Drawn on the caller's thread, so InvokeAsync can hand the id back.
@@ -134,7 +136,7 @@ class NodeClient {
   // Mirror of the peer table for thread-safe snapshots.
   mutable std::mutex snapshot_mu_;
   std::map<std::string, PeerSnapshot> snapshot_;
-  void PublishSnapshot(const std::string& peer);  // Loop-thread-only.
+  void PublishSnapshot(const std::string& peer);  // Reactor-only.
 };
 
 }  // namespace dnet

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/log.h"
 
 namespace dnet {
 
@@ -38,23 +39,17 @@ dbase::Status NodeServer::Start() {
     return port.status();
   }
   port_ = *port;
-  auto loop = dbase::EventLoop::Create();
-  if (!loop.ok()) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return loop.status();
-  }
-  loop_ = std::move(loop).value();
-  const dbase::Status added =
-      loop_->Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); });
-  if (!added.ok()) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    loop_.reset();
-    return added;
-  }
+  scope_ = std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
   running_.store(true, std::memory_order_relaxed);
-  loop_thread_ = std::make_unique<dbase::JoiningThread>("dnet-server", [this] { loop_->Run(); });
+  // Registered on the reactor's turn; connections arriving until then wait
+  // in the backlog.
+  scope_->Post([this] {
+    const dbase::Status added =
+        scope_->Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); });
+    if (!added.ok()) {
+      DLOG(Error) << config_.node_name << " cannot accept: " << added.ToString();
+    }
+  });
   return dbase::OkStatus();
 }
 
@@ -62,35 +57,20 @@ void NodeServer::Stop() {
   if (!running_.exchange(false, std::memory_order_relaxed)) {
     return;
   }
-  // Tear peers down on the loop thread so cancel handlers fire in the
-  // same context they always do, then stop the loop.
-  dbase::Latch drained(1);
-  loop_->Post([this, &drained] {
-    std::vector<int> fds;
-    fds.reserve(peers_.size());
+  // Tear peers down on the reactor so cancel handlers fire in the same
+  // context they always do; closing each socket erases its peer.
+  scope_->Close([this] {
+    std::vector<std::shared_ptr<FrameSocket>> sockets;
+    sockets.reserve(peers_.size());
     for (const auto& [fd, peer] : peers_) {
-      fds.push_back(fd);
+      sockets.push_back(peer.socket);
     }
-    for (int fd : fds) {
-      auto it = peers_.find(fd);
-      if (it != peers_.end() && it->second.socket != nullptr) {
-        it->second.socket->Close(dbase::Unavailable("server stopping"));
-      }
+    for (const auto& socket : sockets) {
+      socket->Close(dbase::Unavailable("server stopping"));
     }
-    drained.CountDown();
   });
-  drained.Wait();
-  loop_->Stop();
-  loop_thread_.reset();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  peers_.clear();
-  // loop_ intentionally stays alive (stopped): invoke completions that were
-  // in flight when the server stopped still re-enter through loop_->Post,
-  // where they park harmlessly in the queue of the dead loop. Start()
-  // replaces it; the destructor frees it.
+  close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void NodeServer::OnAcceptable() {
@@ -103,7 +83,7 @@ void NodeServer::OnAcceptable() {
       return;  // EAGAIN or transient failure; level-triggered epoll retries.
     }
     auto socket = FrameSocket::Adopt(
-        loop_.get(), fd, config_.limits,
+        scope_.get(), fd, config_.limits,
         [this, fd](const FrameHeader& header, dbase::BufferSlice body) {
           OnFrame(fd, header, std::move(body));
         },
@@ -242,11 +222,12 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
   }
   it->second.inflight.emplace(header.request_id, invoke->invocation_id);
   // The completion may fire from any thread, possibly after this
-  // connection (or the whole server) is gone — it re-enters through Post
-  // and re-checks the peer map.
+  // connection (or the whole server) is gone — it re-enters through the
+  // scope, which drops it once the server stopped, and re-checks the peer
+  // map.
   const uint64_t request_id = header.request_id;
-  auto done = [this, fd, request_id](WireOutcome outcome) {
-    loop_->Post([this, fd, request_id, outcome = std::move(outcome)]() mutable {
+  auto done = [this, scope = scope_, fd, request_id](WireOutcome outcome) {
+    scope->Post([this, fd, request_id, outcome = std::move(outcome)]() mutable {
       auto peer = peers_.find(fd);
       if (peer == peers_.end() || peer->second.socket == nullptr ||
           peer->second.socket->closed()) {
@@ -271,8 +252,8 @@ void NodeServer::HandleMesh(int fd, const FrameHeader& header, const dbase::Buff
     return;
   }
   const uint64_t request_id = header.request_id;
-  auto done = [this, fd, request_id](WireMeshReply reply) {
-    loop_->Post([this, fd, request_id, reply = std::move(reply)]() {
+  auto done = [this, scope = scope_, fd, request_id](WireMeshReply reply) {
+    scope->Post([this, fd, request_id, reply = std::move(reply)]() {
       auto peer = peers_.find(fd);
       if (peer == peers_.end() || peer->second.socket == nullptr) {
         return;

@@ -1,8 +1,9 @@
 // NodeServer: the dnet wire endpoint embedded in every engine process. It
-// owns one EventLoop thread, accepts peer connections, speaks the frame
-// protocol, and hands decoded requests to type-erased handlers — the
-// runtime layer above (NodeAgent) plugs in Platform::Submit without dnet
-// depending on runtime headers.
+// registers on the process reactor (dbase::EventLoop::Process()) through
+// its own scope, accepts peer connections, speaks the frame protocol, and
+// hands decoded requests to type-erased handlers — the runtime layer above
+// (NodeAgent) plugs in Platform::Submit without dnet depending on runtime
+// headers. Handlers run inline on the reactor, so they must not block.
 //
 // Transport duties the server keeps for itself:
 //  - join bookkeeping (peer names for diagnostics),
@@ -25,7 +26,6 @@
 
 #include "src/base/event_loop.h"
 #include "src/base/status.h"
-#include "src/base/thread.h"
 #include "src/net/frame_socket.h"
 #include "src/net/wire.h"
 
@@ -47,16 +47,17 @@ class NodeServer {
   // Completes one invocation: thread-safe, callable at most once. The
   // outcome's `shed` field becomes the kFlagShed frame flag.
   using OutcomeFn = std::function<void(WireOutcome outcome)>;
-  // Receives a decoded invoke plus its completion. Runs on the loop
-  // thread — dispatch real work elsewhere and call `done` when finished.
+  // Receives a decoded invoke plus its completion. Runs on the reactor —
+  // hand the work to the engines (Submit never blocks) and call `done` when
+  // it finishes, from any thread, even after Stop().
   using InvokeHandler = std::function<void(WireInvoke invoke, OutcomeFn done)>;
   // Cancel request for an invocation previously handed to InvokeHandler
   // (explicit kCancel frame, or the owing connection died).
   using CancelHandler = std::function<void(uint64_t invocation_id)>;
-  // Snapshot for kGossipReq. Runs on the loop thread; must be cheap.
+  // Snapshot for kGossipReq. Runs on the reactor; must be cheap.
   using StatusProvider = std::function<WireNodeStatus()>;
   // Serves a mesh call (body = serialized sanitized request). Runs on the
-  // loop thread — offload if serving may block.
+  // reactor, so serving must not block (local mesh endpoints only).
   using MeshReplyFn = std::function<void(WireMeshReply reply)>;
   using MeshHandler = std::function<void(std::string request, MeshReplyFn done)>;
 
@@ -69,11 +70,12 @@ class NodeServer {
   void set_status_provider(StatusProvider provider) { status_provider_ = std::move(provider); }
   void set_mesh_handler(MeshHandler handler) { on_mesh_ = std::move(handler); }
 
-  // Binds (or adopts Config::listen_fd), starts the loop thread, begins
-  // accepting.
+  // Binds (or adopts Config::listen_fd) and begins accepting on the
+  // reactor.
   dbase::Status Start();
-  // Stops accepting, drops connections, joins the loop thread. In-flight
-  // invocations are cancelled through the cancel handler.
+  // Stops accepting and drops connections; in-flight invocations are
+  // cancelled through the cancel handler. When it returns no handler runs
+  // again, and late `done` calls are dropped.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -114,8 +116,9 @@ class NodeServer {
   Config config_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
-  std::unique_ptr<dbase::EventLoop> loop_;
-  std::unique_ptr<dbase::JoiningThread> loop_thread_;
+  // One per Start(); shared with outcome and mesh completions, which may
+  // fire after Stop() and then post into a closed scope.
+  std::shared_ptr<dbase::EventLoop::Scope> scope_;
   std::atomic<bool> running_{false};
 
   InvokeHandler on_invoke_;
@@ -123,7 +126,7 @@ class NodeServer {
   StatusProvider status_provider_;
   MeshHandler on_mesh_;
 
-  // Loop-thread-only.
+  // Reactor-only.
   std::map<int, Peer> peers_;
 
   std::atomic<uint64_t> connections_accepted_{0};

@@ -328,7 +328,7 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
 
   slot->inflight.fetch_add(1, std::memory_order_relaxed);
   // From here on `request` is read-only shared state: the completion may
-  // already be running (and re-routing) on the client's loop thread.
+  // already be running (and re-routing) on the reactor.
   const uint64_t request_id = client_->InvokeAsync(
       slot->name, std::move(wire), timeout,
       [this, index, slot, routed, attempts, tried = std::move(tried),
@@ -713,7 +713,7 @@ void Cluster::Shutdown() {
   }
   // Neither under slots_mu_: a running tick takes it, and stopping the
   // client fails the open round's probes, whose close applies membership
-  // (taking slots_mu_) on the client's loop thread. Stopping the client
+  // (taking slots_mu_) on the reactor. Stopping the client
   // first fails every routed invoke still on the wire; the in-process
   // nodes then see their router gone and cancel what it left behind.
   dbase::TimerService::Get()->Cancel(std::exchange(gossip_tick_, 0));

@@ -227,7 +227,7 @@ class Cluster {
   void ApplyMembership(const dpolicy::MembershipDecision& decision);
 
   // Gossip rounds. A round probes every slot asynchronously; the replies
-  // land on the NodeClient loop thread, and the last one closes the round:
+  // land on the process reactor, and the last one closes the round:
   // membership Tick, ApplyMembership, gossip_rounds_ += 1 (skipped when
   // there are no slots), then the waiters run. At most one round is open at
   // a time; `on_closed` (may be null) joins the open one.

@@ -191,28 +191,6 @@ dbase::Status HttpFrontend::Start() {
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  auto loop = dbase::EventLoop::Create();
-  if (!loop.ok()) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return loop.status();
-  }
-  loop_ = std::move(loop).value();
-  const dbase::Status added = loop_->Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); });
-  if (!added.ok()) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    loop_.reset();
-    return added;
-  }
-
-  int dispatch_threads = config_.dispatch_threads;
-  if (dispatch_threads < 0) {
-    dispatch_threads = std::thread::hardware_concurrency() > 2 ? 2 : 0;
-  }
-  if (dispatch_threads > 0) {
-    dispatch_pool_ = std::make_unique<dbase::WorkerPool>(dispatch_threads, "frontend-dispatch");
-  }
   // Feed the admission-control counters into the elasticity control plane's
   // per-tick snapshot: 429s only — deadline expiries are already counted by
   // the dispatcher's signal source, and every frontend 504 is a dispatcher
@@ -243,8 +221,17 @@ dbase::Status HttpFrontend::Start() {
           }
         });
   }
+  scope_ = std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
   running_.store(true);
-  loop_thread_ = dbase::JoiningThread("frontend", [loop = loop_] { loop->Run(); });
+  // Registered on the reactor's turn; connections arriving until then wait
+  // in the backlog.
+  scope_->Post([this] {
+    const dbase::Status added =
+        scope_->Add(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); });
+    if (!added.ok()) {
+      DLOG(Error) << "frontend cannot accept: " << added.ToString();
+    }
+  });
   return dbase::OkStatus();
 }
 
@@ -252,24 +239,18 @@ void HttpFrontend::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  loop_->Stop();
-  loop_thread_.Join();
-  if (dispatch_pool_ != nullptr) {
-    // Drains queued dispatches; their completions post into the (stopped)
-    // loop and are simply never run.
-    dispatch_pool_->Shutdown();
-    dispatch_pool_.reset();
-  }
-  // The loop thread is gone; tear the remaining sockets down directly.
-  for (auto& [fd, conn] : connections_) {
-    close(fd);
-    conn->fd = -1;
-  }
-  connections_.clear();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  scope_->Close([this] {
+    std::vector<ConnectionPtr> open;
+    open.reserve(connections_.size());
+    for (const auto& [fd, conn] : connections_) {
+      open.push_back(conn);
+    }
+    for (const ConnectionPtr& conn : open) {
+      CloseConnection(conn);
+    }
+  });
+  close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void HttpFrontend::OnAcceptable() {
@@ -292,12 +273,9 @@ void HttpFrontend::OnAcceptable() {
       // backlog, so level-triggered EPOLLIN would re-fire every wait and
       // spin the loop at 100% CPU. Mute the listener briefly and retry
       // once descriptors may have freed.
-      (void)loop_->Modify(listen_fd_, 0);
-      loop_->AddTimer(50 * dbase::kMicrosPerMilli, [this] {
-        if (running_.load(std::memory_order_relaxed)) {
-          (void)loop_->Modify(listen_fd_, EPOLLIN);
-        }
-      });
+      (void)scope_->Modify(listen_fd_, 0);
+      scope_->AddTimer(50 * dbase::kMicrosPerMilli,
+                       [this] { (void)scope_->Modify(listen_fd_, EPOLLIN); });
       return;
     }
     if (connections_.size() >= config_.max_connections) {
@@ -324,7 +302,7 @@ void HttpFrontend::OnAcceptable() {
     conn->last_activity = dbase::MonotonicClock::Get()->NowMicros();
     connections_[fd] = conn;
     const dbase::Status added =
-        loop_->Add(fd, EPOLLIN, [this, conn](uint32_t events) { OnConnectionEvent(conn, events); });
+        scope_->Add(fd, EPOLLIN, [this, conn](uint32_t events) { OnConnectionEvent(conn, events); });
     if (!added.ok()) {
       connections_.erase(fd);
       close(fd);
@@ -554,28 +532,14 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wir
                status.ok() ? dhttp::HttpResponse::Make(201, "Created", "registered\n")
                            : dhttp::HttpResponse::BadRequest(status.ToString()));
   } else if (request.method == dhttp::Method::kPost && target.rfind("/invoke/", 0) == 0) {
-    // Hand the dispatch itself (argument resolution, memory-context
-    // creation, input marshalling inside the dispatcher) to the pool so the
-    // loop thread moves on to the next connection immediately — unless the
-    // pool is disabled (small machines), where dispatching inline avoids a
-    // thread hop. Either way the engine work itself is asynchronous.
-    std::weak_ptr<Connection> weak_conn = conn;
-    if (dispatch_pool_ == nullptr) {
-      DispatchInvoke(weak_conn, slot, std::move(parsed).value());
-    } else if (!dispatch_pool_->Submit(
-                   [this, weak_conn, slot, request = std::move(parsed).value()]() mutable {
-                     DispatchInvoke(weak_conn, slot, std::move(request));
-                   })) {
-      FinishSlot(conn, slot,
-                 dhttp::HttpResponse::Make(503, "Service Unavailable", "shutting down"));
-    }
+    DispatchInvoke(conn, slot, std::move(parsed).value());
   } else {
     FinishSlot(conn, slot, dhttp::HttpResponse::NotFound("unknown endpoint: " + target));
   }
   return conn->fd >= 0 && conn->state == Connection::State::kReading;
 }
 
-void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, const SlotPtr& slot,
+void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot,
                                   dhttp::HttpRequest request) {
   const std::string composition = request.target.substr(std::strlen("/invoke/"));
 
@@ -585,10 +549,7 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
   if (const auto header = request.headers.Get("X-Dandelion-Priority"); header.has_value()) {
     auto parsed = PriorityClassFromName(*header);
     if (!parsed.ok()) {
-      PostSlotCompletion(weak_conn, slot,
-                         WireChunks::FromString(
-                             dhttp::HttpResponse::BadRequest(parsed.status().ToString())
-                                 .Serialize()));
+      FinishSlot(conn, slot, dhttp::HttpResponse::BadRequest(parsed.status().ToString()));
       return;
     }
     priority = *parsed;
@@ -597,10 +558,7 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
   if (const auto header = request.headers.Get("X-Dandelion-Deadline-Ms"); header.has_value()) {
     int64_t ms = 0;
     if (!dbase::ParseInt64(*header, &ms) || ms <= 0) {
-      PostSlotCompletion(
-          weak_conn, slot,
-          WireChunks::FromString(
-              dhttp::HttpResponse::BadRequest("invalid X-Dandelion-Deadline-Ms").Serialize()));
+      FinishSlot(conn, slot, dhttp::HttpResponse::BadRequest("invalid X-Dandelion-Deadline-Ms"));
       return;
     }
     deadline_us = dbase::MonotonicClock::Get()->NowMicros() + ms * dbase::kMicrosPerMilli;
@@ -619,14 +577,11 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
           1, std::memory_order_relaxed)) >= cap) {
     counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
     counters->shed_429.fetch_add(1, std::memory_order_relaxed);
-    PostSlotCompletion(
-        weak_conn, slot,
-        WireChunks::FromString(
-            dhttp::HttpResponse::Make(429, "Too Many Requests",
-                                      "admission control: " +
-                                          std::string(PriorityClassName(priority)) +
-                                          " in-flight cap reached\n")
-                .Serialize()));
+    FinishSlot(conn, slot,
+               dhttp::HttpResponse::Make(429, "Too Many Requests",
+                                         "admission control: " +
+                                             std::string(PriorityClassName(priority)) +
+                                             " in-flight cap reached\n"));
     return;
   }
   const auto release_admission = [counters, class_index] {
@@ -645,9 +600,7 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
     auto graph = platform_->compositions().Lookup(composition);
     if (!graph.ok() || graph.value()->params().empty()) {
       release_admission();
-      PostSlotCompletion(weak_conn, slot,
-                         WireChunks::FromString(
-                             dhttp::HttpResponse::NotFound("unknown composition").Serialize()));
+      FinishSlot(conn, slot, dhttp::HttpResponse::NotFound("unknown composition"));
       return;
     }
     dfunc::DataPlaneStats::Get().bytes_aliased.fetch_add(body.size(),
@@ -659,10 +612,7 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
     auto unmarshalled = dfunc::UnmarshalSets(body);
     if (!unmarshalled.ok()) {
       release_admission();
-      PostSlotCompletion(
-          weak_conn, slot,
-          WireChunks::FromString(
-              dhttp::HttpResponse::BadRequest(unmarshalled.status().ToString()).Serialize()));
+      FinishSlot(conn, slot, dhttp::HttpResponse::BadRequest(unmarshalled.status().ToString()));
       return;
     }
     args = std::move(unmarshalled).value();
@@ -674,13 +624,13 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
   invocation.deadline_us = deadline_us;
   invocation.priority = priority;
 
-  // The completion runs on an engine thread, possibly after Stop() — it
-  // captures the loop shared_ptr and the counters block itself (keeping
-  // both alive until the last completion lands) and must not read frontend
-  // members. The posted closure only ever runs on a live loop, which
-  // implies a live frontend (Stop() joins the loop thread before
-  // destruction).
-  auto completion = [this, loop = loop_, counters, class_index, weak_conn,
+  // The completion runs on an engine thread (or inline, on an immediate
+  // failure), possibly after Stop() or the frontend's destruction: it
+  // touches only what it captured, and its post through the scope is
+  // dropped once the frontend has stopped, so `this` is only ever used on a
+  // live frontend.
+  auto completion = [this, scope = scope_, counters, class_index,
+                     weak_conn = std::weak_ptr<Connection>(conn),
                      slot](dbase::Result<dfunc::DataSetList> result) {
     counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
     counters->served.fetch_add(1, std::memory_order_relaxed);
@@ -689,41 +639,22 @@ void HttpFrontend::DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, co
       counters->deadline_504.fetch_add(1, std::memory_order_relaxed);
     }
     WireChunks bytes = InvocationResponseWire(std::move(result));
-    loop->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
+    scope->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
       ApplySlotCompletion(weak_conn, slot, std::move(bytes));
     });
   };
-  InvocationHandle handle;
+  // Cluster route: locality-aware placement across local + remote nodes,
+  // with cross-node shed/peer-lost re-routing, behind the same callback.
+  // The handle lets a dying connection cancel the invocation instead of
+  // letting orphaned work run to completion.
   if (cluster_ != nullptr) {
-    // Cluster route: locality-aware placement across local + remote nodes,
-    // with cross-node shed/peer-lost re-routing, behind the same callback.
-    handle = cluster_->InvokeAsync(
+    slot->handle = cluster_->InvokeAsync(
         std::move(invocation),
         [completion = std::move(completion)](dbase::Result<dfunc::DataSetList> result,
                                              int /*node*/) { completion(std::move(result)); });
   } else {
-    handle = platform_->Submit(std::move(invocation), std::move(completion));
+    slot->handle = platform_->Submit(std::move(invocation), std::move(completion));
   }
-
-  // Attach the handle so a dying connection cancels the invocation instead
-  // of letting orphaned work run to completion. If the connection already
-  // died while we were dispatching, cancel right here.
-  {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (slot->abandoned) {
-      counters->disconnect_cancelled.fetch_add(1, std::memory_order_relaxed);
-      handle.Cancel();
-    } else {
-      slot->handle = std::move(handle);
-    }
-  }
-}
-
-void HttpFrontend::PostSlotCompletion(const std::weak_ptr<Connection>& weak_conn,
-                                      const SlotPtr& slot, WireChunks bytes) {
-  loop_->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
-    ApplySlotCompletion(weak_conn, slot, std::move(bytes));
-  });
 }
 
 void HttpFrontend::ApplySlotCompletion(const std::weak_ptr<Connection>& weak_conn,
@@ -747,7 +678,7 @@ void HttpFrontend::ApplySlotCompletion(const std::weak_ptr<Connection>& weak_con
   dirty_connections_.push_back(locked);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    loop_->Post([this] { FlushDirtyConnections(); });
+    scope_->Post([this] { FlushDirtyConnections(); });
   }
 }
 
@@ -952,14 +883,14 @@ void HttpFrontend::UpdateInterest(const ConnectionPtr& conn) {
     return;
   }
   conn->armed_events = events;
-  if (!loop_->Modify(conn->fd, events).ok()) {
+  if (!scope_->Modify(conn->fd, events).ok()) {
     CloseConnection(conn);
   }
 }
 
 void HttpFrontend::ArmIdleTimer(const ConnectionPtr& conn) {
   std::weak_ptr<Connection> weak_conn = conn;
-  conn->idle_timer = loop_->AddTimer(config_.idle_timeout, [this, weak_conn] {
+  conn->idle_timer = scope_->AddTimer(config_.idle_timeout, [this, weak_conn] {
     const ConnectionPtr locked = weak_conn.lock();
     if (locked == nullptr || locked->fd < 0) {
       return;
@@ -1002,7 +933,7 @@ void HttpFrontend::BeginDrain(const ConnectionPtr& conn) {
     return;  // The interest change failed and closed the connection.
   }
   std::weak_ptr<Connection> weak_conn = conn;
-  loop_->AddTimer(config_.drain_timeout, [this, weak_conn] {
+  scope_->AddTimer(config_.drain_timeout, [this, weak_conn] {
     const ConnectionPtr locked = weak_conn.lock();
     if (locked != nullptr && locked->fd >= 0) {
       CloseConnection(locked);
@@ -1025,21 +956,17 @@ void HttpFrontend::CloseConnection(const ConnectionPtr& conn) {
       total_response_bytes_ -= slot->bytes.total_bytes;
     }
   }
-  loop_->CancelTimer(conn->idle_timer);
-  loop_->Remove(conn->fd);
+  scope_->CancelTimer(conn->idle_timer);
+  scope_->Remove(conn->fd);
   close(conn->fd);
   connections_.erase(conn->fd);
   conn->fd = -1;
   // The client is gone: cancel every invocation still running on its
-  // behalf so orphaned work stops consuming engines. Slots whose dispatch
-  // is still in flight are marked abandoned and cancelled by the
-  // dispatching thread instead.
+  // behalf so orphaned work stops consuming engines.
   for (const SlotPtr& slot : conn->pipeline) {
     if (slot->ready) {
       continue;
     }
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->abandoned = true;
     if (slot->handle.valid() && !slot->handle.done()) {
       counters_->disconnect_cancelled.fetch_add(1, std::memory_order_relaxed);
       slot->handle.Cancel();

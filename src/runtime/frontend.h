@@ -1,6 +1,8 @@
 // HTTP frontend (Figure 4): "manages client communication, handling
 // requests for composition/function registration and invocation". An
-// epoll-driven HTTP/1.1 server on a single event-loop thread:
+// epoll-driven HTTP/1.1 server on the process reactor
+// (dbase::EventLoop::Process(), shared with the dnet wire), registered
+// through the frontend's own scope:
 //
 //   POST /invoke/<composition>      body: marshalled DataSetList (binary) or
 //                                   plain text (becomes the first param's
@@ -21,10 +23,11 @@
 //                                  elasticity decision (JSON)
 //
 // Connections are non-blocking with keep-alive and pipelining: requests are
-// parsed incrementally as bytes arrive, invocations are dispatched through
-// Platform::InvokeAsync, and each completion is posted back to the loop and
-// written out in request order — the loop thread never blocks on engine
-// work, so one slow invocation cannot stall other connections.
+// parsed incrementally as bytes arrive, invocations are dispatched inline
+// on the reactor through Platform::Submit (or the attached Cluster), and
+// each completion is posted back to the reactor and written out in request
+// order — the reactor never blocks on engine work, so one slow invocation
+// cannot stall other connections.
 // Responses carry marshalled DataSetList bodies for invocations.
 #ifndef SRC_RUNTIME_FRONTEND_H_
 #define SRC_RUNTIME_FRONTEND_H_
@@ -33,7 +36,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,7 +44,6 @@
 #include "src/base/clock.h"
 #include "src/base/event_loop.h"
 #include "src/base/status.h"
-#include "src/base/thread.h"
 #include "src/http/http_message.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/platform.h"
@@ -86,14 +87,6 @@ struct FrontendConfig {
   // degrades by rejecting cheap and early. 0 = uncapped.
   size_t max_inflight_interactive = 256;
   size_t max_inflight_batch = 256;
-  // Threads that run Platform::InvokeAsync dispatch (dependency setup,
-  // memory-context creation, input marshalling) so the loop thread stays on
-  // socket work. -1 auto-sizes: 2 when the machine has cores to spare,
-  // 0 (dispatch inline on the loop thread) otherwise — on a 1-core box the
-  // extra thread hop costs more than it hides. Response ordering is
-  // unaffected (slots are queued at parse time); only invocation start
-  // order across one connection's pipelined requests becomes best-effort.
-  int dispatch_threads = -1;
 };
 
 // A response as an ordered chunk sequence for gathered (sendmsg) output:
@@ -124,8 +117,11 @@ class HttpFrontend {
   HttpFrontend(const HttpFrontend&) = delete;
   HttpFrontend& operator=(const HttpFrontend&) = delete;
 
-  // Binds, listens, and starts the event-loop thread.
+  // Binds, listens, and starts accepting on the reactor.
   dbase::Status Start();
+  // Closes every connection (cancelling the invocations they were owed)
+  // and deregisters from the reactor; completions still in flight are
+  // dropped, so the frontend may be destroyed as soon as this returns.
   void Stop();
 
   // Routes invokes through a cluster (locality-aware dispatch + cross-node
@@ -140,7 +136,7 @@ class HttpFrontend {
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
  private:
-  // Per-connection state machine, mutated only on the loop thread. Held by
+  // Per-connection state machine, mutated only on the reactor. Held by
   // shared_ptr so async completions can hold a weak_ptr that expires when
   // the connection closes first.
   struct Connection {
@@ -168,13 +164,9 @@ class HttpFrontend {
     struct ResponseSlot {
       bool ready = false;
       WireChunks bytes;
-      // Invocation attached to this slot, if any. `mu` orders the dispatch
-      // thread's handle store against the loop thread's close-time cancel:
-      // whichever runs second sees the other's write, so a connection that
-      // dies mid-dispatch still cancels the invocation.
-      std::mutex mu;
-      InvocationHandle handle;   // Guarded by mu.
-      bool abandoned = false;    // Guarded by mu; set when the conn died.
+      // Invocation attached to this slot, if any: a dying connection
+      // cancels it.
+      InvocationHandle handle;
     };
     std::deque<std::shared_ptr<ResponseSlot>> pipeline;
     uint32_t armed_events = 0;  // Interest set currently registered.
@@ -195,7 +187,7 @@ class HttpFrontend {
   using ConnectionPtr = std::shared_ptr<Connection>;
   using SlotPtr = std::shared_ptr<Connection::ResponseSlot>;
 
-  // All of the below run on the loop thread.
+  // All of the below run on the reactor.
   void OnAcceptable();
   void OnConnectionEvent(const ConnectionPtr& conn, uint32_t events);
   void OnReadable(const ConnectionPtr& conn);
@@ -204,11 +196,10 @@ class HttpFrontend {
   // connection stopped accepting further requests.
   bool HandleRequest(const ConnectionPtr& conn, std::string_view wire);
   // POST /invoke/<composition>: resolves the arguments and hands the work
-  // to Platform::InvokeAsync; the completion posts back to the loop. Runs
-  // on a dispatch-pool thread when the pool is enabled, inline on the loop
-  // thread otherwise — so it must never block (engine work is async either
-  // way; only the dispatch setup happens here).
-  void DispatchInvoke(const std::weak_ptr<Connection>& weak_conn, const SlotPtr& slot,
+  // to Platform::Submit (or the cluster); the completion posts back to the
+  // reactor. Never blocks: engine work is async, only the dispatch setup
+  // happens here. Early rejections finish the slot like FinishSlot.
+  void DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot,
                       dhttp::HttpRequest request);
   void FinishSlot(const ConnectionPtr& conn, const SlotPtr& slot,
                   const dhttp::HttpResponse& response);
@@ -216,15 +207,9 @@ class HttpFrontend {
   // closes the connection (and returns false) when it tips the total over
   // max_total_response_bytes.
   bool AccountResponseBytes(const ConnectionPtr& conn, size_t bytes);
-  // Thread-safe slot completion: fills the slot and posts the flush (and
-  // any backpressure-resumed parsing) onto the loop thread. Safe from
-  // dispatch-pool threads (drained before the frontend dies); engine-side
-  // callers that may outlive Stop() capture loop_ themselves instead.
-  void PostSlotCompletion(const std::weak_ptr<Connection>& weak_conn, const SlotPtr& slot,
-                          WireChunks bytes);
-  // Loop-thread half of a completion: marks the slot ready and queues the
-  // connection for a deferred flush, so a burst of completions costs one
-  // write() per connection instead of one per response.
+  // Reactor half of an invocation's completion: marks the slot ready and
+  // queues the connection for a deferred flush, so a burst of completions
+  // costs one write() per connection instead of one per response.
   void ApplySlotCompletion(const std::weak_ptr<Connection>& weak_conn, const SlotPtr& slot,
                            WireChunks bytes);
   void FlushDirtyConnections();
@@ -258,7 +243,7 @@ class HttpFrontend {
     std::atomic<uint64_t> disconnect_cancelled{0};
   };
 
-  // Builds the GET /statz JSON snapshot (loop thread only).
+  // Builds the GET /statz JSON snapshot (reactor only).
   std::string StatzJson() const;
 
   Platform* platform_;
@@ -267,26 +252,24 @@ class HttpFrontend {
   uint16_t port_;
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
-  // Shared with async completion callbacks: they Post() into the loop and
-  // must keep it alive even if the frontend is torn down first.
-  std::shared_ptr<dbase::EventLoop> loop_;
-  std::unordered_map<int, ConnectionPtr> connections_;  // Loop thread only.
-  std::vector<ConnectionPtr> dirty_connections_;        // Loop thread only.
-  bool flush_scheduled_ = false;                        // Loop thread only.
-  // Sum of all connections' `in` buffers (loop thread only); enforces
+  // One per Start(). Shared with invocation completions, which may fire
+  // after Stop() and then post into a closed scope.
+  std::shared_ptr<dbase::EventLoop::Scope> scope_;
+  std::unordered_map<int, ConnectionPtr> connections_;  // Reactor only.
+  std::vector<ConnectionPtr> dirty_connections_;        // Reactor only.
+  bool flush_scheduled_ = false;                        // Reactor only.
+  // Sum of all connections' `in` buffers (reactor only); enforces
   // FrontendConfig::max_total_buffered_bytes.
   size_t total_buffered_bytes_ = 0;
   // Sum of completed-but-unsent response bytes (ready slots + unsent
-  // `out` tails) across connections (loop thread only); enforces
+  // `out` tails) across connections (reactor only); enforces
   // FrontendConfig::max_total_response_bytes.
   size_t total_response_bytes_ = 0;
-  std::unique_ptr<dbase::WorkerPool> dispatch_pool_;
   std::shared_ptr<InvokeCounters> counters_ = std::make_shared<InvokeCounters>();
   // Admission counters registered with the platform's control plane (only
   // once, even across Start/Stop cycles; unregistered in the destructor).
   bool signals_registered_ = false;
   uint64_t signal_source_id_ = 0;
-  dbase::JoiningThread loop_thread_;
 };
 
 }  // namespace dandelion

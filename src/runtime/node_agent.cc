@@ -42,10 +42,6 @@ dbase::Status NodeAgent::Start() {
   if (running_.exchange(true, std::memory_order_relaxed)) {
     return dbase::FailedPrecondition("NodeAgent already started");
   }
-  if (config_.dispatch_threads > 0) {
-    dispatch_pool_ =
-        std::make_unique<dbase::WorkerPool>(config_.dispatch_threads, "node-dispatch");
-  }
   return server_.Start();
 }
 
@@ -53,21 +49,19 @@ void NodeAgent::Stop() {
   if (!running_.exchange(false, std::memory_order_relaxed)) {
     return;
   }
-  // Stopping the server joins its loop thread: no new invokes or mesh
-  // calls can be accepted past this point.
+  // Once the server has stopped no handler runs again: no new invokes,
+  // cancels or mesh calls past this point.
   server_.Stop();
   // Cancel whatever a (possibly dead) router still owes us an answer for,
   // then wait for every accepted completion to fire: those callbacks touch
-  // this object and post into the server's loop, so returning with one
-  // pending would hand a dangling agent to an engine thread. The dispatch
-  // pool stays up through the drain — queued submits must run, not leak.
+  // this object, so returning with one pending would hand a dangling agent
+  // to an engine thread.
   std::vector<InvocationHandle> handles;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     handles.reserve(inflight_handles_.size());
-    for (auto& [id, entry] : inflight_handles_) {
-      entry.cancelled = true;
-      handles.push_back(entry.handle);
+    for (const auto& [id, handle] : inflight_handles_) {
+      handles.push_back(handle);
     }
   }
   for (auto& handle : handles) {
@@ -77,10 +71,6 @@ void NodeAgent::Stop() {
     std::unique_lock<std::mutex> lock(drain_mu_);
     drain_cv_.wait(lock,
                    [this] { return outstanding_.load(std::memory_order_acquire) == 0; });
-  }
-  if (dispatch_pool_ != nullptr) {
-    dispatch_pool_->Shutdown();
-    dispatch_pool_.reset();
   }
   std::lock_guard<std::mutex> lock(inflight_mu_);
   inflight_handles_.clear();
@@ -142,67 +132,53 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
 
   const uint64_t invocation_id = request.id;
   if (invocation_id != 0) {
-    // Registered before the submit is queued: a kCancel, which the server
-    // handles after this returns, always finds the entry.
+    // Registered before the submit: a completion that fires inside Submit
+    // already finds (and erases) the entry.
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_handles_[invocation_id] = Inflight{};
+    inflight_handles_[invocation_id] = InvocationHandle();
   }
-  auto submit = [this, request = std::move(request), done = std::move(done), invocation_id,
-                 klass]() mutable {
-    auto callback = [this, done = std::move(done), invocation_id,
-                     klass](dbase::Result<dfunc::DataSetList> result) {
-      inflight_[klass].fetch_sub(1, std::memory_order_relaxed);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      // The handle carries the report (failure kind, absorbed retries). It
-      // is empty when the completion outran Submit's return; the submit
-      // side then finds no entry to fill.
-      InvocationHandle self;
-      {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        auto it = inflight_handles_.find(invocation_id);
-        if (it != inflight_handles_.end()) {
-          self = it->second.handle;
-          inflight_handles_.erase(it);
-        }
-      }
-      dnet::WireOutcome outcome;
-      const InvocationReport report = self.Report();
-      outcome.failure_kind = static_cast<uint8_t>(report.failure_kind);
-      outcome.retries_attempted = static_cast<uint32_t>(report.retries_attempted);
-      if (result.ok()) {
-        outcome.code = dbase::StatusCode::kOk;
-        outcome.sets = std::move(result).value();
-      } else {
-        outcome.code = result.status().code();
-        outcome.message = result.status().message();
-      }
-      done(std::move(outcome));
-      {
-        // Notify under the lock: Stop() may destroy this agent the moment
-        // it sees zero, condition variable included.
-        std::lock_guard<std::mutex> drain_lock(drain_mu_);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-        drain_cv_.notify_all();
-      }
-    };
-    InvocationHandle submitted = platform_->Submit(std::move(request), std::move(callback));
-    bool cancelled = false;
+  auto callback = [this, done = std::move(done), invocation_id,
+                   klass](dbase::Result<dfunc::DataSetList> result) {
+    inflight_[klass].fetch_sub(1, std::memory_order_relaxed);
+    served_.fetch_add(1, std::memory_order_relaxed);
+    // The handle carries the report (failure kind, absorbed retries). It
+    // is empty when the completion outran Submit's return; the submit
+    // side then finds no entry to fill.
+    InvocationHandle self;
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       auto it = inflight_handles_.find(invocation_id);
       if (it != inflight_handles_.end()) {
-        it->second.handle = submitted;
-        cancelled = it->second.cancelled;
+        self = it->second;
+        inflight_handles_.erase(it);
       }
     }
-    if (cancelled) {
-      submitted.Cancel();  // The cancel arrived before the handle existed.
+    dnet::WireOutcome outcome;
+    const InvocationReport report = self.Report();
+    outcome.failure_kind = static_cast<uint8_t>(report.failure_kind);
+    outcome.retries_attempted = static_cast<uint32_t>(report.retries_attempted);
+    if (result.ok()) {
+      outcome.code = dbase::StatusCode::kOk;
+      outcome.sets = std::move(result).value();
+    } else {
+      outcome.code = result.status().code();
+      outcome.message = result.status().message();
+    }
+    done(std::move(outcome));
+    {
+      // Notify under the lock: Stop() may destroy this agent the moment
+      // it sees zero, condition variable included.
+      std::lock_guard<std::mutex> drain_lock(drain_mu_);
+      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      drain_cv_.notify_all();
     }
   };
-  if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(submit)) {
-    return;
+  InvocationHandle submitted = platform_->Submit(std::move(request), std::move(callback));
+  std::lock_guard<std::mutex> lock(inflight_mu_);
+  auto it = inflight_handles_.find(invocation_id);
+  if (it != inflight_handles_.end()) {
+    it->second = std::move(submitted);
   }
-  submit();
 }
 
 void NodeAgent::HandleCancel(uint64_t invocation_id) {
@@ -213,35 +189,25 @@ void NodeAgent::HandleCancel(uint64_t invocation_id) {
     if (it == inflight_handles_.end()) {
       return;
     }
-    it->second.cancelled = true;
-    handle = it->second.handle;
+    handle = it->second;
   }
-  handle.Cancel();  // Empty until Submit returns; the submit side applies it then.
+  handle.Cancel();
 }
 
 void NodeAgent::HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn done) {
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  auto serve = [this, request = std::move(request), done = std::move(done)]() {
-    dnet::WireMeshReply reply;
-    auto sanitized = dhttp::SanitizeRequest(request);
-    if (!sanitized.ok()) {
-      reply.response = dhttp::HttpResponse::BadRequest(sanitized.status().ToString()).Serialize();
-    } else {
-      dhttp::MeshCallResult result = platform_->mesh().Call(*sanitized);
-      reply.latency_us = result.latency_us;
-      reply.response = result.response.Serialize();
-    }
-    done(std::move(reply));
-    {
-      std::lock_guard<std::mutex> drain_lock(drain_mu_);  // See HandleInvoke.
-      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      drain_cv_.notify_all();
-    }
-  };
-  if (dispatch_pool_ != nullptr && dispatch_pool_->Submit(serve)) {
-    return;
+  dnet::WireMeshReply reply;
+  auto sanitized = dhttp::SanitizeRequest(request);
+  if (!sanitized.ok()) {
+    reply.response = dhttp::HttpResponse::BadRequest(sanitized.status().ToString()).Serialize();
+  } else {
+    // Local endpoints only: a host this node reaches remotely itself would
+    // send the call on another hop, and two nodes that each register a
+    // host as remote on the other would bounce it back and forth.
+    dhttp::MeshCallResult result = platform_->mesh().Call(*sanitized, config_.node_name);
+    reply.latency_us = result.latency_us;
+    reply.response = result.response.Serialize();
   }
-  serve();
+  done(std::move(reply));
 }
 
 dnet::WireNodeStatus NodeAgent::BuildStatus() {

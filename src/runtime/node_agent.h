@@ -11,11 +11,13 @@
 //   gossip  → an ElasticitySignals snapshot assembled from the engine and
 //             dispatcher stats plus the recently-served composition list
 //             (the router's locality + membership input);
-//   mesh    → serve a carried service-mesh request against the local mesh
-//             and report the modelled latency back.
+//   mesh    → serve a carried service-mesh request against the local mesh's
+//             own endpoints (never re-hopping to another node) and report
+//             the modelled latency back.
 //
-// Dispatch setup and mesh serving run on a small offload pool so the wire
-// loop thread never leaves socket work.
+// All four run inline on the process reactor the server is registered on:
+// Submit only queues work for the engines, and local mesh endpoints answer
+// without blocking.
 #ifndef SRC_RUNTIME_NODE_AGENT_H_
 #define SRC_RUNTIME_NODE_AGENT_H_
 
@@ -24,11 +26,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <string>
 
 #include "src/base/status.h"
-#include "src/base/thread.h"
 #include "src/net/node_server.h"
 #include "src/runtime/platform.h"
 
@@ -47,8 +48,6 @@ struct NodeAgentConfig {
   size_t max_inflight_interactive = 256;
   size_t max_inflight_batch = 256;
   dnet::FrameLimits limits{};
-  // Offload threads for dispatch setup and mesh serving.
-  int dispatch_threads = 2;
 };
 
 class NodeAgent {
@@ -82,7 +81,6 @@ class NodeAgent {
   Platform* const platform_;
   NodeAgentConfig config_;
   dnet::NodeServer server_;
-  std::unique_ptr<dbase::WorkerPool> dispatch_pool_;
   std::atomic<bool> running_{false};
 
   // Admission gauges (the wire-side analogue of the frontend's
@@ -91,23 +89,19 @@ class NodeAgent {
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> shed_{0};
 
-  // Accepted work whose completion has not fired yet. Completions touch
-  // this object and post into the server's loop, so Stop() drains to zero
-  // before returning — otherwise a late engine completion would re-enter a
-  // destroyed agent.
+  // Accepted invocations whose completion has not fired yet. Completions
+  // touch this object, so Stop() drains to zero before returning —
+  // otherwise a late engine completion would re-enter a destroyed agent.
   std::atomic<int64_t> outstanding_{0};
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  // Cancel currency: invocation id → handle, from accept until completion.
-  // The handle stays empty until Submit returns; a cancel landing before
-  // then is remembered and applied once the handle exists.
-  struct Inflight {
-    InvocationHandle handle;
-    bool cancelled = false;
-  };
+  // Cancel currency: invocation id → handle, from accept until completion
+  // (cancels and the submit both run on the reactor; the lock orders them
+  // against completions on engine threads). The handle stays empty until
+  // Submit returns.
   std::mutex inflight_mu_;
-  std::map<uint64_t, Inflight> inflight_handles_;
+  std::map<uint64_t, InvocationHandle> inflight_handles_;
 
   // Recently-served compositions, most recent last (gossip residency).
   std::mutex resident_mu_;

@@ -627,26 +627,6 @@ TEST(ThreadTest, LatchWaitForTimesOut) {
   EXPECT_TRUE(latch.WaitFor(1000));
 }
 
-TEST(ThreadTest, WorkerPoolRunsTasks) {
-  WorkerPool pool(4, "test");
-  std::atomic<int> count{0};
-  Latch latch(100);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit([&] {
-      count.fetch_add(1);
-      latch.CountDown();
-    }));
-  }
-  latch.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadTest, WorkerPoolRejectsAfterShutdown) {
-  WorkerPool pool(1, "test");
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([] {}));
-}
-
 // The thread names itself before the body runs, so the body already sees
 // its own (truncated) name.
 TEST(ThreadTest, JoiningThreadNameIsVisibleInsideTheBody) {

@@ -28,12 +28,14 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/event_loop.h"
 #include "src/base/thread.h"
 #include "src/func/builtins.h"
 #include "src/func/data.h"
 #include "src/http/http_parser.h"
 #include "src/http/sanitizer.h"
 #include "src/http/services.h"
+#include "src/net/node_client.h"
 #include "src/net/wire.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/frontend.h"
@@ -604,6 +606,50 @@ TEST(ClusterNetTest, MeshCallRidesTheNodeWire) {
   EXPECT_EQ(cluster.node(0).mesh().remote_calls(), 1u);
   // The serving node's mesh saw the call as a local one.
   EXPECT_EQ(b.platform().mesh().total_calls(), 1u);
+}
+
+// A carried mesh call is served against the serving node's own endpoints
+// only. Two nodes that each register a host as remote on the other must
+// not bounce the call between them until the transport times out (and on
+// the shared reactor such a re-hop would block the loop its reply needs).
+TEST(ClusterNetTest, CarriedMeshCallIsServedLocallyAndNeverReHops) {
+  Cluster::Config config = RemoteClusterConfig({}, LoadBalancePolicy::kRoundRobin);
+  config.num_nodes = 2;
+  Cluster cluster(config);
+  cluster.node(0).mesh().RegisterRemote("svc.internal", "local-1");
+  cluster.node(1).mesh().RegisterRemote("svc.internal", "local-0");
+
+  dhttp::HttpRequest request;
+  request.method = dhttp::Method::kGet;
+  request.target = "http://svc.internal/ping";
+  auto sanitized = dhttp::SanitizeRequest(request.Serialize());
+  ASSERT_TRUE(sanitized.ok()) << sanitized.status().ToString();
+
+  const dbase::Stopwatch watch;
+  auto result = cluster.node(0).mesh().Call(*sanitized);
+  EXPECT_LT(watch.ElapsedMicros(), 500 * dbase::kMicrosPerMilli);
+  EXPECT_EQ(result.response.status_code, 502);
+  EXPECT_NE(result.response.body.find("not served on local-1"), std::string::npos)
+      << result.response.body;
+  EXPECT_EQ(cluster.node(0).mesh().remote_calls(), 1u);
+  EXPECT_EQ(cluster.node(1).mesh().remote_calls(), 0u);
+}
+
+// A blocking mesh call cannot wait on the reactor that would deliver its
+// reply: made there, it fails at once instead of deadlocking the process.
+TEST(ClusterNetTest, MeshCallOnTheReactorFailsFast) {
+  dnet::NodeClient client("router");
+  ASSERT_TRUE(client.Start().ok());
+  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
+  dbase::Latch done(1);
+  dbase::Status status;
+  scope.Post([&] {
+    status = client.MeshCall("nowhere", "GET / HTTP/1.1\r\n\r\n", dbase::kMicrosPerSecond)
+                 .status();
+    done.CountDown();
+  });
+  ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
+  EXPECT_EQ(status.code(), dbase::StatusCode::kFailedPrecondition) << status.ToString();
 }
 
 // ------------------------------------------------------------- membership

@@ -1,5 +1,6 @@
 // Tests for dbase::EventLoop: fd readiness dispatch, cross-thread Post,
-// one-shot timers with cancellation, and clean Stop semantics.
+// one-shot timers with cancellation, clean Stop semantics, and the
+// lifetime contract of EventLoop::Scope on the process reactor.
 #include "src/base/event_loop.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "src/base/clock.h"
@@ -144,6 +147,135 @@ TEST(EventLoopTest, StopWakesABlockedRun) {
   loop->Stop();
   EXPECT_TRUE(finished.WaitFor(5 * kMicrosPerSecond));
   thread.Join();
+}
+
+// ------------------------------------------------------- Scope on Process()
+
+// Runs fn on the reactor through `scope` and waits for it.
+void RunOn(EventLoop::Scope& scope, std::function<void()> fn) {
+  Latch ran(1);
+  scope.Post([&] {
+    fn();
+    ran.CountDown();
+  });
+  ASSERT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
+}
+
+TEST(EventLoopScopeTest, ProcessLoopRunsOnTheReactorThread) {
+  EventLoop* loop = EventLoop::Process();
+  EXPECT_EQ(loop, EventLoop::Process());
+  EXPECT_TRUE(loop->running());
+  EventLoop::Scope scope(loop);
+  bool on_loop = false;
+  RunOn(scope, [&] { on_loop = loop->IsLoopThread(); });
+  EXPECT_TRUE(on_loop);
+  EXPECT_FALSE(loop->IsLoopThread());
+}
+
+TEST(EventLoopScopeTest, CloseFromAnotherThreadWaitsForARunningCallback) {
+  EventLoop::Scope scope(EventLoop::Process());
+  Latch entered(1);
+  std::atomic<bool> finished{false};
+  scope.Post([&] {
+    entered.CountDown();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished = true;
+  });
+  ASSERT_TRUE(entered.WaitFor(5 * kMicrosPerSecond));
+  scope.Close();
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(EventLoopScopeTest, CloseDropsAClosurePostedBeforeItThatHasNotRun) {
+  EventLoop* loop = EventLoop::Process();
+  auto scope = std::make_unique<EventLoop::Scope>(loop);
+  Latch posted(1);
+  Latch closed(1);
+  // Hold the reactor until the closure below is queued, then close the
+  // scope on the loop thread: the queued closure's turn comes after.
+  loop->Post([&] {
+    posted.Wait();
+    scope->Close();
+    closed.CountDown();
+  });
+  std::atomic<bool> ran{false};
+  scope->Post([&ran] { ran = true; });
+  posted.CountDown();
+  ASSERT_TRUE(closed.WaitFor(5 * kMicrosPerSecond));
+  // A later closure on the loop runs after the dropped one's turn.
+  Latch drained(1);
+  loop->Post([&] { drained.CountDown(); });
+  ASSERT_TRUE(drained.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_FALSE(ran.load());
+  scope.reset();
+}
+
+TEST(EventLoopScopeTest, TimerArmedThroughAClosedScopeNeverFires) {
+  EventLoop::Scope scope(EventLoop::Process());
+  EventLoop::Scope witness(EventLoop::Process());
+  std::atomic<bool> fired{false};
+  RunOn(scope, [&] { scope.AddTimer(20 * kMicrosPerMilli, [&] { fired = true; }); });
+  scope.Close();
+  EventLoop::TimerId late = 1;
+  RunOn(witness, [&] { late = scope.AddTimer(0, [&] { fired = true; }); });
+  EXPECT_EQ(late, 0u);  // A closed scope arms nothing.
+  // Outlive the cancelled timer's due time on a scope that is still open.
+  Latch waited(1);
+  RunOn(witness, [&] { witness.AddTimer(60 * kMicrosPerMilli, [&] { waited.CountDown(); }); });
+  ASSERT_TRUE(waited.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_FALSE(fired.load());
+}
+
+TEST(EventLoopScopeTest, CloseFromItsOwnCallbackRunsInline) {
+  EventLoop::Scope scope(EventLoop::Process());
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  std::atomic<int> fires{0};
+  Latch closed(1);
+  RunOn(scope, [&] {
+    ASSERT_TRUE(scope.Add(fds[0], EPOLLIN, [&](uint32_t) {
+                       ++fires;
+                       char buffer[8];
+                       [[maybe_unused]] ssize_t n = read(fds[0], buffer, sizeof(buffer));
+                       scope.Close();  // Inline: posting and waiting would deadlock.
+                       closed.CountDown();
+                     }).ok());
+  });
+  ASSERT_EQ(write(fds[1], "x", 1), 1);
+  ASSERT_TRUE(closed.WaitFor(5 * kMicrosPerSecond));
+  // The fd left the loop with the scope: a second write dispatches nothing.
+  ASSERT_EQ(write(fds[1], "y", 1), 1);
+  EventLoop::Scope witness(EventLoop::Process());
+  Latch waited(1);
+  RunOn(witness, [&] { witness.AddTimer(20 * kMicrosPerMilli, [&] { waited.CountDown(); }); });
+  ASSERT_TRUE(waited.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_EQ(fires.load(), 1);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(EventLoopScopeTest, ASecondScopeKeepsWorkingAfterTheFirstCloses) {
+  EventLoop::Scope first(EventLoop::Process());
+  EventLoop::Scope second(EventLoop::Process());
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  Latch got(1);
+  RunOn(second, [&] {
+    ASSERT_TRUE(second.Add(fds[0], EPOLLIN, [&](uint32_t) {
+                        char buffer[8];
+                        [[maybe_unused]] ssize_t n = read(fds[0], buffer, sizeof(buffer));
+                        got.CountDown();
+                      }).ok());
+  });
+  first.Close();
+  ASSERT_EQ(write(fds[1], "x", 1), 1);
+  ASSERT_TRUE(got.WaitFor(5 * kMicrosPerSecond));
+  Latch fired(1);
+  RunOn(second, [&] { second.AddTimer(5 * kMicrosPerMilli, [&] { fired.CountDown(); }); });
+  ASSERT_TRUE(fired.WaitFor(5 * kMicrosPerSecond));
+  RunOn(second, [&] { second.Remove(fds[0]); });
+  close(fds[0]);
+  close(fds[1]);
 }
 
 }  // namespace

@@ -769,6 +769,59 @@ TEST(FrontendTest, ClientDisconnectCancelsInFlightInvocation) {
   EXPECT_EQ(fixture.platform().dispatcher_stats().invocations_cancelled, 1u);
 }
 
+// Holds an engine worker for 50 ms and ignores cancellation, so its
+// completion always lands after the frontend that dispatched it is gone.
+dbase::Status Nap50(dfunc::FunctionCtx& ctx) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  return dfunc::EchoFunction(ctx);
+}
+
+// Destroying the frontend mid-invocation: the completion still fires on an
+// engine thread afterwards and must touch nothing the frontend owned (the
+// ASan lane turns a use-after-free here into a failure).
+TEST(FrontendTest, DestroyedWithAnInvokeInFlightIsNeverCalledBack) {
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "nap50", .body = Nap50}).ok());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Nap50(in) => out { nap50(in = all in) => (out = out); }")
+                  .ok());
+  auto frontend = std::make_unique<HttpFrontend>(&platform, FrontendConfig{});
+  const dbase::Status started = frontend->Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  const int fd = ConnectTo(frontend->port());
+  SendAll(fd, RawInvoke("Nap50", "late"));
+  const dbase::Micros start_deadline =
+      dbase::MonotonicClock::Get()->NowMicros() + 2 * dbase::kMicrosPerSecond;
+  while (platform.dispatcher_stats().invocations_started == 0 &&
+         dbase::MonotonicClock::Get()->NowMicros() < start_deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(platform.dispatcher_stats().invocations_started, 1u);
+
+  frontend.reset();
+  // The connection went with the frontend: no response, just the close.
+  char buffer[16];
+  EXPECT_LE(read(fd, buffer, sizeof(buffer)), 0);
+
+  // Wait out the invocation, whose completion runs after the frontend died.
+  const auto terminal = [&platform] {
+    const DispatcherStats stats = platform.dispatcher_stats();
+    return stats.invocations_completed + stats.invocations_failed +
+           stats.invocations_cancelled;
+  };
+  const dbase::Micros end_deadline =
+      dbase::MonotonicClock::Get()->NowMicros() + 2 * dbase::kMicrosPerSecond;
+  while (terminal() == 0 && dbase::MonotonicClock::Get()->NowMicros() < end_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(terminal(), 1u);
+  platform.Shutdown();  // Joins the engine that ran the completion.
+  close(fd);
+}
+
 TEST(FrontendTest, ConnectionCloseHonored) {
   FrontendFixture fixture;
   SKIP_WITHOUT_LOOPBACK(fixture);

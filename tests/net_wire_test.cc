@@ -250,9 +250,10 @@ TEST(FrameSocketTest, WriteToClosedPeerClosesUnavailableWithoutSigpipe) {
   close(fds[1]);
   auto loop = dbase::EventLoop::Create();
   ASSERT_TRUE(loop.ok());
+  dbase::EventLoop::Scope scope(loop->get());
   std::optional<dbase::Status> closed;
   auto socket = FrameSocket::Adopt(
-      loop->get(), fds[0], FrameLimits{}, [](const FrameHeader&, dbase::BufferSlice) {},
+      &scope, fds[0], FrameLimits{}, [](const FrameHeader&, dbase::BufferSlice) {},
       [&closed](const dbase::Status& reason) { closed = reason; });
   ASSERT_TRUE(socket.ok());
   (*socket)->SendFrame(FrameType::kGossipReq, 0, 1, std::string());

@@ -20,6 +20,7 @@
 #include "src/http/http_parser.h"
 #include "src/func/builtins.h"
 #include "src/http/services.h"
+#include "src/runtime/cluster.h"
 #include "src/runtime/comm_function.h"
 #include "src/runtime/controller.h"
 #include "src/runtime/dispatcher.h"
@@ -1352,6 +1353,75 @@ composition Id(in) => out { echo(in = all in) => (out = out); }
     EXPECT_NE(name.rfind("invocation-rea", 0), 0u) << name;
     EXPECT_NE(name.rfind("retry-schedule", 0), 0u) << name;
   }
+}
+
+// The HTTP frontend, every in-process node's wire server and the router's
+// wire client all ride the one process reactor, and dispatch inline on it:
+// a two-node cluster behind a frontend adds its engine workers plus at most
+// the `reactor` and `timer` threads, however much traffic it has served.
+TEST(ThreadCensusTest, OneReactorPerProcess) {
+  const size_t threads_before = ThreadNames().size();
+
+  Cluster::Config config;
+  config.num_nodes = 2;
+  config.node_config = FastPlatformConfig();
+  config.node_config.num_workers = 1;
+  config.gossip_interval_us = 0;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(cluster
+                  .RegisterCompositionDsl(
+                      "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  HttpFrontend frontend(&cluster.node(0), 0);
+  frontend.AttachCluster(&cluster);
+  auto started = frontend.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(frontend.port());
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kPost;
+  req.target = "/invoke/Id";
+  req.headers.Add("X-Dandelion-Raw", "1");
+  req.headers.Add("Connection", "close");
+  req.body = "routed";
+  const std::string wire = req.Serialize();
+  ASSERT_EQ(write(fd, wire.data(), wire.size()), static_cast<ssize_t>(wire.size()));
+  std::string response_wire;
+  char buf[4096];
+  ssize_t n;
+  while ((n = read(fd, buf, sizeof(buf))) > 0) {
+    response_wire.append(buf, static_cast<size_t>(n));
+  }
+  close(fd);
+  auto response = dhttp::ParseResponse(response_wire);
+  ASSERT_TRUE(response.ok()) << response_wire;
+  EXPECT_EQ(response->status_code, 200);
+  cluster.GossipNow();
+  EXPECT_EQ(cluster.Stats().gossip_rounds, 1u);
+  uint64_t served = 0;
+  for (const uint64_t count : cluster.InvocationsPerNode()) {
+    served += count;
+  }
+  EXPECT_EQ(served, 1u);
+
+  const std::vector<std::string> names = ThreadNames();
+  const size_t engine_workers = 2 * static_cast<size_t>(config.node_config.num_workers);
+  EXPECT_LE(names.size(), threads_before + engine_workers + 2);
+  for (const std::string& name : names) {
+    EXPECT_NE(name.rfind("frontend", 0), 0u) << name;
+    EXPECT_NE(name.rfind("dnet-", 0), 0u) << name;
+    EXPECT_NE(name.rfind("node-dispatch", 0), 0u) << name;
+  }
+  frontend.Stop();
 }
 
 }  // namespace
