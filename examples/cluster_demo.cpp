@@ -59,11 +59,11 @@ int main() {
 
   std::printf("%d matmul invocations across %d nodes in %.1f ms (%d ok)\n", kRequests,
               cluster.num_nodes(), ms, ok_count.load());
-  const auto counts = cluster.InvocationsPerNode();
+  const auto peers = cluster.Stats().peers;
   const auto splits = cluster.CoreSplits();
   for (int node = 0; node < cluster.num_nodes(); ++node) {
     std::printf("  node %d served %llu invocations (%d compute / %d comm cores)\n", node,
-                static_cast<unsigned long long>(counts[static_cast<size_t>(node)]),
+                static_cast<unsigned long long>(peers[static_cast<size_t>(node)].served),
                 splits[static_cast<size_t>(node)].compute_workers,
                 splits[static_cast<size_t>(node)].comm_workers);
   }

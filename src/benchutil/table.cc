@@ -7,41 +7,11 @@
 #include <functional>
 #include <mutex>
 
+#include "src/base/json.h"
 #include "src/base/string_util.h"
 
 namespace dbench {
 namespace {
-
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += dbase::StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // The JSON report: one document per bench run, grouped into the sections
 // PrintHeader opens. Guarded by a mutex so multi-threaded benches that
@@ -49,7 +19,7 @@ std::string JsonEscape(const std::string& raw) {
 struct ReportSection {
   std::string title;
   std::vector<std::string> notes;
-  std::vector<std::string> table_json;  // Pre-rendered Table::ToJson().
+  std::vector<Table> tables;
 };
 
 struct Report {
@@ -75,7 +45,7 @@ ReportSection& CurrentSectionLocked(Report& report) {
 }
 
 // Runs `mutate` on the locked report iff JSON output is enabled — callers
-// do all rendering inside the callback so a run without the env var pays
+// copy what they record inside the callback so a run without the env var pays
 // nothing — and registers the atexit flush on first use.
 void RecordForJson(const std::function<void(Report&)>& mutate) {
   if (JsonPath() == nullptr) {
@@ -159,35 +129,12 @@ std::string Table::ToCsv() const {
   return out;
 }
 
-std::string Table::ToJson() const {
-  auto join = [](const std::vector<std::string>& cells) {
-    std::string out = "[";
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) {
-        out += ',';
-      }
-      out += '"' + JsonEscape(cells[c]) + '"';
-    }
-    out += ']';
-    return out;
-  };
-  std::string out = "{\"columns\":" + join(columns_) + ",\"rows\":[";
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (r > 0) {
-      out += ',';
-    }
-    out += join(rows_[r]);
-  }
-  out += "]}";
-  return out;
-}
-
 void Table::Print() const {
   std::fputs(ToString().c_str(), stdout);
   std::fputs(ToCsv().c_str(), stdout);
   std::fputs("\n", stdout);
   RecordForJson([this](Report& report) {
-    CurrentSectionLocked(report).table_json.push_back(ToJson());
+    CurrentSectionLocked(report).tables.push_back(*this);
   });
 }
 
@@ -215,31 +162,36 @@ void FlushJsonReport() {
   if (report.sections.empty()) {
     return;
   }
-  std::string doc = "{\"schema\":\"dandelion-bench-v1\",\"unix_time_s\":" +
-                    std::to_string(static_cast<long long>(std::time(nullptr))) +
-                    ",\"sections\":[";
-  for (size_t s = 0; s < report.sections.size(); ++s) {
-    const ReportSection& section = report.sections[s];
-    if (s > 0) {
-      doc += ',';
+  // Cells stay strings: tables mix numbers with markers like ">2000".
+  const auto write_strings = [](dbase::JsonWriter& json, const std::vector<std::string>& cells) {
+    json.BeginArray();
+    for (const std::string& cell : cells) {
+      json.Value(cell);
     }
-    doc += "{\"title\":\"" + JsonEscape(section.title) + "\",\"notes\":[";
-    for (size_t n = 0; n < section.notes.size(); ++n) {
-      if (n > 0) {
-        doc += ',';
+    json.EndArray();
+  };
+  dbase::JsonWriter json;
+  json.BeginObject()
+      .Field("schema", "dandelion-bench-v1")
+      .Field("unix_time_s", static_cast<int64_t>(std::time(nullptr)))
+      .BeginArray("sections");
+  for (const ReportSection& section : report.sections) {
+    json.BeginObject().Field("title", section.title).Key("notes");
+    write_strings(json, section.notes);
+    json.BeginArray("tables");
+    for (const Table& table : section.tables) {
+      json.BeginObject().Key("columns");
+      write_strings(json, table.columns());
+      json.BeginArray("rows");
+      for (const auto& row : table.rows()) {
+        write_strings(json, row);
       }
-      doc += '"' + JsonEscape(section.notes[n]) + '"';
+      json.EndArray().EndObject();
     }
-    doc += "],\"tables\":[";
-    for (size_t t = 0; t < section.table_json.size(); ++t) {
-      if (t > 0) {
-        doc += ',';
-      }
-      doc += section.table_json[t];
-    }
-    doc += "]}";
+    json.EndArray().EndObject();
   }
-  doc += "]}\n";
+  json.EndArray().EndObject();
+  const std::string doc = json.Take() + "\n";
 
   std::FILE* out = std::string(path) == "-" ? stdout : std::fopen(path, "w");
   if (out == nullptr) {

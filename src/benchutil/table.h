@@ -26,15 +26,12 @@ class Table {
   std::string ToString() const;
   // "CSV,col1,col2" header + "CSV,a,b" rows.
   std::string ToCsv() const;
-  // {"columns": [...], "rows": [[...], ...]} — cells stay strings (tables
-  // mix numbers with markers like ">2000").
-  std::string ToJson() const;
-
   // Prints both text renderings to stdout and records the table in the
   // JSON report when DANDELION_BENCH_JSON is set.
   void Print() const;
 
-  size_t row_count() const { return rows_.size(); }
+  const std::vector<std::string>& columns() const { return columns_; }
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:
   std::vector<std::string> columns_;

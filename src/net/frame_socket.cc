@@ -25,14 +25,13 @@ constexpr int kMaxIov = 64;
 
 }  // namespace
 
-dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(dbase::EventLoop::Scope* scope,
-                                                               int fd, FrameLimits limits,
-                                                               FrameHandler on_frame,
-                                                               CloseHandler on_close) {
+dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(
+    dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
+    std::shared_ptr<PeerCounters> counters, FrameHandler on_frame, CloseHandler on_close) {
   int nodelay = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-  std::shared_ptr<FrameSocket> sock(
-      new FrameSocket(scope, fd, limits, std::move(on_frame), std::move(on_close)));
+  std::shared_ptr<FrameSocket> sock(new FrameSocket(scope, fd, limits, std::move(counters),
+                                                    std::move(on_frame), std::move(on_close)));
   std::weak_ptr<FrameSocket> weak = sock;
   const dbase::Status added = scope->Add(fd, EPOLLIN, [weak](uint32_t events) {
     // Pin across dispatch: Close() inside OnEvent may drop the owner's
@@ -52,10 +51,12 @@ dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(dbase::EventLoop:
 }
 
 FrameSocket::FrameSocket(dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
-                         FrameHandler on_frame, CloseHandler on_close)
+                         std::shared_ptr<PeerCounters> counters, FrameHandler on_frame,
+                         CloseHandler on_close)
     : scope_(scope),
       fd_(fd),
       limits_(limits),
+      counters_(std::move(counters)),
       on_frame_(std::move(on_frame)),
       on_close_(std::move(on_close)) {
   header_.reserve(kFrameHeaderBytes);
@@ -172,7 +173,7 @@ void FrameSocket::OnReadable() {
         Close(dbase::Unavailable("read() failed"));
         return;
       }
-      bytes_received_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      counters_->bytes_received.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
       budget -= static_cast<size_t>(n) < budget ? static_cast<size_t>(n) : budget;
       header_.append(scratch, static_cast<size_t>(n));
       if (header_.size() >= 4) {
@@ -231,7 +232,7 @@ void FrameSocket::OnReadable() {
       return;
     }
     body_.resize(old_size + static_cast<size_t>(n));
-    bytes_received_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    counters_->bytes_received.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
     budget -= static_cast<size_t>(n) < budget ? static_cast<size_t>(n) : budget;
     if (body_.size() < pending_.body_len) {
       continue;
@@ -273,7 +274,7 @@ void FrameSocket::FlushWrites() {
       Close(dbase::Unavailable("sendmsg() failed"));
       return;
     }
-    bytes_sent_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    counters_->bytes_sent.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
     size_t remaining = static_cast<size_t>(n);
     while (remaining > 0 && !send_queue_.empty()) {
       const size_t front_left = send_queue_.front().size() - send_offset_;

@@ -31,6 +31,17 @@
 
 namespace dnet {
 
+// Per-peer wire counters, shared by the peer's FrameSocket (bytes, header
+// and body, both directions) and its owner (requests). Relaxed atomics:
+// written on the reactor, read from any thread.
+struct PeerCounters {
+  std::atomic<uint64_t> bytes_sent{0};
+  std::atomic<uint64_t> bytes_received{0};
+  std::atomic<uint64_t> invokes_sent{0};
+  std::atomic<uint64_t> sheds_received{0};
+  std::atomic<uint64_t> peer_lost_failures{0};
+};
+
 class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
  public:
   // Called on the loop thread for every complete, well-formed frame. The
@@ -44,12 +55,12 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
 
   // Adopts a connected non-blocking `fd` and registers it through the
   // owner's `scope`, which must outlive the socket's open life (owners
-  // Close() their sockets before their scope). Loop-thread-only. On
+  // Close() their sockets before their scope). The socket adds its bytes
+  // into `counters`, which must not be null. Loop-thread-only. On
   // registration failure the fd is closed and the error returned.
-  static dbase::Result<std::shared_ptr<FrameSocket>> Adopt(dbase::EventLoop::Scope* scope,
-                                                           int fd, FrameLimits limits,
-                                                           FrameHandler on_frame,
-                                                           CloseHandler on_close);
+  static dbase::Result<std::shared_ptr<FrameSocket>> Adopt(
+      dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
+      std::shared_ptr<PeerCounters> counters, FrameHandler on_frame, CloseHandler on_close);
   ~FrameSocket();
 
   // Queues one frame: the header (body_len is computed from the chunks)
@@ -67,16 +78,12 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   bool closed() const { return fd_ < 0; }
   int fd() const { return fd_; }
 
-  // Payload byte counters (header + body, both directions). Thread-safe
-  // reads — statz samples these off-loop.
-  uint64_t bytes_sent() const { return bytes_sent_.load(std::memory_order_relaxed); }
-  uint64_t bytes_received() const { return bytes_received_.load(std::memory_order_relaxed); }
-
   FrameSocket(const FrameSocket&) = delete;
   FrameSocket& operator=(const FrameSocket&) = delete;
 
  private:
-  FrameSocket(dbase::EventLoop::Scope* scope, int fd, FrameLimits limits, FrameHandler on_frame,
+  FrameSocket(dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
+              std::shared_ptr<PeerCounters> counters, FrameHandler on_frame,
               CloseHandler on_close);
 
   void OnEvent(uint32_t events);
@@ -90,6 +97,7 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   dbase::EventLoop::Scope* const scope_;
   int fd_;
   const FrameLimits limits_;
+  const std::shared_ptr<PeerCounters> counters_;
   const FrameHandler on_frame_;
   CloseHandler on_close_;  // Cleared after firing (fire exactly once).
 
@@ -104,9 +112,6 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   std::deque<dbase::BufferSlice> send_queue_;
   size_t send_offset_ = 0;  // Bytes of send_queue_.front() already written.
   uint32_t armed_events_ = 0;
-
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
 };
 
 // --------------------------------------------------------- socket helpers

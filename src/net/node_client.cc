@@ -46,19 +46,29 @@ void NodeClient::AddPeer(const std::string& name, uint16_t port) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  scope_->Post([this, name, port] {
+  // A re-added peer keeps counting into its existing counters.
+  std::shared_ptr<PeerCounters> counters = std::make_shared<PeerCounters>();
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    counters = counters_.try_emplace(name, counters).first->second;
+  }
+  scope_->Post([this, name, port, counters = std::move(counters)] {
     Peer& peer = peers_[name];
     if (peer.socket != nullptr && peer.port != port) {
       peer.socket->Close(dbase::Unavailable("peer re-addressed"));
     }
     peer.port = port;
-    PublishSnapshot(name);
+    peer.counters = counters;
   });
 }
 
 void NodeClient::RemovePeer(const std::string& name) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    counters_.erase(name);
   }
   scope_->Post([this, name] {
     auto it = peers_.find(name);
@@ -70,40 +80,12 @@ void NodeClient::RemovePeer(const std::string& name) {
       it->second.socket->Close(dbase::Unavailable("peer removed"));
     }
     peers_.erase(name);
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_.erase(name);
   });
 }
 
-std::vector<NodeClient::PeerSnapshot> NodeClient::SnapshotPeers() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  std::vector<PeerSnapshot> out;
-  out.reserve(snapshot_.size());
-  for (const auto& [name, snap] : snapshot_) {
-    out.push_back(snap);
-  }
-  return out;
-}
-
-void NodeClient::PublishSnapshot(const std::string& name) {
-  auto it = peers_.find(name);
-  if (it == peers_.end()) {
-    return;
-  }
-  const Peer& peer = it->second;
-  PeerSnapshot snap;
-  snap.name = name;
-  snap.invokes_sent = peer.invokes_sent;
-  snap.sheds_received = peer.sheds_received;
-  snap.peer_lost_failures = peer.peer_lost_failures;
-  snap.bytes_sent = peer.bytes_sent_closed;
-  snap.bytes_received = peer.bytes_received_closed;
-  if (peer.socket != nullptr && !peer.socket->closed()) {
-    snap.bytes_sent += peer.socket->bytes_sent();
-    snap.bytes_received += peer.socket->bytes_received();
-  }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_[name] = std::move(snap);
+std::map<std::string, std::shared_ptr<const PeerCounters>> NodeClient::SnapshotPeers() const {
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  return {counters_.begin(), counters_.end()};
 }
 
 FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
@@ -121,7 +103,7 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
     return nullptr;
   }
   auto socket = FrameSocket::Adopt(
-      scope_.get(), *fd, FrameLimits{},
+      scope_.get(), *fd, FrameLimits{}, peer.counters,
       [this, name](const FrameHeader& header, dbase::BufferSlice body) {
         OnFrame(name, header, std::move(body));
       },
@@ -132,7 +114,6 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
   peer.socket = std::move(socket).value();
   // Hello; the ack needs no pending entry (request id 0 is never issued).
   peer.socket->SendFrame(FrameType::kJoin, 0, 0, EncodeJoin(WireJoin{node_name_}));
-  PublishSnapshot(name);
   return peer.socket.get();
 }
 
@@ -143,8 +124,7 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t r
   auto peer_it = peers_.find(name);
   if (socket == nullptr || peer_it == peers_.end()) {
     if (peer_it != peers_.end()) {
-      peer_it->second.peer_lost_failures++;
-      PublishSnapshot(name);
+      peer_it->second.counters->peer_lost_failures.fetch_add(1, std::memory_order_relaxed);
     }
     const dbase::Status lost =
         dbase::Unavailable("peer lost: connect to '" + name + "' failed");
@@ -175,11 +155,10 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t r
     });
   }
   if (type == FrameType::kInvoke) {
-    peer_it->second.invokes_sent++;
+    peer_it->second.counters->invokes_sent.fetch_add(1, std::memory_order_relaxed);
   }
   pending_.emplace(request_id, std::move(pending));
   socket->SendFrame(type, 0, request_id, std::move(body));
-  PublishSnapshot(name);
 }
 
 void NodeClient::FailPending(uint64_t request_id, const dbase::Status& status) {
@@ -202,9 +181,7 @@ void NodeClient::FailPending(uint64_t request_id, const dbase::Status& status) {
 
 void NodeClient::OnPeerClosed(const std::string& name, const dbase::Status& reason) {
   auto it = peers_.find(name);
-  if (it != peers_.end() && it->second.socket != nullptr) {
-    it->second.bytes_sent_closed += it->second.socket->bytes_sent();
-    it->second.bytes_received_closed += it->second.socket->bytes_received();
+  if (it != peers_.end()) {
     it->second.socket.reset();
   }
   // Everything pending on this peer dies as "peer lost" — the Cluster
@@ -216,7 +193,7 @@ void NodeClient::OnPeerClosed(const std::string& name, const dbase::Status& reas
     }
   }
   if (it != peers_.end()) {
-    it->second.peer_lost_failures += doomed.size();
+    it->second.counters->peer_lost_failures.fetch_add(doomed.size(), std::memory_order_relaxed);
   }
   const dbase::Status lost =
       dbase::Unavailable("peer lost: '" + name + "' " +
@@ -224,7 +201,6 @@ void NodeClient::OnPeerClosed(const std::string& name, const dbase::Status& reas
   for (uint64_t request_id : doomed) {
     FailPending(request_id, lost);
   }
-  PublishSnapshot(name);
 }
 
 void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
@@ -255,7 +231,7 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
     if (outcome.ok()) {
       outcome->shed = (header.flags & kFlagShed) != 0;
       if (outcome->shed && peer != peers_.end()) {
-        peer->second.sheds_received++;
+        peer->second.counters->sheds_received.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
       // A peer sending garbage is as gone as a dead one.
@@ -263,14 +239,8 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
         peer->second.socket->Close(outcome.status());
       }
     }
-    if (peer != peers_.end()) {
-      PublishSnapshot(name);
-    }
     pending.on_outcome(std::move(outcome));
     return;
-  }
-  if (peer != peers_.end()) {
-    PublishSnapshot(name);
   }
   if (pending.on_raw) {
     pending.on_raw(std::move(body));

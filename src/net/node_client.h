@@ -7,6 +7,11 @@
 // fail fast: every request pending on a dead connection completes with
 // kUnavailable ("peer lost") so the layer above (Cluster) can map it to
 // the retry-eligible FailureKind and re-route.
+//
+// Each peer's wire counters live in one shared PeerCounters object: the
+// peer's FrameSocket adds its bytes, the client its invokes, sheds and
+// peer-lost failures. Only AddPeer, RemovePeer and SnapshotPeers lock the
+// name → counters map, never the request path.
 #ifndef SRC_NET_NODE_CLIENT_H_
 #define SRC_NET_NODE_CLIENT_H_
 
@@ -15,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,16 +35,6 @@ namespace dnet {
 
 class NodeClient {
  public:
-  // Per-peer transport counters for statz (a snapshot, not live refs).
-  struct PeerSnapshot {
-    std::string name;
-    uint64_t invokes_sent = 0;
-    uint64_t sheds_received = 0;
-    uint64_t peer_lost_failures = 0;
-    uint64_t bytes_sent = 0;
-    uint64_t bytes_received = 0;
-  };
-
   using OutcomeCallback = std::function<void(dbase::Result<WireOutcome>)>;
   using GossipCallback = std::function<void(dbase::Result<WireNodeStatus>)>;
 
@@ -53,7 +49,8 @@ class NodeClient {
   // and drops any stale connection.
   void AddPeer(const std::string& name, uint16_t port);
   void RemovePeer(const std::string& name);
-  std::vector<PeerSnapshot> SnapshotPeers() const;
+  // Every peer's live counters, by name: load them where they are read.
+  std::map<std::string, std::shared_ptr<const PeerCounters>> SnapshotPeers() const;
 
   // Sends one invoke; the callback fires exactly once from the reactor
   // (or inline on immediate connect failure): the decoded outcome,
@@ -100,12 +97,8 @@ class NodeClient {
   struct Peer {
     uint16_t port = 0;
     std::shared_ptr<FrameSocket> socket;  // Null until connected.
-    uint64_t invokes_sent = 0;
-    uint64_t sheds_received = 0;
-    uint64_t peer_lost_failures = 0;
-    // Byte counters accumulated from connections that already closed.
-    uint64_t bytes_sent_closed = 0;
-    uint64_t bytes_received_closed = 0;
+    // Shared with every connection to this peer and with counters_.
+    std::shared_ptr<PeerCounters> counters;
   };
 
   // Reactor-only. Connects if needed; null on failure.
@@ -133,10 +126,9 @@ class NodeClient {
   // Drawn on the caller's thread, so InvokeAsync can hand the id back.
   std::atomic<uint64_t> next_request_id_{1};
 
-  // Mirror of the peer table for thread-safe snapshots.
-  mutable std::mutex snapshot_mu_;
-  std::map<std::string, PeerSnapshot> snapshot_;
-  void PublishSnapshot(const std::string& peer);  // Reactor-only.
+  // Every added peer's counters, by name, for SnapshotPeers.
+  mutable std::mutex counters_mu_;
+  std::map<std::string, std::shared_ptr<PeerCounters>> counters_;
 };
 
 }  // namespace dnet

@@ -82,8 +82,9 @@ void NodeServer::OnAcceptable() {
       }
       return;  // EAGAIN or transient failure; level-triggered epoll retries.
     }
+    // Wire bytes are counted router-side, per peer; these go unread.
     auto socket = FrameSocket::Adopt(
-        scope_.get(), fd, config_.limits,
+        scope_.get(), fd, config_.limits, std::make_shared<PeerCounters>(),
         [this, fd](const FrameHeader& header, dbase::BufferSlice body) {
           OnFrame(fd, header, std::move(body));
         },
@@ -91,7 +92,6 @@ void NodeServer::OnAcceptable() {
     if (!socket.ok()) {
       continue;  // Adopt closed the fd.
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     peers_[fd].socket = std::move(socket).value();
   }
 }
@@ -117,9 +117,6 @@ void NodeServer::OnPeerClosed(int fd, const dbase::Status& reason) {
   if (it == peers_.end()) {
     return;
   }
-  bytes_sent_closed_.fetch_add(it->second.socket->bytes_sent(), std::memory_order_relaxed);
-  bytes_received_closed_.fetch_add(it->second.socket->bytes_received(),
-                                   std::memory_order_relaxed);
   // Cancel work owed to the dead connection: its router is gone, nobody
   // will consume the results.
   if (on_cancel_) {
@@ -131,7 +128,6 @@ void NodeServer::OnPeerClosed(int fd, const dbase::Status& reason) {
 }
 
 void NodeServer::OnFrame(int fd, const FrameHeader& header, dbase::BufferSlice body) {
-  frames_received_.fetch_add(1, std::memory_order_relaxed);
   switch (header.type) {
     case FrameType::kJoin: {
       auto join = DecodeJoin(body);

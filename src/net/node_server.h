@@ -81,16 +81,9 @@ class NodeServer {
   uint16_t port() const { return port_; }
   const std::string& node_name() const { return config_.node_name; }
 
-  // Counters for statz/tests (thread-safe).
-  uint64_t connections_accepted() const {
-    return connections_accepted_.load(std::memory_order_relaxed);
-  }
+  // Malformed-frame closes (thread-safe). The server counts nothing else:
+  // wire bytes are counted on the client side, per peer, in PeerCounters.
   uint64_t protocol_errors() const { return protocol_errors_.load(std::memory_order_relaxed); }
-  uint64_t frames_received() const { return frames_received_.load(std::memory_order_relaxed); }
-  uint64_t bytes_sent() const { return bytes_sent_closed_.load(std::memory_order_relaxed); }
-  uint64_t bytes_received() const {
-    return bytes_received_closed_.load(std::memory_order_relaxed);
-  }
 
   NodeServer(const NodeServer&) = delete;
   NodeServer& operator=(const NodeServer&) = delete;
@@ -129,13 +122,7 @@ class NodeServer {
   // Reactor-only.
   std::map<int, Peer> peers_;
 
-  std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  // Byte counters of closed connections; live sockets' counters are added
-  // when they close (statz reads the sum plus live sockets on the loop).
-  std::atomic<uint64_t> bytes_sent_closed_{0};
-  std::atomic<uint64_t> bytes_received_closed_{0};
 };
 
 }  // namespace dnet

@@ -503,16 +503,6 @@ std::string Cluster::NodeName(int index) const {
   return slot != nullptr ? slot->name : "";
 }
 
-std::vector<uint64_t> Cluster::InvocationsPerNode() const {
-  std::lock_guard<std::mutex> lock(slots_mu_);
-  std::vector<uint64_t> counts;
-  counts.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    counts.push_back(slot->served.load(std::memory_order_relaxed));
-  }
-  return counts;
-}
-
 std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
   std::vector<CoreSplit> splits;
   splits.reserve(locals_.size());
@@ -663,7 +653,7 @@ Cluster::ClusterStats Cluster::Stats() const {
   stats.no_eligible_node = no_eligible_node_.load(std::memory_order_relaxed);
   stats.gossip_rounds = gossip_rounds_.load(std::memory_order_relaxed);
 
-  const std::vector<dnet::NodeClient::PeerSnapshot> wire = client_->SnapshotPeers();
+  const auto wire = client_->SnapshotPeers();
   const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
   {
     std::lock_guard<std::mutex> lock(slots_mu_);
@@ -685,16 +675,13 @@ Cluster::ClusterStats Cluster::Stats() const {
                              static_cast<double>(slot->status.admission_cap);
         }
       }
-      for (const auto& snapshot : wire) {
-        if (snapshot.name != slot->name) {
-          continue;
-        }
-        peer.invokes_sent = snapshot.invokes_sent;
-        peer.sheds_received = snapshot.sheds_received;
-        peer.peer_lost_failures = snapshot.peer_lost_failures;
-        peer.bytes_sent = snapshot.bytes_sent;
-        peer.bytes_received = snapshot.bytes_received;
-        break;
+      if (const auto it = wire.find(slot->name); it != wire.end()) {
+        const dnet::PeerCounters& counters = *it->second;
+        peer.invokes_sent = counters.invokes_sent.load(std::memory_order_relaxed);
+        peer.sheds_received = counters.sheds_received.load(std::memory_order_relaxed);
+        peer.peer_lost_failures = counters.peer_lost_failures.load(std::memory_order_relaxed);
+        peer.bytes_sent = counters.bytes_sent.load(std::memory_order_relaxed);
+        peer.bytes_received = counters.bytes_received.load(std::memory_order_relaxed);
       }
       stats.peers.push_back(std::move(peer));
     }

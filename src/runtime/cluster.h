@@ -140,9 +140,6 @@ class Cluster {
       InvocationRequest request,
       std::function<void(dbase::Result<dfunc::DataSetList>, int node)> callback);
 
-  // Per-node served-invocation counters, in node-index order.
-  std::vector<uint64_t> InvocationsPerNode() const;
-
   // Compute/comm core split of each in-process node — the cluster-wide view
   // of what each node's elasticity control plane (configured via
   // node_config) has done.
@@ -164,7 +161,7 @@ class Cluster {
     std::string_view state = "active";
     uint64_t served = 0;
     int64_t inflight = 0;  // Router-side in-flight toward this node.
-    // Wire counters (from the NodeClient).
+    // Wire counters, loaded from the NodeClient's live PeerCounters.
     uint64_t invokes_sent = 0;
     uint64_t sheds_received = 0;
     uint64_t peer_lost_failures = 0;

@@ -256,7 +256,7 @@ dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(InvocationRequest request) 
 std::shared_ptr<Dispatcher::InvocationState> Dispatcher::InvokeGraphAsync(
     std::shared_ptr<const ddsl::CompositionGraph> graph, dfunc::DataSetList args, int depth,
     ResultCallback callback, std::shared_ptr<InvocationControl> control) {
-  if (depth >= config_.max_depth) {
+  if (depth >= kMaxCompositionDepth) {
     callback(dbase::ResourceExhausted("composition nesting exceeds maximum depth"));
     return nullptr;
   }
@@ -815,7 +815,7 @@ void Dispatcher::LaunchNestedInstance(const std::shared_ptr<InvocationState>& in
                                       size_t node_index, size_t instance_index,
                                       dfunc::DataSetList inputs,
                                       std::shared_ptr<const ddsl::CompositionGraph> subgraph) {
-  if (inv->depth + 1 >= config_.max_depth) {
+  if (inv->depth + 1 >= kMaxCompositionDepth) {
     FailLocked(inv, dbase::ResourceExhausted("composition nesting exceeds maximum depth"));
     return;
   }

@@ -87,14 +87,14 @@ struct DispatcherStats {
   int breakers_open = 0;
 };
 
+// Nesting bound for compositions invoking compositions (§4.1).
+constexpr int kMaxCompositionDepth = 16;
+
 class Dispatcher {
  public:
   struct Config {
     // Process isolation requires MAP_SHARED contexts.
     bool shared_contexts = false;
-    // Nested-composition recursion bound (compositions may invoke
-    // compositions, §4.1).
-    int max_depth = 16;
     // Upper bound on how long the blocking Invoke() wrappers wait for a
     // completion when the request itself carries no deadline — a lost
     // callback must surface as kDeadlineExceeded, not hang the caller

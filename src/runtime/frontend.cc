@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "src/base/json.h"
 #include "src/base/log.h"
 #include "src/base/string_util.h"
 #include "src/http/http_parser.h"
@@ -128,22 +129,6 @@ WireChunks InvocationResponseWire(dbase::Result<dfunc::DataSetList> result) {
   }
   return WireChunks::FromString(
       dhttp::HttpResponse::Make(code, reason, result.status().ToString()).Serialize());
-}
-
-// Minimal JSON string escaping for identifier-ish values.
-void AppendJsonString(std::string* out, std::string_view value) {
-  out->push_back('"');
-  for (char c : value) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->append(dbase::StrFormat("\\u%04x", c));
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -509,17 +494,13 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wir
   if (request.method == dhttp::Method::kGet && target == "/healthz") {
     FinishSlot(conn, slot, dhttp::HttpResponse::Ok("ok\n"));
   } else if (request.method == dhttp::Method::kGet && target == "/compositions") {
-    std::string json = "{\"compositions\":[";
-    bool first = true;
+    dbase::JsonWriter json;
+    json.BeginObject().BeginArray("compositions");
     for (const std::string& name : platform_->compositions().Names()) {
-      if (!first) {
-        json.push_back(',');
-      }
-      first = false;
-      AppendJsonString(&json, name);
+      json.Value(name);
     }
-    json += "]}\n";
-    dhttp::HttpResponse response = dhttp::HttpResponse::Ok(std::move(json));
+    json.EndArray().EndObject();
+    dhttp::HttpResponse response = dhttp::HttpResponse::Ok(json.Take() + "\n");
     response.headers.Set("Content-Type", "application/json");
     FinishSlot(conn, slot, response);
   } else if (request.method == dhttp::Method::kGet && target == "/statz") {
@@ -980,197 +961,186 @@ void HttpFrontend::CloseConnection(const ConnectionPtr& conn) {
 std::string HttpFrontend::StatzJson() const {
   const EngineStats engine = platform_->engine_stats();
   const DispatcherStats dispatcher = platform_->dispatcher_stats();
-  const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::string json = "{\"engine\":{";
-  json += dbase::StrFormat(
-      "\"compute_tasks\":%llu,\"comm_tasks\":%llu,\"compute_aborted\":%llu,"
-      "\"comm_aborted\":%llu,\"compute_queue_len\":%llu,\"comm_queue_len\":%llu,"
-      "\"compute_workers\":%d,\"comm_workers\":%d,\"compute_steals\":%llu,"
-      "\"comm_steals\":%llu",
-      u(engine.compute_tasks), u(engine.comm_tasks), u(engine.compute_aborted),
-      u(engine.comm_aborted), u(engine.compute_queue_len), u(engine.comm_queue_len),
-      engine.compute_workers, engine.comm_workers, u(engine.compute_steals),
-      u(engine.comm_steals));
-  json += "},\"dispatcher\":{";
-  json += dbase::StrFormat(
-      "\"invocations_started\":%llu,\"invocations_completed\":%llu,"
-      "\"invocations_failed\":%llu,\"invocations_cancelled\":%llu,"
-      "\"invocations_deadline_exceeded\":%llu,\"compute_instances\":%llu,"
-      "\"comm_instances\":%llu,\"skipped_instances\":%llu,"
-      "\"inflight_interactive\":%llu,\"inflight_batch\":%llu",
-      u(dispatcher.invocations_started), u(dispatcher.invocations_completed),
-      u(dispatcher.invocations_failed), u(dispatcher.invocations_cancelled),
-      u(dispatcher.invocations_deadline_exceeded), u(dispatcher.compute_instances),
-      u(dispatcher.comm_instances), u(dispatcher.skipped_instances),
-      u(dispatcher.inflight_interactive), u(dispatcher.inflight_batch));
-  json += "},\"frontend\":{";
-  json += dbase::StrFormat(
-      "\"open_connections\":%llu,\"inflight_interactive\":%lld,"
-      "\"inflight_batch\":%lld,\"served\":%llu,\"shed_429\":%llu,"
-      "\"deadline_504\":%llu,\"disconnect_cancelled\":%llu",
-      u(connections_.size()),
-      static_cast<long long>(counters_->inflight[static_cast<size_t>(
-          PriorityClass::kInteractive)].load(std::memory_order_relaxed)),
-      static_cast<long long>(counters_->inflight[static_cast<size_t>(
-          PriorityClass::kBatch)].load(std::memory_order_relaxed)),
-      u(counters_->served.load(std::memory_order_relaxed)),
-      u(counters_->shed_429.load(std::memory_order_relaxed)),
-      u(counters_->deadline_504.load(std::memory_order_relaxed)),
-      u(counters_->disconnect_cancelled.load(std::memory_order_relaxed)));
-  json += "},\"data_plane\":{";
-  json += dbase::StrFormat(
-      "\"bytes_copied\":%llu,\"bytes_aliased\":%llu,\"payload_promotions\":%llu,"
-      "\"cow_detaches\":%llu,\"binding_materializations\":%llu",
-      u(dispatcher.bytes_copied), u(dispatcher.bytes_aliased),
-      u(dispatcher.payload_promotions), u(dispatcher.cow_detaches),
-      u(dispatcher.binding_materializations));
-  json += "},\"control_plane\":{";
+  dbase::JsonWriter json;
+  json.BeginObject().BeginObject("engine")
+      .Field("compute_tasks", engine.compute_tasks)
+      .Field("comm_tasks", engine.comm_tasks)
+      .Field("compute_aborted", engine.compute_aborted)
+      .Field("comm_aborted", engine.comm_aborted)
+      .Field("compute_queue_len", engine.compute_queue_len)
+      .Field("comm_queue_len", engine.comm_queue_len)
+      .Field("compute_workers", engine.compute_workers)
+      .Field("comm_workers", engine.comm_workers)
+      .Field("compute_steals", engine.compute_steals)
+      .Field("comm_steals", engine.comm_steals)
+      .EndObject();
+  json.BeginObject("dispatcher")
+      .Field("invocations_started", dispatcher.invocations_started)
+      .Field("invocations_completed", dispatcher.invocations_completed)
+      .Field("invocations_failed", dispatcher.invocations_failed)
+      .Field("invocations_cancelled", dispatcher.invocations_cancelled)
+      .Field("invocations_deadline_exceeded", dispatcher.invocations_deadline_exceeded)
+      .Field("compute_instances", dispatcher.compute_instances)
+      .Field("comm_instances", dispatcher.comm_instances)
+      .Field("skipped_instances", dispatcher.skipped_instances)
+      .Field("inflight_interactive", dispatcher.inflight_interactive)
+      .Field("inflight_batch", dispatcher.inflight_batch)
+      .EndObject();
+  const auto load = [](const auto& counter) { return counter.load(std::memory_order_relaxed); };
+  const InvokeCounters& counters = *counters_;
+  json.BeginObject("frontend")
+      .Field("open_connections", connections_.size())
+      .Field("inflight_interactive",
+             load(counters.inflight[static_cast<size_t>(PriorityClass::kInteractive)]))
+      .Field("inflight_batch", load(counters.inflight[static_cast<size_t>(PriorityClass::kBatch)]))
+      .Field("served", load(counters.served))
+      .Field("shed_429", load(counters.shed_429))
+      .Field("deadline_504", load(counters.deadline_504))
+      .Field("disconnect_cancelled", load(counters.disconnect_cancelled))
+      .EndObject();
+  json.BeginObject("data_plane")
+      .Field("bytes_copied", dispatcher.bytes_copied)
+      .Field("bytes_aliased", dispatcher.bytes_aliased)
+      .Field("payload_promotions", dispatcher.payload_promotions)
+      .Field("cow_detaches", dispatcher.cow_detaches)
+      .Field("binding_materializations", dispatcher.binding_materializations)
+      .EndObject();
+  // Policy names and reasons come from user-suppliable policy objects, and
+  // the signal may be any double: the writer escapes the strings and turns
+  // a non-finite signal into null.
+  json.BeginObject("control_plane");
   if (ControlPlane* control = platform_->control_plane(); control != nullptr) {
     const ControlPlane::Summary summary = control->GetSummary();
-    // Policy names and reasons come from user-suppliable policy objects:
-    // escape them like every other caller-supplied string.
-    json += "\"enabled\":true,\"policy\":";
-    AppendJsonString(&json, summary.policy_name);
-    json += dbase::StrFormat(
-        ",\"compute_workers\":%d,\"comm_workers\":%d,\"decisions\":%llu,"
-        "\"shifts_toward_compute\":%llu,\"shifts_toward_comm\":%llu",
-        engine.compute_workers, engine.comm_workers, u(summary.decisions),
-        u(summary.shifts_toward_compute), u(summary.shifts_toward_comm));
+    json.Field("enabled", true)
+        .Field("policy", summary.policy_name)
+        .Field("compute_workers", engine.compute_workers)
+        .Field("comm_workers", engine.comm_workers)
+        .Field("decisions", summary.decisions)
+        .Field("shifts_toward_compute", summary.shifts_toward_compute)
+        .Field("shifts_toward_comm", summary.shifts_toward_comm);
     if (summary.decisions > 0) {
-      json += dbase::StrFormat(
-          ",\"last_decision\":{\"time_us\":%lld,\"signal\":%.3f,"
-          "\"shift_toward_compute\":%d,\"shifted\":%d,\"panic\":%s,\"reason\":",
-          static_cast<long long>(summary.last.time_us), summary.last.action.signal,
-          summary.last.action.shift_toward_compute, summary.last.shifted,
-          summary.last.action.panic ? "true" : "false");
-      AppendJsonString(&json, summary.last.action.reason);
-      json += "}";
+      json.BeginObject("last_decision")
+          .Field("time_us", summary.last.time_us)
+          .Field("signal", summary.last.action.signal)
+          .Field("shift_toward_compute", summary.last.action.shift_toward_compute)
+          .Field("shifted", summary.last.shifted)
+          .Field("panic", summary.last.action.panic)
+          .Field("reason", summary.last.action.reason)
+          .EndObject();
     }
   } else {
-    json += dbase::StrFormat(
-        "\"enabled\":false,\"compute_workers\":%d,\"comm_workers\":%d",
-        engine.compute_workers, engine.comm_workers);
+    json.Field("enabled", false)
+        .Field("compute_workers", engine.compute_workers)
+        .Field("comm_workers", engine.comm_workers);
   }
-  json += "},\"sandbox_pool\":{";
+  json.EndObject();
+  json.BeginObject("sandbox_pool");
   if (SandboxPool* pool = platform_->sandbox_pool(); pool != nullptr) {
     const SandboxPoolStats warm = pool->Stats();
-    json += dbase::StrFormat(
-        "\"enabled\":true,\"hits\":%llu,\"misses\":%llu,\"bypassed\":%llu,"
-        "\"prewarm_fills\":%llu,\"recycled\":%llu,\"retired\":%llu,"
-        "\"arrivals\":%llu,\"pool_child_lost\":%llu,\"shelved\":%d,\"leased\":%d,"
-        "\"functions\":%d,\"max_total\":%d",
-        u(warm.hits), u(warm.misses), u(warm.bypassed), u(warm.prewarm_fills),
-        u(warm.recycled), u(warm.retired), u(warm.arrivals), u(warm.pool_child_lost),
-        warm.shelved, warm.leased, warm.functions, warm.max_total);
-    bool first = true;
-    json += ",\"targets\":{";
+    json.Field("enabled", true)
+        .Field("hits", warm.hits)
+        .Field("misses", warm.misses)
+        .Field("bypassed", warm.bypassed)
+        .Field("prewarm_fills", warm.prewarm_fills)
+        .Field("recycled", warm.recycled)
+        .Field("retired", warm.retired)
+        .Field("arrivals", warm.arrivals)
+        .Field("pool_child_lost", warm.pool_child_lost)
+        .Field("shelved", warm.shelved)
+        .Field("leased", warm.leased)
+        .Field("functions", warm.functions)
+        .Field("max_total", warm.max_total);
+    json.BeginObject("targets");
     for (const auto& [name, decision] : pool->LastDecisions()) {
-      if (!first) {
-        json.push_back(',');
-      }
-      first = false;
-      // Function names and policy reasons are caller-supplied: escape them
-      // (a quote or backslash must not corrupt the document).
-      AppendJsonString(&json, name);
-      json += dbase::StrFormat(":{\"depth\":%d,\"rate_per_sec\":%.2f,\"reason\":",
-                               decision.target_depth, decision.rate_per_sec);
-      AppendJsonString(&json, decision.reason);
-      json += "}";
+      json.BeginObject(name)
+          .Field("depth", decision.target_depth)
+          .Field("rate_per_sec", decision.rate_per_sec)
+          .Field("reason", decision.reason)
+          .EndObject();
     }
-    json += "}";
+    json.EndObject();
   } else {
-    json += "\"enabled\":false";
+    json.Field("enabled", false);
   }
+  json.EndObject();
   // Fault containment: jail capability, injected faults, retry/breaker
   // activity. `seccomp_filter` false means the process backend runs
   // unconfined (kernel without seccomp) — tests and operators must be able
   // to tell that apart from "jailed".
   const SandboxCapabilities& caps = SandboxCapabilities::Get();
-  json += dbase::StrFormat("},\"jail\":{\"seccomp_filter\":%s,\"enabled\":%s,",
-                           caps.seccomp_filter ? "true" : "false",
-                           SyscallJailEnabled() ? "true" : "false");
-  json += "\"detail\":";
-  AppendJsonString(&json, caps.detail);
-  json += "},\"faults\":{";
-  {
-    bool first = true;
-    for (const FaultPointSnapshot& point : FaultInjector::Get().Snapshot()) {
-      if (!first) {
-        json.push_back(',');
-      }
-      first = false;
-      json += dbase::StrFormat(
-          "\"%s\":{\"armed\":%s,\"crossings\":%llu,\"fired\":%llu}",
-          std::string(FaultPointName(point.point)).c_str(),
-          point.armed ? "true" : "false", u(point.crossings), u(point.fired));
-    }
+  json.BeginObject("jail")
+      .Field("seccomp_filter", caps.seccomp_filter)
+      .Field("enabled", SyscallJailEnabled())
+      .Field("detail", caps.detail)
+      .EndObject();
+  json.BeginObject("faults");
+  for (const FaultPointSnapshot& point : FaultInjector::Get().Snapshot()) {
+    json.BeginObject(FaultPointName(point.point))
+        .Field("armed", point.armed)
+        .Field("crossings", point.crossings)
+        .Field("fired", point.fired)
+        .EndObject();
   }
-  json += "},\"retries\":{";
-  json += dbase::StrFormat(
-      "\"sandbox_failures\":%llu,\"attempted\":%llu,\"denied\":%llu",
-      u(dispatcher.sandbox_failures), u(dispatcher.retries_attempted),
-      u(dispatcher.retries_denied));
-  json += "},\"breaker\":{";
-  json += dbase::StrFormat(
-      "\"fast_fails\":%llu,\"trips\":%llu,\"recoveries\":%llu,\"open\":%d,"
-      "\"functions\":{",
-      u(dispatcher.breaker_fast_fails), u(dispatcher.breaker_trips),
-      u(dispatcher.breaker_recoveries), dispatcher.breakers_open);
-  {
-    bool first = true;
-    for (const dpolicy::BreakerSnapshot& breaker : platform_->breaker_snapshots()) {
-      if (!first) {
-        json.push_back(',');
-      }
-      first = false;
-      AppendJsonString(&json, breaker.function);
-      json += dbase::StrFormat(":{\"state\":\"%s\",\"consecutive_failures\":%d}",
-                               std::string(dpolicy::BreakerStateName(breaker.state)).c_str(),
-                               breaker.consecutive_failures);
-    }
+  json.EndObject();
+  json.BeginObject("retries")
+      .Field("sandbox_failures", dispatcher.sandbox_failures)
+      .Field("attempted", dispatcher.retries_attempted)
+      .Field("denied", dispatcher.retries_denied)
+      .EndObject();
+  json.BeginObject("breaker")
+      .Field("fast_fails", dispatcher.breaker_fast_fails)
+      .Field("trips", dispatcher.breaker_trips)
+      .Field("recoveries", dispatcher.breaker_recoveries)
+      .Field("open", dispatcher.breakers_open)
+      .BeginObject("functions");
+  for (const dpolicy::BreakerSnapshot& breaker : platform_->breaker_snapshots()) {
+    json.BeginObject(breaker.function)
+        .Field("state", dpolicy::BreakerStateName(breaker.state))
+        .Field("consecutive_failures", breaker.consecutive_failures)
+        .EndObject();
   }
-  json += "}}";
+  json.EndObject().EndObject();
   // Distributed data plane: router-side view of every cluster node — wire
   // counters from the NodeClient, membership state + gossip staleness, and
   // the cross-node re-route activity.
-  json += ",\"cluster\":{";
+  json.BeginObject("cluster");
   if (cluster_ != nullptr) {
     const Cluster::ClusterStats cluster = cluster_->Stats();
-    json += dbase::StrFormat(
-        "\"enabled\":true,\"reroutes_shed\":%llu,\"reroutes_peer_lost\":%llu,"
-        "\"reroute_denied\":%llu,\"no_eligible_node\":%llu,\"gossip_rounds\":%llu,"
-        "\"members_suspected\":%llu,\"members_evicted\":%llu,"
-        "\"members_rejoined\":%llu,\"scale_out_hints\":%llu,\"scale_in_hints\":%llu,"
-        "\"peers\":{",
-        u(cluster.reroutes_shed), u(cluster.reroutes_peer_lost), u(cluster.reroute_denied),
-        u(cluster.no_eligible_node), u(cluster.gossip_rounds), u(cluster.membership.suspects),
-        u(cluster.membership.evictions), u(cluster.membership.rejoins),
-        u(cluster.membership.scale_out_hints), u(cluster.membership.scale_in_hints));
-    bool first = true;
+    json.Field("enabled", true)
+        .Field("reroutes_shed", cluster.reroutes_shed)
+        .Field("reroutes_peer_lost", cluster.reroutes_peer_lost)
+        .Field("reroute_denied", cluster.reroute_denied)
+        .Field("no_eligible_node", cluster.no_eligible_node)
+        .Field("gossip_rounds", cluster.gossip_rounds)
+        .Field("members_suspected", cluster.membership.suspects)
+        .Field("members_evicted", cluster.membership.evictions)
+        .Field("members_rejoined", cluster.membership.rejoins)
+        .Field("scale_out_hints", cluster.membership.scale_out_hints)
+        .Field("scale_in_hints", cluster.membership.scale_in_hints)
+        .BeginObject("peers");
     for (const Cluster::PeerStats& peer : cluster.peers) {
-      if (!first) {
-        json.push_back(',');
-      }
-      first = false;
-      AppendJsonString(&json, peer.name);
-      json += dbase::StrFormat(
-          ":{\"remote\":%s,\"state\":\"%s\",\"served\":%llu,\"inflight\":%lld,"
-          "\"invokes_sent\":%llu,\"sheds_received\":%llu,\"peer_lost_failures\":%llu,"
-          "\"bytes_sent\":%llu,\"bytes_received\":%llu,\"gossip_age_us\":%lld,"
-          "\"remote_inflight\":%llu,\"remote_admission_cap\":%llu,"
-          "\"utilization\":%.3f}",
-          peer.remote ? "true" : "false", std::string(peer.state).c_str(), u(peer.served),
-          static_cast<long long>(peer.inflight), u(peer.invokes_sent), u(peer.sheds_received),
-          u(peer.peer_lost_failures), u(peer.bytes_sent), u(peer.bytes_received),
-          static_cast<long long>(peer.gossip_age_us), u(peer.remote_inflight),
-          u(peer.remote_admission_cap), peer.utilization);
+      json.BeginObject(peer.name)
+          .Field("remote", peer.remote)
+          .Field("state", peer.state)
+          .Field("served", peer.served)
+          .Field("inflight", peer.inflight)
+          .Field("invokes_sent", peer.invokes_sent)
+          .Field("sheds_received", peer.sheds_received)
+          .Field("peer_lost_failures", peer.peer_lost_failures)
+          .Field("bytes_sent", peer.bytes_sent)
+          .Field("bytes_received", peer.bytes_received)
+          .Field("gossip_age_us", peer.gossip_age_us)
+          .Field("remote_inflight", peer.remote_inflight)
+          .Field("remote_admission_cap", peer.remote_admission_cap)
+          .Field("utilization", peer.utilization)
+          .EndObject();
     }
-    json += "}";
+    json.EndObject();
   } else {
-    json += "\"enabled\":false";
+    json.Field("enabled", false);
   }
-  json += "}}\n";
-  return json;
+  json.EndObject().EndObject();
+  return json.Take() + "\n";
 }
 
 }  // namespace dandelion

@@ -22,6 +22,10 @@
 //                                  compute/comm core split, and last
 //                                  elasticity decision (JSON)
 //
+// Both JSON endpoints write through dbase::JsonWriter (escaped strings, a
+// non-finite double as null); FrontendTest.StatzSchemaIsPinned pins the
+// /statz keys, their nesting, types and order.
+//
 // Connections are non-blocking with keep-alive and pipelining: requests are
 // parsed incrementally as bytes arrive, invocations are dispatched inline
 // on the reactor through Platform::Submit (or the attached Cluster), and
@@ -129,7 +133,8 @@ class HttpFrontend {
   // local platform. The attached platform keeps serving registration,
   // statz and signals. Call before Start(); the cluster must outlive the
   // frontend. /statz grows a "cluster" section with per-peer wire and
-  // membership counters.
+  // membership counters; the wire counters are the NodeClient's live
+  // PeerCounters, loaded when /statz is read.
   void AttachCluster(Cluster* cluster) { cluster_ = cluster; }
 
   uint16_t port() const { return port_; }
@@ -243,7 +248,8 @@ class HttpFrontend {
     std::atomic<uint64_t> disconnect_cancelled{0};
   };
 
-  // Builds the GET /statz JSON snapshot (reactor only).
+  // Builds the GET /statz JSON snapshot through dbase::JsonWriter (reactor
+  // only).
   std::string StatzJson() const;
 
   Platform* platform_;

@@ -149,9 +149,9 @@ TEST(ClusterNetTest, RemoteInvokeEndToEnd) {
     EXPECT_EQ(routed.attempts, 1);
     EXPECT_TRUE(routed.node_name == "na" || routed.node_name == "nb") << routed.node_name;
   }
-  const auto counts = cluster.InvocationsPerNode();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0] + counts[1], 4u);
+  const auto peers = cluster.Stats().peers;
+  ASSERT_EQ(peers.size(), 2u);
+  EXPECT_EQ(peers[0].served + peers[1].served, 4u);
   EXPECT_EQ(a.agent().invocations_served() + b.agent().invocations_served(), 4u);
 }
 

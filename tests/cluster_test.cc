@@ -78,8 +78,11 @@ TEST(ClusterTest, RoundRobinSpreadsEvenly) {
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     EXPECT_EQ(routed.node_index, i % 3);
   }
-  const auto counts = cluster.InvocationsPerNode();
-  EXPECT_EQ(counts, (std::vector<uint64_t>{3, 3, 3}));
+  const auto peers = cluster.Stats().peers;
+  ASSERT_EQ(peers.size(), 3u);
+  for (const Cluster::PeerStats& peer : peers) {
+    EXPECT_EQ(peer.served, 3u);
+  }
 }
 
 TEST(ClusterTest, ResultsCorrectRegardlessOfNode) {
@@ -207,11 +210,14 @@ TEST(ClusterTest, ConcurrentInvocationsAcrossNodes) {
   }
   ASSERT_TRUE(latch.WaitFor(30 * dbase::kMicrosPerSecond));
   EXPECT_EQ(correct.load(), kTotal);
-  const auto counts = cluster.InvocationsPerNode();
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), uint64_t{0}),
+  const auto peers = cluster.Stats().peers;
+  EXPECT_EQ(std::accumulate(peers.begin(), peers.end(), uint64_t{0},
+                            [](uint64_t sum, const Cluster::PeerStats& peer) {
+                              return sum + peer.served;
+                            }),
             static_cast<uint64_t>(kTotal));
-  for (uint64_t count : counts) {
-    EXPECT_EQ(count, static_cast<uint64_t>(kTotal / 3));
+  for (const Cluster::PeerStats& peer : peers) {
+    EXPECT_EQ(peer.served, static_cast<uint64_t>(kTotal / 3));
   }
 }
 

@@ -9,7 +9,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,8 +21,11 @@
 
 #include "bench/e2e/util.h"
 #include "src/base/clock.h"
+#include "src/base/string_util.h"
 #include "src/func/builtins.h"
 #include "src/http/http_parser.h"
+#include "src/runtime/cluster.h"
+#include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
 
 namespace dandelion {
@@ -732,6 +738,327 @@ TEST(FrontendTest, StatzEscapesUserSuppliedPolicyStrings) {
   EXPECT_EQ(targets->Find("echo")->Find("reason")->type, e2e::Json::Type::kString);
   EXPECT_NE(statz->Find("jail"), nullptr);
   close(fd);
+  frontend.Stop();
+}
+
+// A user-supplied policy whose control signal is not a number.
+class NanSignalPolicy : public dpolicy::ElasticityPolicy {
+ public:
+  const char* name() const override { return "nan-signal"; }
+  dpolicy::ElasticityDecision Decide(const dpolicy::ElasticitySignals&) override {
+    dpolicy::ElasticityDecision decision;
+    decision.signal = std::numeric_limits<double>::quiet_NaN();
+    decision.reason = "idle";
+    return decision;
+  }
+};
+
+std::string GetStatz(uint16_t port) {
+  const int fd = ConnectTo(port);
+  std::string carry;
+  SendAll(fd, "GET /statz HTTP/1.1\r\n\r\n");
+  auto response = ReadOneResponse(fd, &carry);
+  close(fd);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  if (!response.ok()) {
+    return "";
+  }
+  EXPECT_EQ(response->status_code, 200);
+  return response->body;
+}
+
+TEST(FrontendTest, StatzWritesNonFiniteSignalAsNull) {
+  PlatformConfig platform_config = FastPlatformConfig();
+  platform_config.enable_control_plane = true;
+  // Long interval: the only decision is the StepOnce below.
+  platform_config.control_interval_us = 10 * dbase::kMicrosPerSecond;
+  platform_config.elasticity_policy_factory = [] { return std::make_unique<NanSignalPolicy>(); };
+  Platform platform(platform_config);
+  platform.control_plane()->StepOnce();
+
+  HttpFrontend frontend(&platform, FrontendConfig{});
+  const dbase::Status started = frontend.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  const std::string body = GetStatz(frontend.port());
+  EXPECT_NE(body.find(R"("signal":null)"), std::string::npos) << body;
+  // RFC 8259 has no NaN or infinity. Checked on the raw text: the e2e
+  // parser reads numbers with strtod, which would accept "nan".
+  const std::string lower = dbase::ToLowerAscii(body);
+  for (const char* token : {":nan", ":-nan", ":+nan", ":inf", ":-inf", ":+inf"}) {
+    EXPECT_EQ(lower.find(token), std::string::npos) << token << " in\n" << body;
+  }
+  EXPECT_TRUE(e2e::JsonParser::Parse(body).has_value()) << body;
+  frontend.Stop();
+}
+
+// Flattens a JSON document into "path:type" lines in document order, so one
+// comparison pins the key tree, every value's type and the key order. Keys
+// join the path with '.', array elements add "[]". Expects a document the
+// e2e parser accepts.
+class JsonSchema {
+ public:
+  static std::vector<std::string> Of(std::string_view text) {
+    JsonSchema schema(text);
+    schema.Value("");
+    return std::move(schema.lines_);
+  }
+
+ private:
+  explicit JsonSchema(std::string_view text) : text_(text) {}
+
+  char Peek() {
+    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+  std::string String() {
+    std::string out;
+    ++pos_;  // Opening quote.
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      if (text_[pos_] == '\\') {
+        ++pos_;
+      }
+      out.push_back(text_[pos_++]);
+    }
+    ++pos_;  // Closing quote.
+    return out;
+  }
+  void Value(const std::string& path) {
+    const char c = Peek();
+    if (c == '{' || c == '[') {
+      lines_.push_back(path + (c == '{' ? ":object" : ":array"));
+      ++pos_;
+      const char close = c == '{' ? '}' : ']';
+      while (Peek() != close) {
+        if (c == '{') {
+          const std::string key = String();
+          Peek();
+          ++pos_;  // ':'
+          Value(path.empty() ? key : path + "." + key);
+        } else {
+          Value(path + "[]");
+        }
+        if (Peek() == ',') {
+          ++pos_;
+        }
+      }
+      ++pos_;
+      return;
+    }
+    if (c == '"') {
+      String();
+      lines_.push_back(path + ":string");
+      return;
+    }
+    const std::string_view rest = text_.substr(pos_);
+    for (const std::string_view literal : {"true", "false", "null"}) {
+      if (rest.starts_with(literal)) {
+        pos_ += literal.size();
+        lines_.push_back(path + (literal == "null" ? ":null" : ":bool"));
+        return;
+      }
+    }
+    while (pos_ < text_.size() && std::strchr("+-.0123456789eE", text_[pos_]) != nullptr) {
+      ++pos_;
+    }
+    lines_.push_back(path + ":number");
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::vector<std::string> lines_;
+};
+
+// The /statz schema: every key, its nesting, its JSON type and its order,
+// for a frontend with a control plane (one decision), a sandbox pool (one
+// tracked function) and an attached cluster with one remote node. Tests,
+// benches (bench/e2e reads frontend.shed_429) and operators read these
+// keys; changing one is a deliberate schema change.
+const std::vector<std::string> kStatzSchema = {
+    ":object",
+    "engine:object",
+    "engine.compute_tasks:number",
+    "engine.comm_tasks:number",
+    "engine.compute_aborted:number",
+    "engine.comm_aborted:number",
+    "engine.compute_queue_len:number",
+    "engine.comm_queue_len:number",
+    "engine.compute_workers:number",
+    "engine.comm_workers:number",
+    "engine.compute_steals:number",
+    "engine.comm_steals:number",
+    "dispatcher:object",
+    "dispatcher.invocations_started:number",
+    "dispatcher.invocations_completed:number",
+    "dispatcher.invocations_failed:number",
+    "dispatcher.invocations_cancelled:number",
+    "dispatcher.invocations_deadline_exceeded:number",
+    "dispatcher.compute_instances:number",
+    "dispatcher.comm_instances:number",
+    "dispatcher.skipped_instances:number",
+    "dispatcher.inflight_interactive:number",
+    "dispatcher.inflight_batch:number",
+    "frontend:object",
+    "frontend.open_connections:number",
+    "frontend.inflight_interactive:number",
+    "frontend.inflight_batch:number",
+    "frontend.served:number",
+    "frontend.shed_429:number",
+    "frontend.deadline_504:number",
+    "frontend.disconnect_cancelled:number",
+    "data_plane:object",
+    "data_plane.bytes_copied:number",
+    "data_plane.bytes_aliased:number",
+    "data_plane.payload_promotions:number",
+    "data_plane.cow_detaches:number",
+    "data_plane.binding_materializations:number",
+    "control_plane:object",
+    "control_plane.enabled:bool",
+    "control_plane.policy:string",
+    "control_plane.compute_workers:number",
+    "control_plane.comm_workers:number",
+    "control_plane.decisions:number",
+    "control_plane.shifts_toward_compute:number",
+    "control_plane.shifts_toward_comm:number",
+    "control_plane.last_decision:object",
+    "control_plane.last_decision.time_us:number",
+    "control_plane.last_decision.signal:number",
+    "control_plane.last_decision.shift_toward_compute:number",
+    "control_plane.last_decision.shifted:number",
+    "control_plane.last_decision.panic:bool",
+    "control_plane.last_decision.reason:string",
+    "sandbox_pool:object",
+    "sandbox_pool.enabled:bool",
+    "sandbox_pool.hits:number",
+    "sandbox_pool.misses:number",
+    "sandbox_pool.bypassed:number",
+    "sandbox_pool.prewarm_fills:number",
+    "sandbox_pool.recycled:number",
+    "sandbox_pool.retired:number",
+    "sandbox_pool.arrivals:number",
+    "sandbox_pool.pool_child_lost:number",
+    "sandbox_pool.shelved:number",
+    "sandbox_pool.leased:number",
+    "sandbox_pool.functions:number",
+    "sandbox_pool.max_total:number",
+    "sandbox_pool.targets:object",
+    "sandbox_pool.targets.echo:object",
+    "sandbox_pool.targets.echo.depth:number",
+    "sandbox_pool.targets.echo.rate_per_sec:number",
+    "sandbox_pool.targets.echo.reason:string",
+    "jail:object",
+    "jail.seccomp_filter:bool",
+    "jail.enabled:bool",
+    "jail.detail:string",
+    "faults:object",
+    "faults.child_crash_before_outcome:object",
+    "faults.child_crash_before_outcome.armed:bool",
+    "faults.child_crash_before_outcome.crossings:number",
+    "faults.child_crash_before_outcome.fired:number",
+    "faults.child_crash_after_partial_write:object",
+    "faults.child_crash_after_partial_write.armed:bool",
+    "faults.child_crash_after_partial_write.crossings:number",
+    "faults.child_crash_after_partial_write.fired:number",
+    "faults.child_forbidden_syscall:object",
+    "faults.child_forbidden_syscall.armed:bool",
+    "faults.child_forbidden_syscall.crossings:number",
+    "faults.child_forbidden_syscall.fired:number",
+    "faults.pool_template_death:object",
+    "faults.pool_template_death.armed:bool",
+    "faults.pool_template_death.crossings:number",
+    "faults.pool_template_death.fired:number",
+    "faults.transient_resource_exhausted:object",
+    "faults.transient_resource_exhausted.armed:bool",
+    "faults.transient_resource_exhausted.crossings:number",
+    "faults.transient_resource_exhausted.fired:number",
+    "retries:object",
+    "retries.sandbox_failures:number",
+    "retries.attempted:number",
+    "retries.denied:number",
+    "breaker:object",
+    "breaker.fast_fails:number",
+    "breaker.trips:number",
+    "breaker.recoveries:number",
+    "breaker.open:number",
+    "breaker.functions:object",
+    "cluster:object",
+    "cluster.enabled:bool",
+    "cluster.reroutes_shed:number",
+    "cluster.reroutes_peer_lost:number",
+    "cluster.reroute_denied:number",
+    "cluster.no_eligible_node:number",
+    "cluster.gossip_rounds:number",
+    "cluster.members_suspected:number",
+    "cluster.members_evicted:number",
+    "cluster.members_rejoined:number",
+    "cluster.scale_out_hints:number",
+    "cluster.scale_in_hints:number",
+    "cluster.peers:object",
+    "cluster.peers.nr:object",
+    "cluster.peers.nr.remote:bool",
+    "cluster.peers.nr.state:string",
+    "cluster.peers.nr.served:number",
+    "cluster.peers.nr.inflight:number",
+    "cluster.peers.nr.invokes_sent:number",
+    "cluster.peers.nr.sheds_received:number",
+    "cluster.peers.nr.peer_lost_failures:number",
+    "cluster.peers.nr.bytes_sent:number",
+    "cluster.peers.nr.bytes_received:number",
+    "cluster.peers.nr.gossip_age_us:number",
+    "cluster.peers.nr.remote_inflight:number",
+    "cluster.peers.nr.remote_admission_cap:number",
+    "cluster.peers.nr.utilization:number",
+};
+
+TEST(FrontendTest, StatzSchemaIsPinned) {
+  Platform node_platform(FastPlatformConfig());
+  ASSERT_TRUE(node_platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(node_platform
+                  .RegisterCompositionDsl(
+                      "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  NodeAgent agent(&node_platform, NodeAgentConfig{.node_name = "nr"});
+  const dbase::Status agent_started = agent.Start();
+  if (!agent_started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << agent_started.ToString();
+  }
+  Cluster::Config cluster_config;
+  cluster_config.num_nodes = 0;
+  cluster_config.remote_nodes = {{"nr", agent.port()}};
+  cluster_config.node_config = FastPlatformConfig();
+  cluster_config.gossip_interval_us = 0;
+  Cluster cluster(cluster_config);
+
+  PlatformConfig platform_config = FastPlatformConfig();
+  platform_config.enable_control_plane = true;
+  // Long interval: the only decision is the StepOnce below.
+  platform_config.control_interval_us = 10 * dbase::kMicrosPerSecond;
+  platform_config.enable_sandbox_pool = true;
+  Platform platform(platform_config);
+  dfunc::FunctionSpec echo;
+  echo.name = "echo";
+  echo.body = dfunc::EchoFunction;
+  platform.sandbox_pool()->Acquire(echo, PriorityClass::kInteractive);
+  platform.control_plane()->StepOnce();
+  platform.sandbox_pool()->Tick(0);
+
+  HttpFrontend frontend(&platform, FrontendConfig{});
+  frontend.AttachCluster(&cluster);
+  const dbase::Status started = frontend.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  const std::string body = GetStatz(frontend.port());
+  ASSERT_TRUE(e2e::JsonParser::Parse(body).has_value()) << body;
+  const std::vector<std::string> schema = JsonSchema::Of(body);
+  std::string listing;
+  for (const std::string& line : schema) {
+    listing += "    \"" + line + "\",\n";
+  }
+  EXPECT_EQ(schema, kStatzSchema) << "/statz schema now:\n" << listing;
   frontend.Stop();
 }
 

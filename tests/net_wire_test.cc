@@ -253,7 +253,8 @@ TEST(FrameSocketTest, WriteToClosedPeerClosesUnavailableWithoutSigpipe) {
   dbase::EventLoop::Scope scope(loop->get());
   std::optional<dbase::Status> closed;
   auto socket = FrameSocket::Adopt(
-      &scope, fds[0], FrameLimits{}, [](const FrameHeader&, dbase::BufferSlice) {},
+      &scope, fds[0], FrameLimits{}, std::make_shared<PeerCounters>(),
+      [](const FrameHeader&, dbase::BufferSlice) {},
       [&closed](const dbase::Status& reason) { closed = reason; });
   ASSERT_TRUE(socket.ok());
   (*socket)->SendFrame(FrameType::kGossipReq, 0, 1, std::string());

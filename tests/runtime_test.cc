@@ -1408,8 +1408,8 @@ TEST(ThreadCensusTest, OneReactorPerProcess) {
   cluster.GossipNow();
   EXPECT_EQ(cluster.Stats().gossip_rounds, 1u);
   uint64_t served = 0;
-  for (const uint64_t count : cluster.InvocationsPerNode()) {
-    served += count;
+  for (const Cluster::PeerStats& peer : cluster.Stats().peers) {
+    served += peer.served;
   }
   EXPECT_EQ(served, 1u);
 
