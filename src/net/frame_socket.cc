@@ -1,35 +1,16 @@
 #include "src/net/frame_socket.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
-#include "src/base/clock.h"
-
 namespace dnet {
-namespace {
-
-// Per-wake read budget, mirroring the HTTP frontend's: a fast loopback
-// sender must not monopolize the loop thread — level-triggered epoll
-// re-fires for the remainder.
-constexpr size_t kReadBudget = 256 * 1024;
-constexpr int kMaxIov = 64;
-
-}  // namespace
 
 dbase::Result<std::shared_ptr<FrameSocket>> FrameSocket::Adopt(
     dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
     std::shared_ptr<PeerCounters> counters, FrameHandler on_frame, CloseHandler on_close) {
-  int nodelay = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   std::shared_ptr<FrameSocket> sock(new FrameSocket(scope, fd, limits, std::move(counters),
                                                     std::move(on_frame), std::move(on_close)));
   std::weak_ptr<FrameSocket> weak = sock;
@@ -90,12 +71,9 @@ void FrameSocket::SendFrame(FrameType type, uint16_t flags, uint64_t request_id,
   header.flags = flags;
   header.body_len = static_cast<uint32_t>(body_len);
   header.request_id = request_id;
-  send_queue_.push_back(
-      dbase::BufferSlice(dbase::Buffer::FromString(EncodeFrameHeader(header))));
+  send_queue_.Push(dbase::BufferSlice(dbase::Buffer::FromString(EncodeFrameHeader(header))));
   for (auto& chunk : body) {
-    if (!chunk.empty()) {
-      send_queue_.push_back(std::move(chunk));
-    }
+    send_queue_.Push(std::move(chunk));
   }
   FlushWrites();
 }
@@ -116,8 +94,7 @@ void FrameSocket::Close(const dbase::Status& reason) {
   scope_->Remove(fd_);
   close(fd_);
   fd_ = -1;
-  send_queue_.clear();
-  send_offset_ = 0;
+  send_queue_.Clear();
   if (on_close_) {
     // Move out first: the handler may drop the last owning reference.
     CloseHandler handler = std::move(on_close_);
@@ -245,49 +222,12 @@ void FrameSocket::OnReadable() {
 }
 
 void FrameSocket::FlushWrites() {
-  while (fd_ >= 0 && !send_queue_.empty()) {
-    iovec iov[kMaxIov];
-    int iov_count = 0;
-    size_t skip = send_offset_;
-    for (const auto& chunk : send_queue_) {
-      if (iov_count == kMaxIov) {
-        break;
-      }
-      iov[iov_count].iov_base = const_cast<char*>(chunk.data() + skip);
-      iov[iov_count].iov_len = chunk.size() - skip;
-      ++iov_count;
-      skip = 0;
-    }
-    // MSG_NOSIGNAL: a peer that already hung up surfaces as EPIPE and a
-    // kUnavailable close, never as a process-killing SIGPIPE.
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iov_count);
-    const ssize_t n = sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      Close(dbase::Unavailable("sendmsg() failed"));
-      return;
-    }
-    counters_->bytes_sent.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-    size_t remaining = static_cast<size_t>(n);
-    while (remaining > 0 && !send_queue_.empty()) {
-      const size_t front_left = send_queue_.front().size() - send_offset_;
-      if (remaining >= front_left) {
-        remaining -= front_left;
-        send_queue_.pop_front();
-        send_offset_ = 0;
-      } else {
-        send_offset_ += remaining;
-        remaining = 0;
-      }
-    }
+  const dbase::Result<size_t> sent = send_queue_.Flush(fd_);
+  if (!sent.ok()) {
+    Close(sent.status());
+    return;
   }
+  counters_->bytes_sent.fetch_add(*sent, std::memory_order_relaxed);
   UpdateInterest();
 }
 
@@ -296,7 +236,7 @@ void FrameSocket::UpdateInterest() {
     return;
   }
   const uint32_t want =
-      EPOLLIN | (send_queue_.empty() ? 0u : static_cast<uint32_t>(EPOLLOUT));
+      EPOLLIN | (send_queue_.pending() == 0 ? 0u : static_cast<uint32_t>(EPOLLOUT));
   if (want == armed_events_) {
     return;
   }
@@ -305,81 +245,6 @@ void FrameSocket::UpdateInterest() {
     return;
   }
   armed_events_ = want;
-}
-
-// --------------------------------------------------------- socket helpers
-
-dbase::Result<int> ListenLoopback(uint16_t port, int backlog) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return dbase::Unavailable("socket() failed");
-  }
-  int reuse = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return dbase::Unavailable("bind() failed (sandboxed environment?)");
-  }
-  if (listen(fd, backlog) != 0) {
-    close(fd);
-    return dbase::Unavailable("listen() failed");
-  }
-  return fd;
-}
-
-dbase::Result<uint16_t> BoundPort(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
-  if (getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    return dbase::Unavailable("getsockname() failed");
-  }
-  return static_cast<uint16_t>(ntohs(addr.sin_port));
-}
-
-dbase::Result<int> ConnectLoopback(uint16_t port, dbase::Micros timeout_us) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return dbase::Unavailable("socket() failed");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  while (true) {
-    if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      break;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno != EINPROGRESS) {
-      close(fd);
-      return dbase::Unavailable("connect() failed");
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    const int timeout_ms =
-        timeout_us <= 0 ? -1 : static_cast<int>(timeout_us / dbase::kMicrosPerMilli);
-    const int ready = poll(&pfd, 1, timeout_ms);
-    if (ready <= 0) {
-      close(fd);
-      return dbase::DeadlineExceeded("connect timed out");
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
-    if (err != 0) {
-      close(fd);
-      return dbase::Unavailable("connect() failed: " + std::string(strerror(err)));
-    }
-    break;
-  }
-  int nodelay = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-  return fd;
 }
 
 }  // namespace dnet

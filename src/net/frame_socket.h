@@ -3,10 +3,10 @@
 // state machine that adopts each body straight into a refcounted
 // dbase::Buffer, so frame handlers (and the aliasing UnmarshalSets under
 // them) view the receive bytes without copying. The write side is a
-// scatter queue flushed with gathered sendmsg(MSG_NOSIGNAL) —
-// MarshalSetsScatter chunks go from their original backing buffers to the
-// kernel with no intermediate assembly, and a vanished peer is an error
-// return, not a SIGPIPE.
+// SendQueue (src/net/socket.h): MarshalSetsScatter chunks go from their
+// original backing buffers to the kernel with no intermediate assembly, a
+// vanished peer is an error return, not a SIGPIPE, and frames sent while a
+// connect is still in flight wait in the queue until it completes.
 //
 // Threading: all methods are loop-thread-only unless noted. Cross-thread
 // senders (NodeClient callers) post through the owner's scope. Lifetime is
@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,6 +26,7 @@
 #include "src/base/buffer.h"
 #include "src/base/event_loop.h"
 #include "src/base/status.h"
+#include "src/net/socket.h"
 #include "src/net/wire.h"
 
 namespace dnet {
@@ -53,11 +53,12 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   // (kInvalidArgument). The fd is already closed when this runs.
   using CloseHandler = std::function<void(const dbase::Status& reason)>;
 
-  // Adopts a connected non-blocking `fd` and registers it through the
-  // owner's `scope`, which must outlive the socket's open life (owners
-  // Close() their sockets before their scope). The socket adds its bytes
-  // into `counters`, which must not be null. Loop-thread-only. On
-  // registration failure the fd is closed and the error returned.
+  // Adopts a connected (or still connecting) non-blocking `fd` and
+  // registers it through the owner's `scope`, which must outlive the
+  // socket's open life (owners Close() their sockets before their scope).
+  // The socket adds its bytes into `counters`, which must not be null.
+  // Loop-thread-only. On registration failure the fd is closed and the
+  // error returned.
   static dbase::Result<std::shared_ptr<FrameSocket>> Adopt(
       dbase::EventLoop::Scope* scope, int fd, FrameLimits limits,
       std::shared_ptr<PeerCounters> counters, FrameHandler on_frame, CloseHandler on_close);
@@ -108,25 +109,9 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   FrameHeader pending_;        // Decoded header while its body streams in.
   std::string body_;           // Partial body; adopted into a Buffer when full.
 
-  // Write queue: chunk sequence with a cursor into the front chunk.
-  std::deque<dbase::BufferSlice> send_queue_;
-  size_t send_offset_ = 0;  // Bytes of send_queue_.front() already written.
+  SendQueue send_queue_;
   uint32_t armed_events_ = 0;
 };
-
-// --------------------------------------------------------- socket helpers
-
-// Creates a loopback TCP listener (SOCK_NONBLOCK | SOCK_CLOEXEC) on `port`
-// (0 picks an ephemeral port). Returns the listening fd.
-dbase::Result<int> ListenLoopback(uint16_t port, int backlog);
-
-// The port a bound socket actually landed on.
-dbase::Result<uint16_t> BoundPort(int fd);
-
-// Blocking loopback connect with a deadline, returning a connected
-// non-blocking fd (TCP_NODELAY set). Safe off-loop; hand the fd to
-// FrameSocket::Adopt on the loop thread afterwards.
-dbase::Result<int> ConnectLoopback(uint16_t port, dbase::Micros timeout_us);
 
 }  // namespace dnet
 

@@ -98,7 +98,7 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
     return peer.socket.get();
   }
   peer.socket.reset();
-  auto fd = ConnectLoopback(peer.port, kConnectTimeoutUs);
+  auto fd = ConnectLoopback(peer.port);
   if (!fd.ok()) {
     return nullptr;
   }
@@ -112,6 +112,15 @@ FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
     return nullptr;
   }
   peer.socket = std::move(socket).value();
+  // The handshake is usually still in flight: frames queue in the socket
+  // until it completes, and one that has not completed within
+  // kConnectTimeoutUs closes the socket, failing its requests as peer lost.
+  scope_->AddTimer(kConnectTimeoutUs, [weak = std::weak_ptr<FrameSocket>(peer.socket)] {
+    auto connecting = weak.lock();
+    if (connecting != nullptr && !connecting->closed() && !HasPeer(connecting->fd())) {
+      connecting->Close(dbase::DeadlineExceeded("connect timed out"));
+    }
+  });
   // Hello; the ack needs no pending entry (request id 0 is never issued).
   peer.socket->SendFrame(FrameType::kJoin, 0, 0, EncodeJoin(WireJoin{node_name_}));
   return peer.socket.get();

@@ -3,10 +3,13 @@
 // (dbase::EventLoop::Process()), registered through the client's scope;
 // callers on any thread send async invokes and gossip probes, cancels, and
 // blocking mesh calls (never from the reactor itself).
-// A connection is (re)established lazily on first use and failures
-// fail fast: every request pending on a dead connection completes with
-// kUnavailable ("peer lost") so the layer above (Cluster) can map it to
-// the retry-eligible FailureKind and re-route.
+// A connection is (re)established lazily on first use with a non-blocking
+// connect (dnet::ConnectLoopback): frames queue in its FrameSocket until
+// the handshake completes, so the reactor never waits on a peer. A refused
+// connect, a handshake still incomplete after 2 s (a reactor timer), and a
+// dead connection all fail the same way: every request pending on it
+// completes with kUnavailable ("peer lost") so the layer above (Cluster)
+// can map it to the retry-eligible FailureKind and re-route.
 //
 // Each peer's wire counters live in one shared PeerCounters object: the
 // peer's FrameSocket adds its bytes, the client its invokes, sheds and
@@ -53,7 +56,7 @@ class NodeClient {
   std::map<std::string, std::shared_ptr<const PeerCounters>> SnapshotPeers() const;
 
   // Sends one invoke; the callback fires exactly once from the reactor
-  // (or inline on immediate connect failure): the decoded outcome,
+  // (or inline when the client is not running): the decoded outcome,
   // kUnavailable "peer lost ..." when the connection dies first, or
   // kDeadlineExceeded when timeout_us elapses (a kCancel chases the
   // invoke). timeout_us <= 0 means no client-side timer. Returns the
@@ -101,7 +104,8 @@ class NodeClient {
     std::shared_ptr<PeerCounters> counters;
   };
 
-  // Reactor-only. Connects if needed; null on failure.
+  // Reactor-only. Starts a connect if needed; null when it was refused
+  // on the spot.
   FrameSocket* EnsureConnected(const std::string& peer);
   // Reactor-only central send: connects, registers the pending entry
   // under `request_id`, arms the timeout, ships the frame.

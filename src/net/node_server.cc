@@ -1,10 +1,8 @@
 #include "src/net/node_server.h"
 
 #include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <utility>
 #include <vector>
 
@@ -74,14 +72,7 @@ void NodeServer::Stop() {
 }
 
 void NodeServer::OnAcceptable() {
-  while (true) {
-    const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;  // EAGAIN or transient failure; level-triggered epoll retries.
-    }
+  AcceptAll(scope_.get(), listen_fd_, [this](int fd) {
     // Wire bytes are counted router-side, per peer; these go unread.
     auto socket = FrameSocket::Adopt(
         scope_.get(), fd, config_.limits, std::make_shared<PeerCounters>(),
@@ -89,11 +80,10 @@ void NodeServer::OnAcceptable() {
           OnFrame(fd, header, std::move(body));
         },
         [this, fd](const dbase::Status& reason) { OnPeerClosed(fd, reason); });
-    if (!socket.ok()) {
-      continue;  // Adopt closed the fd.
+    if (socket.ok()) {  // Otherwise Adopt closed the fd.
+      peers_[fd].socket = std::move(socket).value();
     }
-    peers_[fd].socket = std::move(socket).value();
-  }
+  });
 }
 
 void NodeServer::Drop(int fd, dbase::Status reason) {

@@ -1,12 +1,7 @@
 #include "src/runtime/frontend.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,6 +13,7 @@
 #include "src/base/log.h"
 #include "src/base/string_util.h"
 #include "src/http/http_parser.h"
+#include "src/net/socket.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/fault.h"
 #include "src/runtime/jail.h"
@@ -33,32 +29,6 @@ constexpr uint64_t kMaxBodyBytes = 64ull * 1024 * 1024;
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 // Bytes a draining connection will discard before giving up on the client.
 constexpr size_t kMaxDrainBytes = 1u << 20;
-
-// Blocking-style full write with EINTR retry; on EAGAIN (non-blocking fd,
-// or SO_SNDTIMEO) it polls for writability instead of silently truncating
-// the response. Bounded in time so a hostile zero-window client cannot
-// pin the caller. Used outside the per-connection state machine (e.g. the
-// over-capacity 503 written straight from accept).
-void WriteAll(int fd, const std::string& data) {
-  const dbase::Stopwatch watch;
-  size_t offset = 0;
-  while (offset < data.size() && watch.ElapsedMicros() < dbase::kMicrosPerSecond) {
-    const ssize_t n = send(fd, data.data() + offset, data.size() - offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      poll(&pfd, 1, 100);
-      continue;
-    }
-    return;  // Hard error (EPIPE, ...): the response is undeliverable.
-  }
-}
 
 // True when `token` appears in the comma-separated Connection header value
 // (RFC 9110 §7.6.1 — e.g. "close, te" contains "close").
@@ -151,30 +121,14 @@ HttpFrontend::~HttpFrontend() {
 }
 
 dbase::Status HttpFrontend::Start() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return dbase::Unavailable("socket() failed");
-  }
-  int reuse = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  ASSIGN_OR_RETURN(listen_fd_, dnet::ListenLoopback(port_, 128));
+  auto port = dnet::BoundPort(listen_fd_);
+  if (!port.ok()) {
     close(listen_fd_);
     listen_fd_ = -1;
-    return dbase::Unavailable("bind() failed (sandboxed environment?)");
+    return port.status();
   }
-  if (listen(listen_fd_, 128) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return dbase::Unavailable("listen() failed");
-  }
-  socklen_t len = sizeof(addr);
-  getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
+  port_ = *port;
 
   // Feed the admission-control counters into the elasticity control plane's
   // per-tick snapshot: 429s only — deadline expiries are already counted by
@@ -239,48 +193,25 @@ void HttpFrontend::Stop() {
 }
 
 void HttpFrontend::OnAcceptable() {
-  while (true) {
-    const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;  // Backlog drained.
-      }
-      if (errno != EMFILE && errno != ENFILE) {
-        // Transient per-connection failures (ECONNABORTED: client RST'd
-        // while queued; EPROTO, network errors) — skip that connection and
-        // keep accepting, per accept(2).
-        continue;
-      }
-      // Out of file descriptors: the pending connection stays in the
-      // backlog, so level-triggered EPOLLIN would re-fire every wait and
-      // spin the loop at 100% CPU. Mute the listener briefly and retry
-      // once descriptors may have freed.
-      (void)scope_->Modify(listen_fd_, 0);
-      scope_->AddTimer(50 * dbase::kMicrosPerMilli,
-                       [this] { (void)scope_->Modify(listen_fd_, EPOLLIN); });
-      return;
-    }
+  dnet::AcceptAll(scope_.get(), listen_fd_, [this](int fd) {
     if (connections_.size() >= config_.max_connections) {
-      WriteAll(fd, dhttp::HttpResponse::Make(503, "Service Unavailable", "connection limit\n")
-                       .Serialize());
-      // Respond-then-drain, non-blocking flavour: signal end-of-response,
-      // then clear whatever request bytes already arrived so close() does
-      // not RST the 503 out of the client's receive buffer. Bytes still in
-      // flight can race the close; blocking the accept path to wait for
-      // them is not worth it on an already-overloaded node.
+      // One non-blocking send: a freshly accepted socket's empty send
+      // buffer always holds this small response. Then respond-then-drain,
+      // non-blocking flavour: signal end-of-response, and clear whatever
+      // request bytes already arrived so close() does not RST the 503 out
+      // of the client's receive buffer. Bytes still in flight can race the
+      // close; waiting for them is not worth it on an overloaded node.
+      const std::string busy =
+          dhttp::HttpResponse::Make(503, "Service Unavailable", "connection limit\n")
+              .Serialize();
+      (void)send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
       shutdown(fd, SHUT_WR);
       char sink[4096];
       while (read(fd, sink, sizeof(sink)) > 0) {
       }
       close(fd);
-      continue;
+      return;
     }
-    int nodelay = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->armed_events = EPOLLIN;
@@ -291,10 +222,10 @@ void HttpFrontend::OnAcceptable() {
     if (!added.ok()) {
       connections_.erase(fd);
       close(fd);
-      continue;
+      return;
     }
     ArmIdleTimer(conn);
-  }
+  });
 }
 
 void HttpFrontend::OnConnectionEvent(const ConnectionPtr& conn, uint32_t events) {
@@ -317,17 +248,13 @@ void HttpFrontend::OnConnectionEvent(const ConnectionPtr& conn, uint32_t events)
 }
 
 void HttpFrontend::OnReadable(const ConnectionPtr& conn) {
-  // Per-callback read budget: a fast sender (loopback, 10GbE) can keep the
-  // socket non-empty indefinitely; without a bound, one connection's
-  // upload would monopolize the loop thread and buffer unboundedly ahead
-  // of the pipeline-depth backpressure. Level-triggered epoll re-fires for
-  // the remainder, interleaving other connections' events.
-  constexpr size_t kReadBudget = 256 * 1024;
+  // Read budget: without a bound, one connection's upload would also
+  // buffer unboundedly ahead of the pipeline-depth backpressure.
   size_t budget_used = 0;
   char chunk[16384];
   bool got_bytes = false;
   bool saw_eof = false;
-  while (budget_used < kReadBudget) {
+  while (budget_used < dnet::kReadBudget) {
     const ssize_t n = read(conn->fd, chunk, sizeof(chunk));
     if (n > 0) {
       got_bytes = true;
@@ -730,70 +657,27 @@ void HttpFrontend::FailConnection(const ConnectionPtr& conn, dhttp::HttpResponse
 
 void HttpFrontend::FlushPipeline(const ConnectionPtr& conn) {
   while (!conn->pipeline.empty() && conn->pipeline.front()->ready) {
-    WireChunks& wire = conn->pipeline.front()->bytes;
-    for (auto& chunk : wire.chunks) {
-      if (!chunk.empty()) {
-        conn->out.push_back(std::move(chunk));
-      }
+    for (auto& chunk : conn->pipeline.front()->bytes.chunks) {
+      conn->out.Push(std::move(chunk));
     }
-    conn->out_pending += wire.total_bytes;
     conn->pipeline.pop_front();
   }
   TryWrite(conn);
 }
 
 void HttpFrontend::TryWrite(const ConnectionPtr& conn) {
-  while (conn->HasPendingOut()) {
-    // Gather the queued chunks into one sendmsg: header, framing, and
-    // payload slices go to the kernel without ever being concatenated.
-    // MSG_NOSIGNAL: a client that hung up is EPIPE here, not a SIGPIPE.
-    constexpr size_t kMaxIov = 64;
-    iovec iov[kMaxIov];
-    size_t iov_count = 0;
-    size_t skip = conn->out_offset;  // Partial-write cursor into the front chunk.
-    for (const dbase::BufferSlice& chunk : conn->out) {
-      if (iov_count == kMaxIov) {
-        break;
-      }
-      iov[iov_count].iov_base = const_cast<char*>(chunk.data() + skip);
-      iov[iov_count].iov_len = chunk.size() - skip;
-      skip = 0;
-      ++iov_count;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = iov_count;
-    const ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->out_pending -= static_cast<size_t>(n);
-      total_response_bytes_ -= static_cast<size_t>(n);
-      // Advance the cursor: drop fully-sent chunks, move the offset within
-      // the first partially-sent one.
-      size_t advanced = static_cast<size_t>(n);
-      while (advanced > 0) {
-        const size_t front_remaining = conn->out.front().size() - conn->out_offset;
-        if (advanced >= front_remaining) {
-          advanced -= front_remaining;
-          conn->out.pop_front();
-          conn->out_offset = 0;
-        } else {
-          conn->out_offset += advanced;
-          advanced = 0;
-        }
-      }
-      // Write progress counts as liveness for the idle timer: a client
-      // consuming a large response slowly is slow, not stalled.
-      conn->last_activity = dbase::MonotonicClock::Get()->NowMicros();
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      break;
-    }
+  const size_t unsent = conn->out.pending();
+  const dbase::Result<size_t> sent = conn->out.Flush(conn->fd);
+  // What left the queue leaves the budget, even ahead of a hard error.
+  total_response_bytes_ -= unsent - conn->out.pending();
+  if (!sent.ok()) {
     CloseConnection(conn);  // Hard error: the peer is gone.
     return;
+  }
+  if (*sent > 0) {
+    // Write progress counts as liveness for the idle timer: a client
+    // consuming a large response slowly is slow, not stalled.
+    conn->last_activity = dbase::MonotonicClock::Get()->NowMicros();
   }
   if (!conn->HasPendingOut() && conn->pipeline.empty() &&
       conn->state == Connection::State::kStopped) {
@@ -931,7 +815,7 @@ void HttpFrontend::CloseConnection(const ConnectionPtr& conn) {
   // Release this connection's share of the response budget: the unsent
   // chunk tail plus every completed slot (not-yet-completed slots were
   // never counted, and their completions see the dead connection).
-  total_response_bytes_ -= conn->out_pending;
+  total_response_bytes_ -= conn->out.pending();
   for (const SlotPtr& slot : conn->pipeline) {
     if (slot->ready) {
       total_response_bytes_ -= slot->bytes.total_bytes;

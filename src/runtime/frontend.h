@@ -26,6 +26,9 @@
 // non-finite double as null); FrontendTest.StatzSchemaIsPinned pins the
 // /statz keys, their nesting, types and order.
 //
+// Sockets go through the dnet socket layer (src/net/socket.h): one
+// listener, AcceptAll, and a SendQueue per connection for gathered,
+// non-blocking response writes, so no socket call stalls the reactor.
 // Connections are non-blocking with keep-alive and pipelining: requests are
 // parsed incrementally as bytes arrive, invocations are dispatched inline
 // on the reactor through Platform::Submit (or the attached Cluster), and
@@ -49,6 +52,7 @@
 #include "src/base/event_loop.h"
 #include "src/base/status.h"
 #include "src/http/http_message.h"
+#include "src/net/socket.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/platform.h"
 
@@ -69,7 +73,8 @@ struct FrontendConfig {
   dbase::Micros request_timeout = 30 * dbase::kMicrosPerSecond;
   // Bound on the respond-then-drain window after a request-framing error.
   dbase::Micros drain_timeout = dbase::kMicrosPerSecond;
-  // Beyond this many open connections, new accepts get an immediate 503.
+  // Beyond this many open connections, new accepts get an immediate 503
+  // (one non-blocking send) and are closed.
   size_t max_connections = 1024;
   // Aggregate cap on not-yet-consumed request bytes across ALL
   // connections: the per-request 64 MiB body cap times max_connections
@@ -93,7 +98,7 @@ struct FrontendConfig {
   size_t max_inflight_batch = 256;
 };
 
-// A response as an ordered chunk sequence for gathered (sendmsg) output:
+// A response as an ordered chunk sequence for a connection's SendQueue:
 // framing/header chunks own their bytes via refcounted buffers, large
 // payload chunks alias the marshalled set slices directly — the frontend
 // never concatenates a big response into one contiguous string.
@@ -156,14 +161,10 @@ class HttpFrontend {
     };
     State state = State::kReading;
     std::string in;   // Received, not-yet-consumed bytes.
-    // Response chunks awaiting write, gathered into sendmsg. out_offset is
-    // the cursor into the front chunk (partial writes advance it without
-    // memmoving anything); out_pending is the total unsent byte count
-    // across all chunks (the budget-accounting quantity).
-    std::deque<dbase::BufferSlice> out;
-    size_t out_offset = 0;
-    size_t out_pending = 0;
-    bool HasPendingOut() const { return out_pending > 0; }
+    // Response chunks awaiting write; out.pending() is the
+    // budget-accounting quantity.
+    dnet::SendQueue out;
+    bool HasPendingOut() const { return out.pending() > 0; }
     // One slot per accepted request, in arrival order; a slot's response
     // may complete out of order but is written only at the queue head.
     struct ResponseSlot {

@@ -1149,6 +1149,37 @@ TEST(FrontendTest, DestroyedWithAnInvokeInFlightIsNeverCalledBack) {
   close(fd);
 }
 
+// Beyond max_connections, a new connection is answered 503 straight from
+// the accept path and closed: the client reads the response, then EOF.
+TEST(FrontendTest, ConnectionBeyondLimitGets503ThenEof) {
+  FrontendConfig config;
+  config.max_connections = 2;
+  FrontendFixture fixture(config);
+  SKIP_WITHOUT_LOOPBACK(fixture);
+
+  std::vector<int> admitted;
+  for (int i = 0; i < 2; ++i) {
+    admitted.push_back(ConnectTo(fixture.port()));
+    std::string carry;
+    SendAll(admitted.back(), Healthz());
+    auto response = ReadOneResponse(admitted.back(), &carry);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status_code, 200);
+  }
+  const int refused = ConnectTo(fixture.port());
+  std::string carry;
+  auto response = ReadOneResponse(refused, &carry);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 503);
+  EXPECT_NE(response->body.find("connection limit"), std::string::npos);
+  char byte = 0;
+  EXPECT_EQ(read(refused, &byte, 1), 0);
+  close(refused);
+  for (int fd : admitted) {
+    close(fd);
+  }
+}
+
 TEST(FrontendTest, ConnectionCloseHonored) {
   FrontendFixture fixture;
   SKIP_WITHOUT_LOOPBACK(fixture);

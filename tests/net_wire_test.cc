@@ -2,27 +2,41 @@
 // rejection path, invoke/outcome/status/join/mesh body round trips, the
 // zero-copy aliasing contract of DecodeInvoke, checked (never clamping)
 // parsing of truncated or corrupt bodies, FrameSocket's SIGPIPE-free
-// writes, and NodeServer adopting an already-bound listener.
+// writes, NodeServer adopting an already-bound listener, and the socket
+// layer under all of them: SendQueue's gathered writes, an accept loop that
+// does not spin when descriptors run out, and a connect that cannot stall
+// the process reactor.
 #include "src/net/wire.h"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/buffer.h"
+#include "src/base/clock.h"
 #include "src/base/event_loop.h"
 #include "src/func/data.h"
 #include "src/net/frame_socket.h"
+#include "src/net/node_client.h"
 #include "src/net/node_server.h"
+#include "src/net/socket.h"
+#include "src/runtime/frontend.h"
+#include "src/runtime/platform.h"
 
 namespace dnet {
 namespace {
@@ -328,6 +342,245 @@ TEST(NodeServerTest, AdoptedListenerServesAndIsClosedOnStop) {
   errno = 0;
   EXPECT_EQ(fcntl(*listener, F_GETFD), -1);
   EXPECT_EQ(errno, EBADF);
+}
+
+// ------------------------------------------------------------ SendQueue
+
+// 200 chunks of mixed sizes, empty ones included, through a small send
+// buffer: Flush crosses the 64-iovec cap and resumes mid-chunk after
+// partial writes, the bytes arrive in order, and pending() is exact after
+// every call.
+TEST(SendQueueTest, GathersInOrderAcrossIovecCapAndPartialWrites) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  ASSERT_EQ(fcntl(fds[0], F_SETFL, fcntl(fds[0], F_GETFL) | O_NONBLOCK), 0);
+  int sndbuf = 4096;
+  ASSERT_EQ(setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
+
+  const size_t kSizes[] = {0, 1, 7, 300, 0, 5000, 64, 20000};
+  SendQueue queue;
+  std::string expected;
+  for (size_t i = 0; i < 200; ++i) {
+    std::string chunk(kSizes[i % std::size(kSizes)], '\0');
+    for (size_t j = 0; j < chunk.size(); ++j) {
+      chunk[j] = static_cast<char>('a' + (i + j) % 26);
+    }
+    expected += chunk;
+    queue.Push(SliceOf(std::move(chunk)));
+  }
+  ASSERT_EQ(queue.pending(), expected.size());
+
+  std::string received;
+  std::thread reader([&received, fd = fds[1], total = expected.size()] {
+    char buffer[1024];
+    while (received.size() < total) {
+      const ssize_t n = read(fd, buffer, sizeof(buffer));
+      if (n <= 0) {
+        return;
+      }
+      received.append(buffer, static_cast<size_t>(n));
+    }
+  });
+  size_t pending = expected.size();
+  int flushes = 0;
+  while (pending > 0) {
+    auto sent = queue.Flush(fds[0]);
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    ++flushes;
+    pending -= *sent;
+    ASSERT_EQ(queue.pending(), pending);
+    if (pending > 0) {
+      pollfd pfd{fds[0], POLLOUT, 0};
+      ASSERT_EQ(poll(&pfd, 1, 5000), 1);
+    }
+  }
+  reader.join();
+  EXPECT_GT(flushes, 1);  // The send buffer forced partial writes.
+  EXPECT_EQ(received, expected);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(SendQueueTest, ClosedPeerIsUnavailableWithoutSigpipe) {
+  struct sigaction default_action {};
+  struct sigaction saved_action {};
+  default_action.sa_handler = SIG_DFL;
+  sigemptyset(&default_action.sa_mask);
+  ASSERT_EQ(sigaction(SIGPIPE, &default_action, &saved_action), 0);
+
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0, fds), 0);
+  close(fds[1]);
+  SendQueue queue;
+  queue.Push(SliceOf("orphaned"));
+  auto sent = queue.Flush(fds[0]);
+  ASSERT_FALSE(sent.ok());
+  EXPECT_EQ(sent.status().code(), dbase::StatusCode::kUnavailable);
+  EXPECT_EQ(queue.pending(), 8u);
+  close(fds[0]);
+  sigaction(SIGPIPE, &saved_action, nullptr);
+}
+
+// ------------------------------------------------ accept under EMFILE
+
+dbase::Micros ProcessCpuMicros() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto micros = [](const timeval& tv) {
+    return static_cast<dbase::Micros>(tv.tv_sec) * dbase::kMicrosPerSecond + tv.tv_usec;
+  };
+  return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+// Shared body of the EMFILE cases. With the descriptor table full, a
+// connection waiting in the backlog of the listener on `port` must not make
+// the reactor spin; once the limit is restored, the connection is accepted
+// and `round_trip` (a blocking exchange on the client fd) succeeds within
+// 500 ms.
+void ExpectEmfileDoesNotSpinTheReactor(uint16_t port, const std::function<void(int)>& round_trip) {
+  const int client = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  timeval timeout{};
+  timeout.tv_usec = 500 * 1000;
+  setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // The lowest free descriptor number: with the limit there, no new
+  // descriptor fits, so the server's accept fails with EMFILE.
+  const int probe = open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(probe, 0);
+  close(probe);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(probe);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  const int connected = connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  const dbase::Micros cpu_before = ProcessCpuMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const dbase::Micros cpu_used = ProcessCpuMicros() - cpu_before;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0);
+  EXPECT_LT(cpu_used, 50 * dbase::kMicrosPerMilli);
+
+  const dbase::Stopwatch watch;
+  round_trip(client);
+  EXPECT_LT(watch.ElapsedMicros(), 500 * dbase::kMicrosPerMilli);
+  close(client);
+}
+
+TEST(AcceptTest, EmfileDoesNotSpinNodeServer) {
+  NodeServer::Config config;
+  config.node_name = "crowded";
+  NodeServer server(config);
+  server.set_status_provider([] {
+    WireNodeStatus status;
+    status.node_name = "crowded";
+    return status;
+  });
+  if (const dbase::Status started = server.Start(); !started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  ExpectEmfileDoesNotSpinTheReactor(server.port(), [](int fd) {
+    FrameHeader request;
+    request.type = FrameType::kGossipReq;
+    request.request_id = 9;
+    const std::string frame = EncodeFrameHeader(request);
+    ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    auto reply = DecodeFrameHeader(ReadExactly(fd, kFrameHeaderBytes), FrameLimits{});
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->type, FrameType::kGossip);
+    EXPECT_EQ(reply->request_id, 9u);
+    auto status = DecodeNodeStatus(SliceOf(ReadExactly(fd, reply->body_len)));
+    ASSERT_TRUE(status.ok()) << status.status().ToString();
+    EXPECT_EQ(status->node_name, "crowded");
+  });
+  server.Stop();
+}
+
+TEST(AcceptTest, EmfileDoesNotSpinHttpFrontend) {
+  dandelion::PlatformConfig platform_config;
+  platform_config.num_workers = 2;
+  platform_config.backend = dandelion::IsolationBackend::kThread;
+  dandelion::Platform platform(platform_config);
+  dandelion::HttpFrontend frontend(&platform);
+  if (const dbase::Status started = frontend.Start(); !started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  ExpectEmfileDoesNotSpinTheReactor(frontend.port(), [](int fd) {
+    const std::string request = "GET /healthz HTTP/1.1\r\n\r\n";
+    ASSERT_EQ(send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    const std::string status_line = "HTTP/1.1 200";
+    EXPECT_EQ(ReadExactly(fd, status_line.size()), status_line);
+  });
+  frontend.Stop();
+}
+
+// ------------------------------------------------------ wedged connect
+
+// A peer whose accept queue is full drops SYNs, so a connect to it stays
+// in progress for seconds. The client must not wait for it on the
+// reactor: a closure posted right behind the gossip runs at once, and the
+// gossip still fails as peer lost within the 2 s connect bound.
+TEST(NodeClientTest, WedgedPeerDoesNotStallTheReactor) {
+  auto listener = ListenLoopback(0, 0);
+  if (!listener.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << listener.status().ToString();
+  }
+  auto port = BoundPort(*listener);
+  ASSERT_TRUE(port.ok());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(*port);
+  // Fill the accept queue: connect until one stays in progress for 50 ms.
+  std::vector<int> fillers;
+  bool wedged = false;
+  while (!wedged && fillers.size() < 64) {
+    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    fillers.push_back(fd);
+    if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      continue;
+    }
+    ASSERT_EQ(errno, EINPROGRESS);
+    pollfd pfd{fd, POLLOUT, 0};
+    wedged = poll(&pfd, 1, 50) == 0;
+  }
+  ASSERT_TRUE(wedged) << "the listener never stopped completing handshakes";
+
+  NodeClient client("router");
+  ASSERT_TRUE(client.Start().ok());
+  client.AddPeer("wedged", *port);
+  const dbase::Stopwatch watch;
+  std::promise<std::pair<dbase::Status, dbase::Micros>> gossiped;
+  client.GossipAsync("wedged", 5 * dbase::kMicrosPerSecond,
+                     [&gossiped, &watch](dbase::Result<WireNodeStatus> status) {
+                       gossiped.set_value({status.status(), watch.ElapsedMicros()});
+                     });
+  std::promise<dbase::Micros> posted;
+  dbase::EventLoop::Process()->Post([&posted, &watch] { posted.set_value(watch.ElapsedMicros()); });
+
+  auto posted_done = posted.get_future();
+  ASSERT_EQ(posted_done.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_LT(posted_done.get(), 100 * dbase::kMicrosPerMilli);
+  auto gossip_done = gossiped.get_future();
+  ASSERT_EQ(gossip_done.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  const auto [status, elapsed] = gossip_done.get();
+  EXPECT_EQ(status.code(), dbase::StatusCode::kUnavailable) << status.ToString();
+  EXPECT_NE(status.message().find("peer lost"), std::string::npos) << status.ToString();
+  EXPECT_LT(elapsed, 3 * dbase::kMicrosPerSecond);
+
+  client.Stop();
+  for (int fd : fillers) {
+    close(fd);
+  }
+  close(*listener);
 }
 
 TEST(WireMeshTest, RoundTrip) {
