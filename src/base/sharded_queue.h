@@ -95,12 +95,13 @@ class ShardedTaskQueue {
     s.cv.notify_all();
     // A batch is more work than one worker: bump the push epoch and wake
     // the siblings parked in PopWithTimeout so they steal instead of
-    // sleeping out their timeout. The notify is lock-free, so a waiter
-    // between its predicate check and its sleep can miss it — the bounded
-    // wait (worst case: pre-batching latency) is the backstop.
+    // sleeping out their timeout. As in Close(), each sibling's lock is
+    // taken once first, so no waiter can sit between its predicate check
+    // and its sleep when the notify lands.
     push_epoch_.fetch_add(1, std::memory_order_release);
     for (auto& shard_ptr : shards_) {
       if (shard_ptr.get() != &s) {
+        { std::lock_guard<std::mutex> sibling_lock(shard_ptr->mu); }
         shard_ptr->cv.notify_one();
       }
     }
@@ -141,10 +142,12 @@ class ShardedTaskQueue {
     if (auto item = TryPopLocal(shard)) {
       return item;
     }
+    // Read before the steal: a batch landing after the steal missed it
+    // then moves the epoch, so the wait below does not start.
+    const uint64_t seen_epoch = push_epoch_.load(std::memory_order_acquire);
     if (auto item = TrySteal(shard)) {
       return item;
     }
-    const uint64_t seen_epoch = push_epoch_.load(std::memory_order_acquire);
     Shard& s = *shards_[ShardIndex(shard)];
     {
       std::unique_lock<std::mutex> lock(s.mu);

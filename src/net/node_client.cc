@@ -59,6 +59,10 @@ void NodeClient::AddPeer(const std::string& name, uint16_t port) {
     }
     peer.port = port;
     peer.counters = counters;
+    // Join now, so the connect and kJoin round trip overlap the caller's
+    // own start-up instead of the first request. A peer that is not up
+    // yet fails nothing: no request is pending on it.
+    EnsureConnected(name);
   });
 }
 

@@ -3,7 +3,8 @@
 // (dbase::EventLoop::Process()), registered through the client's scope;
 // callers on any thread send async invokes and gossip probes, cancels, and
 // blocking mesh calls (never from the reactor itself).
-// A connection is (re)established lazily on first use with a non-blocking
+// A connection is opened (and joined) when a peer is added, and re-opened
+// lazily on the first use after it was lost, each time with a non-blocking
 // connect (dnet::ConnectLoopback): frames queue in its FrameSocket until
 // the handshake completes, so the reactor never waits on a peer. A refused
 // connect, a handshake still incomplete after 2 s (a reactor timer), and a
@@ -48,8 +49,9 @@ class NodeClient {
   dbase::Status Start();
   void Stop();
 
-  // Peer table (thread-safe). Adding an existing name updates its port
-  // and drops any stale connection.
+  // Peer table (thread-safe). Adding a peer starts its connect and kJoin
+  // on the reactor; adding an existing name updates its port and drops any
+  // stale connection.
   void AddPeer(const std::string& name, uint16_t port);
   void RemovePeer(const std::string& name);
   // Every peer's live counters, by name: load them where they are read.

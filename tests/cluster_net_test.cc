@@ -5,8 +5,8 @@
 // retry taxonomy, routed cancel (handle and client disconnect),
 // gossip-driven membership (suspect → evict → rejoin), mesh calls carried
 // over the wire, protocol hygiene against hostile frames, the statz
-// cluster section, and the spawned node's boot handshake and
-// self-contained binary.
+// cluster section, the spawned node's boot handshake, self-contained
+// binary and jailed process backend, and the router's join at AddPeer.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -36,6 +36,7 @@
 #include "src/http/sanitizer.h"
 #include "src/http/services.h"
 #include "src/net/node_client.h"
+#include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/frontend.h"
@@ -556,11 +557,11 @@ TEST(ClusterNetTest, NodeFailingAfterAnnounceSurfacesPromptlyAsPeerLost) {
   EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
-// The node links its C++ runtime statically, so exec skips loading
-// libstdc++.so. Sanitizer builds link it dynamically on purpose.
+// The node is a static-pie image: exec maps no dynamic loader and no shared
+// library. Sanitizer builds link their runtimes dynamically on purpose.
 TEST(ClusterNetTest, NodeBinaryIsSelfContained) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer builds keep the node's C++ runtime shared";
+  GTEST_SKIP() << "sanitizer builds keep the node's runtimes shared";
 #else
   SpawnedNode node = SpawnNode("maps");
   if (!node.ok()) {
@@ -572,11 +573,90 @@ TEST(ClusterNetTest, NodeBinaryIsSelfContained) {
   std::string line;
   while (std::getline(maps, line)) {
     ++mappings;
-    EXPECT_EQ(line.find("libstdc++.so"), std::string::npos) << line;
+    for (const char* shared : {"ld-linux", "libc.so", "libm.so", "libstdc++.so"}) {
+      EXPECT_EQ(line.find(shared), std::string::npos) << line;
+    }
   }
   EXPECT_GT(mappings, 0u);
   node.Kill(SIGTERM);
 #endif
+}
+
+// A process-backend node forks each function into a seccomp-jailed child
+// of its static image; every routed product must come back right.
+TEST(ClusterNetTest, ProcessBackendNodeServesJailedMatmul) {
+  SpawnedNode node = SpawnNode(
+      "jailed", {"--backend=process",
+                 "--dsl=composition MatMul(A, B) => C { matmul(A = all A, B = all B) => (C = C); }"});
+  if (!node.ok()) {
+    GTEST_SKIP() << "cannot spawn dandelion_node (no loopback or binary missing)";
+  }
+  Cluster cluster(RemoteClusterConfig({{"jailed", node.port}}, LoadBalancePolicy::kRoundRobin));
+  constexpr int kN = 32;
+  for (int i = 0; i < 20; ++i) {
+    const auto a = dfunc::MakeMatrix(kN, 2 * i + 1);
+    const auto b = dfunc::MakeMatrix(kN, 2 * i + 2);
+    DataSetList args;
+    args.push_back(DataSet{"A", {DataItem{"", dfunc::EncodeInt64Array(a)}}});
+    args.push_back(DataSet{"B", {DataItem{"", dfunc::EncodeInt64Array(b)}}});
+    auto routed = cluster.Invoke({"MatMul", std::move(args)});
+    ASSERT_TRUE(routed.ok()) << "matmul " << i << ": " << routed.status().ToString();
+    auto product = dfunc::DecodeInt64Array(routed.sets()[0].items[0].data.ToString());
+    ASSERT_TRUE(product.ok()) << product.status().ToString();
+    EXPECT_EQ(*product, dfunc::MultiplyMatrices(a, b, kN)) << "matmul " << i;
+  }
+  node.Kill(SIGTERM);
+}
+
+// ------------------------------------------------------------ router join
+
+// The router dials and joins each peer when it adds it, so the kJoinAck is
+// back before the first invoke is even sent.
+TEST(ClusterNetTest, RouterJoinsEachPeerWhenItAddsIt) {
+  AgentNode node(NodeAgentConfig{.node_name = "eager"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  Cluster cluster(RemoteClusterConfig({{"eager", node.port()}}, LoadBalancePolicy::kRoundRobin));
+  uint64_t received = 0;
+  for (int i = 0; i < 500 && received == 0; ++i) {
+    const auto stats = cluster.Stats();
+    const Cluster::PeerStats* peer = FindPeer(stats, "eager");
+    ASSERT_NE(peer, nullptr);
+    EXPECT_EQ(peer->invokes_sent, 0u);
+    received = peer->bytes_received;
+    if (received == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(received, 0u) << "no kJoinAck within 5 s of adding the peer";
+}
+
+// Joining a peer that is not up yet fails nothing; the first invoke after
+// it comes up reconnects lazily and succeeds.
+TEST(ClusterNetTest, PeerAddedBeforeItListensCostsNothing) {
+  auto probe = dnet::ListenLoopback(0, 1);
+  if (!probe.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << probe.status().ToString();
+  }
+  const auto port = dnet::BoundPort(*probe);
+  close(*probe);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  Cluster cluster(RemoteClusterConfig({{"late", *port}}, LoadBalancePolicy::kRoundRobin));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // The dial fails meanwhile.
+  {
+    const auto stats = cluster.Stats();
+    const Cluster::PeerStats* peer = FindPeer(stats, "late");
+    ASSERT_NE(peer, nullptr);
+    EXPECT_EQ(peer->peer_lost_failures, 0u);
+    EXPECT_EQ(peer->bytes_received, 0u);
+  }
+
+  AgentNode node(NodeAgentConfig{.node_name = "late", .port = *port});
+  SKIP_WITHOUT_LOOPBACK(node);
+  auto routed = cluster.Invoke({"Id", EchoArgs("after boot")});
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed.sets()[0].items[0].data.ToString(), "after boot");
+  const auto stats = cluster.Stats();
+  EXPECT_EQ(FindPeer(stats, "late")->peer_lost_failures, 0u);
+  EXPECT_EQ(stats.reroutes_peer_lost, 0u);
 }
 
 // ------------------------------------------------------------- mesh calls
