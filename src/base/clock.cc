@@ -11,8 +11,8 @@ Micros MonotonicClock::NowMicros() const {
 }
 
 MonotonicClock* MonotonicClock::Get() {
-  // Leaked: the process reactor and timer threads are never joined and may
-  // still read the clock while static destructors run at exit.
+  // Leaked: the process reactor thread is never joined and may still read
+  // the clock while static destructors run at exit.
   static MonotonicClock* const clock = new MonotonicClock();
   return clock;
 }

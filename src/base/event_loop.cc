@@ -4,9 +4,11 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "src/base/log.h"
 #include "src/base/thread.h"
@@ -15,6 +17,16 @@ namespace dbase {
 namespace {
 
 constexpr int kMaxEventsPerWait = 64;
+
+// Absolute due time `delay` from now, saturating instead of overflowing.
+Micros DeadlineAfter(Micros delay) {
+  const Micros now = MonotonicClock::Get()->NowMicros();
+  if (delay <= 0) {
+    return now;
+  }
+  return delay > std::numeric_limits<Micros>::max() - now ? std::numeric_limits<Micros>::max()
+                                                          : now + delay;
+}
 
 }  // namespace
 
@@ -120,20 +132,33 @@ void EventLoop::Stop() {
 }
 
 EventLoop::TimerId EventLoop::AddTimer(Micros delay, std::function<void()> fn) {
-  const TimerId id = next_timer_id_++;
-  const Micros deadline = MonotonicClock::Get()->NowMicros() + (delay < 0 ? 0 : delay);
+  const TimerId id = next_timer_id_.fetch_add(1, std::memory_order_relaxed);
+  ArmTimer(id, DeadlineAfter(delay), std::move(fn));
+  return id;
+}
+
+void EventLoop::ArmTimer(TimerId id, Micros deadline, std::function<void()> fn) {
   timers_[id] = Timer{deadline, std::move(fn)};
   timer_heap_.push({deadline, id});
-  return id;
 }
 
 void EventLoop::CancelTimer(TimerId id) { timers_.erase(id); }
 
+void EventLoop::ForgetTimer(TimerId id) {
+  std::lock_guard<std::mutex> lock(posted_mu_);
+  forgotten_.push_back(id);
+}
+
 void EventLoop::RunPosted() {
   std::vector<std::function<void()>> batch;
+  std::vector<TimerId> forgotten;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
     batch.swap(posted_);
+    forgotten.swap(forgotten_);
+  }
+  for (TimerId id : forgotten) {
+    timers_.erase(id);
   }
   for (auto& fn : batch) {
     fn();
@@ -162,8 +187,11 @@ int EventLoop::NextTimeoutMillis(Micros now) const {
   if (remaining <= 0) {
     return 0;
   }
-  // Round up so a timer is never polled before it is due.
-  return static_cast<int>((remaining + kMicrosPerMilli - 1) / kMicrosPerMilli);
+  // Round up so a timer is never polled before it is due, and clamp so a
+  // far-future one (a caller's distant deadline) cannot wrap the int into
+  // a zero or negative, i.e. spinning or unbounded, wait.
+  const Micros millis = remaining / kMicrosPerMilli + (remaining % kMicrosPerMilli != 0 ? 1 : 0);
+  return static_cast<int>(std::min<Micros>(millis, std::numeric_limits<int>::max()));
 }
 
 void EventLoop::Run() {
@@ -238,20 +266,55 @@ EventLoop::TimerId EventLoop::Scope::AddTimer(Micros delay, std::function<void()
   if (state_->closed.load(std::memory_order_relaxed)) {
     return 0;
   }
-  // Ids are handed out in order on the loop thread: this is the next one.
-  const TimerId id = loop_->next_timer_id_;
-  state_->timers.insert(id);
-  return loop_->AddTimer(delay, [state = state_, id, fn = std::move(fn)] {
-    state->timers.erase(id);
-    fn();
-  });
+  const TimerId id = loop_->next_timer_id_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(state_->timers_mu);
+    state_->timers.insert(id);
+  }
+  auto arm = [loop = loop_, state = state_, id, deadline = DeadlineAfter(delay),
+              fn = std::move(fn)]() mutable {
+    if (state->closed.load(std::memory_order_relaxed) || !state->Pending(id)) {
+      return;  // Closed or cancelled while the registration was in flight.
+    }
+    loop->ArmTimer(id, deadline, [state, id, fn = std::move(fn)] {
+      // A CancelTimer that raced the due time, from any thread, wins.
+      if (state->Take(id)) {
+        fn();
+      }
+    });
+  };
+  if (OnLoop()) {
+    arm();
+  } else {
+    loop_->Post(std::move(arm));
+  }
+  return id;
 }
 
 void EventLoop::Scope::CancelTimer(TimerId id) {
-  if (state_->timers.erase(id) > 0) {
+  if (!state_->Take(id)) {
+    return;
+  }
+  // The timer can no longer run; what remains is freeing the loop's entry,
+  // which off the loop waits for its next wakeup instead of causing one.
+  if (OnLoop()) {
     loop_->CancelTimer(id);
+  } else {
+    loop_->ForgetTimer(id);
   }
 }
+
+bool EventLoop::Scope::State::Pending(TimerId id) {
+  std::lock_guard<std::mutex> lock(timers_mu);
+  return timers.count(id) > 0;
+}
+
+bool EventLoop::Scope::State::Take(TimerId id) {
+  std::lock_guard<std::mutex> lock(timers_mu);
+  return timers.erase(id) > 0;
+}
+
+bool EventLoop::Scope::OnLoop() const { return loop_->IsLoopThread() || !loop_->running(); }
 
 void EventLoop::Scope::Close(std::function<void()> last) {
   if (state_->closed.load(std::memory_order_acquire)) {
@@ -268,12 +331,16 @@ void EventLoop::Scope::Close(std::function<void()> last) {
       loop_->Remove(fd);
     }
     state_->fds.clear();
-    for (TimerId id : state_->timers) {
+    std::set<TimerId> timers;
+    {
+      std::lock_guard<std::mutex> lock(state_->timers_mu);
+      timers.swap(state_->timers);
+    }
+    for (TimerId id : timers) {
       loop_->CancelTimer(id);
     }
-    state_->timers.clear();
   };
-  if (loop_->IsLoopThread() || !loop_->running()) {
+  if (OnLoop()) {
     close_on_loop();
     return;
   }

@@ -2,11 +2,13 @@
 // is the shared instance the HTTP frontend, every dnet NodeServer and the
 // NodeClient register on. One thread calls Run(); it multiplexes socket
 // readiness, one-shot timers, and closures posted from other threads (woken
-// through an eventfd). All fd and timer registration is expected to happen
-// on the loop thread except Post() and Stop(), which are safe from anywhere
-// — async work (engine completions) re-enters the loop by posting a closure
-// rather than touching loop state. Components register through an
-// EventLoop::Scope, so that stopping one never lets its callbacks run on.
+// through an eventfd). Fd registration happens on the loop thread; Post(),
+// Stop() and a Scope's timers are safe from anywhere — async work (engine
+// completions) re-enters the loop by posting a closure rather than touching
+// loop state. Components register through an EventLoop::Scope, so that
+// stopping one never lets its callbacks run on. Every runtime timer rides
+// this loop: the deadline reaper, retry backoff, the control tick and
+// gossip rounds, next to the sockets' own timers.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_
 
@@ -34,11 +36,11 @@ class EventLoop {
   using TimerId = uint64_t;
   class Scope;
 
-  // The process-wide reactor, started on first use on a thread named
-  // `reactor` and intentionally leaked, like TimerService::Get(). Its
-  // callbacks must not block: every socket in the process waits behind a
-  // running one. Like the timer thread, it does not survive fork(): a child
-  // forked after first use must exec before it starts a component.
+  // The process-wide reactor, started on first use (the first socket or
+  // timer) on a thread named `reactor` and intentionally leaked. Its
+  // callbacks must not block: every socket and timer in the process waits
+  // behind a running one. It does not survive fork(): a child forked after
+  // first use must exec before it starts a component.
   static EventLoop* Process();
 
   // Creates the epoll instance and the wakeup eventfd; fails (Unavailable)
@@ -71,8 +73,10 @@ class EventLoop {
   // Closures posted after Stop() are retained but never run.
   void Post(std::function<void()> fn);
 
-  // One-shot timer: fn runs on the loop thread once, ~delay from now.
-  // Returns an id usable with CancelTimer; ids are never reused.
+  // One-shot timer, loop-thread-only: fn runs on the loop thread once,
+  // ~delay from now, rounded up to the next millisecond. Timers fire in due
+  // order. Returns an id usable with CancelTimer; ids are never reused and
+  // never 0.
   TimerId AddTimer(Micros delay, std::function<void()> fn);
   void CancelTimer(TimerId id);
 
@@ -88,10 +92,17 @@ class EventLoop {
  private:
   EventLoop(int epoll_fd, int wakeup_fd);
 
+  // Files fn under an id taken from next_timer_id_; loop-thread-only.
+  void ArmTimer(TimerId id, Micros deadline, std::function<void()> fn);
+  // Thread-safe CancelTimer that does not wake the loop: the entry goes at
+  // its next wakeup (at the latest the timer's own due time). Only for a
+  // timer whose callback can no longer run, so the delay frees memory late
+  // but changes nothing else.
+  void ForgetTimer(TimerId id);
   void RunPosted();
   void RunDueTimers(Micros now);
-  // Milliseconds until the next timer is due (for epoll_wait), or -1 to
-  // block indefinitely.
+  // Milliseconds until the next timer is due (for epoll_wait), clamped to
+  // what an int holds, or -1 to block indefinitely.
   int NextTimeoutMillis(Micros now) const;
 
   const int epoll_fd_;
@@ -110,19 +121,21 @@ class EventLoop {
   // are skipped because the id is gone from timers_.
   using TimerKey = std::pair<Micros, TimerId>;
   std::priority_queue<TimerKey, std::vector<TimerKey>, std::greater<TimerKey>> timer_heap_;
-  TimerId next_timer_id_ = 1;
   std::atomic<std::thread::id> loop_thread_id_{};
 
   // Cross-thread state.
+  std::atomic<TimerId> next_timer_id_{1};
   std::mutex posted_mu_;
   std::vector<std::function<void()>> posted_;
+  std::vector<TimerId> forgotten_;  // Guarded by posted_mu_.
   std::atomic<bool> stopped_{false};
 };
 
 // One component's registrations on a loop: its fds, its timers, and the
-// closures it posts. Post() and Close() are thread-safe; the rest is
-// loop-thread-only. Owners whose completions may outlive them hold the
-// scope by shared_ptr and let those completions post through it.
+// closures it posts. Post(), AddTimer(), CancelTimer() and Close() are
+// thread-safe; the fd calls are loop-thread-only. Owners whose completions
+// may outlive them hold the scope by shared_ptr and let those completions
+// post through it.
 class EventLoop::Scope {
  public:
   explicit Scope(EventLoop* loop);
@@ -140,7 +153,13 @@ class EventLoop::Scope {
   // EventLoop::Post, except the closure is dropped unrun if the scope has
   // closed by the time its turn comes.
   void Post(std::function<void()> fn);
-  // EventLoop::AddTimer/CancelTimer; a closed scope arms nothing (id 0).
+  // EventLoop::AddTimer/CancelTimer, callable from any thread: off the loop
+  // thread the registration is posted to the loop and the cancel queued
+  // for it, and the delay still counts from the call. A closed scope arms nothing (id 0), and a
+  // timer cancelled before its callback starts never runs; a cancel does
+  // not wait for a running callback (Close() does). A periodic job re-arms
+  // itself at the end of its callback, so its period counts from the end
+  // of the previous run; Close() stops it.
   TimerId AddTimer(Micros delay, std::function<void()> fn);
   void CancelTimer(TimerId id);
 
@@ -154,12 +173,24 @@ class EventLoop::Scope {
   void Close(std::function<void()> last = nullptr);
 
  private:
+  // True on the loop thread, or on a loop nobody runs: loop state may be
+  // touched inline; otherwise it is posted to the loop.
+  bool OnLoop() const;
+
   // Shared with the wrapped closures and timers, which may outlive the
   // scope.
   struct State {
+    // True iff `id` is still in `timers`; Take also removes it, so exactly
+    // one of the timer's firing and its cancel claims it.
+    bool Pending(TimerId id);
+    bool Take(TimerId id);
+
     std::atomic<bool> closed{false};
-    std::set<int> fds;          // Loop-thread-only.
-    std::set<TimerId> timers;   // Loop-thread-only.
+    std::set<int> fds;  // Loop-thread-only.
+    std::mutex timers_mu;
+    // Armed, or with the registration in flight; not yet fired or
+    // cancelled. Guarded by timers_mu.
+    std::set<TimerId> timers;
   };
 
   EventLoop* const loop_;

@@ -1,7 +1,5 @@
 #include "src/base/thread.h"
 
-#include <pthread.h>
-#include <sched.h>
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
@@ -52,18 +50,6 @@ void Latch::Wait() {
 bool Latch::WaitFor(Micros timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
   return cv_.wait_for(lock, std::chrono::microseconds(timeout_us), [&] { return count_ <= 0; });
-}
-
-bool PinCurrentThreadToCpu(int cpu) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace dbase

@@ -1,5 +1,4 @@
-// Threading helpers: named joining threads, a countdown latch, and CPU
-// pinning.
+// Threading helpers: named joining threads and a countdown latch.
 #ifndef SRC_BASE_THREAD_H_
 #define SRC_BASE_THREAD_H_
 
@@ -51,10 +50,6 @@ class Latch {
   std::condition_variable cv_;
   int count_;
 };
-
-// Pins the calling thread to the given CPU if possible; best-effort (the
-// paper pins communication engines to dedicated cores, §6.3).
-bool PinCurrentThreadToCpu(int cpu);
 
 }  // namespace dbase
 

@@ -90,10 +90,17 @@ Cluster::Cluster(Config config)
     (void)AddRemoteNode(remote.name, remote.port);
   }
   if (config_.gossip_interval_us > 0) {
-    // A tick while the previous round is still open skips.
-    gossip_tick_ = dbase::TimerService::Get()->Every(config_.gossip_interval_us,
-                                                     [this] { StartGossipRound(nullptr); });
+    gossip_tick_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
+    ArmGossipTick();
   }
+}
+
+void Cluster::ArmGossipTick() {
+  gossip_tick_->AddTimer(config_.gossip_interval_us, [this] {
+    // A tick while the previous round is still open skips.
+    StartGossipRound(nullptr);
+    ArmGossipTick();
+  });
 }
 
 Cluster::~Cluster() { Shutdown(); }
@@ -703,7 +710,9 @@ void Cluster::Shutdown() {
   // (taking slots_mu_) on the reactor. Stopping the client
   // first fails every routed invoke still on the wire; the in-process
   // nodes then see their router gone and cancel what it left behind.
-  dbase::TimerService::Get()->Cancel(std::exchange(gossip_tick_, 0));
+  if (gossip_tick_ != nullptr) {
+    gossip_tick_->Close();
+  }
   client_->Stop();
   for (auto& local : locals_) {
     local->agent.Stop();

@@ -41,7 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/timer_service.h"
+#include "src/base/event_loop.h"
 #include "src/net/node_client.h"
 #include "src/policy/membership.h"
 #include "src/policy/retry.h"
@@ -231,6 +231,9 @@ class Cluster {
   struct GossipRound;
   void StartGossipRound(std::function<void()> on_closed);
   void CloseGossipRound(const GossipRound& round);
+  // The periodic round: a reactor timer that re-arms at the end of each
+  // run, so the interval counts from the end of the previous start.
+  void ArmGossipTick();
 
   Config config_;
   // Shared so a routed handle's cancel hook can hold it weakly: a handle
@@ -267,7 +270,8 @@ class Cluster {
   bool gossip_open_ = false;                           // Guarded by gossip_mu_.
   std::vector<std::function<void()>> gossip_waiters_;  // Guarded by gossip_mu_.
 
-  dbase::TimerService::Id gossip_tick_ = 0;
+  // Null when gossip_interval_us is 0; closed by Shutdown.
+  std::unique_ptr<dbase::EventLoop::Scope> gossip_tick_;
 
   std::atomic<bool> shut_down_{false};
 };

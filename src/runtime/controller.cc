@@ -19,7 +19,7 @@ ControlPlane::ControlPlane(WorkerSet* workers, std::unique_ptr<dpolicy::Elastici
 ControlPlane::~ControlPlane() { Stop(); }
 
 void ControlPlane::Start() {
-  if (tick_ != 0) {
+  if (tick_ != nullptr) {
     return;
   }
   // Baseline the counters so the first interval measures only new growth.
@@ -28,10 +28,23 @@ void ControlPlane::Start() {
   last_compute_popped_ = snapshot.compute_popped;
   last_comm_pushed_ = snapshot.comm_pushed;
   last_comm_popped_ = snapshot.comm_popped;
-  tick_ = dbase::TimerService::Get()->Every(config_.interval_us, [this] { StepOnce(); });
+  tick_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
+  ArmTick();
 }
 
-void ControlPlane::Stop() { dbase::TimerService::Get()->Cancel(std::exchange(tick_, 0)); }
+void ControlPlane::ArmTick() {
+  tick_->AddTimer(config_.interval_us, [this] {
+    StepOnce();
+    ArmTick();
+  });
+}
+
+void ControlPlane::Stop() {
+  if (tick_ != nullptr) {
+    tick_->Close();
+    tick_.reset();
+  }
+}
 
 uint64_t ControlPlane::AddSignalSource(SignalSource source) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -131,8 +144,8 @@ ControlPlane::Decision ControlPlane::StepOnce() {
   }
   {
     // Same snapshot-then-run-unlocked discipline as the signal sources: a
-    // ticker (the sandbox pool's prewarm step) takes its own locks and may
-    // fork, so it must never run under mu_.
+    // ticker (the sandbox pool's prewarm request) takes its own locks, so it
+    // must never run under mu_.
     std::vector<std::pair<uint64_t, Ticker>> tickers;
     {
       std::lock_guard<std::mutex> lock(mu_);

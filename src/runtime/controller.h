@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
-#include "src/base/timer_service.h"
+#include "src/base/event_loop.h"
 #include "src/policy/elasticity.h"
 #include "src/runtime/engine.h"
 
@@ -64,8 +64,9 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  // Start arms a TimerService tick that runs StepOnce every interval_us;
-  // Stop cancels it, waiting for a running tick to finish.
+  // Start arms a tick on the process reactor that runs StepOnce every
+  // interval_us, counted from the end of the previous tick; Stop cancels
+  // it, waiting for a running tick to finish.
   void Start();
   void Stop();
 
@@ -75,7 +76,7 @@ class ControlPlane {
 
   // Registers an augmenter that fills signals the WorkerSet cannot see
   // (dispatcher gauges, frontend admission counters, pool occupancy). Runs
-  // in the control tick on the timer thread; must not block. Returns an id for
+  // in the control tick on the reactor; must not block. Returns an id for
   // RemoveSignalSource, so a component that dies before the control plane
   // (e.g. a replaced frontend) can withdraw its contribution.
   using SignalSource = std::function<void(dpolicy::ElasticitySignals*)>;
@@ -98,10 +99,14 @@ class ControlPlane {
   Summary GetSummary() const;
 
  private:
+  // Re-arms the tick at the end of each run.
+  void ArmTick();
+
   WorkerSet* workers_;
   Config config_;
   std::unique_ptr<dpolicy::ElasticityPolicy> policy_;
-  dbase::TimerService::Id tick_ = 0;  // 0 while stopped; Start/Stop serialize.
+  // The tick's timer; null while stopped. Start/Stop serialize.
+  std::unique_ptr<dbase::EventLoop::Scope> tick_;
 
   // Last cumulative queue counters, for growth-rate deltas (control tick
   // plus test-driven StepOnce; not synchronized — callers serialize).

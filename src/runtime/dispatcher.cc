@@ -95,27 +95,27 @@ Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
       retry_policy_(config.retry) {}
 
 Dispatcher::~Dispatcher() {
-  // Pending relaunches first: failing one runs its invocation callback,
-  // which disarms the reaper, so the reaper entries must still be alive.
-  // Each fails with its original status, so every in-flight invocation
-  // still completes exactly once.
-  std::map<dbase::TimerService::Id, std::shared_ptr<RetryJob>> retries;
+  // Timers first: once the scope is closed no reaper or relaunch runs, or
+  // ever will. Each pending relaunch then fails with its original status,
+  // so every in-flight invocation still completes exactly once.
+  if (timers_ != nullptr) {
+    timers_->Close();
+  }
+  std::map<dbase::EventLoop::TimerId, std::shared_ptr<RetryJob>> retries;
   {
     std::lock_guard<std::mutex> lock(retry_mu_);
     retries.swap(retry_jobs_);
   }
   for (const auto& [timer, job] : retries) {
-    dbase::TimerService::Get()->Cancel(timer);
     OnInstanceDone(job->inv, job->node_index, job->instance_index, job->original_status);
   }
-  std::map<const InvocationControl*, dbase::TimerService::Id> reapers;
-  {
-    std::lock_guard<std::mutex> lock(reaper_mu_);
-    reapers.swap(reaper_entries_);
-  }
-  for (const auto& [key, timer] : reapers) {
-    dbase::TimerService::Get()->Cancel(timer);
-  }
+}
+
+dbase::EventLoop::Scope& Dispatcher::Timers() {
+  std::call_once(timers_once_, [this] {
+    timers_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
+  });
+  return *timers_;
 }
 
 DispatcherStats Dispatcher::Stats() const {
@@ -712,10 +712,12 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
 
 void Dispatcher::ScheduleRetry(dbase::Micros due_us, RetryJob job) {
   auto pending = std::make_shared<RetryJob>(std::move(job));
+  dbase::EventLoop::Scope& timers = Timers();
   std::lock_guard<std::mutex> lock(retry_mu_);
   // The callback takes retry_mu_ before reading `timer`, so it always sees
   // the id assigned here.
-  pending->timer = dbase::TimerService::Get()->At(due_us, [this, pending] {
+  const dbase::Micros delay = due_us - dbase::MonotonicClock::Get()->NowMicros();
+  pending->timer = timers.AddTimer(delay, [this, pending] {
     {
       std::lock_guard<std::mutex> callback_lock(retry_mu_);
       if (retry_jobs_.erase(pending->timer) == 0) {
@@ -993,18 +995,18 @@ void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv
 void Dispatcher::ArmReaper(const InvocationControl* key, dbase::Micros deadline_us,
                            const std::shared_ptr<InvocationState>& inv) {
   const std::weak_ptr<InvocationState> weak = inv;
-  const dbase::TimerService::Id timer =
-      dbase::TimerService::Get()->At(deadline_us, [this, weak] {
-        const std::shared_ptr<InvocationState> expired = weak.lock();
-        if (expired == nullptr) {
-          return;
-        }
-        std::unique_lock<std::mutex> inv_lock(expired->mu);
-        if (!expired->done) {
-          expired->control->RequestStop(dbase::StatusCode::kDeadlineExceeded);
-          FailLocked(expired, dbase::DeadlineExceeded("invocation deadline exceeded"));
-        }
-      });
+  const dbase::Micros delay = deadline_us - dbase::MonotonicClock::Get()->NowMicros();
+  const dbase::EventLoop::TimerId timer = Timers().AddTimer(delay, [this, weak] {
+    const std::shared_ptr<InvocationState> expired = weak.lock();
+    if (expired == nullptr) {
+      return;
+    }
+    std::unique_lock<std::mutex> inv_lock(expired->mu);
+    if (!expired->done) {
+      expired->control->RequestStop(dbase::StatusCode::kDeadlineExceeded);
+      FailLocked(expired, dbase::DeadlineExceeded("invocation deadline exceeded"));
+    }
+  });
   {
     std::lock_guard<std::mutex> lock(reaper_mu_);
     reaper_entries_[key] = timer;
@@ -1017,7 +1019,7 @@ void Dispatcher::ArmReaper(const InvocationControl* key, dbase::Micros deadline_
 }
 
 void Dispatcher::DisarmReaper(const InvocationControl* key) {
-  dbase::TimerService::Id timer = 0;
+  dbase::EventLoop::TimerId timer = 0;
   {
     std::lock_guard<std::mutex> lock(reaper_mu_);
     const auto it = reaper_entries_.find(key);
@@ -1027,7 +1029,7 @@ void Dispatcher::DisarmReaper(const InvocationControl* key) {
     timer = it->second;
     reaper_entries_.erase(it);
   }
-  dbase::TimerService::Get()->Cancel(timer);
+  Timers().CancelTimer(timer);
 }
 
 }  // namespace dandelion

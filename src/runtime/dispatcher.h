@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/base/timer_service.h"
+#include "src/base/event_loop.h"
 #include "src/dsl/graph.h"
 #include "src/func/data.h"
 #include "src/func/registry.h"
@@ -153,7 +153,7 @@ class Dispatcher {
     // The failure that triggered the retry — surfaced if the dispatcher is
     // destroyed while the retry is pending.
     dbase::Status original_status;
-    dbase::TimerService::Id timer = 0;  // Set under retry_mu_ when armed.
+    dbase::EventLoop::TimerId timer = 0;  // Set under retry_mu_ when armed.
   };
 
   // Starts one graph invocation; the control block is shared across nesting
@@ -190,8 +190,8 @@ class Dispatcher {
   // Every compute instance completes through OnComputeOutcome: it feeds the
   // failure kind into the RetryPolicy/breaker, and either schedules a
   // backed-off relaunch (retry-safe kinds, budget permitting) or lets the
-  // failure surface through OnInstanceDone. A relaunch is a TimerService
-  // callback at the backoff's due time.
+  // failure surface through OnInstanceDone. A relaunch is a reactor timer
+  // at the backoff's due time.
   void OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, size_t node_index,
                         size_t instance_index, const dfunc::FunctionSpec& spec,
                         std::shared_ptr<const dfunc::DataSetList> retained_inputs, int attempt,
@@ -201,7 +201,7 @@ class Dispatcher {
 
   // --- Deadline reaper ------------------------------------------------------
   // Fails a root invocation at its deadline even when no instance is
-  // running to observe it (e.g. parked on a long comm call): one TimerService
+  // running to observe it (e.g. parked on a long comm call): one reactor
   // timer per deadline-carrying Submit, cancelled when the invocation
   // finishes. Entries are keyed by the control block's address, not the
   // invocation id — callers may reuse explicit ids, and two live invocations
@@ -209,6 +209,11 @@ class Dispatcher {
   void ArmReaper(const InvocationControl* key, dbase::Micros deadline_us,
                  const std::shared_ptr<InvocationState>& inv);
   void DisarmReaper(const InvocationControl* key);
+
+  // The reaper's and the retry backoff's timers, on the process reactor.
+  // Created by the first timer, so a dispatcher that arms none starts no
+  // reactor; the destructor closes it before anything else.
+  dbase::EventLoop::Scope& Timers();
 
   const dfunc::FunctionRegistry* functions_;
   const CompositionRegistry* compositions_;
@@ -231,7 +236,7 @@ class Dispatcher {
   std::mutex reaper_mu_;
   // Reaper timer per control-block address (unique per live invocation;
   // the wrapped callback keeps the control alive until it disarms).
-  std::map<const InvocationControl*, dbase::TimerService::Id> reaper_entries_;
+  std::map<const InvocationControl*, dbase::EventLoop::TimerId> reaper_entries_;
 
   // --- Retry policy + pending relaunches ------------------------------------
   std::atomic<uint64_t> sandbox_failures_{0};
@@ -239,7 +244,10 @@ class Dispatcher {
   dpolicy::RetryPolicy retry_policy_;  // Guarded by retry_mu_.
   // Pending relaunches by timer id, guarded by retry_mu_. Whoever erases a
   // job owns it: its timer callback relaunches it, the destructor fails it.
-  std::map<dbase::TimerService::Id, std::shared_ptr<RetryJob>> retry_jobs_;
+  std::map<dbase::EventLoop::TimerId, std::shared_ptr<RetryJob>> retry_jobs_;
+
+  std::once_flag timers_once_;
+  std::unique_ptr<dbase::EventLoop::Scope> timers_;
 };
 
 }  // namespace dandelion

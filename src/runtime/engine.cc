@@ -264,14 +264,6 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
           spec_timeout > 0 ? std::min(spec_timeout, remaining) : remaining;
     }
   }
-  if (config_.binary_cold_fraction > 0.0) {
-    // Deterministic cache-miss pattern: every k-th task loads from disk.
-    const auto k = static_cast<uint64_t>(
-        std::max(1.0, 1.0 / config_.binary_cold_fraction));
-    if (cold_counter_.fetch_add(1, std::memory_order_relaxed) % k == 0) {
-      options.binary_cached = false;
-    }
-  }
   if (FaultInjector::Get().ShouldFire(FaultPoint::kTransientResourceExhausted)) {
     // Injected transient: the sandbox never runs; the dispatcher's retry
     // path is expected to absorb it. The warm lease goes straight back.
@@ -375,9 +367,6 @@ void WorkerSet::CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now) 
 }
 
 void WorkerSet::WorkerLoop(int index) {
-  if (config_.pin_threads) {
-    dbase::PinCurrentThreadToCpu(index);
-  }
   // This worker's home shard in both queues. Pops hit the shard first and
   // steal from siblings only when it is empty.
   const size_t shard = static_cast<size_t>(index);

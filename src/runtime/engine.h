@@ -109,10 +109,6 @@ class WorkerSet {
     int num_workers = 4;
     int initial_comm_workers = 1;
     IsolationBackend backend = IsolationBackend::kThread;
-    // Fraction of compute tasks whose binary misses the in-memory cache
-    // (Fig. 6 loads from disk for 3% of requests).
-    double binary_cold_fraction = 0.0;
-    bool pin_threads = false;
     // Max in-flight requests per communication worker ("green threads").
     int comm_parallelism = 64;
   };
@@ -248,7 +244,6 @@ class WorkerSet {
   // Occupied comm green threads across workers (incremented when a mesh
   // call is issued, decremented when its modelled latency elapses).
   std::atomic<int64_t> comm_inflight_{0};
-  std::atomic<uint64_t> cold_counter_{0};
   // Fallback rotation for submissions racing a role shift.
   mutable std::atomic<uint64_t> submit_rr_{0};
 

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -469,7 +470,9 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
       FinishSlot(conn, slot, dhttp::HttpResponse::BadRequest("invalid X-Dandelion-Deadline-Ms"));
       return;
     }
-    deadline_us = dbase::MonotonicClock::Get()->NowMicros() + ms * dbase::kMicrosPerMilli;
+    deadline_us = InvocationRequest::DeadlineIn(
+        std::min(ms, InvocationRequest::kMaxDeadlineInUs / dbase::kMicrosPerMilli) *
+        dbase::kMicrosPerMilli);
   }
 
   // Per-class admission control: reject early with 429 once the class's

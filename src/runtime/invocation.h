@@ -47,6 +47,12 @@ struct InvocationRequest {
 
   // Convenience for callers that think in relative time.
   static dbase::Micros DeadlineIn(dbase::Micros from_now_us);
+
+  // Longest relative deadline taken from outside the process (the
+  // X-Dandelion-Deadline-Ms header, a wire invoke's remaining time). A
+  // corrupt or hostile value is clamped to it, so it can neither overflow
+  // now+remaining nor park a reaper timer in the unreachable future.
+  static constexpr dbase::Micros kMaxDeadlineInUs = 24ll * 3600 * dbase::kMicrosPerSecond;
 };
 
 // Terminal and transient lifecycle states.

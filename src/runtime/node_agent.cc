@@ -121,12 +121,9 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
   request.id = invoke.invocation_id;
   if (invoke.remaining_deadline_us > 0) {
     // The wire carries time *remaining*; absolute monotonic stamps do not
-    // transfer between processes. Clamp it: a corrupt or hostile value must
-    // not overflow now+remaining into the past, nor park a reaper entry in
-    // the unreachable future.
-    constexpr dbase::Micros kMaxRemoteDeadlineUs = 24ll * 3600 * dbase::kMicrosPerSecond;
+    // transfer between processes.
     request.deadline_us = InvocationRequest::DeadlineIn(
-        std::min(invoke.remaining_deadline_us, kMaxRemoteDeadlineUs));
+        std::min(invoke.remaining_deadline_us, InvocationRequest::kMaxDeadlineInUs));
   }
   NoteServed(request.composition);
 

@@ -12,8 +12,6 @@ Platform::Platform(PlatformConfig config) : config_(config) {
   worker_config.num_workers = config.num_workers;
   worker_config.initial_comm_workers = config.initial_comm_workers;
   worker_config.backend = config.backend;
-  worker_config.binary_cold_fraction = config.binary_cold_fraction;
-  worker_config.pin_threads = config.pin_threads;
   worker_config.comm_parallelism = config.comm_parallelism;
   if (config.enable_sandbox_pool) {
     SandboxPool::Config pool_config = config.sandbox_pool;
@@ -71,9 +69,10 @@ Platform::Platform(PlatformConfig config) : config_(config) {
     });
     if (sandbox_pool_ != nullptr) {
       // The prewarm policy shares the elasticity cadence: every control
-      // tick also advances the pool's per-function EWMA targets.
+      // tick also advances the pool's per-function EWMA targets, on the
+      // pool's fill thread, since a fill may block the reactor-run tick.
       control_plane_->AddTicker(
-          [this](dbase::Micros now_us) { sandbox_pool_->Tick(now_us); });
+          [this](dbase::Micros now_us) { sandbox_pool_->RequestTick(now_us); });
     }
     control_plane_->Start();
   }

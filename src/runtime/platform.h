@@ -40,10 +40,6 @@ struct PlatformConfig {
   // Overrides elasticity_policy with a custom-configured policy instance
   // (tests, sim-vs-runtime parity runs).
   std::function<std::unique_ptr<dpolicy::ElasticityPolicy>()> elasticity_policy_factory;
-  // Fraction of compute launches whose binary load misses the in-memory
-  // cache (Fig. 6 uses 3%).
-  double binary_cold_fraction = 0.0;
-  bool pin_threads = false;
   // Sleep for modelled network latency on comm calls (disable for fast
   // unit tests).
   bool sleep_for_modeled_latency = true;

@@ -381,8 +381,44 @@ void SandboxPool::Tick(dbase::Micros now_us) {
   }
 }
 
+void SandboxPool::RequestTick(dbase::Micros now_us) {
+  std::lock_guard<std::mutex> lock(fill_mu_);
+  if (draining_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  fill_now_ = now_us;
+  if (!fill_thread_.joinable()) {
+    fill_thread_ = dbase::JoiningThread("pool-fill", [this] { FillLoop(); });
+  } else {
+    fill_cv_.notify_one();
+  }
+}
+
+void SandboxPool::FillLoop() {
+  std::unique_lock<std::mutex> lock(fill_mu_);
+  while (true) {
+    fill_cv_.wait(lock, [this] {
+      return draining_.load(std::memory_order_relaxed) || fill_now_.has_value();
+    });
+    if (draining_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    const dbase::Micros now_us = *std::exchange(fill_now_, std::nullopt);
+    lock.unlock();
+    Tick(now_us);
+    lock.lock();
+  }
+}
+
 void SandboxPool::Shutdown() {
-  draining_.store(true, std::memory_order_relaxed);
+  {
+    // Under fill_mu_, so the fill thread cannot miss it between its check
+    // and its wait, and no request starts a thread after the join below.
+    std::lock_guard<std::mutex> lock(fill_mu_);
+    draining_.store(true, std::memory_order_relaxed);
+  }
+  fill_cv_.notify_all();
+  fill_thread_.Join();  // A running fill shelves nothing past the drain below.
   std::vector<std::shared_ptr<WarmSandbox>> drop;
   {
     std::lock_guard<std::mutex> lock(mu_);

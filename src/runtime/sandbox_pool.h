@@ -44,15 +44,18 @@
 #define SRC_RUNTIME_SANDBOX_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/thread.h"
 #include "src/func/registry.h"
 #include "src/policy/prewarm.h"
 #include "src/runtime/invocation.h"
@@ -116,7 +119,7 @@ class WarmSandbox {
 };
 
 // Thread-safe. One per Platform; engines Release from worker threads while
-// the dispatcher Acquires and the control plane Ticks.
+// the dispatcher Acquires and the fill thread Ticks.
 class SandboxPool {
  public:
   struct Config {
@@ -155,10 +158,19 @@ class SandboxPool {
   void Release(std::shared_ptr<WarmSandbox> sandbox);
 
   // One policy step: per function, feed cumulative arrivals to the
-  // PrewarmPolicy and fill/retire toward its target. Driven by the
-  // ControlPlane ticker in the runtime, called directly by tests, and
-  // mirrored in virtual time by dsim's pool model.
+  // PrewarmPolicy and fill/retire toward its target. Driven through
+  // RequestTick in the runtime, called directly by tests, and mirrored in
+  // virtual time by dsim's pool model.
   void Tick(dbase::Micros now_us);
+
+  // Runs Tick(now_us) on the pool's `pool-fill` thread, started by the
+  // first request. The ControlPlane ticker calls this from the reactor,
+  // which must not block, while a fill forks a template and waits for its
+  // ack. (Not on a compute engine: there a fill would count as compute
+  // work in the queue-growth signal the control plane shifts cores on.)
+  // Requests that arrive while a Tick runs collapse into one, carrying the
+  // latest now_us.
+  void RequestTick(dbase::Micros now_us);
 
   // Engine-side: a leased sandbox's template child turned out to be dead at
   // dispatch (Execute reported kPoolChildLost) and the caller recovered
@@ -166,8 +178,9 @@ class SandboxPool {
   // *waited* like a miss but the shelf lied about readiness.
   void CountChildLost();
 
-  // Stops re-arming and empties every shelf (killing parked template
-  // children). Idempotent; the destructor calls it too.
+  // Stops re-arming, joins the fill thread and empties every shelf
+  // (killing parked template children). Idempotent; the destructor calls
+  // it too.
   void Shutdown();
 
   SandboxPoolStats Stats() const;
@@ -193,6 +206,8 @@ class SandboxPool {
   std::shared_ptr<WarmSandbox> CreateWarm(const dfunc::FunctionSpec& spec);
 
   FunctionPool& PoolForLocked(const dfunc::FunctionSpec& spec);
+  // The pool-fill thread's body: Tick for each collapsed request.
+  void FillLoop();
 
   Config config_;
   // Fill-time cost model (Table 1 defaults for the backend) and the shared
@@ -210,6 +225,11 @@ class SandboxPool {
   int total_leased_ = 0;                                 // Guarded by mu_.
   SandboxPoolStats stats_;                               // Guarded by mu_ (counters).
   std::vector<std::pair<dbase::Micros, int>> depth_trace_;  // Guarded by mu_.
+
+  std::mutex fill_mu_;
+  std::condition_variable fill_cv_;
+  std::optional<dbase::Micros> fill_now_;  // Guarded by fill_mu_; next Tick's time.
+  dbase::JoiningThread fill_thread_;       // Last: joined before the state above dies.
 };
 
 }  // namespace dandelion

@@ -1,6 +1,7 @@
 // Tests for dbase::EventLoop: fd readiness dispatch, cross-thread Post,
-// one-shot timers with cancellation, clean Stop semantics, and the
-// lifetime contract of EventLoop::Scope on the process reactor.
+// one-shot timers with cancellation (armed and cancelled from any thread
+// through a Scope), clean Stop semantics, and the lifetime contract of
+// EventLoop::Scope on the process reactor.
 #include "src/base/event_loop.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <functional>
+#include <limits>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/thread.h"
@@ -276,6 +281,123 @@ TEST(EventLoopScopeTest, ASecondScopeKeepsWorkingAfterTheFirstCloses) {
   RunOn(second, [&] { second.Remove(fds[0]); });
   close(fds[0]);
   close(fds[1]);
+}
+
+// --------------------------------------------------- Timers from any thread
+
+// Starts `loop` on a thread and returns once Run() owns it, so the scope
+// calls that follow are made off a running loop thread.
+JoiningThread RunningLoopThread(EventLoop* loop) {
+  Latch running(1);
+  loop->Post([&running] { running.CountDown(); });
+  JoiningThread thread("loop", [loop] { loop->Run(); });
+  running.Wait();
+  return thread;
+}
+
+TEST(EventLoopTest, TimersFireInDueOrder) {
+  auto loop = MustCreate();
+  EventLoop::Scope scope(loop.get());
+  JoiningThread thread = RunningLoopThread(loop.get());
+  std::mutex mu;
+  std::vector<int> fired;
+  Latch done(3);
+  for (const int ms : {30, 10, 20}) {
+    EXPECT_NE(scope.AddTimer(ms * kMicrosPerMilli,
+                             [&, ms] {
+                               {
+                                 std::lock_guard<std::mutex> lock(mu);
+                                 fired.push_back(ms);
+                               }
+                               done.CountDown();
+                             }),
+              0u);
+  }
+  ASSERT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+  scope.Close();
+  loop->Stop();
+  thread.Join();
+  EXPECT_EQ(fired, (std::vector<int>{10, 20, 30}));
+}
+
+TEST(EventLoopTest, AddTimerFromAnotherThreadFiresOnTheLoopThread) {
+  EventLoop::Scope scope(EventLoop::Process());
+  std::atomic<bool> on_loop{false};
+  Latch fired(1);
+  Stopwatch watch;
+  Micros elapsed = 0;
+  ASSERT_FALSE(EventLoop::Process()->IsLoopThread());
+  scope.AddTimer(10 * kMicrosPerMilli, [&] {
+    elapsed = watch.ElapsedMicros();
+    on_loop = EventLoop::Process()->IsLoopThread();
+    fired.CountDown();
+  });
+  ASSERT_TRUE(fired.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_TRUE(on_loop.load());
+  EXPECT_GE(elapsed, 10 * kMicrosPerMilli);  // The delay counts from the call.
+}
+
+TEST(EventLoopTest, CancelFromAnotherThreadBeforeTheDueTimeMeansNeverRuns) {
+  EventLoop::Scope scope(EventLoop::Process());
+  std::atomic<bool> ran{false};
+  const EventLoop::TimerId id = scope.AddTimer(20 * kMicrosPerMilli, [&] { ran = true; });
+  ASSERT_NE(id, 0u);
+  scope.CancelTimer(id);
+  scope.CancelTimer(id);  // Already gone: a no-op.
+  // Outlive the cancelled timer's due time on the same scope.
+  Latch later(1);
+  scope.AddTimer(40 * kMicrosPerMilli, [&] { later.CountDown(); });
+  ASSERT_TRUE(later.WaitFor(5 * kMicrosPerSecond));
+  EXPECT_FALSE(ran.load());
+}
+
+TEST(EventLoopTest, SelfReArmingTimerRepeatsUntilItsScopeCloses) {
+  EventLoop::Scope scope(EventLoop::Process());
+  std::atomic<int> ticks{0};
+  std::function<void()> tick = [&] {
+    ticks.fetch_add(1);
+    scope.AddTimer(2 * kMicrosPerMilli, tick);
+  };
+  scope.AddTimer(2 * kMicrosPerMilli, tick);
+  const Micros give_up = MonotonicClock::Get()->NowMicros() + 5 * kMicrosPerSecond;
+  while (ticks.load() < 3 && MonotonicClock::Get()->NowMicros() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(ticks.load(), 3);
+  scope.Close();  // Pending or running: either way it never runs again.
+  const int closed_at = ticks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ticks.load(), closed_at);
+}
+
+Micros ProcessCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<Micros>(ts.tv_sec) * kMicrosPerSecond + ts.tv_nsec / 1000;
+}
+
+TEST(EventLoopTest, FarFutureTimerDoesNotSpin) {
+  auto loop = MustCreate();
+  EventLoop::Scope scope(loop.get());
+  JoiningThread thread = RunningLoopThread(loop.get());
+  std::atomic<bool> far_ran{false};
+  // The saturated due time of the largest delay, and one whose distance
+  // crosses a whole 2^32 ms 30 ms from now: an int narrowing of the
+  // timeout turns that crossing into a 1 ms burst of zero-timeout waits.
+  scope.AddTimer(std::numeric_limits<Micros>::max(), [&] { far_ran = true; });
+  scope.AddTimer(((int64_t{1} << 32) + 30) * kMicrosPerMilli, [&] { far_ran = true; });
+  Latch near(1);
+  scope.AddTimer(10 * kMicrosPerMilli, [&] { near.CountDown(); });
+  ASSERT_TRUE(near.WaitFor(5 * kMicrosPerSecond));
+  // The loop now sleeps toward the far timers: it should burn next to no
+  // CPU over this interval.
+  const Micros cpu_before = ProcessCpuMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(ProcessCpuMicros() - cpu_before, kMicrosPerMilli / 2);
+  EXPECT_FALSE(far_ran.load());
+  scope.Close();
+  loop->Stop();
+  thread.Join();
 }
 
 }  // namespace

@@ -516,6 +516,25 @@ TEST(FrontendTest, InvalidDeadlineAndPriorityHeadersRejected) {
   close(fd);
 }
 
+// The largest header value would overflow ms-to-µs (undefined behaviour)
+// and arm a reaper centuries out; it is clamped to the 24 h bound instead,
+// and the invocation runs as usual.
+TEST(FrontendTest, HugeDeadlineHeaderIsClamped) {
+  FrontendFixture fixture;
+  SKIP_WITHOUT_LOOPBACK(fixture);
+
+  const int fd = ConnectTo(fixture.port());
+  std::string carry;
+  SendAll(fd, RawInvokeWithHeaders("Id", "far",
+                                   {{"X-Dandelion-Deadline-Ms", "9223372036854775807"}}));
+  auto response = ReadOneResponse(fd, &carry);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 200);
+  EXPECT_EQ(FirstItem(*response), "far");
+  EXPECT_EQ(fixture.platform().dispatcher_stats().invocations_deadline_exceeded, 0u);
+  close(fd);
+}
+
 TEST(FrontendTest, AdmissionControlShedsWith429) {
   FrontendConfig config;
   config.max_inflight_interactive = 1;

@@ -371,7 +371,7 @@ TEST(SendQueueTest, GathersInOrderAcrossIovecCapAndPartialWrites) {
   ASSERT_EQ(queue.pending(), expected.size());
 
   std::string received;
-  std::thread reader([&received, fd = fds[1], total = expected.size()] {
+  const auto read_all = [&received, fd = fds[1], total = expected.size()] {
     char buffer[1024];
     while (received.size() < total) {
       const ssize_t n = read(fd, buffer, sizeof(buffer));
@@ -380,15 +380,21 @@ TEST(SendQueueTest, GathersInOrderAcrossIovecCapAndPartialWrites) {
       }
       received.append(buffer, static_cast<size_t>(n));
     }
-  });
+  };
   size_t pending = expected.size();
   int flushes = 0;
+  std::thread reader;
   while (pending > 0) {
     auto sent = queue.Flush(fds[0]);
     ASSERT_TRUE(sent.ok()) << sent.status().ToString();
     ++flushes;
     pending -= *sent;
     ASSERT_EQ(queue.pending(), pending);
+    if (!reader.joinable()) {
+      // Started only after the first Flush: with nobody reading yet, that
+      // one must stop at EAGAIN on the full send buffer.
+      reader = std::thread(read_all);
+    }
     if (pending > 0) {
       pollfd pfd{fds[0], POLLOUT, 0};
       ASSERT_EQ(poll(&pfd, 1, 5000), 1);

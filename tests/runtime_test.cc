@@ -15,6 +15,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "src/base/clock.h"
 #include "src/http/http_parser.h"
@@ -1291,8 +1292,8 @@ std::vector<std::string> ThreadNames() {
 }
 
 // A node's deadline reaping, retry backoff and control ticks all ride the
-// one process-wide timer thread: a Platform adds its engine workers and at
-// most that thread, however many of those timers it has used.
+// process reactor: a Platform adds its engine workers and at most that
+// thread, however many of those timers it has used, and no `timer` thread.
 TEST(ThreadCensusTest, PlatformTimersShareOneThread) {
   FaultInjector::Get().Reset();
   const size_t threads_before = ThreadNames().size();
@@ -1350,6 +1351,7 @@ composition Id(in) => out { echo(in = all in) => (out = out); }
   EXPECT_LE(names.size(), threads_before + static_cast<size_t>(config.num_workers) + 1);
   for (const std::string& name : names) {
     EXPECT_NE(name, "ctrl-plane");
+    EXPECT_NE(name, "timer");
     EXPECT_NE(name.rfind("invocation-rea", 0), 0u) << name;
     EXPECT_NE(name.rfind("retry-schedule", 0), 0u) << name;
   }
@@ -1358,7 +1360,7 @@ composition Id(in) => out { echo(in = all in) => (out = out); }
 // The HTTP frontend, every in-process node's wire server and the router's
 // wire client all ride the one process reactor, and dispatch inline on it:
 // a two-node cluster behind a frontend adds its engine workers plus at most
-// the `reactor` and `timer` threads, however much traffic it has served.
+// the `reactor` thread, however much traffic it has served.
 TEST(ThreadCensusTest, OneReactorPerProcess) {
   const size_t threads_before = ThreadNames().size();
 
@@ -1415,13 +1417,57 @@ TEST(ThreadCensusTest, OneReactorPerProcess) {
 
   const std::vector<std::string> names = ThreadNames();
   const size_t engine_workers = 2 * static_cast<size_t>(config.node_config.num_workers);
-  EXPECT_LE(names.size(), threads_before + engine_workers + 2);
+  EXPECT_LE(names.size(), threads_before + engine_workers + 1);
   for (const std::string& name : names) {
     EXPECT_NE(name.rfind("frontend", 0), 0u) << name;
     EXPECT_NE(name.rfind("dnet-", 0), 0u) << name;
     EXPECT_NE(name.rfind("node-dispatch", 0), 0u) << name;
   }
   frontend.Stop();
+}
+
+// The prewarm fill may block, so it leaves the reactor-run control tick for
+// the pool's own thread: a Platform with the sandbox pool and the control
+// plane on adds its engine workers, `reactor` and `pool-fill`, and nothing
+// else.
+TEST(ThreadCensusTest, PoolFillIsThePoolsOnlyThread) {
+  const std::vector<std::string> before = ThreadNames();
+
+  PlatformConfig config = FastPlatformConfig();
+  config.num_workers = 2;
+  config.enable_sandbox_pool = true;
+  config.enable_control_plane = true;
+  config.control_interval_us = 5 * dbase::kMicrosPerMilli;
+  Platform platform(config);
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(platform.Invoke({"Id", SingleArg("in", "warm")}).ok());
+  }
+  const dbase::Micros give_up =
+      dbase::MonotonicClock::Get()->NowMicros() + 5 * dbase::kMicrosPerSecond;
+  while (platform.control_plane()->GetSummary().decisions < 2 &&
+         dbase::MonotonicClock::Get()->NowMicros() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(platform.control_plane()->GetSummary().decisions, 2u);
+
+  const std::vector<std::string> after = ThreadNames();
+  std::multiset<std::string> added(after.begin(), after.end());
+  for (const std::string& name : before) {
+    if (const auto it = added.find(name); it != added.end()) {
+      added.erase(it);
+    }
+  }
+  EXPECT_EQ(added.count("pool-fill"), 1u);
+  EXPECT_LE(added.size(), static_cast<size_t>(config.num_workers) + 2);
+  for (const std::string& name : added) {
+    EXPECT_TRUE(name == "reactor" || name == "pool-fill" || name.rfind("engine-", 0) == 0)
+        << name;
+  }
 }
 
 }  // namespace
