@@ -237,27 +237,7 @@ std::string EncodeNodeStatus(const WireNodeStatus& status) {
   PutString(&out, status.node_name);
   PutU64(&out, status.inflight);
   PutU64(&out, status.admission_cap);
-  const dpolicy::ElasticitySignals& s = status.signals;
-  // Signals travel as a counted field list so decoders tolerate future
-  // additions (unknown trailing fields are an error today — one version —
-  // but the count makes the layout self-describing).
-  PutU32(&out, 16);
-  PutU64(&out, static_cast<uint64_t>(s.now_us));
-  PutU64(&out, static_cast<uint64_t>(s.compute_workers));
-  PutU64(&out, static_cast<uint64_t>(s.comm_workers));
-  PutU64(&out, s.compute_backlog);
-  PutU64(&out, s.comm_backlog);
-  PutU64(&out, s.interactive_compute_backlog);
-  PutU64(&out, s.interactive_comm_backlog);
-  PutU64(&out, s.inflight_interactive);
-  PutU64(&out, s.inflight_batch);
-  PutU64(&out, s.admission_shed);
-  PutU64(&out, s.deadline_exceeded);
-  PutU64(&out, s.warm_pool_shelved);
-  PutU64(&out, s.warm_pool_misses);
-  PutU64(&out, s.sandbox_failures);
-  PutU64(&out, s.breaker_fast_fails);
-  PutU64(&out, static_cast<uint64_t>(s.breakers_open));
+  PutU64(&out, status.backlog);
   PutU32(&out, static_cast<uint32_t>(status.resident_compositions.size()));
   for (const std::string& name : status.resident_compositions) {
     PutString(&out, name);
@@ -271,32 +251,7 @@ dbase::Result<WireNodeStatus> DecodeNodeStatus(const dbase::BufferSlice& body) {
   RETURN_IF_ERROR(cursor.ReadString(&status.node_name, kMaxNameBytes));
   RETURN_IF_ERROR(cursor.ReadU64(&status.inflight));
   RETURN_IF_ERROR(cursor.ReadU64(&status.admission_cap));
-  uint32_t field_count = 0;
-  RETURN_IF_ERROR(cursor.ReadU32(&field_count));
-  if (field_count != 16) {
-    return dbase::InvalidArgument("unexpected gossip field count");
-  }
-  uint64_t fields[16] = {};
-  for (uint64_t& field : fields) {
-    RETURN_IF_ERROR(cursor.ReadU64(&field));
-  }
-  dpolicy::ElasticitySignals& s = status.signals;
-  s.now_us = static_cast<dbase::Micros>(fields[0]);
-  s.compute_workers = static_cast<int>(fields[1]);
-  s.comm_workers = static_cast<int>(fields[2]);
-  s.compute_backlog = fields[3];
-  s.comm_backlog = fields[4];
-  s.interactive_compute_backlog = fields[5];
-  s.interactive_comm_backlog = fields[6];
-  s.inflight_interactive = fields[7];
-  s.inflight_batch = fields[8];
-  s.admission_shed = fields[9];
-  s.deadline_exceeded = fields[10];
-  s.warm_pool_shelved = fields[11];
-  s.warm_pool_misses = fields[12];
-  s.sandbox_failures = fields[13];
-  s.breaker_fast_fails = fields[14];
-  s.breakers_open = static_cast<int>(fields[15]);
+  RETURN_IF_ERROR(cursor.ReadU64(&status.backlog));
   uint32_t resident = 0;
   RETURN_IF_ERROR(cursor.ReadU32(&resident));
   if (resident > kMaxResidentEntries) {

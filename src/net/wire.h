@@ -34,7 +34,6 @@
 #include "src/base/clock.h"
 #include "src/base/status.h"
 #include "src/func/data.h"
-#include "src/policy/elasticity.h"
 
 namespace dnet {
 
@@ -50,7 +49,7 @@ enum class FrameType : uint8_t {
   kOutcome = 5,    // server → client: invocation result.
   kCancel = 6,     // client → server: cancel the invocation with this id.
   kGossipReq = 7,  // client → server: request a status snapshot.
-  kGossip = 8,     // server → client: ElasticitySignals + residency.
+  kGossip = 8,     // server → client: load, admission headroom, residency.
   kMeshCall = 9,   // client → server: carry a service-mesh request.
   kMeshReply = 10, // server → client: mesh response + measured latency.
 };
@@ -131,19 +130,20 @@ dbase::Result<WireOutcome> DecodeOutcome(const dbase::BufferSlice& body);
 
 // ------------------------------------------------------------------ gossip
 
-// One node's gossiped status: its elasticity signals, the compositions
-// whose data/sandboxes are warm there (locality routing input), and its
-// admission headroom. Everything the router's membership and placement
-// policies consume.
+// One node's gossiped status: its load, its admission headroom, and the
+// compositions whose data/sandboxes are warm there (locality routing
+// input). Exactly what the router's membership and placement policies
+// consume.
 struct WireNodeStatus {
   std::string node_name;
-  dpolicy::ElasticitySignals signals;
   std::vector<std::string> resident_compositions;
   // Invocations currently in flight on the node (all classes).
   uint64_t inflight = 0;
   // Node-local admission cap (0 = uncapped); lets the router shed before
   // the wire round trip when a peer is known-full.
   uint64_t admission_cap = 0;
+  // Engine tasks queued on the node, compute plus comm.
+  uint64_t backlog = 0;
 };
 
 std::string EncodeNodeStatus(const WireNodeStatus& status);

@@ -31,9 +31,10 @@
 
 namespace dpolicy {
 
-// One multi-signal snapshot per control tick. Drivers fill what they can
-// see; absent signals stay zero (policies must treat zero as "quiet", not
-// "unknown"). compute_workers + comm_workers is the full core count.
+// One control-plane sample per tick: exactly the fields the shipped policies
+// read. The runtime fills it from one WorkerSet::Signals() read plus the
+// tick's clock and queue-counter deltas; dsim fills it from its virtual
+// engines. compute_workers + comm_workers is the full core count.
 struct ElasticitySignals {
   dbase::Micros now_us = 0;
 
@@ -58,45 +59,6 @@ struct ElasticitySignals {
   // green threads), and the per-core green-thread budget.
   double comm_inflight = 0.0;
   int comm_parallelism = 1;
-
-  // Dispatcher gauges: external invocations in flight, by class.
-  uint64_t inflight_interactive = 0;
-  uint64_t inflight_batch = 0;
-
-  // Cumulative admission/deadline pressure (frontend 429s + dispatcher
-  // deadline terminations).
-  uint64_t admission_shed = 0;
-  uint64_t deadline_exceeded = 0;
-
-  // Memory-context recycler occupancy in [0, 1] (shelved regions / cap).
-  double context_pool_occupancy = 0.0;
-
-  // Warm sandbox-pool state (src/runtime/sandbox_pool.h): sandboxes ready
-  // on the shelf, the share of the global cap they occupy, and cumulative
-  // pool misses (cold creates) — the pressure signal pre-warming exists to
-  // drive down.
-  uint64_t warm_pool_shelved = 0;
-  double warm_pool_occupancy = 0.0;
-  uint64_t warm_pool_misses = 0;
-
-  // Failure pressure (src/policy/retry.h): cumulative sandbox-level
-  // failures, retries the RetryPolicy granted, launches a tripped breaker
-  // fast-failed, and breakers currently open — a node drowning in crashes
-  // should not look like a node that merely needs more compute cores.
-  uint64_t sandbox_failures = 0;
-  uint64_t retries_attempted = 0;
-  uint64_t breaker_fast_fails = 0;
-  int breakers_open = 0;
-
-  // Cluster/router pressure (src/runtime/cluster.h): cumulative cross-node
-  // re-routes (a peer shed or died and the work moved), peers currently
-  // not routable (suspect or evicted), and wire bytes moved by the node
-  // client. Zero on single-node deployments. These are router-local — they
-  // do not travel in node gossip.
-  uint64_t cluster_reroutes = 0;
-  int cluster_peers_unavailable = 0;
-  uint64_t net_bytes_sent = 0;
-  uint64_t net_bytes_received = 0;
 
   int total_workers() const { return compute_workers + comm_workers; }
 };

@@ -1,5 +1,5 @@
 // Cluster membership policy (ROADMAP "Distributed data plane"): decides,
-// from gossiped ElasticitySignals-derived observations, which remote nodes
+// from observations derived from gossiped node status, which remote nodes
 // the router may still route to and whether the fleet should grow or
 // shrink. Same mold as every dpolicy object — pure, unsynchronized, no
 // clocks or threads of its own: the Cluster's gossip loop (and fake-clock
@@ -46,8 +46,8 @@ struct MemberSignals {
   // (a just-added peer gets a suspect_after_us grace window from the tick
   // it first appears before staleness counts against it).
   dbase::Micros last_heard_us = 0;
-  // inflight / admission cap from the peer's last ElasticitySignals
-  // snapshot; the fleet-scaling input.
+  // inflight / admission cap from the peer's last gossiped status; the
+  // fleet-scaling input.
   double utilization = 0.0;
 };
 

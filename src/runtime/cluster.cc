@@ -231,9 +231,8 @@ double Cluster::NodeLoad(int index) const {
     // flight toward it counts.
     return router_inflight;
   }
-  const dpolicy::ElasticitySignals& s = slot->status.signals;
   double load = router_inflight + static_cast<double>(slot->status.inflight) +
-                static_cast<double>(s.compute_backlog + s.comm_backlog);
+                static_cast<double>(slot->status.backlog);
   const dbase::Micros age =
       dbase::MonotonicClock::Get()->NowMicros() - slot->last_gossip_us;
   if (age > config_.membership.suspect_after_us) {

@@ -14,8 +14,8 @@
 // composition goes to the node that served it most recently (locally
 // observed, plus the resident-composition lists nodes gossip), falling
 // back to kLeastLoaded when the sticky node is saturated, suspect or gone.
-// Node load is read from gossiped ElasticitySignals plus what the router
-// itself has in flight toward the node.
+// Node load is the gossiped in-flight count and engine backlog plus what
+// the router itself has in flight toward the node.
 //
 // Cross-node shedding: a node that responds 429-style (kUnavailable with
 // the shed frame flag) gets the invocation re-routed once to another node
@@ -77,7 +77,7 @@ class Cluster {
     // Engine processes to dial over the dnet wire (loopback ports).
     std::vector<RemoteNode> remote_nodes;
     std::string router_name = "router";
-    // Gossip cadence for node signals + membership; 0 disables the
+    // Gossip cadence for node status + membership; 0 disables the
     // periodic round (tests drive GossipNow() by hand).
     dbase::Micros gossip_interval_us = 200 * dbase::kMicrosPerMilli;
     dpolicy::MembershipOptions membership;
@@ -169,7 +169,7 @@ class Cluster {
     uint64_t bytes_received = 0;
     // Age of the last gossip snapshot; -1 = never heard.
     int64_t gossip_age_us = -1;
-    // From the peer's last gossiped ElasticitySignals.
+    // From the peer's last gossiped status.
     uint64_t remote_inflight = 0;
     uint64_t remote_admission_cap = 0;
     double utilization = 0.0;

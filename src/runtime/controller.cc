@@ -1,13 +1,26 @@
 #include "src/runtime/controller.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace dandelion {
 
+namespace {
+
+// Queue growth since the last sample: arrivals minus departures. Moves the
+// baseline to the new counters.
+double Growth(uint64_t pushed, uint64_t popped, uint64_t* last_pushed, uint64_t* last_popped) {
+  const double growth = static_cast<double>(pushed - *last_pushed) -
+                        static_cast<double>(popped - *last_popped);
+  *last_pushed = pushed;
+  *last_popped = popped;
+  return growth;
+}
+
+}  // namespace
+
 ControlPlane::ControlPlane(WorkerSet* workers, std::unique_ptr<dpolicy::ElasticityPolicy> policy,
-                           Config config)
-    : workers_(workers), config_(config), policy_(std::move(policy)) {
+                           Config config, SandboxPool* pool)
+    : workers_(workers), pool_(pool), config_(config), policy_(std::move(policy)) {
   if (policy_ == nullptr) {
     policy_ = dpolicy::CreatePolicy(dpolicy::PolicyKind::kPaperPi);
   }
@@ -23,11 +36,10 @@ void ControlPlane::Start() {
     return;
   }
   // Baseline the counters so the first interval measures only new growth.
-  const WorkerSet::SignalsSnapshot snapshot = workers_->Signals();
-  last_compute_pushed_ = snapshot.compute_pushed;
-  last_compute_popped_ = snapshot.compute_popped;
-  last_comm_pushed_ = snapshot.comm_pushed;
-  last_comm_popped_ = snapshot.comm_popped;
+  last_compute_pushed_ = workers_->compute_pushed();
+  last_compute_popped_ = workers_->compute_popped();
+  last_comm_pushed_ = workers_->comm_pushed();
+  last_comm_popped_ = workers_->comm_popped();
   tick_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
   ArmTick();
 }
@@ -46,77 +58,13 @@ void ControlPlane::Stop() {
   }
 }
 
-uint64_t ControlPlane::AddSignalSource(SignalSource source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t id = next_source_id_++;
-  sources_.emplace_back(id, std::move(source));
-  return id;
-}
-
-void ControlPlane::RemoveSignalSource(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = sources_.begin(); it != sources_.end(); ++it) {
-    if (it->first == id) {
-      sources_.erase(it);
-      return;
-    }
-  }
-}
-
-uint64_t ControlPlane::AddTicker(Ticker ticker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t id = next_source_id_++;
-  tickers_.emplace_back(id, std::move(ticker));
-  return id;
-}
-
-void ControlPlane::RemoveTicker(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = tickers_.begin(); it != tickers_.end(); ++it) {
-    if (it->first == id) {
-      tickers_.erase(it);
-      return;
-    }
-  }
-}
-
 ControlPlane::Decision ControlPlane::StepOnce() {
-  const WorkerSet::SignalsSnapshot snapshot = workers_->Signals();
-
-  dpolicy::ElasticitySignals signals;
+  dpolicy::ElasticitySignals signals = workers_->Signals();
   signals.now_us = dbase::MonotonicClock::Get()->NowMicros();
-  signals.compute_workers = snapshot.compute_workers;
-  signals.comm_workers = snapshot.comm_workers;
-  // Queue growth over the last interval: arrivals minus departures.
-  signals.compute_growth =
-      static_cast<double>(snapshot.compute_pushed - last_compute_pushed_) -
-      static_cast<double>(snapshot.compute_popped - last_compute_popped_);
-  signals.comm_growth = static_cast<double>(snapshot.comm_pushed - last_comm_pushed_) -
-                        static_cast<double>(snapshot.comm_popped - last_comm_popped_);
-  last_compute_pushed_ = snapshot.compute_pushed;
-  last_compute_popped_ = snapshot.compute_popped;
-  last_comm_pushed_ = snapshot.comm_pushed;
-  last_comm_popped_ = snapshot.comm_popped;
-
-  signals.compute_backlog = snapshot.compute_backlog;
-  signals.comm_backlog = snapshot.comm_backlog;
-  signals.interactive_compute_backlog = snapshot.compute_urgent_backlog;
-  signals.interactive_comm_backlog = snapshot.comm_urgent_backlog;
-  signals.comm_inflight = static_cast<double>(snapshot.comm_inflight);
-  signals.comm_parallelism = snapshot.comm_parallelism;
-
-  {
-    // Snapshot the sources under the lock, run them outside it (a source
-    // may itself take locks; AddSignalSource must never deadlock a tick).
-    std::vector<std::pair<uint64_t, SignalSource>> sources;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      sources = sources_;
-    }
-    for (const auto& [id, source] : sources) {
-      source(&signals);
-    }
-  }
+  signals.compute_growth = Growth(workers_->compute_pushed(), workers_->compute_popped(),
+                                  &last_compute_pushed_, &last_compute_popped_);
+  signals.comm_growth = Growth(workers_->comm_pushed(), workers_->comm_popped(),
+                               &last_comm_pushed_, &last_comm_popped_);
 
   Decision decision;
   decision.time_us = signals.now_us;
@@ -142,18 +90,9 @@ ControlPlane::Decision ControlPlane::StepOnce() {
       shifts_toward_comm_ += static_cast<uint64_t>(-decision.shifted);
     }
   }
-  {
-    // Same snapshot-then-run-unlocked discipline as the signal sources: a
-    // ticker (the sandbox pool's prewarm request) takes its own locks, so it
-    // must never run under mu_.
-    std::vector<std::pair<uint64_t, Ticker>> tickers;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tickers = tickers_;
-    }
-    for (const auto& [id, ticker] : tickers) {
-      ticker(signals.now_us);
-    }
+  if (pool_ != nullptr) {
+    // Outside mu_: the request takes the pool's own lock.
+    pool_->RequestTick(signals.now_us);
   }
   return decision;
 }

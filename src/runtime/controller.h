@@ -1,18 +1,16 @@
 // The worker control plane (§5), rebuilt as a generic policy driver: every
-// interval (30 ms in the paper) it gathers a multi-signal snapshot — engine
-// queue growth and backlogs (per class), comm green-thread occupancy,
-// dispatcher in-flight gauges, frontend admission counters, context-pool
+// interval (30 ms in the paper) it takes one engine sample — the core
+// split, queue growth and backlogs (per class), comm green-thread
 // occupancy — and executes whatever dpolicy::ElasticityPolicy is plugged
 // in. The decision logic itself lives in src/policy/ and is shared verbatim
-// with the discrete-event simulator (dsim).
+// with the discrete-event simulator (dsim). The same tick then advances the
+// warm sandbox pool's prewarm step, by a direct call.
 #ifndef SRC_RUNTIME_CONTROLLER_H_
 #define SRC_RUNTIME_CONTROLLER_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -22,10 +20,9 @@
 
 namespace dandelion {
 
-// Periodically samples a WorkerSet (plus any registered signal sources),
-// runs the policy, and actuates multi-core role shifts. Decisions are
-// recorded in a bounded ring buffer for tests, GET /statz, and the
-// Figure 8 core-allocation traces.
+// Periodically samples a WorkerSet, runs the policy, and actuates
+// multi-core role shifts. Decisions are recorded in a bounded ring buffer
+// for tests, GET /statz, and the Figure 8 core-allocation traces.
 class ControlPlane {
  public:
   struct Config {
@@ -57,8 +54,11 @@ class ControlPlane {
     Decision last;  // Meaningful when decisions > 0.
   };
 
+  // `pool` (nullable, not owned) has its prewarm step requested at the end
+  // of every tick, so it shares the control cadence instead of running a
+  // timer of its own.
   ControlPlane(WorkerSet* workers, std::unique_ptr<dpolicy::ElasticityPolicy> policy,
-               Config config);
+               Config config, SandboxPool* pool = nullptr);
   ~ControlPlane();
 
   ControlPlane(const ControlPlane&) = delete;
@@ -74,24 +74,6 @@ class ControlPlane {
   // tests for determinism.
   Decision StepOnce();
 
-  // Registers an augmenter that fills signals the WorkerSet cannot see
-  // (dispatcher gauges, frontend admission counters, pool occupancy). Runs
-  // in the control tick on the reactor; must not block. Returns an id for
-  // RemoveSignalSource, so a component that dies before the control plane
-  // (e.g. a replaced frontend) can withdraw its contribution.
-  using SignalSource = std::function<void(dpolicy::ElasticitySignals*)>;
-  uint64_t AddSignalSource(SignalSource source);
-  void RemoveSignalSource(uint64_t id);
-
-  // Registers a periodic callback driven by the same control tick, after
-  // the elasticity decision (subsystems with their own policies — e.g. the
-  // sandbox pool's prewarm step — share the control cadence instead of
-  // spawning private timer threads). Runs in the control tick with the
-  // tick's sample time; must not block.
-  using Ticker = std::function<void(dbase::Micros now_us)>;
-  uint64_t AddTicker(Ticker ticker);
-  void RemoveTicker(uint64_t id);
-
   const dpolicy::ElasticityPolicy& policy() const { return *policy_; }
 
   // Ring-buffer contents, oldest first (at most Config::history_limit).
@@ -103,6 +85,7 @@ class ControlPlane {
   void ArmTick();
 
   WorkerSet* workers_;
+  SandboxPool* pool_;  // Nullable.
   Config config_;
   std::unique_ptr<dpolicy::ElasticityPolicy> policy_;
   // The tick's timer; null while stopped. Start/Stop serialize.
@@ -117,9 +100,6 @@ class ControlPlane {
 
   mutable std::mutex mu_;
   std::deque<Decision> history_;            // Guarded by mu_; ring buffer.
-  std::vector<std::pair<uint64_t, SignalSource>> sources_;  // Guarded by mu_.
-  std::vector<std::pair<uint64_t, Ticker>> tickers_;        // Guarded by mu_.
-  uint64_t next_source_id_ = 1;             // Guarded by mu_.
   uint64_t decisions_ = 0;                  // Guarded by mu_.
   uint64_t shifts_toward_compute_ = 0;      // Guarded by mu_.
   uint64_t shifts_toward_comm_ = 0;         // Guarded by mu_.

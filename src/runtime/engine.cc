@@ -156,24 +156,20 @@ int WorkerSet::compute_workers() const {
 
 int WorkerSet::comm_workers() const { return static_cast<int>(roles_.size()) - compute_workers(); }
 
-WorkerSet::SignalsSnapshot WorkerSet::Signals() const {
-  SignalsSnapshot snapshot;
-  snapshot.compute_pushed = compute_queue_.total_pushed();
-  snapshot.compute_popped = compute_queue_.total_popped();
-  snapshot.comm_pushed = comm_queue_.total_pushed();
-  snapshot.comm_popped = comm_queue_.total_popped();
-  snapshot.compute_backlog = compute_queue_.Size();
-  snapshot.comm_backlog = comm_queue_.Size();
-  snapshot.compute_urgent_backlog = compute_queue_.UrgentSize();
-  snapshot.comm_urgent_backlog = comm_queue_.UrgentSize();
-  snapshot.comm_inflight = static_cast<uint64_t>(
-      std::max<int64_t>(0, comm_inflight_.load(std::memory_order_relaxed)));
+dpolicy::ElasticitySignals WorkerSet::Signals() const {
+  dpolicy::ElasticitySignals signals;
   // One pass over the roles; comm is derived so the split always sums to
   // the pool size even when a shift lands mid-scan.
-  snapshot.compute_workers = compute_workers();
-  snapshot.comm_workers = static_cast<int>(roles_.size()) - snapshot.compute_workers;
-  snapshot.comm_parallelism = config_.comm_parallelism;
-  return snapshot;
+  signals.compute_workers = compute_workers();
+  signals.comm_workers = static_cast<int>(roles_.size()) - signals.compute_workers;
+  signals.compute_backlog = compute_queue_.Size();
+  signals.comm_backlog = comm_queue_.Size();
+  signals.interactive_compute_backlog = compute_queue_.UrgentSize();
+  signals.interactive_comm_backlog = comm_queue_.UrgentSize();
+  signals.comm_inflight =
+      static_cast<double>(std::max<int64_t>(0, comm_inflight_.load(std::memory_order_relaxed)));
+  signals.comm_parallelism = config_.comm_parallelism;
+  return signals;
 }
 
 EngineStats WorkerSet::Stats() const {

@@ -20,6 +20,7 @@
 #include "src/base/thread.h"
 #include "src/func/registry.h"
 #include "src/http/service_mesh.h"
+#include "src/policy/elasticity.h"
 #include "src/runtime/comm_function.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/memory_context.h"
@@ -145,25 +146,12 @@ class WorkerSet {
   uint64_t comm_pushed() const { return comm_queue_.total_pushed(); }
   uint64_t comm_popped() const { return comm_queue_.total_popped(); }
 
-  // One coherent control-plane sample. Cumulative counters plus
-  // instantaneous backlogs/occupancy; the split is read once so
-  // compute_workers + comm_workers always equals the pool size even when a
-  // role shift races the snapshot.
-  struct SignalsSnapshot {
-    uint64_t compute_pushed = 0;
-    uint64_t compute_popped = 0;
-    uint64_t comm_pushed = 0;
-    uint64_t comm_popped = 0;
-    uint64_t compute_backlog = 0;
-    uint64_t comm_backlog = 0;
-    uint64_t compute_urgent_backlog = 0;
-    uint64_t comm_urgent_backlog = 0;
-    uint64_t comm_inflight = 0;
-    int compute_workers = 0;
-    int comm_workers = 0;
-    int comm_parallelism = 1;
-  };
-  SignalsSnapshot Signals() const;
+  // The engine half of one control-plane sample: the split, backlogs and
+  // comm occupancy. The split is read once, so compute_workers +
+  // comm_workers always equals the pool size even when a role shift races
+  // the sample. now_us and the growths are left for the control plane,
+  // which owns the clock and the counter baselines.
+  dpolicy::ElasticitySignals Signals() const;
 
   EngineStats Stats() const;
 

@@ -110,16 +110,7 @@ HttpFrontend::HttpFrontend(Platform* platform, FrontendConfig config)
 HttpFrontend::HttpFrontend(Platform* platform, uint16_t port)
     : HttpFrontend(platform, FrontendConfig{.port = port}) {}
 
-HttpFrontend::~HttpFrontend() {
-  Stop();
-  // The frontend may not outlive its platform (it serves requests through
-  // it), so the control plane — if any — is still valid here.
-  if (signals_registered_) {
-    if (ControlPlane* control = platform_->control_plane(); control != nullptr) {
-      control->RemoveSignalSource(signal_source_id_);
-    }
-  }
-}
+HttpFrontend::~HttpFrontend() { Stop(); }
 
 dbase::Status HttpFrontend::Start() {
   ASSIGN_OR_RETURN(listen_fd_, dnet::ListenLoopback(port_, 128));
@@ -131,36 +122,6 @@ dbase::Status HttpFrontend::Start() {
   }
   port_ = *port;
 
-  // Feed the admission-control counters into the elasticity control plane's
-  // per-tick snapshot: 429s only — deadline expiries are already counted by
-  // the dispatcher's signal source, and every frontend 504 is a dispatcher
-  // kDeadlineExceeded, so adding deadline_504 here would double-count. The
-  // registration is once per frontend (Start after Stop must not stack
-  // duplicates) and undone in the destructor, so a replaced frontend does
-  // not leave its frozen counters inflating the signal forever.
-  if (ControlPlane* control = platform_->control_plane();
-      control != nullptr && !signals_registered_) {
-    signals_registered_ = true;
-    signal_source_id_ = control->AddSignalSource(
-        [counters = counters_, cluster = cluster_](dpolicy::ElasticitySignals* signals) {
-          signals->admission_shed +=
-              counters->shed_429.load(std::memory_order_relaxed);
-          if (cluster == nullptr) {
-            return;
-          }
-          // Router pressure: how often work had to move nodes, how much of
-          // the fleet is unreachable, and what the wire is carrying.
-          const Cluster::ClusterStats stats = cluster->Stats();
-          signals->cluster_reroutes += stats.reroutes_shed + stats.reroutes_peer_lost;
-          for (const Cluster::PeerStats& peer : stats.peers) {
-            if (peer.remote && peer.state != "active") {
-              ++signals->cluster_peers_unavailable;
-            }
-            signals->net_bytes_sent += peer.bytes_sent;
-            signals->net_bytes_received += peer.bytes_received;
-          }
-        });
-  }
   scope_ = std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
   running_.store(true);
   // Registered on the reactor's turn; connections arriving until then wait

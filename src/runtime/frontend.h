@@ -136,7 +136,7 @@ class HttpFrontend {
   // Routes invokes through a cluster (locality-aware dispatch + cross-node
   // shedding over the dnet wire) instead of submitting straight to the
   // local platform. The attached platform keeps serving registration,
-  // statz and signals. Call before Start(); the cluster must outlive the
+  // statz. Call before Start(); the cluster must outlive the
   // frontend. /statz grows a "cluster" section with per-peer wire and
   // membership counters; the wire counters are the NodeClient's live
   // PeerCounters, loaded when /statz is read.
@@ -273,10 +273,6 @@ class HttpFrontend {
   // FrontendConfig::max_total_response_bytes.
   size_t total_response_bytes_ = 0;
   std::shared_ptr<InvokeCounters> counters_ = std::make_shared<InvokeCounters>();
-  // Admission counters registered with the platform's control plane (only
-  // once, even across Start/Stop cycles; unregistered in the destructor).
-  bool signals_registered_ = false;
-  uint64_t signal_source_id_ = 0;
 };
 
 }  // namespace dandelion

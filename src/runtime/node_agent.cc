@@ -212,28 +212,14 @@ dnet::WireNodeStatus NodeAgent::BuildStatus() {
   status.node_name = config_.node_name;
   const EngineStats engines = platform_->engine_stats();
   const DispatcherStats dispatch = platform_->dispatcher_stats();
-  dpolicy::ElasticitySignals& s = status.signals;
-  s.now_us = dbase::MonotonicClock::Get()->NowMicros();
-  s.compute_workers = engines.compute_workers;
-  s.comm_workers = engines.comm_workers;
-  s.compute_backlog = engines.compute_queue_len;
-  s.comm_backlog = engines.comm_queue_len;
-  s.interactive_compute_backlog = engines.compute_urgent_queue_len;
-  s.interactive_comm_backlog = engines.comm_urgent_queue_len;
-  s.inflight_interactive = dispatch.inflight_interactive;
-  s.inflight_batch = dispatch.inflight_batch;
-  s.admission_shed = shed_.load(std::memory_order_relaxed);
-  s.deadline_exceeded = dispatch.invocations_deadline_exceeded;
-  s.sandbox_failures = dispatch.sandbox_failures;
-  s.breaker_fast_fails = dispatch.breaker_fast_fails;
-  s.breakers_open = dispatch.breakers_open;
-  if (SandboxPool* pool = platform_->sandbox_pool(); pool != nullptr) {
-    const SandboxPoolStats warm = pool->Stats();
-    s.warm_pool_shelved = static_cast<uint64_t>(warm.shelved);
-    s.warm_pool_misses = warm.misses;
-  }
   status.inflight = dispatch.inflight_interactive + dispatch.inflight_batch;
-  status.admission_cap = config_.max_inflight_interactive + config_.max_inflight_batch;
+  // 0 (uncapped) when either class is: a node that never sheds interactive
+  // work has no finite headroom to advertise.
+  status.admission_cap =
+      config_.max_inflight_interactive == 0 || config_.max_inflight_batch == 0
+          ? 0
+          : config_.max_inflight_interactive + config_.max_inflight_batch;
+  status.backlog = engines.compute_queue_len + engines.comm_queue_len;
   {
     std::lock_guard<std::mutex> lock(resident_mu_);
     status.resident_compositions.assign(resident_.begin(), resident_.end());

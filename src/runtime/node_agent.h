@@ -8,9 +8,9 @@
 //             wire's relative remaining time;
 //   cancel  → InvocationHandle::Cancel via an id-keyed inflight table
 //             (also driven by the server's cancel-on-disconnect);
-//   gossip  → an ElasticitySignals snapshot assembled from the engine and
-//             dispatcher stats plus the recently-served composition list
-//             (the router's locality + membership input);
+//   gossip  → the node's in-flight count, admission cap and queued engine
+//             tasks, plus the recently-served composition list (the
+//             router's load, locality and membership input);
 //   mesh    → serve a carried service-mesh request against the local mesh's
 //             own endpoints (never re-hopping to another node) and report
 //             the modelled latency back.

@@ -38,42 +38,11 @@ Platform::Platform(PlatformConfig config) : config_(config) {
     std::unique_ptr<dpolicy::ElasticityPolicy> policy =
         config.elasticity_policy_factory ? config.elasticity_policy_factory()
                                          : dpolicy::CreatePolicy(config.elasticity_policy);
+    // The prewarm policy shares the elasticity cadence: every control tick
+    // also advances the pool's per-function EWMA targets, on the pool's
+    // fill thread, since a fill may block the reactor-run tick.
     control_plane_ = std::make_unique<ControlPlane>(workers_.get(), std::move(policy),
-                                                    control_config);
-    // Signals the WorkerSet cannot see: dispatcher gauges and the
-    // memory-context recycler's occupancy. Frontend admission counters are
-    // added by HttpFrontend when one is attached.
-    control_plane_->AddSignalSource([this](dpolicy::ElasticitySignals* signals) {
-      const DispatcherStats stats = dispatcher_->Stats();
-      signals->inflight_interactive = stats.inflight_interactive;
-      signals->inflight_batch = stats.inflight_batch;
-      signals->deadline_exceeded += stats.invocations_deadline_exceeded;
-      signals->sandbox_failures = stats.sandbox_failures;
-      signals->retries_attempted = stats.retries_attempted;
-      signals->breaker_fast_fails = stats.breaker_fast_fails;
-      signals->breakers_open = stats.breakers_open;
-      ContextPool* pool = ContextPool::Get();
-      const size_t cap = pool->max_entries();
-      signals->context_pool_occupancy =
-          cap == 0 ? 0.0
-                   : static_cast<double>(pool->entries()) / static_cast<double>(cap);
-      if (sandbox_pool_ != nullptr) {
-        const SandboxPoolStats warm = sandbox_pool_->Stats();
-        signals->warm_pool_shelved = static_cast<uint64_t>(warm.shelved);
-        signals->warm_pool_occupancy =
-            warm.max_total == 0
-                ? 0.0
-                : static_cast<double>(warm.shelved) / static_cast<double>(warm.max_total);
-        signals->warm_pool_misses = warm.misses;
-      }
-    });
-    if (sandbox_pool_ != nullptr) {
-      // The prewarm policy shares the elasticity cadence: every control
-      // tick also advances the pool's per-function EWMA targets, on the
-      // pool's fill thread, since a fill may block the reactor-run tick.
-      control_plane_->AddTicker(
-          [this](dbase::Micros now_us) { sandbox_pool_->RequestTick(now_us); });
-    }
+                                                    control_config, sandbox_pool_.get());
     control_plane_->Start();
   }
 }

@@ -164,7 +164,7 @@ class SandboxPool {
   void Tick(dbase::Micros now_us);
 
   // Runs Tick(now_us) on the pool's `pool-fill` thread, started by the
-  // first request. The ControlPlane ticker calls this from the reactor,
+  // first request. The ControlPlane's tick calls this from the reactor,
   // which must not block, while a fill forks a template and waits for its
   // ack. (Not on a compute engine: there a fill would count as compute
   // work in the queue-growth signal the control plane shifts cores on.)

@@ -6,8 +6,9 @@
 // SIGTERM/SIGINT shut the node down cleanly.
 //
 // Boot order is parse → bind → announce → build → serve. Flags and every
-// composition are parsed first, so malformed input exits (status 1 or 2)
-// before the handshake. The node then binds its listener and prints
+// composition are parsed first, so malformed input exits before the
+// handshake: a bad flag with status 2, a bad composition with status 1.
+// The node then binds its listener and prints
 // "LISTENING <port>" — its only stdout line — and only then builds the
 // Platform and starts the NodeAgent on the already-bound socket. A router
 // may connect and send as soon as it reads the line: the kernel queues the
@@ -16,14 +17,19 @@
 // (registration, agent start) exits with status 1, and the router sees
 // the peer drop.
 //
-// Flags (--key=value):
+// Flags (--key=value). An unknown key, or a value that does not parse or is
+// out of range, exits with status 2 before anything is bound:
 //   --name=<node name>       gossip/logging identity            [node]
-//   --port=<port>            listen port, 0 = ephemeral         [0]
-//   --workers=<n>            worker cores                       [4]
-//   --control-plane=<0|1>    enable the elasticity control loop [0]
+//   --port=<0..65535>        listen port, 0 = ephemeral         [0]
+//   --workers=<n>            worker cores, at least 1           [4]
+//   --control-plane=<0|1|true|false>
+//                            enable the elasticity control loop [0]
 //   --interactive-cap=<n>    admission cap, 0 = uncapped        [256]
 //   --batch-cap=<n>          admission cap, 0 = uncapped        [256]
-//   --backend=thread|process isolation backend                  [thread]
+//                            (either cap at 0 gossips cap 0)
+//   --backend=<name>         isolation backend, any name that
+//                            IsolationBackendFromName accepts
+//                            (thread, process, kvm, wasm)       [thread]
 //   --dsl=<text>             extra composition DSL (repeatable)
 //
 // Out of the box the node registers the builtin compute functions (echo,
@@ -33,6 +39,7 @@
 // and the replay bench invoke — so a freshly spawned node can serve traffic
 // with no further provisioning round-trip.
 #include <cerrno>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +51,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/status.h"
+#include "src/base/string_util.h"
 #include "src/dsl/graph.h"
 #include "src/dsl/parser.h"
 #include "src/func/builtins.h"
@@ -95,10 +103,17 @@ struct Flags {
   bool control_plane = false;
   size_t interactive_cap = 256;
   size_t batch_cap = 256;
-  std::string backend = "thread";
+  dandelion::IsolationBackend backend = dandelion::IsolationBackend::kThread;
   std::vector<std::string> dsl;
 };
 
+// Parses `value` as a decimal integer in [min, max].
+bool ParseBounded(const std::string& value, int64_t min, int64_t max, int64_t* out) {
+  return dbase::ParseInt64(value, out) && *out >= min && *out <= max;
+}
+
+// Rejects any malformed or out-of-range value, so a typo never becomes a
+// silent default.
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -109,24 +124,37 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     }
     const std::string key = arg.substr(2, eq - 2);
     const std::string value = arg.substr(eq + 1);
+    int64_t number = 0;
+    bool valid = true;
     if (key == "name") {
       flags->name = value;
     } else if (key == "port") {
-      flags->port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      valid = ParseBounded(value, 0, 65535, &number);
+      flags->port = static_cast<uint16_t>(number);
     } else if (key == "workers") {
-      flags->workers = std::atoi(value.c_str());
+      valid = ParseBounded(value, 1, INT32_MAX, &number);
+      flags->workers = static_cast<int>(number);
     } else if (key == "control-plane") {
+      valid = value == "0" || value == "1" || value == "true" || value == "false";
       flags->control_plane = value == "1" || value == "true";
     } else if (key == "interactive-cap") {
-      flags->interactive_cap = static_cast<size_t>(std::atoll(value.c_str()));
+      valid = ParseBounded(value, 0, INT64_MAX, &number);
+      flags->interactive_cap = static_cast<size_t>(number);
     } else if (key == "batch-cap") {
-      flags->batch_cap = static_cast<size_t>(std::atoll(value.c_str()));
+      valid = ParseBounded(value, 0, INT64_MAX, &number);
+      flags->batch_cap = static_cast<size_t>(number);
     } else if (key == "backend") {
-      flags->backend = value;
+      auto backend = dandelion::IsolationBackendFromName(value);
+      valid = backend.ok();
+      if (valid) flags->backend = *backend;
     } else if (key == "dsl") {
       flags->dsl.push_back(value);
     } else {
       std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "bad value for --%s: %s\n", key.c_str(), value.c_str());
       return false;
     }
   }
@@ -192,9 +220,7 @@ int main(int argc, char** argv) {
   config.num_workers = flags.workers;
   config.enable_control_plane = flags.control_plane;
   config.sleep_for_modeled_latency = false;
-  if (flags.backend == "process") {
-    config.backend = dandelion::IsolationBackend::kProcess;
-  }
+  config.backend = flags.backend;
   dandelion::Platform platform(config);
   Must(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}));
   Must(platform.RegisterFunction({.name = "matmul", .body = dfunc::MatMulFunction}));

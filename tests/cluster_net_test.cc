@@ -3,10 +3,11 @@
 // dandelion_node daemons), covering remote invocation end-to-end,
 // zero-copy accounting, cross-node shedding, peer-loss absorption via the
 // retry taxonomy, routed cancel (handle and client disconnect),
-// gossip-driven membership (suspect → evict → rejoin), mesh calls carried
-// over the wire, protocol hygiene against hostile frames, the statz
-// cluster section, the spawned node's boot handshake, self-contained
-// binary and jailed process backend, and the router's join at AddPeer.
+// gossip-driven membership (suspect → evict → rejoin), the gossiped node
+// status, mesh calls carried over the wire, protocol hygiene against
+// hostile frames, the statz cluster section, the spawned node's flag
+// validation, boot handshake, self-contained binary and jailed process
+// backend, and the router's join at AddPeer.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -388,27 +389,27 @@ std::string NodeBinaryPath() {
   return std::string(dirname(dir.data())) + "/dandelion_node";
 }
 
-SpawnedNode SpawnNode(const std::string& name,
-                      const std::vector<std::string>& extra_flags = {}) {
-  SpawnedNode node;
+// Forks and execs the node binary with `flags`, its stdout on a pipe whose
+// read end lands in *stdout_fd. Returns the child's pid, or -1.
+pid_t ForkNode(const std::vector<std::string>& flags, int* stdout_fd) {
   const std::string binary = NodeBinaryPath();
-  if (binary.empty() || access(binary.c_str(), X_OK) != 0) return node;
+  if (binary.empty() || access(binary.c_str(), X_OK) != 0) return -1;
 
   // argv is built before fork: the child of a threaded process must not
   // allocate.
-  std::vector<std::string> args = {binary, "--name=" + name, "--port=0", "--workers=2"};
-  args.insert(args.end(), extra_flags.begin(), extra_flags.end());
+  std::vector<std::string> args = {binary};
+  args.insert(args.end(), flags.begin(), flags.end());
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
   argv.push_back(nullptr);
 
   int fds[2];
-  if (pipe(fds) != 0) return node;
+  if (pipe(fds) != 0) return -1;
   const pid_t pid = fork();
   if (pid < 0) {
     close(fds[0]);
     close(fds[1]);
-    return node;
+    return -1;
   }
   if (pid == 0) {
     dup2(fds[1], STDOUT_FILENO);
@@ -418,16 +419,28 @@ SpawnedNode SpawnNode(const std::string& name,
     _exit(127);
   }
   close(fds[1]);
+  *stdout_fd = fds[0];
+  return pid;
+}
+
+SpawnedNode SpawnNode(const std::string& name,
+                      const std::vector<std::string>& extra_flags = {}) {
+  SpawnedNode node;
+  std::vector<std::string> flags = {"--name=" + name, "--port=0", "--workers=2"};
+  flags.insert(flags.end(), extra_flags.begin(), extra_flags.end());
+  int out = -1;
+  const pid_t pid = ForkNode(flags, &out);
+  if (pid < 0) return node;
   node.pid = pid;
 
   // Read the "LISTENING <port>" handshake with a bounded wait.
   std::string line;
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(15);
   while (std::chrono::steady_clock::now() < give_up) {
-    pollfd pfd{fds[0], POLLIN, 0};
+    pollfd pfd{out, POLLIN, 0};
     if (poll(&pfd, 1, 200) <= 0) continue;
     char buffer[128];
-    const ssize_t got = read(fds[0], buffer, sizeof(buffer));
+    const ssize_t got = read(out, buffer, sizeof(buffer));
     if (got <= 0) break;
     line.append(buffer, static_cast<size_t>(got));
     const size_t newline = line.find('\n');
@@ -439,7 +452,7 @@ SpawnedNode SpawnNode(const std::string& name,
       break;
     }
   }
-  close(fds[0]);
+  close(out);
   if (node.port == 0) node.Kill();
   return node;
 }
@@ -555,6 +568,46 @@ TEST(ClusterNetTest, NodeFailingAfterAnnounceSurfacesPromptlyAsPeerLost) {
   node.pid = -1;
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
+// Malformed flags exit with status 2 before the node binds, so a typo never
+// becomes a node serving on a default port, worker count or backend.
+TEST(ClusterNetTest, NodeRejectsMalformedFlagsBeforeBinding) {
+  const std::vector<std::string> bad_flags = {
+      "--port=70000",  "--port=-1",        "--port=abc",          "--workers=abc",
+      "--workers=0",   "--workers=-3",     "--interactive-cap=-1", "--batch-cap=8x",
+      "--backend=procss", "--control-plane=yes", "--no-such-flag=1",
+  };
+  for (const std::string& flag : bad_flags) {
+    int out = -1;
+    const pid_t pid = ForkNode({"--name=bad", flag}, &out);
+    if (pid < 0) {
+      GTEST_SKIP() << "cannot spawn dandelion_node (binary missing)";
+    }
+    // Everything the node writes to stdout, up to EOF (its exit) or 5 s.
+    std::string stdout_text;
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool eof = false;
+    while (!eof && std::chrono::steady_clock::now() < give_up) {
+      pollfd pfd{out, POLLIN, 0};
+      if (poll(&pfd, 1, 100) <= 0) continue;
+      char buffer[128];
+      const ssize_t got = read(out, buffer, sizeof(buffer));
+      if (got <= 0) {
+        eof = true;
+      } else {
+        stdout_text.append(buffer, static_cast<size_t>(got));
+      }
+    }
+    close(out);
+    if (!eof) kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(eof) << flag << ": the node kept running";
+    EXPECT_EQ(stdout_text, "") << flag;
+    ASSERT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag;
+  }
 }
 
 // The node is a static-pie image: exec maps no dynamic loader and no shared
@@ -820,6 +873,46 @@ TEST(ClusterNetTest, GossipFillsPeerStatsAndLocalitysticks) {
   EXPECT_GT(served_peer->bytes_sent, 0u);
   EXPECT_GT(served_peer->bytes_received, 0u);
   EXPECT_GE(served_peer->gossip_age_us, 0);
+}
+
+// The gossip body carries exactly what the router reads: the node's
+// in-flight count, its queued engine tasks, and an admission cap that is 0
+// (uncapped) as soon as either class is uncapped.
+TEST(ClusterNetTest, BuildStatusReportsInflightBacklogAndCap) {
+  AgentNode node(NodeAgentConfig{.node_name = "ns"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  EXPECT_EQ(node.agent().BuildStatus().admission_cap, 512u);
+
+  // One nap holds the node's only compute worker (the other holds the comm
+  // role); two more wait in the compute queue.
+  std::vector<InvocationHandle> handles;
+  dbase::Latch done(3);
+  for (int i = 0; i < 3; ++i) {
+    handles.push_back(node.platform().Submit(
+        {"Nap", EchoArgs("hold")}, [&](dbase::Result<DataSetList>) { done.CountDown(); }));
+  }
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        const EngineStats engines = node.platform().engine_stats();
+        return engines.compute_queue_len == 2 && engines.comm_queue_len == 0;
+      },
+      2000))
+      << "two naps never queued behind the busy worker";
+  const dnet::WireNodeStatus status = node.agent().BuildStatus();
+  EXPECT_EQ(status.node_name, "ns");
+  EXPECT_EQ(status.inflight, 3u);
+  EXPECT_EQ(status.backlog, 2u);
+  for (const InvocationHandle& handle : handles) handle.Cancel();
+  ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
+
+  AgentNode half(NodeAgentConfig{
+      .node_name = "half", .max_inflight_interactive = 0, .max_inflight_batch = 8});
+  SKIP_WITHOUT_LOOPBACK(half);
+  EXPECT_EQ(half.agent().BuildStatus().admission_cap, 0u);
+  AgentNode other_half(NodeAgentConfig{
+      .node_name = "other", .max_inflight_interactive = 8, .max_inflight_batch = 0});
+  SKIP_WITHOUT_LOOPBACK(other_half);
+  EXPECT_EQ(other_half.agent().BuildStatus().admission_cap, 0u);
 }
 
 // -------------------------------------------------------- protocol hygiene

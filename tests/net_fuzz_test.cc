@@ -129,13 +129,10 @@ TEST(WireFuzzTest, OutcomeBody) {
 TEST(WireFuzzTest, NodeStatusBody) {
   WireNodeStatus status;
   status.node_name = "engine-3";
-  status.signals.compute_workers = 6;
-  status.signals.comm_workers = 2;
-  status.signals.compute_backlog = 17;
-  status.signals.admission_shed = 9;
   status.resident_compositions = {"Id", "MatMulChain", ""};
   status.inflight = 5;
   status.admission_cap = 256;
+  status.backlog = 17;
   FuzzWireDecoder(
       "DecodeNodeStatus", 0xE7037ED1A0B428DBull, {EncodeNodeStatus(status)},
       [](const dbase::BufferSlice& body) { return DecodeNodeStatus(body); },

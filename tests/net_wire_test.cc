@@ -208,29 +208,19 @@ TEST(WireOutcomeTest, RejectsCorruptBody) {
 TEST(WireStatusTest, RoundTrip) {
   WireNodeStatus status;
   status.node_name = "engine-3";
-  status.signals.compute_workers = 6;
-  status.signals.comm_workers = 2;
-  status.signals.compute_backlog = 17;
-  status.signals.inflight_interactive = 4;
-  status.signals.admission_shed = 9;
-  status.signals.warm_pool_shelved = 3;
   status.resident_compositions = {"Id", "MatMulChain"};
   status.inflight = 5;
   status.admission_cap = 256;
+  status.backlog = 17;
 
   auto decoded = DecodeNodeStatus(SliceOf(EncodeNodeStatus(status)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->node_name, "engine-3");
-  EXPECT_EQ(decoded->signals.compute_workers, 6);
-  EXPECT_EQ(decoded->signals.comm_workers, 2);
-  EXPECT_EQ(decoded->signals.compute_backlog, 17u);
-  EXPECT_EQ(decoded->signals.inflight_interactive, 4u);
-  EXPECT_EQ(decoded->signals.admission_shed, 9u);
-  EXPECT_EQ(decoded->signals.warm_pool_shelved, 3u);
   EXPECT_EQ(decoded->resident_compositions,
             (std::vector<std::string>{"Id", "MatMulChain"}));
   EXPECT_EQ(decoded->inflight, 5u);
   EXPECT_EQ(decoded->admission_cap, 256u);
+  EXPECT_EQ(decoded->backlog, 17u);
 }
 
 TEST(WireStatusTest, RejectsTruncation) {
@@ -241,6 +231,7 @@ TEST(WireStatusTest, RejectsTruncation) {
   for (size_t cut = 0; cut < bytes.size(); cut += 3) {
     EXPECT_FALSE(DecodeNodeStatus(SliceOf(bytes.substr(0, cut))).ok()) << "cut=" << cut;
   }
+  EXPECT_FALSE(DecodeNodeStatus(SliceOf(bytes + '\0')).ok()) << "trailing byte";
 }
 
 TEST(WireJoinTest, RoundTrip) {
