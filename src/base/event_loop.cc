@@ -45,11 +45,9 @@ EventLoop* EventLoop::Process() {
     }
     auto* created = new Reactor{std::move(loop).value(), JoiningThread()};
     created->thread = JoiningThread("reactor", [loop = created->loop.get()] { loop->Run(); });
-    // Return only once Run() owns the loop, so running() holds for every
-    // caller from here on.
-    Latch running(1);
-    created->loop->Post([&running] { running.CountDown(); });
-    running.Wait();
+    // Publish the thread before returning, so running() holds for every
+    // caller from here on; Run() stores the same id when it starts.
+    created->loop->loop_thread_id_.store(created->thread.id(), std::memory_order_release);
     return created;
   }();
   return reactor->loop.get();

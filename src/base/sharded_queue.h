@@ -134,10 +134,10 @@ class ShardedTaskQueue {
 
   // Local pop, then steal, then a bounded wait on the local shard — which a
   // sibling-shard batch push cuts short (epoch bump + wake) so idle workers
-  // steal a fresh fan-out instead of sleeping out their timeout. May return
-  // nullopt before the timeout elapses (callers loop); returns nullopt when
-  // closed and the local shard is drained (siblings may still hold items —
-  // callers drain those via TryPop).
+  // steal a fresh fan-out instead of sleeping out their timeout, as does
+  // Wake(). May return nullopt before the timeout elapses (callers loop);
+  // returns nullopt when closed and the local shard is drained (siblings
+  // may still hold items — callers drain those via TryPop).
   std::optional<T> PopWithTimeout(size_t shard, Micros timeout_us) {
     if (auto item = TryPopLocal(shard)) {
       return item;
@@ -152,10 +152,13 @@ class ShardedTaskQueue {
     {
       std::unique_lock<std::mutex> lock(s.mu);
       s.cv.wait_for(lock, std::chrono::microseconds(timeout_us), [&] {
-        return !s.items.empty() || !s.urgent.empty() ||
+        return !s.items.empty() || !s.urgent.empty() || s.wake_pending ||
                closed_.load(std::memory_order_relaxed) ||
                push_epoch_.load(std::memory_order_relaxed) != seen_epoch;
       });
+      if (std::exchange(s.wake_pending, false)) {
+        return std::nullopt;  // Woken to re-read its role: take nothing.
+      }
       if (auto item = PopFrontLocked(s)) {
         return item;
       }
@@ -163,6 +166,16 @@ class ShardedTaskQueue {
     // Woken by a batch landing on a sibling (or timed out): one more steal
     // attempt before handing control back to the caller's loop.
     return TrySteal(shard);
+  }
+
+  // Ends the shard's current or next PopWithTimeout wait with nullopt, not
+  // a popped or stolen item: its worker changed role and must re-read it.
+  // Kept until a wait consumes it, so an early wake is not lost.
+  void Wake(size_t shard) {
+    Shard& s = *shards_[ShardIndex(shard)];
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.wake_pending = true;
+    s.cv.notify_one();
   }
 
   // Local pop falling back to a steal; never blocks.
@@ -312,6 +325,7 @@ class ShardedTaskQueue {
     uint64_t pushed = 0;
     uint64_t popped = 0;
     uint64_t stolen = 0;
+    bool wake_pending = false;  // Set by Wake(), consumed by the next wait.
     // Mirror of items.size(), written under mu, read lock-free by
     // ApproxShardSize.
     std::atomic<size_t> approx_size{0};

@@ -27,6 +27,7 @@ class JoiningThread {
 
   void Join();
   bool joinable() const { return thread_.joinable(); }
+  std::thread::id id() const { return thread_.get_id(); }
   const std::string& name() const { return name_; }
 
  private:

@@ -18,6 +18,10 @@ bool TaskIsUrgent(const std::shared_ptr<InvocationControl>& control) {
   return control == nullptr || control->priority() == PriorityClass::kInteractive;
 }
 
+// Longest a worker blocks with nothing due: bounds how long a task parked
+// on a busy sibling's shard waits to be stolen.
+constexpr dbase::Micros kIdleTickUs = 1000;
+
 }  // namespace
 
 WorkerSet::WorkerSet(Config config, dhttp::ServiceMesh* mesh)
@@ -111,6 +115,7 @@ bool WorkerSet::ShiftWorkerToCompute() {
       // Comm tasks queued on the departed shard would otherwise wait for a
       // sibling's idle steal; hand them to workers still doing comm.
       comm_queue_.RehomeShard(i, ShardsWithRole(EngineType::kCommunication, i));
+      comm_queue_.Wake(i);  // The worker may be parked on its comm shard.
       return true;
     }
   }
@@ -125,6 +130,7 @@ bool WorkerSet::ShiftWorkerToComm() {
     EngineType expected = EngineType::kCompute;
     if (roles_[i]->compare_exchange_strong(expected, EngineType::kCommunication)) {
       compute_queue_.RehomeShard(i, ShardsWithRole(EngineType::kCompute, i));
+      compute_queue_.Wake(i);
       return true;
     }
   }
@@ -315,6 +321,7 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
 }
 
 void WorkerSet::StartCommTask(CommTask task, std::vector<InFlight>* inflight) {
+  comm_done_.fetch_add(1, std::memory_order_relaxed);
   {
     const dbase::Micros wait =
         dbase::MonotonicClock::Get()->NowMicros() - task.enqueue_time_us;
@@ -366,76 +373,58 @@ void WorkerSet::WorkerLoop(int index) {
   // This worker's home shard in both queues. Pops hit the shard first and
   // steal from siblings only when it is empty.
   const size_t shard = static_cast<size_t>(index);
+  const size_t budget = static_cast<size_t>(std::max(1, config_.comm_parallelism));
   // Pending comm completions owned by this worker — the cooperative
-  // runtime's outstanding network operations.
+  // runtime's outstanding network operations. They stay with the worker
+  // across role shifts: the green-thread budget is per worker.
   std::vector<InFlight> inflight;
 
   while (true) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     CompleteDue(&inflight, now);
 
-    const bool draining = shutdown_.load(std::memory_order_relaxed);
-    const EngineType role = roles_[static_cast<size_t>(index)]->load(std::memory_order_relaxed);
-
-    if (role == EngineType::kCommunication || draining) {
-      // Accept new requests up to the green-thread budget.
-      bool accepted = false;
-      while (static_cast<int>(inflight.size()) < config_.comm_parallelism) {
-        auto task = comm_queue_.TryPop(shard);
-        if (!task.has_value()) {
-          break;
-        }
-        StartCommTask(std::move(*task), &inflight);
-        comm_done_.fetch_add(1, std::memory_order_relaxed);
-        accepted = true;
-      }
-      if (role == EngineType::kCommunication && !draining) {
-        if (inflight.empty() && !accepted) {
-          // Idle: block briefly on the home shard so we wake on arrivals.
-          auto task = comm_queue_.PopWithTimeout(shard, 500);
-          if (task.has_value()) {
-            StartCommTask(std::move(*task), &inflight);
-            comm_done_.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else if (!inflight.empty()) {
-          // Sleep to the nearest completion (bounded so role flips and new
-          // arrivals are noticed promptly).
-          dbase::Micros nearest = INT64_MAX;
-          for (const auto& item : inflight) {
-            nearest = std::min(nearest, item.ready_at_us);
-          }
-          const dbase::Micros wait =
-              std::clamp<dbase::Micros>(nearest - now, 0, 200);
-          if (wait > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(wait));
-          }
-        }
-        continue;
-      }
-    }
-
-    if (role == EngineType::kCompute && !draining) {
-      auto task = compute_queue_.PopWithTimeout(shard, inflight.empty() ? 1000 : 100);
-      if (task.has_value()) {
-        RunComputeTask(std::move(*task));
-      }
-      continue;
-    }
-
-    if (draining) {
-      // Finish everything still queued, then exit once idle.
+    if (shutdown_.load(std::memory_order_relaxed)) {
+      // Finish everything still queued, complete held calls without their
+      // latency, then exit once idle.
       bool did_work = false;
+      if (auto task = comm_queue_.TryPop(shard)) {
+        StartCommTask(std::move(*task), &inflight);
+        did_work = true;
+      }
       if (auto task = compute_queue_.TryPop(shard)) {
         RunComputeTask(std::move(*task));
         did_work = true;
       }
       if (!inflight.empty()) {
-        CompleteDue(&inflight, INT64_MAX);  // Flush without sleeping.
+        CompleteDue(&inflight, INT64_MAX);
         did_work = true;
       }
       if (!did_work && comm_queue_.Size() == 0 && compute_queue_.Size() == 0) {
         return;
       }
+      continue;
+    }
+
+    // The one wait of this pass: until a task arrives on the role's home
+    // shard, the nearest held completion is due, or the idle tick passes
+    // (the tick lets a push parked behind a busy sibling be stolen). A
+    // role shift cuts it short through the queue's Wake().
+    dbase::Micros wait_us = kIdleTickUs;
+    for (const auto& item : inflight) {
+      wait_us = std::min(wait_us, item.ready_at_us - now);
+    }
+    if (roles_[shard]->load(std::memory_order_relaxed) == EngineType::kCompute) {
+      if (auto task = compute_queue_.PopWithTimeout(shard, wait_us)) {
+        RunComputeTask(std::move(*task));
+      }
+    } else if (inflight.size() < budget) {
+      if (auto task = comm_queue_.PopWithTimeout(shard, wait_us)) {
+        StartCommTask(std::move(*task), &inflight);
+      }
+    } else {
+      // At the green-thread budget nothing may be popped until a held
+      // call completes and frees a slot.
+      std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
     }
   }
 }

@@ -1,8 +1,10 @@
 // Engines (§5): compute engines run one sandboxed task at a time to
-// completion on a dedicated core; communication engines run many requests
-// cooperatively. A WorkerSet owns one worker thread per core; the control
-// plane re-labels workers between the two roles at runtime ("re-assigns a
-// CPU core from the communication engine type to the compute engine type").
+// completion on a dedicated core; communication engines hold many calls
+// cooperatively until each is due. A WorkerSet owns one worker thread per
+// core, which blocks in one place until a task arrives or a held call is
+// due. The control plane re-labels workers between the two roles at runtime
+// ("re-assigns a CPU core from the communication engine type to the compute
+// engine type") and wakes the re-labelled worker.
 #ifndef SRC_RUNTIME_ENGINE_H_
 #define SRC_RUNTIME_ENGINE_H_
 
@@ -100,7 +102,7 @@ struct EngineStats {
 };
 
 // The pool of engine workers. Task queues are sharded per worker: a worker
-// pops its own shard first and steals from siblings before sleeping, so
+// pops its own shard first and steals from siblings before it blocks, so
 // dispatch scales past the single-mutex ceiling while keeping late binding
 // of tasks to cores (§5). Submissions route to a shard whose worker holds
 // the matching role; role shifts re-home the departed shard's residue.
@@ -155,8 +157,8 @@ class WorkerSet {
 
   EngineStats Stats() const;
 
-  // Latency the mesh modelled for completed comm calls is *slept* by the
-  // worker (real runtime) unless disabled (unit tests).
+  // Held comm calls complete when their modelled latency has passed (real
+  // runtime), or at once when disabled (unit tests).
   void set_sleep_for_modeled_latency(bool enabled) { sleep_latency_ = enabled; }
 
   // When set, tasks carrying a warm sandbox release it back to this pool

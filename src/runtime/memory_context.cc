@@ -8,6 +8,43 @@
 #include "src/base/string_util.h"
 
 namespace dandelion {
+namespace {
+
+// Zeroes the first `extent` bytes of a context region, the only part that
+// was written, leaving it indistinguishable from a fresh mapping. Two
+// regimes:
+//  - small extents are memset in place: ~0.3 µs for a few pages versus
+//    several µs of madvise + demand-zero refaults in the kernel, at the
+//    cost of keeping those pages committed while shelved (bounded by
+//    kZeroExtentBytes × the pool's max entries ≈ 4 MB platform-wide);
+//  - large extents are genuinely uncommitted, so committed memory keeps
+//    tracking demand (§7.8).
+// The uncommit call differs by mapping kind. On MAP_PRIVATE anonymous
+// memory MADV_DONTNEED discards the pages and refaults read fresh zeros.
+// On MAP_SHARED|MAP_ANONYMOUS it only drops this mapping's PTEs — the
+// backing shmem object keeps the old bytes and refaults repopulate them,
+// so the previous invocation's data would survive the "scrub". Shared
+// regions therefore need MADV_REMOVE, which hole-punches the shmem object
+// back to zeros (also uncommitting), with an explicit memset fallback if
+// the kernel refuses the punch.
+void ScrubRegion(char* region, uint64_t extent, bool shared) {
+  if (extent == 0) {
+    return;
+  }
+  if (extent <= ContextPool::kZeroExtentBytes) {
+    std::memset(region, 0, extent);
+    return;
+  }
+  const uint64_t page = 4096;
+  const uint64_t rounded = (extent + page - 1) / page * page;
+  if (!shared) {
+    madvise(region, rounded, MADV_DONTNEED);
+  } else if (madvise(region, rounded, MADV_REMOVE) != 0) {
+    std::memset(region, 0, extent);
+  }
+}
+
+}  // namespace
 
 void MemoryAccountant::AttachClock(const dbase::Clock* clock) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -64,27 +101,11 @@ char* ContextPool::Take(uint64_t capacity) {
 }
 
 bool ContextPool::Put(char* region, uint64_t capacity, uint64_t touched) {
-  // Scrub outside the lock, and only the extent that was written: a small
-  // invocation pays for its own pages, not the context's declared capacity.
-  // Two regimes, both leaving the region indistinguishable from a fresh
-  // mapping (reads as zeros):
-  //  - small extents are memset to zero in place: ~0.3 µs for a few pages
-  //    versus several µs of madvise + demand-zero refaults in the kernel,
-  //    at the cost of keeping those pages committed while shelved (bounded
-  //    by kZeroExtentBytes × max_entries_ ≈ 4 MB platform-wide);
-  //  - large extents are genuinely uncommitted with MADV_DONTNEED so
-  //    committed memory keeps tracking demand (§7.8).
-  // Scrub-before-reserve wastes one scrub when the pool turns out to be
-  // full, but keeps the capacity check and the shelving atomic — a
-  // concurrent set_max_entries() shrink cannot interleave with a
-  // half-registered entry.
-  const uint64_t extent = std::min(touched, capacity);
-  if (extent > 0 && extent <= kZeroExtentBytes) {
-    std::memset(region, 0, extent);
-  } else if (extent > 0) {
-    const uint64_t page = 4096;
-    madvise(region, (extent + page - 1) / page * page, MADV_DONTNEED);
-  }
+  // Scrub outside the lock. Scrub-before-reserve wastes one scrub when the
+  // pool turns out to be full, but keeps the capacity check and the
+  // shelving atomic — a concurrent set_max_entries() shrink cannot
+  // interleave with a half-registered entry.
+  ScrubRegion(region, std::min(touched, capacity), /*shared=*/false);
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_ >= max_entries_) {
     ++stats_.dropped;
@@ -164,32 +185,7 @@ MemoryContext::~MemoryContext() {
 }
 
 void MemoryContext::ScrubForReuse(uint64_t extent) {
-  // Same two regimes as ContextPool::Put: zero small extents in place
-  // (cheaper than re-faulting), genuinely uncommit large ones so committed
-  // memory keeps tracking demand while the region stays shelved.
-  //
-  // The uncommit call differs by mapping kind. On MAP_PRIVATE anonymous
-  // memory MADV_DONTNEED discards the pages and refaults read fresh zeros.
-  // On MAP_SHARED|MAP_ANONYMOUS it only drops this mapping's PTEs — the
-  // backing shmem object keeps the old bytes and refaults repopulate them,
-  // so the previous invocation's data would survive the "scrub". Shared
-  // regions therefore need MADV_REMOVE, which hole-punches the shmem object
-  // back to zeros (also uncommitting), with an explicit memset fallback if
-  // the kernel refuses the punch.
-  extent = std::min(extent, capacity_);
-  if (extent > 0 && extent <= ContextPool::kZeroExtentBytes) {
-    std::memset(data_, 0, extent);
-  } else if (extent > 0) {
-    const uint64_t page = 4096;
-    const uint64_t rounded = (extent + page - 1) / page * page;
-    if (shared_) {
-      if (madvise(data_, rounded, MADV_REMOVE) != 0) {
-        std::memset(data_, 0, extent);
-      }
-    } else {
-      madvise(data_, rounded, MADV_DONTNEED);
-    }
-  }
+  ScrubRegion(data_, std::min(extent, capacity_), shared_);
   touched_ = 0;
 }
 

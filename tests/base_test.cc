@@ -451,6 +451,30 @@ TEST(ShardedTaskQueueTest, SiblingBatchWakesBlockedWaiter) {
   }
 }
 
+TEST(ShardedTaskQueueTest, WakeEndsTheWaitWithoutTakingWork) {
+  // Wake() tells a parked worker that its role changed: the wait ends at
+  // once and takes nothing, so a sibling's item stays for a worker that
+  // still holds the role. A wake made while nobody waits is kept.
+  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
+  ShardedTaskQueue<int> queue(2);
+  std::optional<int> got;
+  const Stopwatch watch;
+  std::thread waiter([&] { got = queue.PopWithTimeout(0, kTimeout); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(queue.PushToShard(1, 7));  // Wakes only shard 1's waiter.
+  queue.Wake(0);
+  waiter.join();
+  EXPECT_LT(watch.ElapsedMicros(), kTimeout / 2);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(queue.ShardSize(1), 1u);
+
+  EXPECT_EQ(queue.TryPop(1).value(), 7);
+  queue.Wake(0);
+  const Stopwatch early;
+  EXPECT_FALSE(queue.PopWithTimeout(0, kTimeout).has_value());
+  EXPECT_LT(early.ElapsedMicros(), kTimeout / 2);
+}
+
 TEST(ShardedTaskQueueTest, ApproxShardSizeTracksOperations) {
   ShardedTaskQueue<int> queue(3);
   EXPECT_EQ(queue.ApproxShardSize(0), 0u);

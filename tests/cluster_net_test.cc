@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -366,10 +367,18 @@ TEST(ClusterNetTest, RoutedHandleCancelReachesTheServingNode) {
 // ------------------------------------------------- multi-process peer kill
 
 // A dandelion_node daemon spawned next to this test binary, handshaking
-// its bound port over a stdout pipe.
+// its bound port over a stdout pipe. Owns the process: destruction SIGKILLs
+// and reaps it, so a failed ASSERT that returns early leaves no node behind
+// holding the test's stderr.
 struct SpawnedNode {
   pid_t pid = -1;
   uint16_t port = 0;
+
+  SpawnedNode() = default;
+  SpawnedNode(SpawnedNode&& other) noexcept
+      : pid(std::exchange(other.pid, -1)), port(other.port) {}
+  SpawnedNode& operator=(SpawnedNode&&) = delete;
+  ~SpawnedNode() { Kill(); }
 
   bool ok() const { return pid > 0 && port != 0; }
   void Kill(int signal_number = SIGKILL) {

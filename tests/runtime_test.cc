@@ -15,6 +15,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include "src/base/clock.h"
@@ -512,6 +513,101 @@ TEST_F(WorkerSetTest, RoleShiftWithBackloggedShardLosesNoTask) {
   EXPECT_EQ(completed.load(), kTasks);
   EXPECT_EQ(workers_->compute_pushed(), static_cast<uint64_t>(kTasks));
   EXPECT_EQ(workers_->compute_popped(), static_cast<uint64_t>(kTasks));
+}
+
+// A comm task posting to `host` that calls `on_done` when it completes.
+CommTask PostTo(const std::string& host, std::function<void()> on_done) {
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kPost;
+  req.target = "http://" + host + "/";
+  req.body = "ping";
+  CommTask task;
+  task.raw_request = req.Serialize();
+  task.done = [on_done = std::move(on_done)](dhttp::HttpResponse, dbase::Micros) { on_done(); };
+  return task;
+}
+
+// voluntary_ctxt_switches of the one thread of this process named `name`,
+// or nullopt when none or several carry it.
+std::optional<uint64_t> VoluntarySwitches(const std::string& name) {
+  std::optional<uint64_t> found;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream status(task.path() / "status");
+    std::string line;
+    bool named = false;
+    while (std::getline(status, line)) {
+      if (line.rfind("Name:", 0) == 0) {
+        named = line.substr(line.find_first_not_of(" \t", 5)) == name;
+      } else if (named && line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+        if (found.has_value()) {
+          return std::nullopt;
+        }
+        found = std::stoull(line.substr(line.find(':') + 1));
+      }
+    }
+  }
+  return found;
+}
+
+// A comm worker holding one long call blocks until that call is due or the
+// idle tick passes; it does not wake in short polling slices meanwhile.
+TEST_F(WorkerSetTest, CommWorkerHoldingACallWakesOnTickOnly) {
+  workers_.reset();  // Only this test's comm worker may be named engine-0.
+  mesh_.Register("slow.internal", std::make_shared<dhttp::EchoService>(),
+                 dhttp::LatencyModel{
+                     .base_us = 10 * dbase::kMicrosPerSecond, .per_kb_us = 0.0, .jitter_sigma = 0.0});
+  std::atomic<int> completed{0};
+  WorkerSet::Config config;
+  config.num_workers = 2;
+  config.initial_comm_workers = 1;
+  WorkerSet workers(config, &mesh_);  // Modelled latency is held, not skipped.
+  ASSERT_TRUE(workers.SubmitComm(PostTo("slow.internal", [&] { completed.fetch_add(1); })));
+  for (int i = 0; i < 1000 && workers.Stats().comm_inflight == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(workers.Stats().comm_inflight, 1u);
+
+  const std::optional<uint64_t> before = VoluntarySwitches("engine-0");
+  ASSERT_TRUE(before.has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::optional<uint64_t> after = VoluntarySwitches("engine-0");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(completed.load(), 0);
+  // One wake per 1 ms idle tick is ~200; polling in 200 µs slices is ~1000.
+  EXPECT_LT(*after - *before, 400u) << "voluntary switches of engine-0 over 200 ms";
+}
+
+// The green-thread budget is per comm worker: with a budget of one, the
+// second call starts only when the first completes.
+TEST_F(WorkerSetTest, CommBudgetCapsCallsInFlight) {
+  mesh_.Register("twenty.internal", std::make_shared<dhttp::EchoService>(),
+                 dhttp::LatencyModel{.base_us = 20000, .per_kb_us = 0.0, .jitter_sigma = 0.0});
+  dbase::Latch done(2);
+  std::atomic<int> completed{0};
+  std::atomic<dbase::Micros> second_done_us{0};
+  WorkerSet::Config config;
+  config.num_workers = 2;
+  config.initial_comm_workers = 1;
+  config.comm_parallelism = 1;
+  WorkerSet workers(config, &mesh_);
+  const dbase::Micros start = dbase::MonotonicClock::Get()->NowMicros();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(workers.SubmitComm(PostTo("twenty.internal", [&] {
+      if (completed.fetch_add(1) == 1) {
+        second_done_us.store(dbase::MonotonicClock::Get()->NowMicros());
+      }
+      done.CountDown();
+    })));
+  }
+  uint64_t max_inflight = 0;
+  bool finished = false;
+  for (int i = 0; i < 50000 && !finished; ++i) {
+    finished = done.WaitFor(100);
+    max_inflight = std::max(max_inflight, workers.Stats().comm_inflight);
+  }
+  ASSERT_TRUE(finished);
+  EXPECT_LE(max_inflight, 1u);
+  EXPECT_GE(second_done_us.load() - start, 40000);
 }
 
 // -------------------------------------------------------------- Controller
