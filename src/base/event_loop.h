@@ -7,7 +7,7 @@
 // completions) re-enters the loop by posting a closure rather than touching
 // loop state. Components register through an EventLoop::Scope, so that
 // stopping one never lets its callbacks run on. Every runtime timer rides
-// this loop: the deadline reaper, retry backoff, the control tick and
+// this loop: invocation deadlines, retry backoff, the control tick and
 // gossip rounds, next to the sockets' own timers.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_

@@ -110,8 +110,8 @@ void NodeServer::OnPeerClosed(int fd, const dbase::Status& reason) {
   // Cancel work owed to the dead connection: its router is gone, nobody
   // will consume the results.
   if (on_cancel_) {
-    for (const auto& [request_id, invocation_id] : it->second.inflight) {
-      on_cancel_(invocation_id);
+    for (const auto& [request_id, key] : it->second.inflight) {
+      on_cancel_(key);
     }
   }
   peers_.erase(it);
@@ -206,7 +206,8 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
                                  EncodeOutcome(refused));
     return;
   }
-  it->second.inflight.emplace(header.request_id, invoke->invocation_id);
+  const uint64_t key = next_invoke_key_++;
+  it->second.inflight.emplace(header.request_id, key);
   // The completion may fire from any thread, possibly after this
   // connection (or the whole server) is gone — it re-enters through the
   // scope, which drops it once the server stopped, and re-checks the peer
@@ -225,7 +226,7 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
                                      EncodeOutcome(outcome));
     });
   };
-  on_invoke_(std::move(invoke).value(), std::move(done));
+  on_invoke_(key, std::move(invoke).value(), std::move(done));
 }
 
 void NodeServer::HandleMesh(int fd, const FrameHeader& header, const dbase::BufferSlice& body) {

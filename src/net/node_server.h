@@ -49,11 +49,13 @@ class NodeServer {
   using OutcomeFn = std::function<void(WireOutcome outcome)>;
   // Receives a decoded invoke plus its completion. Runs on the reactor —
   // hand the work to the engines (Submit never blocks) and call `done` when
-  // it finishes, from any thread, even after Stop().
-  using InvokeHandler = std::function<void(WireInvoke invoke, OutcomeFn done)>;
-  // Cancel request for an invocation previously handed to InvokeHandler
+  // it finishes, from any thread, even after Stop(). `key` names this
+  // invoke uniquely on this server; the wire's invocation_id does not, as
+  // every router numbers its invocations from 1.
+  using InvokeHandler = std::function<void(uint64_t key, WireInvoke invoke, OutcomeFn done)>;
+  // Cancel request for the invoke handed to InvokeHandler under `key`
   // (explicit kCancel frame, or the owing connection died).
-  using CancelHandler = std::function<void(uint64_t invocation_id)>;
+  using CancelHandler = std::function<void(uint64_t key)>;
   // Snapshot for kGossipReq. Runs on the reactor; must be cheap.
   using StatusProvider = std::function<WireNodeStatus()>;
   // Serves a mesh call (body = serialized sanitized request). Runs on the
@@ -92,7 +94,7 @@ class NodeServer {
   struct Peer {
     std::shared_ptr<FrameSocket> socket;
     std::string name;  // From kJoin; empty until then.
-    // Invocations owed to this connection: request_id → invocation id
+    // Invocations owed to this connection: request_id → invoke key
     // (cancel currency). Entries leave when the outcome is sent.
     std::map<uint64_t, uint64_t> inflight;
   };
@@ -121,6 +123,7 @@ class NodeServer {
 
   // Reactor-only.
   std::map<int, Peer> peers_;
+  uint64_t next_invoke_key_ = 1;
 
   std::atomic<uint64_t> protocol_errors_{0};
 };

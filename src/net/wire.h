@@ -111,7 +111,9 @@ dbase::Result<WireInvoke> DecodeInvoke(const dbase::BufferSlice& body);
 
 // A remote invocation's terminal result. `failure_kind` carries the PR 8
 // taxonomy across the wire so the router can distinguish a remote jail kill
-// (deterministic, never retried) from environmental failures.
+// (deterministic, never retried) from environmental failures. A stopped
+// invocation carries its forked instance's kill kind; a thread-flavoured
+// instance that has not returned yet leaves it kNone.
 struct WireOutcome {
   dbase::StatusCode code = dbase::StatusCode::kOk;
   std::string message;            // Status message when code != kOk.

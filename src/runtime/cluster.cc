@@ -1,8 +1,6 @@
 #include "src/runtime/cluster.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <limits>
 #include <utility>
 
@@ -14,8 +12,12 @@
 namespace dandelion {
 
 namespace {
-// Backstop timeout for routed invokes carrying no deadline.
+// Backstop timeout for routed invokes carrying no deadline, on the wire
+// and in the blocking Invoke.
 constexpr dbase::Micros kInvokeTimeoutUs = 120 * dbase::kMicrosPerSecond;
+// What the blocking Invoke waits past its bound for the serving node's
+// terminal outcome before it gives up.
+constexpr dbase::Micros kBlockingGraceUs = 5 * dbase::kMicrosPerSecond;
 // Grace added to the router-side timeout when the request carries a
 // deadline, so the serving node's own deadline machinery (which produces
 // the richer report) wins the race against the client timer.
@@ -34,15 +36,15 @@ struct Cluster::LocalNode {
   NodeAgent agent;
 };
 
-// One routed invocation, shared by its wire attempts and its handle's
-// cancel hook.
+// One routed invocation, shared by its wire attempts and its control's
+// stop hook.
 struct Cluster::Routed {
   InvocationRequest request;
   RoutedCallback callback;
   std::shared_ptr<InvocationControl> control;
 
   std::mutex mu;
-  // The attempt on the wire now: where Cancel() sends kCancel.
+  // The attempt on the wire now: where the stop hook sends kCancel.
   std::string peer;         // Guarded by mu.
   uint64_t request_id = 0;  // Guarded by mu; 0 = none sent yet.
 
@@ -406,7 +408,7 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
       routed->request_id = request_id;
     }
   }
-  // A Cancel() that ran before this attempt was recorded had nothing to
+  // A stop that ran before this attempt was recorded had nothing to
   // chase; send its kCancel now.
   if (routed->control->stop_requested()) {
     client_->Cancel(slot->name, request_id);
@@ -425,9 +427,10 @@ InvocationHandle Cluster::InvokeRouted(InvocationRequest request, RoutedCallback
       dbase::MonotonicClock::Get()->NowMicros());
   routed->request = std::move(request);
   routed->callback = std::move(callback);
-  // The hook holds the client and the invocation weakly: a Cancel() after
-  // the Cluster is gone, or after the invocation finished, does nothing.
-  routed->control->set_cancel_hook(
+  // The stop hook chases the attempt on the wire with kCancel. It holds the
+  // client and the invocation weakly: a stop after the Cluster is gone, or
+  // after the invocation finished, does nothing.
+  routed->control->set_stop_hook(
       [weak_client = std::weak_ptr<dnet::NodeClient>(client_),
        weak_routed = std::weak_ptr<Routed>(routed)] {
         const std::shared_ptr<dnet::NodeClient> client = weak_client.lock();
@@ -456,52 +459,30 @@ InvocationHandle Cluster::InvokeAsync(
 }
 
 Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
-  struct WaitState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    RoutedResult routed;
-  };
-  auto state = std::make_shared<WaitState>();
-  // Deadline-aware wait with the same never-hang backstop as
-  // Dispatcher::Invoke: a lost callback surfaces as kDeadlineExceeded, it
-  // does not block the caller forever.
-  constexpr dbase::Micros kBlockingWaitCapUs = 120 * dbase::kMicrosPerSecond;
-  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-  dbase::Micros wait_deadline = now + kBlockingWaitCapUs;
+  // Deadline-aware, with the same never-hang backstop as Dispatcher::Invoke,
+  // plus a grace that lets the serving node's own deadline answer first.
+  dbase::Micros until_us = dbase::MonotonicClock::Get()->NowMicros() + kInvokeTimeoutUs;
   if (request.deadline_us > 0) {
-    wait_deadline = std::min(wait_deadline, request.deadline_us);
+    until_us = std::min(until_us, request.deadline_us);
   }
-  InvocationHandle handle = InvokeRouted(
+  auto wait = std::make_shared<BlockingWait<RoutedResult>>();
+  const InvocationHandle handle = InvokeRouted(
       std::move(request),
-      [this, state](dbase::Result<dfunc::DataSetList> result, int node, int attempts) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->routed.result = std::move(result);
-        state->routed.node_index = node;
-        state->routed.node_name = NodeName(node);
-        state->routed.attempts = attempts;
-        state->done = true;
-        state->cv.notify_one();
-      });
-  std::unique_lock<std::mutex> lock(state->mu);
-  while (!state->done) {
-    const dbase::Micros remaining =
-        wait_deadline - dbase::MonotonicClock::Get()->NowMicros();
-    if (remaining <= 0) {
-      // The serving node's reaper owes us a terminal callback imminently;
-      // one bounded grace wait covers scheduling skew before giving up.
-      if (!state->cv.wait_for(lock, std::chrono::seconds(5), [&] { return state->done; })) {
-        lock.unlock();
-        handle.Cancel();
+      [this, wait](dbase::Result<dfunc::DataSetList> result, int node, int attempts) {
         RoutedResult routed;
-        routed.result = dbase::DeadlineExceeded("routed invoke timed out");
-        return routed;
-      }
-      break;
-    }
-    state->cv.wait_for(lock, std::chrono::microseconds(remaining));
+        routed.result = std::move(result);
+        routed.node_index = node;
+        routed.node_name = NodeName(node);
+        routed.attempts = attempts;
+        wait->Set(std::move(routed));
+      });
+  if (auto routed = wait->Await(handle, until_us + kBlockingGraceUs,
+                                dbase::StatusCode::kCancelled)) {
+    return std::move(*routed);
   }
-  return std::move(state->routed);
+  RoutedResult routed;
+  routed.result = dbase::DeadlineExceeded("routed invoke timed out");
+  return routed;
 }
 
 std::string Cluster::NodeName(int index) const {

@@ -24,7 +24,9 @@
 // functions are pure — and are absorbed by a router-side RetryPolicy
 // (breaker keyed by node) that re-routes to surviving nodes; jail kills
 // and other deterministic function failures surface unchanged. A routed
-// handle's Cancel() sends kCancel for the attempt currently on the wire.
+// invocation's stop hook sends kCancel for the attempt currently on the
+// wire, whether a handle's Cancel() or a blocking Invoke's timeout stopped
+// it.
 // Node join/leave is policy-driven: periodic gossip rounds feed
 // dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones,
 // re-admits rejoiners, and emits fleet scale hints (counted, not acted on).
@@ -236,7 +238,7 @@ class Cluster {
   void ArmGossipTick();
 
   Config config_;
-  // Shared so a routed handle's cancel hook can hold it weakly: a handle
+  // Shared so a routed invocation's stop hook can hold it weakly: a handle
   // that outlives the Cluster cancels nothing.
   std::shared_ptr<dnet::NodeClient> client_;
   std::atomic<uint64_t> round_robin_{0};

@@ -1,9 +1,8 @@
 #include "src/runtime/dispatcher.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <map>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/base/string_util.h"
@@ -78,6 +77,8 @@ struct Dispatcher::InvocationState {
   size_t nodes_remaining = 0;
   bool done = false;
   ResultCallback callback;
+  // A root's deadline timer, cancelled at its end; 0 = none.
+  dbase::EventLoop::TimerId deadline_timer = 0;
 };
 
 // -------------------------------------------------------------- Dispatcher
@@ -86,7 +87,8 @@ Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
                        const CompositionRegistry* compositions,
                        const CommFunctionRegistry* comm_functions, WorkerSet* workers,
                        MemoryAccountant* accountant, Config config)
-    : functions_(functions),
+    : timers_(std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process())),
+      functions_(functions),
       compositions_(compositions),
       comm_functions_(comm_functions),
       workers_(workers),
@@ -95,12 +97,11 @@ Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
       retry_policy_(config.retry) {}
 
 Dispatcher::~Dispatcher() {
-  // Timers first: once the scope is closed no reaper or relaunch runs, or
-  // ever will. Each pending relaunch then fails with its original status,
-  // so every in-flight invocation still completes exactly once.
-  if (timers_ != nullptr) {
-    timers_->Close();
-  }
+  // Timers first: once the scope is closed no deadline, stop hook or
+  // relaunch runs, or ever will. Each pending relaunch then fails with its
+  // original status, so every in-flight invocation still completes exactly
+  // once.
+  timers_->Close();
   std::map<dbase::EventLoop::TimerId, std::shared_ptr<RetryJob>> retries;
   {
     std::lock_guard<std::mutex> lock(retry_mu_);
@@ -109,13 +110,6 @@ Dispatcher::~Dispatcher() {
   for (const auto& [timer, job] : retries) {
     OnInstanceDone(job->inv, job->node_index, job->instance_index, job->original_status);
   }
-}
-
-dbase::EventLoop::Scope& Dispatcher::Timers() {
-  std::call_once(timers_once_, [this] {
-    timers_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
-  });
-  return *timers_;
 }
 
 DispatcherStats Dispatcher::Stats() const {
@@ -167,101 +161,88 @@ InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback ca
       request.id != 0 ? request.id : next_invocation_id_.fetch_add(1, std::memory_order_relaxed);
   auto control =
       std::make_shared<InvocationControl>(id, request.priority, request.deadline_us, now);
+  InvocationHandle handle(control);
+  auto graph = compositions_->Lookup(request.composition);
+  if (!graph.ok()) {
+    control->MarkDone(graph.status(), now);
+    if (callback) {
+      callback(graph.status());
+    }
+    return handle;
+  }
   const auto class_index = static_cast<size_t>(request.priority);
   inflight_by_class_[class_index].fetch_add(1, std::memory_order_relaxed);
 
   // Root-terminal bookkeeping wraps the user callback so it runs no matter
-  // which path (completion, failure, cancel, reaper) finishes first.
+  // which path (completion, failure, stop hook) finishes first.
   ResultCallback wrapped = [this, control, class_index, cb = std::move(callback)](
                                dbase::Result<dfunc::DataSetList> result) mutable {
     control->MarkDone(result.status(), dbase::MonotonicClock::Get()->NowMicros());
     inflight_by_class_[class_index].fetch_sub(1, std::memory_order_relaxed);
-    DisarmReaper(control.get());
     if (cb) {
       cb(std::move(result));
     }
   };
+  const std::shared_ptr<InvocationState> inv =
+      NewInvocation(std::move(graph).value(), 0, std::move(wrapped), control);
 
-  auto graph = compositions_->Lookup(request.composition);
-  if (!graph.ok()) {
-    wrapped(graph.status());
-    return InvocationHandle(std::move(control));
+  // The one stop path: whichever of Cancel(), the deadline timer, a seam's
+  // RetireStatus or a blocking caller's timeout stops the invocation first,
+  // the hook fails the root with the recorded reason. A seam runs it under
+  // the invocation's lock, so it only posts; the post is dropped once the
+  // dispatcher is gone. While a forked instance runs, the hook leaves the
+  // end to that instance: the stop kills it within a stop-check slice and
+  // its report, carrying the kill's failure kind, fails the root.
+  control->set_stop_hook([this, timers = timers_, weak = std::weak_ptr<InvocationState>(inv)] {
+    timers->Post([this, weak] {
+      const std::shared_ptr<InvocationState> root = weak.lock();
+      if (root == nullptr || root->control->forked_running()) {
+        return;
+      }
+      std::unique_lock<std::mutex> lock(root->mu);
+      FailLocked(root, root->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros()));
+    });
+  });
+  if (request.deadline_us > 0) {
+    // Stored under the lock: a deadline already past fires at once, and
+    // the hook's FailLocked must find the id to cancel.
+    std::lock_guard<std::mutex> lock(inv->mu);
+    inv->deadline_timer = timers_->AddTimer(
+        request.deadline_us - now, [weak = std::weak_ptr<InvocationControl>(control)] {
+          if (const std::shared_ptr<InvocationControl> live = weak.lock()) {
+            live->RequestStop(dbase::StatusCode::kDeadlineExceeded);
+          }
+        });
   }
-  auto inv = InvokeGraphAsync(std::move(graph).value(), std::move(request.args), 0,
-                              std::move(wrapped), control);
-  if (inv != nullptr && request.deadline_us > 0 && !control->done()) {
-    ArmReaper(control.get(), request.deadline_us, inv);
-  }
-  return InvocationHandle(std::move(control));
+  StartGraph(inv, std::move(request.args));
+  return handle;
 }
 
 dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(InvocationRequest request) {
-  // Heap-shared wait state: on timeout this frame returns while the
-  // (cancelled) invocation's callback may still fire later.
-  struct WaitState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool ready = false;
-    dbase::Result<dfunc::DataSetList> result = dbase::Internal("invocation never completed");
-  };
-  auto state = std::make_shared<WaitState>();
-
-  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-  const dbase::Micros deadline_us = request.deadline_us;
-  dbase::Micros wait_deadline = INT64_MAX;
-  if (deadline_us > 0) {
-    wait_deadline = deadline_us;
+  dbase::Micros until_us =
+      dbase::MonotonicClock::Get()->NowMicros() + config_.max_blocking_wait_us;
+  // When the request's own deadline bounds the wait, that is the recorded
+  // reason — every observer (counters, report, HTTP mapping) then agrees
+  // on kDeadlineExceeded.
+  dbase::StatusCode reason = dbase::StatusCode::kCancelled;
+  if (request.deadline_us > 0 && request.deadline_us <= until_us) {
+    until_us = request.deadline_us;
+    reason = dbase::StatusCode::kDeadlineExceeded;
   }
-  if (config_.max_blocking_wait_us > 0) {
-    wait_deadline = std::min(wait_deadline, now + config_.max_blocking_wait_us);
+  auto wait = std::make_shared<BlockingWait<dbase::Result<dfunc::DataSetList>>>();
+  const InvocationHandle handle = Submit(
+      std::move(request),
+      [wait](dbase::Result<dfunc::DataSetList> result) { wait->Set(std::move(result)); });
+  if (auto result = wait->Await(handle, until_us, reason)) {
+    return std::move(*result);
   }
-
-  InvocationHandle handle =
-      Submit(std::move(request), [state](dbase::Result<dfunc::DataSetList> result) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->result = std::move(result);
-        state->ready = true;
-        state->cv.notify_all();
-      });
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  while (!state->ready) {
-    const dbase::Micros remaining = wait_deadline - dbase::MonotonicClock::Get()->NowMicros();
-    if (remaining <= 0) {
-      break;
-    }
-    // Bound each wait so an effectively-infinite deadline cannot overflow
-    // the chrono conversion.
-    state->cv.wait_for(lock,
-                       std::chrono::microseconds(std::min<dbase::Micros>(
-                           remaining, 3600 * dbase::kMicrosPerSecond)));
-  }
-  if (!state->ready) {
-    lock.unlock();
-    // The engines owe us a callback we are no longer waiting for; stop the
-    // invocation so it sheds its remaining compute instead of running
-    // orphaned. When the request's own deadline caused the timeout, the
-    // recorded reason is the deadline — every observer (counters, report,
-    // HTTP mapping) then agrees on kDeadlineExceeded.
-    if (handle.control() != nullptr) {
-      handle.control()->RequestStop(wait_deadline == deadline_us
-                                        ? dbase::StatusCode::kDeadlineExceeded
-                                        : dbase::StatusCode::kCancelled);
-    }
-    return dbase::DeadlineExceeded("blocking invoke timed out");
-  }
-  return std::move(state->result);
+  return dbase::DeadlineExceeded("blocking invoke timed out");
 }
 
-std::shared_ptr<Dispatcher::InvocationState> Dispatcher::InvokeGraphAsync(
-    std::shared_ptr<const ddsl::CompositionGraph> graph, dfunc::DataSetList args, int depth,
-    ResultCallback callback, std::shared_ptr<InvocationControl> control) {
-  if (depth >= kMaxCompositionDepth) {
-    callback(dbase::ResourceExhausted("composition nesting exceeds maximum depth"));
-    return nullptr;
-  }
+std::shared_ptr<Dispatcher::InvocationState> Dispatcher::NewInvocation(
+    std::shared_ptr<const ddsl::CompositionGraph> graph, int depth, ResultCallback callback,
+    std::shared_ptr<InvocationControl> control) {
   invocations_started_.fetch_add(1, std::memory_order_relaxed);
-
   auto inv = std::make_shared<InvocationState>();
   inv->graph = std::move(graph);
   inv->depth = depth;
@@ -269,44 +250,45 @@ std::shared_ptr<Dispatcher::InvocationState> Dispatcher::InvokeGraphAsync(
   inv->callback = std::move(callback);
   inv->nodes.resize(inv->graph->nodes().size());
   inv->nodes_remaining = inv->graph->nodes().size();
-
-  {
-    std::lock_guard<std::mutex> lock(inv->mu);
-    // Bind arguments to parameters. A missing argument set becomes an empty
-    // set — downstream conditional execution then decides what runs (§4.4).
-    for (const auto& param : inv->graph->params()) {
-      dfunc::DataSet* arg = dfunc::FindSet(args, param);
-      dfunc::DataSet set;
-      set.name = param;
-      if (arg != nullptr) {
-        set.items = std::move(arg->items);  // `args` is ours; no copy.
-      }
-      inv->values.emplace(param, std::move(set));
-    }
-
-    // Count dependencies, then start every node whose inputs are all
-    // parameters (or whose deps are already satisfied).
-    const auto& nodes = inv->graph->nodes();
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      int deps = 0;
-      for (const auto& in : nodes[n].inputs) {
-        if (inv->values.count(in.source_value) == 0) {
-          ++deps;
-        }
-      }
-      inv->nodes[n].deps_remaining = deps;
-    }
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      if (inv->nodes[n].deps_remaining == 0) {
-        StartNodeLocked(inv, n);
-        if (inv->done) {
-          return inv;
-        }
-      }
-    }
-    MaybeCompleteLocked(inv);
-  }
   return inv;
+}
+
+void Dispatcher::StartGraph(const std::shared_ptr<InvocationState>& inv,
+                            dfunc::DataSetList args) {
+  std::lock_guard<std::mutex> lock(inv->mu);
+  // Bind arguments to parameters. A missing argument set becomes an empty
+  // set — downstream conditional execution then decides what runs (§4.4).
+  for (const auto& param : inv->graph->params()) {
+    dfunc::DataSet* arg = dfunc::FindSet(args, param);
+    dfunc::DataSet set;
+    set.name = param;
+    if (arg != nullptr) {
+      set.items = std::move(arg->items);  // `args` is ours; no copy.
+    }
+    inv->values.emplace(param, std::move(set));
+  }
+
+  // Count dependencies, then start every node whose inputs are all
+  // parameters (or whose deps are already satisfied).
+  const auto& nodes = inv->graph->nodes();
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    int deps = 0;
+    for (const auto& in : nodes[n].inputs) {
+      if (inv->values.count(in.source_value) == 0) {
+        ++deps;
+      }
+    }
+    inv->nodes[n].deps_remaining = deps;
+  }
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    if (inv->nodes[n].deps_remaining == 0) {
+      StartNodeLocked(inv, n);
+      if (inv->done) {
+        return;
+      }
+    }
+  }
+  MaybeCompleteLocked(inv);
 }
 
 namespace {
@@ -648,23 +630,22 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
                                   int attempt, ExecOutcome outcome) {
   const std::shared_ptr<InvocationControl>& control = inv->control;
   dbase::Status status = outcome.status;
+  if (status.ok() && config_.retry.enabled) {
+    std::lock_guard<std::mutex> lock(retry_mu_);
+    retry_policy_.OnSuccess(spec.name);
+  }
   // The sandbox reports any external-flag preemption as kCancelled — it
   // cannot know whether the flag meant a client cancel or the invocation
   // deadline. The control block recorded the reason; make it
-  // authoritative so counters, report, and the HTTP status agree.
-  if (status.code() == dbase::StatusCode::kCancelled && control != nullptr) {
-    const dbase::Status dead =
-        control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
-    if (!dead.ok()) {
-      status = dead;
-    }
+  // authoritative so counters, report, and the HTTP status agree. An
+  // instance that finished just before its stop's kill fails with it too:
+  // the stop hook may have left the end of the invocation to this report.
+  if (control != nullptr && control->stop_requested() &&
+      (status.ok() || status.code() == dbase::StatusCode::kCancelled)) {
+    status = control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
   }
 
   if (status.ok()) {
-    if (config_.retry.enabled) {
-      std::lock_guard<std::mutex> lock(retry_mu_);
-      retry_policy_.OnSuccess(spec.name);
-    }
     OnInstanceDone(inv, node_index, instance_index, std::move(outcome.outputs));
     return;
   }
@@ -712,12 +693,11 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
 
 void Dispatcher::ScheduleRetry(dbase::Micros due_us, RetryJob job) {
   auto pending = std::make_shared<RetryJob>(std::move(job));
-  dbase::EventLoop::Scope& timers = Timers();
   std::lock_guard<std::mutex> lock(retry_mu_);
   // The callback takes retry_mu_ before reading `timer`, so it always sees
   // the id assigned here.
   const dbase::Micros delay = due_us - dbase::MonotonicClock::Get()->NowMicros();
-  pending->timer = timers.AddTimer(delay, [this, pending] {
+  pending->timer = timers_->AddTimer(delay, [this, pending] {
     {
       std::lock_guard<std::mutex> callback_lock(retry_mu_);
       if (retry_jobs_.erase(pending->timer) == 0) {
@@ -834,13 +814,14 @@ void Dispatcher::LaunchNestedInstance(const std::shared_ptr<InvocationState>& in
   // The nested graph shares this invocation's control block: cancelling or
   // timing out the root stops the whole tree.
   auto self = this;
+  const std::shared_ptr<InvocationState> nested = NewInvocation(
+      std::move(subgraph), inv->depth + 1,
+      [self, inv, node_index, instance_index](dbase::Result<dfunc::DataSetList> result) {
+        self->OnInstanceDone(inv, node_index, instance_index, std::move(result));
+      },
+      inv->control);
   inv->mu.unlock();
-  InvokeGraphAsync(std::move(subgraph), std::move(inputs), inv->depth + 1,
-                   [self, inv, node_index, instance_index](
-                       dbase::Result<dfunc::DataSetList> result) {
-                     self->OnInstanceDone(inv, node_index, instance_index, std::move(result));
-                   },
-                   inv->control);
+  StartGraph(nested, std::move(inputs));
   inv->mu.lock();
 }
 
@@ -940,13 +921,7 @@ void Dispatcher::FailLocked(const std::shared_ptr<InvocationState>& inv, dbase::
     default:
       invocations_failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  ResultCallback callback = std::move(inv->callback);
-  // The callback runs outside the lock: unlock responsibility lies with the
-  // caller's scope — we temporarily release here to avoid re-entrancy
-  // deadlocks when the callback immediately invokes more compositions.
-  inv->mu.unlock();
-  callback(std::move(status));
-  inv->mu.lock();
+  FinishLocked(inv, std::move(status));
 }
 
 void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv) {
@@ -984,52 +959,21 @@ void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv
     set.name = result;
     results.push_back(std::move(set));
   }
+  FinishLocked(inv, std::move(results));
+}
+
+void Dispatcher::FinishLocked(const std::shared_ptr<InvocationState>& inv,
+                              dbase::Result<dfunc::DataSetList> result) {
+  if (inv->deadline_timer != 0) {
+    timers_->CancelTimer(std::exchange(inv->deadline_timer, 0));
+  }
   ResultCallback callback = std::move(inv->callback);
+  // The callback runs outside the lock: unlock responsibility lies with the
+  // caller's scope — we temporarily release here to avoid re-entrancy
+  // deadlocks when the callback immediately invokes more compositions.
   inv->mu.unlock();
-  callback(std::move(results));
+  callback(std::move(result));
   inv->mu.lock();
-}
-
-// ---------------------------------------------------------------- Reaper
-
-void Dispatcher::ArmReaper(const InvocationControl* key, dbase::Micros deadline_us,
-                           const std::shared_ptr<InvocationState>& inv) {
-  const std::weak_ptr<InvocationState> weak = inv;
-  const dbase::Micros delay = deadline_us - dbase::MonotonicClock::Get()->NowMicros();
-  const dbase::EventLoop::TimerId timer = Timers().AddTimer(delay, [this, weak] {
-    const std::shared_ptr<InvocationState> expired = weak.lock();
-    if (expired == nullptr) {
-      return;
-    }
-    std::unique_lock<std::mutex> inv_lock(expired->mu);
-    if (!expired->done) {
-      expired->control->RequestStop(dbase::StatusCode::kDeadlineExceeded);
-      FailLocked(expired, dbase::DeadlineExceeded("invocation deadline exceeded"));
-    }
-  });
-  {
-    std::lock_guard<std::mutex> lock(reaper_mu_);
-    reaper_entries_[key] = timer;
-  }
-  // The invocation may have finished before its entry existed; its own
-  // DisarmReaper then found nothing, so drop the timer here.
-  if (inv->control->done()) {
-    DisarmReaper(key);
-  }
-}
-
-void Dispatcher::DisarmReaper(const InvocationControl* key) {
-  dbase::EventLoop::TimerId timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(reaper_mu_);
-    const auto it = reaper_entries_.find(key);
-    if (it == reaper_entries_.end()) {
-      return;
-    }
-    timer = it->second;
-    reaper_entries_.erase(it);
-  }
-  Timers().CancelTimer(timer);
 }
 
 }  // namespace dandelion

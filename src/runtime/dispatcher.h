@@ -10,9 +10,12 @@
 // InvocationRequest (deadline, priority class, id) and returns an
 // InvocationHandle. The shared InvocationControl propagates the deadline
 // and the cancel flag into nested compositions, queued engine tasks, and
-// running sandboxes; a dead invocation launches no further instances. A
-// deadline reaper timer terminates past-deadline invocations even when they
-// are parked on slow communication calls.
+// running sandboxes; a dead invocation launches no further instances. One
+// stop path ends it: Submit installs the control's stop hook, which fails
+// the invocation with the recorded reason on the dispatcher's reactor
+// scope, and the deadline is a reactor timer whose only action is
+// RequestStop(kDeadlineExceeded) — so a cancel or a passed deadline ends an
+// invocation at once, even one parked on a slow communication call.
 #ifndef SRC_RUNTIME_DISPATCHER_H_
 #define SRC_RUNTIME_DISPATCHER_H_
 
@@ -95,10 +98,10 @@ class Dispatcher {
   struct Config {
     // Process isolation requires MAP_SHARED contexts.
     bool shared_contexts = false;
-    // Upper bound on how long the blocking Invoke() wrappers wait for a
-    // completion when the request itself carries no deadline — a lost
+    // Upper bound on how long the blocking Invoke() wrapper waits for a
+    // completion when the request's deadline is later or absent — a lost
     // callback must surface as kDeadlineExceeded, not hang the caller
-    // forever. 0 disables the cap (legacy behavior).
+    // forever.
     dbase::Micros max_blocking_wait_us = 120 * dbase::kMicrosPerSecond;
     // When set, compute instances try Acquire() before cold-creating a
     // context. Not owned; must outlive the dispatcher.
@@ -126,7 +129,7 @@ class Dispatcher {
 
   // Blocking counterpart: waits for the result, bounded by the request
   // deadline (and Config::max_blocking_wait_us as a backstop). On timeout
-  // the invocation is cancelled and kDeadlineExceeded returned.
+  // the invocation is stopped and kDeadlineExceeded returned.
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
 
   DispatcherStats Stats() const;
@@ -156,13 +159,14 @@ class Dispatcher {
     dbase::EventLoop::TimerId timer = 0;  // Set under retry_mu_ when armed.
   };
 
-  // Starts one graph invocation; the control block is shared across nesting
-  // levels (the root's deadline and cancel flag govern the whole tree).
-  // Returns the created state, or nullptr when the invocation was rejected
-  // synchronously (depth bound).
-  std::shared_ptr<InvocationState> InvokeGraphAsync(
-      std::shared_ptr<const ddsl::CompositionGraph> graph, dfunc::DataSetList args, int depth,
-      ResultCallback callback, std::shared_ptr<InvocationControl> control);
+  // One graph invocation in two steps, so that Submit can install the stop
+  // hook and arm the deadline on the root before anything runs. The control
+  // block is shared across nesting levels (the root's deadline and cancel
+  // flag govern the whole tree).
+  std::shared_ptr<InvocationState> NewInvocation(
+      std::shared_ptr<const ddsl::CompositionGraph> graph, int depth, ResultCallback callback,
+      std::shared_ptr<InvocationControl> control);
+  void StartGraph(const std::shared_ptr<InvocationState>& inv, dfunc::DataSetList args);
 
   void StartNodeLocked(const std::shared_ptr<InvocationState>& inv, size_t node_index);
   // Prepares one compute instance (context + marshalled inputs + done
@@ -185,6 +189,10 @@ class Dispatcher {
                           dfunc::DataSet set);
   void FailLocked(const std::shared_ptr<InvocationState>& inv, dbase::Status status);
   void MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv);
+  // The end of an invocation, failed or completed: cancels a root's
+  // deadline timer and runs the callback outside the lock.
+  void FinishLocked(const std::shared_ptr<InvocationState>& inv,
+                    dbase::Result<dfunc::DataSetList> result);
 
   // --- Retry executive ------------------------------------------------------
   // Every compute instance completes through OnComputeOutcome: it feeds the
@@ -199,21 +207,11 @@ class Dispatcher {
   void ScheduleRetry(dbase::Micros due_us, RetryJob job);
   void RelaunchCompute(RetryJob job);
 
-  // --- Deadline reaper ------------------------------------------------------
-  // Fails a root invocation at its deadline even when no instance is
-  // running to observe it (e.g. parked on a long comm call): one reactor
-  // timer per deadline-carrying Submit, cancelled when the invocation
-  // finishes. Entries are keyed by the control block's address, not the
-  // invocation id — callers may reuse explicit ids, and two live invocations
-  // must not clobber each other's reaper entries.
-  void ArmReaper(const InvocationControl* key, dbase::Micros deadline_us,
-                 const std::shared_ptr<InvocationState>& inv);
-  void DisarmReaper(const InvocationControl* key);
-
-  // The reaper's and the retry backoff's timers, on the process reactor.
-  // Created by the first timer, so a dispatcher that arms none starts no
-  // reactor; the destructor closes it before anything else.
-  dbase::EventLoop::Scope& Timers();
+  // The deadline timers, the stop hooks' posts and the retry backoff's
+  // timers, on the process reactor. Shared with every stop hook, so a
+  // handle that outlives the dispatcher posts into a closed scope and
+  // cancels nothing; the destructor closes it before anything else.
+  const std::shared_ptr<dbase::EventLoop::Scope> timers_;
 
   const dfunc::FunctionRegistry* functions_;
   const CompositionRegistry* compositions_;
@@ -233,11 +231,6 @@ class Dispatcher {
   std::atomic<uint64_t> skipped_instances_{0};
   std::atomic<int64_t> inflight_by_class_[kNumPriorityClasses] = {};
 
-  std::mutex reaper_mu_;
-  // Reaper timer per control-block address (unique per live invocation;
-  // the wrapped callback keeps the control alive until it disarms).
-  std::map<const InvocationControl*, dbase::EventLoop::TimerId> reaper_entries_;
-
   // --- Retry policy + pending relaunches ------------------------------------
   std::atomic<uint64_t> sandbox_failures_{0};
   mutable std::mutex retry_mu_;
@@ -245,9 +238,6 @@ class Dispatcher {
   // Pending relaunches by timer id, guarded by retry_mu_. Whoever erases a
   // job owns it: its timer callback relaunches it, the destructor fails it.
   std::map<dbase::EventLoop::TimerId, std::shared_ptr<RetryJob>> retry_jobs_;
-
-  std::once_flag timers_once_;
-  std::unique_ptr<dbase::EventLoop::Scope> timers_;
 };
 
 }  // namespace dandelion

@@ -186,8 +186,6 @@ EngineStats WorkerSet::Stats() const {
   stats.comm_aborted = comm_aborted_.load(std::memory_order_relaxed);
   stats.compute_queue_len = compute_queue_.Size();
   stats.comm_queue_len = comm_queue_.Size();
-  stats.compute_urgent_queue_len = compute_queue_.UrgentSize();
-  stats.comm_urgent_queue_len = comm_queue_.UrgentSize();
   stats.comm_inflight = static_cast<uint64_t>(
       std::max<int64_t>(0, comm_inflight_.load(std::memory_order_relaxed)));
   stats.compute_workers = compute_workers();
@@ -231,11 +229,21 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     compute_wait_us_.Add(static_cast<uint64_t>(std::max<dbase::Micros>(0, wait)));
   }
   SandboxOptions options = task.options;
+  // A forked instance is counted on its control before the dequeue check
+  // and until just before its report, so a stop leaves the end to it.
+  const bool forked =
+      task.control != nullptr && sandbox_->backend() == IsolationBackend::kProcess;
+  if (forked) {
+    task.control->EnterForkedRun();
+  }
   if (task.control != nullptr) {
     // Dead invocation: drop the task at the dequeue seam — no sandbox, no
     // binary load. This is what makes Cancel() stop a fan-out mid-flight.
     const dbase::Status dead = task.control->RetireStatus(now);
     if (!dead.ok()) {
+      if (forked) {
+        task.control->ExitForkedRun();
+      }
       task.control->CountAborted();
       compute_aborted_.fetch_add(1, std::memory_order_relaxed);
       if (task.warm != nullptr) {
@@ -274,6 +282,9 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     }
     task.warm.reset();
     compute_done_.fetch_add(1, std::memory_order_relaxed);
+    if (forked) {
+      task.control->ExitForkedRun();
+    }
     if (task.done) {
       ExecOutcome outcome;
       outcome.failure = dpolicy::FailureKind::kResourceExhausted;
@@ -315,6 +326,9 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     outcome = sandbox_->Execute(task.spec, *task.context, options);
   }
   compute_done_.fetch_add(1, std::memory_order_relaxed);
+  if (forked) {
+    task.control->ExitForkedRun();
+  }
   if (task.done) {
     task.done(std::move(outcome));
   }

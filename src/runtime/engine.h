@@ -78,9 +78,6 @@ struct EngineStats {
   uint64_t comm_aborted = 0;
   uint64_t compute_queue_len = 0;
   uint64_t comm_queue_len = 0;
-  // Urgent-lane (interactive + untracked legacy) share of the backlogs.
-  uint64_t compute_urgent_queue_len = 0;
-  uint64_t comm_urgent_queue_len = 0;
   // Comm requests currently in flight on comm engines (occupied green
   // threads, mesh call issued but modelled latency not yet elapsed).
   uint64_t comm_inflight = 0;

@@ -85,6 +85,13 @@ WireChunks InvocationResponseWire(dbase::Result<dfunc::DataSetList> result) {
       code = 404;
       reason = "Not Found";
       break;
+    case dbase::StatusCode::kUnavailable:
+      // Breaker fast-fails, a shed after its re-route, no eligible cluster
+      // node, peer loss past the retry budget, engines shut down: the
+      // platform could not serve it now, the function did not crash.
+      code = 503;
+      reason = "Service Unavailable";
+      break;
     case dbase::StatusCode::kDeadlineExceeded:
       code = 504;
       reason = "Gateway Timeout";

@@ -12,7 +12,9 @@
 //                                   X-Dandelion-Priority: interactive|batch
 //                                   picks the request class. Per-class
 //                                   admission control sheds with 429; a
-//                                   client whose connection dies has its
+//                                   platform that cannot serve it now
+//                                   (kUnavailable) answers 503; a client
+//                                   whose connection dies has its
 //                                   in-flight invocations cancelled.
 //   POST /register/composition     body: DSL source text
 //   GET  /healthz                  liveness probe

@@ -48,20 +48,16 @@ InvocationControl::InvocationControl(uint64_t id, PriorityClass priority,
                                      dbase::Micros deadline_us, dbase::Micros submit_time_us)
     : id_(id), priority_(priority), deadline_us_(deadline_us), submit_time_us_(submit_time_us) {}
 
-void InvocationControl::Cancel() {
-  RequestStop(dbase::StatusCode::kCancelled);
-  if (cancel_hook_ && !cancel_hook_ran_.exchange(true, std::memory_order_acq_rel)) {
-    cancel_hook_();
-  }
-}
-
 void InvocationControl::RequestStop(dbase::StatusCode reason) {
   // First reason wins: record it before publishing the flag so a reader
   // that observes stop_ always sees a reason.
   int expected = 0;
   stop_reason_.compare_exchange_strong(expected, static_cast<int>(reason),
                                        std::memory_order_relaxed);
-  stop_.store(true, std::memory_order_release);
+  // The flag's exchange is the hook's once-guard.
+  if (!stop_.exchange(true) && stop_hook_) {
+    stop_hook_();
+  }
 }
 
 bool InvocationControl::done() const {
@@ -70,7 +66,7 @@ bool InvocationControl::done() const {
 }
 
 dbase::Status InvocationControl::RetireStatus(dbase::Micros now_us) {
-  if (stop_.load(std::memory_order_acquire)) {
+  if (stop_.load()) {
     const auto reason = static_cast<dbase::StatusCode>(stop_reason_.load(std::memory_order_relaxed));
     if (reason == dbase::StatusCode::kDeadlineExceeded) {
       return dbase::DeadlineExceeded("invocation deadline exceeded");

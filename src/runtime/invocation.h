@@ -4,16 +4,25 @@
 // The shared InvocationControl block threads the deadline, the cancel flag,
 // and the lifecycle counters through every layer — dispatcher, engine
 // queues, sandboxes — so a dead invocation stops consuming compute at the
-// next seam instead of running to completion. Elasticity controls belong in
-// the application-facing API itself: under overload the platform sheds or
+// next seam instead of running to completion. Every way an invocation is
+// stopped — Cancel(), its deadline, a blocking caller giving up — goes
+// through RequestStop, whose first call runs the control's one stop hook:
+// the dispatcher's hook fails the invocation at once, a routed one sends
+// kCancel to the serving node. Elasticity controls belong in the
+// application-facing API itself: under overload the platform sheds or
 // deprioritizes by request class instead of queueing blindly.
 #ifndef SRC_RUNTIME_INVOCATION_H_
 #define SRC_RUNTIME_INVOCATION_H_
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -51,7 +60,7 @@ struct InvocationRequest {
   // Longest relative deadline taken from outside the process (the
   // X-Dandelion-Deadline-Ms header, a wire invoke's remaining time). A
   // corrupt or hostile value is clamped to it, so it can neither overflow
-  // now+remaining nor park a reaper timer in the unreachable future.
+  // now+remaining nor park a deadline timer in the unreachable future.
   static constexpr dbase::Micros kMaxDeadlineInUs = 24ll * 3600 * dbase::kMicrosPerSecond;
 };
 
@@ -89,7 +98,11 @@ struct InvocationReport {
   // The most recent sandbox-level failure any of this invocation's
   // instances hit (kNone when every instance completed or only functional
   // errors occurred). A successful invocation may still carry a non-kNone
-  // kind here — that means a retry absorbed the failure.
+  // kind here — that means a retry absorbed the failure. A stop with a
+  // forked instance running ends through that instance's kill, so the
+  // kind is set when the callback fires; a thread-flavoured instance
+  // preempted by a stop records its kind when it returns, which may be
+  // after the callback.
   dpolicy::FailureKind failure_kind = dpolicy::FailureKind::kNone;
   // Instance relaunches the dispatcher's RetryPolicy granted.
   uint64_t retries_attempted = 0;
@@ -113,20 +126,24 @@ class InvocationControl {
   const std::atomic<bool>* stop_flag() const { return &stop_; }
 
   // Requests termination; the first reason recorded wins. Idempotent. The
-  // first Cancel() also runs the cancel hook.
-  void Cancel();
+  // first call, of any reason, runs the stop hook once, on the caller's
+  // thread — so a hook must not block or take an invocation's lock.
+  // Cancel() is RequestStop(kCancelled).
+  void Cancel() { RequestStop(dbase::StatusCode::kCancelled); }
   void RequestStop(dbase::StatusCode reason);
-  // How Cancel() reaches an invocation served in another process (a routed
-  // invocation's serving node). Set before the control is shared.
-  void set_cancel_hook(std::function<void()> hook) { cancel_hook_ = std::move(hook); }
+  // What ends the invocation once it is stopped: the dispatcher fails it
+  // with the recorded reason, a router chases the serving node with
+  // kCancel. Set before the control is shared.
+  void set_stop_hook(std::function<void()> hook) { stop_hook_ = std::move(hook); }
 
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
   bool done() const;
 
   // OkStatus while the invocation may keep launching work. Otherwise the
   // terminal status to fail with (kCancelled / kDeadlineExceeded) — checking
-  // also trips the stop flag when the deadline has newly passed, so a
-  // running sibling instance sees the kill switch without a reaper hop.
+  // also trips the stop flag (and so the stop hook) when the deadline has
+  // newly passed, so a running sibling instance sees the kill switch
+  // without waiting for the deadline timer.
   dbase::Status RetireStatus(dbase::Micros now_us);
 
   // Lifecycle bookkeeping (set-once semantics where it matters).
@@ -142,6 +159,16 @@ class InvocationControl {
     failure_kind_.store(static_cast<int>(kind), std::memory_order_relaxed);
   }
   void CountRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
+
+  // Forked instances between their dequeue check and their report. A
+  // stop kills each within a stop-check slice, and its report, carrying
+  // the kill's failure kind, ends the invocation; so the dispatcher's stop
+  // hook leaves the end to it while any is counted. seq_cst with the stop
+  // flag: a stop either finds an instance counted or the instance's
+  // dequeue check finds the stop.
+  void EnterForkedRun() { forked_running_.fetch_add(1); }
+  void ExitForkedRun() { forked_running_.fetch_sub(1); }
+  bool forked_running() const { return forked_running_.load() > 0; }
 
   InvocationReport Report() const;
 
@@ -162,8 +189,8 @@ class InvocationControl {
   std::atomic<uint64_t> instances_pool_hits_{0};
   std::atomic<int> failure_kind_{static_cast<int>(dpolicy::FailureKind::kNone)};
   std::atomic<uint64_t> retries_{0};
-  std::function<void()> cancel_hook_;  // Immutable once shared.
-  std::atomic<bool> cancel_hook_ran_{false};
+  std::atomic<int> forked_running_{0};
+  std::function<void()> stop_hook_;  // Immutable once shared.
 };
 
 // The caller's view of an in-flight invocation. Cheap to copy; an empty
@@ -176,10 +203,11 @@ class InvocationHandle {
 
   bool valid() const { return control_ != nullptr; }
   uint64_t id() const { return valid() ? control_->id() : 0; }
-  // Requests cancellation: no further instances launch, queued instances
-  // are dropped at dequeue, running thread-backend instances are preempted
-  // cooperatively, forked instances are killed. The result callback still
-  // fires (with kCancelled) exactly once.
+  // Requests cancellation: the result callback fires (with kCancelled)
+  // exactly once, promptly, even while the invocation is parked on a comm
+  // call; no further instances launch, queued instances are dropped at
+  // dequeue, running thread-backend instances are preempted cooperatively,
+  // forked instances are killed. A no-op once the platform is gone.
   void Cancel() const {
     if (valid()) {
       control_->Cancel();
@@ -193,6 +221,46 @@ class InvocationHandle {
 
  private:
   std::shared_ptr<InvocationControl> control_;
+};
+
+// The blocking wrappers' one wait (Dispatcher::Invoke, Cluster::Invoke): a
+// one-shot slot the invocation's callback fills. Held by shared_ptr, since
+// the callback may still fire after the waiter gave up.
+template <typename T>
+class BlockingWait {
+ public:
+  // The invocation's callback: thread-safe, called at most once.
+  void Set(T value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    value_ = std::move(value);
+    cv_.notify_all();
+  }
+
+  // Waits for Set() until the monotonic `until_us`. On timeout the
+  // invocation is stopped with `reason` and nullopt returned.
+  std::optional<T> Await(const InvocationHandle& handle, dbase::Micros until_us,
+                         dbase::StatusCode reason) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!value_.has_value()) {
+      const dbase::Micros remaining = until_us - dbase::MonotonicClock::Get()->NowMicros();
+      if (remaining <= 0) {
+        lock.unlock();
+        if (handle.valid()) {
+          handle.control()->RequestStop(reason);
+        }
+        return std::nullopt;
+      }
+      // Bounded, so a far-off `until_us` cannot overflow the conversion.
+      cv_.wait_for(lock, std::chrono::microseconds(
+                             std::min<dbase::Micros>(remaining, 3600 * dbase::kMicrosPerSecond)));
+    }
+    return std::move(value_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<T> value_;
 };
 
 }  // namespace dandelion

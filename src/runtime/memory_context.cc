@@ -122,16 +122,6 @@ ContextPool::Stats ContextPool::stats() const {
   return stats_;
 }
 
-size_t ContextPool::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
-}
-
-size_t ContextPool::max_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_entries_;
-}
-
 void ContextPool::set_max_entries(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   max_entries_ = n;

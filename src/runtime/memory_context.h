@@ -95,10 +95,6 @@ class ContextPool {
   // to kZeroExtentBytes of committed-but-zeroed pages each). 0 disables
   // pooling.
   void set_max_entries(size_t n);
-  // Occupancy signal for the elasticity control plane: shelved regions and
-  // the cap they count against.
-  size_t entries() const;
-  size_t max_entries() const;
 
   // Touched extents up to this size are zeroed in place on release instead
   // of uncommitted — cheaper than re-faulting the pages on reuse, with

@@ -26,10 +26,11 @@ NodeAgent::NodeAgent(Platform* platform, NodeAgentConfig config)
         server_config.limits = config_.limits;
         return server_config;
       }()) {
-  server_.set_invoke_handler([this](dnet::WireInvoke invoke, dnet::NodeServer::OutcomeFn done) {
-    HandleInvoke(std::move(invoke), std::move(done));
-  });
-  server_.set_cancel_handler([this](uint64_t invocation_id) { HandleCancel(invocation_id); });
+  server_.set_invoke_handler(
+      [this](uint64_t key, dnet::WireInvoke invoke, dnet::NodeServer::OutcomeFn done) {
+        HandleInvoke(key, std::move(invoke), std::move(done));
+      });
+  server_.set_cancel_handler([this](uint64_t key) { HandleCancel(key); });
   server_.set_status_provider([this] { return BuildStatus(); });
   server_.set_mesh_handler([this](std::string request, dnet::NodeServer::MeshReplyFn done) {
     HandleMesh(std::move(request), std::move(done));
@@ -60,7 +61,7 @@ void NodeAgent::Stop() {
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     handles.reserve(inflight_handles_.size());
-    for (const auto& [id, handle] : inflight_handles_) {
+    for (const auto& [key, handle] : inflight_handles_) {
       handles.push_back(handle);
     }
   }
@@ -88,7 +89,8 @@ void NodeAgent::NoteServed(const std::string& composition) {
   }
 }
 
-void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeFn done) {
+void NodeAgent::HandleInvoke(uint64_t key, dnet::WireInvoke invoke,
+                             dnet::NodeServer::OutcomeFn done) {
   const PriorityClass priority =
       invoke.priority == static_cast<uint8_t>(PriorityClass::kBatch) ? PriorityClass::kBatch
                                                                      : PriorityClass::kInteractive;
@@ -127,14 +129,13 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
   }
   NoteServed(request.composition);
 
-  const uint64_t invocation_id = request.id;
-  if (invocation_id != 0) {
+  {
     // Registered before the submit: a completion that fires inside Submit
     // already finds (and erases) the entry.
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_handles_[invocation_id] = InvocationHandle();
+    inflight_handles_[key] = InvocationHandle();
   }
-  auto callback = [this, done = std::move(done), invocation_id,
+  auto callback = [this, done = std::move(done), key,
                    klass](dbase::Result<dfunc::DataSetList> result) {
     inflight_[klass].fetch_sub(1, std::memory_order_relaxed);
     served_.fetch_add(1, std::memory_order_relaxed);
@@ -144,7 +145,7 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
     InvocationHandle self;
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
-      auto it = inflight_handles_.find(invocation_id);
+      auto it = inflight_handles_.find(key);
       if (it != inflight_handles_.end()) {
         self = it->second;
         inflight_handles_.erase(it);
@@ -172,17 +173,17 @@ void NodeAgent::HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeF
   };
   InvocationHandle submitted = platform_->Submit(std::move(request), std::move(callback));
   std::lock_guard<std::mutex> lock(inflight_mu_);
-  auto it = inflight_handles_.find(invocation_id);
+  auto it = inflight_handles_.find(key);
   if (it != inflight_handles_.end()) {
     it->second = std::move(submitted);
   }
 }
 
-void NodeAgent::HandleCancel(uint64_t invocation_id) {
+void NodeAgent::HandleCancel(uint64_t key) {
   InvocationHandle handle;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_handles_.find(invocation_id);
+    auto it = inflight_handles_.find(key);
     if (it == inflight_handles_.end()) {
       return;
     }

@@ -6,8 +6,9 @@
 //             at the caps, exactly like the HTTP frontend's 429), then
 //             Platform::Submit with the deadline reconstructed from the
 //             wire's relative remaining time;
-//   cancel  → InvocationHandle::Cancel via an id-keyed inflight table
-//             (also driven by the server's cancel-on-disconnect);
+//   cancel  → InvocationHandle::Cancel via an inflight table keyed by the
+//             server's per-invoke key, not the wire id two routers may
+//             share (also driven by the server's cancel-on-disconnect);
 //   gossip  → the node's in-flight count, admission cap and queued engine
 //             tasks, plus the recently-served composition list (the
 //             router's load, locality and membership input);
@@ -73,8 +74,8 @@ class NodeAgent {
   dnet::WireNodeStatus BuildStatus();
 
  private:
-  void HandleInvoke(dnet::WireInvoke invoke, dnet::NodeServer::OutcomeFn done);
-  void HandleCancel(uint64_t invocation_id);
+  void HandleInvoke(uint64_t key, dnet::WireInvoke invoke, dnet::NodeServer::OutcomeFn done);
+  void HandleCancel(uint64_t key);
   void HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn done);
   void NoteServed(const std::string& composition);
 
@@ -96,10 +97,10 @@ class NodeAgent {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  // Cancel currency: invocation id → handle, from accept until completion
-  // (cancels and the submit both run on the reactor; the lock orders them
-  // against completions on engine threads). The handle stays empty until
-  // Submit returns.
+  // Cancel currency: the server's invoke key → handle, from accept until
+  // completion (cancels and the submit both run on the reactor; the lock
+  // orders them against completions on engine threads). The handle stays
+  // empty until Submit returns.
   std::mutex inflight_mu_;
   std::map<uint64_t, InvocationHandle> inflight_handles_;
 

@@ -157,8 +157,6 @@ struct DHybridSimConfig {
   // Per-extra-thread context-switch/cache inflation on CPU time when
   // oversubscribed / unpinned.
   double ctx_switch_penalty = 0.04;
-  // Retained for older callers; the CPU server makes contention emergent.
-  double compute_fraction = 1.0;
 };
 
 SimMetrics SimulateDHybrid(const DHybridSimConfig& config,

@@ -364,6 +364,42 @@ TEST(ClusterNetTest, RoutedHandleCancelReachesTheServingNode) {
   EXPECT_EQ(cluster.Stats().reroutes_peer_lost, 0u);
 }
 
+// Every router numbers its invocations from 1, so one node serves two
+// invocations with the same wire id: a cancel must reach the one its own
+// router sent, and only that one.
+TEST(ClusterNetTest, TwoRoutersWithEqualIdsCancelOnlyTheirOwn) {
+  AgentNode node(NodeAgentConfig{.node_name = "nt"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  Cluster router_a(RemoteClusterConfig({{"nt", node.port()}}, LoadBalancePolicy::kRoundRobin));
+  Cluster router_b(RemoteClusterConfig({{"nt", node.port()}}, LoadBalancePolicy::kRoundRobin));
+
+  dbase::Latch a_done(1);
+  dbase::Latch b_done(1);
+  std::atomic<int> a_code{-1};
+  std::atomic<int> b_code{-1};
+  InvocationHandle a = router_a.InvokeAsync(
+      {"Nap", EchoArgs("from a")}, [&](dbase::Result<DataSetList> result, int) {
+        a_code.store(static_cast<int>(result.status().code()));
+        a_done.CountDown();
+      });
+  InvocationHandle b = router_b.InvokeAsync(
+      {"Nap", EchoArgs("from b")}, [&](dbase::Result<DataSetList> result, int) {
+        b_code.store(static_cast<int>(result.status().code()));
+        b_done.CountDown();
+      });
+  ASSERT_EQ(a.id(), b.id());
+  ASSERT_TRUE(WaitUntil(
+      [&] { return node.platform().dispatcher_stats().invocations_started >= 2; }, 1000))
+      << "both naps never reached the node";
+
+  a.Cancel();
+  ASSERT_TRUE(a_done.WaitFor(5 * dbase::kMicrosPerSecond));
+  ASSERT_TRUE(b_done.WaitFor(5 * dbase::kMicrosPerSecond));
+  EXPECT_EQ(a_code.load(), static_cast<int>(dbase::StatusCode::kCancelled));
+  EXPECT_EQ(b_code.load(), static_cast<int>(dbase::StatusCode::kOk));
+  EXPECT_EQ(node.platform().dispatcher_stats().invocations_cancelled, 1u);
+}
+
 // ------------------------------------------------- multi-process peer kill
 
 // A dandelion_node daemon spawned next to this test binary, handshaking

@@ -24,6 +24,7 @@
 #include "src/base/string_util.h"
 #include "src/func/builtins.h"
 #include "src/http/http_parser.h"
+#include "src/http/services.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
@@ -517,7 +518,7 @@ TEST(FrontendTest, InvalidDeadlineAndPriorityHeadersRejected) {
 }
 
 // The largest header value would overflow ms-to-µs (undefined behaviour)
-// and arm a reaper centuries out; it is clamped to the 24 h bound instead,
+// and arm a deadline timer centuries out; it is clamped to the 24 h bound instead,
 // and the invocation runs as usual.
 TEST(FrontendTest, HugeDeadlineHeaderIsClamped) {
   FrontendFixture fixture;
@@ -1113,6 +1114,107 @@ TEST(FrontendTest, ClientDisconnectCancelsInFlightInvocation) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(fixture.platform().dispatcher_stats().invocations_cancelled, 1u);
+}
+
+// The admission slot is the client's until its invocation ends, and a
+// vanished client's invocation ends at once: the cancel's stop hook fails
+// it instead of waiting out the 500 ms comm call it is parked on.
+TEST(FrontendTest, DisconnectReleasesAdmissionSlotAtOnce) {
+  PlatformConfig platform_config = FastPlatformConfig();
+  platform_config.sleep_for_modeled_latency = true;  // The comm call really parks.
+  Platform platform(platform_config);
+  platform.mesh().Register(
+      "slow.internal", std::make_shared<dhttp::EchoService>(),
+      dhttp::LatencyModel{.base_us = 500 * dbase::kMicrosPerMilli, .per_kb_us = 0.0,
+                          .jitter_sigma = 0.0});
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Call(req) => resp { HTTP(Request = each req) => (resp = "
+                      "Response); }")
+                  .ok());
+  HttpFrontend frontend(&platform, FrontendConfig{});
+  const dbase::Status started = frontend.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  const auto inflight_interactive = [&frontend]() -> double {
+    const std::optional<e2e::Json> statz = e2e::JsonParser::Parse(GetStatz(frontend.port()));
+    if (!statz.has_value() || statz->Find("frontend") == nullptr ||
+        statz->Find("frontend")->Find("inflight_interactive") == nullptr) {
+      return -1;
+    }
+    return statz->Find("frontend")->Find("inflight_interactive")->number;
+  };
+
+  dhttp::HttpRequest call;
+  call.method = dhttp::Method::kPost;
+  call.target = "http://slow.internal/";
+  call.body = "ping";
+  const int fd = ConnectTo(frontend.port());
+  SendAll(fd, RawInvoke("Call", call.Serialize()));
+  const dbase::Micros park_deadline =
+      dbase::MonotonicClock::Get()->NowMicros() + 2 * dbase::kMicrosPerSecond;
+  while (platform.engine_stats().comm_inflight == 0 &&
+         dbase::MonotonicClock::Get()->NowMicros() < park_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(platform.engine_stats().comm_inflight, 1u) << "the call never parked";
+  EXPECT_EQ(inflight_interactive(), 1.0);
+
+  linger hard_close{};
+  hard_close.l_onoff = 1;
+  hard_close.l_linger = 0;
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard_close, sizeof(hard_close)), 0);
+  const dbase::Micros closed_us = dbase::MonotonicClock::Get()->NowMicros();
+  close(fd);
+  while (inflight_interactive() != 0.0 &&
+         dbase::MonotonicClock::Get()->NowMicros() < closed_us + 2 * dbase::kMicrosPerSecond) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(inflight_interactive(), 0.0);
+  EXPECT_LT(dbase::MonotonicClock::Get()->NowMicros() - closed_us, 100 * dbase::kMicrosPerMilli)
+      << "the slot was held until the comm call's latency ran out";
+  EXPECT_EQ(platform.dispatcher_stats().invocations_cancelled, 1u);
+  frontend.Stop();
+}
+
+// kUnavailable is the platform declining to serve now (here: no eligible
+// cluster node), not a crashing function: 503, not 500.
+TEST(FrontendTest, UnavailableAnswers503) {
+  Platform node_platform(FastPlatformConfig());
+  NodeAgent agent(&node_platform, NodeAgentConfig{.node_name = "gone"});
+  const dbase::Status agent_started = agent.Start();
+  if (!agent_started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << agent_started.ToString();
+  }
+  Cluster::Config cluster_config;
+  cluster_config.num_nodes = 0;
+  cluster_config.remote_nodes = {{"gone", agent.port()}};
+  cluster_config.node_config = FastPlatformConfig();
+  cluster_config.gossip_interval_us = 0;
+  Cluster cluster(cluster_config);
+  cluster.RemoveRemoteNode("gone");
+
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  HttpFrontend frontend(&platform, FrontendConfig{});
+  frontend.AttachCluster(&cluster);
+  const dbase::Status started = frontend.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  const int fd = ConnectTo(frontend.port());
+  std::string carry;
+  SendAll(fd, RawInvoke("Id", "nowhere to go"));
+  auto response = ReadOneResponse(fd, &carry);
+  close(fd);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 503) << response->body;
+  EXPECT_EQ(cluster.Stats().no_eligible_node, 1u);
+  frontend.Stop();
 }
 
 // Holds an engine worker for 50 ms and ignores cancellation, so its

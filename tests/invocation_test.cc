@@ -1,7 +1,8 @@
 // Tests for the first-class invocation API: cancel-before-start launches
 // zero instances, cancel mid-fan-out stops the remaining instances,
-// deadlines terminate invocations (including ones parked on slow
-// communication calls, via the reaper), the blocking Invoke wrapper is
+// deadlines and cancels terminate invocations at once (including ones
+// parked on slow communication calls, via the stop hook), a cancel after
+// the platform is gone does nothing, the blocking Invoke wrapper is
 // deadline-aware instead of hanging forever, and interactive work
 // overtakes batch backlog in the engine queues.
 #include "src/runtime/invocation.h"
@@ -149,6 +150,15 @@ composition Work(in) => out { echo(in = all in) => (out = out); }
 
   ASSERT_FALSE(victim_result.ok());
   EXPECT_EQ(victim_result.status().code(), dbase::StatusCode::kCancelled);
+  // The cancel fails the invocation at once, before the worker reaches its
+  // queued instance — poll until the dequeue has dropped it.
+  const dbase::Micros poll_deadline =
+      dbase::MonotonicClock::Get()->NowMicros() + 5 * dbase::kMicrosPerSecond;
+  while ((handle.Report().instances_aborted == 0 ||
+          platform.engine_stats().compute_aborted == 0) &&
+         dbase::MonotonicClock::Get()->NowMicros() < poll_deadline) {
+    std::this_thread::yield();
+  }
   const InvocationReport report = handle.Report();
   EXPECT_EQ(report.phase, InvocationPhase::kCancelled);
   // The cancelled invocation never entered a sandbox: its queued instance
@@ -334,6 +344,95 @@ TEST(InvocationTest, ReaperFailsDeadlineWhileParkedOnCommCall) {
   // can fail this invocation, and it must do so near the deadline, not
   // after the 500 ms modelled network latency.
   EXPECT_LT(watch.ElapsedMicros(), 400 * dbase::kMicrosPerMilli);
+}
+
+TEST(InvocationTest, CancelWhileParkedOnCommCallEndsAtOnce) {
+  PlatformConfig config = SmallPlatformConfig(2);
+  config.sleep_for_modeled_latency = true;  // The comm call really parks.
+  Platform platform(config);
+  platform.mesh().Register(
+      "slow.internal", std::make_shared<dhttp::EchoService>(),
+      dhttp::LatencyModel{.base_us = 500 * dbase::kMicrosPerMilli, .per_kb_us = 0.0,
+                          .jitter_sigma = 0.0});
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Call(req) => resp { HTTP(Request = each req) => (resp = "
+                      "Response); }")
+                  .ok());
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kPost;
+  req.target = "http://slow.internal/";
+  req.body = "ping";
+
+  dbase::Latch done(1);
+  std::atomic<int> code{-1};
+  std::atomic<dbase::Micros> fired_us{0};
+  InvocationHandle handle =
+      platform.Submit({"Call", SingleArg("req", req.Serialize())}, [&](auto result) {
+        code.store(static_cast<int>(result.status().code()));
+        fired_us.store(dbase::MonotonicClock::Get()->NowMicros());
+        done.CountDown();
+      });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const dbase::Micros cancelled_us = dbase::MonotonicClock::Get()->NowMicros();
+  handle.Cancel();
+  ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
+
+  EXPECT_EQ(code.load(), static_cast<int>(dbase::StatusCode::kCancelled));
+  // The stop hook ends the invocation; the 500 ms modelled latency does not.
+  EXPECT_LT(fired_us.load() - cancelled_us, 100 * dbase::kMicrosPerMilli);
+  EXPECT_EQ(handle.Report().phase, InvocationPhase::kCancelled);
+  EXPECT_EQ(platform.dispatcher_stats().invocations_cancelled, 1u);
+  EXPECT_EQ(platform.dispatcher_stats().inflight_interactive, 0u);
+}
+
+TEST(InvocationTest, CancelAfterPlatformDestroyedIsANoOp) {
+  std::atomic<int> callbacks{0};
+  InvocationHandle finished;
+  InvocationHandle parked;
+  {
+    PlatformConfig config = SmallPlatformConfig(2);
+    config.sleep_for_modeled_latency = true;
+    Platform platform(config);
+    platform.mesh().Register(
+        "slow.internal", std::make_shared<dhttp::EchoService>(),
+        dhttp::LatencyModel{.base_us = 500 * dbase::kMicrosPerMilli, .per_kb_us = 0.0,
+                            .jitter_sigma = 0.0});
+    ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+    ASSERT_TRUE(platform.RegisterCompositionDsl(R"(
+composition Work(in) => out { echo(in = all in) => (out = out); }
+composition Call(req) => resp { HTTP(Request = each req) => (resp = Response); }
+)")
+                    .ok());
+    dbase::Latch done(1);
+    InvocationRequest request{"Work", SingleArg("in", "x")};
+    request.deadline_us = InvocationRequest::DeadlineIn(10 * dbase::kMicrosPerSecond);
+    finished = platform.Submit(std::move(request), [&](auto result) {
+      EXPECT_TRUE(result.ok());
+      callbacks.fetch_add(1);
+      done.CountDown();
+    });
+    ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
+
+    // Still parked when the platform goes: its drain completes the call.
+    dhttp::HttpRequest req;
+    req.method = dhttp::Method::kPost;
+    req.target = "http://slow.internal/";
+    req.body = "ping";
+    parked = platform.Submit({"Call", SingleArg("req", req.Serialize())},
+                             [&](auto) { callbacks.fetch_add(1); });
+  }
+  EXPECT_EQ(callbacks.load(), 2);
+  const InvocationPhase finished_phase = finished.Report().phase;
+  const InvocationPhase parked_phase = parked.Report().phase;
+
+  // Both stop hooks post into the destroyed dispatcher's closed scope.
+  finished.Cancel();
+  parked.Cancel();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(callbacks.load(), 2);
+  EXPECT_EQ(finished.Report().phase, finished_phase);
+  EXPECT_EQ(parked.Report().phase, parked_phase);
 }
 
 TEST(InvocationTest, BlockingInvokeReturnsDeadlineExceededInsteadOfHanging) {

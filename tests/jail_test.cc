@@ -1,6 +1,7 @@
 // Fault-contained untrusted execution: the seccomp-BPF syscall jail on the
 // process backend, the failure taxonomy (distinct FailureKinds for jail
-// kill, genuine crash, deadline kill, cancel kill), the dispatcher's
+// kill, genuine crash, deadline kill, cancel kill — on the report and on
+// a node's wire outcome when the callback fires), the dispatcher's
 // policy-driven retries with per-function circuit breaking, the pooled
 // template-child-loss fallback, and the deterministic fault-injection
 // seams that drive all of it. Jail assertions degrade to capability-checked
@@ -21,9 +22,12 @@
 #include "src/base/clock.h"
 #include "src/base/thread.h"
 #include "src/func/registry.h"
+#include "src/net/node_client.h"
+#include "src/net/wire.h"
 #include "src/runtime/fault.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/jail.h"
+#include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
 #include "src/runtime/sandbox_pool.h"
 
@@ -310,6 +314,55 @@ composition RunSpin(in) => out { spinner(in = all in) => (out = out); }
     EXPECT_EQ(handle.Report().failure_kind, FailureKind::kCancelKill);
     EXPECT_EQ(handle.Report().phase, dandelion::InvocationPhase::kCancelled);
   }
+}
+
+// A node whose forked instance is killed by a cancel answers with the
+// kill's kind: the invocation ends through that instance's report, so the
+// kind is set when the node builds the outcome.
+TEST_F(JailTest, CancelledForkedInvokeCarriesCancelKillOnTheWire) {
+  dandelion::Platform platform(ProcessConfig());
+  dfunc::FunctionSpec spinner = EchoSpec("spinner");
+  spinner.body = [](dfunc::FunctionCtx& ctx) {
+    dbase::SpinFor(5 * kMicrosPerSecond);
+    ctx.EmitOutput("out", "spun");
+    return dbase::OkStatus();
+  };
+  ASSERT_TRUE(platform.RegisterFunction(std::move(spinner)).ok());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition RunSpin(in) => out { spinner(in = all in) => (out = out); }")
+                  .ok());
+  dandelion::NodeAgent agent(&platform, dandelion::NodeAgentConfig{.node_name = "jailed"});
+  if (!agent.Start().ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable";
+  }
+  dnet::NodeClient client("router");
+  ASSERT_TRUE(client.Start().ok());
+  client.AddPeer("jailed", agent.port());
+
+  dnet::WireInvoke invoke;
+  invoke.composition = "RunSpin";
+  invoke.args = OneInput("x");
+  invoke.invocation_id = 1;
+  dbase::Latch latch(1);
+  dbase::Result<dnet::WireOutcome> outcome = dbase::Internal("no outcome");
+  const dbase::Stopwatch watch;
+  const uint64_t request_id =
+      client.InvokeAsync("jailed", std::move(invoke), 10 * kMicrosPerSecond,
+                         [&](dbase::Result<dnet::WireOutcome> result) {
+                           outcome = std::move(result);
+                           latch.CountDown();
+                         });
+  ASSERT_NE(request_id, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  client.Cancel("jailed", request_id);
+  ASSERT_TRUE(latch.WaitFor(10 * kMicrosPerSecond));
+  EXPECT_LT(watch.ElapsedMicros(), 2 * kMicrosPerSecond) << "the spinner ran to its end";
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->code, dbase::StatusCode::kCancelled);
+  EXPECT_EQ(outcome->failure_kind, static_cast<uint8_t>(FailureKind::kCancelKill));
+  client.Stop();
+  agent.Stop();
 }
 
 // --------------------------------------------------- Retry recovers crash

@@ -1411,7 +1411,7 @@ composition Id(in) => out { echo(in = all in) => (out = out); }
 )")
                   .ok());
 
-  // Only the deadline reaper can fail an invocation parked on a comm call.
+  // Only the deadline timer can fail an invocation parked on a comm call.
   dhttp::HttpRequest req;
   req.method = dhttp::Method::kPost;
   req.target = "http://slow.internal/";

@@ -403,9 +403,6 @@ TEST(DHybridSimTest, BestTpcDependsOnWorkload) {
     config.cores = 4;
     config.threads_per_core = tpc;
     config.pinned = pinned;
-    config.compute_fraction =
-        static_cast<double>(shape.compute_us) /
-        static_cast<double>(shape.compute_us + shape.comm_us);
     auto metrics = dsim::SimulateDHybrid(
         config, dsim::PoissonStream(shape, rps, 5 * kMicrosPerSecond, 37));
     return metrics.latency_ms.Percentile(99);
