@@ -4,14 +4,10 @@
 // with snapshots, gVisor, Spin/Wasmtime. Paper result: Dandelion's
 // backends stay sub-millisecond up to ~10^4 RPS; FC-snapshot saturates
 // around 120 RPS; fresh FC boots >150 ms; Wasmtime peaks ~7000 RPS.
-#include <atomic>
-#include <cstdio>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "src/base/clock.h"
-#include "src/base/queue.h"
-#include "src/base/sharded_queue.h"
 #include "src/benchutil/table.h"
 #include "src/sim/calibration.h"
 #include "src/sim/platform_models.h"
@@ -20,76 +16,6 @@
 namespace {
 
 using dsim::Calibration;
-
-// ------------------------------------------------------------------------
-// Queue dispatch throughput (wall clock, real threads): the substrate the
-// figure's elasticity depends on. Each worker thread replays the engines'
-// dispatch pattern for a 16-instance fan-out: the single shared MpmcQueue
-// pays one contended lock crossing per instance (the old per-instance
-// path), the sharded queue lands the whole fan-out on the worker's shard
-// with one PushBatch and pops it back locally (the new batched path).
-
-constexpr size_t kFanOut = 16;
-
-template <typename DispatchBatch>
-double MeasureDispatchMtasks(int workers, DispatchBatch dispatch_batch) {
-  constexpr dbase::Micros kDuration = 80 * dbase::kMicrosPerMilli;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> total_tasks{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      uint64_t tasks = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        dispatch_batch(static_cast<size_t>(w));
-        tasks += kFanOut;
-      }
-      total_tasks.fetch_add(tasks, std::memory_order_relaxed);
-    });
-  }
-  dbase::Stopwatch watch;
-  std::this_thread::sleep_for(std::chrono::microseconds(kDuration));
-  stop.store(true);
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  const double seconds = static_cast<double>(watch.ElapsedMicros()) / 1e6;
-  return static_cast<double>(total_tasks.load()) / seconds / 1e6;
-}
-
-void RunQueueThroughputSection() {
-  dbench::PrintHeader(
-      "Queue dispatch throughput: single shared MpmcQueue (per-instance submit) vs "
-      "per-worker sharded queue (batched fan-out submit)");
-  dbench::Table table({"workers", "single Mtasks/s", "sharded Mtasks/s", "speedup"});
-  for (int workers : {1, 4, 8}) {
-    dbase::MpmcQueue<int> single;
-    const double single_mtasks = MeasureDispatchMtasks(workers, [&](size_t) {
-      for (size_t i = 0; i < kFanOut; ++i) {
-        single.Push(static_cast<int>(i));
-      }
-      for (size_t i = 0; i < kFanOut; ++i) {
-        (void)single.TryPop();
-      }
-    });
-    dbase::ShardedTaskQueue<int> sharded(static_cast<size_t>(workers));
-    const double sharded_mtasks = MeasureDispatchMtasks(workers, [&](size_t shard) {
-      std::vector<int> batch(kFanOut, 1);
-      sharded.PushBatch(std::move(batch), shard);
-      for (size_t i = 0; i < kFanOut; ++i) {
-        (void)sharded.TryPopLocal(shard);
-      }
-    });
-    table.AddRow({std::to_string(workers), dbench::Table::Num(single_mtasks, 2),
-                  dbench::Table::Num(sharded_mtasks, 2),
-                  dbench::Table::Num(sharded_mtasks / single_mtasks, 2) + "x"});
-  }
-  table.Print();
-  dbench::PrintNote("16-instance fan-outs, 80 ms per cell; sharded+batched = the engine"
-                    " dispatch path after this refactor (src/base/sharded_queue.h,"
-                    " WorkerSet::SubmitComputeBatch)");
-}
 
 std::string RunDandelion(dbase::Micros sandbox_us, const std::vector<dsim::SimRequest>& requests,
                          int cores) {
@@ -105,8 +31,6 @@ std::string RunDandelion(dbase::Micros sandbox_us, const std::vector<dsim::SimRe
 }  // namespace
 
 int main() {
-  RunQueueThroughputSection();
-
   dbench::PrintHeader("Figure 5: p99 latency [ms] vs RPS, 1x1 matmul, 0% hot, 4 cores");
 
   constexpr int kCores = 4;

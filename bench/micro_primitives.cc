@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/base/queue.h"
-#include "src/base/sharded_queue.h"
 #include "src/dsl/graph.h"
 #include "src/dsl/parser.h"
 #include "src/func/builtins.h"
@@ -32,18 +31,8 @@ void BM_MpmcQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_MpmcQueuePushPop);
 
-void BM_ShardedQueuePushPop(benchmark::State& state) {
-  dbase::ShardedTaskQueue<int> queue(4);
-  for (auto _ : state) {
-    queue.PushToShard(0, 1);
-    benchmark::DoNotOptimize(queue.TryPopLocal(0));
-  }
-}
-BENCHMARK(BM_ShardedQueuePushPop);
-
-// Contended dispatch: every thread pushes and pops, the engines' pattern.
-// The single shared queue serializes on one mutex; the sharded queue gives
-// each thread its own shard (stealing only when idle).
+// Contended dispatch: every thread pushes and pops, the engines' pattern
+// on one role's queue.
 void BM_MpmcQueueContended(benchmark::State& state) {
   static dbase::MpmcQueue<int>* queue = nullptr;
   if (state.thread_index() == 0) {
@@ -59,32 +48,6 @@ void BM_MpmcQueueContended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpmcQueueContended)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
-
-void BM_ShardedQueueContended(benchmark::State& state) {
-  static dbase::ShardedTaskQueue<int>* queue = nullptr;
-  if (state.thread_index() == 0) {
-    queue = new dbase::ShardedTaskQueue<int>(static_cast<size_t>(state.threads()));
-  }
-  const auto shard = static_cast<size_t>(state.thread_index());
-  for (auto _ : state) {
-    queue->PushToShard(shard, 1);
-    benchmark::DoNotOptimize(queue->TryPopLocal(shard));
-  }
-  if (state.thread_index() == 0) {
-    delete queue;
-    queue = nullptr;
-  }
-}
-BENCHMARK(BM_ShardedQueueContended)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
-
-void BM_ShardedQueueSteal(benchmark::State& state) {
-  dbase::ShardedTaskQueue<int> queue(4);
-  for (auto _ : state) {
-    queue.PushToShard(1, 1);
-    benchmark::DoNotOptimize(queue.TrySteal(0));
-  }
-}
-BENCHMARK(BM_ShardedQueueSteal);
 
 void BM_MarshalSets(benchmark::State& state) {
   dfunc::DataSetList sets;

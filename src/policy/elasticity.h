@@ -43,13 +43,12 @@ struct ElasticitySignals {
   int comm_workers = 0;
 
   // Queue growth over the last tick: arrivals minus departures, from the
-  // engine queues' cumulative push/pop counters (steals count as pops, so
-  // the deltas stay coherent across shards and role shifts).
+  // cumulative push/pop counters of each role's one engine queue.
   double compute_growth = 0.0;
   double comm_growth = 0.0;
 
   // Instantaneous queue backlogs (all classes) and the interactive-lane
-  // share of each (urgent-lane depths summed across shards).
+  // share of each (each queue's urgent-lane depth).
   uint64_t compute_backlog = 0;
   uint64_t comm_backlog = 0;
   uint64_t interactive_compute_backlog = 0;

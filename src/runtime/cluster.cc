@@ -494,8 +494,9 @@ std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
   std::vector<CoreSplit> splits;
   splits.reserve(locals_.size());
   for (const auto& local : locals_) {
-    // One role scan per node (full EngineStats would lock every queue shard
-    // just to read two ints); comm derived so the split sums to the pool.
+    // One role scan per node (full EngineStats would lock both queues and
+    // the wait histograms just to read two ints); comm derived so the split
+    // sums to the pool.
     const WorkerSet& workers = local->platform.workers();
     const int compute = workers.compute_workers();
     splits.push_back({compute, workers.total_workers() - compute});

@@ -1,7 +1,8 @@
 #include "src/runtime/engine.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
-#include <iterator>
 #include <thread>
 
 #include "src/base/log.h"
@@ -18,18 +19,12 @@ bool TaskIsUrgent(const std::shared_ptr<InvocationControl>& control) {
   return control == nullptr || control->priority() == PriorityClass::kInteractive;
 }
 
-// Longest a worker blocks with nothing due: bounds how long a task parked
-// on a busy sibling's shard waits to be stolen.
-constexpr dbase::Micros kIdleTickUs = 1000;
-
 }  // namespace
 
 WorkerSet::WorkerSet(Config config, dhttp::ServiceMesh* mesh)
     : config_(config),
       mesh_(mesh),
-      sandbox_(CreateSandboxExecutor(config.backend)),
-      compute_queue_(static_cast<size_t>(std::max(1, config.num_workers))),
-      comm_queue_(static_cast<size_t>(std::max(1, config.num_workers))) {
+      sandbox_(CreateSandboxExecutor(config.backend)) {
   const int workers = std::max(1, config_.num_workers);
   const int comm = std::clamp(config_.initial_comm_workers, workers > 1 ? 1 : 0, workers - 1);
   roles_.reserve(static_cast<size_t>(workers));
@@ -45,23 +40,6 @@ WorkerSet::WorkerSet(Config config, dhttp::ServiceMesh* mesh)
 
 WorkerSet::~WorkerSet() { Shutdown(); }
 
-std::vector<size_t> WorkerSet::ShardsWithRole(EngineType role, size_t excluding) const {
-  std::vector<size_t> shards;
-  for (size_t i = 0; i < roles_.size(); ++i) {
-    if (i != excluding && roles_[i]->load(std::memory_order_relaxed) == role) {
-      shards.push_back(i);
-    }
-  }
-  return shards;
-}
-
-bool WorkerSet::SubmitCompute(ComputeTask task) {
-  task.enqueue_time_us = dbase::MonotonicClock::Get()->NowMicros();
-  const bool urgent = TaskIsUrgent(task.control);
-  const size_t shard = PickShard(EngineType::kCompute, compute_queue_);
-  return compute_queue_.PushToShard(shard, std::move(task), urgent);
-}
-
 bool WorkerSet::SubmitComputeBatch(std::vector<ComputeTask> tasks) {
   const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
   for (auto& task : tasks) {
@@ -69,68 +47,37 @@ bool WorkerSet::SubmitComputeBatch(std::vector<ComputeTask> tasks) {
   }
   // One fan-out belongs to one invocation, so the whole batch shares a lane.
   const bool urgent = tasks.empty() || TaskIsUrgent(tasks.front().control);
-  // A fan-out bigger than one worker's bite is split into per-shard chunks:
-  // still one queue crossing per chunk, but the siblings consume their own
-  // chunks in parallel instead of serializing steals against one victim
-  // shard. Small fan-outs stay a single crossing on the least-loaded shard.
-  constexpr size_t kMinChunk = 16;
-  const std::vector<size_t> targets =
-      ShardsWithRole(EngineType::kCompute, roles_.size());  // Exclude none.
-  const size_t chunks =
-      targets.size() <= 1
-          ? 1
-          : std::min(targets.size(), std::max<size_t>(1, tasks.size() / kMinChunk));
-  if (chunks <= 1) {
-    const size_t shard = PickShard(EngineType::kCompute, compute_queue_);
-    return compute_queue_.PushBatch(std::move(tasks), shard, urgent);
-  }
-  const size_t per_chunk = (tasks.size() + chunks - 1) / chunks;
-  bool ok = true;
-  size_t target = 0;
-  for (size_t begin = 0; begin < tasks.size(); begin += per_chunk) {
-    const size_t end = std::min(begin + per_chunk, tasks.size());
-    std::vector<ComputeTask> chunk(std::make_move_iterator(tasks.begin() + begin),
-                                   std::make_move_iterator(tasks.begin() + end));
-    ok = compute_queue_.PushBatch(std::move(chunk), targets[target++ % targets.size()], urgent) &&
-         ok;
-  }
-  return ok;
+  return compute_queue_.PushBatch(std::move(tasks), urgent);
 }
 
 bool WorkerSet::SubmitComm(CommTask task) {
   task.enqueue_time_us = dbase::MonotonicClock::Get()->NowMicros();
   const bool urgent = TaskIsUrgent(task.control);
-  const size_t shard = PickShard(EngineType::kCommunication, comm_queue_);
-  return comm_queue_.PushToShard(shard, std::move(task), urgent);
+  return comm_queue_.Push(std::move(task), urgent);
 }
 
 bool WorkerSet::ShiftWorkerToCompute() {
-  // Find a communication worker to relabel, keeping at least one.
-  if (comm_workers() <= 1) {
-    return false;
-  }
-  for (size_t i = 0; i < roles_.size(); ++i) {
-    EngineType expected = EngineType::kCommunication;
-    if (roles_[i]->compare_exchange_strong(expected, EngineType::kCompute)) {
-      // Comm tasks queued on the departed shard would otherwise wait for a
-      // sibling's idle steal; hand them to workers still doing comm.
-      comm_queue_.RehomeShard(i, ShardsWithRole(EngineType::kCommunication, i));
-      comm_queue_.Wake(i);  // The worker may be parked on its comm shard.
-      return true;
-    }
-  }
-  return false;
+  return ShiftOneWorker(EngineType::kCommunication, EngineType::kCompute);
 }
 
 bool WorkerSet::ShiftWorkerToComm() {
-  if (compute_workers() <= 1) {
+  return ShiftOneWorker(EngineType::kCompute, EngineType::kCommunication);
+}
+
+bool WorkerSet::ShiftOneWorker(EngineType from, EngineType to) {
+  if ((from == EngineType::kCompute ? compute_workers() : comm_workers()) <= 1) {
     return false;
   }
-  for (size_t i = 0; i < roles_.size(); ++i) {
-    EngineType expected = EngineType::kCompute;
-    if (roles_[i]->compare_exchange_strong(expected, EngineType::kCommunication)) {
-      compute_queue_.RehomeShard(i, ShardsWithRole(EngineType::kCompute, i));
-      compute_queue_.Wake(i);
+  for (auto& role : roles_) {
+    EngineType expected = from;
+    if (role->compare_exchange_strong(expected, to)) {
+      // The worker may be parked on its old role's queue: wake that
+      // queue's waiters so it re-reads its role.
+      if (from == EngineType::kCompute) {
+        compute_queue_.Wake();
+      } else {
+        comm_queue_.Wake();
+      }
       return true;
     }
   }
@@ -190,16 +137,6 @@ EngineStats WorkerSet::Stats() const {
       std::max<int64_t>(0, comm_inflight_.load(std::memory_order_relaxed)));
   stats.compute_workers = compute_workers();
   stats.comm_workers = comm_workers();
-  stats.compute_shard_depths.reserve(compute_queue_.shard_count());
-  stats.comm_shard_depths.reserve(comm_queue_.shard_count());
-  for (size_t i = 0; i < compute_queue_.shard_count(); ++i) {
-    stats.compute_shard_depths.push_back(compute_queue_.ShardSize(i));
-  }
-  for (size_t i = 0; i < comm_queue_.shard_count(); ++i) {
-    stats.comm_shard_depths.push_back(comm_queue_.ShardSize(i));
-  }
-  stats.compute_steals = compute_queue_.total_stolen();
-  stats.comm_steals = comm_queue_.total_stolen();
   {
     std::lock_guard<std::mutex> lock(wait_mu_);
     stats.compute_wait_p50_us = compute_wait_us_.ApproxPercentile(50);
@@ -384,9 +321,10 @@ void WorkerSet::CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now) 
 }
 
 void WorkerSet::WorkerLoop(int index) {
-  // This worker's home shard in both queues. Pops hit the shard first and
-  // steal from siblings only when it is empty.
-  const size_t shard = static_cast<size_t>(index);
+  // A worker's only timed wait is a held completion's due time; the
+  // kernel's default 50 µs timer slack would make each one late.
+  (void)prctl(PR_SET_TIMERSLACK, 1, 0, 0, 0);
+  const std::atomic<EngineType>& role = *roles_[static_cast<size_t>(index)];
   const size_t budget = static_cast<size_t>(std::max(1, config_.comm_parallelism));
   // Pending comm completions owned by this worker — the cooperative
   // runtime's outstanding network operations. They stay with the worker
@@ -401,11 +339,11 @@ void WorkerSet::WorkerLoop(int index) {
       // Finish everything still queued, complete held calls without their
       // latency, then exit once idle.
       bool did_work = false;
-      if (auto task = comm_queue_.TryPop(shard)) {
+      if (auto task = comm_queue_.TryPop()) {
         StartCommTask(std::move(*task), &inflight);
         did_work = true;
       }
-      if (auto task = compute_queue_.TryPop(shard)) {
+      if (auto task = compute_queue_.TryPop()) {
         RunComputeTask(std::move(*task));
         did_work = true;
       }
@@ -419,26 +357,27 @@ void WorkerSet::WorkerLoop(int index) {
       continue;
     }
 
-    // The one wait of this pass: until a task arrives on the role's home
-    // shard, the nearest held completion is due, or the idle tick passes
-    // (the tick lets a push parked behind a busy sibling be stolen). A
-    // role shift cuts it short through the queue's Wake().
-    dbase::Micros wait_us = kIdleTickUs;
+    // The one wait of this pass: on the role's queue until a task arrives,
+    // the nearest held completion is due, the role shifts (the shift wakes
+    // the old role's queue) or the queue closes.
+    std::optional<dbase::Micros> wait_us;
     for (const auto& item : inflight) {
-      wait_us = std::min(wait_us, item.ready_at_us - now);
+      wait_us = std::min(wait_us.value_or(INT64_MAX), item.ready_at_us - now);
     }
-    if (roles_[shard]->load(std::memory_order_relaxed) == EngineType::kCompute) {
-      if (auto task = compute_queue_.PopWithTimeout(shard, wait_us)) {
+    const EngineType mine = role.load(std::memory_order_relaxed);
+    const auto shifted = [&] { return role.load(std::memory_order_relaxed) != mine; };
+    if (mine == EngineType::kCompute) {
+      if (auto task = compute_queue_.Pop(shifted, wait_us)) {
         RunComputeTask(std::move(*task));
       }
     } else if (inflight.size() < budget) {
-      if (auto task = comm_queue_.PopWithTimeout(shard, wait_us)) {
+      if (auto task = comm_queue_.Pop(shifted, wait_us)) {
         StartCommTask(std::move(*task), &inflight);
       }
     } else {
       // At the green-thread budget nothing may be popped until a held
       // call completes and frees a slot.
-      std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
+      std::this_thread::sleep_for(std::chrono::microseconds(*wait_us));
     }
   }
 }

@@ -1,10 +1,11 @@
 // Engines (§5): compute engines run one sandboxed task at a time to
 // completion on a dedicated core; communication engines hold many calls
 // cooperatively until each is due. A WorkerSet owns one worker thread per
-// core, which blocks in one place until a task arrives or a held call is
-// due. The control plane re-labels workers between the two roles at runtime
-// ("re-assigns a CPU core from the communication engine type to the compute
-// engine type") and wakes the re-labelled worker.
+// core and one task queue per role; a worker blocks in one place, on its
+// role's queue, until a task arrives or a held call is due. The control
+// plane re-labels workers between the two roles at runtime ("re-assigns a
+// CPU core from the communication engine type to the compute engine type")
+// and wakes the re-labelled worker.
 #ifndef SRC_RUNTIME_ENGINE_H_
 #define SRC_RUNTIME_ENGINE_H_
 
@@ -17,7 +18,7 @@
 #include <mutex>
 
 #include "src/base/clock.h"
-#include "src/base/sharded_queue.h"
+#include "src/base/queue.h"
 #include "src/base/stats.h"
 #include "src/base/thread.h"
 #include "src/func/registry.h"
@@ -83,10 +84,8 @@ struct EngineStats {
   uint64_t comm_inflight = 0;
   int compute_workers = 0;
   int comm_workers = 0;
-  // Per-shard backlog (one entry per worker) and cumulative steals, so
-  // operators can see imbalance the aggregate depth hides.
-  std::vector<uint64_t> compute_shard_depths;
-  std::vector<uint64_t> comm_shard_depths;
+  // Always 0: one queue per role leaves nothing to steal. Kept for
+  // readers of the old counters.
   uint64_t compute_steals = 0;
   uint64_t comm_steals = 0;
   // Queue-wait (enqueue → dequeue) distribution, µs. Approximate (log2
@@ -98,11 +97,11 @@ struct EngineStats {
   uint64_t comm_wait_p99_us = 0;
 };
 
-// The pool of engine workers. Task queues are sharded per worker: a worker
-// pops its own shard first and steals from siblings before it blocks, so
-// dispatch scales past the single-mutex ceiling while keeping late binding
-// of tasks to cores (§5). Submissions route to a shard whose worker holds
-// the matching role; role shifts re-home the departed shard's residue.
+// The pool of engine workers. Each role has one two-lane task queue that
+// all of its workers block on, so a task binds late to the first free core
+// of its role (§5). A role shift flips the worker's role and wakes the old
+// role's waiters; the shifted worker leaves that queue and takes nothing
+// from it.
 class WorkerSet {
  public:
   struct Config {
@@ -119,10 +118,9 @@ class WorkerSet {
   WorkerSet(const WorkerSet&) = delete;
   WorkerSet& operator=(const WorkerSet&) = delete;
 
-  bool SubmitCompute(ComputeTask task);
-  // Lands the whole batch on one shard in a single queue crossing — the
-  // dispatcher's amortized path for each/key fan-outs. All-or-nothing:
-  // returns false (dropping the batch) when the engines are shut down.
+  // Lands the whole batch in a single queue crossing — the dispatcher's
+  // amortized path for each/key fan-outs. All-or-nothing: returns false
+  // (dropping the batch) when the engines are shut down.
   bool SubmitComputeBatch(std::vector<ComputeTask> tasks);
   bool SubmitComm(CommTask task);
 
@@ -176,39 +174,8 @@ class WorkerSet {
   };
 
   void WorkerLoop(int index);
-  // Shard of a worker currently holding `role`, preferring the least
-  // loaded by the queue's lock-free approximate depth — the submit path
-  // takes no shard lock beyond the final push; any shard when no worker
-  // matches (stealing then redistributes).
-  template <typename Task>
-  size_t PickShard(EngineType role, const dbase::ShardedTaskQueue<Task>& queue) const {
-    // The scan start rotates so depth ties (the common all-zero idle case)
-    // spread round-robin instead of funneling every submission onto the
-    // lowest-index shard — strict less-than keeps the first of a tie.
-    const size_t n = roles_.size();
-    const size_t start = submit_rr_.fetch_add(1, std::memory_order_relaxed);
-    size_t best = static_cast<size_t>(-1);
-    size_t best_depth = 0;
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = (start + k) % n;
-      if (roles_[i]->load(std::memory_order_relaxed) != role) {
-        continue;
-      }
-      const size_t depth = queue.ApproxShardSize(i);
-      if (best == static_cast<size_t>(-1) || depth < best_depth) {
-        best = i;
-        best_depth = depth;
-      }
-    }
-    if (best != static_cast<size_t>(-1)) {
-      return best;
-    }
-    // No worker currently holds the role (transient during shifts): any
-    // shard; stealing and re-homing redistribute.
-    return start % n;
-  }
-  // Shards of all workers currently holding `role`, except `excluding`.
-  std::vector<size_t> ShardsWithRole(EngineType role, size_t excluding) const;
+  // Moves one worker from `from` to `to` unless `from` is down to one.
+  bool ShiftOneWorker(EngineType from, EngineType to);
   void RunComputeTask(ComputeTask task);
   // Issues the mesh call and appends the pending completion to `inflight`.
   void StartCommTask(CommTask task, std::vector<InFlight>* inflight);
@@ -218,8 +185,8 @@ class WorkerSet {
   dhttp::ServiceMesh* mesh_;
   std::unique_ptr<SandboxExecutor> sandbox_;
   SandboxPool* sandbox_pool_ = nullptr;  // Set before workers start; optional.
-  dbase::ShardedTaskQueue<ComputeTask> compute_queue_;
-  dbase::ShardedTaskQueue<CommTask> comm_queue_;
+  dbase::MpmcQueue<ComputeTask> compute_queue_;
+  dbase::MpmcQueue<CommTask> comm_queue_;
   std::vector<std::unique_ptr<std::atomic<EngineType>>> roles_;
   std::vector<dbase::JoiningThread> workers_;
   std::atomic<bool> shutdown_{false};
@@ -231,8 +198,6 @@ class WorkerSet {
   // Occupied comm green threads across workers (incremented when a mesh
   // call is issued, decremented when its modelled latency elapses).
   std::atomic<int64_t> comm_inflight_{0};
-  // Fallback rotation for submissions racing a role shift.
-  mutable std::atomic<uint64_t> submit_rr_{0};
 
   mutable std::mutex wait_mu_;
   dbase::LogHistogram compute_wait_us_;  // Guarded by wait_mu_.

@@ -826,8 +826,6 @@ std::string HttpFrontend::StatzJson() const {
       .Field("comm_queue_len", engine.comm_queue_len)
       .Field("compute_workers", engine.compute_workers)
       .Field("comm_workers", engine.comm_workers)
-      .Field("compute_steals", engine.compute_steals)
-      .Field("comm_steals", engine.comm_steals)
       .EndObject();
   json.BeginObject("dispatcher")
       .Field("invocations_started", dispatcher.invocations_started)

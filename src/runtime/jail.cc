@@ -8,6 +8,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include <linux/audit.h>
@@ -54,6 +55,104 @@ SandboxCapabilities ProbeCapabilities() {
   return caps;
 }
 
+// One allowlist entry. With `arg` set, a matching number is allowed only
+// when the low word of args[arg] passes `op` against `k` (or fails it, when
+// !allow_on_match); otherwise the number alone allows.
+struct JailRule {
+  uint32_t nr = 0;
+  int arg = -1;
+  uint16_t op = BPF_JEQ;
+  uint32_t k = 0;
+  bool allow_on_match = true;
+};
+
+// Appends instructions to a JailFilter. cBPF jumps only go forward, so a
+// branch to the shared ALLOW or KILL return at the end carries a
+// placeholder that Finish() turns into the offset once those are placed
+// (no filter of kMaxInsns jumps 254 or more).
+class FilterEmitter {
+ public:
+  static constexpr uint8_t kNext = 0;
+  static constexpr uint8_t kAllow = 0xFF;
+  static constexpr uint8_t kKill = 0xFE;
+
+  explicit FilterEmitter(JailFilter* filter) : filter_(filter) { filter_->len = 0; }
+
+  void Load(uint32_t offset) { Put(BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offset)); }
+
+  // Returns the jump's index, for LandTrueHere.
+  size_t Jump(uint16_t op, uint32_t k, uint8_t on_true, uint8_t on_false) {
+    return Put(BPF_JUMP(BPF_JMP | op | BPF_K, k, on_true, on_false));
+  }
+
+  // Aims jump `at`'s true branch at the next instruction emitted.
+  void LandTrueHere(size_t at) {
+    filter_->insns[at].jt = static_cast<uint8_t>(filter_->len - at - 1);
+  }
+
+  // Places the shared returns and resolves the placeholders; an overflowed
+  // build leaves len 0, which the kernel refuses.
+  void Finish() {
+    const size_t allow = Put(BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW));
+    const size_t kill = Put(BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS));
+    if (overflow_) {
+      filter_->len = 0;
+      return;
+    }
+    for (size_t i = 0; i < filter_->len; ++i) {
+      sock_filter& insn = filter_->insns[i];
+      if (BPF_CLASS(insn.code) != BPF_JMP) {
+        continue;
+      }
+      for (uint8_t* branch : {&insn.jt, &insn.jf}) {
+        if (*branch == kAllow || *branch == kKill) {
+          *branch = static_cast<uint8_t>((*branch == kAllow ? allow : kill) - i - 1);
+        }
+      }
+    }
+  }
+
+ private:
+  size_t Put(sock_filter insn) {
+    if (filter_->len >= JailFilter::kMaxInsns) {
+      overflow_ = true;
+      return 0;
+    }
+    filter_->insns[filter_->len] = insn;
+    return filter_->len++;
+  }
+
+  JailFilter* filter_;
+  bool overflow_ = false;
+};
+
+// A leaf: the number's exact match, then its argument gate if it has one.
+void EmitRule(FilterEmitter& emit, const JailRule& rule) {
+  if (rule.arg < 0) {
+    emit.Jump(BPF_JEQ, rule.nr, FilterEmitter::kAllow, FilterEmitter::kKill);
+    return;
+  }
+  emit.Jump(BPF_JEQ, rule.nr, FilterEmitter::kNext, FilterEmitter::kKill);
+  emit.Load(kArgOffset(rule.arg));
+  emit.Jump(rule.op, rule.k, rule.allow_on_match ? FilterEmitter::kAllow : FilterEmitter::kKill,
+            rule.allow_on_match ? FilterEmitter::kKill : FilterEmitter::kAllow);
+}
+
+// Binary search over rules sorted by number: nr >= the middle rule's number
+// jumps to the upper half, anything else falls into the lower half.
+void EmitTree(FilterEmitter& emit, const JailRule* rules, size_t count) {
+  if (count == 1) {
+    EmitRule(emit, rules[0]);
+    return;
+  }
+  const size_t half = count / 2;
+  const size_t split =
+      emit.Jump(BPF_JGE, rules[half].nr, FilterEmitter::kNext, FilterEmitter::kNext);
+  EmitTree(emit, rules, half);
+  emit.LandTrueHere(split);
+  EmitTree(emit, rules + half, count - half);
+}
+
 }  // namespace
 
 const SandboxCapabilities& SandboxCapabilities::Get() {
@@ -66,101 +165,61 @@ void SetSyscallJailEnabled(bool enabled) {
   g_jail_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-int InstallSyscallJail(const JailOptions& options) {
-  if (kAuditArch == 0) return -ENOSYS;
-
-  // Hand-rolled classic-BPF allowlist. Layout:
-  //   [arch check] [load nr]
-  //   [plain-allowed syscalls: JEQ -> ALLOW]
-  //   [read: fd must be the go channel]
-  //   [write: fd must be stderr]
-  //   [mmap: must be MAP_ANONYMOUS (no file-backed mappings)]
-  //   [mprotect: PROT_EXEC must be clear]
-  //   [default: KILL_PROCESS]
-  //
+JailFilter BuildJailFilter(int allow_read_fd) {
   // The allowlist is the *completion set* of a pure Dandelion function:
   // its outcome channel is the MAP_SHARED context (plain stores, no
   // syscall), so beyond memory management, futex (malloc/stdlib internals),
   // clock reads, scheduling yields, and exit, nothing is needed.
-  sock_filter filter[64];
-  int n = 0;
-  auto stmt = [&](uint16_t code, uint32_t k) { filter[n++] = BPF_STMT(code, k); };
-  auto jump = [&](uint16_t code, uint32_t k, uint8_t jt, uint8_t jf) {
-    filter[n++] = BPF_JUMP(code, k, jt, jf);
-  };
-  auto allow_if_nr = [&](long nr) {
-    // if (nr == k) return ALLOW;
-    jump(BPF_JMP | BPF_JEQ | BPF_K, static_cast<uint32_t>(nr), 0, 1);
-    stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
-  };
-
-  // Kill outright if the syscall ABI is not the one we compiled the
-  // numbers for (e.g. a 32-bit compat syscall smuggling a different table).
-  stmt(BPF_LD | BPF_W | BPF_ABS, kArchOffset);
-  jump(BPF_JMP | BPF_JEQ | BPF_K, kAuditArch, 1, 0);
-  stmt(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS);
-
-  stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
-  allow_if_nr(SYS_exit);
-  allow_if_nr(SYS_exit_group);
-  allow_if_nr(SYS_rt_sigreturn);
-  allow_if_nr(SYS_brk);
-  allow_if_nr(SYS_munmap);
-  allow_if_nr(SYS_mremap);
-  allow_if_nr(SYS_madvise);
-  allow_if_nr(SYS_futex);
-  allow_if_nr(SYS_sched_yield);
-  allow_if_nr(SYS_clock_gettime);
-  allow_if_nr(SYS_clock_nanosleep);
-  allow_if_nr(SYS_nanosleep);
-  allow_if_nr(SYS_gettimeofday);
-  allow_if_nr(SYS_restart_syscall);
-  allow_if_nr(SYS_membarrier);
-  allow_if_nr(SYS_getrandom);  // glibc hardening reads randomness lazily.
-
-  // Argument-gated blocks share a shape: on syscall-number mismatch skip
-  // the block; on argument mismatch jump to the trailing "reload nr"
-  // instruction and fall through the remaining checks to the default KILL.
-  // read(fd, ...): only the go channel a pooled template parks on.
-  if (options.allow_read_fd >= 0) {
-    jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_read, 0, 3);
-    stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(0));  // low word of args[0]
-    jump(BPF_JMP | BPF_JEQ | BPF_K, static_cast<uint32_t>(options.allow_read_fd), 0, 1);
-    stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
-    stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);  // reload nr for later checks
+  JailRule rules[24];
+  size_t count = 0;
+  for (long nr : {SYS_exit, SYS_exit_group, SYS_rt_sigreturn, SYS_brk, SYS_munmap, SYS_mremap,
+                  SYS_madvise, SYS_futex, SYS_sched_yield, SYS_clock_gettime, SYS_clock_nanosleep,
+                  SYS_nanosleep, SYS_gettimeofday, SYS_restart_syscall, SYS_membarrier,
+                  SYS_getrandom}) {  // getrandom: glibc hardening reads randomness lazily.
+    rules[count++] = {.nr = static_cast<uint32_t>(nr)};
   }
-
+  // read(fd, ...): only the go channel a pooled template parks on.
+  if (allow_read_fd >= 0) {
+    rules[count++] = {.nr = SYS_read, .arg = 0, .op = BPF_JEQ,
+                      .k = static_cast<uint32_t>(allow_read_fd)};
+  }
   // write(fd, ...): stderr only, so assertion text from a dying child still
   // reaches the operator. Everything else (the context outcome) is stores.
-  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_write, 0, 3);
-  stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(0));
-  jump(BPF_JMP | BPF_JEQ | BPF_K, STDERR_FILENO, 0, 1);
-  stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
-  stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
-
+  rules[count++] = {.nr = SYS_write, .arg = 0, .op = BPF_JEQ, .k = STDERR_FILENO};
   // mmap: anonymous memory only — a function may grow its heap, not map
   // files. flags is args[3]; MAP_ANONYMOUS fits in the low word.
-  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mmap, 0, 3);
-  stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(3));
-  jump(BPF_JMP | BPF_JSET | BPF_K, MAP_ANONYMOUS, 0, 1);
-  stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
-  stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
-
+  rules[count++] = {.nr = SYS_mmap, .arg = 3, .op = BPF_JSET, .k = MAP_ANONYMOUS};
   // mprotect: glibc grows a thread's malloc arena by turning reserved
   // PROT_NONE pages read-write, and a forked child allocates from the arena
   // of the engine thread that forked it. Making memory executable stays
   // forbidden. prot is args[2].
-  jump(BPF_JMP | BPF_JEQ | BPF_K, SYS_mprotect, 0, 3);
-  stmt(BPF_LD | BPF_W | BPF_ABS, kArgOffset(2));
-  jump(BPF_JMP | BPF_JSET | BPF_K, PROT_EXEC, 1, 0);
-  stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW);
-  stmt(BPF_LD | BPF_W | BPF_ABS, kNrOffset);
+  rules[count++] = {.nr = SYS_mprotect, .arg = 2, .op = BPF_JSET, .k = PROT_EXEC,
+                    .allow_on_match = false};
+  std::sort(rules, rules + count,
+            [](const JailRule& a, const JailRule& b) { return a.nr < b.nr; });
 
-  stmt(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS);
+  JailFilter filter;
+  FilterEmitter emit(&filter);
+  // Kill outright if the syscall ABI is not the one we compiled the
+  // numbers for (e.g. a 32-bit compat syscall smuggling a different table).
+  emit.Load(kArchOffset);
+  emit.Jump(BPF_JEQ, kAuditArch, FilterEmitter::kNext, FilterEmitter::kKill);
+  emit.Load(kNrOffset);
+  EmitTree(emit, rules, count);
+  emit.Finish();
+  return filter;
+}
 
+const JailFilter& ColdJailFilter() {
+  static const JailFilter filter = BuildJailFilter(-1);
+  return filter;
+}
+
+int InstallSyscallJail(const JailFilter& filter) {
+  if (kAuditArch == 0) return -ENOSYS;
   sock_fprog prog;
-  prog.len = static_cast<unsigned short>(n);
-  prog.filter = filter;
+  prog.len = filter.len;
+  prog.filter = const_cast<sock_filter*>(filter.insns);
 
   // Mandatory before installing a filter without CAP_SYS_ADMIN, and the
   // right call regardless: the child must never gain privileges.

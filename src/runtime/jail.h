@@ -10,6 +10,9 @@
 #ifndef SRC_RUNTIME_JAIL_H_
 #define SRC_RUNTIME_JAIL_H_
 
+#include <linux/filter.h>
+
+#include <cstddef>
 #include <string>
 
 namespace dandelion {
@@ -30,19 +33,34 @@ struct SandboxCapabilities {
 bool SyscallJailEnabled();
 void SetSyscallJailEnabled(bool enabled);
 
-struct JailOptions {
-  // Pooled template children park on a go-channel read; the filter permits
-  // read(2) only on this fd. -1 forbids read entirely (cold children have
-  // no channel to wait on).
-  int allow_read_fd = -1;
+// The jail's classic-BPF program. It is built in the parent, before fork,
+// so a child only installs it.
+struct JailFilter {
+  static constexpr size_t kMaxInsns = 64;
+  sock_filter insns[kMaxInsns] = {};
+  unsigned short len = 0;  // 0 when the build overflowed: installing fails.
 };
 
-// Installs the filter in the calling (child) process. Async-signal-safe:
-// no allocation, no locks — callable between fork and exec^W the function
-// body. Returns 0 on success, -errno on failure. Callers must have decided
-// *before* forking whether to install (capability + enabled flag), so the
-// child never touches lazily-initialised state.
-int InstallSyscallJail(const JailOptions& options);
+// After the arch check, a balanced binary search over the sorted allowlist
+// whose leaves are exact syscall-number matches; the read/write/mmap/
+// mprotect leaves go on to their argument gate. Any number resolves in a
+// few jumps, which keeps the kernel's per-number allow-cache walk at
+// attach short, and a number not on the list always reaches KILL. A
+// pooled template child parks on a go-channel read, so read(2) is allowed
+// on `allow_read_fd` only; -1 forbids read (a cold child has no channel).
+JailFilter BuildJailFilter(int allow_read_fd);
+
+// The filter of a cold child (no go channel), built once per process. The
+// first call must come from the parent.
+const JailFilter& ColdJailFilter();
+
+// Installs `filter` in the calling (child) process. Async-signal-safe: no
+// allocation, no locks — callable between fork and the function body.
+// Returns 0 on success, -errno on failure. Callers must have decided
+// *before* forking whether to install (capability + enabled flag) and
+// built the filter there, so the child never touches lazily-initialised
+// state.
+int InstallSyscallJail(const JailFilter& filter);
 
 }  // namespace dandelion
 

@@ -276,8 +276,7 @@ void* volatile probe_sink = nullptr;
 // that is the child's *only* channel. Any syscall outside the completion set
 // kills it with SIGSYS, which the parent decodes as kJailKill.
 [[noreturn]] void RunChild(const dfunc::FunctionSpec& spec, MemoryContext& context,
-                           const ChildPlan& plan, int park_fd) {
-  JailOptions jail;
+                           const ChildPlan& plan, int park_fd, const JailFilter* jail) {
   if (park_fd >= 0) {
     // Fork-safety probe (DESIGN.md): exercise the allocator the body will
     // need, then ack. A child that inherited a held malloc lock wedges right
@@ -288,12 +287,11 @@ void* volatile probe_sink = nullptr;
     free(probe);
     const char ack = 'a';
     (void)RetryOnEintr([&] { return send(park_fd, &ack, 1, MSG_NOSIGNAL); });
-    // Confinement starts after the ack (the probe needs the allocator's
-    // full freedom) and before the park, so the whole parked lifetime is
-    // jailed; its only read is the go byte.
-    jail.allow_read_fd = park_fd;
   }
-  if (plan.install_jail && InstallSyscallJail(jail) != 0) {
+  // Confinement starts after a parked child's ack (the probe needs the
+  // allocator's full freedom) and before the park, so the whole parked
+  // lifetime is jailed; its only read is the go byte.
+  if (jail != nullptr && InstallSyscallJail(*jail) != 0) {
     _exit(125);  // Jail refused to install: fail closed, never run unjailed.
   }
   if (park_fd >= 0) {
@@ -466,12 +464,24 @@ SandboxChild ForkSandboxChild(const dfunc::FunctionSpec& spec, MemoryContext& co
     return child;
   }
   const ChildPlan plan = SampleChildPlan();
+  // The jail is built here, before fork: a cold child's once per process,
+  // a parked child's, which names its go channel, once per arm.
+  JailFilter parked_jail;
+  const JailFilter* jail = nullptr;
+  if (plan.install_jail) {
+    if (park) {
+      parked_jail = BuildJailFilter(channel[0]);
+      jail = &parked_jail;
+    } else {
+      jail = &ColdJailFilter();
+    }
+  }
   child.pid = fork();
   if (child.pid == 0) {
     if (park) {
       close(channel[1]);
     }
-    RunChild(spec, context, plan, channel[0]);
+    RunChild(spec, context, plan, channel[0], jail);
   }
   if (!park) {
     return child;

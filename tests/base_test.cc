@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "src/base/log.h"
 #include "src/base/queue.h"
 #include "src/base/rng.h"
-#include "src/base/sharded_queue.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/string_util.h"
@@ -378,204 +378,158 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumers) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-// ----------------------------------------------------------- Sharded queue
-
-TEST(ShardedTaskQueueTest, LocalFifoOrderPerShard) {
-  ShardedTaskQueue<int> queue(2);
-  EXPECT_EQ(queue.shard_count(), 2u);
-  queue.PushToShard(0, 1);
-  queue.PushToShard(0, 2);
-  queue.PushToShard(1, 3);
-  EXPECT_EQ(queue.TryPopLocal(0).value(), 1);
-  EXPECT_EQ(queue.TryPopLocal(0).value(), 2);
-  EXPECT_FALSE(queue.TryPopLocal(0).has_value());
-  EXPECT_EQ(queue.TryPopLocal(1).value(), 3);
-}
-
-TEST(ShardedTaskQueueTest, RoundRobinPushSpreadsShards) {
-  ShardedTaskQueue<int> queue(4);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(queue.Push(i));
+TEST(MpmcQueueTest, UrgentLanePopsFirst) {
+  MpmcQueue<int> queue;
+  queue.Push(1);
+  queue.Push(2);
+  queue.Push(10, /*urgent=*/true);
+  ASSERT_TRUE(queue.PushBatch({11, 12}, /*urgent=*/true));
+  EXPECT_EQ(queue.UrgentSize(), 3u);
+  EXPECT_EQ(queue.Size(), 5u);
+  for (int expected : {10, 11, 12, 1, 2}) {
+    EXPECT_EQ(queue.TryPop().value(), expected);
   }
-  for (size_t s = 0; s < queue.shard_count(); ++s) {
-    EXPECT_EQ(queue.ShardSize(s), 2u);
-  }
-  EXPECT_EQ(queue.Size(), 8u);
+  EXPECT_EQ(queue.UrgentSize(), 0u);
 }
 
-TEST(ShardedTaskQueueTest, StealTakesOldestFromSibling) {
-  ShardedTaskQueue<int> queue(3);
-  queue.PushToShard(2, 7);
-  queue.PushToShard(2, 8);
-  EXPECT_FALSE(queue.TryPopLocal(0).has_value());
-  EXPECT_EQ(queue.TrySteal(0).value(), 7);
-  EXPECT_EQ(queue.total_stolen(), 1u);
-  EXPECT_EQ(queue.total_popped(), 1u);  // A steal counts as a pop.
-  EXPECT_EQ(queue.TryPop(0).value(), 8);
-}
-
-TEST(ShardedTaskQueueTest, PushBatchLandsOnOneShard) {
-  ShardedTaskQueue<int> queue(4);
-  EXPECT_TRUE(queue.PushBatch({1, 2, 3, 4, 5}, 2));
-  EXPECT_EQ(queue.ShardSize(2), 5u);
+TEST(MpmcQueueTest, PushBatchCountsEveryItem) {
+  MpmcQueue<int> queue;
+  EXPECT_TRUE(queue.PushBatch({1, 2, 3, 4, 5}));
+  EXPECT_TRUE(queue.PushBatch({}));
+  EXPECT_EQ(queue.Size(), 5u);
   EXPECT_EQ(queue.total_pushed(), 5u);  // Every batched item is one push.
-  EXPECT_EQ(queue.TryPopLocal(2).value(), 1);
+  EXPECT_EQ(queue.TryPop().value(), 1);
+  EXPECT_EQ(queue.total_popped(), 1u);
 }
 
-TEST(ShardedTaskQueueTest, PopWithTimeoutStealsBeforeSleeping) {
-  ShardedTaskQueue<int> queue(2);
-  queue.PushToShard(1, 42);
-  const Stopwatch watch;
-  EXPECT_EQ(queue.PopWithTimeout(0, 100000).value(), 42);
-  EXPECT_LT(watch.ElapsedMicros(), 50000);
-  EXPECT_EQ(queue.total_stolen(), 1u);
-}
-
-TEST(ShardedTaskQueueTest, SiblingBatchWakesBlockedWaiter) {
-  // A worker parked in PopWithTimeout on its empty shard is woken by a
-  // batch landing on a sibling shard and steals from it, well before its
-  // timeout elapses. The wake is made under the sibling's lock, so it is
-  // never lost: every attempt must wake fast.
-  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    ShardedTaskQueue<int> queue(2);
-    std::optional<int> got;
-    Stopwatch watch;
-    std::thread waiter([&] { got = queue.PopWithTimeout(0, kTimeout); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ASSERT_TRUE(queue.PushBatch({7, 8}, 1));
-    waiter.join();
-    EXPECT_LT(watch.ElapsedMicros(), kTimeout / 2) << "attempt " << attempt;
-    ASSERT_TRUE(got.has_value()) << "attempt " << attempt;
-    EXPECT_EQ(*got, 7);  // A steal takes the sibling's oldest item.
+TEST(MpmcQueueTest, PushBatchWakesAWaiterPerItem) {
+  // Three workers parked without a timeout each take one item of a
+  // three-item batch: the batch's one crossing wakes all of them.
+  constexpr int kWaiters = 3;
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    MpmcQueue<int> queue;
+    std::atomic<int> started{0};
+    std::atomic<int> got{0};
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < kWaiters; ++w) {
+      waiters.emplace_back([&] {
+        started.fetch_add(1);
+        if (queue.Pop().has_value()) {
+          got.fetch_add(1);
+          while (!queue.closed()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));  // Hold the worker.
+          }
+        }
+      });
+    }
+    while (started.load() < kWaiters) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(queue.PushBatch({1, 2, 3}));
+    const Stopwatch watch;
+    while (got.load() < kWaiters && watch.ElapsedMicros() < kMicrosPerSecond) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(got.load(), kWaiters) << "attempt " << attempt;
+    queue.Close();
+    for (auto& waiter : waiters) {
+      waiter.join();
+    }
   }
 }
 
-TEST(ShardedTaskQueueTest, WakeEndsTheWaitWithoutTakingWork) {
-  // Wake() tells a parked worker that its role changed: the wait ends at
-  // once and takes nothing, so a sibling's item stays for a worker that
-  // still holds the role. A wake made while nobody waits is kept.
+TEST(MpmcQueueTest, WakeEndsAWaitWhoseStopHoldsWithoutTakingWork) {
+  // A worker whose role shifted must leave its old role's queue at once
+  // and take nothing from it.
   constexpr Micros kTimeout = 2 * kMicrosPerSecond;
-  ShardedTaskQueue<int> queue(2);
+  MpmcQueue<int> queue;
+  std::atomic<bool> shifted{false};
+  const auto stop = [&] { return shifted.load(); };
   std::optional<int> got;
   const Stopwatch watch;
-  std::thread waiter([&] { got = queue.PopWithTimeout(0, kTimeout); });
+  std::thread waiter([&] { got = queue.Pop(stop, kTimeout); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(queue.PushToShard(1, 7));  // Wakes only shard 1's waiter.
-  queue.Wake(0);
+  shifted.store(true);
+  queue.Wake();
   waiter.join();
   EXPECT_LT(watch.ElapsedMicros(), kTimeout / 2);
   EXPECT_FALSE(got.has_value());
-  EXPECT_EQ(queue.ShardSize(1), 1u);
 
-  EXPECT_EQ(queue.TryPop(1).value(), 7);
-  queue.Wake(0);
-  const Stopwatch early;
-  EXPECT_FALSE(queue.PopWithTimeout(0, kTimeout).has_value());
-  EXPECT_LT(early.ElapsedMicros(), kTimeout / 2);
+  queue.Push(7);
+  EXPECT_FALSE(queue.Pop(stop).has_value());  // Returns at once, takes nothing.
+  EXPECT_EQ(queue.Size(), 1u);
 }
 
-TEST(ShardedTaskQueueTest, ApproxShardSizeTracksOperations) {
-  ShardedTaskQueue<int> queue(3);
-  EXPECT_EQ(queue.ApproxShardSize(0), 0u);
-  queue.PushToShard(0, 1);
-  queue.PushBatch({2, 3}, 0);
-  EXPECT_EQ(queue.ApproxShardSize(0), 3u);
-  (void)queue.TryPopLocal(0);
-  EXPECT_EQ(queue.ApproxShardSize(0), 2u);
-  (void)queue.TrySteal(1);  // Steals from shard 0.
-  EXPECT_EQ(queue.ApproxShardSize(0), 1u);
-  queue.RehomeShard(0, {2});
-  EXPECT_EQ(queue.ApproxShardSize(0), 0u);
-  EXPECT_EQ(queue.ApproxShardSize(2), 1u);
-  EXPECT_EQ(queue.Size(), 1u);  // No residue left in flight after rehome.
+TEST(MpmcQueueTest, WakeBeforeTheWaitIsNotLost) {
+  // The shift can land between the worker reading its role and starting
+  // to wait: the wait must still end at once. Race the two many times.
+  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    MpmcQueue<int> queue;
+    std::atomic<bool> shifted{false};
+    std::optional<int> got = 0;
+    const Stopwatch watch;
+    std::thread waiter([&] { got = queue.Pop([&] { return shifted.load(); }, kTimeout); });
+    if (attempt % 2 == 0) {
+      std::this_thread::yield();
+    }
+    shifted.store(true);
+    queue.Wake();
+    waiter.join();
+    ASSERT_LT(watch.ElapsedMicros(), kTimeout / 2) << "attempt " << attempt;
+    EXPECT_FALSE(got.has_value());
+  }
 }
 
-TEST(ShardedTaskQueueTest, CloseDrainsThenEnds) {
-  ShardedTaskQueue<int> queue(2);
-  queue.PushToShard(0, 1);
+TEST(MpmcQueueTest, StoppedWaitPassesAPushWakeOn) {
+  // A push's one wake may land on a waiter whose stop holds but that has
+  // not been woken to see it; the item must still reach a live waiter.
+  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    MpmcQueue<int> queue;
+    std::atomic<bool> shifted{false};
+    std::optional<int> live;
+    std::thread leaving([&] { (void)queue.Pop([&] { return shifted.load(); }, kTimeout); });
+    std::thread staying([&] { live = queue.PopWithTimeout(kTimeout); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    shifted.store(true);  // No Wake(): the push below is the only wake.
+    const Stopwatch watch;
+    queue.Push(9);
+    staying.join();
+    EXPECT_LT(watch.ElapsedMicros(), kTimeout / 2) << "attempt " << attempt;
+    EXPECT_EQ(live, std::optional<int>(9)) << "attempt " << attempt;
+    queue.Wake();
+    leaving.join();
+  }
+}
+
+TEST(MpmcQueueTest, CloseWakesWaitersAndDrains) {
+  MpmcQueue<int> queue;
+  queue.Push(1, /*urgent=*/true);
+  queue.Push(2);
   queue.Close();
   EXPECT_TRUE(queue.closed());
-  EXPECT_FALSE(queue.Push(2));
-  EXPECT_FALSE(queue.PushBatch({3, 4}, 0));
-  EXPECT_EQ(queue.TryPopLocal(0).value(), 1);
-  EXPECT_FALSE(queue.PopWithTimeout(0, 1000).has_value());
+  EXPECT_FALSE(queue.PushBatch({3, 4}));
+  EXPECT_EQ(queue.total_pushed(), 2u);
+  EXPECT_EQ(queue.Pop().value(), 1);
+  EXPECT_EQ(queue.Pop().value(), 2);
+  EXPECT_FALSE(queue.Pop().has_value());
+
+  MpmcQueue<int> empty;
+  std::optional<int> got = 0;
+  std::thread waiter([&] { got = empty.Pop(); });  // No timeout.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  empty.Close();
+  waiter.join();
+  EXPECT_FALSE(got.has_value());
 }
 
-TEST(ShardedTaskQueueTest, RehomeMovesResidueWithoutCounting) {
-  ShardedTaskQueue<int> queue(4);
-  queue.PushToShard(0, 1);
-  queue.PushToShard(0, 2);
-  queue.PushToShard(0, 3);
-  EXPECT_EQ(queue.RehomeShard(0, {1, 2}), 3u);
-  EXPECT_EQ(queue.ShardSize(0), 0u);
-  EXPECT_EQ(queue.ShardSize(1) + queue.ShardSize(2), 3u);
-  // Re-homing is neither an arrival nor a departure.
-  EXPECT_EQ(queue.total_pushed(), 3u);
-  EXPECT_EQ(queue.total_popped(), 0u);
-}
-
-TEST(ShardedTaskQueueTest, RehomeWithNoTargetsLeavesItems) {
-  ShardedTaskQueue<int> queue(2);
-  queue.PushToShard(0, 1);
-  EXPECT_EQ(queue.RehomeShard(0, {}), 0u);
-  EXPECT_EQ(queue.RehomeShard(0, {0}), 0u);  // Self is not a target.
-  EXPECT_EQ(queue.ShardSize(0), 1u);
-}
-
-TEST(ShardedTaskQueueTest, CloseWhileStealingLosesNothing) {
-  // Stealer threads race Close(): every pushed item must surface exactly
-  // once and the counters must balance.
-  ShardedTaskQueue<int> queue(4);
-  constexpr int kItems = 4000;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> stealers;
-  for (size_t c = 0; c < 4; ++c) {
-    stealers.emplace_back([&queue, &sum, &consumed, c] {
-      while (true) {
-        auto v = queue.TryPop(c);  // Local pop, then steal.
-        if (v.has_value()) {
-          sum.fetch_add(*v);
-          consumed.fetch_add(1);
-          continue;
-        }
-        if (queue.closed()) {
-          // No pushes can land after close: a full scan (own shard plus
-          // every sibling) that starts after observing closed and finds
-          // nothing proves the queue is drained.
-          v = queue.TryPop(c);
-          if (!v.has_value()) {
-            return;
-          }
-          sum.fetch_add(*v);
-          consumed.fetch_add(1);
-          continue;
-        }
-        std::this_thread::yield();
-      }
-    });
-  }
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(queue.Push(i));
-  }
-  queue.Close();
-  for (auto& thread : stealers) {
-    thread.join();
-  }
-  EXPECT_EQ(consumed.load(), kItems);
-  const int64_t n = kItems;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-  EXPECT_EQ(queue.total_pushed(), static_cast<uint64_t>(kItems));
-  EXPECT_EQ(queue.total_popped(), static_cast<uint64_t>(kItems));
-  EXPECT_EQ(queue.Size(), 0u);
-}
-
-TEST(ShardedTaskQueueTest, CounterCoherenceUnderConcurrency) {
-  // Producers round-robin across shards while consumers pop-and-steal;
-  // aggregate pushed/popped (the PI controller's inputs) must agree with
-  // the ground truth even mid-flight: popped never exceeds pushed.
-  ShardedTaskQueue<int> queue(4);
+TEST(MpmcQueueTest, CounterCoherenceUnderConcurrency) {
+  // Producers push while consumers pop; pushed/popped (the PI
+  // controller's inputs) must agree with the ground truth even mid-flight:
+  // popped never exceeds pushed.
+  MpmcQueue<int> queue;
   constexpr int kPerProducer = 2000;
   constexpr int kProducers = 3;
   std::vector<std::thread> threads;
@@ -584,7 +538,7 @@ TEST(ShardedTaskQueueTest, CounterCoherenceUnderConcurrency) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&queue] {
       for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.Push(i));
+        ASSERT_TRUE(queue.Push(i, /*urgent=*/i % 3 == 0));
       }
     });
   }
@@ -596,10 +550,10 @@ TEST(ShardedTaskQueueTest, CounterCoherenceUnderConcurrency) {
       std::this_thread::yield();
     }
   });
-  for (size_t c = 0; c < 3; ++c) {
-    threads.emplace_back([&queue, &consumed, &done, c] {
+  for (int c = 0; c < 3; ++c) {
+    threads.emplace_back([&queue, &consumed, &done] {
       while (consumed.load() < kProducers * kPerProducer && !done.load()) {
-        if (queue.TryPop(c).has_value()) {
+        if (queue.TryPop().has_value()) {
           consumed.fetch_add(1);
         }
       }

@@ -908,8 +908,6 @@ const std::vector<std::string> kStatzSchema = {
     "engine.comm_queue_len:number",
     "engine.compute_workers:number",
     "engine.comm_workers:number",
-    "engine.compute_steals:number",
-    "engine.comm_steals:number",
     "dispatcher:object",
     "dispatcher.invocations_started:number",
     "dispatcher.invocations_completed:number",

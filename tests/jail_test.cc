@@ -9,12 +9,18 @@
 // that the unconfined path still executes correctly.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <linux/audit.h>
+#include <linux/seccomp.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +101,115 @@ TEST_F(JailTest, CapabilityProbeIsStableAndDescriptive) {
   // The probe is cached: a second read observes the identical answer.
   EXPECT_EQ(&caps, &SandboxCapabilities::Get());
   EXPECT_EQ(caps.seccomp_filter, SandboxCapabilities::Get().seccomp_filter);
+}
+
+// ------------------------------------------------------- Filter verdicts
+
+// The verdict a filter returns and the jumps it took to get there.
+struct Verdict {
+  uint32_t action = 0;
+  int jumps = 0;
+};
+
+// A classic-BPF evaluator for what the jail emits: 32-bit absolute loads
+// from seccomp_data, K-operand jumps and K returns.
+Verdict Evaluate(const dandelion::JailFilter& filter, const seccomp_data& data) {
+  Verdict verdict;
+  uint32_t acc = 0;
+  for (size_t pc = 0; pc < filter.len; ++pc) {
+    const sock_filter& insn = filter.insns[pc];
+    if (insn.code == (BPF_LD | BPF_W | BPF_ABS)) {
+      EXPECT_LE(insn.k + sizeof(acc), sizeof(data));
+      std::memcpy(&acc, reinterpret_cast<const char*>(&data) + insn.k, sizeof(acc));
+    } else if (insn.code == (BPF_RET | BPF_K)) {
+      verdict.action = insn.k;
+      return verdict;
+    } else if (BPF_CLASS(insn.code) == BPF_JMP && BPF_SRC(insn.code) == BPF_K) {
+      ++verdict.jumps;
+      bool taken = false;
+      switch (BPF_OP(insn.code)) {
+        case BPF_JEQ: taken = acc == insn.k; break;
+        case BPF_JGE: taken = acc >= insn.k; break;
+        case BPF_JGT: taken = acc > insn.k; break;
+        case BPF_JSET: taken = (acc & insn.k) != 0; break;
+        default: ADD_FAILURE() << "unexpected jump " << insn.code; return verdict;
+      }
+      pc += taken ? insn.jt : insn.jf;
+    } else {
+      ADD_FAILURE() << "unexpected opcode " << insn.code << " at " << pc;
+      return verdict;
+    }
+  }
+  ADD_FAILURE() << "filter ran off its end";
+  return verdict;
+}
+
+// For every syscall number 0-511, and for both sides of each argument gate,
+// the built filter's verdict matches the allowlist, and no number takes
+// more than a balanced tree's jumps to resolve.
+TEST(JailFilterTest, VerdictMatchesTheAllowlistForEveryNumber) {
+#if defined(__x86_64__)
+  constexpr uint32_t kArch = AUDIT_ARCH_X86_64;
+#elif defined(__aarch64__)
+  constexpr uint32_t kArch = AUDIT_ARCH_AARCH64;
+#else
+  GTEST_SKIP() << "the jail does not support this architecture";
+  constexpr uint32_t kArch = 0;
+#endif
+  const std::set<long> plain = {
+      SYS_exit,          SYS_exit_group,  SYS_rt_sigreturn,  SYS_brk,        SYS_munmap,
+      SYS_mremap,        SYS_madvise,     SYS_futex,         SYS_sched_yield, SYS_clock_gettime,
+      SYS_clock_nanosleep, SYS_nanosleep, SYS_gettimeofday,  SYS_restart_syscall,
+      SYS_membarrier,    SYS_getrandom};
+  const std::set<long> gated = {SYS_read, SYS_write, SYS_mmap, SYS_mprotect};
+  constexpr int kGoFd = 7;
+  for (int read_fd : {-1, kGoFd}) {
+    const dandelion::JailFilter filter = dandelion::BuildJailFilter(read_fd);
+    ASSERT_GT(filter.len, 0u);
+    int max_jumps = 0;
+    for (uint32_t nr = 0; nr < 512; ++nr) {
+      // Arguments that pass every gate, and arguments that fail every gate.
+      seccomp_data pass{};
+      pass.arch = kArch;
+      pass.nr = static_cast<int>(nr);
+      pass.args[0] = nr == SYS_read ? kGoFd : STDERR_FILENO;
+      pass.args[2] = PROT_READ | PROT_WRITE;
+      pass.args[3] = MAP_PRIVATE | MAP_ANONYMOUS;
+      seccomp_data fail = pass;
+      fail.args[0] = 3;
+      fail.args[2] = PROT_READ | PROT_EXEC;
+      fail.args[3] = MAP_PRIVATE;
+
+      const bool is_plain = plain.count(nr) > 0;
+      const bool passes_gate = gated.count(nr) > 0 && (nr != SYS_read || read_fd >= 0);
+      const Verdict on_pass = Evaluate(filter, pass);
+      const Verdict on_fail = Evaluate(filter, fail);
+      EXPECT_EQ(on_pass.action, is_plain || passes_gate ? SECCOMP_RET_ALLOW
+                                                        : SECCOMP_RET_KILL_PROCESS)
+          << "nr " << nr << " read_fd " << read_fd;
+      EXPECT_EQ(on_fail.action, is_plain ? SECCOMP_RET_ALLOW : SECCOMP_RET_KILL_PROCESS)
+          << "nr " << nr << " read_fd " << read_fd;
+      max_jumps = std::max({max_jumps, on_pass.jumps, on_fail.jumps});
+    }
+    // Arch check, five tree levels over at most 20 rules, the exact match
+    // and one argument gate; the old linear chain took up to 40.
+    EXPECT_LE(max_jumps, 8) << "read_fd " << read_fd;
+
+    seccomp_data foreign{};
+    foreign.arch = kArch ^ 1;  // Any other ABI is killed before its number is read.
+    foreign.nr = SYS_exit;
+    EXPECT_EQ(Evaluate(filter, foreign).action, SECCOMP_RET_KILL_PROCESS);
+    seccomp_data high{};
+    high.arch = kArch;
+    high.nr = 0x40000000 | SYS_exit;  // x32 numbering on x86_64.
+    EXPECT_EQ(Evaluate(filter, high).action, SECCOMP_RET_KILL_PROCESS);
+  }
+  // The cold child's prebuilt filter is the no-channel build.
+  const dandelion::JailFilter cold = dandelion::BuildJailFilter(-1);
+  ASSERT_EQ(dandelion::ColdJailFilter().len, cold.len);
+  EXPECT_EQ(std::memcmp(dandelion::ColdJailFilter().insns, cold.insns,
+                        cold.len * sizeof(sock_filter)),
+            0);
 }
 
 // ------------------------------------------------------------- Jail kill

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -379,7 +380,7 @@ TEST_F(WorkerSetTest, RunsComputeTask) {
     outcome = std::move(result);
     latch.CountDown();
   };
-  ASSERT_TRUE(workers_->SubmitCompute(std::move(task)));
+  ASSERT_TRUE(workers_->SubmitComputeBatch({std::move(task)}));
   ASSERT_TRUE(latch.WaitFor(5 * dbase::kMicrosPerSecond));
   EXPECT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.outputs[0].items[0].data, "task");
@@ -433,14 +434,11 @@ TEST_F(WorkerSetTest, RoleShifting) {
 
 TEST_F(WorkerSetTest, SubmitAfterShutdownFails) {
   workers_->Shutdown();
-  EXPECT_FALSE(workers_->SubmitCompute(ComputeTask{}));
   EXPECT_FALSE(workers_->SubmitComputeBatch({ComputeTask{}}));
   EXPECT_FALSE(workers_->SubmitComm(CommTask{}));
 }
 
 TEST_F(WorkerSetTest, BatchSubmitRunsEveryTask) {
-  // 48 tasks crosses the chunking threshold (16 per chunk, 2 compute
-  // workers), so this also exercises the split-across-shards path.
   constexpr int kTasks = 48;
   dbase::Latch latch(kTasks);
   std::atomic<int> completed{0};
@@ -467,23 +465,14 @@ TEST_F(WorkerSetTest, BatchSubmitRunsEveryTask) {
   // The whole batch was one arrival burst; counters must balance.
   EXPECT_EQ(workers_->compute_pushed(), static_cast<uint64_t>(kTasks));
   EXPECT_EQ(workers_->compute_popped(), static_cast<uint64_t>(kTasks));
+  // One queue per role: nothing is ever stolen.
+  EXPECT_EQ(workers_->Stats().compute_steals, 0u);
+  EXPECT_EQ(workers_->Stats().comm_steals, 0u);
 }
 
-TEST_F(WorkerSetTest, StatsExposeShardDepthsAndSteals) {
-  const EngineStats stats = workers_->Stats();
-  ASSERT_EQ(stats.compute_shard_depths.size(), 3u);  // One shard per worker.
-  ASSERT_EQ(stats.comm_shard_depths.size(), 3u);
-  uint64_t total = 0;
-  for (uint64_t depth : stats.compute_shard_depths) {
-    total += depth;
-  }
-  EXPECT_EQ(total, stats.compute_queue_len);  // Aggregate = sum of shards.
-}
-
-TEST_F(WorkerSetTest, RoleShiftWithBackloggedShardLosesNoTask) {
-  // Flood the compute side so every compute shard has residue, then shift a
-  // compute worker to comm while the backlog is live: the departed shard's
-  // tasks must be re-homed or stolen, never stranded.
+TEST_F(WorkerSetTest, RoleShiftWithBacklogLosesNoTask) {
+  // Flood the compute queue, then shift a compute worker to comm while the
+  // backlog is live: the remaining compute worker must run every task.
   constexpr int kTasks = 64;
   dbase::Latch latch(kTasks);
   std::atomic<int> completed{0};
@@ -505,7 +494,7 @@ TEST_F(WorkerSetTest, RoleShiftWithBackloggedShardLosesNoTask) {
       }
       latch.CountDown();
     };
-    ASSERT_TRUE(workers_->SubmitCompute(std::move(task)));
+    ASSERT_TRUE(workers_->SubmitComputeBatch({std::move(task)}));
   }
   ASSERT_TRUE(workers_->ShiftWorkerToComm());  // 2 compute → 1, mid-backlog.
   EXPECT_EQ(workers_->compute_workers(), 1);
@@ -527,31 +516,46 @@ CommTask PostTo(const std::string& host, std::function<void()> on_done) {
   return task;
 }
 
-// voluntary_ctxt_switches of the one thread of this process named `name`,
-// or nullopt when none or several carry it.
-std::optional<uint64_t> VoluntarySwitches(const std::string& name) {
-  std::optional<uint64_t> found;
+// Voluntary context switches summed over this process's threads whose name
+// starts with `prefix`, and how many threads matched.
+struct SwitchCount {
+  int threads = 0;
+  uint64_t switches = 0;
+};
+SwitchCount VoluntarySwitches(const std::string& prefix) {
+  SwitchCount count;
   for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
     std::ifstream status(task.path() / "status");
     std::string line;
     bool named = false;
     while (std::getline(status, line)) {
       if (line.rfind("Name:", 0) == 0) {
-        named = line.substr(line.find_first_not_of(" \t", 5)) == name;
+        named = line.substr(line.find_first_not_of(" \t", 5)).rfind(prefix, 0) == 0;
       } else if (named && line.rfind("voluntary_ctxt_switches:", 0) == 0) {
-        if (found.has_value()) {
-          return std::nullopt;
-        }
-        found = std::stoull(line.substr(line.find(':') + 1));
+        ++count.threads;
+        count.switches += std::stoull(line.substr(line.find(':') + 1));
       }
     }
   }
-  return found;
+  return count;
 }
 
-// A comm worker holding one long call blocks until that call is due or the
-// idle tick passes; it does not wake in short polling slices meanwhile.
-TEST_F(WorkerSetTest, CommWorkerHoldingACallWakesOnTickOnly) {
+// Idle engine workers block on their role's queue with no timeout: nothing
+// wakes them until a task arrives, a role shifts or the queue closes.
+TEST_F(WorkerSetTest, IdleWorkersDoNotWake) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Let all three park.
+  const SwitchCount before = VoluntarySwitches("engine-");
+  ASSERT_EQ(before.threads, 3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const SwitchCount after = VoluntarySwitches("engine-");
+  ASSERT_EQ(after.threads, 3);
+  EXPECT_LE(after.switches - before.switches, 10u)
+      << "voluntary switches of 3 idle engine workers over 500 ms";
+}
+
+// A comm worker holding one long call sleeps until that call is due; it
+// does not wake on a tick or in polling slices meanwhile.
+TEST_F(WorkerSetTest, CommWorkerHoldingACallSleepsUntilItIsDue) {
   workers_.reset();  // Only this test's comm worker may be named engine-0.
   mesh_.Register("slow.internal", std::make_shared<dhttp::EchoService>(),
                  dhttp::LatencyModel{
@@ -567,14 +571,14 @@ TEST_F(WorkerSetTest, CommWorkerHoldingACallWakesOnTickOnly) {
   }
   ASSERT_EQ(workers.Stats().comm_inflight, 1u);
 
-  const std::optional<uint64_t> before = VoluntarySwitches("engine-0");
-  ASSERT_TRUE(before.has_value());
+  const SwitchCount before = VoluntarySwitches("engine-0");
+  ASSERT_EQ(before.threads, 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  const std::optional<uint64_t> after = VoluntarySwitches("engine-0");
-  ASSERT_TRUE(after.has_value());
+  const SwitchCount after = VoluntarySwitches("engine-0");
+  ASSERT_EQ(after.threads, 1);
   EXPECT_EQ(completed.load(), 0);
-  // One wake per 1 ms idle tick is ~200; polling in 200 µs slices is ~1000.
-  EXPECT_LT(*after - *before, 400u) << "voluntary switches of engine-0 over 200 ms";
+  // A 1 ms idle tick would read ~200; polling in 200 µs slices ~1000.
+  EXPECT_LE(after.switches - before.switches, 10u) << "voluntary switches of engine-0 over 200 ms";
 }
 
 // The green-thread budget is per comm worker: with a budget of one, the
@@ -641,7 +645,7 @@ TEST(ControlPlaneTest, ShiftsTowardBusyQueue) {
     };
     task.context = ctx;
     task.done = [&](ExecOutcome) { latch.CountDown(); };
-    ASSERT_TRUE(workers.SubmitCompute(std::move(task)));
+    ASSERT_TRUE(workers.SubmitComputeBatch({std::move(task)}));
   }
   auto decision = control.StepOnce();
   EXPECT_GT(decision.signals.compute_growth - decision.signals.comm_growth, 0.0);
@@ -705,6 +709,28 @@ TEST(PlatformTest, SingleFunctionComposition) {
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].name, "out");
   EXPECT_EQ((*result)[0].items[0].data, "ping");
+}
+
+// Engine workers run with 1 ns timer slack, so a held completion's timed
+// wait is not pushed late by the kernel's default 50 µs.
+TEST(PlatformTest, EngineWorkersRunWithMinimalTimerSlack) {
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform
+                  .RegisterFunction({.name = "slack",
+                                     .body = [](dfunc::FunctionCtx& ctx) {
+                                       ctx.EmitOutput("out", std::to_string(prctl(
+                                                                 PR_GET_TIMERSLACK, 0, 0, 0, 0)));
+                                       return dbase::OkStatus();
+                                     }})
+                  .ok());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Slack(in) => out { slack(in = all in) => (out = out); }")
+                  .ok());
+  auto result = platform.Invoke({"Slack", SingleArg("in", "x")});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ((*result)[0].items[0].data, "1");
 }
 
 TEST(PlatformTest, MatMulComposition) {
