@@ -1,10 +1,11 @@
 // Engineering microbenchmarks (google-benchmark) for the core primitives:
-// queues, data marshalling, memory contexts, DSL parsing, VFS, HTTP
-// parsing/sanitizing, matmul, image codecs, SSB operators, and the
+// queues, reactor timers, data marshalling, memory contexts, DSL parsing,
+// VFS, HTTP parsing/sanitizing, matmul, image codecs, SSB operators, and the
 // discrete-event simulator. Not a paper figure — regression tracking for
 // the substrate the figures are built on.
 #include <benchmark/benchmark.h>
 
+#include "src/base/event_loop.h"
 #include "src/base/queue.h"
 #include "src/dsl/graph.h"
 #include "src/dsl/parser.h"
@@ -48,6 +49,20 @@ void BM_MpmcQueueContended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpmcQueueContended)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
+
+// Arm and cancel one 120 s timer, a router's remote-invoke timeout that the
+// reply cancels, on a loop that has already armed and cancelled Arg of them.
+void BM_ReactorTimerArmCancel(benchmark::State& state) {
+  auto loop = dbase::EventLoop::Create();
+  constexpr dbase::Micros kDelay = 120 * dbase::kMicrosPerSecond;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    (*loop)->CancelTimer((*loop)->AddTimer(kDelay, [] {}));
+  }
+  for (auto _ : state) {
+    (*loop)->CancelTimer((*loop)->AddTimer(kDelay, [] {}));
+  }
+}
+BENCHMARK(BM_ReactorTimerArmCancel)->Arg(0)->Arg(100000);
 
 void BM_MarshalSets(benchmark::State& state) {
   dfunc::DataSetList sets;

@@ -136,11 +136,18 @@ EventLoop::TimerId EventLoop::AddTimer(Micros delay, std::function<void()> fn) {
 }
 
 void EventLoop::ArmTimer(TimerId id, Micros deadline, std::function<void()> fn) {
-  timers_[id] = Timer{deadline, std::move(fn)};
-  timer_heap_.push({deadline, id});
+  timers_.emplace(id, Timer{deadline, std::move(fn)});
+  timer_index_.emplace(deadline, id);
 }
 
-void EventLoop::CancelTimer(TimerId id) { timers_.erase(id); }
+void EventLoop::CancelTimer(TimerId id) {
+  auto it = timers_.find(id);
+  if (it == timers_.end()) {
+    return;
+  }
+  timer_index_.erase({it->second.deadline, id});
+  timers_.erase(it);
+}
 
 void EventLoop::ForgetTimer(TimerId id) {
   std::lock_guard<std::mutex> lock(posted_mu_);
@@ -156,7 +163,7 @@ void EventLoop::RunPosted() {
     forgotten.swap(forgotten_);
   }
   for (TimerId id : forgotten) {
-    timers_.erase(id);
+    CancelTimer(id);
   }
   for (auto& fn : batch) {
     fn();
@@ -164,13 +171,9 @@ void EventLoop::RunPosted() {
 }
 
 void EventLoop::RunDueTimers(Micros now) {
-  while (!timer_heap_.empty() && timer_heap_.top().first <= now) {
-    const TimerId id = timer_heap_.top().second;
-    timer_heap_.pop();
-    auto it = timers_.find(id);
-    if (it == timers_.end()) {
-      continue;  // Cancelled.
-    }
+  while (!timer_index_.empty() && timer_index_.begin()->first <= now) {
+    auto it = timers_.find(timer_index_.begin()->second);
+    timer_index_.erase(timer_index_.begin());
     std::function<void()> fn = std::move(it->second.fn);
     timers_.erase(it);
     fn();
@@ -178,10 +181,10 @@ void EventLoop::RunDueTimers(Micros now) {
 }
 
 int EventLoop::NextTimeoutMillis(Micros now) const {
-  if (timer_heap_.empty()) {
+  if (timer_index_.empty()) {
     return -1;
   }
-  const Micros remaining = timer_heap_.top().first - now;
+  const Micros remaining = timer_index_.begin()->first - now;
   if (remaining <= 0) {
     return 0;
   }

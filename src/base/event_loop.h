@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <set>
 #include <thread>
 #include <utility>
@@ -94,10 +93,9 @@ class EventLoop {
 
   // Files fn under an id taken from next_timer_id_; loop-thread-only.
   void ArmTimer(TimerId id, Micros deadline, std::function<void()> fn);
-  // Thread-safe CancelTimer that does not wake the loop: the entry goes at
-  // its next wakeup (at the latest the timer's own due time). Only for a
-  // timer whose callback can no longer run, so the delay frees memory late
-  // but changes nothing else.
+  // Thread-safe CancelTimer that does not wake the loop: the timer is
+  // erased at the loop's next wakeup and no longer sets the loop's wait
+  // after it. Only for a timer whose callback can no longer run.
   void ForgetTimer(TimerId id);
   void RunPosted();
   void RunDueTimers(Micros now);
@@ -117,10 +115,11 @@ class EventLoop {
     std::function<void()> fn;
   };
   std::map<TimerId, Timer> timers_;
-  // Min-heap of (deadline, id); stale entries (cancelled / re-armed ids)
-  // are skipped because the id is gone from timers_.
+  // (deadline, id) of exactly the timers in timers_, earliest first. Every
+  // path that drops a timer erases both entries, so the loop holds and
+  // waits for live timers only.
   using TimerKey = std::pair<Micros, TimerId>;
-  std::priority_queue<TimerKey, std::vector<TimerKey>, std::greater<TimerKey>> timer_heap_;
+  std::set<TimerKey> timer_index_;
   std::atomic<std::thread::id> loop_thread_id_{};
 
   // Cross-thread state.

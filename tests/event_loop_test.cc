@@ -1,19 +1,24 @@
 // Tests for dbase::EventLoop: fd readiness dispatch, cross-thread Post,
 // one-shot timers with cancellation (armed and cancelled from any thread
-// through a Scope), clean Stop semantics, and the lifetime contract of
-// EventLoop::Scope on the process reactor.
+// through a Scope, leaving nothing behind in the loop), clean Stop
+// semantics, and the lifetime contract of EventLoop::Scope on the process
+// reactor.
 #include "src/base/event_loop.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/epoll.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <ctime>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -398,6 +403,87 @@ TEST(EventLoopTest, FarFutureTimerDoesNotSpin) {
   scope.Close();
   loop->Stop();
   thread.Join();
+}
+
+// Voluntary context switches of this process's thread `tid` so far.
+uint64_t VoluntarySwitches(pid_t tid) {
+  std::ifstream status("/proc/self/task/" + std::to_string(tid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+      return std::stoull(line.substr(line.find(':') + 1));
+    }
+  }
+  ADD_FAILURE() << "no voluntary_ctxt_switches for thread " << tid;
+  return 0;
+}
+
+// Runs one closure on the loop and waits for it: everything posted or
+// forgotten before the call has been handled when it returns.
+void PostRoundTrip(EventLoop* loop) {
+  Latch done(1);
+  loop->Post([&done] { done.CountDown(); });
+  ASSERT_TRUE(done.WaitFor(5 * kMicrosPerSecond));
+}
+
+// A cancelled timer leaves the loop at once, from the loop thread or from
+// any other: the loop neither keeps it nor wakes for its due time.
+TEST(EventLoopTest, CancelledTimersDoNotWakeTheLoop) {
+  auto loop = MustCreate();
+  EventLoop::Scope scope(loop.get());
+  JoiningThread thread = RunningLoopThread(loop.get());
+  pid_t loop_tid = 0;
+  loop->Post([&loop_tid] { loop_tid = gettid(); });
+  PostRoundTrip(loop.get());
+
+  constexpr int kTimers = 200;
+  std::atomic<int> ran{0};
+  std::vector<EventLoop::TimerId> ids;
+  for (int i = 0; i < kTimers; ++i) {
+    ids.push_back(scope.AddTimer((1 + i % 50) * kMicrosPerMilli, [&ran] { ran.fetch_add(1); }));
+  }
+  // Half on the loop thread, half from this one.
+  loop->Post([&] {
+    for (int i = 0; i < kTimers; i += 2) {
+      scope.CancelTimer(ids[i]);
+    }
+  });
+  for (int i = 1; i < kTimers; i += 2) {
+    scope.CancelTimer(ids[i]);
+  }
+  PostRoundTrip(loop.get());
+
+  const uint64_t before = VoluntarySwitches(loop_tid);
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  const uint64_t after = VoluntarySwitches(loop_tid);
+  EXPECT_LE(after - before, 2u) << "voluntary switches of an idle loop over 80 ms";
+  EXPECT_EQ(ran.load(), 0);
+  scope.Close();
+  loop->Stop();
+  thread.Join();
+}
+
+// Malloc'd bytes in use, small-chunk and mmapped together.
+size_t MallocInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// Arming and cancelling a timer leaves no trace in the loop, however far
+// out it was due: a router cancels almost every 120 s remote-invoke timeout.
+TEST(EventLoopTest, ArmAndCancelLeavesNoResidue) {
+  auto loop = MustCreate();
+  EventLoop::Scope scope(loop.get());
+  constexpr int kTimersPerDelay = 200000;
+  const size_t before = MallocInUse();
+  for (const Micros delay : {120 * kMicrosPerSecond, std::numeric_limits<Micros>::max()}) {
+    for (int i = 0; i < kTimersPerDelay; ++i) {
+      scope.CancelTimer(scope.AddTimer(delay, [] {}));
+    }
+  }
+  const size_t after = MallocInUse();
+  EXPECT_LT(after > before ? after - before : 0, size_t{512} * 1024)
+      << "malloc in-use growth after arming and cancelling " << 2 * kTimersPerDelay << " timers";
 }
 
 }  // namespace
