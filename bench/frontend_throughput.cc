@@ -400,12 +400,7 @@ int main() {
   double speedup_at_32 = 0;
 
   dandelion::Platform platform(BenchPlatformConfig());
-  // A no-op composition models no binary: the throughput comparison
-  // measures the stacks, not the Table-1 binary-load model (every stack
-  // would pay that constant equally).
-  if (!platform.RegisterFunction(
-                   {.name = "echo", .body = dfunc::EchoFunction, .binary_bytes = 0})
-           .ok() ||
+  if (!platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok() ||
       !platform.RegisterCompositionDsl(kNoopDsl).ok()) {
     std::fprintf(stderr, "composition setup failed\n");
     return 1;

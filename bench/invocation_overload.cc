@@ -253,11 +253,11 @@ int main() {
   };
   if (!platform
            .RegisterFunction({.name = "work", .body = spin_body(kWorkSpinUs),
-                              .context_bytes = 1 << 20, .binary_bytes = 0})
+                              .context_bytes = 1 << 20})
            .ok() ||
       !platform
            .RegisterFunction({.name = "slowwork", .body = spin_body(kSlowSpinUs),
-                              .context_bytes = 1 << 20, .binary_bytes = 0})
+                              .context_bytes = 1 << 20})
            .ok() ||
       !platform
            .RegisterCompositionDsl(R"(

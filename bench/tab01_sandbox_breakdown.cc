@@ -1,11 +1,13 @@
 // Table 1: Dandelion's sandbox-creation latency breakdown per isolation
 // backend for a 1x1 int64 matmul. Two halves:
-//   (a) REAL measurements of this repository's backends on this machine —
-//       marshal, binary load, input transfer, execute, output readback;
-//   (b) the paper's Arm Morello reference numbers for comparison.
-// The cheri/rwasm/kvm rows use the calibrated stand-ins described in
-// DESIGN.md; the process row is a real fork() on the critical path.
+//   (a) measurements of this repository's two backends on the host that
+//       runs the bench — marshal, create sandbox, execute, output readback.
+//       cheri is the in-process thread backend (no sandbox to create);
+//       process is a real fork() on the critical path;
+//   (b) the paper's totals for all four of its backends, read from
+//       dsim::Calibration. KVM and rWasm have no runtime backend here.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -15,13 +17,13 @@
 #include "src/runtime/jail.h"
 #include "src/runtime/memory_context.h"
 #include "src/runtime/sandbox.h"
+#include "src/sim/calibration.h"
 
 namespace {
 
 struct Breakdown {
   double marshal_us = 0;
-  double load_us = 0;
-  double setup_us = 0;   // Sandbox creation proper (fork / VM enter).
+  double setup_us = 0;   // Sandbox creation proper (fork).
   double execute_us = 0;
   double output_us = 0;
   double total_us = 0;
@@ -32,7 +34,6 @@ Breakdown MeasureBackend(dandelion::IsolationBackend backend, int iterations) {
   dfunc::FunctionSpec spec;
   spec.name = "matmul";
   spec.body = dfunc::MatMulFunction;
-  spec.binary_bytes = 64 * 1024;  // Tiny 1x1 matmul binary.
   spec.context_bytes = 1 << 20;
 
   // 1x1 matrices, as in the paper's table.
@@ -40,7 +41,7 @@ Breakdown MeasureBackend(dandelion::IsolationBackend backend, int iterations) {
   inputs.push_back(dfunc::DataSet{"A", {dfunc::DataItem{"", dfunc::EncodeInt64Array({3})}}});
   inputs.push_back(dfunc::DataSet{"B", {dfunc::DataItem{"", dfunc::EncodeInt64Array({7})}}});
 
-  dbase::OnlineStats marshal, load, setup, execute, output, total;
+  dbase::OnlineStats marshal, setup, execute, output, total;
   for (int i = 0; i < iterations; ++i) {
     auto context = dandelion::MemoryContext::Create(
         spec.context_bytes, nullptr,
@@ -58,7 +59,6 @@ Breakdown MeasureBackend(dandelion::IsolationBackend backend, int iterations) {
       continue;
     }
     marshal.Add(marshal_us);
-    load.Add(static_cast<double>(outcome.timings.load_us));
     setup.Add(static_cast<double>(outcome.timings.setup_us));
     execute.Add(static_cast<double>(outcome.timings.execute_us));
     output.Add(static_cast<double>(outcome.timings.output_us));
@@ -67,7 +67,6 @@ Breakdown MeasureBackend(dandelion::IsolationBackend backend, int iterations) {
 
   Breakdown result;
   result.marshal_us = marshal.mean();
-  result.load_us = load.mean();
   result.setup_us = setup.mean();
   result.execute_us = execute.mean();
   result.output_us = output.mean();
@@ -82,16 +81,13 @@ int main() {
 
   const std::vector<dandelion::IsolationBackend> backends = {
       dandelion::IsolationBackend::kThread,
-      dandelion::IsolationBackend::kWasmSim,
       dandelion::IsolationBackend::kProcess,
-      dandelion::IsolationBackend::kKvmSim,
   };
 
   constexpr int kWarmup = 20;
   constexpr int kIterations = 300;
 
-  dbench::Table table(
-      {"row", "cheri", "rwasm", "process", "kvm"});
+  dbench::Table table({"row", "cheri", "process"});
   std::vector<Breakdown> results;
   for (auto backend : backends) {
     (void)MeasureBackend(backend, kWarmup);
@@ -105,20 +101,25 @@ int main() {
     table.AddRow(std::move(cells));
   };
   row("Marshal requests", &Breakdown::marshal_us);
-  row("Load binary", &Breakdown::load_us);
   row("Create sandbox", &Breakdown::setup_us);
   row("Execute function", &Breakdown::execute_us);
   row("Get/send output", &Breakdown::output_us);
   row("Total (measured here)", &Breakdown::total_us);
   table.Print();
 
+  using dsim::Calibration;
+  auto us = [](dbase::Micros value) { return std::to_string(value); };
   dbench::Table reference({"row", "cheri", "rwasm", "process", "kvm"});
-  reference.AddRow({"Paper total (Arm Morello)", "89", "241", "486", "889"});
-  reference.AddRow({"Paper total (x86, Linux 5.15)", "-", "109", "539", "218"});
+  reference.AddRow({"Paper total (Arm Morello)", us(Calibration::kDandelionCheriUs),
+                    us(Calibration::kDandelionRwasmUs), us(Calibration::kDandelionProcessUs),
+                    us(Calibration::kDandelionKvmUs)});
+  reference.AddRow({"Paper total (x86, Linux 5.15)", "-", us(Calibration::kDandelionRwasmX86Us),
+                    us(Calibration::kDandelionProcessX86Us), us(Calibration::kDandelionKvmX86Us)});
   reference.Print();
 
-  dbench::PrintNote("expected ordering on any host: cheri < rwasm < process < kvm; the process"
-                    " row's 'create sandbox' is a real fork()+wait on this machine");
+  dbench::PrintNote("cheri runs the body inline, so it creates no sandbox; the process row's"
+                    " 'create sandbox' is a real fork() on this machine. rwasm and kvm are"
+                    " paper numbers only: this repo models them in dsim, not in the runtime");
 
   // Syscall-jail overhead on the process backend: identical fork()+wait
   // runs with the seccomp-BPF filter installed in the child vs bypassed.

@@ -9,6 +9,9 @@ dbase::Status FunctionRegistry::Register(FunctionSpec spec) {
   if (!spec.body) {
     return dbase::InvalidArgument("function body may not be empty: " + spec.name);
   }
+  if (spec.timeout_us <= 0) {
+    return dbase::InvalidArgument("function timeout must be positive: " + spec.name);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = functions_.emplace(spec.name, spec);
   if (!inserted) {

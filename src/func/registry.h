@@ -24,9 +24,11 @@ struct FunctionSpec {
   // Memory requirement declared at registration (like AWS Lambda, §5);
   // the dispatcher sizes the memory context from this.
   uint64_t context_bytes = 16 * 1024 * 1024;
-  // Synthetic binary size; drives the load-from-disk cost model.
+  // Synthetic binary size. Nothing reads it: function bodies are linked in,
+  // so no binary is loaded. Kept because bench/e2e sets it.
   uint64_t binary_bytes = 256 * 1024;
   // Preemption deadline for run-to-completion compute engines (§5 fn.2).
+  // Must be positive; Register rejects anything else.
   dbase::Micros timeout_us = 5 * dbase::kMicrosPerSecond;
 };
 

@@ -569,9 +569,9 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   }
   ComputeTask task;
   if (!config_.shared_contexts) {
-    // In-process backends (thread / kvm-sim / wasm-sim) read inputs by
-    // reference: no marshal into the context, no unmarshal out of it —
-    // aliased payloads reach the function body as refcount bumps. The
+    // The in-process thread backend reads inputs by reference: no marshal
+    // into the context, no unmarshal out of it — aliased payloads reach the
+    // function body as refcount bumps. The
     // capacity bound still applies (outputs must marshal back into the
     // context), so an under-declared memory requirement fails identically
     // on both paths.

@@ -174,8 +174,8 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     task.control->EnterForkedRun();
   }
   if (task.control != nullptr) {
-    // Dead invocation: drop the task at the dequeue seam — no sandbox, no
-    // binary load. This is what makes Cancel() stop a fan-out mid-flight.
+    // Dead invocation: drop the task at the dequeue seam — no sandbox is
+    // created. This is what makes Cancel() stop a fan-out mid-flight.
     const dbase::Status dead = task.control->RetireStatus(now);
     if (!dead.ok()) {
       if (forked) {
@@ -202,13 +202,13 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     task.control->CountLaunched();
     options.cancel_flag = task.control->stop_flag();
     if (task.control->deadline_us() > 0) {
-      // The invocation deadline clamps the per-function timeout so the
-      // sandbox preempts at whichever comes first.
+      // The invocation deadline clamps the per-function timeout, which
+      // registration keeps positive, so the sandbox preempts at whichever
+      // comes first.
       const dbase::Micros remaining = task.control->deadline_us() - now;
       const dbase::Micros spec_timeout =
           options.timeout_us > 0 ? options.timeout_us : task.spec.timeout_us;
-      options.timeout_us =
-          spec_timeout > 0 ? std::min(spec_timeout, remaining) : remaining;
+      options.timeout_us = std::min(spec_timeout, remaining);
     }
   }
   if (FaultInjector::Get().ShouldFire(FaultPoint::kTransientResourceExhausted)) {
@@ -243,11 +243,8 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
       // The shelf lied: the template child died between fill and dispatch.
       // The inputs are still marshalled in the warm context, so recover
       // with a cold fork over that same context before the pool scrubs it
-      // on Release. prewarmed stays set — the binary was loaded at fill.
-      SandboxOptions cold = options;
-      cold.prewarmed = true;
-      outcome = sandbox_->Execute(task.spec, *task.warm->context(), cold);
-      outcome.timings.pool_hit = false;
+      // on Release.
+      outcome = sandbox_->Execute(task.spec, *task.warm->context(), options);
       if (sandbox_pool_ != nullptr) {
         sandbox_pool_->CountChildLost();
       }

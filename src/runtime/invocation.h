@@ -93,14 +93,14 @@ struct InvocationReport {
   // executing. launched + aborted ≤ instances built by the dispatcher.
   uint64_t instances_aborted = 0;
   // Of the launched instances, how many ran on a pre-warmed sandbox (pool
-  // hit — no fork / binary load on the critical path).
+  // hit — no fork on the critical path).
   uint64_t instances_pool_hits = 0;
   // The most recent sandbox-level failure any of this invocation's
   // instances hit (kNone when every instance completed or only functional
   // errors occurred). A successful invocation may still carry a non-kNone
   // kind here — that means a retry absorbed the failure. A stop with a
   // forked instance running ends through that instance's kill, so the
-  // kind is set when the callback fires; a thread-flavoured instance
+  // kind is set when the callback fires; a thread-backend instance
   // preempted by a stop records its kind when it returns, which may be
   // after the callback.
   dpolicy::FailureKind failure_kind = dpolicy::FailureKind::kNone;

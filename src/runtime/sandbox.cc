@@ -27,10 +27,6 @@ std::string_view IsolationBackendName(IsolationBackend backend) {
       return "process";
     case IsolationBackend::kThread:
       return "cheri";
-    case IsolationBackend::kKvmSim:
-      return "kvm";
-    case IsolationBackend::kWasmSim:
-      return "rwasm";
   }
   return "?";
 }
@@ -42,63 +38,20 @@ dbase::Result<IsolationBackend> IsolationBackendFromName(std::string_view name) 
   if (name == "cheri" || name == "thread") {
     return IsolationBackend::kThread;
   }
-  if (name == "kvm") {
-    return IsolationBackend::kKvmSim;
-  }
-  if (name == "rwasm" || name == "wasm") {
-    return IsolationBackend::kWasmSim;
-  }
   return dbase::InvalidArgument("unknown isolation backend: " + std::string(name));
 }
 
-BackendCostModel BackendCostModel::Defaults(IsolationBackend backend) {
-  BackendCostModel costs;
-  switch (backend) {
-    case IsolationBackend::kThread:
-      // CHERI row of Table 1: no thread spawn, cheap executable load.
-      costs.setup_us = 0;
-      break;
-    case IsolationBackend::kKvmSim:
-      // KVM on x86 (Linux 5.15): ~218 us total for a 1x1 matmul; the VM
-      // enter/exit + vCPU reset portion is the setup surcharge.
-      costs.setup_us = 150;
-      break;
-    case IsolationBackend::kWasmSim:
-      // rWasm: fast isolation but "mainly limited by slow dynamic loading"
-      // (§7.2) and slower generated code (§7.3).
-      costs.setup_us = 10;
-      costs.load_disk_us_per_mb = 500.0;
-      costs.load_disk_base_us = 80.0;
-      costs.load_cached_us_per_mb = 120.0;
-      costs.load_cached_base_us = 40.0;
-      costs.compute_slowdown = 2.4;
-      break;
-    case IsolationBackend::kProcess:
-      // Fork cost is real; nothing injected.
-      costs.setup_us = 0;
-      break;
-  }
-  return costs;
-}
-
 namespace {
-
-dbase::Micros LoadCost(const BackendCostModel& costs, uint64_t binary_bytes, bool cached) {
-  const double mb = static_cast<double>(binary_bytes) / (1024.0 * 1024.0);
-  const double us = cached ? costs.load_cached_base_us + costs.load_cached_us_per_mb * mb
-                           : costs.load_disk_base_us + costs.load_disk_us_per_mb * mb;
-  return static_cast<dbase::Micros>(us);
-}
 
 dbase::Micros EffectiveTimeout(const dfunc::FunctionSpec& spec, const SandboxOptions& options) {
   return options.timeout_us > 0 ? options.timeout_us : spec.timeout_us;
 }
 
 // Runs the function body in-process against a context already holding
-// marshalled inputs, leaving the outcome in the context: inline for the
-// thread-flavoured backends, inside the child for kProcess. `cancel_flag`
-// and `deadline_us` feed the body's cancelled() poll; forked children pass
-// neither, because the parent SIGKILLs them. `preloaded_inputs`, when
+// marshalled inputs, leaving the outcome in the context: inline for
+// kThread, inside the child for kProcess. `cancel_flag` and `deadline_us`
+// feed the body's cancelled() poll; forked children pass neither, because
+// the parent SIGKILLs them. `preloaded_inputs`, when
 // non-null, bypasses LoadInputSets — the in-process zero-copy input path.
 dbase::Status RunFunctionBodyAgainstContext(
     const dfunc::FunctionSpec& spec, MemoryContext& context,
@@ -146,42 +99,22 @@ void ReadBackOutputs(const MemoryContext& context, const SandboxOptions& options
 }
 
 // ---------------------------------------------------------------------------
-// Thread-based sandbox (CHERI stand-in) + the cost-injecting variants.
-// Executes inline on the engine's core — run-to-completion, no context
-// switch (§5) — with a deadline the body polls providing cooperative
-// preemption.
+// Thread-based sandbox (CHERI stand-in). Executes inline on the engine's
+// core — run-to-completion, no context switch (§5) — with a deadline the
+// body polls providing cooperative preemption. There is no sandbox to
+// create: on CHERI a sandbox is a capability switch within the address
+// space, so load_us and setup_us stay 0.
 // ---------------------------------------------------------------------------
 class ThreadSandbox : public SandboxExecutor {
  public:
-  ThreadSandbox(IsolationBackend backend, BackendCostModel costs)
-      : backend_(backend), costs_(costs) {}
-
   ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext& context,
                       const SandboxOptions& options) override {
     ExecOutcome outcome;
-    outcome.timings.pool_hit = options.prewarmed;
-    dbase::Stopwatch watch;
-
-    // Binary load (modelled; §7.4 cached vs. uncached), then the sandbox
-    // setup surcharge (VM enter for kvm-sim, runtime init for wasm-sim;
-    // zero for the CHERI stand-in — its point is that a sandbox is just a
-    // capability switch within the address space). A pre-warmed sandbox
-    // paid both at pool-fill time — nothing to pay here, and the timing
-    // rows must say so (setup_us distinguishes pool-hit 0 from a cold
-    // create).
-    if (!options.prewarmed) {
-      dbase::SpinFor(LoadCost(costs_, spec.binary_bytes, options.binary_cached));
-      outcome.timings.load_us = watch.ElapsedMicros();
-      watch.Restart();
-      dbase::SpinFor(costs_.setup_us);
-      outcome.timings.setup_us = watch.ElapsedMicros();
-    }
-
     // Execute inline with a cooperative deadline: the body's cancelled()
     // poll turns true once the deadline passes or the invocation's cancel
     // flag flips. A body that returns at or after the deadline timed out
     // unless it was cancelled externally.
-    watch.Restart();
+    dbase::Stopwatch watch;
     const dbase::Micros timeout = EffectiveTimeout(spec, options);
     const dbase::Micros deadline = dbase::MonotonicClock::Get()->NowMicros() + timeout;
     (void)RunFunctionBodyAgainstContext(spec, context, options.cancel_flag, deadline,
@@ -190,16 +123,7 @@ class ThreadSandbox : public SandboxExecutor {
         options.cancel_flag != nullptr && options.cancel_flag->load(std::memory_order_relaxed);
     const bool timed_out =
         !externally_cancelled && dbase::MonotonicClock::Get()->NowMicros() >= deadline;
-    dbase::Micros exec = watch.ElapsedMicros();
-
-    // Emulate slower generated code by stretching execution time.
-    if (costs_.compute_slowdown > 1.0 && !timed_out && !externally_cancelled) {
-      const auto extra = static_cast<dbase::Micros>(
-          static_cast<double>(exec) * (costs_.compute_slowdown - 1.0));
-      dbase::SpinFor(extra);
-      exec += extra;
-    }
-    outcome.timings.execute_us = exec;
+    outcome.timings.execute_us = watch.ElapsedMicros();
 
     watch.Restart();
     if (externally_cancelled) {
@@ -218,11 +142,7 @@ class ThreadSandbox : public SandboxExecutor {
     return outcome;
   }
 
-  IsolationBackend backend() const override { return backend_; }
-
- private:
-  IsolationBackend backend_;
-  BackendCostModel costs_;
+  IsolationBackend backend() const override { return IsolationBackend::kThread; }
 };
 
 // ---------------------------------------------------------------------------
@@ -416,8 +336,6 @@ bool DecodeWaitStatus(int wait_status, const std::string& function_name, ExecOut
 // ---------------------------------------------------------------------------
 class ProcessSandbox : public SandboxExecutor {
  public:
-  explicit ProcessSandbox(BackendCostModel costs) : costs_(costs) {}
-
   ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext& context,
                       const SandboxOptions& options) override {
     ExecOutcome outcome;
@@ -427,12 +345,6 @@ class ProcessSandbox : public SandboxExecutor {
       return outcome;
     }
     dbase::Stopwatch watch;
-    if (!options.prewarmed) {
-      dbase::SpinFor(LoadCost(costs_, spec.binary_bytes, options.binary_cached));
-    }
-    outcome.timings.load_us = watch.ElapsedMicros();
-
-    watch.Restart();
     const SandboxChild child = ForkSandboxChild(spec, context, /*park=*/false);
     if (child.pid < 0) {
       outcome.failure = dpolicy::FailureKind::kResourceExhausted;
@@ -444,17 +356,9 @@ class ProcessSandbox : public SandboxExecutor {
   }
 
   IsolationBackend backend() const override { return IsolationBackend::kProcess; }
-
- private:
-  BackendCostModel costs_;
 };
 
 }  // namespace
-
-dbase::Micros ModeledLoadCostUs(const BackendCostModel& costs, uint64_t binary_bytes,
-                                bool cached) {
-  return LoadCost(costs, binary_bytes, cached);
-}
 
 SandboxChild ForkSandboxChild(const dfunc::FunctionSpec& spec, MemoryContext& context,
                               bool park) {
@@ -545,18 +449,11 @@ ExecOutcome AwaitSandboxChild(pid_t pid, const dfunc::FunctionSpec& spec, Memory
 }
 
 std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend) {
-  return CreateSandboxExecutor(backend, BackendCostModel::Defaults(backend));
-}
-
-std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend,
-                                                       const BackendCostModel& costs) {
   switch (backend) {
     case IsolationBackend::kProcess:
-      return std::make_unique<ProcessSandbox>(costs);
+      return std::make_unique<ProcessSandbox>();
     case IsolationBackend::kThread:
-    case IsolationBackend::kKvmSim:
-    case IsolationBackend::kWasmSim:
-      return std::make_unique<ThreadSandbox>(backend, costs);
+      return std::make_unique<ThreadSandbox>();
   }
   return nullptr;
 }

@@ -23,9 +23,8 @@ namespace {
 constexpr uint64_t kContextHeaderBytes = 16;
 
 // ---------------------------------------------------------------------------
-// Thread-flavoured warm sandbox: the binary load and setup cost models were
-// paid at fill time; execution delegates to the shared executor with
-// prewarmed set, which skips both and reports pool_hit.
+// Thread warm sandbox: a ready context; execution delegates to the shared
+// executor and reports pool_hit.
 // ---------------------------------------------------------------------------
 class ThreadWarmSandbox : public WarmSandbox {
  public:
@@ -34,9 +33,9 @@ class ThreadWarmSandbox : public WarmSandbox {
       : WarmSandbox(std::move(spec), std::move(context)), executor_(executor) {}
 
   ExecOutcome Execute(const SandboxOptions& options) override {
-    SandboxOptions prewarmed = options;
-    prewarmed.prewarmed = true;
-    return executor_->Execute(spec_, *context_, prewarmed);
+    ExecOutcome outcome = executor_->Execute(spec_, *context_, options);
+    outcome.timings.pool_hit = true;
+    return outcome;
   }
 
   bool Recycle() override {
@@ -184,7 +183,6 @@ class ProcessWarmSandbox : public WarmSandbox {
 
 SandboxPool::SandboxPool(Config config, MemoryAccountant* accountant)
     : config_(std::move(config)),
-      costs_(BackendCostModel::Defaults(config_.backend)),
       executor_(CreateSandboxExecutor(config_.backend)),
       accountant_(accountant) {
   config_.max_depth_per_function = std::max(0, config_.max_depth_per_function);
@@ -214,11 +212,6 @@ std::shared_ptr<WarmSandbox> SandboxPool::CreateWarm(const dfunc::FunctionSpec& 
     return nullptr;
   }
   std::shared_ptr<MemoryContext> context = std::move(context_result).value();
-
-  // Pay the Table 1 load (and, for thread-flavoured backends, setup) cost
-  // models now, at fill time — this is exactly the cost a pool hit no
-  // longer pays on the critical path.
-  dbase::SpinFor(ModeledLoadCostUs(costs_, spec.binary_bytes, /*cached=*/true));
   if (config_.backend == IsolationBackend::kProcess) {
     auto warm = std::make_shared<ProcessWarmSandbox>(spec, std::move(context));
     if (!warm->Arm()) {
@@ -226,7 +219,6 @@ std::shared_ptr<WarmSandbox> SandboxPool::CreateWarm(const dfunc::FunctionSpec& 
     }
     return warm;
   }
-  dbase::SpinFor(costs_.setup_us);
   return std::make_shared<ThreadWarmSandbox>(spec, std::move(context), executor_.get());
 }
 

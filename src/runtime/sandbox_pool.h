@@ -1,16 +1,17 @@
 // Pre-warmed sandbox pools (ROADMAP "Cold-start elimination"): per-function
 // shelves of ready-to-run sandboxes so a dispatching instance skips the
-// cold path — fork + binary load for the process backend, modelled
-// load/setup for the thread-flavoured ones — and pays only execution.
+// cold path — the fork, for the process backend — and pays only
+// execution. No fill pays a modelled cost: filling costs what creating the
+// context and forking the template really cost, and nothing more.
 //
 // Lifecycle of one warm sandbox:
 //
 //     Tick (policy fill)                 Dispatch                Completion
 //   ┌───────────────────┐   Acquire   ┌───────────┐   Release  ┌──────────┐
 //   │ create context,   │ ──────────► │ inputs    │ ─────────► │ scrub    │
-//   │ load binary,      │   (shelf)   │ marshal   │  (engine)  │ extent,  │
-//   │ fork template /   │             │ straight  │            │ re-arm,  │
-//   │ instantiate state │             │ into the  │            │ re-shelf │
+//   │ fork template     │   (shelf)   │ marshal   │  (engine)  │ extent,  │
+//   │ (process only)    │             │ straight  │            │ re-arm,  │
+//   │                   │             │ into the  │            │ re-shelf │
 //   └───────────────────┘             │ warm ctx  │            └────┬─────┘
 //             ▲                       └───────────┘                 │
 //             └──────────── retire (over target / clamp / drain) ◄──┘
@@ -23,10 +24,8 @@
 //               The template child is single-use (it _exit()s after the
 //               body); Release re-forks during recycle, off the next
 //               request's critical path.
-//   kThread / kKvmSim / kWasmSim — instantiated executor state: the binary
-//               load and sandbox setup cost models are paid at fill time,
-//               and execution runs with SandboxOptions::prewarmed so the
-//               executor skips them.
+//   kThread   — a ready context: execution delegates to the shared thread
+//               executor and reports the run as a pool hit.
 //
 // Scrub contract (the ContextPool touched-extent idiom, applied in place):
 // on Release the context's written extent is zeroed (small) or
@@ -98,8 +97,8 @@ class WarmSandbox {
   const std::shared_ptr<MemoryContext>& context() const { return context_; }
 
   // Runs the function against the inputs already marshalled into
-  // context(). Timings report load_us/setup_us ≈ 0 with pool_hit set —
-  // those costs were paid at fill time.
+  // context(). Timings report setup_us ≈ 0 with pool_hit set — the fork,
+  // if any, happened at fill time.
   virtual ExecOutcome Execute(const SandboxOptions& options) = 0;
 
   // Scrubs the context and re-arms for the next lease. Returns false when
@@ -201,8 +200,8 @@ class SandboxPool {
     dpolicy::PrewarmDecision last_decision;
   };
 
-  // Creates one warm sandbox (context + template fork / instantiated
-  // state). Runs outside mu_ — fills fork and spin. Null on failure.
+  // Creates one warm sandbox (context, plus the template fork for the
+  // process backend). Runs outside mu_ — fills fork. Null on failure.
   std::shared_ptr<WarmSandbox> CreateWarm(const dfunc::FunctionSpec& spec);
 
   FunctionPool& PoolForLocked(const dfunc::FunctionSpec& spec);
@@ -210,11 +209,9 @@ class SandboxPool {
   void FillLoop();
 
   Config config_;
-  // Fill-time cost model (Table 1 defaults for the backend) and the shared
-  // executor the thread-flavoured warm sandboxes delegate to. Warm
-  // sandboxes hold a raw pointer to the executor; the Platform keeps the
-  // pool alive past engine shutdown, so no lease outlives it.
-  BackendCostModel costs_;
+  // The shared executor the thread warm sandboxes delegate to. Warm
+  // sandboxes hold a raw pointer to it; the Platform keeps the pool alive
+  // past engine shutdown, so no lease outlives it.
   std::unique_ptr<SandboxExecutor> executor_;
   MemoryAccountant* accountant_;
   std::atomic<bool> draining_{false};

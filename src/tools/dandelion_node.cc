@@ -29,7 +29,7 @@
 //                            (either cap at 0 gossips cap 0)
 //   --backend=<name>         isolation backend, any name that
 //                            IsolationBackendFromName accepts
-//                            (thread, process, kvm, wasm)       [thread]
+//                            (thread or cheri, process)         [thread]
 //   --dsl=<text>             extra composition DSL (repeatable)
 //
 // Out of the box the node registers the builtin compute functions (echo,

@@ -621,7 +621,8 @@ TEST(ClusterNetTest, NodeRejectsMalformedFlagsBeforeBinding) {
   const std::vector<std::string> bad_flags = {
       "--port=70000",  "--port=-1",        "--port=abc",          "--workers=abc",
       "--workers=0",   "--workers=-3",     "--interactive-cap=-1", "--batch-cap=8x",
-      "--backend=procss", "--control-plane=yes", "--no-such-flag=1",
+      "--backend=procss", "--backend=kvm", "--backend=wasm", "--control-plane=yes",
+      "--no-such-flag=1",
   };
   for (const std::string& flag : bad_flags) {
     int out = -1;

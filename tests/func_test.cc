@@ -203,6 +203,13 @@ TEST(RegistryTest, RejectsDuplicatesAndInvalid) {
   EXPECT_FALSE(registry.Register({.name = "f", .body = EchoFunction}).ok());
   EXPECT_FALSE(registry.Register({.name = "", .body = EchoFunction}).ok());
   EXPECT_FALSE(registry.Register({.name = "nobody", .body = nullptr}).ok());
+  // The sandbox and the engine each need a positive per-function timeout.
+  for (const dbase::Micros timeout : {dbase::Micros{0}, dbase::Micros{-1}}) {
+    EXPECT_EQ(registry.Register({.name = "g", .body = EchoFunction, .timeout_us = timeout}).code(),
+              dbase::StatusCode::kInvalidArgument)
+        << timeout;
+  }
+  EXPECT_FALSE(registry.Contains("g"));
 }
 
 TEST(RegistryTest, RegisterBuiltins) {

@@ -160,7 +160,7 @@ void RunLifecycle(IsolationBackend backend) {
   EXPECT_TRUE(outcome.timings.pool_hit);
   EXPECT_EQ(outcome.timings.load_us, 0);
   // A pool hit's setup is one go-channel send (process) or nothing (thread) —
-  // far below the cold fork / modelled setup cost.
+  // far below the cold fork.
   EXPECT_LT(outcome.timings.setup_us, 5 * kMicrosPerMilli);
 
   pool.Release(std::move(warm));
