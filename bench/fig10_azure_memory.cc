@@ -27,17 +27,6 @@ int main() {
   const auto knative = dsim::SimulateKnativeFirecrackerTrace(sim_config, trace, /*seed=*/1);
   const auto dandelion = dsim::SimulateDandelionTrace(sim_config, trace, /*seed=*/1);
 
-  // Pooling variants: the PrewarmPolicy-bounded warm pool vs. the naive
-  // always-warm envelope (keep every context forever). The gate bounds the
-  // pool's memory overhead: policy-driven pooling must stay strictly below
-  // naive always-warm on average committed memory.
-  dsim::TraceSimConfig pooled_config = sim_config;
-  pooled_config.pool_mode = dsim::TraceSimConfig::PoolMode::kPrewarmPolicy;
-  const auto pooled = dsim::SimulateDandelionTrace(pooled_config, trace, /*seed=*/1);
-  dsim::TraceSimConfig always_config = sim_config;
-  always_config.pool_mode = dsim::TraceSimConfig::PoolMode::kAlwaysWarm;
-  const auto always_warm = dsim::SimulateDandelionTrace(always_config, trace, /*seed=*/1);
-
   const dbase::Micros window =
       static_cast<dbase::Micros>(trace.duration_minutes) * 60 * dbase::kMicrosPerSecond;
 
@@ -83,38 +72,21 @@ int main() {
   dbench::PrintNote("paper: Dandelion commits ~4% of Firecracker's average (109 vs 2619 MB) and"
                     " reduces p99 latency by ~46%; Dandelion cold-starts 100% of requests");
 
-  const double pooled_avg = pooled.committed_mb.TimeWeightedAverage(window);
-  const double always_avg = always_warm.committed_mb.TimeWeightedAverage(window);
-
-  dbench::Table pool_summary({"metric", "Dandelion", "D + prewarm pool", "D always-warm"});
-  pool_summary.AddRow({"avg committed [MB]", dbench::Table::Num(d_avg, 0),
-                       dbench::Table::Num(pooled_avg, 0), dbench::Table::Num(always_avg, 0)});
-  pool_summary.AddRow({"peak committed [MB]",
-                       dbench::Table::Num(dandelion.committed_mb.MaxValue(), 0),
-                       dbench::Table::Num(pooled.committed_mb.MaxValue(), 0),
-                       dbench::Table::Num(always_warm.committed_mb.MaxValue(), 0)});
-  pool_summary.AddRow({"cold-start fraction",
-                       dbench::Table::Num(dandelion.ColdFraction() * 100, 1) + "%",
-                       dbench::Table::Num(pooled.ColdFraction() * 100, 1) + "%",
-                       dbench::Table::Num(always_warm.ColdFraction() * 100, 1) + "%"});
-  pool_summary.AddRow({"p99 latency [ms]",
-                       dbench::Table::Num(dandelion.latency_ms.Percentile(99), 1),
-                       dbench::Table::Num(pooled.latency_ms.Percentile(99), 1),
-                       dbench::Table::Num(always_warm.latency_ms.Percentile(99), 1)});
-  pool_summary.Print();
-
-  const bool gate_ok = pooled_avg < always_avg &&
-                       pooled.ColdFraction() < dandelion.ColdFraction();
-  dbench::PrintNote(gate_ok
-                        ? "gate: prewarm-pool avg committed < naive always-warm, and the pool "
-                          "cuts cold starts vs per-request contexts — PASS"
-                        : "gate: prewarm-pool avg committed < naive always-warm, and the pool "
-                          "cuts cold starts vs per-request contexts — FAIL");
+  // The paper's comparison as the gate: per-request contexts commit a small
+  // fraction of the Knative pods' memory (paper ~4%; gated at 10%) and cut
+  // the tail rather than lengthen it.
+  const double d_p99 = dandelion.latency_ms.Percentile(99);
+  const double fc_p99 = knative.latency_ms.Percentile(99);
+  const bool gate_ok = d_avg <= 0.10 * fc_avg && d_p99 < fc_p99;
+  dbench::PrintNote(gate_ok ? "gate: Dandelion avg committed <= 10% of FC's, and p99 below FC's"
+                              " — PASS"
+                            : "gate: Dandelion avg committed <= 10% of FC's, and p99 below FC's"
+                              " — FAIL");
   if (!gate_ok) {
     std::fprintf(stderr,
-                 "GATE FAILED: pooled avg=%.0f MB, always-warm avg=%.0f MB, pooled cold "
-                 "fraction=%.3f, per-request cold fraction=%.3f\n",
-                 pooled_avg, always_avg, pooled.ColdFraction(), dandelion.ColdFraction());
+                 "GATE FAILED: Dandelion avg=%.0f MB vs FC avg=%.0f MB, Dandelion p99=%.1f ms "
+                 "vs FC p99=%.1f ms\n",
+                 d_avg, fc_avg, d_p99, fc_p99);
     return 1;
   }
   return 0;

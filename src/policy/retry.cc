@@ -19,8 +19,6 @@ std::string_view FailureKindName(FailureKind kind) {
       return "cancel_kill";
     case FailureKind::kNonzeroExit:
       return "nonzero_exit";
-    case FailureKind::kPoolChildLost:
-      return "pool_child_lost";
     case FailureKind::kResourceExhausted:
       return "resource_exhausted";
     case FailureKind::kPeerLost:

@@ -1,10 +1,10 @@
 // Failure taxonomy and retry/circuit-breaker policy (ROADMAP "Real syscall
 // jail" PR): because Dandelion functions are pure computations over declared
-// input sets, a sandbox-level failure — crash, jail kill, pool-child death,
-// transient resource exhaustion — is always safe to retry transparently; no
+// input sets, a sandbox-level failure — crash, transient resource
+// exhaustion, a lost peer — is always safe to retry transparently; no
 // external side effect can have escaped the sandbox. That structural
 // advantage over generic FaaS is exploited here as a pure policy object in
-// the same mold as PrewarmPolicy / ElasticityPolicy: RetryPolicy owns no
+// the same mold as ElasticityPolicy: RetryPolicy owns no
 // clocks or threads, takes time as an input, and is executed identically by
 // the runtime dispatcher and by dsim, so retry/breaker behaviour is
 // unit-testable on a fake clock and parity-checkable in virtual time.
@@ -24,16 +24,18 @@ namespace dpolicy {
 // How a sandbox execution ended, beyond the Status it reported. kNone means
 // "no sandbox-level failure" — including functional errors a body returned
 // deliberately, which are results, not faults, and are never retried.
+// The values are the dnet wire's failure byte (WireOutcome::failure_kind),
+// so each is pinned: a retired kind leaves its number unused (6 was a warm
+// pool's lost template child).
 enum class FailureKind {
   kNone = 0,
-  kCrash,              // Killed by an unexpected signal (SIGSEGV, SIGILL, ...).
-  kJailKill,           // Killed by the seccomp jail (SIGSYS): forbidden syscall.
-  kDeadlineKill,       // SIGKILLed / preempted at the deadline.
-  kCancelKill,         // SIGKILLed / preempted on invocation cancel.
-  kNonzeroExit,        // Child exited with a nonzero status.
-  kPoolChildLost,      // Pooled template child died between fill and dispatch.
-  kResourceExhausted,  // fork/context allocation failed (or injected fault).
-  kPeerLost,           // Remote node died / connection lost mid-invocation.
+  kCrash = 1,              // Killed by an unexpected signal (SIGSEGV, SIGILL, ...).
+  kJailKill = 2,           // Killed by the seccomp jail (SIGSYS): forbidden syscall.
+  kDeadlineKill = 3,       // SIGKILLed / preempted at the deadline.
+  kCancelKill = 4,         // SIGKILLed / preempted on invocation cancel.
+  kNonzeroExit = 5,        // Child exited with a nonzero status.
+  kResourceExhausted = 7,  // fork/context allocation failed (or injected fault).
+  kPeerLost = 8,           // Remote node died / connection lost mid-invocation.
 };
 
 std::string_view FailureKindName(FailureKind kind);
@@ -45,8 +47,8 @@ std::string_view FailureKindName(FailureKind kind);
 // environmental too: Dandelion functions are pure, so re-running the
 // invocation on another node is always side-effect-safe.
 inline bool IsRetrySafe(FailureKind kind) {
-  return kind == FailureKind::kCrash || kind == FailureKind::kPoolChildLost ||
-         kind == FailureKind::kResourceExhausted || kind == FailureKind::kPeerLost;
+  return kind == FailureKind::kCrash || kind == FailureKind::kResourceExhausted ||
+         kind == FailureKind::kPeerLost;
 }
 
 // Kinds that reflect on the function's (or the node's) health and feed the

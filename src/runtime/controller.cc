@@ -19,8 +19,8 @@ double Growth(uint64_t pushed, uint64_t popped, uint64_t* last_pushed, uint64_t*
 }  // namespace
 
 ControlPlane::ControlPlane(WorkerSet* workers, std::unique_ptr<dpolicy::ElasticityPolicy> policy,
-                           Config config, SandboxPool* pool)
-    : workers_(workers), pool_(pool), config_(config), policy_(std::move(policy)) {
+                           Config config)
+    : workers_(workers), config_(config), policy_(std::move(policy)) {
   if (policy_ == nullptr) {
     policy_ = dpolicy::CreatePolicy(dpolicy::PolicyKind::kPaperPi);
   }
@@ -89,10 +89,6 @@ ControlPlane::Decision ControlPlane::StepOnce() {
     } else if (decision.shifted < 0) {
       shifts_toward_comm_ += static_cast<uint64_t>(-decision.shifted);
     }
-  }
-  if (pool_ != nullptr) {
-    // Outside mu_: the request takes the pool's own lock.
-    pool_->RequestTick(signals.now_us);
   }
   return decision;
 }

@@ -3,8 +3,7 @@
 // split, queue growth and backlogs (per class), comm green-thread
 // occupancy — and executes whatever dpolicy::ElasticityPolicy is plugged
 // in. The decision logic itself lives in src/policy/ and is shared verbatim
-// with the discrete-event simulator (dsim). The same tick then advances the
-// warm sandbox pool's prewarm step, by a direct call.
+// with the discrete-event simulator (dsim).
 #ifndef SRC_RUNTIME_CONTROLLER_H_
 #define SRC_RUNTIME_CONTROLLER_H_
 
@@ -54,11 +53,8 @@ class ControlPlane {
     Decision last;  // Meaningful when decisions > 0.
   };
 
-  // `pool` (nullable, not owned) has its prewarm step requested at the end
-  // of every tick, so it shares the control cadence instead of running a
-  // timer of its own.
   ControlPlane(WorkerSet* workers, std::unique_ptr<dpolicy::ElasticityPolicy> policy,
-               Config config, SandboxPool* pool = nullptr);
+               Config config);
   ~ControlPlane();
 
   ControlPlane(const ControlPlane&) = delete;
@@ -85,7 +81,6 @@ class ControlPlane {
   void ArmTick();
 
   WorkerSet* workers_;
-  SandboxPool* pool_;  // Nullable.
   Config config_;
   std::unique_ptr<dpolicy::ElasticityPolicy> policy_;
   // The tick's timer; null while stopped. Start/Stop serialize.

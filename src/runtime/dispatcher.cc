@@ -542,31 +542,16 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     retained = std::make_shared<const dfunc::DataSetList>(inputs);
   }
 
-  // Pool-first: a warm sandbox already holds a loaded binary and (process
-  // backend) a parked template child, so the instance skips the cold path
-  // entirely — inputs marshal straight into the warm context.
-  std::shared_ptr<WarmSandbox> warm;
-  if (config_.sandbox_pool != nullptr) {
-    const PriorityClass priority =
-        inv->control != nullptr ? inv->control->priority() : PriorityClass::kInteractive;
-    warm = config_.sandbox_pool->Acquire(spec, priority);
+  // Prepare the isolated memory context and copy the inputs in (§5:
+  // "ensures that the outputs from prior functions are copied as inputs
+  // into the new function's context").
+  auto context_result =
+      MemoryContext::Create(spec.context_bytes, accountant_, config_.shared_contexts);
+  if (!context_result.ok()) {
+    FailLocked(inv, context_result.status());
+    return std::nullopt;
   }
-
-  std::shared_ptr<MemoryContext> context;
-  if (warm != nullptr) {
-    context = warm->context();
-  } else {
-    // Prepare the isolated memory context and copy the inputs in (§5:
-    // "ensures that the outputs from prior functions are copied as inputs
-    // into the new function's context").
-    auto context_result =
-        MemoryContext::Create(spec.context_bytes, accountant_, config_.shared_contexts);
-    if (!context_result.ok()) {
-      FailLocked(inv, context_result.status());
-      return std::nullopt;
-    }
-    context = std::move(context_result).value();
-  }
+  std::shared_ptr<MemoryContext> context = std::move(context_result).value();
   ComputeTask task;
   if (!config_.shared_contexts) {
     // The in-process thread backend reads inputs by reference: no marshal
@@ -577,9 +562,6 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     // on both paths.
     const uint64_t need = dfunc::MarshalledSize(inputs);
     if (need > context->payload_capacity()) {
-      if (warm != nullptr) {
-        config_.sandbox_pool->Release(std::move(warm));
-      }
       FailLocked(inv, dbase::ResourceExhausted(dbase::StrFormat(
                           "inputs (%zu bytes) exceed context capacity (%llu bytes); raise the "
                           "function's declared memory requirement",
@@ -600,13 +582,8 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
                             : std::make_shared<const dfunc::DataSetList>(std::move(inputs));
   } else {
     // Address-space-crossing backends (process) must see the inputs through
-    // the MAP_SHARED mapping — marshal them in as before. Pre-forked
-    // template children in particular read the context before any
-    // SandboxOptions exist.
+    // the MAP_SHARED mapping — marshal them in as before.
     if (dbase::Status stored = context->StoreInputSets(inputs); !stored.ok()) {
-      if (warm != nullptr) {
-        config_.sandbox_pool->Release(std::move(warm));
-      }
       FailLocked(inv, stored);
       return std::nullopt;
     }
@@ -614,7 +591,6 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   task.spec = spec;
   task.context = context;
   task.control = inv->control;
-  task.warm = std::move(warm);
   auto self = this;
   task.done = [self, inv, node_index, instance_index, context, spec, retained,
                attempt](ExecOutcome outcome) {

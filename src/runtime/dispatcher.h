@@ -103,11 +103,8 @@ class Dispatcher {
     // callback must surface as kDeadlineExceeded, not hang the caller
     // forever.
     dbase::Micros max_blocking_wait_us = 120 * dbase::kMicrosPerSecond;
-    // When set, compute instances try Acquire() before cold-creating a
-    // context. Not owned; must outlive the dispatcher.
-    SandboxPool* sandbox_pool = nullptr;
     // Retry/circuit-breaker policy for sandbox-level failures (crash,
-    // pool-child-lost, transient resource exhaustion). Dandelion functions
+    // transient resource exhaustion). Dandelion functions
     // are pure computations over declared inputs, so these relaunches are
     // always side-effect-safe. Functional errors a body returns are never
     // retried.

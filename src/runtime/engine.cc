@@ -183,14 +183,6 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
       }
       task.control->CountAborted();
       compute_aborted_.fetch_add(1, std::memory_order_relaxed);
-      if (task.warm != nullptr) {
-        // The warm sandbox never ran — hand it straight back so the pool
-        // can scrub the marshalled inputs and re-shelf it.
-        if (sandbox_pool_ != nullptr) {
-          sandbox_pool_->Release(std::move(task.warm));
-        }
-        task.warm.reset();
-      }
       if (task.done) {
         ExecOutcome outcome;
         outcome.status = dead;
@@ -213,11 +205,7 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
   }
   if (FaultInjector::Get().ShouldFire(FaultPoint::kTransientResourceExhausted)) {
     // Injected transient: the sandbox never runs; the dispatcher's retry
-    // path is expected to absorb it. The warm lease goes straight back.
-    if (task.warm != nullptr && sandbox_pool_ != nullptr) {
-      sandbox_pool_->Release(std::move(task.warm));
-    }
-    task.warm.reset();
+    // path is expected to absorb it.
     compute_done_.fetch_add(1, std::memory_order_relaxed);
     if (forked) {
       task.control->ExitForkedRun();
@@ -231,34 +219,10 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     }
     return;
   }
-  ExecOutcome outcome;
-  if (task.warm != nullptr) {
-    // Pool hit: execute on the pre-warmed sandbox (inputs are already in
-    // its context) and return it for scrub + re-shelf.
-    if (task.control != nullptr) {
-      task.control->CountPoolHit();
-    }
-    outcome = task.warm->Execute(options);
-    if (outcome.failure == dpolicy::FailureKind::kPoolChildLost) {
-      // The shelf lied: the template child died between fill and dispatch.
-      // The inputs are still marshalled in the warm context, so recover
-      // with a cold fork over that same context before the pool scrubs it
-      // on Release.
-      outcome = sandbox_->Execute(task.spec, *task.warm->context(), options);
-      if (sandbox_pool_ != nullptr) {
-        sandbox_pool_->CountChildLost();
-      }
-    }
-    if (sandbox_pool_ != nullptr) {
-      sandbox_pool_->Release(std::move(task.warm));
-    }
-    task.warm.reset();
-  } else {
-    // Cold path: the context is this task's own — pin it so the read-back
-    // can alias its region instead of copying outputs out.
-    options.context_keepalive = task.context;
-    outcome = sandbox_->Execute(task.spec, *task.context, options);
-  }
+  // The context is this task's own: pin it so the read-back can alias its
+  // region instead of copying outputs out.
+  options.context_keepalive = task.context;
+  ExecOutcome outcome = sandbox_->Execute(task.spec, *task.context, options);
   compute_done_.fetch_add(1, std::memory_order_relaxed);
   if (forked) {
     task.control->ExitForkedRun();

@@ -28,7 +28,6 @@
 #include "src/runtime/invocation.h"
 #include "src/runtime/memory_context.h"
 #include "src/runtime/sandbox.h"
-#include "src/runtime/sandbox_pool.h"
 
 namespace dandelion {
 
@@ -47,10 +46,6 @@ struct ComputeTask {
   std::function<void(ExecOutcome)> done;
   dbase::Micros enqueue_time_us = 0;
   std::shared_ptr<InvocationControl> control;
-  // Set when the dispatcher got a pool hit: `context` aliases the warm
-  // sandbox's context and the engine executes via the warm sandbox instead
-  // of the cold executor, releasing it back to the pool afterwards.
-  std::shared_ptr<WarmSandbox> warm;
 };
 
 // A unit of communication work: raw request bytes produced by an untrusted
@@ -156,11 +151,6 @@ class WorkerSet {
   // runtime), or at once when disabled (unit tests).
   void set_sleep_for_modeled_latency(bool enabled) { sleep_latency_ = enabled; }
 
-  // When set, tasks carrying a warm sandbox release it back to this pool
-  // after execution (and on the dead-invocation drop path). The pool must
-  // outlive the worker set; the Platform owns both in that order.
-  void set_sandbox_pool(SandboxPool* pool) { sandbox_pool_ = pool; }
-
   void Shutdown();
 
  private:
@@ -184,7 +174,6 @@ class WorkerSet {
   Config config_;
   dhttp::ServiceMesh* mesh_;
   std::unique_ptr<SandboxExecutor> sandbox_;
-  SandboxPool* sandbox_pool_ = nullptr;  // Set before workers start; optional.
   dbase::MpmcQueue<ComputeTask> compute_queue_;
   dbase::MpmcQueue<CommTask> comm_queue_;
   std::vector<std::unique_ptr<std::atomic<EngineType>>> roles_;

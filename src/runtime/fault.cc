@@ -10,8 +10,6 @@ std::string_view FaultPointName(FaultPoint point) {
       return "child_crash_after_partial_write";
     case FaultPoint::kChildForbiddenSyscall:
       return "child_forbidden_syscall";
-    case FaultPoint::kPoolTemplateDeath:
-      return "pool_template_death";
     case FaultPoint::kTransientResourceExhausted:
       return "transient_resource_exhausted";
     case FaultPoint::kCount:

@@ -18,7 +18,7 @@
 namespace dandelion {
 
 enum class FaultPoint {
-  // Cold/warm process child calls __builtin_trap() before running the body
+  // Process child calls __builtin_trap() before running the body
   // (the classic "sandbox crashed, no outcome" case; retry-safe).
   kChildCrashBeforeOutcome = 0,
   // Child runs the body, tears the outcome header mid-write, then traps —
@@ -28,10 +28,6 @@ enum class FaultPoint {
   // Jailed child attempts a forbidden syscall (openat) — drives kJailKill
   // without needing a hostile function registered.
   kChildForbiddenSyscall,
-  // Pooled template child is killed between fill and dispatch, so the
-  // go-channel send at Execute() finds it gone — drives kPoolChildLost and
-  // the transparent cold-fork fallback.
-  kPoolTemplateDeath,
   // Engine synthesizes a transient kResourceExhausted instead of running
   // the task — drives the retry path without touching any child.
   kTransientResourceExhausted,

@@ -887,35 +887,6 @@ std::string HttpFrontend::StatzJson() const {
         .Field("comm_workers", engine.comm_workers);
   }
   json.EndObject();
-  json.BeginObject("sandbox_pool");
-  if (SandboxPool* pool = platform_->sandbox_pool(); pool != nullptr) {
-    const SandboxPoolStats warm = pool->Stats();
-    json.Field("enabled", true)
-        .Field("hits", warm.hits)
-        .Field("misses", warm.misses)
-        .Field("bypassed", warm.bypassed)
-        .Field("prewarm_fills", warm.prewarm_fills)
-        .Field("recycled", warm.recycled)
-        .Field("retired", warm.retired)
-        .Field("arrivals", warm.arrivals)
-        .Field("pool_child_lost", warm.pool_child_lost)
-        .Field("shelved", warm.shelved)
-        .Field("leased", warm.leased)
-        .Field("functions", warm.functions)
-        .Field("max_total", warm.max_total);
-    json.BeginObject("targets");
-    for (const auto& [name, decision] : pool->LastDecisions()) {
-      json.BeginObject(name)
-          .Field("depth", decision.target_depth)
-          .Field("rate_per_sec", decision.rate_per_sec)
-          .Field("reason", decision.reason)
-          .EndObject();
-    }
-    json.EndObject();
-  } else {
-    json.Field("enabled", false);
-  }
-  json.EndObject();
   // Fault containment: jail capability, injected faults, retry/breaker
   // activity. `seccomp_filter` false means the process backend runs
   // unconfined (kernel without seccomp) — tests and operators must be able

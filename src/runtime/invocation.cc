@@ -124,7 +124,6 @@ InvocationReport InvocationControl::Report() const {
   }
   report.instances_launched = instances_launched_.load(std::memory_order_relaxed);
   report.instances_aborted = instances_aborted_.load(std::memory_order_relaxed);
-  report.instances_pool_hits = instances_pool_hits_.load(std::memory_order_relaxed);
   report.failure_kind =
       static_cast<dpolicy::FailureKind>(failure_kind_.load(std::memory_order_relaxed));
   report.retries_attempted = retries_.load(std::memory_order_relaxed);

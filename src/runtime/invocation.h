@@ -92,9 +92,6 @@ struct InvocationReport {
   // Compute instances dequeued after the invocation died — dropped without
   // executing. launched + aborted ≤ instances built by the dispatcher.
   uint64_t instances_aborted = 0;
-  // Of the launched instances, how many ran on a pre-warmed sandbox (pool
-  // hit — no fork on the critical path).
-  uint64_t instances_pool_hits = 0;
   // The most recent sandbox-level failure any of this invocation's
   // instances hit (kNone when every instance completed or only functional
   // errors occurred). A successful invocation may still carry a non-kNone
@@ -152,7 +149,6 @@ class InvocationControl {
   void MarkDone(const dbase::Status& outcome, dbase::Micros now_us);
   void CountLaunched() { instances_launched_.fetch_add(1, std::memory_order_relaxed); }
   void CountAborted() { instances_aborted_.fetch_add(1, std::memory_order_relaxed); }
-  void CountPoolHit() { instances_pool_hits_.fetch_add(1, std::memory_order_relaxed); }
   // Records a sandbox-level failure kind (last writer wins — enough for
   // the report's "what went wrong" single field).
   void NoteFailure(dpolicy::FailureKind kind) {
@@ -186,7 +182,6 @@ class InvocationControl {
   std::atomic<dbase::Micros> finish_us_{0};
   std::atomic<uint64_t> instances_launched_{0};
   std::atomic<uint64_t> instances_aborted_{0};
-  std::atomic<uint64_t> instances_pool_hits_{0};
   std::atomic<int> failure_kind_{static_cast<int>(dpolicy::FailureKind::kNone)};
   std::atomic<uint64_t> retries_{0};
   std::atomic<int> forked_running_{0};

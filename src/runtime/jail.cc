@@ -165,7 +165,7 @@ void SetSyscallJailEnabled(bool enabled) {
   g_jail_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-JailFilter BuildJailFilter(int allow_read_fd) {
+JailFilter BuildJailFilter() {
   // The allowlist is the *completion set* of a pure Dandelion function:
   // its outcome channel is the MAP_SHARED context (plain stores, no
   // syscall), so beyond memory management, futex (malloc/stdlib internals),
@@ -177,11 +177,6 @@ JailFilter BuildJailFilter(int allow_read_fd) {
                   SYS_nanosleep, SYS_gettimeofday, SYS_restart_syscall, SYS_membarrier,
                   SYS_getrandom}) {  // getrandom: glibc hardening reads randomness lazily.
     rules[count++] = {.nr = static_cast<uint32_t>(nr)};
-  }
-  // read(fd, ...): only the go channel a pooled template parks on.
-  if (allow_read_fd >= 0) {
-    rules[count++] = {.nr = SYS_read, .arg = 0, .op = BPF_JEQ,
-                      .k = static_cast<uint32_t>(allow_read_fd)};
   }
   // write(fd, ...): stderr only, so assertion text from a dying child still
   // reaches the operator. Everything else (the context outcome) is stores.
@@ -211,7 +206,7 @@ JailFilter BuildJailFilter(int allow_read_fd) {
 }
 
 const JailFilter& ColdJailFilter() {
-  static const JailFilter filter = BuildJailFilter(-1);
+  static const JailFilter filter = BuildJailFilter();
   return filter;
 }
 

@@ -1,11 +1,10 @@
 // seccomp-BPF syscall jail for kProcess sandbox children (the ROADMAP "Real
 // syscall jail" item). The paper ptrace-jails every process sandbox so any
 // syscall kills it; seccomp-BPF gets the same containment without a tracer
-// context switch per syscall. The filter is installed in the child after
-// fork (cold path) or after the fork-safety ack (pooled template), allows only the
-// minimal completion set a pure Dandelion function needs — memory
-// management, futex, clock reads, stderr writes, the go-channel read, exit —
-// and kills the process (SIGSYS via SECCOMP_RET_KILL_PROCESS) on anything
+// context switch per syscall. The filter is installed in the child right
+// after fork, allows only the minimal completion set a pure Dandelion
+// function needs — memory management, futex, clock reads, stderr writes,
+// exit — and kills the process (SIGSYS via SECCOMP_RET_KILL_PROCESS) on anything
 // else. The parent decodes that death as FailureKind::kJailKill.
 #ifndef SRC_RUNTIME_JAIL_H_
 #define SRC_RUNTIME_JAIL_H_
@@ -42,16 +41,15 @@ struct JailFilter {
 };
 
 // After the arch check, a balanced binary search over the sorted allowlist
-// whose leaves are exact syscall-number matches; the read/write/mmap/
-// mprotect leaves go on to their argument gate. Any number resolves in a
-// few jumps, which keeps the kernel's per-number allow-cache walk at
-// attach short, and a number not on the list always reaches KILL. A
-// pooled template child parks on a go-channel read, so read(2) is allowed
-// on `allow_read_fd` only; -1 forbids read (a cold child has no channel).
-JailFilter BuildJailFilter(int allow_read_fd);
+// whose leaves are exact syscall-number matches; the write/mmap/mprotect
+// leaves go on to their argument gate. Any number resolves in a few jumps,
+// which keeps the kernel's per-number allow-cache walk at attach short,
+// and a number not on the list always reaches KILL. read(2) is not on it:
+// a child's inputs are already in its context, so it reads no fd at all.
+JailFilter BuildJailFilter();
 
-// The filter of a cold child (no go channel), built once per process. The
-// first call must come from the parent.
+// BuildJailFilter's program, built once per process for every sandbox
+// child. The first call must come from the parent.
 const JailFilter& ColdJailFilter();
 
 // Installs `filter` in the calling (child) process. Async-signal-safe: no

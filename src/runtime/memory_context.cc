@@ -17,17 +17,12 @@ namespace {
 //    several µs of madvise + demand-zero refaults in the kernel, at the
 //    cost of keeping those pages committed while shelved (bounded by
 //    kZeroExtentBytes × the pool's max entries ≈ 4 MB platform-wide);
-//  - large extents are genuinely uncommitted, so committed memory keeps
-//    tracking demand (§7.8).
-// The uncommit call differs by mapping kind. On MAP_PRIVATE anonymous
-// memory MADV_DONTNEED discards the pages and refaults read fresh zeros.
-// On MAP_SHARED|MAP_ANONYMOUS it only drops this mapping's PTEs — the
-// backing shmem object keeps the old bytes and refaults repopulate them,
-// so the previous invocation's data would survive the "scrub". Shared
-// regions therefore need MADV_REMOVE, which hole-punches the shmem object
-// back to zeros (also uncommitting), with an explicit memset fallback if
-// the kernel refuses the punch.
-void ScrubRegion(char* region, uint64_t extent, bool shared) {
+//  - large extents are genuinely uncommitted with MADV_DONTNEED, so
+//    committed memory keeps tracking demand (§7.8); on MAP_PRIVATE
+//    anonymous memory refaults read fresh zeros.
+// Only private regions are scrubbed: a MAP_SHARED context is never reused,
+// because MADV_DONTNEED would leave its shmem object's bytes in place.
+void ScrubRegion(char* region, uint64_t extent) {
   if (extent == 0) {
     return;
   }
@@ -36,12 +31,7 @@ void ScrubRegion(char* region, uint64_t extent, bool shared) {
     return;
   }
   const uint64_t page = 4096;
-  const uint64_t rounded = (extent + page - 1) / page * page;
-  if (!shared) {
-    madvise(region, rounded, MADV_DONTNEED);
-  } else if (madvise(region, rounded, MADV_REMOVE) != 0) {
-    std::memset(region, 0, extent);
-  }
+  madvise(region, (extent + page - 1) / page * page, MADV_DONTNEED);
 }
 
 }  // namespace
@@ -105,7 +95,7 @@ bool ContextPool::Put(char* region, uint64_t capacity, uint64_t touched) {
   // pool turns out to be full, but keeps the capacity check and the
   // shelving atomic — a concurrent set_max_entries() shrink cannot
   // interleave with a half-registered entry.
-  ScrubRegion(region, std::min(touched, capacity), /*shared=*/false);
+  ScrubRegion(region, std::min(touched, capacity));
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_ >= max_entries_) {
     ++stats_.dropped;
@@ -172,11 +162,6 @@ MemoryContext::~MemoryContext() {
       accountant_->Release(capacity_);
     }
   }
-}
-
-void MemoryContext::ScrubForReuse(uint64_t extent) {
-  ScrubRegion(data_, std::min(extent, capacity_), shared_);
-  touched_ = 0;
 }
 
 dbase::Status MemoryContext::WriteAt(uint64_t offset, std::string_view bytes) {

@@ -188,18 +188,6 @@ class MemoryContext {
   ContextHeader ReadHeader() const;
   void WriteHeader(const ContextHeader& header);
 
-  // In-place recycle for warm sandboxes that keep this mapping across
-  // executions: applies the ContextPool scrub idiom to [0, extent) — small
-  // extents are zeroed in place, large private ones MADV_DONTNEED'd back to
-  // uncommitted zero pages, large shared (shmem-backed) ones hole-punched
-  // with MADV_REMOVE (MADV_DONTNEED would not zero them: refaults repopulate
-  // from the live shmem object) — and resets the touched high-water mark.
-  // `extent` is clamped to capacity; callers widen it past touched() when
-  // writes bypassed this object (a forked child's stores into a MAP_SHARED
-  // region).
-  void ScrubForReuse(uint64_t extent);
-  uint64_t touched() const { return touched_; }
-
   // In-place execution protocol used inside sandboxes: read input payload,
   // overwrite with output payload.
   dbase::Result<dfunc::DataSetList> LoadInputSets() const;

@@ -13,21 +13,12 @@ Platform::Platform(PlatformConfig config) : config_(config) {
   worker_config.initial_comm_workers = config.initial_comm_workers;
   worker_config.backend = config.backend;
   worker_config.comm_parallelism = config.comm_parallelism;
-  if (config.enable_sandbox_pool) {
-    SandboxPool::Config pool_config = config.sandbox_pool;
-    pool_config.backend = config.backend;  // The pool must match the engines.
-    sandbox_pool_ = std::make_unique<SandboxPool>(std::move(pool_config), &accountant_);
-  }
 
   workers_ = std::make_unique<WorkerSet>(worker_config, &mesh_);
   workers_->set_sleep_for_modeled_latency(config.sleep_for_modeled_latency);
-  if (sandbox_pool_ != nullptr) {
-    workers_->set_sandbox_pool(sandbox_pool_.get());
-  }
 
   Dispatcher::Config dispatcher_config;
   dispatcher_config.shared_contexts = config.backend == IsolationBackend::kProcess;
-  dispatcher_config.sandbox_pool = sandbox_pool_.get();
   dispatcher_config.retry = config.retry;
   dispatcher_ = std::make_unique<Dispatcher>(&functions_, &compositions_, &comm_functions_,
                                              workers_.get(), &accountant_, dispatcher_config);
@@ -38,11 +29,8 @@ Platform::Platform(PlatformConfig config) : config_(config) {
     std::unique_ptr<dpolicy::ElasticityPolicy> policy =
         config.elasticity_policy_factory ? config.elasticity_policy_factory()
                                          : dpolicy::CreatePolicy(config.elasticity_policy);
-    // The prewarm policy shares the elasticity cadence: every control tick
-    // also advances the pool's per-function EWMA targets, on the pool's
-    // fill thread, since a fill may block the reactor-run tick.
     control_plane_ = std::make_unique<ControlPlane>(workers_.get(), std::move(policy),
-                                                    control_config, sandbox_pool_.get());
+                                                    control_config);
     control_plane_->Start();
   }
 }
@@ -55,10 +43,6 @@ void Platform::Shutdown() {
   }
   if (workers_ != nullptr) {
     workers_->Shutdown();
-  }
-  if (sandbox_pool_ != nullptr) {
-    // After the engines: in-flight tasks release their leases first.
-    sandbox_pool_->Shutdown();
   }
 }
 

@@ -44,13 +44,9 @@ struct PlatformConfig {
   // unit tests).
   bool sleep_for_modeled_latency = true;
   int comm_parallelism = 64;
-  // Pre-warmed sandbox pool (ROADMAP "Cold-start elimination"): dispatch
-  // acquires warm sandboxes instead of cold-creating, the control plane
-  // ticks the PrewarmPolicy that sets the per-function depth. Off by
-  // default; fig02/fig10 and the pool tests switch it on.
+  // Unread: every sandbox starts cold, there is no warm pool to enable.
+  // Kept only because bench/e2e sets it.
   bool enable_sandbox_pool = false;
-  // Pool knobs; `backend` is overridden to match PlatformConfig::backend.
-  SandboxPool::Config sandbox_pool;
   // Retry/circuit-breaker policy for sandbox-level failures, executed by the
   // dispatcher (src/policy/retry.h). Enabled by default: Dandelion functions
   // are pure, so relaunching a crashed instance is always side-effect-safe.
@@ -101,9 +97,6 @@ class Platform {
   WorkerSet& workers() { return *workers_; }
   const WorkerSet& workers() const { return *workers_; }
   ControlPlane* control_plane() { return control_plane_.get(); }
-  // Null unless PlatformConfig::enable_sandbox_pool. Tests drive Tick()
-  // directly; production pools tick on the control-plane cadence.
-  SandboxPool* sandbox_pool() { return sandbox_pool_.get(); }
   const PlatformConfig& config() const { return config_; }
 
   // Graceful shutdown: drains queues and joins engines. Idempotent; the
@@ -122,9 +115,6 @@ class Platform {
   CommFunctionRegistry comm_functions_;
   dhttp::ServiceMesh mesh_;
   MemoryAccountant accountant_;
-  // Declared before the worker set: workers release leased warm sandboxes
-  // into the pool during shutdown, so the pool must be destroyed after.
-  std::unique_ptr<SandboxPool> sandbox_pool_;
   std::unique_ptr<WorkerSet> workers_;
   std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<ControlPlane> control_plane_;

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -12,7 +11,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "src/base/string_util.h"
 #include "src/func/function.h"
@@ -83,8 +81,7 @@ dbase::Status RunFunctionBodyAgainstContext(
 }
 
 // Reads the outcome a finished body left in the context: zero-copy when the
-// caller pins the context, copying otherwise (warm sandboxes recycle the
-// context right after).
+// caller pins the context, copying otherwise.
 void ReadBackOutputs(const MemoryContext& context, const SandboxOptions& options,
                      ExecOutcome& outcome) {
   auto outputs = options.context_keepalive != nullptr
@@ -146,13 +143,9 @@ class ThreadSandbox : public SandboxExecutor {
 };
 
 // ---------------------------------------------------------------------------
-// Process sandbox children: the one fork, wait and read-back behind both
-// the cold backend and the pool's parked templates.
+// Process sandbox children: fork at dispatch, jail, wait on a pidfd, read
+// back.
 // ---------------------------------------------------------------------------
-
-// How long a parked child may take to ack after fork. Arming runs off the
-// critical path (the pool's fill), so a generous bound costs nothing.
-constexpr int kParkAckTimeoutMs = 200;
 
 // The longest a waiting worker sleeps between checks of the stop flag: a
 // cancel lands within this bound, while the child's exit wakes the worker
@@ -168,8 +161,8 @@ auto RetryOnEintr(Call call) {
   return n;
 }
 
-// Jail and fault-point decisions for one child, taken before fork. A
-// pooled child is sampled at arm time: the child is the unit of injection.
+// Jail and fault-point decisions for one child, taken before fork: the
+// child is the unit of injection.
 struct ChildPlan {
   bool install_jail = false;
   bool crash_before = false;
@@ -187,38 +180,16 @@ ChildPlan SampleChildPlan() {
   return plan;
 }
 
-// Escape for the fork-safety probe's allocation: a volatile store keeps the
-// malloc/free pair from being elided.
-void* volatile probe_sink = nullptr;
-
 // The child body. The memory context is MAP_SHARED, so outcome writes are
 // plain stores the parent can read — and with the seccomp jail installed,
 // that is the child's *only* channel. Any syscall outside the completion set
 // kills it with SIGSYS, which the parent decodes as kJailKill.
 [[noreturn]] void RunChild(const dfunc::FunctionSpec& spec, MemoryContext& context,
-                           const ChildPlan& plan, int park_fd, const JailFilter* jail) {
-  if (park_fd >= 0) {
-    // Fork-safety probe (DESIGN.md): exercise the allocator the body will
-    // need, then ack. A child that inherited a held malloc lock wedges right
-    // here — before the ack — so the parent retires it instead of shelving
-    // a time bomb.
-    void* probe = malloc(64);
-    probe_sink = probe;
-    free(probe);
-    const char ack = 'a';
-    (void)RetryOnEintr([&] { return send(park_fd, &ack, 1, MSG_NOSIGNAL); });
-  }
-  // Confinement starts after a parked child's ack (the probe needs the
-  // allocator's full freedom) and before the park, so the whole parked
-  // lifetime is jailed; its only read is the go byte.
+                           const ChildPlan& plan, const JailFilter* jail) {
+  // Confinement comes first: nothing the child does after this runs
+  // unjailed.
   if (jail != nullptr && InstallSyscallJail(*jail) != 0) {
     _exit(125);  // Jail refused to install: fail closed, never run unjailed.
-  }
-  if (park_fd >= 0) {
-    char go = 0;
-    if (RetryOnEintr([&] { return read(park_fd, &go, 1); }) != 1) {
-      _exit(0);  // EOF: retired before dispatch, the body never runs.
-    }
   }
   if (plan.crash_before) __builtin_trap();
   if (plan.forbidden_syscall) {
@@ -238,19 +209,6 @@ void* volatile probe_sink = nullptr;
     __builtin_trap();
   }
   _exit(0);
-}
-
-// The parent half of the fork-safety probe: one ack byte in time.
-bool ReceiveAck(int fd) {
-  pollfd pfd{fd, POLLIN, 0};
-  char ack = 0;
-  return RetryOnEintr([&] { return poll(&pfd, 1, kParkAckTimeoutMs); }) > 0 &&
-         RetryOnEintr([&] { return recv(fd, &ack, 1, 0); }) == 1;
-}
-
-void KillAndReap(pid_t pid) {
-  kill(pid, SIGKILL);
-  (void)RetryOnEintr([&] { return waitpid(pid, nullptr, 0); });
 }
 
 enum class ChildEnd { kExited, kCancelled, kTimedOut, kNoPidfd, kReapFailed };
@@ -345,108 +303,83 @@ class ProcessSandbox : public SandboxExecutor {
       return outcome;
     }
     dbase::Stopwatch watch;
-    const SandboxChild child = ForkSandboxChild(spec, context, /*park=*/false);
-    if (child.pid < 0) {
+    const pid_t pid = ForkChild(spec, context);
+    if (pid < 0) {
       outcome.failure = dpolicy::FailureKind::kResourceExhausted;
       outcome.status = dbase::ResourceExhausted("fork failed");
       return outcome;
     }
     outcome.timings.setup_us = watch.ElapsedMicros();
-    return AwaitSandboxChild(child.pid, spec, context, options, outcome.timings);
+    AwaitChild(pid, spec, context, options, outcome);
+    return outcome;
   }
 
   IsolationBackend backend() const override { return IsolationBackend::kProcess; }
+
+ private:
+  // Samples the jail and fault-point decisions before fork — the child must
+  // never touch lazily-initialised parent state — then forks a child that
+  // runs `spec` over the MAP_SHARED `context`. Returns the child's pid, or
+  // < 0 when fork failed.
+  static pid_t ForkChild(const dfunc::FunctionSpec& spec, MemoryContext& context) {
+    const ChildPlan plan = SampleChildPlan();
+    // The jail program is built here, in the parent, once per process.
+    const JailFilter* jail = plan.install_jail ? &ColdJailFilter() : nullptr;
+    const pid_t pid = fork();
+    if (pid == 0) {
+      RunChild(spec, context, plan, jail);
+    }
+    return pid;
+  }
+
+  // Waits for the child and reaps it: the cancel flag or the deadline
+  // SIGKILLs it, otherwise its exit wakes the caller at once. The outcome is
+  // the cancel, the deadline, the crash or jail kill, or the read-back of
+  // what the child wrote.
+  static void AwaitChild(pid_t pid, const dfunc::FunctionSpec& spec, MemoryContext& context,
+                         const SandboxOptions& options, ExecOutcome& outcome) {
+    dbase::Stopwatch watch;
+    const dbase::Micros timeout = EffectiveTimeout(spec, options);
+    const ChildWait wait = WaitChild(pid, dbase::MonotonicClock::Get()->NowMicros() + timeout,
+                                     options.cancel_flag);
+    outcome.timings.execute_us = watch.ElapsedMicros();
+
+    watch.Restart();
+    switch (wait.end) {
+      case ChildEnd::kNoPidfd:
+        // Treated like a failed fork: the sandbox could not be run.
+        outcome.failure = dpolicy::FailureKind::kResourceExhausted;
+        outcome.status = dbase::ResourceExhausted("pidfd_open failed");
+        break;
+      case ChildEnd::kReapFailed:
+        // The child's end is unknown, so nothing it wrote can be trusted.
+        outcome.failure = dpolicy::FailureKind::kCrash;
+        outcome.status = dbase::Internal("waitpid failed");
+        break;
+      case ChildEnd::kCancelled:
+        outcome.failure = dpolicy::FailureKind::kCancelKill;
+        outcome.status = dbase::Cancelled(
+            dbase::StrFormat("function '%s' killed on cancellation", spec.name.c_str()));
+        break;
+      case ChildEnd::kTimedOut:
+        outcome.failure = dpolicy::FailureKind::kDeadlineKill;
+        outcome.status = dbase::DeadlineExceeded(
+            dbase::StrFormat("function '%s' killed after %lld us timeout", spec.name.c_str(),
+                             static_cast<long long>(timeout)));
+        break;
+      case ChildEnd::kExited:
+        // The child wrote through the MAP_SHARED mapping; the read-back can
+        // still alias it when the caller pins the context.
+        if (!DecodeWaitStatus(wait.status, spec.name, outcome)) {
+          ReadBackOutputs(context, options, outcome);
+        }
+        break;
+    }
+    outcome.timings.output_us = watch.ElapsedMicros();
+  }
 };
 
 }  // namespace
-
-SandboxChild ForkSandboxChild(const dfunc::FunctionSpec& spec, MemoryContext& context,
-                              bool park) {
-  SandboxChild child;
-  int channel[2] = {-1, -1};  // [0] the child's end, [1] the parent's.
-  if (park && socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, channel) != 0) {
-    return child;
-  }
-  const ChildPlan plan = SampleChildPlan();
-  // The jail is built here, before fork: a cold child's once per process,
-  // a parked child's, which names its go channel, once per arm.
-  JailFilter parked_jail;
-  const JailFilter* jail = nullptr;
-  if (plan.install_jail) {
-    if (park) {
-      parked_jail = BuildJailFilter(channel[0]);
-      jail = &parked_jail;
-    } else {
-      jail = &ColdJailFilter();
-    }
-  }
-  child.pid = fork();
-  if (child.pid == 0) {
-    if (park) {
-      close(channel[1]);
-    }
-    RunChild(spec, context, plan, channel[0], jail);
-  }
-  if (!park) {
-    return child;
-  }
-  close(channel[0]);
-  if (child.pid > 0 && ReceiveAck(channel[1])) {
-    child.go_fd = channel[1];
-    return child;
-  }
-  if (child.pid > 0) {
-    KillAndReap(child.pid);
-    child.pid = -1;
-  }
-  close(channel[1]);
-  return child;
-}
-
-ExecOutcome AwaitSandboxChild(pid_t pid, const dfunc::FunctionSpec& spec, MemoryContext& context,
-                              const SandboxOptions& options, SandboxTimings timings) {
-  ExecOutcome outcome;
-  outcome.timings = timings;
-  dbase::Stopwatch watch;
-  const dbase::Micros timeout = EffectiveTimeout(spec, options);
-  const ChildWait wait = WaitChild(pid, dbase::MonotonicClock::Get()->NowMicros() + timeout,
-                                   options.cancel_flag);
-  outcome.timings.execute_us = watch.ElapsedMicros();
-
-  watch.Restart();
-  switch (wait.end) {
-    case ChildEnd::kNoPidfd:
-      // Treated like a failed fork: the sandbox could not be run.
-      outcome.failure = dpolicy::FailureKind::kResourceExhausted;
-      outcome.status = dbase::ResourceExhausted("pidfd_open failed");
-      break;
-    case ChildEnd::kReapFailed:
-      // The child's end is unknown, so nothing it wrote can be trusted.
-      outcome.failure = dpolicy::FailureKind::kCrash;
-      outcome.status = dbase::Internal("waitpid failed");
-      break;
-    case ChildEnd::kCancelled:
-      outcome.failure = dpolicy::FailureKind::kCancelKill;
-      outcome.status = dbase::Cancelled(
-          dbase::StrFormat("function '%s' killed on cancellation", spec.name.c_str()));
-      break;
-    case ChildEnd::kTimedOut:
-      outcome.failure = dpolicy::FailureKind::kDeadlineKill;
-      outcome.status = dbase::DeadlineExceeded(
-          dbase::StrFormat("function '%s' killed after %lld us timeout", spec.name.c_str(),
-                           static_cast<long long>(timeout)));
-      break;
-    case ChildEnd::kExited:
-      // The child wrote through the MAP_SHARED mapping; the read-back can
-      // still alias it when the caller pins the context.
-      if (!DecodeWaitStatus(wait.status, spec.name, outcome)) {
-        ReadBackOutputs(context, options, outcome);
-      }
-      break;
-  }
-  outcome.timings.output_us = watch.ElapsedMicros();
-  return outcome;
-}
 
 std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend) {
   switch (backend) {

@@ -17,8 +17,6 @@
 #ifndef SRC_RUNTIME_SANDBOX_H_
 #define SRC_RUNTIME_SANDBOX_H_
 
-#include <sys/types.h>
-
 #include <atomic>
 #include <memory>
 #include <string>
@@ -46,9 +44,6 @@ struct SandboxTimings {
   dbase::Micros setup_us = 0;    // Sandbox creation (fork / none).
   dbase::Micros execute_us = 0;  // User code.
   dbase::Micros output_us = 0;   // "Get/send output": outcome readback.
-  // The instance ran on a pre-warmed sandbox: its setup was paid at
-  // pool-fill time, off the critical path, and setup_us reports ~0 here.
-  bool pool_hit = false;
 
   dbase::Micros Total() const { return load_us + setup_us + execute_us + output_us; }
 };
@@ -77,11 +72,10 @@ struct SandboxOptions {
   // backends (process) ignore this — their children can only see the
   // marshalled context mapping.
   std::shared_ptr<const dfunc::DataSetList> input_sets;
-  // When set, in-process backends read outputs back zero-copy: payloads
-  // alias the context region and this keepalive (the owning shared_ptr of
-  // the context) pins it until the last downstream reader drops its slice.
-  // Null ⇒ copying read-back (warm sandboxes whose context is recycled
-  // immediately after Execute).
+  // When set, outputs are read back zero-copy: payloads alias the context
+  // region and this keepalive (the owning shared_ptr of the context) pins
+  // it until the last downstream reader drops its slice. Null ⇒ copying
+  // read-back.
   std::shared_ptr<const void> context_keepalive;
 };
 
@@ -101,31 +95,6 @@ class SandboxExecutor {
 };
 
 std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend);
-
-// The kProcess child lifecycle, one path for the cold backend (a child per
-// execution) and the pool's template children (a child forked at fill time
-// and parked until dispatch).
-struct SandboxChild {
-  pid_t pid = -1;  // < 0: no child is running (fork, channel or ack failed).
-  int go_fd = -1;  // Parked children only: the parent's end of the go channel.
-};
-
-// Samples the jail and fault-point decisions before fork — the child must
-// never touch lazily-initialised parent state — then forks a child that
-// runs `spec` over the MAP_SHARED `context`. With `park`, the child first
-// touches the heap and acks over an AF_UNIX socketpair (the fork-safety
-// probe, DESIGN.md), is jailed with read(2) allowed on its end only, and
-// blocks until one go byte arrives on it; EOF exits without running the
-// body. A parked child that misses the ack is killed and reaped.
-SandboxChild ForkSandboxChild(const dfunc::FunctionSpec& spec, MemoryContext& context,
-                              bool park);
-
-// Waits for a running child and reaps it: the cancel flag or the deadline
-// SIGKILLs it, otherwise its exit wakes the caller at once. The outcome is
-// the cancel, the deadline, the crash or jail kill, or the read-back of what
-// the child wrote. `timings` carries the setup phase measured so far.
-ExecOutcome AwaitSandboxChild(pid_t pid, const dfunc::FunctionSpec& spec, MemoryContext& context,
-                              const SandboxOptions& options, SandboxTimings timings);
 
 }  // namespace dandelion
 

@@ -67,32 +67,6 @@ SimMetrics SimulateDandelion(const DandelionSimConfig& config,
   FifoServer comm(&queue, comm_cores * config.comm_parallelism);
   MemoryTracker memory(&queue, &metrics.committed_mb, config.track_memory);
 
-  // Pre-warm pool model (mirrors the runtime SandboxPool): per-app shelves
-  // whose depth the shared dpolicy::PrewarmPolicy sets each prewarm tick.
-  // A compute stage that finds a shelved sandbox skips sandbox_us (warm
-  // start); completions re-shelf while within the target. Shelved
-  // sandboxes keep their context committed — that is the memory cost
-  // pooling trades for latency.
-  struct AppPool {
-    dpolicy::PrewarmPolicy policy;
-    uint64_t arrivals = 0;
-    int shelved = 0;
-    int leased = 0;
-    int target = 0;
-    uint64_t context_bytes = 0;
-  };
-  const bool pool_enabled = config.enable_prewarm_pool;
-  std::map<int, AppPool> pools;
-  int total_shelved = 0;
-  auto pool_for = [&](const SimRequest& req) -> AppPool& {
-    auto it = pools.find(req.app_id);
-    if (it == pools.end()) {
-      it = pools.emplace(req.app_id, AppPool{dpolicy::PrewarmPolicy(config.prewarm)}).first;
-      it->second.context_bytes = req.context_bytes;
-    }
-    return it->second;
-  };
-
   // The compute stage of phase p, then the comm stage, then recurse.
   struct Chain {
     SimRequest req;
@@ -113,17 +87,8 @@ SimMetrics SimulateDandelion(const DandelionSimConfig& config,
   std::function<void(std::shared_ptr<Chain>, int)> compute_stage_fn;
   run_phase = [&](std::shared_ptr<Chain> chain) {
     if (chain->phase >= chain->req.phases) {
-      if (chain->req.arrival_us >= config.latency_record_after_us) {
-        RecordLatency(&metrics, chain->req.app_id, chain->req.arrival_us, queue.now());
-      } else {
-        // Warm-up request: excluded from the latency distribution (fig02
-        // gates steady-state tails) but still counted as work done.
-        ++metrics.completed;
-        metrics.end_time_us = std::max(metrics.end_time_us, queue.now());
-      }
-      if (!pool_enabled) {
-        ++metrics.cold_starts;  // Every Dandelion request cold-starts (§7).
-      }
+      RecordLatency(&metrics, chain->req.app_id, chain->req.arrival_us, queue.now());
+      ++metrics.cold_starts;  // Every Dandelion request cold-starts (§7).
       return;
     }
     ++chain->phase;
@@ -150,56 +115,16 @@ SimMetrics SimulateDandelion(const DandelionSimConfig& config,
         return;  // Fast-fail: the request terminates unserved.
       }
     }
-    dbase::Micros sandbox_cost = config.sandbox_us;
-    bool warm = false;
-    if (pool_enabled) {
-      AppPool& pool = pool_for(chain->req);
-      ++pool.arrivals;
-      if (pool.shelved > 0) {
-        --pool.shelved;
-        --total_shelved;
-        ++pool.leased;
-        warm = true;
-        sandbox_cost = 0;  // Fork/load were paid at fill time.
-        ++metrics.warm_starts;
-      } else {
-        ++metrics.cold_starts;
-      }
-    }
     const auto service = static_cast<dbase::Micros>(
-        config.dispatch_us + sandbox_cost +
+        config.dispatch_us + config.sandbox_us +
         static_cast<double>(chain->req.compute_us) * config.compute_slowdown);
-    if (!warm) {
-      memory.Add(chain->req.context_bytes);  // Warm contexts were committed at fill.
-    }
-    compute.Submit(service, [&, chain, warm, attempt, breaker_key](dbase::Micros,
-                                                                   dbase::Micros) {
+    memory.Add(chain->req.context_bytes);
+    compute.Submit(service, [&, chain, attempt, breaker_key](dbase::Micros, dbase::Micros) {
       // A crash is detected when the stage retires (the runtime parent
       // observes the child's wait status after the work was burned).
       const bool crashed =
           config.crash_every_n > 0 && (++compute_completions % config.crash_every_n == 0);
-      bool kept = false;
-      // A warm sandbox's context was committed at fill time with the
-      // pool's uniform size; release the same amount on retire, or the
-      // committed-memory metric drifts when requests of one app carry
-      // different context_bytes.
-      uint64_t release_bytes = chain->req.context_bytes;
-      if (warm) {
-        AppPool& pool = pool_for(chain->req);
-        release_bytes = pool.context_bytes;
-        --pool.leased;
-        // A crashed child is never re-shelved (the runtime retires it).
-        if (!crashed && pool.shelved + pool.leased < pool.target &&
-            pool.shelved < config.prewarm_max_depth &&
-            total_shelved < config.prewarm_max_total) {
-          ++pool.shelved;  // Scrub + re-shelf: context stays committed.
-          ++total_shelved;
-          kept = true;
-        }
-      }
-      if (!kept) {
-        memory.Sub(release_bytes);
-      }
+      memory.Sub(chain->req.context_bytes);
       if (crashed) {
         ++metrics.crashes_injected;
         if (retry_enabled) {
@@ -290,42 +215,6 @@ SimMetrics SimulateDandelion(const DandelionSimConfig& config,
   };
   if (config.enable_controller && !requests.empty()) {
     queue.ScheduleAfter(config.controller_interval_us, control_tick);
-  }
-
-  // Prewarm tick: the same Decide → retire/fill step SandboxPool::Tick
-  // runs, in virtual time. Fills and retires are instantaneous here — the
-  // runtime performs them off the critical path, so the sim charges no
-  // latency either; only the memory and the hit/miss mix move.
-  const dbase::Micros prewarm_interval =
-      config.prewarm_tick_us > 0 ? config.prewarm_tick_us : config.controller_interval_us;
-  std::function<void()> prewarm_tick = [&] {
-    for (auto& [app_id, pool] : pools) {
-      dpolicy::PrewarmSignals signals;
-      signals.now_us = queue.now();
-      signals.arrivals = pool.arrivals;
-      signals.shelved = pool.shelved;
-      signals.leased = pool.leased;
-      dpolicy::PrewarmDecision decision = pool.policy.Decide(signals);
-      pool.target = std::min(decision.target_depth, config.prewarm_max_depth);
-      while (pool.shelved + pool.leased > pool.target && pool.shelved > 0) {
-        --pool.shelved;
-        --total_shelved;
-        memory.Sub(pool.context_bytes);
-      }
-      int want = pool.target - pool.shelved - pool.leased;
-      while (want-- > 0 && total_shelved < config.prewarm_max_total) {
-        ++pool.shelved;
-        ++total_shelved;
-        memory.Add(pool.context_bytes);
-      }
-    }
-    metrics.pool_depth_trace.emplace_back(queue.now(), total_shelved);
-    if (!queue.empty()) {
-      queue.ScheduleAfter(prewarm_interval, prewarm_tick);
-    }
-  };
-  if (pool_enabled && !requests.empty()) {
-    queue.ScheduleAfter(prewarm_interval, prewarm_tick);
   }
 
   queue.RunAll();
@@ -769,122 +658,22 @@ SimMetrics SimulateDandelionTrace(const TraceSimConfig& config, const dtrace::Tr
     memory_of[f] = trace.functions[f].memory_bytes;
   }
 
-  // Warm-context pools (fig10's pooling variants). A shelved context stays
-  // committed; kPrewarmPolicy bounds the shelf with the shared
-  // PrewarmPolicy, kAlwaysWarm keeps every context forever (the naive
-  // envelope the policy run must undercut).
-  struct FuncPool {
-    std::unique_ptr<dpolicy::PrewarmPolicy> policy;
-    uint64_t arrivals = 0;
-    int shelved = 0;
-    int leased = 0;
-    int target = 0;
-  };
-  const auto mode = config.pool_mode;
-  std::vector<FuncPool> pools(trace.functions.size());
-  // Node-wide shelf occupancy, maintained across arrivals/completions/ticks
-  // so the kPrewarmPolicy fills can honour prewarm_max_total the way
-  // SandboxPool::Tick honours Config::max_total (sim-vs-runtime parity).
-  // kAlwaysWarm deliberately ignores the caps — it is the naive envelope.
-  int total_shelved = 0;
-  if (mode == TraceSimConfig::PoolMode::kPrewarmPolicy) {
-    for (auto& pool : pools) {
-      pool.policy = std::make_unique<dpolicy::PrewarmPolicy>(config.prewarm);
-    }
-  }
-
   for (const auto& arrival : trace.ToArrivals(arrival_seed)) {
     queue.ScheduleAt(arrival.time_us, [&, arrival] {
       // Context committed only while the request exists (§7.8: "Dandelion
       // commits and consumes memory only while requests are actively
-      // running since a new context is created for each request") — unless
-      // a pool mode shelved one for this function.
-      const auto f = static_cast<size_t>(arrival.function_id);
-      const uint64_t bytes = memory_of[f];
-      FuncPool& pool = pools[f];
-      ++pool.arrivals;
-      bool warm = false;
-      if (mode != TraceSimConfig::PoolMode::kNone && pool.shelved > 0) {
-        --pool.shelved;
-        --total_shelved;
-        ++pool.leased;
-        warm = true;  // Context already committed while shelved.
-      } else {
-        committed_bytes += bytes;
-      }
+      // running since a new context is created for each request").
+      const uint64_t bytes = memory_of[static_cast<size_t>(arrival.function_id)];
+      committed_bytes += bytes;
       record_memory();
-      if (warm) {
-        ++metrics.warm_starts;
-      } else {
-        ++metrics.cold_starts;
-      }
-      const dbase::Micros service =
-          (warm ? 0 : config.dandelion_sandbox_us) + arrival.duration_us;
-      cores.Submit(service, [&, arrival, bytes, warm, f](dbase::Micros, dbase::Micros end) {
-        FuncPool& done_pool = pools[f];
-        bool kept = false;
-        if (warm) {
-          --done_pool.leased;
-        }
-        if (mode == TraceSimConfig::PoolMode::kAlwaysWarm) {
-          // Naive: every context is promoted to the shelf and never
-          // retired — resident memory grows to each function's peak
-          // concurrency and stays there.
-          ++done_pool.shelved;
-          ++total_shelved;
-          kept = true;
-        } else if (mode == TraceSimConfig::PoolMode::kPrewarmPolicy && warm &&
-                   done_pool.shelved + done_pool.leased < done_pool.target &&
-                   done_pool.shelved < config.prewarm_max_depth &&
-                   total_shelved < config.prewarm_max_total) {
-          ++done_pool.shelved;
-          ++total_shelved;
-          kept = true;
-        }
-        if (!kept) {
-          committed_bytes -= bytes;
-        }
+      ++metrics.cold_starts;
+      const dbase::Micros service = config.dandelion_sandbox_us + arrival.duration_us;
+      cores.Submit(service, [&, arrival, bytes](dbase::Micros, dbase::Micros end) {
+        committed_bytes -= bytes;
         RecordLatency(&metrics, arrival.function_id, arrival.time_us, end);
         record_memory();
       });
     });
-  }
-
-  // Function-scope: the lambda reschedules through this std::function by
-  // reference, so it must outlive RunAll().
-  std::function<void()> prewarm_tick;
-  if (mode == TraceSimConfig::PoolMode::kPrewarmPolicy) {
-    prewarm_tick = [&] {
-      for (size_t f = 0; f < pools.size(); ++f) {
-        FuncPool& pool = pools[f];
-        dpolicy::PrewarmSignals signals;
-        signals.now_us = queue.now();
-        signals.arrivals = pool.arrivals;
-        signals.shelved = pool.shelved;
-        signals.leased = pool.leased;
-        dpolicy::PrewarmDecision decision = pool.policy->Decide(signals);
-        pool.target = std::min(decision.target_depth, config.prewarm_max_depth);
-        while (pool.shelved + pool.leased > pool.target && pool.shelved > 0) {
-          --pool.shelved;
-          --total_shelved;
-          committed_bytes -= memory_of[f];
-        }
-        // Fill only while the node-wide shelf has room — the same room
-        // computation SandboxPool::Tick runs against Config::max_total.
-        int want = pool.target - pool.shelved - pool.leased;
-        while (want-- > 0 && total_shelved < config.prewarm_max_total) {
-          ++pool.shelved;
-          ++total_shelved;
-          committed_bytes += memory_of[f];
-        }
-      }
-      record_memory();
-      metrics.pool_depth_trace.emplace_back(queue.now(), total_shelved);
-      if (!queue.empty()) {
-        queue.ScheduleAfter(config.prewarm_tick_us, prewarm_tick);
-      }
-    };
-    queue.ScheduleAfter(config.prewarm_tick_us, prewarm_tick);
   }
 
   queue.RunAll();

@@ -15,7 +15,6 @@
 
 #include "src/base/stats.h"
 #include "src/policy/elasticity.h"
-#include "src/policy/prewarm.h"
 #include "src/policy/retry.h"
 #include "src/sim/calibration.h"
 #include "src/sim/event_queue.h"
@@ -45,10 +44,6 @@ struct SimMetrics {
   dbase::Micros end_time_us = 0;
   // (time, comm cores) — the controller's allocation trace (Fig. 8).
   std::vector<std::pair<dbase::Micros, int>> comm_core_trace;
-  // (time, shelved warm sandboxes) recorded at each prewarm tick — the
-  // simulated counterpart of SandboxPool::DepthTrace(), compared by the
-  // sim-vs-runtime parity test.
-  std::vector<std::pair<dbase::Micros, int>> pool_depth_trace;
 
   double ColdFraction() const {
     const uint64_t total = cold_starts + warm_starts;
@@ -76,21 +71,6 @@ struct DandelionSimConfig {
   // (parity tests pin windows/targets this way).
   std::function<std::unique_ptr<dpolicy::ElasticityPolicy>()> policy_factory;
   bool track_memory = false;
-  // Pre-warmed sandbox pool (mirrors the runtime's SandboxPool): each
-  // prewarm tick runs the same dpolicy::PrewarmPolicy per app; a compute
-  // stage that finds a shelved warm sandbox skips sandbox_us entirely
-  // (warm start), a miss pays it (cold start). Off by default so every
-  // existing caller keeps the always-cold §7 model.
-  bool enable_prewarm_pool = false;
-  dpolicy::PrewarmOptions prewarm;
-  // Tick cadence of the prewarm policy (defaults to controller_interval_us
-  // when 0) and the same clamps SandboxPool::Config applies.
-  dbase::Micros prewarm_tick_us = 0;
-  int prewarm_max_depth = 8;
-  int prewarm_max_total = 64;
-  // Ignore latencies of requests arriving before this time — fig02 gates
-  // on steady-state tail latency, after the pool has warmed up.
-  dbase::Micros latency_record_after_us = 0;
   // Fault/retry parity with the runtime dispatcher: every crash_every_n-th
   // compute-stage completion is a sandbox crash (0 = off), and the same
   // dpolicy::RetryPolicy the dispatcher executes decides relaunch, backoff,
@@ -180,23 +160,6 @@ struct TraceSimConfig {
   // Dandelion per-request sandbox cost (process backend on x86, §7.8).
   dbase::Micros dandelion_sandbox_us = Calibration::kDandelionProcessX86Us;
   dbase::Micros memory_sample_interval_us = 1 * dbase::kMicrosPerSecond;
-
-  // Warm-context handling for the Dandelion node (fig10's pooling
-  // variants). kNone is the paper's baseline: a context exists only while
-  // its request runs. kPrewarmPolicy shelves contexts under the
-  // PrewarmPolicy's per-function targets — shelved contexts stay committed,
-  // so pooling trades bounded resident memory for fewer cold starts.
-  // kAlwaysWarm is the naive envelope: every context is kept forever, the
-  // memory bound fig10 must stay below.
-  enum class PoolMode { kNone, kPrewarmPolicy, kAlwaysWarm };
-  PoolMode pool_mode = PoolMode::kNone;
-  dpolicy::PrewarmOptions prewarm;
-  dbase::Micros prewarm_tick_us = Calibration::kAutoscalerTickUs;
-  // Same clamps SandboxPool::Config applies in the runtime: per-function
-  // shelf depth and the node-wide shelf total (kAlwaysWarm ignores both —
-  // it is the deliberately unbounded envelope).
-  int prewarm_max_depth = 8;
-  int prewarm_max_total = 64;
 };
 
 // Firecracker pods auto-scaled by the Knative KPA model. Memory committed =

@@ -656,45 +656,6 @@ TEST(FrontendTest, StatzReportsControlPlanePolicyAndSplit) {
   frontend.Stop();
 }
 
-TEST(FrontendTest, StatzEscapesHostileFunctionNamesInPoolTargets) {
-  PlatformConfig platform_config = FastPlatformConfig();
-  platform_config.enable_sandbox_pool = true;
-  Platform platform(platform_config);
-  // A registered name carrying a quote and a backslash must not corrupt
-  // the /statz document. The pool tracks a function once dispatch asks for
-  // it, so drive Acquire + Tick directly to materialize a targets entry.
-  dfunc::FunctionSpec hostile;
-  hostile.name = "evil\"name\\fn";
-  hostile.body = dfunc::EchoFunction;
-  platform.sandbox_pool()->Acquire(hostile, PriorityClass::kInteractive);
-  platform.sandbox_pool()->Tick(0);
-
-  HttpFrontend frontend(&platform, FrontendConfig{});
-  const dbase::Status started = frontend.Start();
-  if (!started.ok()) {
-    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
-  }
-  const int fd = ConnectTo(frontend.port());
-  std::string carry;
-  SendAll(fd, "GET /statz HTTP/1.1\r\n\r\n");
-  auto response = ReadOneResponse(fd, &carry);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 200);
-  // The name appears in its escaped JSON form, never raw.
-  EXPECT_NE(response->body.find("evil\\\"name\\\\fn"), std::string::npos) << response->body;
-  // And the document's unescaped quotes still balance — the key did not
-  // terminate a string early.
-  size_t quotes = 0;
-  for (size_t i = 0; i < response->body.size(); ++i) {
-    if (response->body[i] == '"' && (i == 0 || response->body[i - 1] != '\\')) {
-      ++quotes;
-    }
-  }
-  EXPECT_EQ(quotes % 2, 0u) << response->body;
-  close(fd);
-  frontend.Stop();
-}
-
 // An elasticity policy whose name and decision reason carry JSON
 // metacharacters, the way a user-supplied policy object may.
 class QuotingPolicy : public dpolicy::ElasticityPolicy {
@@ -713,14 +674,8 @@ TEST(FrontendTest, StatzEscapesUserSuppliedPolicyStrings) {
   // Long interval: the only decision is the StepOnce below.
   platform_config.control_interval_us = 10 * dbase::kMicrosPerSecond;
   platform_config.elasticity_policy_factory = [] { return std::make_unique<QuotingPolicy>(); };
-  platform_config.enable_sandbox_pool = true;
   Platform platform(platform_config);
-  dfunc::FunctionSpec echo;
-  echo.name = "echo";
-  echo.body = dfunc::EchoFunction;
-  platform.sandbox_pool()->Acquire(echo, PriorityClass::kInteractive);
   platform.control_plane()->StepOnce();
-  platform.sandbox_pool()->Tick(0);
 
   HttpFrontend frontend(&platform, FrontendConfig{});
   const dbase::Status started = frontend.Start();
@@ -750,12 +705,6 @@ TEST(FrontendTest, StatzEscapesUserSuppliedPolicyStrings) {
   ASSERT_NE(last, nullptr);
   ASSERT_NE(last->Find("reason"), nullptr);
   EXPECT_EQ(last->Find("reason")->string, "held \"steady\" \\ idle");
-  const e2e::Json* pool = statz->Find("sandbox_pool");
-  ASSERT_NE(pool, nullptr);
-  const e2e::Json* targets = pool->Find("targets");
-  ASSERT_NE(targets, nullptr);
-  ASSERT_NE(targets->Find("echo"), nullptr);
-  EXPECT_EQ(targets->Find("echo")->Find("reason")->type, e2e::Json::Type::kString);
   EXPECT_NE(statz->Find("jail"), nullptr);
   close(fd);
   frontend.Stop();
@@ -893,8 +842,8 @@ class JsonSchema {
 };
 
 // The /statz schema: every key, its nesting, its JSON type and its order,
-// for a frontend with a control plane (one decision), a sandbox pool (one
-// tracked function) and an attached cluster with one remote node. Tests,
+// for a frontend with a control plane (one decision) and an attached
+// cluster with one remote node. Tests,
 // benches (bench/e2e reads frontend.shed_429) and operators read these
 // keys; changing one is a deliberate schema change.
 const std::vector<std::string> kStatzSchema = {
@@ -948,25 +897,6 @@ const std::vector<std::string> kStatzSchema = {
     "control_plane.last_decision.shifted:number",
     "control_plane.last_decision.panic:bool",
     "control_plane.last_decision.reason:string",
-    "sandbox_pool:object",
-    "sandbox_pool.enabled:bool",
-    "sandbox_pool.hits:number",
-    "sandbox_pool.misses:number",
-    "sandbox_pool.bypassed:number",
-    "sandbox_pool.prewarm_fills:number",
-    "sandbox_pool.recycled:number",
-    "sandbox_pool.retired:number",
-    "sandbox_pool.arrivals:number",
-    "sandbox_pool.pool_child_lost:number",
-    "sandbox_pool.shelved:number",
-    "sandbox_pool.leased:number",
-    "sandbox_pool.functions:number",
-    "sandbox_pool.max_total:number",
-    "sandbox_pool.targets:object",
-    "sandbox_pool.targets.echo:object",
-    "sandbox_pool.targets.echo.depth:number",
-    "sandbox_pool.targets.echo.rate_per_sec:number",
-    "sandbox_pool.targets.echo.reason:string",
     "jail:object",
     "jail.seccomp_filter:bool",
     "jail.enabled:bool",
@@ -984,10 +914,6 @@ const std::vector<std::string> kStatzSchema = {
     "faults.child_forbidden_syscall.armed:bool",
     "faults.child_forbidden_syscall.crossings:number",
     "faults.child_forbidden_syscall.fired:number",
-    "faults.pool_template_death:object",
-    "faults.pool_template_death.armed:bool",
-    "faults.pool_template_death.crossings:number",
-    "faults.pool_template_death.fired:number",
     "faults.transient_resource_exhausted:object",
     "faults.transient_resource_exhausted.armed:bool",
     "faults.transient_resource_exhausted.crossings:number",
@@ -1054,14 +980,8 @@ TEST(FrontendTest, StatzSchemaIsPinned) {
   platform_config.enable_control_plane = true;
   // Long interval: the only decision is the StepOnce below.
   platform_config.control_interval_us = 10 * dbase::kMicrosPerSecond;
-  platform_config.enable_sandbox_pool = true;
   Platform platform(platform_config);
-  dfunc::FunctionSpec echo;
-  echo.name = "echo";
-  echo.body = dfunc::EchoFunction;
-  platform.sandbox_pool()->Acquire(echo, PriorityClass::kInteractive);
   platform.control_plane()->StepOnce();
-  platform.sandbox_pool()->Tick(0);
 
   HttpFrontend frontend(&platform, FrontendConfig{});
   frontend.AttachCluster(&cluster);

@@ -2,9 +2,8 @@
 // process backend, the failure taxonomy (distinct FailureKinds for jail
 // kill, genuine crash, deadline kill, cancel kill — on the report and on
 // a node's wire outcome when the callback fires), the dispatcher's
-// policy-driven retries with per-function circuit breaking, the pooled
-// template-child-loss fallback, and the deterministic fault-injection
-// seams that drive all of it. Jail assertions degrade to capability-checked
+// policy-driven retries with per-function circuit breaking, and the
+// deterministic fault-injection seams that drive all of it. Jail assertions degrade to capability-checked
 // skips on kernels without seccomp — with the explicit fallback assertion
 // that the unconfined path still executes correctly.
 #include <fcntl.h>
@@ -35,7 +34,6 @@
 #include "src/runtime/jail.h"
 #include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
-#include "src/runtime/sandbox_pool.h"
 
 namespace {
 
@@ -146,7 +144,8 @@ Verdict Evaluate(const dandelion::JailFilter& filter, const seccomp_data& data) 
 
 // For every syscall number 0-511, and for both sides of each argument gate,
 // the built filter's verdict matches the allowlist, and no number takes
-// more than a balanced tree's jumps to resolve.
+// more than a balanced tree's jumps to resolve. read(2) is on no side of
+// any gate: a child reads no fd at all.
 TEST(JailFilterTest, VerdictMatchesTheAllowlistForEveryNumber) {
 #if defined(__x86_64__)
   constexpr uint32_t kArch = AUDIT_ARCH_X86_64;
@@ -161,54 +160,59 @@ TEST(JailFilterTest, VerdictMatchesTheAllowlistForEveryNumber) {
       SYS_mremap,        SYS_madvise,     SYS_futex,         SYS_sched_yield, SYS_clock_gettime,
       SYS_clock_nanosleep, SYS_nanosleep, SYS_gettimeofday,  SYS_restart_syscall,
       SYS_membarrier,    SYS_getrandom};
-  const std::set<long> gated = {SYS_read, SYS_write, SYS_mmap, SYS_mprotect};
-  constexpr int kGoFd = 7;
-  for (int read_fd : {-1, kGoFd}) {
-    const dandelion::JailFilter filter = dandelion::BuildJailFilter(read_fd);
-    ASSERT_GT(filter.len, 0u);
-    int max_jumps = 0;
-    for (uint32_t nr = 0; nr < 512; ++nr) {
-      // Arguments that pass every gate, and arguments that fail every gate.
-      seccomp_data pass{};
-      pass.arch = kArch;
-      pass.nr = static_cast<int>(nr);
-      pass.args[0] = nr == SYS_read ? kGoFd : STDERR_FILENO;
-      pass.args[2] = PROT_READ | PROT_WRITE;
-      pass.args[3] = MAP_PRIVATE | MAP_ANONYMOUS;
-      seccomp_data fail = pass;
-      fail.args[0] = 3;
-      fail.args[2] = PROT_READ | PROT_EXEC;
-      fail.args[3] = MAP_PRIVATE;
+  const std::set<long> gated = {SYS_write, SYS_mmap, SYS_mprotect};
+  const dandelion::JailFilter filter = dandelion::BuildJailFilter();
+  ASSERT_GT(filter.len, 0u);
+  int max_jumps = 0;
+  for (uint32_t nr = 0; nr < 512; ++nr) {
+    // Arguments that pass every gate, and arguments that fail every gate.
+    seccomp_data pass{};
+    pass.arch = kArch;
+    pass.nr = static_cast<int>(nr);
+    pass.args[0] = STDERR_FILENO;
+    pass.args[2] = PROT_READ | PROT_WRITE;
+    pass.args[3] = MAP_PRIVATE | MAP_ANONYMOUS;
+    seccomp_data fail = pass;
+    fail.args[0] = 3;
+    fail.args[2] = PROT_READ | PROT_EXEC;
+    fail.args[3] = MAP_PRIVATE;
 
-      const bool is_plain = plain.count(nr) > 0;
-      const bool passes_gate = gated.count(nr) > 0 && (nr != SYS_read || read_fd >= 0);
-      const Verdict on_pass = Evaluate(filter, pass);
-      const Verdict on_fail = Evaluate(filter, fail);
-      EXPECT_EQ(on_pass.action, is_plain || passes_gate ? SECCOMP_RET_ALLOW
-                                                        : SECCOMP_RET_KILL_PROCESS)
-          << "nr " << nr << " read_fd " << read_fd;
-      EXPECT_EQ(on_fail.action, is_plain ? SECCOMP_RET_ALLOW : SECCOMP_RET_KILL_PROCESS)
-          << "nr " << nr << " read_fd " << read_fd;
-      max_jumps = std::max({max_jumps, on_pass.jumps, on_fail.jumps});
-    }
-    // Arch check, five tree levels over at most 20 rules, the exact match
-    // and one argument gate; the old linear chain took up to 40.
-    EXPECT_LE(max_jumps, 8) << "read_fd " << read_fd;
-
-    seccomp_data foreign{};
-    foreign.arch = kArch ^ 1;  // Any other ABI is killed before its number is read.
-    foreign.nr = SYS_exit;
-    EXPECT_EQ(Evaluate(filter, foreign).action, SECCOMP_RET_KILL_PROCESS);
-    seccomp_data high{};
-    high.arch = kArch;
-    high.nr = 0x40000000 | SYS_exit;  // x32 numbering on x86_64.
-    EXPECT_EQ(Evaluate(filter, high).action, SECCOMP_RET_KILL_PROCESS);
+    const bool is_plain = plain.count(nr) > 0;
+    const Verdict on_pass = Evaluate(filter, pass);
+    const Verdict on_fail = Evaluate(filter, fail);
+    EXPECT_EQ(on_pass.action, is_plain || gated.count(nr) > 0 ? SECCOMP_RET_ALLOW
+                                                              : SECCOMP_RET_KILL_PROCESS)
+        << "nr " << nr;
+    EXPECT_EQ(on_fail.action, is_plain ? SECCOMP_RET_ALLOW : SECCOMP_RET_KILL_PROCESS)
+        << "nr " << nr;
+    max_jumps = std::max({max_jumps, on_pass.jumps, on_fail.jumps});
   }
-  // The cold child's prebuilt filter is the no-channel build.
-  const dandelion::JailFilter cold = dandelion::BuildJailFilter(-1);
-  ASSERT_EQ(dandelion::ColdJailFilter().len, cold.len);
-  EXPECT_EQ(std::memcmp(dandelion::ColdJailFilter().insns, cold.insns,
-                        cold.len * sizeof(sock_filter)),
+  // Arch check, five tree levels over at most 20 rules, the exact match
+  // and one argument gate; the old linear chain took up to 40.
+  EXPECT_LE(max_jumps, 8);
+
+  // read(2) is killed whatever fd it names.
+  for (uint64_t fd : {0ull, 1ull, 2ull, 3ull, 7ull, 1023ull, 0xFFFFFFFFull, ~0ull}) {
+    seccomp_data read_call{};
+    read_call.arch = kArch;
+    read_call.nr = SYS_read;
+    read_call.args[0] = fd;
+    EXPECT_EQ(Evaluate(filter, read_call).action, SECCOMP_RET_KILL_PROCESS) << "fd " << fd;
+  }
+
+  seccomp_data foreign{};
+  foreign.arch = kArch ^ 1;  // Any other ABI is killed before its number is read.
+  foreign.nr = SYS_exit;
+  EXPECT_EQ(Evaluate(filter, foreign).action, SECCOMP_RET_KILL_PROCESS);
+  seccomp_data high{};
+  high.arch = kArch;
+  high.nr = 0x40000000 | SYS_exit;  // x32 numbering on x86_64.
+  EXPECT_EQ(Evaluate(filter, high).action, SECCOMP_RET_KILL_PROCESS);
+
+  // Every child installs the same prebuilt program.
+  ASSERT_EQ(dandelion::ColdJailFilter().len, filter.len);
+  EXPECT_EQ(std::memcmp(dandelion::ColdJailFilter().insns, filter.insns,
+                        filter.len * sizeof(sock_filter)),
             0);
 }
 
@@ -565,45 +569,6 @@ TEST_F(JailTest, TransientResourceExhaustionIsRetried) {
   const dandelion::InvocationReport report = handle.Report();
   EXPECT_EQ(report.retries_attempted, 1u);
   EXPECT_EQ(report.failure_kind, FailureKind::kResourceExhausted);
-}
-
-// ----------------------------------------------- Pool template-child loss
-
-TEST_F(JailTest, PoolChildLostFallsBackToColdForkTransparently) {
-  dandelion::PlatformConfig config = ProcessConfig();
-  config.enable_sandbox_pool = true;
-  config.sandbox_pool.prewarm.ewma_alpha = 0.5;
-  config.sandbox_pool.prewarm.provision_window_us = 100 * kMicrosPerMilli;
-  config.sandbox_pool.prewarm.scale_to_zero_after_us = 10 * kMicrosPerSecond;
-  dandelion::Platform platform(config);
-  ASSERT_TRUE(platform.RegisterFunction(EchoSpec()).ok());
-  ASSERT_TRUE(platform.RegisterCompositionDsl(kSingleDsl).ok());
-
-  dandelion::SandboxPool* pool = platform.sandbox_pool();
-  {
-    dandelion::InvocationRequest request;
-    request.composition = "Run";
-    request.args = OneInput("prime");
-    ASSERT_TRUE(platform.Invoke(std::move(request)).ok());
-  }
-  pool->Tick(0);
-  pool->Tick(100 * kMicrosPerMilli);
-  ASSERT_GE(pool->Stats().shelved, 1);
-
-  // The next acquire kills the warm template child before dispatch: the
-  // go-pipe write finds it gone and the engine falls back to a cold fork
-  // over the same warm context — the client must never notice.
-  FaultInjector::Get().Arm(FaultPoint::kPoolTemplateDeath,
-                           FaultPlan{.every_n = 1, .limit = 1});
-
-  dandelion::InvocationRequest request;
-  request.composition = "Run";
-  request.args = OneInput("fallback");
-  auto result = platform.Invoke(std::move(request));
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ((*result)[0].items[0].data, "fallback");
-  EXPECT_EQ(pool->Stats().pool_child_lost, 1u);
-  EXPECT_EQ(pool->Stats().leased, 0);
 }
 
 // ------------------------------------------------------- Circuit breaker

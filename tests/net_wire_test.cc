@@ -35,6 +35,7 @@
 #include "src/net/node_client.h"
 #include "src/net/node_server.h"
 #include "src/net/socket.h"
+#include "src/policy/retry.h"
 #include "src/runtime/frontend.h"
 #include "src/runtime/platform.h"
 
@@ -194,6 +195,29 @@ TEST(WireOutcomeTest, ErrorRoundTripCarriesTaxonomy) {
   EXPECT_EQ(decoded->message, "sandbox crashed");
   EXPECT_EQ(decoded->failure_kind, 1);
   EXPECT_EQ(decoded->retries_attempted, 2u);
+}
+
+// Every failure kind crosses the wire as its pinned byte and comes back as
+// the same kind: a node and a router built from different trees still agree
+// on what went wrong. 6 is unused since the warm pool's lost-child kind left.
+TEST(WireOutcomeTest, EveryFailureKindRoundTripsAsItsPinnedByte) {
+  const std::vector<std::pair<dpolicy::FailureKind, uint8_t>> kinds = {
+      {dpolicy::FailureKind::kNone, 0},         {dpolicy::FailureKind::kCrash, 1},
+      {dpolicy::FailureKind::kJailKill, 2},     {dpolicy::FailureKind::kDeadlineKill, 3},
+      {dpolicy::FailureKind::kCancelKill, 4},   {dpolicy::FailureKind::kNonzeroExit, 5},
+      {dpolicy::FailureKind::kResourceExhausted, 7}, {dpolicy::FailureKind::kPeerLost, 8},
+  };
+  for (const auto& [kind, byte] : kinds) {
+    WireOutcome outcome;
+    outcome.code = dbase::StatusCode::kInternal;
+    outcome.message = std::string(dpolicy::FailureKindName(kind));
+    outcome.failure_kind = static_cast<uint8_t>(kind);
+    EXPECT_EQ(outcome.failure_kind, byte) << outcome.message;
+    auto decoded = DecodeOutcome(SliceOf(Concat(EncodeOutcome(outcome))));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->failure_kind, byte) << outcome.message;
+    EXPECT_EQ(static_cast<dpolicy::FailureKind>(decoded->failure_kind), kind) << outcome.message;
+  }
 }
 
 TEST(WireOutcomeTest, RejectsCorruptBody) {

@@ -433,7 +433,6 @@ TEST(RetryPolicyTest, OnlyRetrySafeKindsAreRelaunched) {
   dpolicy::RetryPolicy policy(TestRetryOptions());
   // Infrastructure failures are retry-safe…
   EXPECT_TRUE(policy.OnFailure("f", dpolicy::FailureKind::kCrash, false, 0, 0).retry);
-  EXPECT_TRUE(policy.OnFailure("f", dpolicy::FailureKind::kPoolChildLost, false, 0, 0).retry);
   EXPECT_TRUE(
       policy.OnFailure("f", dpolicy::FailureKind::kResourceExhausted, false, 0, 0).retry);
   // …deterministic function behaviour and client intent are not: a jail
@@ -664,7 +663,6 @@ TEST(RetryPolicyTest, FailureKindNamesAreStable) {
   EXPECT_EQ(dpolicy::FailureKindName(dpolicy::FailureKind::kDeadlineKill), "deadline_kill");
   EXPECT_EQ(dpolicy::FailureKindName(dpolicy::FailureKind::kCancelKill), "cancel_kill");
   EXPECT_EQ(dpolicy::FailureKindName(dpolicy::FailureKind::kNonzeroExit), "nonzero_exit");
-  EXPECT_EQ(dpolicy::FailureKindName(dpolicy::FailureKind::kPoolChildLost), "pool_child_lost");
   EXPECT_EQ(dpolicy::FailureKindName(dpolicy::FailureKind::kResourceExhausted),
             "resource_exhausted");
 }

@@ -1,5 +1,6 @@
-// Tests for the runtime: memory contexts + accounting, the four sandbox
-// backends (including real process isolation and timeout preemption),
+// Tests for the runtime: memory contexts + accounting, the two sandbox
+// backends (including real process isolation, timeout preemption and a
+// worker that sleeps while its child runs),
 // engines with role shifting, the policy-driven control plane, and the
 // dispatcher / platform running full compositions (fan-out, key grouping,
 // optional sets, failure propagation, nesting). Policy decision logic
@@ -8,8 +9,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -341,7 +344,89 @@ TEST(SandboxTest, ColdRunPaysNoModelledCost) {
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.timings.load_us, 0);
   EXPECT_EQ(outcome.timings.setup_us, 0);
-  EXPECT_FALSE(outcome.timings.pool_hit);
+}
+
+dbase::Micros ThreadCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<dbase::Micros>(ts.tv_sec) * dbase::kMicrosPerSecond + ts.tv_nsec / 1000;
+}
+
+// The engine worker sleeps on the child instead of spinning: across a
+// 100 ms child, the calling thread burns well under 10 ms of CPU.
+//
+// The caller and the child are pinned to different cores, as on a busy
+// engine where the child does not get the worker's core: sharing one core,
+// a spinning waiter would hand it to the child on every yield and look
+// idle. The wait is measured, not the confinement (jail_test covers that),
+// so the jail is off: it would kill the child for sched_setaffinity, and
+// sanitizer runtimes make syscalls of their own.
+class ProcessWaitCpuTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved_), &saved_), 0);
+    std::vector<int> cpus;
+    for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        cpus.push_back(cpu);
+      }
+    }
+    if (cpus.size() < 2) {
+      GTEST_SKIP() << "needs two usable cores";
+    }
+    child_cpu_ = cpus[1];
+    ASSERT_TRUE(PinTo(cpus[0]));
+    pinned_ = true;
+    SetSyscallJailEnabled(false);
+  }
+
+  void TearDown() override {
+    if (pinned_) {
+      sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+    SetSyscallJailEnabled(jail_was_enabled_);
+  }
+
+  // Pins the calling thread (or a single-threaded child) to one core.
+  static bool PinTo(int cpu) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+
+  int child_cpu_ = -1;
+
+ private:
+  const bool jail_was_enabled_ = SyscallJailEnabled();
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+TEST_F(ProcessWaitCpuTest, WaitingOnTheChildCostsNoCpu) {
+  dfunc::FunctionSpec spec = EchoSpec();
+  spec.body = [child_cpu = child_cpu_](dfunc::FunctionCtx& ctx) {
+    if (!PinTo(child_cpu)) {
+      return dbase::Internal("could not pin the child");
+    }
+    dbase::SpinFor(100 * dbase::kMicrosPerMilli);
+    ctx.EmitOutput("out", "spun");
+    return dbase::OkStatus();
+  };
+  const auto executor = CreateSandboxExecutor(IsolationBackend::kProcess);
+  auto ctx = MemoryContext::Create(spec.context_bytes, nullptr, /*shared=*/true);
+  ASSERT_TRUE(ctx.ok());
+  ASSERT_TRUE((*ctx)->StoreInputSets(EchoInputs("x")).ok());
+
+  const dbase::Stopwatch wall;
+  const dbase::Micros cpu_before = ThreadCpuMicros();
+  const ExecOutcome outcome = executor->Execute(spec, **ctx, SandboxOptions{});
+  const dbase::Micros cpu = ThreadCpuMicros() - cpu_before;
+
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.message();
+  EXPECT_EQ(outcome.outputs[0].items[0].data, "spun");
+  EXPECT_GE(wall.ElapsedMicros(), 100 * dbase::kMicrosPerMilli);  // The call spanned the child.
+  EXPECT_LT(cpu, 10 * dbase::kMicrosPerMilli) << "worker CPU while the child ran: " << cpu << " us";
 }
 
 // ----------------------------------------------------------------- Engines
@@ -1546,47 +1631,47 @@ TEST(ThreadCensusTest, OneReactorPerProcess) {
   frontend.Stop();
 }
 
-// The prewarm fill may block, so it leaves the reactor-run control tick for
-// the pool's own thread: a Platform with the sandbox pool and the control
-// plane on adds its engine workers, `reactor` and `pool-fill`, and nothing
-// else.
-TEST(ThreadCensusTest, PoolFillIsThePoolsOnlyThread) {
-  const std::vector<std::string> before = ThreadNames();
+// Every sandbox starts cold, so nothing but the engines and the reactor
+// runs a Platform: with the control plane on and invocations served, on
+// either backend, the threads it adds are `engine-*` workers and `reactor`,
+// and nothing else.
+TEST(ThreadCensusTest, ControlPlaneAddsOnlyEnginesAndTheReactor) {
+  for (const IsolationBackend backend : {IsolationBackend::kThread, IsolationBackend::kProcess}) {
+    SCOPED_TRACE(std::string(IsolationBackendName(backend)));
+    const std::vector<std::string> before = ThreadNames();
 
-  PlatformConfig config = FastPlatformConfig();
-  config.num_workers = 2;
-  config.enable_sandbox_pool = true;
-  config.enable_control_plane = true;
-  config.control_interval_us = 5 * dbase::kMicrosPerMilli;
-  Platform platform(config);
-  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
-  ASSERT_TRUE(platform
-                  .RegisterCompositionDsl(
-                      "composition Id(in) => out { echo(in = all in) => (out = out); }")
-                  .ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(platform.Invoke({"Id", SingleArg("in", "warm")}).ok());
-  }
-  const dbase::Micros give_up =
-      dbase::MonotonicClock::Get()->NowMicros() + 5 * dbase::kMicrosPerSecond;
-  while (platform.control_plane()->GetSummary().decisions < 2 &&
-         dbase::MonotonicClock::Get()->NowMicros() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(platform.control_plane()->GetSummary().decisions, 2u);
-
-  const std::vector<std::string> after = ThreadNames();
-  std::multiset<std::string> added(after.begin(), after.end());
-  for (const std::string& name : before) {
-    if (const auto it = added.find(name); it != added.end()) {
-      added.erase(it);
+    PlatformConfig config = FastPlatformConfig(backend);
+    config.num_workers = 2;
+    config.enable_control_plane = true;
+    config.control_interval_us = 5 * dbase::kMicrosPerMilli;
+    Platform platform(config);
+    ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+    ASSERT_TRUE(platform
+                    .RegisterCompositionDsl(
+                        "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                    .ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(platform.Invoke({"Id", SingleArg("in", "cold")}).ok());
     }
-  }
-  EXPECT_EQ(added.count("pool-fill"), 1u);
-  EXPECT_LE(added.size(), static_cast<size_t>(config.num_workers) + 2);
-  for (const std::string& name : added) {
-    EXPECT_TRUE(name == "reactor" || name == "pool-fill" || name.rfind("engine-", 0) == 0)
-        << name;
+    const dbase::Micros give_up =
+        dbase::MonotonicClock::Get()->NowMicros() + 5 * dbase::kMicrosPerSecond;
+    while (platform.control_plane()->GetSummary().decisions < 2 &&
+           dbase::MonotonicClock::Get()->NowMicros() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(platform.control_plane()->GetSummary().decisions, 2u);
+
+    const std::vector<std::string> after = ThreadNames();
+    std::multiset<std::string> added(after.begin(), after.end());
+    for (const std::string& name : before) {
+      if (const auto it = added.find(name); it != added.end()) {
+        added.erase(it);
+      }
+    }
+    EXPECT_LE(added.size(), static_cast<size_t>(config.num_workers) + 1);
+    for (const std::string& name : added) {
+      EXPECT_TRUE(name == "reactor" || name.rfind("engine-", 0) == 0) << name;
+    }
   }
 }
 

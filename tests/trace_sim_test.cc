@@ -577,150 +577,6 @@ composition Fetch(in) => out {
   EXPECT_LE(std::abs(sim_max_comm - rt_max_comm), 2);  // ...in agreeing numbers.
 }
 
-// The same paced open-loop arrival stream runs through the simulator's
-// prewarm-pool model and through the real runtime's SandboxPool, both
-// executing the shared dpolicy::PrewarmPolicy with identical options and
-// tick cadence. The pool-depth timelines and the cold-start counts must
-// agree in shape: both shelves warm up to comparable peaks, and after the
-// warm-up phase both serve the bulk of requests from the pool. (Tick-for-
-// tick equality is not expected: the runtime ticks on real time under
-// scheduler noise.)
-TEST(PolicyParityTest, SimAndRuntimeAgreeUnderPrewarmPolicy) {
-  constexpr int kWorkers = 4;
-  constexpr int kRequests = 200;
-  constexpr Micros kGapUs = 5 * dbase::kMicrosPerMilli;  // 200 RPS.
-  constexpr Micros kComputeUs = 500;
-  constexpr Micros kTickUs = 25 * dbase::kMicrosPerMilli;
-
-  dpolicy::PrewarmOptions prewarm;
-  prewarm.ewma_alpha = 0.5;
-  prewarm.provision_window_us = 25 * dbase::kMicrosPerMilli;
-  prewarm.headroom = 1.25;
-  prewarm.scale_to_zero_after_us = 2 * kMicrosPerSecond;
-  prewarm.max_depth = 8;
-
-  // --- Simulator -----------------------------------------------------------
-  dsim::DandelionSimConfig sim_config;
-  sim_config.cores = kWorkers;
-  sim_config.enable_controller = false;
-  sim_config.enable_prewarm_pool = true;
-  sim_config.prewarm = prewarm;
-  sim_config.prewarm_tick_us = kTickUs;
-  sim_config.prewarm_max_depth = 8;
-  sim_config.sandbox_us = 300;
-  std::vector<dsim::SimRequest> requests;
-  for (int i = 0; i < kRequests; ++i) {
-    dsim::SimRequest request;
-    request.arrival_us = i * kGapUs;
-    request.compute_us = kComputeUs;
-    requests.push_back(request);
-  }
-  const auto metrics = dsim::SimulateDandelion(sim_config, requests);
-  ASSERT_FALSE(metrics.pool_depth_trace.empty());
-  int sim_peak_depth = 0;
-  for (const auto& [t, depth] : metrics.pool_depth_trace) {
-    sim_peak_depth = std::max(sim_peak_depth, depth);
-  }
-  EXPECT_EQ(metrics.cold_starts + metrics.warm_starts, static_cast<uint64_t>(kRequests));
-
-  // --- Real runtime --------------------------------------------------------
-  dandelion::PlatformConfig platform_config;
-  platform_config.num_workers = kWorkers;
-  platform_config.backend = dandelion::IsolationBackend::kThread;
-  platform_config.sleep_for_modeled_latency = false;
-  platform_config.enable_sandbox_pool = true;
-  platform_config.sandbox_pool.prewarm = prewarm;
-  platform_config.sandbox_pool.max_depth_per_function = 8;
-  platform_config.enable_control_plane = true;  // Drives the pool ticker.
-  platform_config.control_interval_us = kTickUs;
-  dandelion::Platform platform(platform_config);
-  ASSERT_TRUE(platform
-                  .RegisterFunction({.name = "spin",
-                                     .body =
-                                         [](dfunc::FunctionCtx& ctx) {
-                                           dbase::SpinFor(kComputeUs);
-                                           ctx.EmitOutput("out", "done");
-                                           return dbase::OkStatus();
-                                         },
-                                     .context_bytes = 1 << 20})
-                  .ok());
-  ASSERT_TRUE(platform
-                  .RegisterCompositionDsl(R"(
-composition Spin(in) => out {
-  spin(in = all in) => (out = out);
-}
-)")
-                  .ok());
-
-  dbase::Latch latch(kRequests);
-  dbase::Stopwatch pacer;
-  for (int i = 0; i < kRequests; ++i) {
-    const Micros target = i * kGapUs;
-    while (pacer.ElapsedMicros() < target) {
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-    dandelion::InvocationRequest request;
-    request.composition = "Spin";
-    request.args.push_back(dfunc::DataSet{"in", {dfunc::DataItem{"", "x"}}});
-    platform.Submit(std::move(request),
-                    [&latch](dbase::Result<dfunc::DataSetList>) { latch.CountDown(); });
-  }
-  ASSERT_TRUE(latch.WaitFor(60 * kMicrosPerSecond));
-
-  const dandelion::SandboxPoolStats stats = platform.sandbox_pool()->Stats();
-  const auto depth_trace = platform.sandbox_pool()->DepthTrace();
-  ASSERT_FALSE(depth_trace.empty());
-  int rt_peak_depth = 0;
-  for (const auto& [t, depth] : depth_trace) {
-    rt_peak_depth = std::max(rt_peak_depth, depth);
-  }
-  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kRequests));
-
-  // --- Shape agreement -----------------------------------------------------
-  // Both shelves warm up to comparable peak depths under the same policy.
-  EXPECT_GE(sim_peak_depth, 1);
-  EXPECT_GE(rt_peak_depth, 1);
-  EXPECT_LE(std::abs(sim_peak_depth - rt_peak_depth), 3);
-  // Both serve most requests warm once the EWMA converges: cold starts stay
-  // a minority in each, and the counts agree within a loose band (the
-  // runtime's tick phase drifts against the arrival pacer).
-  EXPECT_LT(metrics.cold_starts, static_cast<uint64_t>(kRequests) / 2);
-  EXPECT_LT(stats.misses, static_cast<uint64_t>(kRequests) / 2);
-  EXPECT_LE(std::abs(static_cast<long>(metrics.cold_starts) - static_cast<long>(stats.misses)),
-            kRequests / 4);
-}
-
-// With many functions each demanding warm capacity, the trace-sim shelf
-// must honour the node-wide cap the way SandboxPool::Tick honours
-// Config::max_total — otherwise the sim shelves more than the runtime
-// ever could and the fig10 memory comparison loses its meaning.
-TEST(TraceSimTest, PrewarmShelfHonoursGlobalCap) {
-  dtrace::AzureTraceConfig trace_config;
-  trace_config.num_functions = 30;
-  trace_config.duration_minutes = 4;
-  trace_config.seed = 47;
-  const dtrace::Trace trace = dtrace::SynthesizeAzureTrace(trace_config);
-
-  dsim::TraceSimConfig sim_config;
-  sim_config.pool_mode = dsim::TraceSimConfig::PoolMode::kPrewarmPolicy;
-  sim_config.prewarm.min_depth = 2;  // Every function wants 2 warm: 60 demanded.
-  sim_config.prewarm_max_depth = 4;
-  sim_config.prewarm_max_total = 5;  // Node-wide room for only 5.
-  const auto metrics = dsim::SimulateDandelionTrace(sim_config, trace, 2);
-
-  EXPECT_EQ(metrics.completed, trace.TotalInvocations());
-  ASSERT_FALSE(metrics.pool_depth_trace.empty());
-  int peak = 0;
-  for (const auto& [t, depth] : metrics.pool_depth_trace) {
-    peak = std::max(peak, depth);
-    ASSERT_LE(depth, sim_config.prewarm_max_total);
-  }
-  EXPECT_EQ(peak, sim_config.prewarm_max_total);  // Demand saturates the cap.
-  for (const auto& point : metrics.committed_mb.points()) {
-    ASSERT_GE(point.value, -1e-9);
-  }
-}
-
 TEST(TraceSimTest, MemoryNeverNegative) {
   dtrace::AzureTraceConfig trace_config;
   trace_config.num_functions = 30;
