@@ -107,14 +107,42 @@ Result<uint64_t> ExpectedBodyLength(const HeaderList& headers) {
   return length;
 }
 
-dbase::Status CheckBody(std::string_view body, const HeaderList& headers) {
-  ASSIGN_OR_RETURN(uint64_t expected, ExpectedBodyLength(headers));
+dbase::Status CheckBodyLength(std::string_view body, uint64_t expected) {
   if (body.size() != expected) {
     return InvalidArgument(dbase::StrFormat("body length %zu does not match Content-Length %llu",
                                             body.size(),
                                             static_cast<unsigned long long>(expected)));
   }
   return dbase::OkStatus();
+}
+
+// The head half of ParseRequest: the request line, the headers and the
+// framing length, from a split message.
+Result<RequestHead> ParseSplitRequestHead(const HeadSplit& parts) {
+  // Request line: METHOD SP TARGET SP VERSION. Exactly two spaces — the
+  // paper's sanitizer relies only on this first protocol line (§6.3).
+  auto tokens = dbase::SplitString(parts.start_line, ' ');
+  if (tokens.size() != 3) {
+    return InvalidArgument("request line must be 'METHOD target HTTP/x.y'");
+  }
+  auto method = MethodFromName(tokens[0]);
+  if (!method.has_value()) {
+    return InvalidArgument("unsupported HTTP method: " + std::string(tokens[0]));
+  }
+  if (tokens[1].empty()) {
+    return InvalidArgument("empty request target");
+  }
+  if (tokens[2] != "HTTP/1.1" && tokens[2] != "HTTP/1.0") {
+    return InvalidArgument("unsupported HTTP version: " + std::string(tokens[2]));
+  }
+
+  RequestHead head;
+  head.request.method = *method;
+  head.request.target = std::string(tokens[1]);
+  head.request.version = std::string(tokens[2]);
+  RETURN_IF_ERROR(ParseHeaders(parts.header_block, &head.request.headers));
+  ASSIGN_OR_RETURN(head.content_length, ExpectedBodyLength(head.request.headers));
+  return head;
 }
 
 }  // namespace
@@ -159,34 +187,20 @@ Result<std::optional<MessageHead>> ScanMessageHead(std::string_view buffer,
   return std::optional<MessageHead>(head);
 }
 
+Result<RequestHead> ParseRequestHead(std::string_view head) {
+  ASSIGN_OR_RETURN(HeadSplit parts, SplitMessage(head));
+  if (!parts.body.empty()) {
+    return InvalidArgument("bytes after the request head");
+  }
+  return ParseSplitRequestHead(parts);
+}
+
 Result<HttpRequest> ParseRequest(std::string_view wire) {
   ASSIGN_OR_RETURN(HeadSplit parts, SplitMessage(wire));
-
-  // Request line: METHOD SP TARGET SP VERSION. Exactly two spaces — the
-  // paper's sanitizer relies only on this first protocol line (§6.3).
-  auto tokens = dbase::SplitString(parts.start_line, ' ');
-  if (tokens.size() != 3) {
-    return InvalidArgument("request line must be 'METHOD target HTTP/x.y'");
-  }
-  auto method = MethodFromName(tokens[0]);
-  if (!method.has_value()) {
-    return InvalidArgument("unsupported HTTP method: " + std::string(tokens[0]));
-  }
-  if (tokens[1].empty()) {
-    return InvalidArgument("empty request target");
-  }
-  if (tokens[2] != "HTTP/1.1" && tokens[2] != "HTTP/1.0") {
-    return InvalidArgument("unsupported HTTP version: " + std::string(tokens[2]));
-  }
-
-  HttpRequest req;
-  req.method = *method;
-  req.target = std::string(tokens[1]);
-  req.version = std::string(tokens[2]);
-  RETURN_IF_ERROR(ParseHeaders(parts.header_block, &req.headers));
-  RETURN_IF_ERROR(CheckBody(parts.body, req.headers));
-  req.body = std::string(parts.body);
-  return req;
+  ASSIGN_OR_RETURN(RequestHead head, ParseSplitRequestHead(parts));
+  RETURN_IF_ERROR(CheckBodyLength(parts.body, head.content_length));
+  head.request.body = std::string(parts.body);
+  return std::move(head.request);
 }
 
 Result<HttpResponse> ParseResponse(std::string_view wire) {
@@ -217,7 +231,8 @@ Result<HttpResponse> ParseResponse(std::string_view wire) {
   resp.status_code = static_cast<int>(code);
   resp.reason = std::string(reason);
   RETURN_IF_ERROR(ParseHeaders(parts.header_block, &resp.headers));
-  RETURN_IF_ERROR(CheckBody(parts.body, resp.headers));
+  ASSIGN_OR_RETURN(uint64_t expected, ExpectedBodyLength(resp.headers));
+  RETURN_IF_ERROR(CheckBodyLength(parts.body, expected));
   resp.body = std::string(parts.body);
   return resp;
 }

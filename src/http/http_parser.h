@@ -19,6 +19,21 @@ namespace dhttp {
 // composition data model always knows item sizes up front).
 dbase::Result<HttpRequest> ParseRequest(std::string_view wire);
 
+// A request head parsed on its own: the request with an empty body, and
+// the body length its headers frame.
+struct RequestHead {
+  HttpRequest request;
+  uint64_t content_length = 0;
+};
+
+// Parses a request head: the start line and headers through the blank line
+// that ends them (the first MessageHead::head_bytes of the wire), with
+// nothing after it. Validation and the body length follow ParseRequest,
+// which is this plus a body of exactly content_length bytes; attaching
+// the body is the caller's. Lets a streaming server parse a head whose
+// body lands elsewhere.
+dbase::Result<RequestHead> ParseRequestHead(std::string_view head);
+
 dbase::Result<HttpResponse> ParseResponse(std::string_view wire);
 
 // Result of an incremental head scan over a partially-received message.

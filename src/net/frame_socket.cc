@@ -181,24 +181,21 @@ void FrameSocket::OnReadable() {
         continue;
       }
       reading_body_ = true;
-      body_.clear();
-      // Pre-size once: the limit check already bounded body_len, so a
-      // hostile length cannot force an unbounded allocation.
-      body_.reserve(pending_.body_len);
+      // Size once, zero-filling once: the limit check already bounded
+      // body_len, so a hostile length cannot force an unbounded
+      // allocation, and reads land in place however many it takes.
+      body_.resize(pending_.body_len);
+      body_filled_ = 0;
       continue;
     }
     // Stream the body directly into its final storage; when complete the
     // string is adopted (moved, not copied) into a refcounted Buffer.
-    const size_t want = pending_.body_len - body_.size();
-    const size_t old_size = body_.size();
-    body_.resize(old_size + want);
-    const ssize_t n = read(fd_, body_.data() + old_size, want);
+    const ssize_t n = read(fd_, body_.data() + body_filled_, body_.size() - body_filled_);
     if (n == 0) {
       Close(dbase::Aborted("eof inside frame body"));
       return;
     }
     if (n < 0) {
-      body_.resize(old_size);
       if (errno == EINTR) {
         continue;
       }
@@ -208,10 +205,10 @@ void FrameSocket::OnReadable() {
       Close(dbase::Unavailable("read() failed"));
       return;
     }
-    body_.resize(old_size + static_cast<size_t>(n));
+    body_filled_ += static_cast<size_t>(n);
     counters_->bytes_received.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
     budget -= static_cast<size_t>(n) < budget ? static_cast<size_t>(n) : budget;
-    if (body_.size() < pending_.body_len) {
+    if (body_filled_ < body_.size()) {
       continue;
     }
     reading_body_ = false;

@@ -107,7 +107,8 @@ class FrameSocket : public std::enable_shared_from_this<FrameSocket> {
   std::string header_;         // Partial header bytes (< kFrameHeaderBytes).
   bool reading_body_ = false;
   FrameHeader pending_;        // Decoded header while its body streams in.
-  std::string body_;           // Partial body; adopted into a Buffer when full.
+  std::string body_;           // Sized to body_len; adopted into a Buffer when full.
+  size_t body_filled_ = 0;     // Bytes of body_ read so far.
 
   SendQueue send_queue_;
   uint32_t armed_events_ = 0;

@@ -1,12 +1,14 @@
 #include "src/runtime/frontend.h"
 
 #include <sys/epoll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -30,6 +32,10 @@ constexpr uint64_t kMaxBodyBytes = 64ull * 1024 * 1024;
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 // Bytes a draining connection will discard before giving up on the client.
 constexpr size_t kMaxDrainBytes = 1u << 20;
+// One read(2) into a connection's `in`. A body with more than this still
+// missing once its head is parsed is read into its own region instead
+// (body mode); a smaller rest is cheaper to append to `in` than to map.
+constexpr size_t kReadChunkBytes = 16 * 1024;
 
 // True when `token` appears in the comma-separated Connection header value
 // (RFC 9110 §7.6.1 — e.g. "close, te" contains "close").
@@ -220,23 +226,35 @@ void HttpFrontend::OnReadable(const ConnectionPtr& conn) {
   // Read budget: without a bound, one connection's upload would also
   // buffer unboundedly ahead of the pipeline-depth backpressure.
   size_t budget_used = 0;
-  char chunk[16384];
+  char chunk[kReadChunkBytes];
   bool got_bytes = false;
   bool saw_eof = false;
   while (budget_used < dnet::kReadBudget) {
-    const ssize_t n = read(conn->fd, chunk, sizeof(chunk));
+    // Body mode reads land in the request's body region, in place; all
+    // else goes through `chunk` into `in`.
+    Connection::BodyRegion& body = conn->body;
+    const bool into_body = body.data != nullptr && body.filled < body.size;
+    const ssize_t n =
+        into_body ? read(conn->fd, body.data + body.filled,
+                         std::min(body.size - body.filled, dnet::kReadBudget - budget_used))
+                  : read(conn->fd, chunk, sizeof(chunk));
     if (n > 0) {
       got_bytes = true;
       budget_used += static_cast<size_t>(n);
-      if (conn->state == Connection::State::kDraining) {
+      if (into_body) {
+        body.filled += static_cast<size_t>(n);
+      } else if (conn->state == Connection::State::kDraining) {
         conn->drained_bytes += static_cast<size_t>(n);
         if (conn->drained_bytes > kMaxDrainBytes) {
           CloseConnection(conn);
           return;
         }
         continue;  // Discard: only waiting for the client to finish/close.
+      } else {
+        conn->in.append(chunk, static_cast<size_t>(n));
       }
-      conn->in.append(chunk, static_cast<size_t>(n));
+      // Body bytes are charged as they land, like `in` bytes: the region
+      // is MAP_NORESERVE, so only pages read(2) wrote are committed.
       total_buffered_bytes_ += static_cast<size_t>(n);
       if (total_buffered_bytes_ > config_.max_total_buffered_bytes) {
         // Platform-wide buffering budget breached: this connection's
@@ -245,6 +263,19 @@ void HttpFrontend::OnReadable(const ConnectionPtr& conn) {
                                                        "request buffers full"));
         ReleaseDeadInput(conn);
         return;
+      }
+      if (!into_body && conn->in.size() >= sizeof(chunk) &&
+          conn->state == Connection::State::kReading) {
+        // Parse now rather than after the whole read budget, so that a
+        // large body's head switches the connection to body mode before
+        // more than two chunks of that body went through `in`.
+        ProcessInput(conn);
+        if (conn->fd < 0) {
+          return;
+        }
+        if (conn->state != Connection::State::kReading) {
+          break;  // Stopped or draining: the next turn reads on its terms.
+        }
       }
       continue;
     }
@@ -294,11 +325,22 @@ void HttpFrontend::ProcessInput(const ConnectionPtr& conn) {
   // bytes already read). Progress is monotone (each pass consumes bytes),
   // so this terminates.
   bool progressed = true;
-  size_t total_consumed = 0;
+  bool completed_any = false;
   while (progressed && conn->state == Connection::State::kReading) {
     progressed = false;
+    // A body region that is full holds the oldest unserved request: body
+    // mode is entered only with nothing else buffered, and later bytes
+    // queue in `in` behind it.
+    const bool body_done = conn->body.data != nullptr && conn->body.filled == conn->body.size;
+    if (body_done) {
+      FinishBody(conn);
+      if (conn->fd < 0) {
+        return;
+      }
+    }
     size_t consumed = 0;
-    while (conn->state == Connection::State::kReading &&
+    std::optional<dhttp::MessageHead> partial;  // Head in, body not.
+    while (conn->body.data == nullptr && conn->state == Connection::State::kReading &&
            conn->pipeline.size() < config_.max_pipeline_depth) {
       const std::string_view pending = std::string_view(conn->in).substr(consumed);
       auto head = dhttp::ScanMessageHead(pending, kMaxHeaderBytes);
@@ -320,13 +362,27 @@ void HttpFrontend::ProcessInput(const ConnectionPtr& conn) {
                                                        "request body too large"));
         break;
       }
-      const size_t total = framing.head_bytes + static_cast<size_t>(framing.content_length);
-      if (pending.size() < total) {
-        break;  // Incomplete body: wait for more bytes.
+      const size_t body_bytes = static_cast<size_t>(framing.content_length);
+      const size_t total = framing.head_bytes + body_bytes;
+      if (total > config_.max_total_buffered_bytes) {
+        // More than the whole budget: this request could never be buffered.
+        FailConnection(conn, dhttp::HttpResponse::Make(503, "Service Unavailable",
+                                                       "request buffers full"));
+        break;
       }
-      const std::string_view wire = pending.substr(0, total);
-      consumed += total;
-      if (!HandleRequest(conn, wire)) {
+      if (pending.size() < total) {
+        // Incomplete body: a large rest goes to a region of its own.
+        if (total - pending.size() > kReadChunkBytes) {
+          partial = framing;
+        }
+        break;
+      }
+      // A request that arrived whole is copied once, out of `in`.
+      const std::string_view body = pending.substr(framing.head_bytes, body_bytes);
+      consumed += framing.head_bytes + body_bytes;
+      if (!HandleRequest(conn, pending.substr(0, framing.head_bytes),
+                         body.empty() ? dbase::BufferSlice()
+                                      : dbase::BufferSlice(dbase::Buffer::Copy(body)))) {
         break;
       }
     }
@@ -336,8 +392,14 @@ void HttpFrontend::ProcessInput(const ConnectionPtr& conn) {
     if (consumed > 0) {
       conn->in.erase(0, consumed);
       total_buffered_bytes_ -= consumed;
-      total_consumed += consumed;
     }
+    if (partial.has_value() && conn->state == Connection::State::kReading) {
+      EnterBodyMode(conn, *partial);  // The partial request now starts `in`.
+      if (conn->fd < 0) {
+        return;
+      }
+    }
+    completed_any = completed_any || body_done || consumed > 0;
     const size_t slots_before = conn->pipeline.size();
     FlushPipeline(conn);  // Answer everything completed inline in one write.
     if (conn->fd < 0) {
@@ -345,7 +407,7 @@ void HttpFrontend::ProcessInput(const ConnectionPtr& conn) {
     }
     // Consumed bytes and popped slots are both monotone, so requiring one
     // of them per pass guarantees termination.
-    progressed = consumed > 0 || conn->pipeline.size() < slots_before;
+    progressed = body_done || consumed > 0 || conn->pipeline.size() < slots_before;
     if (conn->in.empty() || conn->pipeline.size() >= config_.max_pipeline_depth) {
       break;  // Nothing left, or genuinely backpressured on async slots.
     }
@@ -360,17 +422,58 @@ void HttpFrontend::ProcessInput(const ConnectionPtr& conn) {
     // request_timeout trickle-slowloris bound). Completing a request is
     // progress and restarts the clock — a healthy pipelining client whose
     // buffer never drains to an exact request boundary must not age out.
-    if (conn->in.empty()) {
+    if (conn->in.empty() && conn->body.data == nullptr) {
       conn->partial_since = 0;
-    } else if (conn->partial_since == 0 || total_consumed > 0) {
+    } else if (conn->partial_since == 0 || completed_any) {
       conn->partial_since = dbase::MonotonicClock::Get()->NowMicros();
     }
     UpdateInterest(conn);
   }
 }
 
-bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wire) {
-  auto parsed = dhttp::ParseRequest(wire);
+void HttpFrontend::EnterBodyMode(const ConnectionPtr& conn, const dhttp::MessageHead& framing) {
+  const size_t size = static_cast<size_t>(framing.content_length);
+  void* region = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (region == MAP_FAILED) {
+    FailConnection(conn, dhttp::HttpResponse::Make(503, "Service Unavailable",
+                                                   "request buffers full"));
+    return;
+  }
+  // The head and body prefix move out of `in` and keep their charge.
+  Connection::BodyRegion& body = conn->body;
+  body.head = conn->in.substr(0, framing.head_bytes);
+  body.data = static_cast<char*>(region);
+  body.size = size;
+  body.filled = conn->in.size() - framing.head_bytes;
+  std::memcpy(body.data, conn->in.data() + framing.head_bytes, body.filled);
+  conn->in.clear();
+}
+
+void HttpFrontend::FinishBody(const ConnectionPtr& conn) {
+  Connection::BodyRegion body = std::exchange(conn->body, {});
+  total_buffered_bytes_ -= body.head.size() + body.size;
+  // The last slice of the body unmaps the region.
+  std::shared_ptr<char> owner(body.data,
+                              [size = body.size](char* region) { munmap(region, size); });
+  HandleRequest(conn, body.head,
+                dbase::BufferSlice(dbase::Buffer::Wrap(body.data, body.size, std::move(owner))));
+}
+
+void HttpFrontend::DropBody(const ConnectionPtr& conn) {
+  Connection::BodyRegion body = std::exchange(conn->body, {});
+  if (body.data == nullptr) {
+    return;
+  }
+  total_buffered_bytes_ -= body.head.size() + body.filled;
+  munmap(body.data, body.size);
+}
+
+bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view head,
+                                 dbase::BufferSlice body) {
+  // ScanMessageHead framed `body` by the same Content-Length rule the head
+  // parse applies (net_fuzz_test checks that the two agree).
+  auto parsed = dhttp::ParseRequestHead(head);
   if (!parsed.ok()) {
     // The framing was consistent but the request itself is malformed;
     // answer 400 and close (resynchronizing a pipelined stream after a bad
@@ -378,7 +481,7 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wir
     FailConnection(conn, dhttp::HttpResponse::BadRequest(parsed.status().ToString()));
     return false;
   }
-  const dhttp::HttpRequest& request = parsed.value();
+  const dhttp::HttpRequest& request = parsed->request;
   const std::string& target = request.target;
 
   auto slot = std::make_shared<Connection::ResponseSlot>();
@@ -404,12 +507,12 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wir
     response.headers.Set("Content-Type", "application/json");
     FinishSlot(conn, slot, response);
   } else if (request.method == dhttp::Method::kPost && target == "/register/composition") {
-    const dbase::Status status = platform_->RegisterCompositionDsl(request.body);
+    const dbase::Status status = platform_->RegisterCompositionDsl(body.view());
     FinishSlot(conn, slot,
                status.ok() ? dhttp::HttpResponse::Make(201, "Created", "registered\n")
                            : dhttp::HttpResponse::BadRequest(status.ToString()));
   } else if (request.method == dhttp::Method::kPost && target.rfind("/invoke/", 0) == 0) {
-    DispatchInvoke(conn, slot, std::move(parsed).value());
+    DispatchInvoke(conn, slot, request, std::move(body));
   } else {
     FinishSlot(conn, slot, dhttp::HttpResponse::NotFound("unknown endpoint: " + target));
   }
@@ -417,7 +520,7 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view wir
 }
 
 void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot,
-                                  dhttp::HttpRequest request) {
+                                  const dhttp::HttpRequest& request, dbase::BufferSlice body) {
   const std::string composition = request.target.substr(std::strlen("/invoke/"));
 
   // Request class and deadline come off the headers before any expensive
@@ -467,11 +570,13 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
     counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
   };
 
-  // Zero-copy ingest: the request body moves into a refcounted buffer
-  // (adopting the string's storage, no byte copy) and argument payloads
-  // become slices of it. The buffer stays alive — pinned by the item
-  // refcounts — until the last node consuming those bytes completes.
-  dbase::BufferSlice body(dbase::Buffer::FromString(std::move(request.body)));
+  // Zero-copy ingest: argument payloads are slices of the body buffer,
+  // which stays alive — pinned by the item refcounts — until the last node
+  // consuming those bytes completes. Each body byte was copied once on the
+  // way in: a body still missing more than one read chunk when its head
+  // was parsed went from the socket straight into its own region (only the
+  // prefix that came with its head passed through `in`), and any other
+  // body was copied out of `in` once it was whole.
   dfunc::DataSetList args;
   if (request.headers.Get("X-Dandelion-Raw").has_value()) {
     // Plain-text convenience: the body becomes the single item of a set
@@ -596,6 +701,7 @@ void HttpFrontend::FinishSlot(const ConnectionPtr& conn, const SlotPtr& slot,
 void HttpFrontend::ReleaseDeadInput(const ConnectionPtr& conn) {
   total_buffered_bytes_ -= conn->in.size();
   conn->in.clear();
+  DropBody(conn);
   conn->partial_since = 0;
 }
 
@@ -783,6 +889,7 @@ void HttpFrontend::CloseConnection(const ConnectionPtr& conn) {
   }
   total_buffered_bytes_ -= conn->in.size();
   conn->in.clear();
+  DropBody(conn);
   // Release this connection's share of the response budget: the unsent
   // chunk tail plus every completed slot (not-yet-completed slots were
   // never counted, and their completions see the dead connection).

@@ -54,6 +54,7 @@
 #include "src/base/event_loop.h"
 #include "src/base/status.h"
 #include "src/http/http_message.h"
+#include "src/http/http_parser.h"
 #include "src/net/socket.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/platform.h"
@@ -162,7 +163,21 @@ class HttpFrontend {
                   // client's in-flight body so the response isn't RST-lost.
     };
     State state = State::kReading;
-    std::string in;   // Received, not-yet-consumed bytes.
+    // Received, not-yet-consumed bytes: heads and small pipelined
+    // requests. A large body never lands here (see `body`).
+    std::string in;
+    // Body mode: a request whose head is complete but whose body still
+    // misses more than one read chunk reads the rest of its body straight
+    // from the socket into its own page-backed region of exactly
+    // Content-Length bytes. The region becomes the request's body buffer,
+    // and is unmapped when its last slice drops.
+    struct BodyRegion {
+      std::string head;      // The request's bytes up to its body.
+      char* data = nullptr;  // nullptr: not in body mode.
+      size_t size = 0;       // Content-Length.
+      size_t filled = 0;     // Bytes written so far.
+    };
+    BodyRegion body;
     // Response chunks awaiting write; out.pending() is the
     // budget-accounting quantity.
     dnet::SendQueue out;
@@ -200,15 +215,27 @@ class HttpFrontend {
   void OnConnectionEvent(const ConnectionPtr& conn, uint32_t events);
   void OnReadable(const ConnectionPtr& conn);
   void ProcessInput(const ConnectionPtr& conn);
-  // Consumes one complete request's bytes. Returns false when the
-  // connection stopped accepting further requests.
-  bool HandleRequest(const ConnectionPtr& conn, std::string_view wire);
+  // Serves one complete request: its head bytes and its whole body.
+  // Returns false when the connection stopped accepting further requests.
+  bool HandleRequest(const ConnectionPtr& conn, std::string_view head,
+                     dbase::BufferSlice body);
+  // Switches a connection whose `in` holds exactly one request, with its
+  // head complete and its body not, to body mode: maps the region (503
+  // when that fails) and moves the body prefix out of `in`. Body bytes are
+  // charged to the buffering budget as they land, as `in` bytes are.
+  void EnterBodyMode(const ConnectionPtr& conn, const dhttp::MessageHead& framing);
+  // Hands a completely read body region to HandleRequest and leaves body
+  // mode.
+  void FinishBody(const ConnectionPtr& conn);
+  // Leaves body mode without serving the request: unmaps the region and
+  // releases its charge.
+  void DropBody(const ConnectionPtr& conn);
   // POST /invoke/<composition>: resolves the arguments and hands the work
   // to Platform::Submit (or the cluster); the completion posts back to the
   // reactor. Never blocks: engine work is async, only the dispatch setup
   // happens here. Early rejections finish the slot like FinishSlot.
   void DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot,
-                      dhttp::HttpRequest request);
+                      const dhttp::HttpRequest& request, dbase::BufferSlice body);
   void FinishSlot(const ConnectionPtr& conn, const SlotPtr& slot,
                   const dhttp::HttpResponse& response);
   // Accounts a newly-completed response against the response budget;
@@ -227,9 +254,10 @@ class HttpFrontend {
   void FailConnection(const ConnectionPtr& conn, dhttp::HttpResponse response);
   void FlushPipeline(const ConnectionPtr& conn);
   // Once a connection stops parsing (kStopped/kDraining), its buffered
-  // input is dead weight: release it and its budget share immediately so
-  // one failed upload cannot 503-cascade onto other connections for the
-  // whole drain window. Callers must hold no views into conn->in.
+  // input (and any body region) is dead weight: release it and its budget
+  // share immediately so one failed upload cannot 503-cascade onto other
+  // connections for the whole drain window. Callers must hold no views
+  // into conn->in.
   void ReleaseDeadInput(const ConnectionPtr& conn);
   void TryWrite(const ConnectionPtr& conn);
   void UpdateInterest(const ConnectionPtr& conn);
@@ -267,8 +295,8 @@ class HttpFrontend {
   std::unordered_map<int, ConnectionPtr> connections_;  // Reactor only.
   std::vector<ConnectionPtr> dirty_connections_;        // Reactor only.
   bool flush_scheduled_ = false;                        // Reactor only.
-  // Sum of all connections' `in` buffers (reactor only); enforces
-  // FrontendConfig::max_total_buffered_bytes.
+  // Sum of all connections' `in` buffers and body regions (reactor only);
+  // enforces FrontendConfig::max_total_buffered_bytes.
   size_t total_buffered_bytes_ = 0;
   // Sum of completed-but-unsent response bytes (ready slots + unsent
   // `out` tails) across connections (reactor only); enforces

@@ -36,37 +36,16 @@ void ScrubRegion(char* region, uint64_t extent) {
 
 }  // namespace
 
-void MemoryAccountant::AttachClock(const dbase::Clock* clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = clock;
-}
-
 void MemoryAccountant::Acquire(uint64_t bytes) {
   const uint64_t now = current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   total_acquired_.fetch_add(bytes, std::memory_order_relaxed);
   uint64_t peak = peak_.load(std::memory_order_relaxed);
   while (now > peak && !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
   }
-  RecordPoint();
 }
 
 void MemoryAccountant::Release(uint64_t bytes) {
   current_.fetch_sub(bytes, std::memory_order_relaxed);
-  RecordPoint();
-}
-
-void MemoryAccountant::RecordPoint() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (clock_ == nullptr) {
-    return;
-  }
-  timeline_.Add(clock_->NowMicros(),
-                static_cast<double>(current_.load(std::memory_order_relaxed)) / (1024.0 * 1024.0));
-}
-
-dbase::TimeSeries MemoryAccountant::TimelineSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return timeline_;
 }
 
 ContextPool* ContextPool::Get() {

@@ -29,22 +29,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/clock.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/func/data.h"
 
 namespace dandelion {
 
-// Tracks committed context memory across the platform. Thread-safe. When a
-// clock is attached, every change appends to a TimeSeries in MB — the
-// committed-memory curves of Figures 1/10.
+// Tracks committed context memory across the platform (the metric of
+// Figures 1/10). Thread-safe and lock-free.
 class MemoryAccountant {
  public:
   MemoryAccountant() = default;
-
-  // Attaching a clock enables timeline recording.
-  void AttachClock(const dbase::Clock* clock);
 
   void Acquire(uint64_t bytes);
   void Release(uint64_t bytes);
@@ -53,19 +47,10 @@ class MemoryAccountant {
   uint64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
   uint64_t total_acquired() const { return total_acquired_.load(std::memory_order_relaxed); }
 
-  // Snapshot of the timeline (copies under lock).
-  dbase::TimeSeries TimelineSnapshot() const;
-
  private:
-  void RecordPoint();
-
   std::atomic<uint64_t> current_{0};
   std::atomic<uint64_t> peak_{0};
   std::atomic<uint64_t> total_acquired_{0};
-
-  mutable std::mutex mu_;
-  const dbase::Clock* clock_ = nullptr;  // Guarded by mu_.
-  dbase::TimeSeries timeline_;           // Guarded by mu_.
 };
 
 // Process-wide recycler of private context regions, keyed by capacity.

@@ -436,11 +436,15 @@ TEST(EventLoopTest, CancelledTimersDoNotWakeTheLoop) {
   loop->Post([&loop_tid] { loop_tid = gettid(); });
   PostRoundTrip(loop.get());
 
+  // Due 100-149 ms out, far enough that arming and cancelling all of them
+  // ends first even on a loaded host.
   constexpr int kTimers = 200;
   std::atomic<int> ran{0};
   std::vector<EventLoop::TimerId> ids;
+  const auto armed_at = std::chrono::steady_clock::now();
   for (int i = 0; i < kTimers; ++i) {
-    ids.push_back(scope.AddTimer((1 + i % 50) * kMicrosPerMilli, [&ran] { ran.fetch_add(1); }));
+    ids.push_back(
+        scope.AddTimer((100 + i % 50) * kMicrosPerMilli, [&ran] { ran.fetch_add(1); }));
   }
   // Half on the loop thread, half from this one.
   loop->Post([&] {
@@ -453,10 +457,12 @@ TEST(EventLoopTest, CancelledTimersDoNotWakeTheLoop) {
   }
   PostRoundTrip(loop.get());
 
+  // Watch the loop until 50 ms past the last original due time.
   const uint64_t before = VoluntarySwitches(loop_tid);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  std::this_thread::sleep_until(armed_at + std::chrono::milliseconds(149 + 50));
   const uint64_t after = VoluntarySwitches(loop_tid);
-  EXPECT_LE(after - before, 2u) << "voluntary switches of an idle loop over 80 ms";
+  EXPECT_LE(after - before, 2u)
+      << "voluntary switches of an idle loop until 50 ms past the last cancelled due time";
   EXPECT_EQ(ran.load(), 0);
   scope.Close();
   loop->Stop();

@@ -1,5 +1,6 @@
 // Seeded-mutation fuzzing of every dnet decoder and of the HTTP request
-// head scan + parse. The node wire and the frontend port are trust
+// head scan + parse (with the head-only parse checked against the
+// whole-message parse on every input). The node wire and the frontend port are trust
 // boundaries: anyone who can reach them can send any bytes. Each decoder
 // gets a fixed budget of mutated valid encodings (byte flips, truncations,
 // and length fields overwritten with edge values) and must never crash,
@@ -167,12 +168,31 @@ dbase::Result<dhttp::HttpRequest> ScanThenParse(std::string_view bytes) {
     return dbase::InvalidArgument("incomplete message");
   }
   EXPECT_EQ(bytes.substr(head->head_bytes - 4, 4), "\r\n\r\n");
-  ASSIGN_OR_RETURN(dhttp::HttpRequest request,
-                   dhttp::ParseRequest(bytes.substr(0, head->head_bytes + head->content_length)));
+  const std::string_view wire = bytes.substr(0, head->head_bytes + head->content_length);
+  dbase::Result<dhttp::HttpRequest> whole = dhttp::ParseRequest(wire);
+  // Differential: the frontend parses the head alone and takes the body it
+  // frames from elsewhere. That must agree with the whole-message parse in
+  // verdict, error and every field.
+  auto split = dhttp::ParseRequestHead(wire.substr(0, head->head_bytes));
+  EXPECT_EQ(split.ok(), whole.ok()) << (split.ok() ? whole.status() : split.status()).ToString();
+  if (split.ok() && whole.ok()) {
+    EXPECT_EQ(split->content_length, head->content_length);
+    EXPECT_EQ(split->request.method, whole->method);
+    EXPECT_EQ(split->request.target, whole->target);
+    EXPECT_EQ(split->request.version, whole->version);
+    EXPECT_EQ(split->request.headers.entries(), whole->headers.entries());
+    EXPECT_TRUE(split->request.body.empty());
+    EXPECT_EQ(whole->body, wire.substr(head->head_bytes));
+  } else if (!split.ok() && !whole.ok()) {
+    EXPECT_EQ(split.status().ToString(), whole.status().ToString());
+  }
+  if (!whole.ok()) {
+    return whole.status();
+  }
   // Scanner and parser must agree on the framing, or a pipelined stream
   // desyncs (request smuggling).
-  EXPECT_EQ(request.body.size(), head->content_length);
-  return request;
+  EXPECT_EQ(whole->body.size(), head->content_length);
+  return whole;
 }
 
 TEST(HttpFuzzTest, RequestHeadScanAndParse) {

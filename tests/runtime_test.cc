@@ -59,20 +59,6 @@ TEST(MemoryAccountantTest, TracksCurrentAndPeak) {
   EXPECT_EQ(accountant.total_acquired(), 150u);
 }
 
-TEST(MemoryAccountantTest, TimelineWithClock) {
-  MemoryAccountant accountant;
-  dbase::ManualClock clock(1000);
-  accountant.AttachClock(&clock);
-  accountant.Acquire(1024 * 1024);
-  clock.Advance(500);
-  accountant.Release(1024 * 1024);
-  auto timeline = accountant.TimelineSnapshot();
-  ASSERT_EQ(timeline.points().size(), 2u);
-  EXPECT_EQ(timeline.points()[0].time_us, 1000);
-  EXPECT_DOUBLE_EQ(timeline.points()[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(timeline.points()[1].value, 0.0);
-}
-
 // ------------------------------------------------------------------ Context
 
 TEST(MemoryContextTest, CreateAndBounds) {
