@@ -1,6 +1,5 @@
 #include "src/net/node_client.h"
 
-#include <future>
 #include <utility>
 
 namespace dnet {
@@ -10,6 +9,15 @@ constexpr dbase::Micros kDefaultRequestTimeout = 5 * dbase::kMicrosPerSecond;
 constexpr dbase::Micros kConnectTimeoutUs = 2 * dbase::kMicrosPerSecond;
 
 }  // namespace
+
+void NodeClient::Pending::Fail(const dbase::Status& status) {
+  if (on_outcome) {
+    on_outcome(status);
+  }
+  if (on_gossip) {
+    on_gossip(status);
+  }
+}
 
 NodeClient::NodeClient(std::string node_name) : node_name_(std::move(node_name)) {}
 
@@ -30,7 +38,7 @@ void NodeClient::Stop() {
   }
   scope_->Close([this] {
     // Closing each socket fails its pending requests through
-    // OnPeerClosed, so blocked callers wake with "peer lost".
+    // OnPeerClosed, so every pending callback fires with "peer lost".
     for (auto& [name, peer] : peers_) {
       if (peer.socket != nullptr && !peer.socket->closed()) {
         peer.socket->SendFrame(FrameType::kLeave, 0, 0, std::string());
@@ -139,14 +147,7 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t r
     if (peer_it != peers_.end()) {
       peer_it->second.counters->peer_lost_failures.fetch_add(1, std::memory_order_relaxed);
     }
-    const dbase::Status lost =
-        dbase::Unavailable("peer lost: connect to '" + name + "' failed");
-    if (pending.on_outcome) {
-      pending.on_outcome(lost);
-    }
-    if (pending.on_raw) {
-      pending.on_raw(lost);
-    }
+    pending.Fail(dbase::Unavailable("peer lost: connect to '" + name + "' failed"));
     return;
   }
   if (timeout_us > 0) {
@@ -184,12 +185,7 @@ void NodeClient::FailPending(uint64_t request_id, const dbase::Status& status) {
   if (pending.timer != 0) {
     scope_->CancelTimer(pending.timer);
   }
-  if (pending.on_outcome) {
-    pending.on_outcome(status);
-  }
-  if (pending.on_raw) {
-    pending.on_raw(status);
-  }
+  pending.Fail(status);
 }
 
 void NodeClient::OnPeerClosed(const std::string& name, const dbase::Status& reason) {
@@ -255,9 +251,7 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
     pending.on_outcome(std::move(outcome));
     return;
   }
-  if (pending.on_raw) {
-    pending.on_raw(std::move(body));
-  }
+  pending.on_gossip(DecodeNodeStatus(body));
 }
 
 uint64_t NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
@@ -285,36 +279,21 @@ uint64_t NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
   return request_id;
 }
 
-void NodeClient::RawRequestAsync(const std::string& peer, FrameType type, std::string body,
-                                 FrameType expect, dbase::Micros timeout_us,
-                                 RawCallback callback) {
+void NodeClient::GossipAsync(const std::string& peer, dbase::Micros timeout_us,
+                             GossipCallback callback) {
   if (!running_.load(std::memory_order_relaxed)) {
     callback(dbase::FailedPrecondition("NodeClient not started"));
     return;
   }
-  scope_->Post([this, peer, type, expect, body = std::move(body), timeout_us,
-               callback = std::move(callback)]() mutable {
+  scope_->Post([this, peer, timeout_us, callback = std::move(callback)]() mutable {
     Pending pending;
-    pending.expect = expect;
+    pending.expect = FrameType::kGossip;
     pending.peer = peer;
-    pending.on_raw = std::move(callback);
-    std::vector<dbase::BufferSlice> chunks;
-    if (!body.empty()) {
-      chunks.push_back(dbase::BufferSlice(dbase::Buffer::FromString(std::move(body))));
-    }
-    SendRequest(peer, type, next_request_id_.fetch_add(1, std::memory_order_relaxed),
-                std::move(chunks), timeout_us > 0 ? timeout_us : kDefaultRequestTimeout,
-                std::move(pending));
+    pending.on_gossip = std::move(callback);
+    SendRequest(peer, FrameType::kGossipReq,
+                next_request_id_.fetch_add(1, std::memory_order_relaxed), {},
+                timeout_us > 0 ? timeout_us : kDefaultRequestTimeout, std::move(pending));
   });
-}
-
-void NodeClient::GossipAsync(const std::string& peer, dbase::Micros timeout_us,
-                             GossipCallback callback) {
-  RawRequestAsync(peer, FrameType::kGossipReq, std::string(), FrameType::kGossip, timeout_us,
-                  [callback = std::move(callback)](auto body) {
-                    callback(body.ok() ? DecodeNodeStatus(*body)
-                                       : dbase::Result<WireNodeStatus>(body.status()));
-                  });
 }
 
 void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
@@ -327,20 +306,6 @@ void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
       it->second.socket->SendFrame(FrameType::kCancel, 0, request_id, std::string());
     }
   });
-}
-
-dbase::Result<WireMeshReply> NodeClient::MeshCall(const std::string& peer, std::string request,
-                                                  dbase::Micros timeout_us) {
-  if (dbase::EventLoop::Process()->IsLoopThread()) {
-    return dbase::FailedPrecondition("mesh call to '" + peer +
-                                     "' would block the reactor it needs for the reply");
-  }
-  auto reply = std::make_shared<std::promise<dbase::Result<dbase::BufferSlice>>>();
-  std::future<dbase::Result<dbase::BufferSlice>> replied = reply->get_future();
-  RawRequestAsync(peer, FrameType::kMeshCall, std::move(request), FrameType::kMeshReply,
-                  timeout_us, [reply](auto result) { reply->set_value(std::move(result)); });
-  ASSIGN_OR_RETURN(dbase::BufferSlice body, replied.get());
-  return DecodeMeshReply(body);
 }
 
 }  // namespace dnet

@@ -1,8 +1,9 @@
 // NodeClient: the router/frontend side of the dnet wire. A pooled
 // connection per peer lives on the process reactor
 // (dbase::EventLoop::Process()), registered through the client's scope;
-// callers on any thread send async invokes and gossip probes, cancels, and
-// blocking mesh calls (never from the reactor itself).
+// callers on any thread send async invokes, gossip probes and cancels, and
+// every reply comes back as a callback on the reactor: nothing blocks on
+// a peer.
 // A connection is opened (and joined) when a peer is added, and re-opened
 // lazily on the first use after it was lost, each time with a non-blocking
 // connect (dnet::ConnectLoopback): frames queue in its FrameSocket until
@@ -79,24 +80,19 @@ class NodeClient {
   // a no-op once the client has stopped.
   void Cancel(const std::string& peer, uint64_t request_id);
 
-  // Carries a serialized mesh request to the peer (blocking, bounded). On
-  // the reactor thread it fails at once with kFailedPrecondition: the reply
-  // could only arrive through the loop it would be blocking.
-  dbase::Result<WireMeshReply> MeshCall(const std::string& peer, std::string request,
-                                        dbase::Micros timeout_us);
-
   NodeClient(const NodeClient&) = delete;
   NodeClient& operator=(const NodeClient&) = delete;
 
  private:
-  using RawCallback = std::function<void(dbase::Result<dbase::BufferSlice>)>;
-
   struct Pending {
-    FrameType expect;  // kOutcome, kGossip, or kMeshReply.
+    FrameType expect;  // kOutcome or kGossip.
     std::string peer;
     OutcomeCallback on_outcome;            // expect == kOutcome.
-    RawCallback on_raw;                    // gossip / mesh.
+    GossipCallback on_gossip;              // expect == kGossip.
     dbase::EventLoop::TimerId timer = 0;  // 0 = none.
+
+    // Fires whichever callback is set with `status`.
+    void Fail(const dbase::Status& status);
   };
 
   struct Peer {
@@ -117,10 +113,6 @@ class NodeClient {
   void OnFrame(const std::string& peer, const FrameHeader& header, dbase::BufferSlice body);
   void OnPeerClosed(const std::string& peer, const dbase::Status& reason);
   void FailPending(uint64_t request_id, const dbase::Status& status);
-  // Request helper for gossip/mesh: `callback` gets the reply body, with the
-  // same exactly-once contract as GossipAsync.
-  void RawRequestAsync(const std::string& peer, FrameType type, std::string body,
-                       FrameType expect, dbase::Micros timeout_us, RawCallback callback);
 
   const std::string node_name_;
   std::unique_ptr<dbase::EventLoop::Scope> scope_;  // One per Start().

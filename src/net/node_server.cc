@@ -172,13 +172,9 @@ void NodeServer::OnFrame(int fd, const FrameHeader& header, dbase::BufferSlice b
                                    EncodeNodeStatus(status_provider_()));
       return;
     }
-    case FrameType::kMeshCall:
-      HandleMesh(fd, header, body);
-      return;
     case FrameType::kJoinAck:
     case FrameType::kOutcome:
     case FrameType::kGossip:
-    case FrameType::kMeshReply:
       // Reply types are client-bound; a server receiving one is talking
       // to something confused or hostile.
       Drop(fd, dbase::InvalidArgument("reply frame sent to server"));
@@ -227,29 +223,6 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
     });
   };
   on_invoke_(key, std::move(invoke).value(), std::move(done));
-}
-
-void NodeServer::HandleMesh(int fd, const FrameHeader& header, const dbase::BufferSlice& body) {
-  auto it = peers_.find(fd);
-  if (it == peers_.end()) {
-    return;
-  }
-  if (on_mesh_ == nullptr) {
-    Drop(fd, dbase::InvalidArgument("mesh call to a node without a mesh"));
-    return;
-  }
-  const uint64_t request_id = header.request_id;
-  auto done = [this, scope = scope_, fd, request_id](WireMeshReply reply) {
-    scope->Post([this, fd, request_id, reply = std::move(reply)]() {
-      auto peer = peers_.find(fd);
-      if (peer == peers_.end() || peer->second.socket == nullptr) {
-        return;
-      }
-      peer->second.socket->SendFrame(FrameType::kMeshReply, 0, request_id,
-                                     EncodeMeshReply(reply));
-    });
-  };
-  on_mesh_(std::string(body.view()), std::move(done));
 }
 
 }  // namespace dnet

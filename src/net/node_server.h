@@ -58,10 +58,6 @@ class NodeServer {
   using CancelHandler = std::function<void(uint64_t key)>;
   // Snapshot for kGossipReq. Runs on the reactor; must be cheap.
   using StatusProvider = std::function<WireNodeStatus()>;
-  // Serves a mesh call (body = serialized sanitized request). Runs on the
-  // reactor, so serving must not block (local mesh endpoints only).
-  using MeshReplyFn = std::function<void(WireMeshReply reply)>;
-  using MeshHandler = std::function<void(std::string request, MeshReplyFn done)>;
 
   explicit NodeServer(Config config);
   ~NodeServer();
@@ -70,7 +66,6 @@ class NodeServer {
   void set_invoke_handler(InvokeHandler handler) { on_invoke_ = std::move(handler); }
   void set_cancel_handler(CancelHandler handler) { on_cancel_ = std::move(handler); }
   void set_status_provider(StatusProvider provider) { status_provider_ = std::move(provider); }
-  void set_mesh_handler(MeshHandler handler) { on_mesh_ = std::move(handler); }
 
   // Binds (or adopts Config::listen_fd) and begins accepting on the
   // reactor.
@@ -106,20 +101,18 @@ class NodeServer {
   void Drop(int fd, dbase::Status reason);
 
   void HandleInvoke(int fd, const FrameHeader& header, const dbase::BufferSlice& body);
-  void HandleMesh(int fd, const FrameHeader& header, const dbase::BufferSlice& body);
 
   Config config_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
-  // One per Start(); shared with outcome and mesh completions, which may
-  // fire after Stop() and then post into a closed scope.
+  // One per Start(); shared with outcome completions, which may fire after
+  // Stop() and then post into a closed scope.
   std::shared_ptr<dbase::EventLoop::Scope> scope_;
   std::atomic<bool> running_{false};
 
   InvokeHandler on_invoke_;
   CancelHandler on_cancel_;
   StatusProvider status_provider_;
-  MeshHandler on_mesh_;
 
   // Reactor-only.
   std::map<int, Peer> peers_;

@@ -90,11 +90,10 @@ class Cursor {
 constexpr size_t kMaxNameBytes = 4096;
 // Status messages can carry a ToString of a nested failure; bound generous.
 constexpr size_t kMaxMessageBytes = 64 * 1024;
-constexpr size_t kMaxResidentEntries = 1024;
 
 bool KnownFrameType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kJoin) &&
-         type <= static_cast<uint8_t>(FrameType::kMeshReply);
+         type <= static_cast<uint8_t>(FrameType::kGossip);
 }
 
 bool KnownStatusCode(uint32_t code) {
@@ -238,10 +237,6 @@ std::string EncodeNodeStatus(const WireNodeStatus& status) {
   PutU64(&out, status.inflight);
   PutU64(&out, status.admission_cap);
   PutU64(&out, status.backlog);
-  PutU32(&out, static_cast<uint32_t>(status.resident_compositions.size()));
-  for (const std::string& name : status.resident_compositions) {
-    PutString(&out, name);
-  }
   return out;
 }
 
@@ -252,24 +247,13 @@ dbase::Result<WireNodeStatus> DecodeNodeStatus(const dbase::BufferSlice& body) {
   RETURN_IF_ERROR(cursor.ReadU64(&status.inflight));
   RETURN_IF_ERROR(cursor.ReadU64(&status.admission_cap));
   RETURN_IF_ERROR(cursor.ReadU64(&status.backlog));
-  uint32_t resident = 0;
-  RETURN_IF_ERROR(cursor.ReadU32(&resident));
-  if (resident > kMaxResidentEntries) {
-    return dbase::InvalidArgument("gossip residency list exceeds bound");
-  }
-  status.resident_compositions.reserve(resident);
-  for (uint32_t i = 0; i < resident; ++i) {
-    std::string name;
-    RETURN_IF_ERROR(cursor.ReadString(&name, kMaxNameBytes));
-    status.resident_compositions.push_back(std::move(name));
-  }
   if (cursor.remaining() != 0) {
     return dbase::InvalidArgument("trailing bytes after gossip body");
   }
   return status;
 }
 
-// ------------------------------------------------------------- join / mesh
+// ------------------------------------------------------------------- join
 
 std::string EncodeJoin(const WireJoin& join) {
   std::string out;
@@ -285,26 +269,6 @@ dbase::Result<WireJoin> DecodeJoin(const dbase::BufferSlice& body) {
     return dbase::InvalidArgument("trailing bytes after join body");
   }
   return join;
-}
-
-std::string EncodeMeshReply(const WireMeshReply& reply) {
-  std::string out;
-  PutU64(&out, static_cast<uint64_t>(reply.latency_us));
-  PutString(&out, reply.response);
-  return out;
-}
-
-dbase::Result<WireMeshReply> DecodeMeshReply(const dbase::BufferSlice& body) {
-  Cursor cursor(body);
-  WireMeshReply reply;
-  uint64_t latency = 0;
-  RETURN_IF_ERROR(cursor.ReadU64(&latency));
-  reply.latency_us = static_cast<dbase::Micros>(latency);
-  RETURN_IF_ERROR(cursor.ReadString(&reply.response, kMaxMessageBytes));
-  if (cursor.remaining() != 0) {
-    return dbase::InvalidArgument("trailing bytes after mesh reply");
-  }
-  return reply;
 }
 
 }  // namespace dnet

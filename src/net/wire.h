@@ -38,7 +38,7 @@
 namespace dnet {
 
 inline constexpr uint32_t kWireMagic = 0x444E4554u;  // "DNET"
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint8_t {
@@ -49,9 +49,7 @@ enum class FrameType : uint8_t {
   kOutcome = 5,    // server → client: invocation result.
   kCancel = 6,     // client → server: cancel the invocation with this id.
   kGossipReq = 7,  // client → server: request a status snapshot.
-  kGossip = 8,     // server → client: load, admission headroom, residency.
-  kMeshCall = 9,   // client → server: carry a service-mesh request.
-  kMeshReply = 10, // server → client: mesh response + measured latency.
+  kGossip = 8,     // server → client: load and admission headroom.
 };
 
 // Frame flag bits.
@@ -132,17 +130,15 @@ dbase::Result<WireOutcome> DecodeOutcome(const dbase::BufferSlice& body);
 
 // ------------------------------------------------------------------ gossip
 
-// One node's gossiped status: its load, its admission headroom, and the
-// compositions whose data/sandboxes are warm there (locality routing
-// input). Exactly what the router's membership and placement policies
-// consume.
+// One node's gossiped status: its load and its admission headroom. The
+// router places by the load and reports the cap in /statz; the body's size
+// does not depend on what the node has served.
 struct WireNodeStatus {
   std::string node_name;
-  std::vector<std::string> resident_compositions;
   // Invocations currently in flight on the node (all classes).
   uint64_t inflight = 0;
-  // Node-local admission cap (0 = uncapped); lets the router shed before
-  // the wire round trip when a peer is known-full.
+  // Node-local admission cap (0 = uncapped): the interactive plus the
+  // batch cap.
   uint64_t admission_cap = 0;
   // Engine tasks queued on the node, compute plus comm.
   uint64_t backlog = 0;
@@ -151,7 +147,7 @@ struct WireNodeStatus {
 std::string EncodeNodeStatus(const WireNodeStatus& status);
 dbase::Result<WireNodeStatus> DecodeNodeStatus(const dbase::BufferSlice& body);
 
-// ------------------------------------------------------------- join / mesh
+// ------------------------------------------------------------------- join
 
 struct WireJoin {
   std::string node_name;
@@ -159,17 +155,6 @@ struct WireJoin {
 
 std::string EncodeJoin(const WireJoin& join);
 dbase::Result<WireJoin> DecodeJoin(const dbase::BufferSlice& body);
-
-// Mesh transport: the request body is the serialized (sanitized) HTTP
-// request; the reply carries the serialized response plus the latency the
-// serving node measured/modelled.
-struct WireMeshReply {
-  dbase::Micros latency_us = 0;
-  std::string response;  // Serialized HttpResponse.
-};
-
-std::string EncodeMeshReply(const WireMeshReply& reply);
-dbase::Result<WireMeshReply> DecodeMeshReply(const dbase::BufferSlice& body);
 
 }  // namespace dnet
 

@@ -1,7 +1,5 @@
 #include "src/policy/membership.h"
 
-#include <algorithm>
-#include <limits>
 #include <set>
 
 namespace dpolicy {
@@ -33,11 +31,6 @@ MembershipDecision MembershipPolicy::Tick(dbase::Micros now_us,
       ++it;
     }
   }
-
-  int active = 0;
-  double active_utilization = 0.0;
-  const MemberSignals* drain_best = nullptr;
-  double drain_best_utilization = std::numeric_limits<double>::max();
 
   for (const MemberSignals& m : members) {
     auto [it, inserted] = members_.emplace(m.name, Member{MemberState::kActive, now_us});
@@ -81,42 +74,6 @@ MembershipDecision MembershipPolicy::Tick(dbase::Micros now_us,
       }
       decision.transitions.push_back({m.name, member.state, next, reason});
       member.state = next;
-    }
-    if (member.state == MemberState::kActive) {
-      ++active;
-      active_utilization += m.utilization;
-      if (m.utilization < drain_best_utilization) {
-        drain_best_utilization = m.utilization;
-        drain_best = &m;
-      }
-    }
-  }
-
-  // Fleet-utilization scale hints, rate-limited by the hold window.
-  if (active > 0) {
-    const double mean = active_utilization / active;
-    const bool held =
-        last_hint_us_ > 0 && now_us - last_hint_us_ < options_.scale_hold_us;
-    if (mean >= options_.scale_out_above) {
-      if (held) {
-        decision.reason = "hold";
-      } else {
-        decision.desired_nodes_delta = 1;
-        decision.reason = "saturated";
-        last_hint_us_ = now_us;
-        ++stats_.scale_out_hints;
-      }
-    } else if (mean <= options_.scale_in_below && active > options_.min_active &&
-               drain_best != nullptr) {
-      if (held) {
-        decision.reason = "hold";
-      } else {
-        decision.desired_nodes_delta = -1;
-        decision.drain_candidate = drain_best->name;
-        decision.reason = "idle";
-        last_hint_us_ = now_us;
-        ++stats_.scale_in_hints;
-      }
     }
   }
   return decision;

@@ -1,10 +1,9 @@
 // Cluster membership policy (ROADMAP "Distributed data plane"): decides,
 // from observations derived from gossiped node status, which remote nodes
-// the router may still route to and whether the fleet should grow or
-// shrink. Same mold as every dpolicy object — pure, unsynchronized, no
-// clocks or threads of its own: the Cluster's gossip loop (and fake-clock
-// unit tests) feed it `now` plus one MemberSignals row per known peer and
-// apply whatever it decides.
+// the router may still route to. Same mold as every dpolicy object — pure,
+// unsynchronized, no clocks or threads of its own: the Cluster's gossip
+// loop (and fake-clock unit tests) feed it `now` plus one MemberSignals row
+// per known peer and apply whatever it decides.
 //
 // State machine per member:
 //
@@ -17,11 +16,8 @@
 //             └──────────────────────────────────────── kLeft
 //
 // Suspects stay routable only as a last resort; kLeft members are evicted
-// from routing entirely until they gossip again. On top of the per-member
-// machine, a fleet-utilization hysteresis emits scale hints: sustained
-// high average utilization across active members asks for one more node,
-// sustained low utilization nominates the least-utilized member to drain —
-// never below min_active.
+// from routing entirely until they gossip again. The fleet's size is not
+// this policy's business: nodes join and leave by administration.
 #ifndef SRC_POLICY_MEMBERSHIP_H_
 #define SRC_POLICY_MEMBERSHIP_H_
 
@@ -46,22 +42,12 @@ struct MemberSignals {
   // (a just-added peer gets a suspect_after_us grace window from the tick
   // it first appears before staleness counts against it).
   dbase::Micros last_heard_us = 0;
-  // inflight / admission cap from the peer's last gossiped status; the
-  // fleet-scaling input.
-  double utilization = 0.0;
 };
 
 struct MembershipOptions {
   // Staleness thresholds on the last heard gossip.
   dbase::Micros suspect_after_us = 1 * dbase::kMicrosPerSecond;
   dbase::Micros evict_after_us = 5 * dbase::kMicrosPerSecond;
-  // Fleet-utilization hysteresis band for scale hints.
-  double scale_out_above = 0.75;
-  double scale_in_below = 0.20;
-  // Minimum spacing between scale hints (either direction).
-  dbase::Micros scale_hold_us = 3 * dbase::kMicrosPerSecond;
-  // Scale-in never drains the fleet below this many active members.
-  int min_active = 1;
 };
 
 // A member whose state changed this tick.
@@ -75,12 +61,6 @@ struct MemberTransition {
 
 struct MembershipDecision {
   std::vector<MemberTransition> transitions;
-  // +1: fleet saturated, ask for one more node. -1: fleet idle, drain
-  // `drain_candidate`. 0: steady.
-  int desired_nodes_delta = 0;
-  std::string drain_candidate;
-  // "steady" / "saturated" / "idle" / "hold" — static.
-  const char* reason = "steady";
 };
 
 struct MembershipStats {
@@ -89,8 +69,6 @@ struct MembershipStats {
   uint64_t evictions = 0;
   uint64_t recoveries = 0;  // Suspect → active.
   uint64_t rejoins = 0;     // Left → active.
-  uint64_t scale_out_hints = 0;
-  uint64_t scale_in_hints = 0;
 };
 
 class MembershipPolicy {
@@ -101,7 +79,7 @@ class MembershipPolicy {
   // One gossip round: `members` is the full current peer list (a peer
   // omitted from the list is forgotten entirely — an administrative
   // removal, distinct from staleness eviction). Returns the transitions to
-  // apply plus at most one scale hint.
+  // apply.
   MembershipDecision Tick(dbase::Micros now_us, const std::vector<MemberSignals>& members);
 
   // kLeft for unknown names: an unknown peer is not routable.
@@ -118,7 +96,6 @@ class MembershipPolicy {
 
   MembershipOptions options_;
   std::map<std::string, Member> members_;
-  dbase::Micros last_hint_us_ = 0;
   MembershipStats stats_;
 };
 

@@ -6,7 +6,6 @@
 
 #include "src/base/clock.h"
 #include "src/base/log.h"
-#include "src/http/http_parser.h"
 #include "src/runtime/node_agent.h"
 
 namespace dandelion {
@@ -67,20 +66,6 @@ Cluster::Cluster(Config config)
   for (int n = 0; n < locals; ++n) {
     const std::string name = "local-" + std::to_string(n);
     auto local = std::make_unique<LocalNode>(config_.node_config, name);
-    // Every in-process node's mesh can carry remote-registered hosts over
-    // the node wire — the same socket path invokes ride.
-    local->platform.mesh().SetRemoteTransport(
-        [client = client_.get()](const std::string& peer, const dhttp::SanitizedRequest& request)
-            -> dbase::Result<dhttp::MeshCallResult> {
-          ASSIGN_OR_RETURN(
-              dnet::WireMeshReply reply,
-              client->MeshCall(peer, request.request.Serialize(), 2 * dbase::kMicrosPerSecond));
-          ASSIGN_OR_RETURN(dhttp::HttpResponse response, dhttp::ParseResponse(reply.response));
-          dhttp::MeshCallResult result;
-          result.response = std::move(response);
-          result.latency_us = reply.latency_us;
-          return result;
-        });
     const dbase::Status started = local->agent.Start();
     if (!started.ok()) {
       DLOG(Warning) << name << " cannot serve the node wire: " << started.ToString();
@@ -189,17 +174,6 @@ void Cluster::ForEachNode(const std::function<void(Platform&)>& setup) {
   }
 }
 
-void Cluster::NoteAffinity(const std::string& composition, int index) {
-  std::lock_guard<std::mutex> lock(affinity_mu_);
-  affinity_[composition] = index;
-}
-
-int Cluster::AffinityFor(const std::string& composition) const {
-  std::lock_guard<std::mutex> lock(affinity_mu_);
-  auto it = affinity_.find(composition);
-  return it == affinity_.end() ? -1 : it->second;
-}
-
 bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspect) const {
   if (exclude.count(index) > 0) {
     return false;
@@ -249,25 +223,10 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
   if (total == 0) {
     return -1;
   }
-  // Locality first: the sticky node wins while it is healthy and below its
-  // gossiped admission cap; otherwise fall through to the load fallback.
-  if (config_.policy == LoadBalancePolicy::kLocality) {
-    const int affine = AffinityFor(request.composition);
-    if (affine >= 0 && affine < total && Eligible(affine, exclude, false)) {
-      NodeSlot* slot = slot_at(affine);
-      const uint64_t router_inflight = static_cast<uint64_t>(
-          std::max<int64_t>(0, slot->inflight.load(std::memory_order_relaxed)));
-      std::lock_guard<std::mutex> lock(slot->mu);
-      if (slot->status.admission_cap == 0 ||
-          slot->status.inflight + router_inflight < slot->status.admission_cap) {
-        return affine;
-      }
-    }
-  }
-  // Batch work tolerates queueing: under the load-aware policies it still
-  // spreads round-robin (backlog smoothing) while interactive requests pay
-  // the load scan for the quietest node.
-  const bool scan = config_.policy != LoadBalancePolicy::kRoundRobin &&
+  // Batch work tolerates queueing: under kLeastLoaded it still spreads
+  // round-robin (backlog smoothing) while interactive requests pay the load
+  // scan for the quietest node.
+  const bool scan = config_.policy == LoadBalancePolicy::kLeastLoaded &&
                     request.priority != PriorityClass::kBatch && total > 1;
   for (const bool allow_suspect : {false, true}) {
     if (!scan) {
@@ -389,7 +348,6 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
             remote_retry_.OnSuccess(slot->name);
           }
           slot->served.fetch_add(1, std::memory_order_relaxed);
-          NoteAffinity(routed->request.composition, index);
           routed->Finish(std::move(outcome.sets), index, attempts + 1);
           return;
         }
@@ -545,8 +503,7 @@ void Cluster::StartGossipRound(std::function<void()> on_closed) {
       config_.gossip_interval_us > 0
           ? std::min(config_.gossip_interval_us, kGossipTimeoutCapUs)
           : kGossipTimeoutCapUs;
-  for (size_t i = 0; i < round->slots.size(); ++i) {
-    NodeSlot* slot = round->slots[i];
+  for (NodeSlot* slot : round->slots) {
     bool probe = true;
     {
       std::lock_guard<std::mutex> slot_lock(slot->mu);
@@ -559,17 +516,11 @@ void Cluster::StartGossipRound(std::function<void()> on_closed) {
       release();
       continue;
     }
-    const int index = static_cast<int>(i);
-    client_->GossipAsync(slot->name, timeout, [this, slot, index, release](auto status) {
+    client_->GossipAsync(slot->name, timeout, [slot, release](auto status) {
       if (status.ok()) {
         std::lock_guard<std::mutex> slot_lock(slot->mu);
         slot->status = std::move(status).value();
         slot->last_gossip_us = dbase::MonotonicClock::Get()->NowMicros();
-        // Gossiped residency feeds locality routing: route a composition to
-        // the node that already holds its context/data.
-        for (const std::string& composition : slot->status.resident_compositions) {
-          NoteAffinity(composition, index);
-        }
       }
       release();
     });
@@ -582,15 +533,8 @@ void Cluster::CloseGossipRound(const GossipRound& round) {
     std::vector<dpolicy::MemberSignals> signals;
     signals.reserve(round.slots.size());
     for (NodeSlot* slot : round.slots) {
-      dpolicy::MemberSignals member;
-      member.name = slot->name;
       std::lock_guard<std::mutex> slot_lock(slot->mu);
-      member.last_heard_us = slot->last_gossip_us;
-      if (slot->status.admission_cap > 0) {
-        member.utilization = static_cast<double>(slot->status.inflight) /
-                             static_cast<double>(slot->status.admission_cap);
-      }
-      signals.push_back(std::move(member));
+      signals.push_back({slot->name, slot->last_gossip_us});
     }
     dpolicy::MembershipDecision decision;
     {
@@ -612,8 +556,6 @@ void Cluster::CloseGossipRound(const GossipRound& round) {
 }
 
 void Cluster::ApplyMembership(const dpolicy::MembershipDecision& decision) {
-  // Scale hints are only counted (MembershipStats); the transitions are
-  // applied.
   for (const dpolicy::MemberTransition& transition : decision.transitions) {
     NodeSlot* found = nullptr;
     {

@@ -10,12 +10,11 @@
 // shedding, peer loss, gossip and cancel exist once; "in-process" only
 // decides who owns the engine.
 //
-// Routing is locality-aware under LoadBalancePolicy::kLocality: a
-// composition goes to the node that served it most recently (locally
-// observed, plus the resident-composition lists nodes gossip), falling
-// back to kLeastLoaded when the sticky node is saturated, suspect or gone.
-// Node load is the gossiped in-flight count and engine backlog plus what
-// the router itself has in flight toward the node.
+// Placement is round-robin or least-loaded (LoadBalancePolicy). Node load
+// is the gossiped in-flight count and engine backlog plus what the router
+// itself has in flight toward the node. The router only routes
+// invocations: comm functions reach their services through their own
+// node's mesh, never through a peer.
 //
 // Cross-node shedding: a node that responds 429-style (kUnavailable with
 // the shed frame flag) gets the invocation re-routed once to another node
@@ -27,9 +26,10 @@
 // invocation's stop hook sends kCancel for the attempt currently on the
 // wire, whether a handle's Cancel() or a blocking Invoke's timeout stopped
 // it.
-// Node join/leave is policy-driven: periodic gossip rounds feed
-// dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones,
-// re-admits rejoiners, and emits fleet scale hints (counted, not acted on).
+// Node membership is policy-driven: periodic gossip rounds feed
+// dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones
+// and re-admits rejoiners. Nodes join and leave the fleet only by
+// administration (AddRemoteNode, RemoveRemoteNode).
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
 
@@ -40,7 +40,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/event_loop.h"
@@ -56,10 +55,6 @@ enum class LoadBalancePolicy {
   // Routes to the node with the fewest in-flight invocations + queued
   // engine tasks (router in-flight plus the gossiped backlog).
   kLeastLoaded,
-  // Sticky composition→node affinity from serve history and gossiped
-  // residency; falls back to kLeastLoaded when the affine node is
-  // saturated or unavailable.
-  kLocality,
 };
 
 class Cluster {
@@ -219,8 +214,6 @@ class Cluster {
   void Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<int> tried,
                 bool shed_rerouted);
   InvocationHandle InvokeRouted(InvocationRequest request, RoutedCallback callback);
-  void NoteAffinity(const std::string& composition, int index);
-  int AffinityFor(const std::string& composition) const;
   std::string NodeName(int index) const;
   NodeSlot* slot_at(int index) const;
   void ApplyMembership(const dpolicy::MembershipDecision& decision);
@@ -250,11 +243,6 @@ class Cluster {
   std::vector<std::unique_ptr<NodeSlot>> slots_;
   // The engines behind the in-process slots; fixed after construction.
   std::vector<std::unique_ptr<LocalNode>> locals_;
-
-  // Composition → global node index (most recent server / gossiped
-  // residency).
-  mutable std::mutex affinity_mu_;
-  std::unordered_map<std::string, int> affinity_;
 
   // Router-side policy state.
   mutable std::mutex policy_mu_;

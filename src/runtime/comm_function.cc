@@ -13,7 +13,7 @@ CommCallResult ExecuteHttpFunction(dhttp::ServiceMesh& mesh, std::string_view ra
     result.latency_us = 5;  // Rejected before touching the network.
     return result;
   }
-  dhttp::MeshCallResult call = mesh.Call(sanitized.value());
+  dhttp::ServiceReply call = mesh.Call(sanitized.value());
   result.response = std::move(call.response);
   result.latency_us = call.latency_us;
   return result;

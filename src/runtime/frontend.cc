@@ -627,7 +627,7 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
       ApplySlotCompletion(weak_conn, slot, std::move(bytes));
     });
   };
-  // Cluster route: locality-aware placement across local + remote nodes,
+  // Cluster route: load-balanced placement across local + remote nodes,
   // with cross-node shed/peer-lost re-routing, behind the same callback.
   // The handle lets a dying connection cancel the invocation instead of
   // letting orphaned work run to completion.
@@ -1046,8 +1046,6 @@ std::string HttpFrontend::StatzJson() const {
         .Field("members_suspected", cluster.membership.suspects)
         .Field("members_evicted", cluster.membership.evictions)
         .Field("members_rejoined", cluster.membership.rejoins)
-        .Field("scale_out_hints", cluster.membership.scale_out_hints)
-        .Field("scale_in_hints", cluster.membership.scale_in_hints)
         .BeginObject("peers");
     for (const Cluster::PeerStats& peer : cluster.peers) {
       json.BeginObject(peer.name)

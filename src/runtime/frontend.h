@@ -136,7 +136,7 @@ class HttpFrontend {
   // dropped, so the frontend may be destroyed as soon as this returns.
   void Stop();
 
-  // Routes invokes through a cluster (locality-aware dispatch + cross-node
+  // Routes invokes through a cluster (load-balanced dispatch + cross-node
   // shedding over the dnet wire) instead of submitting straight to the
   // local platform. The attached platform keeps serving registration,
   // statz. Call before Start(); the cluster must outlive the

@@ -5,15 +5,8 @@
 #include <vector>
 
 #include "src/base/clock.h"
-#include "src/http/sanitizer.h"
 
 namespace dandelion {
-
-namespace {
-// How many recently-served composition names travel in gossip (the
-// locality signal); oldest drop first.
-constexpr size_t kMaxResidentGossip = 64;
-}  // namespace
 
 NodeAgent::NodeAgent(Platform* platform, NodeAgentConfig config)
     : platform_(platform),
@@ -32,9 +25,6 @@ NodeAgent::NodeAgent(Platform* platform, NodeAgentConfig config)
       });
   server_.set_cancel_handler([this](uint64_t key) { HandleCancel(key); });
   server_.set_status_provider([this] { return BuildStatus(); });
-  server_.set_mesh_handler([this](std::string request, dnet::NodeServer::MeshReplyFn done) {
-    HandleMesh(std::move(request), std::move(done));
-  });
 }
 
 NodeAgent::~NodeAgent() { Stop(); }
@@ -50,8 +40,8 @@ void NodeAgent::Stop() {
   if (!running_.exchange(false, std::memory_order_relaxed)) {
     return;
   }
-  // Once the server has stopped no handler runs again: no new invokes,
-  // cancels or mesh calls past this point.
+  // Once the server has stopped no handler runs again: no new invokes
+  // or cancels past this point.
   server_.Stop();
   // Cancel whatever a (possibly dead) router still owes us an answer for,
   // then wait for every accepted completion to fire: those callbacks touch
@@ -75,18 +65,6 @@ void NodeAgent::Stop() {
   }
   std::lock_guard<std::mutex> lock(inflight_mu_);
   inflight_handles_.clear();
-}
-
-void NodeAgent::NoteServed(const std::string& composition) {
-  std::lock_guard<std::mutex> lock(resident_mu_);
-  auto it = std::find(resident_.begin(), resident_.end(), composition);
-  if (it != resident_.end()) {
-    resident_.erase(it);
-  }
-  resident_.push_back(composition);
-  while (resident_.size() > kMaxResidentGossip) {
-    resident_.pop_front();
-  }
 }
 
 void NodeAgent::HandleInvoke(uint64_t key, dnet::WireInvoke invoke,
@@ -127,7 +105,6 @@ void NodeAgent::HandleInvoke(uint64_t key, dnet::WireInvoke invoke,
     request.deadline_us = InvocationRequest::DeadlineIn(
         std::min(invoke.remaining_deadline_us, InvocationRequest::kMaxDeadlineInUs));
   }
-  NoteServed(request.composition);
 
   {
     // Registered before the submit: a completion that fires inside Submit
@@ -192,22 +169,6 @@ void NodeAgent::HandleCancel(uint64_t key) {
   handle.Cancel();
 }
 
-void NodeAgent::HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn done) {
-  dnet::WireMeshReply reply;
-  auto sanitized = dhttp::SanitizeRequest(request);
-  if (!sanitized.ok()) {
-    reply.response = dhttp::HttpResponse::BadRequest(sanitized.status().ToString()).Serialize();
-  } else {
-    // Local endpoints only: a host this node reaches remotely itself would
-    // send the call on another hop, and two nodes that each register a
-    // host as remote on the other would bounce it back and forth.
-    dhttp::MeshCallResult result = platform_->mesh().Call(*sanitized, config_.node_name);
-    reply.latency_us = result.latency_us;
-    reply.response = result.response.Serialize();
-  }
-  done(std::move(reply));
-}
-
 dnet::WireNodeStatus NodeAgent::BuildStatus() {
   dnet::WireNodeStatus status;
   status.node_name = config_.node_name;
@@ -221,10 +182,6 @@ dnet::WireNodeStatus NodeAgent::BuildStatus() {
           ? 0
           : config_.max_inflight_interactive + config_.max_inflight_batch;
   status.backlog = engines.compute_queue_len + engines.comm_queue_len;
-  {
-    std::lock_guard<std::mutex> lock(resident_mu_);
-    status.resident_compositions.assign(resident_.begin(), resident_.end());
-  }
   return status;
 }
 

@@ -1,6 +1,6 @@
 // NodeAgent: binds a Platform to the dnet wire (ROADMAP "Distributed data
 // plane"). It embeds a dnet::NodeServer in the engine process and plugs
-// the four wire duties into the runtime:
+// the three wire duties into the runtime:
 //
 //   invoke  → per-class admission check (shed with kUnavailable+shed flag
 //             at the caps, exactly like the HTTP frontend's 429), then
@@ -10,22 +10,16 @@
 //             server's per-invoke key, not the wire id two routers may
 //             share (also driven by the server's cancel-on-disconnect);
 //   gossip  → the node's in-flight count, admission cap and queued engine
-//             tasks, plus the recently-served composition list (the
-//             router's load, locality and membership input);
-//   mesh    → serve a carried service-mesh request against the local mesh's
-//             own endpoints (never re-hopping to another node) and report
-//             the modelled latency back.
+//             tasks (the router's load and membership input).
 //
-// All four run inline on the process reactor the server is registered on:
-// Submit only queues work for the engines, and local mesh endpoints answer
-// without blocking.
+// All three run inline on the process reactor the server is registered on:
+// Submit only queues work for the engines.
 #ifndef SRC_RUNTIME_NODE_AGENT_H_
 #define SRC_RUNTIME_NODE_AGENT_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -76,8 +70,6 @@ class NodeAgent {
  private:
   void HandleInvoke(uint64_t key, dnet::WireInvoke invoke, dnet::NodeServer::OutcomeFn done);
   void HandleCancel(uint64_t key);
-  void HandleMesh(std::string request, dnet::NodeServer::MeshReplyFn done);
-  void NoteServed(const std::string& composition);
 
   Platform* const platform_;
   NodeAgentConfig config_;
@@ -103,10 +95,6 @@ class NodeAgent {
   // empty until Submit returns.
   std::mutex inflight_mu_;
   std::map<uint64_t, InvocationHandle> inflight_handles_;
-
-  // Recently-served compositions, most recent last (gossip residency).
-  std::mutex resident_mu_;
-  std::deque<std::string> resident_;
 };
 
 }  // namespace dandelion

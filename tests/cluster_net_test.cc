@@ -4,8 +4,7 @@
 // zero-copy accounting, cross-node shedding, peer-loss absorption via the
 // retry taxonomy, routed cancel (handle and client disconnect),
 // gossip-driven membership (suspect → evict → rejoin), the gossiped node
-// status, mesh calls carried over the wire, protocol hygiene against
-// hostile frames, the statz cluster section, the spawned node's flag
+// status and its fixed size, protocol hygiene against hostile frames, the statz cluster section, the spawned node's flag
 // validation, boot handshake, self-contained binary and jailed process
 // backend, and the router's join at AddPeer.
 #include <arpa/inet.h>
@@ -35,8 +34,6 @@
 #include "src/func/builtins.h"
 #include "src/func/data.h"
 #include "src/http/http_parser.h"
-#include "src/http/sanitizer.h"
-#include "src/http/services.h"
 #include "src/net/node_client.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
@@ -758,79 +755,6 @@ TEST(ClusterNetTest, PeerAddedBeforeItListensCostsNothing) {
   EXPECT_EQ(stats.reroutes_peer_lost, 0u);
 }
 
-// ------------------------------------------------------------- mesh calls
-
-TEST(ClusterNetTest, MeshCallRidesTheNodeWire) {
-  AgentNode b(NodeAgentConfig{.node_name = "nb"});
-  SKIP_WITHOUT_LOOPBACK(b);
-  // The service physically lives on node B's mesh.
-  b.platform().mesh().Register("svc.internal", std::make_shared<dhttp::EchoService>());
-
-  Cluster::Config config =
-      RemoteClusterConfig({{"nb", b.port()}}, LoadBalancePolicy::kRoundRobin);
-  config.num_nodes = 1;  // One local node whose mesh calls ride the wire.
-  Cluster cluster(config);
-  cluster.node(0).mesh().RegisterRemote("svc.internal", "nb");
-
-  dhttp::HttpRequest request;
-  request.method = dhttp::Method::kPost;
-  request.target = "http://svc.internal/echo";
-  request.body = "carried over dnet";
-  auto sanitized = dhttp::SanitizeRequest(request.Serialize());
-  ASSERT_TRUE(sanitized.ok()) << sanitized.status().ToString();
-
-  auto result = cluster.node(0).mesh().Call(*sanitized);
-  EXPECT_EQ(result.response.status_code, 200);
-  EXPECT_EQ(result.response.body, "carried over dnet");
-  EXPECT_EQ(cluster.node(0).mesh().remote_calls(), 1u);
-  // The serving node's mesh saw the call as a local one.
-  EXPECT_EQ(b.platform().mesh().total_calls(), 1u);
-}
-
-// A carried mesh call is served against the serving node's own endpoints
-// only. Two nodes that each register a host as remote on the other must
-// not bounce the call between them until the transport times out (and on
-// the shared reactor such a re-hop would block the loop its reply needs).
-TEST(ClusterNetTest, CarriedMeshCallIsServedLocallyAndNeverReHops) {
-  Cluster::Config config = RemoteClusterConfig({}, LoadBalancePolicy::kRoundRobin);
-  config.num_nodes = 2;
-  Cluster cluster(config);
-  cluster.node(0).mesh().RegisterRemote("svc.internal", "local-1");
-  cluster.node(1).mesh().RegisterRemote("svc.internal", "local-0");
-
-  dhttp::HttpRequest request;
-  request.method = dhttp::Method::kGet;
-  request.target = "http://svc.internal/ping";
-  auto sanitized = dhttp::SanitizeRequest(request.Serialize());
-  ASSERT_TRUE(sanitized.ok()) << sanitized.status().ToString();
-
-  const dbase::Stopwatch watch;
-  auto result = cluster.node(0).mesh().Call(*sanitized);
-  EXPECT_LT(watch.ElapsedMicros(), 500 * dbase::kMicrosPerMilli);
-  EXPECT_EQ(result.response.status_code, 502);
-  EXPECT_NE(result.response.body.find("not served on local-1"), std::string::npos)
-      << result.response.body;
-  EXPECT_EQ(cluster.node(0).mesh().remote_calls(), 1u);
-  EXPECT_EQ(cluster.node(1).mesh().remote_calls(), 0u);
-}
-
-// A blocking mesh call cannot wait on the reactor that would deliver its
-// reply: made there, it fails at once instead of deadlocking the process.
-TEST(ClusterNetTest, MeshCallOnTheReactorFailsFast) {
-  dnet::NodeClient client("router");
-  ASSERT_TRUE(client.Start().ok());
-  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
-  dbase::Latch done(1);
-  dbase::Status status;
-  scope.Post([&] {
-    status = client.MeshCall("nowhere", "GET / HTTP/1.1\r\n\r\n", dbase::kMicrosPerSecond)
-                 .status();
-    done.CountDown();
-  });
-  ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
-  EXPECT_EQ(status.code(), dbase::StatusCode::kFailedPrecondition) << status.ToString();
-}
-
 // ------------------------------------------------------------- membership
 
 TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {
@@ -890,35 +814,55 @@ TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {
   EXPECT_EQ(routed.node_name, "nc");
 }
 
-TEST(ClusterNetTest, GossipFillsPeerStatsAndLocalitysticks) {
+TEST(ClusterNetTest, GossipFillsPeerStats) {
   AgentNode a(NodeAgentConfig{.node_name = "na"});
   AgentNode b(NodeAgentConfig{.node_name = "nb"});
   SKIP_WITHOUT_LOOPBACK(a);
   SKIP_WITHOUT_LOOPBACK(b);
   Cluster cluster(RemoteClusterConfig({{"na", a.port()}, {"nb", b.port()}},
-                                      LoadBalancePolicy::kLocality));
+                                      LoadBalancePolicy::kRoundRobin));
 
-  // First placement falls back to least-loaded; afterwards the serve
-  // history pins the composition to that node.
-  auto first = cluster.Invoke({"Id", EchoArgs("first")});
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  for (int i = 0; i < 5; ++i) {
+  // Round-robin alternates between the two nodes: three invokes each.
+  for (int i = 0; i < 6; ++i) {
     auto routed = cluster.Invoke({"Id", EchoArgs("again")});
-    ASSERT_TRUE(routed.ok());
-    EXPECT_EQ(routed.node_index, first.node_index);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   }
 
   cluster.GossipNow();
   const auto stats = cluster.Stats();
   EXPECT_GE(stats.gossip_rounds, 1u);
-  const auto* served_peer = FindPeer(stats, first.node_name);
-  ASSERT_NE(served_peer, nullptr);
-  EXPECT_TRUE(served_peer->remote);
-  EXPECT_EQ(served_peer->served, 6u);
-  EXPECT_GE(served_peer->invokes_sent, 6u);
-  EXPECT_GT(served_peer->bytes_sent, 0u);
-  EXPECT_GT(served_peer->bytes_received, 0u);
-  EXPECT_GE(served_peer->gossip_age_us, 0);
+  for (const char* name : {"na", "nb"}) {
+    const auto* peer = FindPeer(stats, name);
+    ASSERT_NE(peer, nullptr) << name;
+    EXPECT_TRUE(peer->remote);
+    EXPECT_EQ(peer->served, 3u) << name;
+    EXPECT_GE(peer->invokes_sent, 3u) << name;
+    EXPECT_GT(peer->bytes_sent, 0u);
+    EXPECT_GT(peer->bytes_received, 0u);
+    EXPECT_GE(peer->gossip_age_us, 0);
+  }
+}
+
+// A node's gossip body has a fixed size: serving more compositions does
+// not make every gossip reply (and the router's handling of it) bigger.
+TEST(ClusterNetTest, GossipBodySizeDoesNotGrowWithCompositionsServed) {
+  AgentNode node(NodeAgentConfig{.node_name = "ng"});
+  SKIP_WITHOUT_LOOPBACK(node);
+  ASSERT_TRUE(node.platform()
+                  .RegisterCompositionDsl(R"(
+composition IdB(in) => out { echo(in = all in) => (out = out); }
+composition IdC(in) => out { echo(in = all in) => (out = out); }
+)")
+                  .ok());
+  const size_t before = dnet::EncodeNodeStatus(node.agent().BuildStatus()).size();
+
+  Cluster cluster(RemoteClusterConfig({{"ng", node.port()}}, LoadBalancePolicy::kRoundRobin));
+  for (const char* composition : {"Id", "IdB", "IdC"}) {
+    auto routed = cluster.Invoke({composition, EchoArgs("served")});
+    ASSERT_TRUE(routed.ok()) << composition << ": " << routed.status().ToString();
+  }
+  EXPECT_EQ(node.agent().invocations_served(), 3u);
+  EXPECT_EQ(dnet::EncodeNodeStatus(node.agent().BuildStatus()).size(), before);
 }
 
 // The gossip body carries exactly what the router reads: the node's

@@ -221,52 +221,5 @@ TEST(ClusterTest, ConcurrentInvocationsAcrossNodes) {
   }
 }
 
-TEST(ClusterTest, LocalitySticksToTheWarmNodeAndFallsBackForColdOnes) {
-  Cluster cluster(SmallClusterConfig(2, LoadBalancePolicy::kLocality));
-  ASSERT_TRUE(cluster.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
-  ASSERT_TRUE(cluster
-                  .RegisterFunction({.name = "slow",
-                                     .body =
-                                         [](dfunc::FunctionCtx& ctx) {
-                                           dbase::SpinFor(80 * dbase::kMicrosPerMilli);
-                                           return dfunc::EchoFunction(ctx);
-                                         }})
-                  .ok());
-  ASSERT_TRUE(cluster.RegisterCompositionDsl(kIdDsl).ok());
-  ASSERT_TRUE(cluster
-                  .RegisterCompositionDsl(
-                      "composition Sticky(in) => out { slow(in = all in) => (out = out); }")
-                  .ok());
-
-  // A composition never seen before has no affinity: the first invoke pays
-  // the least-loaded scan (all idle → node 0) and warms that node.
-  auto routed = cluster.Invoke({"Sticky", EchoArgs("warm")});
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed.node_index, 0);
-
-  // Park an in-flight Sticky on the warm node.
-  dbase::Latch parked(1);
-  cluster.InvokeAsync({"Sticky", EchoArgs("occupy")},
-                      [&](dbase::Result<DataSetList> result, int node) {
-                        EXPECT_TRUE(result.ok());
-                        EXPECT_EQ(node, 0);
-                        parked.CountDown();
-                      });
-
-  // A cold composition still load-balances: node 0 is busier, so Id's
-  // first invoke lands on node 1 (and warms it for Id).
-  routed = cluster.Invoke({"Id", EchoArgs("cold")});
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed.node_index, 1);
-
-  // Sticky keeps going to its warm node even though node 1 is idle —
-  // exactly the trade locality makes against pure least-loaded.
-  routed = cluster.Invoke({"Sticky", EchoArgs("again")});
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed.node_index, 0);
-
-  ASSERT_TRUE(parked.WaitFor(5 * dbase::kMicrosPerSecond));
-}
-
 }  // namespace
 }  // namespace dandelion

@@ -941,8 +941,6 @@ const std::vector<std::string> kStatzSchema = {
     "cluster.members_suspected:number",
     "cluster.members_evicted:number",
     "cluster.members_rejoined:number",
-    "cluster.scale_out_hints:number",
-    "cluster.scale_in_hints:number",
     "cluster.peers:object",
     "cluster.peers.nr:object",
     "cluster.peers.nr.remote:bool",

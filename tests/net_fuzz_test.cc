@@ -63,7 +63,7 @@ TEST(WireFuzzTest, FrameHeader) {
   limits.max_body_bytes = 4096;
   std::vector<std::string> seeds;
   for (uint8_t type = static_cast<uint8_t>(FrameType::kJoin);
-       type <= static_cast<uint8_t>(FrameType::kMeshReply); ++type) {
+       type <= static_cast<uint8_t>(FrameType::kGossip); ++type) {
     FrameHeader header;
     header.type = static_cast<FrameType>(type);
     header.flags = type % 2 == 0 ? kFlagShed : 0;
@@ -130,7 +130,6 @@ TEST(WireFuzzTest, OutcomeBody) {
 TEST(WireFuzzTest, NodeStatusBody) {
   WireNodeStatus status;
   status.node_name = "engine-3";
-  status.resident_compositions = {"Id", "MatMulChain", ""};
   status.inflight = 5;
   status.admission_cap = 256;
   status.backlog = 17;
@@ -145,16 +144,6 @@ TEST(WireFuzzTest, JoinBody) {
       "DecodeJoin", 0x8EBC6AF09C88C6E3ull, {EncodeJoin(WireJoin{"router-a"}), EncodeJoin({})},
       [](const dbase::BufferSlice& body) { return DecodeJoin(body); },
       [](const WireJoin& join) { return EncodeJoin(join); });
-}
-
-TEST(WireFuzzTest, MeshReplyBody) {
-  WireMeshReply reply;
-  reply.latency_us = 777;
-  reply.response = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
-  FuzzWireDecoder(
-      "DecodeMeshReply", 0x589965CC75374CC3ull, {EncodeMeshReply(reply)},
-      [](const dbase::BufferSlice& body) { return DecodeMeshReply(body); },
-      [](const WireMeshReply& decoded) { return EncodeMeshReply(decoded); });
 }
 
 // What the frontend does with buffered request bytes: locate the head and

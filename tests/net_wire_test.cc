@@ -1,5 +1,5 @@
 // Unit tests for the dnet wire format: header encode/decode with every
-// rejection path, invoke/outcome/status/join/mesh body round trips, the
+// rejection path, invoke/outcome/status/join body round trips, the
 // zero-copy aliasing contract of DecodeInvoke, checked (never clamping)
 // parsing of truncated or corrupt bodies, FrameSocket's SIGPIPE-free
 // writes, NodeServer adopting an already-bound listener, and the socket
@@ -92,12 +92,21 @@ TEST(WireHeaderTest, RejectsUnknownVersion) {
   std::string bytes = EncodeFrameHeader(FrameHeader{});
   bytes[4] = 99;
   EXPECT_FALSE(DecodeFrameHeader(bytes, FrameLimits{}).ok());
+  // Version 1 bodies carried a gossip residency list and mesh frames: a
+  // peer still speaking it is refused at the header, not misparsed.
+  bytes[4] = 1;
+  EXPECT_FALSE(DecodeFrameHeader(bytes, FrameLimits{}).ok());
 }
 
 TEST(WireHeaderTest, RejectsUnknownType) {
   std::string bytes = EncodeFrameHeader(FrameHeader{});
   bytes[5] = 77;  // No FrameType has this value.
   EXPECT_FALSE(DecodeFrameHeader(bytes, FrameLimits{}).ok());
+  // The retired mesh call and reply types.
+  for (const int type : {9, 10}) {
+    bytes[5] = static_cast<char>(type);
+    EXPECT_FALSE(DecodeFrameHeader(bytes, FrameLimits{}).ok()) << type;
+  }
 }
 
 TEST(WireHeaderTest, RejectsNonZeroReserved) {
@@ -232,7 +241,6 @@ TEST(WireOutcomeTest, RejectsCorruptBody) {
 TEST(WireStatusTest, RoundTrip) {
   WireNodeStatus status;
   status.node_name = "engine-3";
-  status.resident_compositions = {"Id", "MatMulChain"};
   status.inflight = 5;
   status.admission_cap = 256;
   status.backlog = 17;
@@ -240,8 +248,6 @@ TEST(WireStatusTest, RoundTrip) {
   auto decoded = DecodeNodeStatus(SliceOf(EncodeNodeStatus(status)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->node_name, "engine-3");
-  EXPECT_EQ(decoded->resident_compositions,
-            (std::vector<std::string>{"Id", "MatMulChain"}));
   EXPECT_EQ(decoded->inflight, 5u);
   EXPECT_EQ(decoded->admission_cap, 256u);
   EXPECT_EQ(decoded->backlog, 17u);
@@ -250,7 +256,6 @@ TEST(WireStatusTest, RoundTrip) {
 TEST(WireStatusTest, RejectsTruncation) {
   WireNodeStatus status;
   status.node_name = "n";
-  status.resident_compositions = {"Id"};
   std::string bytes = EncodeNodeStatus(status);
   for (size_t cut = 0; cut < bytes.size(); cut += 3) {
     EXPECT_FALSE(DecodeNodeStatus(SliceOf(bytes.substr(0, cut))).ok()) << "cut=" << cut;
@@ -602,16 +607,6 @@ TEST(NodeClientTest, WedgedPeerDoesNotStallTheReactor) {
     close(fd);
   }
   close(*listener);
-}
-
-TEST(WireMeshTest, RoundTrip) {
-  WireMeshReply reply;
-  reply.latency_us = 777;
-  reply.response = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
-  auto decoded = DecodeMeshReply(SliceOf(EncodeMeshReply(reply)));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->latency_us, 777);
-  EXPECT_EQ(decoded->response, reply.response);
 }
 
 }  // namespace

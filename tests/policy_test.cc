@@ -538,7 +538,6 @@ MembershipOptions FastMembership() {
   MembershipOptions options;
   options.suspect_after_us = 100;
   options.evict_after_us = 300;
-  options.scale_hold_us = 1000;
   return options;
 }
 
@@ -546,17 +545,17 @@ TEST(MembershipPolicyTest, JoinStartsActiveWithGraceWindow) {
   MembershipPolicy policy(FastMembership());
   // A just-added peer has never gossiped (last_heard_us = 0): it ages from
   // first sight, so it stays active through the suspect window.
-  auto decision = policy.Tick(1000, {{"n0", 0, 0.0}});
+  auto decision = policy.Tick(1000, {{"n0", 0}});
   ASSERT_EQ(decision.transitions.size(), 1u);
   EXPECT_STREQ(decision.transitions[0].reason, "joined");
   EXPECT_EQ(policy.StateOf("n0"), MemberState::kActive);
 
-  decision = policy.Tick(1000 + 99, {{"n0", 0, 0.0}});
+  decision = policy.Tick(1000 + 99, {{"n0", 0}});
   EXPECT_TRUE(decision.transitions.empty());
   EXPECT_EQ(policy.StateOf("n0"), MemberState::kActive);
 
   // Grace exhausted without a first gossip: suspect like anyone else.
-  decision = policy.Tick(1000 + 100, {{"n0", 0, 0.0}});
+  decision = policy.Tick(1000 + 100, {{"n0", 0}});
   ASSERT_EQ(decision.transitions.size(), 1u);
   EXPECT_STREQ(decision.transitions[0].reason, "stale");
   EXPECT_EQ(policy.StateOf("n0"), MemberState::kSuspect);
@@ -564,15 +563,15 @@ TEST(MembershipPolicyTest, JoinStartsActiveWithGraceWindow) {
 
 TEST(MembershipPolicyTest, StaleMemberSuspectsThenEvicts) {
   MembershipPolicy policy(FastMembership());
-  policy.Tick(1000, {{"n0", 1000, 0.5}});
+  policy.Tick(1000, {{"n0", 1000}});
   EXPECT_EQ(policy.StateOf("n0"), MemberState::kActive);
 
-  auto decision = policy.Tick(1150, {{"n0", 1000, 0.5}});
+  auto decision = policy.Tick(1150, {{"n0", 1000}});
   ASSERT_EQ(decision.transitions.size(), 1u);
   EXPECT_EQ(decision.transitions[0].to, MemberState::kSuspect);
   EXPECT_STREQ(decision.transitions[0].reason, "stale");
 
-  decision = policy.Tick(1400, {{"n0", 1000, 0.5}});
+  decision = policy.Tick(1400, {{"n0", 1000}});
   ASSERT_EQ(decision.transitions.size(), 1u);
   EXPECT_EQ(decision.transitions[0].to, MemberState::kLeft);
   EXPECT_STREQ(decision.transitions[0].reason, "evicted");
@@ -583,19 +582,19 @@ TEST(MembershipPolicyTest, StaleMemberSuspectsThenEvicts) {
 
 TEST(MembershipPolicyTest, RecoveryAndRejoinAreDistinct) {
   MembershipPolicy policy(FastMembership());
-  policy.Tick(1000, {{"n0", 1000, 0.5}});
-  policy.Tick(1150, {{"n0", 1000, 0.5}});  // → suspect.
+  policy.Tick(1000, {{"n0", 1000}});
+  policy.Tick(1150, {{"n0", 1000}});  // → suspect.
 
   // Fresh gossip while suspect recovers.
-  auto decision = policy.Tick(1200, {{"n0", 1190, 0.5}});
+  auto decision = policy.Tick(1200, {{"n0", 1190}});
   ASSERT_EQ(decision.transitions.size(), 1u);
   EXPECT_STREQ(decision.transitions[0].reason, "recovered");
   EXPECT_EQ(policy.stats().recoveries, 1u);
 
   // Stale all the way to eviction, then fresh gossip rejoins.
-  policy.Tick(2000, {{"n0", 1190, 0.5}});
+  policy.Tick(2000, {{"n0", 1190}});
   ASSERT_EQ(policy.StateOf("n0"), MemberState::kLeft);
-  decision = policy.Tick(2100, {{"n0", 2090, 0.5}});
+  decision = policy.Tick(2100, {{"n0", 2090}});
   ASSERT_EQ(decision.transitions.size(), 1u);
   EXPECT_STREQ(decision.transitions[0].reason, "rejoined");
   EXPECT_EQ(policy.stats().rejoins, 1u);
@@ -604,55 +603,12 @@ TEST(MembershipPolicyTest, RecoveryAndRejoinAreDistinct) {
 
 TEST(MembershipPolicyTest, OmittedMemberIsForgotten) {
   MembershipPolicy policy(FastMembership());
-  policy.Tick(1000, {{"n0", 1000, 0.5}, {"n1", 1000, 0.5}});
+  policy.Tick(1000, {{"n0", 1000}, {"n1", 1000}});
   EXPECT_EQ(policy.StateOf("n1"), MemberState::kActive);
   // Administrative removal: n1 vanishes from the roster, not via staleness.
-  policy.Tick(1010, {{"n0", 1010, 0.5}});
+  policy.Tick(1010, {{"n0", 1010}});
   EXPECT_EQ(policy.StateOf("n1"), MemberState::kLeft);  // Unknown = unroutable.
   EXPECT_EQ(policy.stats().evictions, 0u);
-}
-
-TEST(MembershipPolicyTest, ScaleOutHintIsRateLimited) {
-  MembershipPolicy policy(FastMembership());
-  auto decision = policy.Tick(1000, {{"n0", 1000, 0.9}, {"n1", 1000, 0.8}});
-  EXPECT_EQ(decision.desired_nodes_delta, 1);
-  EXPECT_STREQ(decision.reason, "saturated");
-
-  // Still saturated but inside the hold window: no second hint.
-  decision = policy.Tick(1500, {{"n0", 1500, 0.9}, {"n1", 1500, 0.8}});
-  EXPECT_EQ(decision.desired_nodes_delta, 0);
-  EXPECT_STREQ(decision.reason, "hold");
-
-  decision = policy.Tick(2200, {{"n0", 2200, 0.9}, {"n1", 2200, 0.8}});
-  EXPECT_EQ(decision.desired_nodes_delta, 1);
-  EXPECT_EQ(policy.stats().scale_out_hints, 2u);
-}
-
-TEST(MembershipPolicyTest, ScaleInDrainsLeastUtilizedAboveMinActive) {
-  MembershipOptions options = FastMembership();
-  options.min_active = 2;
-  MembershipPolicy policy(options);
-  auto decision =
-      policy.Tick(1000, {{"n0", 1000, 0.10}, {"n1", 1000, 0.02}, {"n2", 1000, 0.15}});
-  EXPECT_EQ(decision.desired_nodes_delta, -1);
-  EXPECT_EQ(decision.drain_candidate, "n1");
-  EXPECT_STREQ(decision.reason, "idle");
-
-  // At the floor: idle fleets still never drain below min_active.
-  MembershipPolicy floor(options);
-  decision = floor.Tick(1000, {{"n0", 1000, 0.10}, {"n1", 1000, 0.02}});
-  EXPECT_EQ(decision.desired_nodes_delta, 0);
-  EXPECT_STREQ(decision.reason, "steady");
-}
-
-TEST(MembershipPolicyTest, SuspectsDoNotCountTowardFleetUtilization) {
-  MembershipPolicy policy(FastMembership());
-  policy.Tick(1000, {{"n0", 1000, 0.9}, {"n1", 1000, 0.0}});
-  // n1 goes stale; only active n0's 0.9 remains → saturated.
-  auto decision = policy.Tick(1200, {{"n0", 1190, 0.9}, {"n1", 1000, 0.0}});
-  EXPECT_EQ(policy.StateOf("n1"), MemberState::kSuspect);
-  EXPECT_EQ(decision.desired_nodes_delta, 1);
-  EXPECT_STREQ(decision.reason, "saturated");
 }
 
 TEST(RetryPolicyTest, FailureKindNamesAreStable) {
