@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -180,29 +181,26 @@ void EventLoop::RunDueTimers(Micros now) {
   }
 }
 
-int EventLoop::NextTimeoutMillis(Micros now) const {
-  if (timer_index_.empty()) {
-    return -1;
-  }
-  const Micros remaining = timer_index_.begin()->first - now;
-  if (remaining <= 0) {
-    return 0;
-  }
-  // Round up so a timer is never polled before it is due, and clamp so a
-  // far-future one (a caller's distant deadline) cannot wrap the int into
-  // a zero or negative, i.e. spinning or unbounded, wait.
-  const Micros millis = remaining / kMicrosPerMilli + (remaining % kMicrosPerMilli != 0 ? 1 : 0);
-  return static_cast<int>(std::min<Micros>(millis, std::numeric_limits<int>::max()));
+timespec EventLoop::WaitTimeout(Micros remaining) {
+  constexpr Micros kMaxWait = 24 * 3600 * kMicrosPerSecond;
+  const Micros wait = std::clamp<Micros>(remaining, 0, kMaxWait);
+  return timespec{static_cast<time_t>(wait / kMicrosPerSecond),
+                  static_cast<long>(wait % kMicrosPerSecond * 1000)};
 }
 
 void EventLoop::Run() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
+  (void)prctl(PR_SET_TIMERSLACK, 1, 0, 0, 0);  // The default 50 us makes every timer late.
   epoll_event events[kMaxEventsPerWait];
   while (!stopped_.load(std::memory_order_acquire)) {
-    const Micros now = MonotonicClock::Get()->NowMicros();
-    const int n = epoll_wait(epoll_fd_, events, kMaxEventsPerWait, NextTimeoutMillis(now));
+    const bool timed = !timer_index_.empty();  // If not, wait for an fd or a post.
+    const timespec timeout = timed ? WaitTimeout(timer_index_.begin()->first -
+                                                 MonotonicClock::Get()->NowMicros())
+                                   : timespec{};
+    const int n =
+        epoll_pwait2(epoll_fd_, events, kMaxEventsPerWait, timed ? &timeout : nullptr, nullptr);
     if (n < 0 && errno != EINTR) {
-      DLOG(Error) << "epoll_wait failed: " << std::strerror(errno);
+      DLOG(Error) << "epoll_pwait2 failed: " << std::strerror(errno);
       break;
     }
     for (int i = 0; i < n; ++i) {

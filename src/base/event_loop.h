@@ -8,12 +8,13 @@
 // loop state. Components register through an EventLoop::Scope, so that
 // stopping one never lets its callbacks run on. Every runtime timer rides
 // this loop: invocation deadlines, retry backoff, the control tick and
-// gossip rounds, next to the sockets' own timers.
+// gossip rounds and comm-call latency, next to the sockets' own timers.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_
 
 #include <atomic>
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,7 +53,7 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   // Dispatches events until Stop(). Runs posted closures and due timers
-  // between epoll waits.
+  // between epoll waits. Sets its thread's timer slack to 1 ns.
   void Run();
   // Thread-safe; wakes the loop and makes Run() return after the current
   // iteration finishes. Idempotent.
@@ -73,11 +74,15 @@ class EventLoop {
   void Post(std::function<void()> fn);
 
   // One-shot timer, loop-thread-only: fn runs on the loop thread once,
-  // ~delay from now, rounded up to the next millisecond. Timers fire in due
+  // ~delay from now (the wait is microsecond-accurate). Timers fire in due
   // order. Returns an id usable with CancelTimer; ids are never reused and
   // never 0.
   TimerId AddTimer(Micros delay, std::function<void()> fn);
   void CancelTimer(TimerId id);
+
+  // Run()'s epoll_pwait2 timeout for a timer due `remaining` from now,
+  // clamped to [0, one day] so a far-future one cannot overflow.
+  static timespec WaitTimeout(Micros remaining);
 
   // True when called from inside Run() on the loop thread.
   bool IsLoopThread() const {
@@ -99,9 +104,6 @@ class EventLoop {
   void ForgetTimer(TimerId id);
   void RunPosted();
   void RunDueTimers(Micros now);
-  // Milliseconds until the next timer is due (for epoll_wait), clamped to
-  // what an int holds, or -1 to block indefinitely.
-  int NextTimeoutMillis(Micros now) const;
 
   const int epoll_fd_;
   const int wakeup_fd_;

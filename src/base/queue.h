@@ -16,16 +16,12 @@
 #ifndef SRC_BASE_QUEUE_H_
 #define SRC_BASE_QUEUE_H_
 
-#include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
-
-#include "src/base/clock.h"
 
 namespace dbase {
 
@@ -69,42 +65,32 @@ class MpmcQueue {
     return Pop([] { return false; });
   }
 
-  // Waits at most timeout; nullopt on timeout or closed-and-drained.
-  std::optional<T> PopWithTimeout(Micros timeout_us) {
-    return Pop([] { return false; }, timeout_us);
+  template <typename Stop>
+  std::optional<T> Pop(Stop stop) {
+    return Pop(stop, [] { return true; });
   }
 
-  // Blocks until an item is available, `stop()` holds, or the queue is
-  // closed and drained; with a timeout, at most that long. When `stop()`
-  // holds it takes nothing and returns nullopt, so the caller can re-read
-  // what stop reads. stop() runs under the queue lock; whoever changes
-  // what it reads calls Wake() afterwards, and then no wait that checks
-  // stop() later or is already asleep misses the change.
-  template <typename Stop>
-  std::optional<T> Pop(Stop stop, std::optional<Micros> timeout_us = std::nullopt) {
+  // Blocks until an item is available and the take-gate `open()` lets it
+  // be taken, `stop()` holds, or the queue is closed and drained. When
+  // `stop()` holds it takes nothing and returns nullopt, so the caller can
+  // re-read what stop reads. `open()` is asked when an item is ready, and
+  // a true answer is always followed by the take, so the caller may count
+  // the take inside it; while it answers false the call waits as if the
+  // queue were empty. Both run under the queue lock; whoever changes what
+  // they read calls Wake() afterwards, and then no wait misses the change.
+  template <typename Stop, typename Gate>
+  std::optional<T> Pop(Stop stop, Gate open) {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us.value_or(0));
-    bool timed_out = false;
     while (!stop()) {
-      if (auto item = PopFrontLocked()) {
-        return item;
+      if (!Empty() && open()) {
+        return PopFrontLocked();
       }
-      if (closed_ || timed_out) {
+      if (closed_) {
         return std::nullopt;
       }
       Waiter self;
       idle_.push_back(&self);
-      const auto woken = [&] { return self.woken; };
-      if (timeout_us.has_value()) {
-        self.cv.wait_until(lock, deadline, woken);
-      } else {
-        self.cv.wait(lock, woken);
-      }
-      if (!self.woken) {
-        idle_.erase(std::find(idle_.begin(), idle_.end(), &self));
-        timed_out = true;
-      }
+      self.cv.wait(lock, [&] { return self.woken; });
     }
     if (!Empty()) {
       WakeLocked(1);  // A push's wake may have landed here: pass it on.

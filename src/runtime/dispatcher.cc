@@ -67,8 +67,8 @@ struct NodeRuntime {
 struct Dispatcher::InvocationState {
   std::shared_ptr<const ddsl::CompositionGraph> graph;
   int depth = 0;
-  // Shared across nesting levels: the root's deadline, class, and cancel
-  // flag govern the whole invocation tree.
+  // Never null, and shared across nesting levels: the root's deadline,
+  // class, and cancel flag govern the whole invocation tree.
   std::shared_ptr<InvocationControl> control;
 
   std::mutex mu;
@@ -343,13 +343,11 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
   }
   // A dead invocation launches nothing further: this is the earliest seam
   // where a cancel or a passed deadline stops the graph walk.
-  if (inv->control != nullptr) {
-    const dbase::Status dead =
-        inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
-    if (!dead.ok()) {
-      FailLocked(inv, dead);
-      return;
-    }
+  if (const dbase::Status dead =
+          inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
+      !dead.ok()) {
+    FailLocked(inv, dead);
+    return;
   }
   rt.started = true;
 
@@ -616,7 +614,7 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
   // authoritative so counters, report, and the HTTP status agree. An
   // instance that finished just before its stop's kill fails with it too:
   // the stop hook may have left the end of the invocation to this report.
-  if (control != nullptr && control->stop_requested() &&
+  if (control->stop_requested() &&
       (status.ok() || status.code() == dbase::StatusCode::kCancelled)) {
     status = control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
   }
@@ -629,16 +627,13 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
   const dpolicy::FailureKind failure = outcome.failure;
   if (failure != dpolicy::FailureKind::kNone) {
     sandbox_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (control != nullptr) {
-      control->NoteFailure(failure);
-    }
+    control->NoteFailure(failure);
   }
   if (config_.retry.enabled && failure != dpolicy::FailureKind::kNone &&
       retained_inputs != nullptr) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    const bool alive = control == nullptr || control->RetireStatus(now).ok();
-    const bool interactive =
-        control == nullptr || control->priority() == PriorityClass::kInteractive;
+    const bool alive = control->RetireStatus(now).ok();
+    const bool interactive = control->priority() == PriorityClass::kInteractive;
     dpolicy::RetryDecision decision;
     {
       std::lock_guard<std::mutex> lock(retry_mu_);
@@ -647,9 +642,7 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
       decision = retry_policy_.OnFailure(spec.name, failure, interactive, attempt, now);
     }
     if (decision.retry && alive) {
-      if (control != nullptr) {
-        control->CountRetry();
-      }
+      control->CountRetry();
       RetryJob job;
       job.inv = inv;
       job.node_index = node_index;
@@ -691,14 +684,12 @@ void Dispatcher::RelaunchCompute(RetryJob job) {
   if (inv->done) {
     return;
   }
-  if (inv->control != nullptr) {
-    const dbase::Status dead =
-        inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
-    if (!dead.ok()) {
-      lock.unlock();
-      OnInstanceDone(inv, job.node_index, job.instance_index, dead);
-      return;
-    }
+  if (const dbase::Status dead =
+          inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
+      !dead.ok()) {
+    lock.unlock();
+    OnInstanceDone(inv, job.node_index, job.instance_index, dead);
+    return;
   }
   // Always a fresh context: the failed child may have corrupted the old one
   // arbitrarily before it died.
@@ -763,7 +754,9 @@ void Dispatcher::LaunchCommInstance(const std::shared_ptr<InvocationState>& inv,
       }
     };
     if (!workers_->SubmitComm(std::move(task))) {
-      FailLocked(inv, dbase::Unavailable("communication engines are shut down"));
+      FailLocked(inv, workers_->comm_workers() == 0
+                          ? dbase::FailedPrecondition("no communication engine on one worker")
+                          : dbase::Unavailable("communication engines are shut down"));
       return;
     }
   }
@@ -887,9 +880,8 @@ void Dispatcher::FailLocked(const std::shared_ptr<InvocationState>& inv, dbase::
       // that is a workload failure, not a client-deadline kill — the
       // monitoring signal must not conflate the two.
       const bool invocation_deadline =
-          inv->control != nullptr &&
           inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros()).code() ==
-              dbase::StatusCode::kDeadlineExceeded;
+          dbase::StatusCode::kDeadlineExceeded;
       (invocation_deadline ? invocations_deadline_exceeded_ : invocations_failed_)
           .fetch_add(1, std::memory_order_relaxed);
       break;
@@ -915,13 +907,11 @@ void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv
   // A cancel (or a deadline) that landed before the last merge wins over
   // the completed results: the caller was promised a terminal kCancelled /
   // kDeadlineExceeded once the handle said so.
-  if (inv->control != nullptr) {
-    const dbase::Status dead =
-        inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
-    if (!dead.ok()) {
-      FailLocked(inv, dead);
-      return;
-    }
+  if (const dbase::Status dead =
+          inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
+      !dead.ok()) {
+    FailLocked(inv, dead);
+    return;
   }
   inv->done = true;
   invocations_completed_.fetch_add(1, std::memory_order_relaxed);

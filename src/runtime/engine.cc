@@ -1,9 +1,6 @@
 #include "src/runtime/engine.h"
 
-#include <sys/prctl.h>
-
 #include <algorithm>
-#include <thread>
 
 #include "src/base/log.h"
 #include "src/base/string_util.h"
@@ -51,6 +48,9 @@ bool WorkerSet::SubmitComputeBatch(std::vector<ComputeTask> tasks) {
 }
 
 bool WorkerSet::SubmitComm(CommTask task) {
+  if (comm_workers() == 0) {
+    return false;
+  }
   task.enqueue_time_us = dbase::MonotonicClock::Get()->NowMicros();
   const bool urgent = TaskIsUrgent(task.control);
   return comm_queue_.Push(std::move(task), urgent);
@@ -119,8 +119,7 @@ dpolicy::ElasticitySignals WorkerSet::Signals() const {
   signals.comm_backlog = comm_queue_.Size();
   signals.interactive_compute_backlog = compute_queue_.UrgentSize();
   signals.interactive_comm_backlog = comm_queue_.UrgentSize();
-  signals.comm_inflight =
-      static_cast<double>(std::max<int64_t>(0, comm_inflight_.load(std::memory_order_relaxed)));
+  signals.comm_inflight = static_cast<double>(comm_inflight_.load(std::memory_order_relaxed));
   signals.comm_parallelism = config_.comm_parallelism;
   return signals;
 }
@@ -133,8 +132,7 @@ EngineStats WorkerSet::Stats() const {
   stats.comm_aborted = comm_aborted_.load(std::memory_order_relaxed);
   stats.compute_queue_len = compute_queue_.Size();
   stats.comm_queue_len = comm_queue_.Size();
-  stats.comm_inflight = static_cast<uint64_t>(
-      std::max<int64_t>(0, comm_inflight_.load(std::memory_order_relaxed)));
+  stats.comm_inflight = static_cast<uint64_t>(comm_inflight_.load(std::memory_order_relaxed));
   stats.compute_workers = compute_workers();
   stats.comm_workers = comm_workers();
   {
@@ -148,8 +146,14 @@ EngineStats WorkerSet::Stats() const {
 }
 
 void WorkerSet::Shutdown() {
-  if (shutdown_.exchange(true)) {
-    return;
+  timers_.Close();  // No latency timer fires from here on.
+  {
+    // Under replies_mu_, so a reply held after this is delivered at once.
+    std::lock_guard<std::mutex> lock(replies_mu_);
+    if (shutdown_.exchange(true)) {
+      return;
+    }
+    due_.splice(due_.end(), held_);
   }
   compute_queue_.Close();
   comm_queue_.Close();
@@ -232,7 +236,7 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
   }
 }
 
-void WorkerSet::StartCommTask(CommTask task, std::vector<InFlight>* inflight) {
+void WorkerSet::StartCommTask(CommTask task) {
   comm_done_.fetch_add(1, std::memory_order_relaxed);
   {
     const dbase::Micros wait =
@@ -246,70 +250,71 @@ void WorkerSet::StartCommTask(CommTask task, std::vector<InFlight>* inflight) {
     // response content never reaches a client — the dispatcher drops late
     // completions of a finished invocation.
     comm_aborted_.fetch_add(1, std::memory_order_relaxed);
-    if (task.done) {
-      task.done(dhttp::HttpResponse::Make(499, "Client Closed Request", ""), 0);
-    }
+    Deliver({dhttp::HttpResponse::Make(499, "Client Closed Request", ""), 0, std::move(task.done)});
     return;
   }
   CommCallResult call = task.handler ? task.handler(*mesh_, task.raw_request)
                                      : ExecuteHttpFunction(*mesh_, task.raw_request);
-  InFlight pending;
-  pending.response = std::move(call.response);
-  pending.latency_us = call.latency_us;
-  pending.done = std::move(task.done);
-  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-  pending.ready_at_us = sleep_latency_.load(std::memory_order_relaxed)
-                            ? now + call.latency_us
-                            : now;
-  inflight->push_back(std::move(pending));
-  comm_inflight_.fetch_add(1, std::memory_order_relaxed);
+  Reply reply{std::move(call.response), call.latency_us, std::move(task.done)};
+  std::unique_lock<std::mutex> lock(replies_mu_);
+  if (!sleep_latency_.load(std::memory_order_relaxed) ||
+      shutdown_.load(std::memory_order_relaxed)) {
+    lock.unlock();
+    Deliver(std::move(reply));
+    return;
+  }
+  const auto held = held_.insert(held_.end(), std::move(reply));
+  lock.unlock();
+  // Only this timer or Shutdown, after the scope closed, moves `held`.
+  timers_.AddTimer(call.latency_us, [this, held] {
+    {
+      std::lock_guard<std::mutex> due_lock(replies_mu_);
+      due_.splice(due_.end(), held_, held);
+    }
+    comm_queue_.Wake();
+  });
 }
 
-void WorkerSet::CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now) {
-  for (size_t i = 0; i < inflight->size();) {
-    if ((*inflight)[i].ready_at_us <= now) {
-      InFlight item = std::move((*inflight)[i]);
-      (*inflight)[i] = std::move(inflight->back());
-      inflight->pop_back();
-      comm_inflight_.fetch_sub(1, std::memory_order_relaxed);
-      if (item.done) {
-        item.done(std::move(item.response), item.latency_us);
-      }
-    } else {
-      ++i;
-    }
+int64_t WorkerSet::CommBudget() const {
+  return static_cast<int64_t>(std::max(1, config_.comm_parallelism)) * comm_workers();
+}
+
+bool WorkerSet::DeliverOneDue() {
+  std::unique_lock<std::mutex> lock(replies_mu_);
+  if (due_.empty()) {
+    return false;
+  }
+  Reply reply = std::move(due_.front());
+  due_.pop_front();
+  lock.unlock();
+  Deliver(std::move(reply));
+  return true;
+}
+
+void WorkerSet::Deliver(Reply reply) {
+  if (comm_inflight_.fetch_sub(1, std::memory_order_relaxed) >= CommBudget()) {
+    // This reopens the gate: wake the waiters it turned away.
+    comm_queue_.Wake();
+  }
+  if (reply.done) {
+    reply.done(std::move(reply.response), reply.latency_us);
   }
 }
 
 void WorkerSet::WorkerLoop(int index) {
-  // A worker's only timed wait is a held completion's due time; the
-  // kernel's default 50 µs timer slack would make each one late.
-  (void)prctl(PR_SET_TIMERSLACK, 1, 0, 0, 0);
   const std::atomic<EngineType>& role = *roles_[static_cast<size_t>(index)];
-  const size_t budget = static_cast<size_t>(std::max(1, config_.comm_parallelism));
-  // Pending comm completions owned by this worker — the cooperative
-  // runtime's outstanding network operations. They stay with the worker
-  // across role shifts: the green-thread budget is per worker.
-  std::vector<InFlight> inflight;
-
   while (true) {
-    const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    CompleteDue(&inflight, now);
-
     if (shutdown_.load(std::memory_order_relaxed)) {
-      // Finish everything still queued, complete held calls without their
-      // latency, then exit once idle.
-      bool did_work = false;
+      // Deliver what is due (all held replies are), finish everything
+      // still queued, then exit once idle.
+      bool did_work = DeliverOneDue();
       if (auto task = comm_queue_.TryPop()) {
-        StartCommTask(std::move(*task), &inflight);
+        comm_inflight_.fetch_add(1, std::memory_order_relaxed);
+        StartCommTask(std::move(*task));
         did_work = true;
       }
       if (auto task = compute_queue_.TryPop()) {
         RunComputeTask(std::move(*task));
-        did_work = true;
-      }
-      if (!inflight.empty()) {
-        CompleteDue(&inflight, INT64_MAX);
         did_work = true;
       }
       if (!did_work && comm_queue_.Size() == 0 && compute_queue_.Size() == 0) {
@@ -318,27 +323,32 @@ void WorkerSet::WorkerLoop(int index) {
       continue;
     }
 
-    // The one wait of this pass: on the role's queue until a task arrives,
-    // the nearest held completion is due, the role shifts (the shift wakes
-    // the old role's queue) or the queue closes.
-    std::optional<dbase::Micros> wait_us;
-    for (const auto& item : inflight) {
-      wait_us = std::min(wait_us.value_or(INT64_MAX), item.ready_at_us - now);
-    }
+    // The one wait of this pass, untimed: on the role's queue until a task
+    // arrives, the role shifts (the shift wakes the old role's queue) or
+    // the queue closes; for comm, also until a reply is due, and a task is
+    // taken only into a free slot of the role's budget.
     const EngineType mine = role.load(std::memory_order_relaxed);
     const auto shifted = [&] { return role.load(std::memory_order_relaxed) != mine; };
     if (mine == EngineType::kCompute) {
-      if (auto task = compute_queue_.Pop(shifted, wait_us)) {
+      if (auto task = compute_queue_.Pop(shifted)) {
         RunComputeTask(std::move(*task));
       }
-    } else if (inflight.size() < budget) {
-      if (auto task = comm_queue_.Pop(shifted, wait_us)) {
-        StartCommTask(std::move(*task), &inflight);
+    } else if (!DeliverOneDue()) {
+      const auto stop = [&] {
+        std::lock_guard<std::mutex> lock(replies_mu_);
+        return shifted() || !due_.empty();
+      };
+      const auto take_slot = [this] {
+        // Counted under the queue lock, so the count never overshoots.
+        if (comm_inflight_.load(std::memory_order_relaxed) >= CommBudget()) {
+          return false;
+        }
+        comm_inflight_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      };
+      if (auto task = comm_queue_.Pop(stop, take_slot)) {
+        StartCommTask(std::move(*task));
       }
-    } else {
-      // At the green-thread budget nothing may be popped until a held
-      // call completes and frees a slot.
-      std::this_thread::sleep_for(std::chrono::microseconds(*wait_us));
     }
   }
 }

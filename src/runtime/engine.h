@@ -1,23 +1,25 @@
 // Engines (§5): compute engines run one sandboxed task at a time to
-// completion on a dedicated core; communication engines hold many calls
-// cooperatively until each is due. A WorkerSet owns one worker thread per
-// core and one task queue per role; a worker blocks in one place, on its
-// role's queue, until a task arrives or a held call is due. The control
-// plane re-labels workers between the two roles at runtime ("re-assigns a
-// CPU core from the communication engine type to the compute engine type")
-// and wakes the re-labelled worker.
+// completion on a dedicated core; communication engines keep many calls
+// outstanding at once. A WorkerSet owns one worker thread per core and one
+// task queue per role; a worker blocks in one place, on its role's queue,
+// until a task arrives or (comm) a reply is due; comm latency is a reactor
+// timer, so no worker holds a call. The control plane re-labels workers
+// between the two roles at runtime ("re-assigns a CPU core from the
+// communication engine type to the compute engine type") and wakes the
+// re-labelled worker.
 #ifndef SRC_RUNTIME_ENGINE_H_
 #define SRC_RUNTIME_ENGINE_H_
 
 #include <atomic>
 #include <functional>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include <mutex>
-
 #include "src/base/clock.h"
+#include "src/base/event_loop.h"
 #include "src/base/queue.h"
 #include "src/base/stats.h"
 #include "src/base/thread.h"
@@ -74,8 +76,8 @@ struct EngineStats {
   uint64_t comm_aborted = 0;
   uint64_t compute_queue_len = 0;
   uint64_t comm_queue_len = 0;
-  // Comm requests currently in flight on comm engines (occupied green
-  // threads, mesh call issued but modelled latency not yet elapsed).
+  // Comm calls taken and not yet delivered (occupied green threads of the
+  // whole comm role): the reply waits on its latency timer or to be run.
   uint64_t comm_inflight = 0;
   int compute_workers = 0;
   int comm_workers = 0;
@@ -103,7 +105,8 @@ class WorkerSet {
     int num_workers = 4;
     int initial_comm_workers = 1;
     IsolationBackend backend = IsolationBackend::kThread;
-    // Max in-flight requests per communication worker ("green threads").
+    // Max in-flight requests per communication worker ("green threads"),
+    // counted for the role: comm_parallelism × comm_workers().
     int comm_parallelism = 64;
   };
 
@@ -117,6 +120,7 @@ class WorkerSet {
   // amortized path for each/key fan-outs. All-or-nothing: returns false
   // (dropping the batch) when the engines are shut down.
   bool SubmitComputeBatch(std::vector<ComputeTask> tasks);
+  // Also false when a one-worker set, which has no comm worker, gets one.
   bool SubmitComm(CommTask task);
 
   // Control-plane hooks: move one worker between roles. Returns false when
@@ -147,17 +151,15 @@ class WorkerSet {
 
   EngineStats Stats() const;
 
-  // Held comm calls complete when their modelled latency has passed (real
+  // A comm reply is delivered when its modelled latency has passed (real
   // runtime), or at once when disabled (unit tests).
   void set_sleep_for_modeled_latency(bool enabled) { sleep_latency_ = enabled; }
 
+  // Delivers held replies without the rest of their latency.
   void Shutdown();
 
  private:
-  // A comm request whose mesh call completed but whose modelled network
-  // latency has not yet elapsed — the cooperative runtime's pending I/O.
-  struct InFlight {
-    dbase::Micros ready_at_us = 0;
+  struct Reply {
     dhttp::HttpResponse response;
     dbase::Micros latency_us = 0;
     std::function<void(dhttp::HttpResponse, dbase::Micros)> done;
@@ -167,9 +169,14 @@ class WorkerSet {
   // Moves one worker from `from` to `to` unless `from` is down to one.
   bool ShiftOneWorker(EngineType from, EngineType to);
   void RunComputeTask(ComputeTask task);
-  // Issues the mesh call and appends the pending completion to `inflight`.
-  void StartCommTask(CommTask task, std::vector<InFlight>* inflight);
-  void CompleteDue(std::vector<InFlight>* inflight, dbase::Micros now);
+  // Issues the mesh call into an already taken slot; holds the reply on a
+  // latency timer or delivers it at once.
+  void StartCommTask(CommTask task);
+  int64_t CommBudget() const;  // comm_parallelism × comm_workers().
+  // Delivers the oldest due reply; false when none is due.
+  bool DeliverOneDue();
+  // Frees the reply's slot, then runs its continuation on this worker.
+  void Deliver(Reply reply);
 
   Config config_;
   dhttp::ServiceMesh* mesh_;
@@ -184,9 +191,14 @@ class WorkerSet {
   std::atomic<uint64_t> comm_done_{0};
   std::atomic<uint64_t> compute_aborted_{0};
   std::atomic<uint64_t> comm_aborted_{0};
-  // Occupied comm green threads across workers (incremented when a mesh
-  // call is issued, decremented when its modelled latency elapses).
+  // Comm calls taken and not yet delivered, for the whole role.
   std::atomic<int64_t> comm_inflight_{0};
+
+  // One reactor timer per held reply; firing moves it to due_.
+  dbase::EventLoop::Scope timers_{dbase::EventLoop::Process()};
+  std::mutex replies_mu_;  // Taken inside the comm queue's lock, never around it.
+  std::list<Reply> held_;  // On their timers. Guarded by replies_mu_.
+  std::list<Reply> due_;   // Guarded by replies_mu_.
 
   mutable std::mutex wait_mu_;
   dbase::LogHistogram compute_wait_us_;  // Guarded by wait_mu_.

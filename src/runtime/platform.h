@@ -40,8 +40,8 @@ struct PlatformConfig {
   // Overrides elasticity_policy with a custom-configured policy instance
   // (tests, sim-vs-runtime parity runs).
   std::function<std::unique_ptr<dpolicy::ElasticityPolicy>()> elasticity_policy_factory;
-  // Sleep for modelled network latency on comm calls (disable for fast
-  // unit tests).
+  // Hold comm replies for their modelled network latency on a reactor
+  // timer (disable for fast unit tests). Nothing sleeps, despite the name.
   bool sleep_for_modeled_latency = true;
   int comm_parallelism = 64;
   // Unread: every sandbox starts cold, there is no warm pool to enable.

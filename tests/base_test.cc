@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -317,11 +319,100 @@ TEST(MpmcQueueTest, TryPopEmpty) {
   EXPECT_FALSE(queue.TryPop().has_value());
 }
 
-TEST(MpmcQueueTest, PopWithTimeoutTimesOut) {
+// Closes `queue` after `after_us` unless destroyed first. Pop has no
+// timeout, so this bounds a test's wait: a lost wake then fails the test's
+// time check instead of hanging it.
+class CloseAfter {
+ public:
+  CloseAfter(MpmcQueue<int>* queue, Micros after_us)
+      : thread_([this, queue, after_us] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, std::chrono::microseconds(after_us), [this] { return done_; })) {
+            queue->Close();
+          }
+        }) {}
+  ~CloseAfter() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+constexpr Micros kBound = 2 * kMicrosPerSecond;
+
+TEST(MpmcQueueTest, ClosedGateTakesNothingUntilStopEndsTheWait) {
+  // A comm worker at its budget: the closed gate hides ready items, and a
+  // push's wake finds nothing to take, until a due reply (the stop
+  // predicate) ends the wait.
   MpmcQueue<int> queue;
+  ASSERT_TRUE(queue.Push(5));
+  std::atomic<bool> reply_due{false};
+  std::atomic<int> asked{0};
+  std::atomic<bool> returned{false};
+  std::optional<int> got = 0;
+  CloseAfter bound(&queue, kBound);
   const Stopwatch watch;
-  EXPECT_FALSE(queue.PopWithTimeout(2000).has_value());
-  EXPECT_GE(watch.ElapsedMicros(), 1500);
+  std::thread waiter([&] {
+    got = queue.Pop([&] { return reply_due.load(); },
+                    [&] {
+                      asked.fetch_add(1);
+                      return false;
+                    });
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(queue.Push(6));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(returned.load());
+  EXPECT_GE(asked.load(), 2);  // Asked for the first item, and again at the push.
+  EXPECT_EQ(queue.Size(), 2u);
+  reply_due.store(true);
+  queue.Wake();
+  waiter.join();
+  EXPECT_LT(watch.ElapsedMicros(), kBound / 2);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(queue.Size(), 2u);
+  EXPECT_EQ(queue.total_popped(), 0u);
+}
+
+TEST(MpmcQueueTest, OpenedGateLetsTheNextPopTake) {
+  MpmcQueue<int> queue;
+  ASSERT_TRUE(queue.Push(1));
+  std::atomic<bool> open{false};
+  std::atomic<int> taken{0};
+  const auto gate = [&] {
+    if (!open.load()) {
+      return false;
+    }
+    taken.fetch_add(1);  // A true answer is always followed by the take.
+    return true;
+  };
+  const auto never = [] { return false; };
+  std::optional<int> got;
+  {
+    CloseAfter bound(&queue, kBound);
+    const Stopwatch watch;
+    std::thread waiter([&] { got = queue.Pop(never, gate); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open.store(true);
+    queue.Wake();  // Whoever opens the gate wakes the waiters it turned away.
+    waiter.join();
+    EXPECT_LT(watch.ElapsedMicros(), kBound / 2);
+  }
+  EXPECT_EQ(got, std::optional<int>(1));
+  ASSERT_TRUE(queue.Push(2));
+  EXPECT_EQ(queue.Pop(never, gate), std::optional<int>(2));
+  EXPECT_EQ(taken.load(), 2);
+  EXPECT_EQ(queue.total_popped(), 2u);
 }
 
 TEST(MpmcQueueTest, CloseDrainsThenEnds) {
@@ -442,18 +533,20 @@ TEST(MpmcQueueTest, PushBatchWakesAWaiterPerItem) {
 TEST(MpmcQueueTest, WakeEndsAWaitWhoseStopHoldsWithoutTakingWork) {
   // A worker whose role shifted must leave its old role's queue at once
   // and take nothing from it.
-  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
   MpmcQueue<int> queue;
   std::atomic<bool> shifted{false};
   const auto stop = [&] { return shifted.load(); };
   std::optional<int> got;
-  const Stopwatch watch;
-  std::thread waiter([&] { got = queue.Pop(stop, kTimeout); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  shifted.store(true);
-  queue.Wake();
-  waiter.join();
-  EXPECT_LT(watch.ElapsedMicros(), kTimeout / 2);
+  {
+    CloseAfter bound(&queue, kBound);
+    const Stopwatch watch;
+    std::thread waiter([&] { got = queue.Pop(stop); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    shifted.store(true);
+    queue.Wake();
+    waiter.join();
+    EXPECT_LT(watch.ElapsedMicros(), kBound / 2);
+  }
   EXPECT_FALSE(got.has_value());
 
   queue.Push(7);
@@ -464,20 +557,20 @@ TEST(MpmcQueueTest, WakeEndsAWaitWhoseStopHoldsWithoutTakingWork) {
 TEST(MpmcQueueTest, WakeBeforeTheWaitIsNotLost) {
   // The shift can land between the worker reading its role and starting
   // to wait: the wait must still end at once. Race the two many times.
-  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
   for (int attempt = 0; attempt < 200; ++attempt) {
     MpmcQueue<int> queue;
     std::atomic<bool> shifted{false};
     std::optional<int> got = 0;
+    CloseAfter bound(&queue, kBound);
     const Stopwatch watch;
-    std::thread waiter([&] { got = queue.Pop([&] { return shifted.load(); }, kTimeout); });
+    std::thread waiter([&] { got = queue.Pop([&] { return shifted.load(); }); });
     if (attempt % 2 == 0) {
       std::this_thread::yield();
     }
     shifted.store(true);
     queue.Wake();
     waiter.join();
-    ASSERT_LT(watch.ElapsedMicros(), kTimeout / 2) << "attempt " << attempt;
+    ASSERT_LT(watch.ElapsedMicros(), kBound / 2) << "attempt " << attempt;
     EXPECT_FALSE(got.has_value());
   }
 }
@@ -485,19 +578,19 @@ TEST(MpmcQueueTest, WakeBeforeTheWaitIsNotLost) {
 TEST(MpmcQueueTest, StoppedWaitPassesAPushWakeOn) {
   // A push's one wake may land on a waiter whose stop holds but that has
   // not been woken to see it; the item must still reach a live waiter.
-  constexpr Micros kTimeout = 2 * kMicrosPerSecond;
   for (int attempt = 0; attempt < 10; ++attempt) {
     MpmcQueue<int> queue;
     std::atomic<bool> shifted{false};
     std::optional<int> live;
-    std::thread leaving([&] { (void)queue.Pop([&] { return shifted.load(); }, kTimeout); });
-    std::thread staying([&] { live = queue.PopWithTimeout(kTimeout); });
+    CloseAfter bound(&queue, kBound);  // Closed, `staying` would drain 9 late.
+    std::thread leaving([&] { (void)queue.Pop([&] { return shifted.load(); }); });
+    std::thread staying([&] { live = queue.Pop(); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     shifted.store(true);  // No Wake(): the push below is the only wake.
     const Stopwatch watch;
     queue.Push(9);
     staying.join();
-    EXPECT_LT(watch.ElapsedMicros(), kTimeout / 2) << "attempt " << attempt;
+    EXPECT_LT(watch.ElapsedMicros(), kBound / 2) << "attempt " << attempt;
     EXPECT_EQ(live, std::optional<int>(9)) << "attempt " << attempt;
     queue.Wake();
     leaving.join();

@@ -405,6 +405,27 @@ TEST(EventLoopTest, FarFutureTimerDoesNotSpin) {
   thread.Join();
 }
 
+// The reactor's wait is microsecond-accurate: a timer 1.5 ms out waits
+// 1.5 ms, not the 2 ms an epoll_wait timeout rounds it up to. A due or
+// overdue timer polls, and a far-future one clamps to a day instead of
+// overflowing the conversion.
+TEST(EventLoopTest, WaitTimeoutKeepsMicrosecondsAndClamps) {
+  const timespec in_1500us = EventLoop::WaitTimeout(1500);
+  EXPECT_EQ(in_1500us.tv_sec, 0);
+  EXPECT_EQ(in_1500us.tv_nsec, 1'500'000);
+  const timespec in_2500ms = EventLoop::WaitTimeout(2'500'001);
+  EXPECT_EQ(in_2500ms.tv_sec, 2);
+  EXPECT_EQ(in_2500ms.tv_nsec, 500'001'000);
+  for (const Micros due : {Micros{0}, Micros{-7}}) {
+    const timespec now = EventLoop::WaitTimeout(due);
+    EXPECT_EQ(now.tv_sec, 0);
+    EXPECT_EQ(now.tv_nsec, 0);
+  }
+  const timespec far = EventLoop::WaitTimeout(std::numeric_limits<Micros>::max());
+  EXPECT_EQ(far.tv_sec, 24 * 3600);
+  EXPECT_EQ(far.tv_nsec, 0);
+}
+
 // Voluntary context switches of this process's thread `tid` so far.
 uint64_t VoluntarySwitches(pid_t tid) {
   std::ifstream status("/proc/self/task/" + std::to_string(tid) + "/status");

@@ -23,6 +23,7 @@
 #include <set>
 
 #include "src/base/clock.h"
+#include "src/base/event_loop.h"
 #include "src/http/http_parser.h"
 #include "src/func/builtins.h"
 #include "src/http/services.h"
@@ -622,9 +623,10 @@ TEST_F(WorkerSetTest, IdleWorkersDoNotWake) {
       << "voluntary switches of 3 idle engine workers over 500 ms";
 }
 
-// A comm worker holding one long call sleeps until that call is due; it
-// does not wake on a tick or in polling slices meanwhile.
-TEST_F(WorkerSetTest, CommWorkerHoldingACallSleepsUntilItIsDue) {
+// A comm worker with one long call outstanding blocks on its queue with no
+// timeout: the call's latency is a reactor timer, so the worker does not
+// wake on a tick or in polling slices meanwhile.
+TEST_F(WorkerSetTest, CommWorkerWithACallOutstandingDoesNotWake) {
   workers_.reset();  // Only this test's comm worker may be named engine-0.
   mesh_.Register("slow.internal", std::make_shared<dhttp::EchoService>(),
                  dhttp::LatencyModel{
@@ -650,8 +652,8 @@ TEST_F(WorkerSetTest, CommWorkerHoldingACallSleepsUntilItIsDue) {
   EXPECT_LE(after.switches - before.switches, 10u) << "voluntary switches of engine-0 over 200 ms";
 }
 
-// The green-thread budget is per comm worker: with a budget of one, the
-// second call starts only when the first completes.
+// The green-thread budget is the comm role's: with one comm worker and a
+// budget of one, the second call starts only when the first completes.
 TEST_F(WorkerSetTest, CommBudgetCapsCallsInFlight) {
   mesh_.Register("twenty.internal", std::make_shared<dhttp::EchoService>(),
                  dhttp::LatencyModel{.base_us = 20000, .per_kb_us = 0.0, .jitter_sigma = 0.0});
@@ -681,6 +683,53 @@ TEST_F(WorkerSetTest, CommBudgetCapsCallsInFlight) {
   ASSERT_TRUE(finished);
   EXPECT_LE(max_inflight, 1u);
   EXPECT_GE(second_done_us.load() - start, 40000);
+}
+
+// No worker owns a reply: shifting the worker that issued eight calls to
+// compute, where it runs a 150 ms task, delays none of them. Another comm
+// worker delivers each when its 20 ms latency is due.
+TEST_F(WorkerSetTest, ShiftingTheIssuingWorkerToComputeDelaysNoReply) {
+  mesh_.Register("twenty.internal", std::make_shared<dhttp::EchoService>(),
+                 dhttp::LatencyModel{.base_us = 20000, .per_kb_us = 0.0, .jitter_sigma = 0.0});
+  WorkerSet::Config config;
+  config.num_workers = 3;
+  config.initial_comm_workers = 1;
+  WorkerSet workers(config, &mesh_);
+  constexpr int kCalls = 8;
+  dbase::Latch replies(kCalls);
+  const dbase::Micros start = dbase::MonotonicClock::Get()->NowMicros();
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(workers.SubmitComm(PostTo("twenty.internal", [&] { replies.CountDown(); })));
+  }
+  for (int i = 0; i < 1000 && workers.Stats().comm_inflight < kCalls; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(workers.Stats().comm_inflight, static_cast<uint64_t>(kCalls));
+
+  // Worker 1 joins comm, then worker 0, which issued every call, leaves it.
+  // The shifts come first so that worker 1 is free, and three tasks on two
+  // compute workers leave a backlog, so worker 0 surely runs one.
+  ASSERT_TRUE(workers.ShiftWorkerToComm());
+  ASSERT_TRUE(workers.ShiftWorkerToCompute());
+  dbase::Latch computed(3);
+  for (int i = 0; i < 3; ++i) {
+    auto ctx = MemoryContext::Create(1 << 16, nullptr);
+    ASSERT_TRUE(ctx.ok());
+    ASSERT_TRUE((*ctx)->StoreInputSets(EchoInputs("x")).ok());
+    ComputeTask task;
+    task.spec = EchoSpec();
+    task.spec.body = [](dfunc::FunctionCtx& fctx) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      return dfunc::EchoFunction(fctx);
+    };
+    task.context = std::move(ctx).value();
+    task.done = [&](ExecOutcome) { computed.CountDown(); };
+    ASSERT_TRUE(workers.SubmitComputeBatch({std::move(task)}));
+  }
+  ASSERT_TRUE(replies.WaitFor(5 * dbase::kMicrosPerSecond));
+  EXPECT_LT(dbase::MonotonicClock::Get()->NowMicros() - start, 100 * dbase::kMicrosPerMilli)
+      << "a worker that issued the calls held their replies across its shift";
+  ASSERT_TRUE(computed.WaitFor(5 * dbase::kMicrosPerSecond));
 }
 
 // -------------------------------------------------------------- Controller
@@ -780,26 +829,43 @@ TEST(PlatformTest, SingleFunctionComposition) {
   EXPECT_EQ((*result)[0].items[0].data, "ping");
 }
 
-// Engine workers run with 1 ns timer slack, so a held completion's timed
-// wait is not pushed late by the kernel's default 50 µs.
-TEST(PlatformTest, EngineWorkersRunWithMinimalTimerSlack) {
-  Platform platform(FastPlatformConfig());
-  ASSERT_TRUE(platform
-                  .RegisterFunction({.name = "slack",
-                                     .body = [](dfunc::FunctionCtx& ctx) {
-                                       ctx.EmitOutput("out", std::to_string(prctl(
-                                                                 PR_GET_TIMERSLACK, 0, 0, 0, 0)));
-                                       return dbase::OkStatus();
-                                     }})
-                  .ok());
+// The process reactor runs with 1 ns timer slack, so a modelled comm
+// call's latency timer is not pushed late by the kernel's default 50 µs.
+TEST(PlatformTest, ReactorRunsWithMinimalTimerSlack) {
+  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
+  std::atomic<int> slack{-1};
+  dbase::Latch read(1);
+  scope.Post([&] {
+    slack.store(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+    read.CountDown();
+  });
+  ASSERT_TRUE(read.WaitFor(5 * dbase::kMicrosPerSecond));
+  EXPECT_EQ(slack.load(), 1);
+}
+
+// One worker runs compute only and no role shift can add a comm worker: a
+// composition with an HTTP node fails at once, naming the cause, instead
+// of waiting out its deadline on a queue nobody serves.
+TEST(PlatformTest, OneWorkerPlatformFailsCommNodeAtOnce) {
+  PlatformConfig config = FastPlatformConfig();
+  config.num_workers = 1;
+  Platform platform(config);
   ASSERT_TRUE(platform
                   .RegisterCompositionDsl(
-                      "composition Slack(in) => out { slack(in = all in) => (out = out); }")
+                      "composition Call(req) => resp { HTTP(Request = each req) => (resp = Response); }")
                   .ok());
-  auto result = platform.Invoke({"Slack", SingleArg("in", "x")});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ((*result)[0].items[0].data, "1");
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kPost;
+  req.target = "http://echo.internal/";
+  InvocationRequest request{"Call", SingleArg("req", req.Serialize())};
+  request.deadline_us = InvocationRequest::DeadlineIn(dbase::kMicrosPerSecond);
+  const dbase::Stopwatch watch;
+  auto result = platform.Invoke(std::move(request));
+  EXPECT_LT(watch.ElapsedMicros(), 100 * dbase::kMicrosPerMilli);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), dbase::StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("no communication engine"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(PlatformTest, MatMulComposition) {
