@@ -112,7 +112,7 @@ int main() {
     config.cores = kCores;
     config.sandbox_us = Calibration::kDandelionKvmX86Us;
     config.enable_controller = controller;
-    config.controller_policy = policy;
+    config.policy_factory = [policy] { return dpolicy::CreatePolicy(policy); };
     config.initial_comm_cores = comm_cores;
     config.comm_parallelism = 32;
     auto metrics = dsim::SimulateDandelion(config, requests);
@@ -156,7 +156,7 @@ int main() {
     config.cores = kCores;
     config.sandbox_us = Calibration::kDandelionKvmX86Us;
     config.enable_controller = true;
-    config.controller_policy = kind;
+    config.policy_factory = [kind] { return dpolicy::CreatePolicy(kind); };
     config.initial_comm_cores = 1;
     config.comm_parallelism = 8;
     return TicksToRecover(dsim::SimulateDandelion(config, burst_requests), burst_start_us,

@@ -161,7 +161,7 @@ int main() {
   for (auto kind : {dpolicy::PolicyKind::kPaperPi, dpolicy::PolicyKind::kHysteresis,
                     dpolicy::PolicyKind::kConcurrencyTarget}) {
     dsim::DandelionSimConfig config = dandelion;
-    config.controller_policy = kind;
+    config.policy_factory = [kind] { return dpolicy::CreatePolicy(kind); };
     const auto metrics = dsim::SimulateDandelion(config, requests);
     int lo = kCores;
     int hi = 0;

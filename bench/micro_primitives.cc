@@ -1,6 +1,6 @@
 // Engineering microbenchmarks (google-benchmark) for the core primitives:
 // queues, reactor timers, data marshalling, memory contexts, DSL parsing,
-// VFS, HTTP parsing/sanitizing, matmul, image codecs, SSB operators, and the
+// HTTP parsing/sanitizing, matmul, image codecs, SSB operators, and the
 // discrete-event simulator. Not a paper figure — regression tracking for
 // the substrate the figures are built on.
 #include <benchmark/benchmark.h>
@@ -19,7 +19,6 @@
 #include "src/sim/event_queue.h"
 #include "src/sql/operators.h"
 #include "src/sql/ssb_queries.h"
-#include "src/vfs/memfs.h"
 
 namespace {
 
@@ -102,19 +101,6 @@ composition RenderLogs(AccessToken) => HTMLOutput {
   }
 }
 BENCHMARK(BM_DslParseAndLower);
-
-void BM_VfsWriteRead(benchmark::State& state) {
-  dvfs::MemFs fs;
-  (void)fs.Mkdir("/d");
-  const std::string payload(1024, 'v');
-  int i = 0;
-  for (auto _ : state) {
-    const std::string path = "/d/f" + std::to_string(i++ % 64);
-    (void)fs.WriteFile(path, payload);
-    benchmark::DoNotOptimize(fs.ReadFile(path));
-  }
-}
-BENCHMARK(BM_VfsWriteRead);
 
 void BM_HttpParseRequest(benchmark::State& state) {
   dhttp::HttpRequest req;

@@ -1,4 +1,4 @@
-// String helpers shared by the HTTP layer, the DSL lexer, and the VFS.
+// String helpers shared by the HTTP layer and the DSL lexer.
 #ifndef SRC_BASE_STRING_UTIL_H_
 #define SRC_BASE_STRING_UTIL_H_
 

@@ -1,8 +1,5 @@
 #include "src/func/function.h"
 
-#include "src/base/string_util.h"
-#include "src/vfs/path.h"
-
 namespace dfunc {
 
 FunctionCtx::FunctionCtx(DataSetList inputs) : inputs_(std::move(inputs)) {}
@@ -25,58 +22,6 @@ void FunctionCtx::EmitOutput(std::string_view set_name, Payload data, std::strin
     set = &outputs_.back();
   }
   set->items.push_back(DataItem{std::move(key), std::move(data)});
-}
-
-dvfs::MemFs& FunctionCtx::fs() {
-  if (fs_ == nullptr) {
-    fs_ = std::make_unique<dvfs::MemFs>();
-    // Layout inputs: /in/<set>/<index-or-key> per item. Index keeps items
-    // unique even when keys repeat or are empty.
-    (void)fs_->Mkdir("/in");
-    (void)fs_->Mkdir("/out");
-    for (const auto& set : inputs_) {
-      const std::string set_dir = dvfs::JoinPath("/in", set.name);
-      (void)fs_->Mkdir(set_dir);
-      for (size_t i = 0; i < set.items.size(); ++i) {
-        const auto& item = set.items[i];
-        std::string file_name =
-            item.key.empty() ? dbase::StrFormat("item_%zu", i) : item.key;
-        // Disambiguate duplicate keys.
-        std::string path = dvfs::JoinPath(set_dir, file_name);
-        if (fs_->Exists(path)) {
-          path = dvfs::JoinPath(set_dir, dbase::StrFormat("%s_%zu", file_name.c_str(), i));
-        }
-        (void)fs_->WriteFile(path, item.data.ToString());
-      }
-    }
-  }
-  return *fs_;
-}
-
-dbase::Status FunctionCtx::CollectFsOutputs() {
-  if (fs_ == nullptr) {
-    return dbase::OkStatus();  // Filesystem view never used.
-  }
-  if (!fs_->IsDirectory("/out")) {
-    return dbase::OkStatus();
-  }
-  ASSIGN_OR_RETURN(auto set_names, fs_->ListDir("/out"));
-  for (const auto& set_name : set_names) {
-    const std::string set_dir = dvfs::JoinPath("/out", set_name);
-    if (!fs_->IsDirectory(set_dir)) {
-      continue;  // Stray file directly under /out; sets are folders.
-    }
-    ASSIGN_OR_RETURN(auto file_names, fs_->ListDir(set_dir));
-    for (const auto& file_name : file_names) {
-      const std::string file_path = dvfs::JoinPath(set_dir, file_name);
-      if (!fs_->IsFile(file_path)) {
-        continue;
-      }
-      ASSIGN_OR_RETURN(std::string data, fs_->ReadFile(file_path));
-      EmitOutput(set_name, std::move(data), file_name);
-    }
-  }
-  return dbase::OkStatus();
 }
 
 }  // namespace dfunc

@@ -1,23 +1,19 @@
 // The compute-function programming interface (the "SDK", §4.2). A compute
 // function is pure: it reads declared input sets, writes declared output
-// sets, and performs no I/O or syscalls. Two equivalent views are offered,
-// mirroring dlibc:
-//   - direct set/item access (the low-level descriptor interface), and
-//   - an in-memory filesystem where "/in/<set>/<item-index>" are the inputs
-//     and files created under "/out/<set>/" become output items.
+// sets, and performs no I/O or syscalls. It sees its data as sets of keyed
+// items only: inputs through input_set()/SingleInput(), outputs through
+// EmitOutput().
 #ifndef SRC_FUNC_FUNCTION_H_
 #define SRC_FUNC_FUNCTION_H_
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "src/base/clock.h"
 #include "src/base/status.h"
 #include "src/func/data.h"
-#include "src/vfs/memfs.h"
 
 namespace dfunc {
 
@@ -25,7 +21,6 @@ class FunctionCtx {
  public:
   explicit FunctionCtx(DataSetList inputs);
 
-  // --- Low-level interface -------------------------------------------------
   const DataSetList& inputs() const { return inputs_; }
   // nullptr when the set is absent (declared-optional sets may be missing).
   const DataSet* input_set(std::string_view name) const { return FindSet(inputs_, name); }
@@ -39,14 +34,6 @@ class FunctionCtx {
 
   DataSetList& outputs() { return outputs_; }
   const DataSetList& outputs() const { return outputs_; }
-
-  // --- Filesystem interface ------------------------------------------------
-  // Lazily materializes "/in" from the input sets on first access.
-  dvfs::MemFs& fs();
-  // Converts files under "/out/<set>/" into output items (file name becomes
-  // the item key), merging with any items emitted via EmitOutput.
-  dbase::Status CollectFsOutputs();
-  bool fs_materialized() const { return fs_ != nullptr; }
 
   // --- Cooperative preemption ---------------------------------------------
   // Thread-based isolation backends cannot hard-kill a runaway function
@@ -67,7 +54,6 @@ class FunctionCtx {
  private:
   DataSetList inputs_;
   DataSetList outputs_;
-  std::unique_ptr<dvfs::MemFs> fs_;  // Lazily created.
   const std::atomic<bool>* cancel_ = nullptr;
   dbase::Micros deadline_us_ = kNoDeadline;
 };

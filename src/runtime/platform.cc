@@ -26,11 +26,10 @@ Platform::Platform(PlatformConfig config) : config_(config) {
   if (config.enable_control_plane) {
     ControlPlane::Config control_config;
     control_config.interval_us = config.control_interval_us;
-    std::unique_ptr<dpolicy::ElasticityPolicy> policy =
-        config.elasticity_policy_factory ? config.elasticity_policy_factory()
-                                         : dpolicy::CreatePolicy(config.elasticity_policy);
-    control_plane_ = std::make_unique<ControlPlane>(workers_.get(), std::move(policy),
-                                                    control_config);
+    control_plane_ = std::make_unique<ControlPlane>(
+        workers_.get(),
+        config.elasticity_policy_factory ? config.elasticity_policy_factory() : nullptr,
+        control_config);
     control_plane_->Start();
   }
 }

@@ -35,10 +35,8 @@ struct PlatformConfig {
   // default so unit tests are deterministic; benchmarks switch it on.
   bool enable_control_plane = false;
   dbase::Micros control_interval_us = 30 * dbase::kMicrosPerMilli;
-  // Which elasticity policy the control plane executes (src/policy/).
-  dpolicy::PolicyKind elasticity_policy = dpolicy::PolicyKind::kPaperPi;
-  // Overrides elasticity_policy with a custom-configured policy instance
-  // (tests, sim-vs-runtime parity runs).
+  // Builds the elasticity policy the control plane executes (src/policy/);
+  // null runs paper-pi.
   std::function<std::unique_ptr<dpolicy::ElasticityPolicy>()> elasticity_policy_factory;
   // Hold comm replies for their modelled network latency on a reactor
   // timer (disable for fast unit tests). Nothing sleeps, despite the name.

@@ -72,10 +72,7 @@ dbase::Status RunFunctionBodyAgainstContext(
   dfunc::FunctionCtx ctx(std::move(input_sets));
   ctx.set_cancel_flag(cancel_flag);
   ctx.set_deadline(deadline_us);
-  dbase::Status status = spec.body(ctx);
-  if (status.ok()) {
-    status = ctx.CollectFsOutputs();
-  }
+  const dbase::Status status = spec.body(ctx);
   (void)context.StoreOutcome(status, ctx.outputs());
   return status;
 }

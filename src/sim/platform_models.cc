@@ -161,7 +161,7 @@ SimMetrics SimulateDandelion(const DandelionSimConfig& config,
   // runtime's ControlPlane runs, driven from the virtual-time event queue.
   std::unique_ptr<dpolicy::ElasticityPolicy> policy =
       config.policy_factory ? config.policy_factory()
-                            : dpolicy::CreatePolicy(config.controller_policy);
+                            : dpolicy::CreatePolicy(dpolicy::PolicyKind::kPaperPi);
   uint64_t last_compute_in = 0, last_compute_out = 0, last_comm_in = 0, last_comm_out = 0;
   std::function<void()> control_tick = [&] {
     dpolicy::ElasticitySignals signals;

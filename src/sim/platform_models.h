@@ -63,12 +63,9 @@ struct DandelionSimConfig {
   int comm_parallelism = 64;      // Green threads per comm core.
   bool enable_controller = true;
   dbase::Micros controller_interval_us = 30 * dbase::kMicrosPerMilli;
-  // Elasticity policy the simulated control plane executes — the same
-  // dpolicy code the real runtime's ControlPlane runs, driven here from
-  // the virtual-time event queue.
-  dpolicy::PolicyKind controller_policy = dpolicy::PolicyKind::kPaperPi;
-  // Overrides controller_policy with a custom-configured instance
-  // (parity tests pin windows/targets this way).
+  // Builds the elasticity policy the simulated control plane executes — the
+  // same dpolicy code the real runtime's ControlPlane runs, driven here from
+  // the virtual-time event queue. Null runs paper-pi.
   std::function<std::unique_ptr<dpolicy::ElasticityPolicy>()> policy_factory;
   bool track_memory = false;
   // Fault/retry parity with the runtime dispatcher: every crash_every_n-th

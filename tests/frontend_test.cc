@@ -631,7 +631,9 @@ TEST(FrontendTest, StatzReportsControlPlanePolicyAndSplit) {
   // Long interval: decisions in this test come only from the startup ticks,
   // keeping the core split stable while we read it.
   platform_config.control_interval_us = 10 * dbase::kMicrosPerSecond;
-  platform_config.elasticity_policy = dpolicy::PolicyKind::kHysteresis;
+  platform_config.elasticity_policy_factory = [] {
+    return dpolicy::CreatePolicy(dpolicy::PolicyKind::kHysteresis);
+  };
   Platform platform(platform_config);
   ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
   ASSERT_TRUE(platform

@@ -1,5 +1,5 @@
 // Tests for the function ABI: data sets, marshalling (property round-trips),
-// the function context (both set and filesystem views), the registry, and
+// the function context, the registry, and
 // the built-in compute functions.
 #include <gtest/gtest.h>
 
@@ -123,46 +123,6 @@ TEST(FunctionCtxTest, EmitOutputGroupsBySet) {
   const DataSet* b = FindSet(ctx.outputs(), "b");
   ASSERT_EQ(b->items.size(), 1u);
   EXPECT_EQ(b->items[0].key, "key-b");
-}
-
-TEST(FunctionCtxTest, FilesystemViewOfInputs) {
-  DataSetList inputs;
-  inputs.push_back(DataSet{"docs", {DataItem{"readme", "hello"}, DataItem{"", "anon"}}});
-  FunctionCtx ctx(std::move(inputs));
-  EXPECT_FALSE(ctx.fs_materialized());
-  auto& fs = ctx.fs();
-  EXPECT_TRUE(ctx.fs_materialized());
-  EXPECT_EQ(fs.ReadFile("/in/docs/readme").value(), "hello");
-  EXPECT_EQ(fs.ReadFile("/in/docs/item_1").value(), "anon");
-}
-
-TEST(FunctionCtxTest, DuplicateKeysDisambiguated) {
-  DataSetList inputs;
-  inputs.push_back(DataSet{"s", {DataItem{"k", "first"}, DataItem{"k", "second"}}});
-  FunctionCtx ctx(std::move(inputs));
-  auto& fs = ctx.fs();
-  EXPECT_EQ(fs.ReadFile("/in/s/k").value(), "first");
-  EXPECT_EQ(fs.ReadFile("/in/s/k_1").value(), "second");
-}
-
-TEST(FunctionCtxTest, CollectFsOutputs) {
-  FunctionCtx ctx({});
-  auto& fs = ctx.fs();
-  ASSERT_TRUE(fs.Mkdir("/out/result").ok());
-  ASSERT_TRUE(fs.WriteFile("/out/result/part0", "A").ok());
-  ASSERT_TRUE(fs.WriteFile("/out/result/part1", "B").ok());
-  ASSERT_TRUE(ctx.CollectFsOutputs().ok());
-  const DataSet* result = FindSet(ctx.outputs(), "result");
-  ASSERT_NE(result, nullptr);
-  ASSERT_EQ(result->items.size(), 2u);
-  EXPECT_EQ(result->items[0].key, "part0");
-  EXPECT_EQ(result->items[0].data, "A");
-}
-
-TEST(FunctionCtxTest, CollectFsOutputsNoFsIsNoop) {
-  FunctionCtx ctx({});
-  EXPECT_TRUE(ctx.CollectFsOutputs().ok());
-  EXPECT_TRUE(ctx.outputs().empty());
 }
 
 TEST(FunctionCtxTest, CancelFlag) {

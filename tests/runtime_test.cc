@@ -227,6 +227,8 @@ TEST_P(SandboxBackendTest, ExecutesEcho) {
   ASSERT_EQ(outcome.outputs.size(), 1u);
   EXPECT_EQ(outcome.outputs[0].name, "out");
   EXPECT_EQ(outcome.outputs[0].items[0].data, "hello sandbox");
+  // The key the body set reaches the caller through the context read-back.
+  EXPECT_EQ(outcome.outputs[0].items[0].key, "key");
   EXPECT_GE(outcome.timings.Total(), 0);
 }
 
@@ -1399,39 +1401,6 @@ composition FanNested(in) => out {
   ASSERT_EQ((*result)[0].items.size(), 2u);
   EXPECT_EQ((*result)[0].items[0].data, "[x]");
   EXPECT_EQ((*result)[0].items[1].data, "[y]");
-}
-
-// A compute function using the dlibc filesystem view end to end.
-dbase::Status FsConcat(dfunc::FunctionCtx& ctx) {
-  auto& fs = ctx.fs();
-  ASSIGN_OR_RETURN(auto names, fs.ListDir("/in/docs"));
-  std::string all;
-  for (const auto& name : names) {
-    ASSIGN_OR_RETURN(std::string content, fs.ReadFile("/in/docs/" + name));
-    all += content;
-    all += ';';
-  }
-  RETURN_IF_ERROR(fs.Mkdir("/out/merged", /*recursive=*/true));
-  RETURN_IF_ERROR(fs.WriteFile("/out/merged/result", all));
-  return dbase::OkStatus();
-}
-
-TEST(PlatformTest, FilesystemViewFunctionEndToEnd) {
-  Platform platform(FastPlatformConfig());
-  ASSERT_TRUE(platform.RegisterFunction({.name = "fsconcat", .body = FsConcat}).ok());
-  ASSERT_TRUE(platform
-                  .RegisterCompositionDsl(
-                      "composition Cat(docs) => out { fsconcat(docs = all docs) => (out = "
-                      "merged); }")
-                  .ok());
-  DataSetList args;
-  args.push_back(DataSet{"docs", {DataItem{"b", "second"}, DataItem{"a", "first"}}});
-  auto result = platform.Invoke({"Cat", std::move(args)});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ((*result)[0].items.size(), 1u);
-  // ListDir is sorted, so "a" comes before "b".
-  EXPECT_EQ((*result)[0].items[0].data, "first;second;");
-  EXPECT_EQ((*result)[0].items[0].key, "result");
 }
 
 // ---------------------------------------------------------------- Frontend
