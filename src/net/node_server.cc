@@ -55,8 +55,8 @@ void NodeServer::Stop() {
   if (!running_.exchange(false, std::memory_order_relaxed)) {
     return;
   }
-  // Tear peers down on the reactor so cancel handlers fire in the same
-  // context they always do; closing each socket erases its peer.
+  // Tear peers down on the reactor, where CancelFns always run; closing
+  // each socket cancels its invocations and erases its peer.
   scope_->Close([this] {
     std::vector<std::shared_ptr<FrameSocket>> sockets;
     sockets.reserve(peers_.size());
@@ -109,10 +109,8 @@ void NodeServer::OnPeerClosed(int fd, const dbase::Status& reason) {
   }
   // Cancel work owed to the dead connection: its router is gone, nobody
   // will consume the results.
-  if (on_cancel_) {
-    for (const auto& [request_id, key] : it->second.inflight) {
-      on_cancel_(key);
-    }
+  for (const auto& [request_id, cancel] : it->second.inflight) {
+    cancel();
   }
   peers_.erase(it);
 }
@@ -154,8 +152,8 @@ void NodeServer::OnFrame(int fd, const FrameHeader& header, dbase::BufferSlice b
         return;
       }
       auto inflight = it->second.inflight.find(header.request_id);
-      if (inflight != it->second.inflight.end() && on_cancel_) {
-        on_cancel_(inflight->second);
+      if (inflight != it->second.inflight.end()) {
+        inflight->second();
       }
       return;
     }
@@ -202,12 +200,11 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
                                  EncodeOutcome(refused));
     return;
   }
-  const uint64_t key = next_invoke_key_++;
-  it->second.inflight.emplace(header.request_id, key);
   // The completion may fire from any thread, possibly after this
   // connection (or the whole server) is gone — it re-enters through the
   // scope, which drops it once the server stopped, and re-checks the peer
-  // map.
+  // map. Even called inline it is posted, so it always finds the entry
+  // below already made.
   const uint64_t request_id = header.request_id;
   auto done = [this, scope = scope_, fd, request_id](WireOutcome outcome) {
     scope->Post([this, fd, request_id, outcome = std::move(outcome)]() mutable {
@@ -222,7 +219,10 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
                                      EncodeOutcome(outcome));
     });
   };
-  on_invoke_(key, std::move(invoke).value(), std::move(done));
+  CancelFn cancel = on_invoke_(std::move(invoke).value(), std::move(done));
+  if (cancel != nullptr) {
+    it->second.inflight.emplace(request_id, std::move(cancel));
+  }
 }
 
 }  // namespace dnet

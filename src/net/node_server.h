@@ -8,9 +8,10 @@
 // Transport duties the server keeps for itself:
 //  - join bookkeeping (peer names for diagnostics),
 //  - request/reply correlation (outcome frames carry the invoke's id),
-//  - cancel-on-disconnect: invocations owed to a dead connection are
-//    cancelled through the cancel handler, so a crashed router cannot
-//    leak in-flight work,
+//  - cancels: each connection maps the request id of every invoke still
+//    owed an answer to the CancelFn its handler returned; a kCancel frame
+//    runs it, and so does the connection's death, so a crashed router
+//    cannot leak in-flight work,
 //  - protocol hygiene: any malformed frame kills its connection
 //    (kInvalidArgument) — hostile bytes never reach a handler.
 #ifndef SRC_NET_NODE_SERVER_H_
@@ -47,15 +48,14 @@ class NodeServer {
   // Completes one invocation: thread-safe, callable at most once. The
   // outcome's `shed` field becomes the kFlagShed frame flag.
   using OutcomeFn = std::function<void(WireOutcome outcome)>;
-  // Receives a decoded invoke plus its completion. Runs on the reactor —
-  // hand the work to the engines (Submit never blocks) and call `done` when
-  // it finishes, from any thread, even after Stop(). `key` names this
-  // invoke uniquely on this server; the wire's invocation_id does not, as
-  // every router numbers its invocations from 1.
-  using InvokeHandler = std::function<void(uint64_t key, WireInvoke invoke, OutcomeFn done)>;
-  // Cancel request for the invoke handed to InvokeHandler under `key`
-  // (explicit kCancel frame, or the owing connection died).
-  using CancelHandler = std::function<void(uint64_t key)>;
+  // Stops one invocation; runs on the reactor, at most once, and only
+  // while its outcome is still owed.
+  using CancelFn = std::function<void()>;
+  // Receives a decoded invoke plus its completion and returns how to
+  // cancel it (null: nothing to cancel). Runs on the reactor — hand the
+  // work to the engines (Submit never blocks) and call `done` when it
+  // finishes, from any thread, even after Stop().
+  using InvokeHandler = std::function<CancelFn(WireInvoke invoke, OutcomeFn done)>;
   // Snapshot for kGossipReq. Runs on the reactor; must be cheap.
   using StatusProvider = std::function<WireNodeStatus()>;
 
@@ -64,15 +64,14 @@ class NodeServer {
 
   // All handlers must be set before Start().
   void set_invoke_handler(InvokeHandler handler) { on_invoke_ = std::move(handler); }
-  void set_cancel_handler(CancelHandler handler) { on_cancel_ = std::move(handler); }
   void set_status_provider(StatusProvider provider) { status_provider_ = std::move(provider); }
 
   // Binds (or adopts Config::listen_fd) and begins accepting on the
   // reactor.
   dbase::Status Start();
-  // Stops accepting and drops connections; in-flight invocations are
-  // cancelled through the cancel handler. When it returns no handler runs
-  // again, and late `done` calls are dropped.
+  // Stops accepting and closes every connection, which runs the CancelFn
+  // of each invocation still owed an answer. When it returns no handler
+  // runs again, and late `done` calls are dropped.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -89,9 +88,9 @@ class NodeServer {
   struct Peer {
     std::shared_ptr<FrameSocket> socket;
     std::string name;  // From kJoin; empty until then.
-    // Invocations owed to this connection: request_id → invoke key
-    // (cancel currency). Entries leave when the outcome is sent.
-    std::map<uint64_t, uint64_t> inflight;
+    // Invocations owed to this connection: request_id → how to cancel it.
+    // Entries leave when the outcome is sent.
+    std::map<uint64_t, CancelFn> inflight;
   };
 
   void OnAcceptable();
@@ -111,12 +110,10 @@ class NodeServer {
   std::atomic<bool> running_{false};
 
   InvokeHandler on_invoke_;
-  CancelHandler on_cancel_;
   StatusProvider status_provider_;
 
   // Reactor-only.
   std::map<int, Peer> peers_;
-  uint64_t next_invoke_key_ = 1;
 
   std::atomic<uint64_t> protocol_errors_{0};
 };

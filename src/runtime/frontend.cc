@@ -118,7 +118,10 @@ WireChunks InvocationResponseWire(dbase::Result<dfunc::DataSetList> result) {
 }  // namespace
 
 HttpFrontend::HttpFrontend(Platform* platform, FrontendConfig config)
-    : platform_(platform), config_(config), port_(config.port) {}
+    : platform_(platform),
+      config_(config),
+      port_(config.port),
+      ingress_(config.max_inflight_interactive, config.max_inflight_batch) {}
 
 HttpFrontend::HttpFrontend(Platform* platform, uint16_t port)
     : HttpFrontend(platform, FrontendConfig{.port = port}) {}
@@ -548,17 +551,20 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
 
   // Per-class admission control: reject early with 429 once the class's
   // in-flight cap is reached, instead of queueing blindly until buffers or
-  // clients give up.
-  const auto class_index = static_cast<size_t>(priority);
-  const size_t cap = priority == PriorityClass::kInteractive
-                         ? config_.max_inflight_interactive
-                         : config_.max_inflight_batch;
-  const std::shared_ptr<InvokeCounters> counters = counters_;
-  if (cap > 0 &&
-      static_cast<size_t>(counters->inflight[class_index].fetch_add(
-          1, std::memory_order_relaxed)) >= cap) {
-    counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
-    counters->shed_429.fetch_add(1, std::memory_order_relaxed);
+  // clients give up. The completion runs on an engine thread (or inline,
+  // on an immediate failure), possibly after Stop() or the frontend's
+  // destruction: it touches only what it captured, and its post through
+  // the scope is dropped once the frontend has stopped, so `this` is only
+  // ever used on a live frontend.
+  Dispatcher::ResultCallback completion = ingress_.Admit(
+      priority, [this, scope = scope_, weak_conn = std::weak_ptr<Connection>(conn),
+                 slot](dbase::Result<dfunc::DataSetList> result) {
+        WireChunks bytes = InvocationResponseWire(std::move(result));
+        scope->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
+          ApplySlotCompletion(weak_conn, slot, std::move(bytes));
+        });
+      });
+  if (completion == nullptr) {
     FinishSlot(conn, slot,
                dhttp::HttpResponse::Make(429, "Too Many Requests",
                                          "admission control: " +
@@ -566,9 +572,6 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
                                              " in-flight cap reached\n"));
     return;
   }
-  const auto release_admission = [counters, class_index] {
-    counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
-  };
 
   // Zero-copy ingest: argument payloads are slices of the body buffer,
   // which stays alive — pinned by the item refcounts — until the last node
@@ -576,14 +579,14 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
   // way in: a body still missing more than one read chunk when its head
   // was parsed went from the socket straight into its own region (only the
   // prefix that came with its head passed through `in`), and any other
-  // body was copied out of `in` once it was whole.
+  // body was copied out of `in` once it was whole. The two rejects below
+  // drop the unrun completion, which frees its admission slot.
   dfunc::DataSetList args;
   if (request.headers.Get("X-Dandelion-Raw").has_value()) {
     // Plain-text convenience: the body becomes the single item of a set
     // named after the composition's first parameter.
     auto graph = platform_->compositions().Lookup(composition);
     if (!graph.ok() || graph.value()->params().empty()) {
-      release_admission();
       FinishSlot(conn, slot, dhttp::HttpResponse::NotFound("unknown composition"));
       return;
     }
@@ -595,7 +598,6 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
     // Aliasing unmarshal: item payloads are sub-slices of the body buffer.
     auto unmarshalled = dfunc::UnmarshalSets(body);
     if (!unmarshalled.ok()) {
-      release_admission();
       FinishSlot(conn, slot, dhttp::HttpResponse::BadRequest(unmarshalled.status().ToString()));
       return;
     }
@@ -608,25 +610,6 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
   invocation.deadline_us = deadline_us;
   invocation.priority = priority;
 
-  // The completion runs on an engine thread (or inline, on an immediate
-  // failure), possibly after Stop() or the frontend's destruction: it
-  // touches only what it captured, and its post through the scope is
-  // dropped once the frontend has stopped, so `this` is only ever used on a
-  // live frontend.
-  auto completion = [this, scope = scope_, counters, class_index,
-                     weak_conn = std::weak_ptr<Connection>(conn),
-                     slot](dbase::Result<dfunc::DataSetList> result) {
-    counters->inflight[class_index].fetch_sub(1, std::memory_order_relaxed);
-    counters->served.fetch_add(1, std::memory_order_relaxed);
-    if (!result.ok() &&
-        result.status().code() == dbase::StatusCode::kDeadlineExceeded) {
-      counters->deadline_504.fetch_add(1, std::memory_order_relaxed);
-    }
-    WireChunks bytes = InvocationResponseWire(std::move(result));
-    scope->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
-      ApplySlotCompletion(weak_conn, slot, std::move(bytes));
-    });
-  };
   // Cluster route: load-balanced placement across local + remote nodes,
   // with cross-node shed/peer-lost re-routing, behind the same callback.
   // The handle lets a dying connection cancel the invocation instead of
@@ -911,7 +894,7 @@ void HttpFrontend::CloseConnection(const ConnectionPtr& conn) {
       continue;
     }
     if (slot->handle.valid() && !slot->handle.done()) {
-      counters_->disconnect_cancelled.fetch_add(1, std::memory_order_relaxed);
+      ++disconnect_cancelled_;
       slot->handle.Cancel();
     }
   }
@@ -946,17 +929,16 @@ std::string HttpFrontend::StatzJson() const {
       .Field("inflight_interactive", dispatcher.inflight_interactive)
       .Field("inflight_batch", dispatcher.inflight_batch)
       .EndObject();
-  const auto load = [](const auto& counter) { return counter.load(std::memory_order_relaxed); };
-  const InvokeCounters& counters = *counters_;
+  const Ingress::Stats ingress = ingress_.stats();
   json.BeginObject("frontend")
       .Field("open_connections", connections_.size())
       .Field("inflight_interactive",
-             load(counters.inflight[static_cast<size_t>(PriorityClass::kInteractive)]))
-      .Field("inflight_batch", load(counters.inflight[static_cast<size_t>(PriorityClass::kBatch)]))
-      .Field("served", load(counters.served))
-      .Field("shed_429", load(counters.shed_429))
-      .Field("deadline_504", load(counters.deadline_504))
-      .Field("disconnect_cancelled", load(counters.disconnect_cancelled))
+             ingress.inflight[static_cast<size_t>(PriorityClass::kInteractive)])
+      .Field("inflight_batch", ingress.inflight[static_cast<size_t>(PriorityClass::kBatch)])
+      .Field("served", ingress.served)
+      .Field("shed_429", ingress.shed)
+      .Field("deadline_504", ingress.deadline_exceeded)
+      .Field("disconnect_cancelled", disconnect_cancelled_)
       .EndObject();
   json.BeginObject("data_plane")
       .Field("bytes_copied", dispatcher.bytes_copied)

@@ -56,6 +56,7 @@
 #include "src/http/http_message.h"
 #include "src/http/http_parser.h"
 #include "src/net/socket.h"
+#include "src/runtime/ingress.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/platform.h"
 
@@ -268,17 +269,6 @@ class HttpFrontend {
   void BeginDrain(const ConnectionPtr& conn);
   void CloseConnection(const ConnectionPtr& conn);
 
-  // Invocation-side counters. Shared (not members-by-value) because engine
-  // threads may run completion callbacks after the frontend object is gone;
-  // the callbacks capture this block by shared_ptr.
-  struct InvokeCounters {
-    std::atomic<int64_t> inflight[kNumPriorityClasses] = {};
-    std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> shed_429{0};
-    std::atomic<uint64_t> deadline_504{0};
-    std::atomic<uint64_t> disconnect_cancelled{0};
-  };
-
   // Builds the GET /statz JSON snapshot through dbase::JsonWriter (reactor
   // only).
   std::string StatzJson() const;
@@ -302,7 +292,9 @@ class HttpFrontend {
   // `out` tails) across connections (reactor only); enforces
   // FrontendConfig::max_total_response_bytes.
   size_t total_response_bytes_ = 0;
-  std::shared_ptr<InvokeCounters> counters_ = std::make_shared<InvokeCounters>();
+  Ingress ingress_;  // Admits every invoke.
+  // Invokes cancelled by their client's disconnect (reactor only).
+  uint64_t disconnect_cancelled_ = 0;
 };
 
 }  // namespace dandelion

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <libgen.h>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -395,6 +396,45 @@ TEST(ClusterNetTest, TwoRoutersWithEqualIdsCancelOnlyTheirOwn) {
   EXPECT_EQ(a_code.load(), static_cast<int>(dbase::StatusCode::kCancelled));
   EXPECT_EQ(b_code.load(), static_cast<int>(dbase::StatusCode::kOk));
   EXPECT_EQ(node.platform().dispatcher_stats().invocations_cancelled, 1u);
+}
+
+// NodeAgent::Stop() does not wait for the invocations it serves: stopping
+// the server closes the router's connection, which cancels every invoke
+// still owed an answer. A completion captures nothing of the agent, so the
+// agent may go before its platform has finished the invocation.
+TEST(ClusterNetTest, StoppingTheAgentCancelsAWireInvokeInFlight) {
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "nap", .body = NapEcho}).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(kNodeDsl).ok());
+  auto agent = std::make_unique<NodeAgent>(&platform, NodeAgentConfig{.node_name = "ns"});
+  const dbase::Status started = agent->Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+
+  dbase::Latch done(1);
+  std::atomic<int> code{-1};
+  Cluster cluster(RemoteClusterConfig({{"ns", agent->port()}}, LoadBalancePolicy::kRoundRobin));
+  cluster.InvokeAsync({"Nap", EchoArgs("in flight")}, [&](dbase::Result<DataSetList> result, int) {
+    code.store(static_cast<int>(result.status().code()));
+    done.CountDown();
+  });
+  ASSERT_TRUE(
+      WaitUntil([&] { return platform.dispatcher_stats().invocations_started >= 1; }, 1000))
+      << "the nap never reached the node";
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  agent->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start, std::chrono::milliseconds(250))
+      << "Stop() waited for the nap";
+  EXPECT_TRUE(
+      WaitUntil([&] { return platform.dispatcher_stats().invocations_cancelled == 1; }, 1000))
+      << "stopping the agent did not cancel the invocation";
+  agent.reset();
+
+  ASSERT_TRUE(done.WaitFor(5 * dbase::kMicrosPerSecond));
+  EXPECT_NE(code.load(), static_cast<int>(dbase::StatusCode::kOk));
 }
 
 // ------------------------------------------------- multi-process peer kill

@@ -1099,6 +1099,42 @@ TEST(FrontendTest, DisconnectReleasesAdmissionSlotAtOnce) {
   frontend.Stop();
 }
 
+// The two rejects that come after admission, an unknown composition and a
+// body that does not unmarshal, drop their unrun completion, which frees
+// the class slot: with one interactive slot, a good request right after
+// them is admitted, not shed.
+TEST(FrontendTest, RequestRejectedAfterAdmissionFreesItsSlot) {
+  FrontendConfig config;
+  config.max_inflight_interactive = 1;
+  FrontendFixture fixture(config);
+  SKIP_WITHOUT_LOOPBACK(fixture);
+
+  dhttp::HttpRequest malformed;
+  malformed.method = dhttp::Method::kPost;
+  malformed.target = "/invoke/Id";
+  malformed.body = "not a marshalled set list";
+  const std::pair<std::string, int> requests[] = {
+      {RawInvoke("NoSuchComposition", "x"), 404},
+      {malformed.Serialize(), 400},
+      {RawInvoke("Id", "admitted"), 200},
+  };
+  const int fd = ConnectTo(fixture.port());
+  std::string carry;
+  for (const auto& [request, status_code] : requests) {
+    SendAll(fd, request);
+    auto response = ReadOneResponse(fd, &carry);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status_code, status_code) << response->body;
+  }
+  close(fd);
+
+  const std::optional<e2e::Json> statz = e2e::JsonParser::Parse(GetStatz(fixture.port()));
+  ASSERT_TRUE(statz.has_value());
+  ASSERT_NE(statz->Find("frontend"), nullptr);
+  ASSERT_NE(statz->Find("frontend")->Find("inflight_interactive"), nullptr);
+  EXPECT_EQ(statz->Find("frontend")->Find("inflight_interactive")->number, 0.0);
+}
+
 // kUnavailable is the platform declining to serve now (here: no eligible
 // cluster node), not a crashing function: 503, not 500.
 TEST(FrontendTest, UnavailableAnswers503) {

@@ -35,6 +35,13 @@
 #include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+// The crash case's SIGSEGV must end its jailed child as a plain signal:
+// ASan's own SEGV report makes syscalls (ioctl) that the jail kills first,
+// which would read as a jail kill.
+extern "C" const char* __asan_default_options() { return "handle_segv=0"; }
+#endif
+
 namespace {
 
 using dandelion::FaultInjector;
@@ -344,6 +351,15 @@ TEST_F(JailTest, PureInMemoryFunctionRunsJailedUnmodified) {
 
 // ------------------------------------------------- Failure-kind taxonomy
 
+// A genuine crash, not a jail kill: the store faults with SIGSEGV. UBSan's
+// null check stays out of it, since its report makes syscalls (readlink)
+// that the jail kills before the store runs.
+__attribute__((no_sanitize("null"))) dbase::Status CrashOnNullStore(dfunc::FunctionCtx&) {
+  volatile int* null_page = nullptr;
+  *null_page = 1;
+  return dbase::OkStatus();
+}
+
 // With retries disabled, each termination cause must surface its own
 // FailureKind in the InvocationReport: a genuine SIGSEGV is kCrash, a spec
 // timeout is kDeadlineKill, a client cancel is kCancelKill — and they map
@@ -354,11 +370,7 @@ TEST_F(JailTest, CrashDeadlineAndCancelProduceDistinctKinds) {
   dandelion::Platform platform(config);
 
   dfunc::FunctionSpec crasher = EchoSpec("crasher");
-  crasher.body = [](dfunc::FunctionCtx&) {
-    volatile int* null_page = nullptr;
-    *null_page = 1;  // SIGSEGV: a genuine crash, not a jail kill.
-    return dbase::OkStatus();
-  };
+  crasher.body = CrashOnNullStore;
   dfunc::FunctionSpec slow = EchoSpec("slow");
   slow.timeout_us = 30 * kMicrosPerMilli;
   slow.body = [](dfunc::FunctionCtx& ctx) {
