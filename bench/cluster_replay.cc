@@ -12,7 +12,7 @@
 //   (b) the interactive p99 stays within 2× of its uncontended value —
 //       the urgent lanes now live inside separate engine processes,
 //   (c) impossible deadlines answer 504 near the deadline, and
-//   (d) a SIGKILLed engine node is absorbed by the router's retry policy:
+//   (d) a SIGKILLed engine node is absorbed by the router's re-route:
 //       traffic continues on the survivors with no 5xx.
 // Per-node utilization, served counts, wire bytes and shed/re-route
 // counters land in the DANDELION_BENCH_JSON report.
@@ -559,7 +559,6 @@ int main() {
   counter("no_eligible_node", final_stats.no_eligible_node);
   counter("gossip_rounds", final_stats.gossip_rounds);
   counter("membership_evictions", final_stats.membership.evictions);
-  counter("remote_retries_granted", final_stats.remote_retry.retries_granted);
   uint64_t total_served = 0;
   for (const auto& peer : final_stats.peers) {
     total_served += peer.served;

@@ -8,8 +8,8 @@
 //
 // Buffers are immutable after construction: a slice never observes a
 // mutation, which is what makes handing one region to N fan-out instances
-// safe without copies. Code that must mutate goes through the data plane's
-// copy-on-write seam (dfunc::Payload::MutableString), never through here.
+// safe without copies. Code that needs different bytes builds a new
+// payload; nothing mutates one in place.
 #ifndef SRC_BASE_BUFFER_H_
 #define SRC_BASE_BUFFER_H_
 

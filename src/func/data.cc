@@ -153,28 +153,6 @@ DataPlaneStats& DataPlaneStats::Get() {
   return stats;
 }
 
-std::string& Payload::MutableString() {
-  if (aliased_) {
-    auto& stats = DataPlaneStats::Get();
-    stats.cow_detaches.fetch_add(1, std::memory_order_relaxed);
-    stats.bytes_copied.fetch_add(slice_.size(), std::memory_order_relaxed);
-    owned_.assign(slice_.view());
-    slice_ = dbase::BufferSlice();
-    aliased_ = false;
-  }
-  return owned_;
-}
-
-const dbase::BufferSlice& Payload::EnsureShared() {
-  if (!aliased_) {
-    DataPlaneStats::Get().payload_promotions.fetch_add(1, std::memory_order_relaxed);
-    slice_ = dbase::BufferSlice(dbase::Buffer::FromString(std::move(owned_)));
-    owned_.clear();
-    aliased_ = true;
-  }
-  return slice_;
-}
-
 uint64_t TotalBytes(const DataSetList& sets) {
   uint64_t total = 0;
   for (const auto& set : sets) {
@@ -257,7 +235,7 @@ dbase::Result<DataSetList> UnmarshalSets(const dbase::BufferSlice& buffer) {
   return UnmarshalSetsImpl(buffer.view(), &buffer);
 }
 
-std::vector<dbase::BufferSlice> MarshalSetsScatter(DataSetList& sets) {
+std::vector<dbase::BufferSlice> MarshalSetsScatter(const DataSetList& sets) {
   auto& stats = DataPlaneStats::Get();
   // First pass builds all framing (and inlined small payloads) into one
   // owned frame string, recording where each contiguous frame run ends and
@@ -282,10 +260,10 @@ std::vector<dbase::BufferSlice> MarshalSetsScatter(DataSetList& sets) {
   uint64_t aliased = 0;
   AppendU32(&frame, kMagic);
   AppendU32(&frame, static_cast<uint32_t>(sets.size()));
-  for (auto& set : sets) {
+  for (const auto& set : sets) {
     AppendBlob(&frame, set.name);
     AppendU32(&frame, static_cast<uint32_t>(set.items.size()));
-    for (auto& item : set.items) {
+    for (const auto& item : set.items) {
       AppendBlob(&frame, item.key);
       if (item.data.size() <= kScatterInlineBytes) {
         AppendBlob(&frame, item.data.view());
@@ -293,7 +271,7 @@ std::vector<dbase::BufferSlice> MarshalSetsScatter(DataSetList& sets) {
       } else {
         AppendU64(&frame, item.data.size());
         flush_frame();
-        chunks.push_back(Chunk{0, 0, item.data.EnsureShared()});
+        chunks.push_back(Chunk{0, 0, item.data.slice()});
         aliased += item.data.size();
       }
     }

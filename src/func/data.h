@@ -3,12 +3,11 @@
 // one input set of the consumer; the `key` distribution keyword groups items
 // by the keys producers attach to them.
 //
-// Item payloads are Payloads, not strings: a payload either owns its bytes
-// or aliases a refcounted dbase::BufferSlice (a frontend request body, a
-// producer's memory-context region). Aliasing is what lets an `each`
-// fan-out of N instances reference one copy of every non-fanout input set;
-// the copy-on-write seam (MutableString) is the escape hatch for code that
-// mutates payloads in place.
+// Item payloads are Payloads, not strings: every payload is one refcounted
+// dbase::BufferSlice (of a frontend request body, a producer's
+// memory-context region, or an adopted string), and payloads are immutable.
+// Copying a payload is a refcount bump, which is what lets an `each`
+// fan-out of N instances reference one copy of every non-fanout input set.
 #ifndef SRC_FUNC_DATA_H_
 #define SRC_FUNC_DATA_H_
 
@@ -27,17 +26,13 @@ namespace dfunc {
 
 // Process-wide counters for the composition data plane. `copied` counts
 // payload bytes physically memcpy'd at data-plane seams (marshal into a
-// context, copying unmarshal, CoW detach); `aliased` counts payload bytes
+// context, copying unmarshal); `aliased` counts payload bytes
 // moved by reference instead (aliasing unmarshal, shared fan-out bindings,
 // scatter-gather response slices). Framing bytes (magic, counts, lengths,
 // keys) are excluded from both so the ratio reflects payload movement.
 struct DataPlaneStats {
   std::atomic<uint64_t> bytes_copied{0};
   std::atomic<uint64_t> bytes_aliased{0};
-  // Owned payloads promoted into refcounted buffers (EnsureShared).
-  std::atomic<uint64_t> payload_promotions{0};
-  // Copy-on-write detaches (MutableString on an aliased payload).
-  std::atomic<uint64_t> cow_detaches{0};
   // Per-binding materializations in BuildInstanceInputs — the fan-out
   // sharing invariant is one per binding, not one per instance.
   std::atomic<uint64_t> binding_materializations{0};
@@ -47,55 +42,37 @@ struct DataPlaneStats {
   struct Snapshot {
     uint64_t bytes_copied = 0;
     uint64_t bytes_aliased = 0;
-    uint64_t payload_promotions = 0;
-    uint64_t cow_detaches = 0;
     uint64_t binding_materializations = 0;
   };
   Snapshot snapshot() const {
     return Snapshot{bytes_copied.load(std::memory_order_relaxed),
                     bytes_aliased.load(std::memory_order_relaxed),
-                    payload_promotions.load(std::memory_order_relaxed),
-                    cow_detaches.load(std::memory_order_relaxed),
                     binding_materializations.load(std::memory_order_relaxed)};
   }
 };
 
-// An item's payload: either an owned string or an aliased BufferSlice.
-// Reads go through view(); mutation goes through MutableString(), which
-// detaches aliased bytes into an owned copy first (copy-on-write). The
-// inverse seam, EnsureShared(), promotes an owned string into a refcounted
-// buffer without copying, so subsequent Payload copies are refcount bumps.
+// An item's payload: an immutable view of one refcounted BufferSlice.
+// A payload built from a std::string adopts the string's storage; one built
+// from a string_view or a C string copies the bytes once. Copying a Payload
+// never copies bytes.
 class Payload {
  public:
   Payload() = default;
   // Implicit on purpose: DataItem{key, data} aggregate initializers and
   // the many call sites that build payloads from strings keep working.
-  Payload(std::string bytes) : owned_(std::move(bytes)) {}
-  Payload(std::string_view bytes) : owned_(bytes) {}
-  Payload(const char* bytes) : owned_(bytes) {}
-  Payload(dbase::BufferSlice slice) : slice_(std::move(slice)), aliased_(true) {}
+  Payload(std::string bytes) : slice_(Adopt(std::move(bytes))) {}
+  Payload(std::string_view bytes) : Payload(std::string(bytes)) {}
+  Payload(const char* bytes) : Payload(std::string(bytes)) {}
+  Payload(dbase::BufferSlice slice) : slice_(std::move(slice)) {}
 
-  std::string_view view() const { return aliased_ ? slice_.view() : std::string_view(owned_); }
+  std::string_view view() const { return slice_.view(); }
   operator std::string_view() const { return view(); }
-  const char* data() const { return view().data(); }
-  size_t size() const { return aliased_ ? slice_.size() : owned_.size(); }
-  bool empty() const { return size() == 0; }
-  bool aliased() const { return aliased_; }
+  const char* data() const { return slice_.data(); }
+  size_t size() const { return slice_.size(); }
+  bool empty() const { return slice_.empty(); }
 
   std::string ToString() const { return std::string(view()); }
 
-  // Copy-on-write seam: an aliased payload detaches into an owned copy
-  // (other slices of the same buffer are unaffected); an owned payload is
-  // returned as is.
-  std::string& MutableString();
-
-  // Promotes an owned payload into a refcounted buffer by *moving* its
-  // storage (no byte copy) and returns the slice; an already-aliased
-  // payload returns its slice unchanged. After this, copying the Payload
-  // shares bytes instead of duplicating them.
-  const dbase::BufferSlice& EnsureShared();
-
-  // The backing slice when aliased; the empty slice otherwise.
   const dbase::BufferSlice& slice() const { return slice_; }
 
   friend bool operator==(const Payload& a, const Payload& b) { return a.view() == b.view(); }
@@ -111,9 +88,12 @@ class Payload {
   }
 
  private:
-  std::string owned_;
+  static dbase::BufferSlice Adopt(std::string bytes) {
+    return bytes.empty() ? dbase::BufferSlice()
+                         : dbase::BufferSlice(dbase::Buffer::FromString(std::move(bytes)));
+  }
+
   dbase::BufferSlice slice_;
-  bool aliased_ = false;
 };
 
 struct DataItem {
@@ -174,10 +154,8 @@ dbase::Result<DataSetList> UnmarshalSets(const dbase::BufferSlice& buffer);
 // a chunk sequence instead of one contiguous string. Framing and payloads
 // below a small inline threshold are copied into one owned frame buffer;
 // larger payloads are emitted as slices of their existing backing buffers
-// (owned payloads are promoted via EnsureShared — no byte copy — which is
-// why `sets` is mutable). Concatenating the chunks yields exactly
-// MarshalSets(sets).
-std::vector<dbase::BufferSlice> MarshalSetsScatter(DataSetList& sets);
+// (no byte copy). Concatenating the chunks yields exactly MarshalSets(sets).
+std::vector<dbase::BufferSlice> MarshalSetsScatter(const DataSetList& sets);
 
 }  // namespace dfunc
 

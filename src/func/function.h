@@ -28,8 +28,8 @@ class FunctionCtx {
   dbase::Result<std::string> SingleInput(std::string_view set_name) const;
 
   // Appends an item to the named output set (created on first use). Takes a
-  // Payload so pass-through outputs (re-emitting an input item) stay
-  // aliased — no copy; plain strings convert implicitly as before.
+  // Payload so pass-through outputs (re-emitting an input item) share the
+  // input's bytes — no copy; a string's storage is adopted.
   void EmitOutput(std::string_view set_name, Payload data, std::string key = "");
 
   DataSetList& outputs() { return outputs_; }

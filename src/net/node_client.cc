@@ -260,8 +260,8 @@ uint64_t NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
     callback(dbase::FailedPrecondition("NodeClient not started"));
     return 0;
   }
-  // Encode on the caller's thread: scatter marshalling promotes payloads
-  // into shared buffers here, keeping the reactor on socket work.
+  // Encode on the caller's thread: the framing is built here, keeping the
+  // reactor on socket work.
   auto chunks = EncodeInvoke(invoke);
   auto shared_cb = std::make_shared<OutcomeCallback>(std::move(callback));
   const uint64_t request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);

@@ -159,7 +159,7 @@ dbase::Result<FrameHeader> DecodeFrameHeader(std::string_view bytes,
 
 // ------------------------------------------------------------------ invoke
 
-std::vector<dbase::BufferSlice> EncodeInvoke(WireInvoke& invoke) {
+std::vector<dbase::BufferSlice> EncodeInvoke(const WireInvoke& invoke) {
   std::string prefix;
   prefix.reserve(32 + invoke.composition.size());
   PutString(&prefix, invoke.composition);
@@ -191,7 +191,7 @@ dbase::Result<WireInvoke> DecodeInvoke(const dbase::BufferSlice& body) {
 
 // ----------------------------------------------------------------- outcome
 
-std::vector<dbase::BufferSlice> EncodeOutcome(WireOutcome& outcome) {
+std::vector<dbase::BufferSlice> EncodeOutcome(const WireOutcome& outcome) {
   std::string prefix;
   prefix.reserve(24 + outcome.message.size());
   PutU32(&prefix, static_cast<uint32_t>(outcome.code));

@@ -96,10 +96,8 @@ struct WireInvoke {
 // Scatter-encodes the invoke body: one owned prefix chunk (name, priority,
 // deadline, id) followed by the marshalled argument sets as
 // MarshalSetsScatter chunks — large payloads ride as slices of their
-// existing backing buffers all the way into writev, zero copies. `invoke`
-// is mutable because scatter marshalling promotes owned payloads into
-// shared buffers (a move, not a copy).
-std::vector<dbase::BufferSlice> EncodeInvoke(WireInvoke& invoke);
+// existing backing buffers all the way into writev, zero copies.
+std::vector<dbase::BufferSlice> EncodeInvoke(const WireInvoke& invoke);
 
 // Parses an invoke body. Argument payloads alias `body` (zero-copy): the
 // receive buffer stays pinned until the last item referencing it dies.
@@ -107,11 +105,14 @@ dbase::Result<WireInvoke> DecodeInvoke(const dbase::BufferSlice& body);
 
 // ----------------------------------------------------------------- outcome
 
-// A remote invocation's terminal result. `failure_kind` carries the PR 8
-// taxonomy across the wire so the router can distinguish a remote jail kill
-// (deterministic, never retried) from environmental failures. A stopped
-// invocation carries its forked instance's kill kind; a thread-flavoured
-// instance that has not returned yet leaves it kNone.
+// A remote invocation's terminal result. `failure_kind` carries the
+// serving node's dpolicy::FailureKind for the caller to inspect; the router
+// does not read it. What tells a remote jail kill (deterministic, never
+// retried) from an environmental failure is where the failure arrives: a
+// failure in a decoded outcome surfaces unchanged, while a transport
+// failure (the peer lost) or the shed flag re-routes. A stopped invocation
+// carries its forked instance's kill kind; a thread-flavoured instance
+// that has not returned yet leaves it kNone.
 struct WireOutcome {
   dbase::StatusCode code = dbase::StatusCode::kOk;
   std::string message;            // Status message when code != kOk.
@@ -125,7 +126,7 @@ struct WireOutcome {
   bool shed = false;
 };
 
-std::vector<dbase::BufferSlice> EncodeOutcome(WireOutcome& outcome);
+std::vector<dbase::BufferSlice> EncodeOutcome(const WireOutcome& outcome);
 dbase::Result<WireOutcome> DecodeOutcome(const dbase::BufferSlice& body);
 
 // ------------------------------------------------------------------ gossip

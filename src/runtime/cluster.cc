@@ -23,6 +23,11 @@ constexpr dbase::Micros kBlockingGraceUs = 5 * dbase::kMicrosPerSecond;
 constexpr dbase::Micros kDeadlineGraceUs = 100 * dbase::kMicrosPerMilli;
 // Per-peer gossip timeout cap: one slow peer must not stall the round.
 constexpr dbase::Micros kGossipTimeoutCapUs = 500 * dbase::kMicrosPerMilli;
+// Re-routes a lost peer may cost one invocation, counted with its earlier
+// placement attempts: interactive work does not burn its deadline on long
+// chains, batch work can afford more.
+constexpr int kPeerLostReroutesInteractive = 1;
+constexpr int kPeerLostReroutesBatch = 3;
 }  // namespace
 
 // An in-process engine: a Platform served by its own NodeAgent on an
@@ -306,23 +311,18 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
         if (!raw.ok()) {
           // Transport-level failure. kUnavailable means the peer (or the
           // connection to it) died mid-flight — FailureKind::kPeerLost,
-          // retry-safe because functions are pure. Everything else
-          // (deadline, shutdown) is the client's own doing and surfaces.
+          // retry-safe because functions are pure, so every invocation it
+          // held re-routes within its class's budget. The suspect mark
+          // keeps new traffic off the node. Everything else (deadline,
+          // shutdown) is the client's own doing and surfaces.
           if (raw.status().code() == dbase::StatusCode::kUnavailable) {
-            dpolicy::RetryDecision decision;
-            {
-              std::lock_guard<std::mutex> lock(policy_mu_);
-              decision = remote_retry_.OnFailure(slot->name, dpolicy::FailureKind::kPeerLost,
-                                                 interactive, attempts,
-                                                 dbase::MonotonicClock::Get()->NowMicros());
-            }
             {
               std::lock_guard<std::mutex> slot_lock(slot->mu);
               if (slot->state == dpolicy::MemberState::kActive) {
                 slot->state = dpolicy::MemberState::kSuspect;
               }
             }
-            if (decision.retry) {
+            if (attempts < (interactive ? kPeerLostReroutesInteractive : kPeerLostReroutesBatch)) {
               reroutes_peer_lost_.fetch_add(1, std::memory_order_relaxed);
               tried.insert(index);
               Dispatch(std::move(routed), attempts + 1, std::move(tried), shed_rerouted);
@@ -343,10 +343,6 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
           return;
         }
         if (outcome.code == dbase::StatusCode::kOk) {
-          {
-            std::lock_guard<std::mutex> lock(policy_mu_);
-            remote_retry_.OnSuccess(slot->name);
-          }
           slot->served.fetch_add(1, std::memory_order_relaxed);
           routed->Finish(std::move(outcome.sets), index, attempts + 1);
           return;
@@ -619,7 +615,6 @@ Cluster::ClusterStats Cluster::Stats() const {
   {
     std::lock_guard<std::mutex> lock(policy_mu_);
     stats.membership = membership_.stats();
-    stats.remote_retry = remote_retry_.Stats();
   }
   return stats;
 }

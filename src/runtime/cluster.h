@@ -20,12 +20,13 @@
 // the shed frame flag) gets the invocation re-routed once to another node
 // before the error surfaces. Transport failures map into the failure
 // taxonomy as FailureKind::kPeerLost — retry-safe, because Dandelion
-// functions are pure — and are absorbed by a router-side RetryPolicy
-// (breaker keyed by node) that re-routes to surviving nodes; jail kills
-// and other deterministic function failures surface unchanged. A routed
-// invocation's stop hook sends kCancel for the attempt currently on the
-// wire, whether a handle's Cancel() or a blocking Invoke's timeout stopped
-// it.
+// functions are pure: the router marks the node suspect, so new traffic
+// avoids it, and re-routes every invocation it held to a surviving node,
+// up to a fixed per-class budget (1 interactive, 3 batch). Jail kills and
+// other deterministic function failures, which the node reports in its
+// outcome, surface unchanged. A routed invocation's stop hook sends
+// kCancel for the attempt currently on the wire, whether a handle's
+// Cancel() or a blocking Invoke's timeout stopped it.
 // Node membership is policy-driven: periodic gossip rounds feed
 // dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones
 // and re-admits rejoiners. Nodes join and leave the fleet only by
@@ -45,7 +46,6 @@
 #include "src/base/event_loop.h"
 #include "src/net/node_client.h"
 #include "src/policy/membership.h"
-#include "src/policy/retry.h"
 #include "src/runtime/platform.h"
 
 namespace dandelion {
@@ -179,7 +179,6 @@ class Cluster {
     uint64_t no_eligible_node = 0;
     uint64_t gossip_rounds = 0;
     dpolicy::MembershipStats membership;
-    dpolicy::RetryPolicyStats remote_retry;
   };
   ClusterStats Stats() const;
 
@@ -246,7 +245,6 @@ class Cluster {
 
   // Router-side policy state.
   mutable std::mutex policy_mu_;
-  dpolicy::RetryPolicy remote_retry_;
   dpolicy::MembershipPolicy membership_;
 
   // Re-route + gossip counters.

@@ -133,8 +133,6 @@ DispatcherStats Dispatcher::Stats() const {
   const auto data_plane = dfunc::DataPlaneStats::Get().snapshot();
   stats.bytes_copied = data_plane.bytes_copied;
   stats.bytes_aliased = data_plane.bytes_aliased;
-  stats.payload_promotions = data_plane.payload_promotions;
-  stats.cow_detaches = data_plane.cow_detaches;
   stats.binding_materializations = data_plane.binding_materializations;
   stats.sandbox_failures = sandbox_failures_.load(std::memory_order_relaxed);
   {
@@ -300,10 +298,10 @@ using SharedItems = std::shared_ptr<const std::vector<dfunc::DataItem>>;
 // Builds the input sets for one instance. `fanout_binding` is the index of
 // the each/key binding (or npos), and `fanout_items` the items for this
 // instance of that binding (consumed). Non-fanout bindings reference the
-// per-binding shared materialization: since every source payload was
-// promoted to a refcounted buffer at node start, the per-instance vector
-// copy is refcount bumps, not byte copies — N instances of an `each`
-// fan-out all read the one underlying region.
+// per-binding shared materialization: every payload is a refcounted
+// slice, so the per-instance vector copy is refcount bumps, not byte
+// copies — N instances of an `each` fan-out all read the one underlying
+// region.
 dfunc::DataSetList BuildInstanceInputs(const ddsl::GraphNode& node,
                                        const std::vector<SharedItems>& shared_items,
                                        size_t fanout_binding,
@@ -359,16 +357,6 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
     if (node.inputs[b].dist != ddsl::Distribution::kAll) {
       fanout_binding = b;
       break;
-    }
-  }
-
-  // Promote every source item payload to a refcounted buffer before any
-  // instance references it: from here on, copying a DataItem is a refcount
-  // bump, so an N-instance fan-out reads one copy of every input region.
-  for (size_t b = 0; b < node.inputs.size(); ++b) {
-    dfunc::DataSet& source = inv->values.at(node.inputs[b].source_value);
-    for (auto& item : source.items) {
-      (void)item.data.EnsureShared();
     }
   }
 
@@ -532,9 +520,8 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   }
 
   // Retain the inputs while the instance is in flight so a sandbox-level
-  // failure can be relaunched from scratch: payloads were promoted to
-  // refcounted buffers at node start, so this copy is refcount bumps, not
-  // payload bytes.
+  // failure can be relaunched from scratch: payloads are refcounted
+  // slices, so this copy is refcount bumps, not payload bytes.
   std::shared_ptr<const dfunc::DataSetList> retained;
   if (config_.retry.enabled) {
     retained = std::make_shared<const dfunc::DataSetList>(inputs);
@@ -553,7 +540,7 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   ComputeTask task;
   if (!config_.shared_contexts) {
     // The in-process thread backend reads inputs by reference: no marshal
-    // into the context, no unmarshal out of it — aliased payloads reach the
+    // into the context, no unmarshal out of it — payloads reach the
     // function body as refcount bumps. The
     // capacity bound still applies (outputs must marshal back into the
     // context), so an under-declared memory requirement fails identically
@@ -739,8 +726,8 @@ void Dispatcher::LaunchCommInstance(const std::shared_ptr<InvocationState>& inv,
   const std::string response_set = spec.response_set;
   for (size_t i = 0; i < items->size(); ++i) {
     CommTask task;
-    // Each item is consumed exactly once; an aliased payload moves as a
-    // slice handle, never copying the request bytes.
+    // Each item is consumed exactly once; its payload moves as a slice
+    // handle, never copying the request bytes.
     task.raw_request = std::move((*items)[i].data);
     task.handler = spec.handler;
     task.control = inv->control;
@@ -828,7 +815,7 @@ void Dispatcher::MergeNodeLocked(const std::shared_ptr<InvocationState>& inv, si
       dfunc::DataSet* set = dfunc::FindSet(instance, out.set_name);
       if (set != nullptr) {
         // Instance outputs are cleared right after the merge; move the
-        // items (aliased payloads stay aliased) instead of copying.
+        // items instead of copying.
         merged.items.insert(merged.items.end(), std::make_move_iterator(set->items.begin()),
                             std::make_move_iterator(set->items.end()));
       }

@@ -71,11 +71,9 @@ struct DispatcherStats {
   uint64_t inflight_batch = 0;
   // Composition data plane (process-wide dfunc::DataPlaneStats snapshot):
   // payload bytes physically copied vs. moved by reference at data-plane
-  // seams, plus the seam-event counters behind them.
+  // seams, and the fan-out's per-binding materializations.
   uint64_t bytes_copied = 0;
   uint64_t bytes_aliased = 0;
-  uint64_t payload_promotions = 0;
-  uint64_t cow_detaches = 0;
   uint64_t binding_materializations = 0;
   // Fault containment: sandbox-level failures observed (non-kNone
   // FailureKinds), instance relaunches the RetryPolicy granted/denied, and

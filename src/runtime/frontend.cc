@@ -943,8 +943,6 @@ std::string HttpFrontend::StatzJson() const {
   json.BeginObject("data_plane")
       .Field("bytes_copied", dispatcher.bytes_copied)
       .Field("bytes_aliased", dispatcher.bytes_aliased)
-      .Field("payload_promotions", dispatcher.payload_promotions)
-      .Field("cow_detaches", dispatcher.cow_detaches)
       .Field("binding_materializations", dispatcher.binding_materializations)
       .EndObject();
   // Policy names and reasons come from user-suppliable policy objects, and

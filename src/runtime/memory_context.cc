@@ -236,7 +236,7 @@ dbase::Status MemoryContext::StoreOutcome(const dbase::Status& status,
     return report_overflow();
   }
   // Direct marshal is only safe when no output payload aliases this very
-  // region (a pass-through of an aliased input would be memcpy'd over
+  // region (a pass-through of an input slicing it would be memcpy'd over
   // itself mid-read). Self-aliasing cannot happen today — LoadInputSets
   // copies — but the guard keeps the invariant local instead of relying on
   // a distant caller's behaviour.

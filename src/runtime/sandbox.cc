@@ -58,8 +58,8 @@ dbase::Status RunFunctionBodyAgainstContext(
     const dfunc::DataSetList* preloaded_inputs = nullptr) {
   dfunc::DataSetList input_sets;
   if (preloaded_inputs != nullptr) {
-    // By-reference handoff: copying the list is refcount bumps for aliased
-    // payloads, not byte copies.
+    // By-reference handoff: copying the list is refcount bumps, not byte
+    // copies.
     input_sets = *preloaded_inputs;
   } else {
     auto inputs = context.LoadInputSets();

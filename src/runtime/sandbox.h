@@ -67,8 +67,8 @@ struct SandboxOptions {
   // when it flips. A set flag yields a kCancelled outcome.
   const std::atomic<bool>* cancel_flag = nullptr;
   // By-reference input handoff for in-process backends: when set, the
-  // function body reads these sets directly (refcount bumps for aliased
-  // payloads) and StoreInputSets is skipped entirely. Address-space-crossing
+  // function body reads these sets directly (refcount bumps, no payload
+  // copies) and StoreInputSets is skipped entirely. Address-space-crossing
   // backends (process) ignore this — their children can only see the
   // marshalled context mapping.
   std::shared_ptr<const dfunc::DataSetList> input_sets;

@@ -84,10 +84,11 @@ composition Nap(in) => out { nap(in = all in) => (out = out); }
 // the dnet wire on an ephemeral loopback port.
 class AgentNode {
  public:
-  explicit AgentNode(NodeAgentConfig config = NodeAgentConfig{})
+  explicit AgentNode(NodeAgentConfig config = NodeAgentConfig{},
+                     dfunc::ComputeFunction nap = NapEcho)
       : platform_(FastPlatformConfig()), agent_(&platform_, config) {
     EXPECT_TRUE(platform_.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
-    EXPECT_TRUE(platform_.RegisterFunction({.name = "nap", .body = NapEcho}).ok());
+    EXPECT_TRUE(platform_.RegisterFunction({.name = "nap", .body = std::move(nap)}).ok());
     EXPECT_TRUE(platform_.RegisterCompositionDsl(kNodeDsl).ok());
     started_ = agent_.Start();
   }
@@ -127,6 +128,17 @@ const Cluster::PeerStats* FindPeer(const Cluster::ClusterStats& stats,
     if (peer.name == name) return &peer;
   }
   return nullptr;
+}
+
+// Polls `done` for up to `limit_ms`; true once it holds.
+template <typename Predicate>
+bool WaitUntil(Predicate done, int limit_ms) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(limit_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ end-to-end
@@ -317,18 +329,42 @@ TEST(ClusterNetTest, PeerLossMidInvokeReroutesToSurvivor) {
   EXPECT_EQ(peer_a->state, "suspect");
 }
 
-// ----------------------------------------------------------------- cancel
+// Every invoke in flight on a lost node is re-routed, however many there
+// are: the loss is the node's, not each invocation's, so it must not use up
+// a shared failure allowance that later invokes then find exhausted.
+TEST(ClusterNetTest, PeerLossReroutesEveryInvokeInFlightOnTheLostNode) {
+  constexpr int kInvokes = 8;
+  auto a = std::make_unique<AgentNode>(NodeAgentConfig{.node_name = "na"});
+  SKIP_WITHOUT_LOOPBACK(*a);
+  Cluster cluster(RemoteClusterConfig({{"na", a->port()}}, LoadBalancePolicy::kRoundRobin));
 
-// Polls `done` for up to `limit_ms`; true once it holds.
-template <typename Predicate>
-bool WaitUntil(Predicate done, int limit_ms) {
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(limit_ms);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= give_up) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  dbase::Latch done(kInvokes);
+  std::atomic<int> succeeded{0};
+  for (int i = 0; i < kInvokes; ++i) {
+    cluster.InvokeAsync({"Nap", EchoArgs("held " + std::to_string(i))},
+                        [&](dbase::Result<DataSetList> result, int) {
+                          if (result.ok()) succeeded.fetch_add(1);
+                          done.CountDown();
+                        });
   }
-  return true;
+  ASSERT_TRUE(WaitUntil(
+      [&] { return a->platform().dispatcher_stats().invocations_started >= kInvokes; }, 2000))
+      << "invokes never reached node A";
+
+  // B's nap returns at once, so every re-routed invoke finishes there.
+  AgentNode b(NodeAgentConfig{.node_name = "nb"}, dfunc::EchoFunction);
+  SKIP_WITHOUT_LOOPBACK(b);
+  ASSERT_TRUE(cluster.AddRemoteNode("nb", b.port()).ok());
+  a.reset();
+
+  ASSERT_TRUE(done.WaitFor(10 * dbase::kMicrosPerSecond));
+  EXPECT_EQ(succeeded.load(), kInvokes);
+  const auto stats = cluster.Stats();
+  EXPECT_EQ(stats.reroute_denied, 0u);
+  EXPECT_EQ(stats.reroutes_peer_lost, static_cast<uint64_t>(kInvokes));
 }
+
+// ----------------------------------------------------------------- cancel
 
 TEST(ClusterNetTest, RoutedHandleCancelReachesTheServingNode) {
   AgentNode node(NodeAgentConfig{.node_name = "nx"});
@@ -580,13 +616,12 @@ TEST(ClusterNetTest, KilledNodeProcessIsAbsorbedByRetryPolicy) {
   ASSERT_TRUE(done.WaitFor(20 * dbase::kMicrosPerSecond));
   {
     std::lock_guard<std::mutex> lock(failure_mu);
-    // The killed peer is environmental (kPeerLost, retry-safe): the retry
-    // policy absorbs it by re-routing — never a crash-kind 500.
+    // The killed peer is environmental (kPeerLost, retry-safe): the router
+    // absorbs it by re-routing — never a crash-kind 500.
     EXPECT_TRUE(ok.load()) << failure;
   }
   const auto stats = cluster.Stats();
   EXPECT_GE(stats.reroutes_peer_lost, 1u);
-  EXPECT_GE(stats.remote_retry.retries_granted, 1u);
 
   n1.Kill(SIGTERM);
   n2.Kill(SIGTERM);

@@ -1,6 +1,6 @@
 // Tests for the zero-copy composition data plane: BufferSlice bounds
 // enforcement, hostile/truncated wire input, slice lifetime (payloads keep
-// their backing buffer alive), copy-on-write detach independence, the
+// their backing buffer alive), string payloads shared by copies, the
 // one-materialization-per-binding fan-out invariant, and scrub-no-leak for
 // pooled contexts whose outputs were read back by reference.
 #include <gtest/gtest.h>
@@ -121,7 +121,6 @@ TEST(WireFormatTest, AliasingUnmarshalSharesTheRequestBuffer) {
   EXPECT_EQ(sets[0].items[0].data, "hello");
   EXPECT_EQ(sets[1].items[0].data, std::string(300, 'b'));
   // Payloads alias the wire buffer: same underlying base, no copies.
-  ASSERT_TRUE(sets[0].items[0].data.aliased());
   EXPECT_EQ(sets[0].items[0].data.slice().buffer().get(), buffer.get());
   const auto after = dfunc::DataPlaneStats::Get().snapshot();
   EXPECT_GE(after.bytes_aliased - before.bytes_aliased, 310u);
@@ -148,34 +147,19 @@ TEST(WireFormatTest, ScatterChunksConcatenateToMarshalSets) {
 
 // ----------------------------------------------------------------- Payload
 
-TEST(PayloadTest, CowDetachLeavesSiblingSlicesUntouched) {
-  auto buffer = Buffer::FromString("shared-bytes");
-  dfunc::Payload a{BufferSlice(buffer)};
-  dfunc::Payload b{BufferSlice(buffer)};
+TEST(PayloadTest, CopiesOfAStringPayloadShareItsBytes) {
+  std::string bytes(2048, 'p');
+  const char* storage = bytes.data();
   const auto before = dfunc::DataPlaneStats::Get().snapshot();
-  a.MutableString() = "mutated!";
-  const auto after = dfunc::DataPlaneStats::Get().snapshot();
-  EXPECT_FALSE(a.aliased());  // Detached into an owned copy.
-  EXPECT_TRUE(b.aliased());   // Sibling still aliases the original bytes.
-  EXPECT_EQ(a, "mutated!");
-  EXPECT_EQ(b, "shared-bytes");
-  EXPECT_EQ(after.cow_detaches - before.cow_detaches, 1u);
-}
-
-TEST(PayloadTest, EnsureSharedPromotesWithoutCopy) {
-  dfunc::Payload payload{std::string(2048, 'p')};
-  const char* bytes_before = payload.data();
-  const auto before = dfunc::DataPlaneStats::Get().snapshot();
-  const auto& slice = payload.EnsureShared();
-  EXPECT_TRUE(payload.aliased());
-  // Promotion moves the string's storage: same bytes, no memcpy.
-  EXPECT_EQ(slice.data(), bytes_before);
-  EXPECT_EQ(dfunc::DataPlaneStats::Get().snapshot().payload_promotions -
-                before.payload_promotions,
-            1u);
-  // Copies of a promoted payload are refcount bumps that read the same bytes.
+  dfunc::Payload payload{std::move(bytes)};
   dfunc::Payload copy = payload;
-  EXPECT_EQ(copy.data(), bytes_before);
+  // The payload adopted the string's storage, and the copy is a refcount
+  // bump on the same buffer: no memcpy anywhere.
+  EXPECT_EQ(payload.data(), storage);
+  EXPECT_EQ(copy.data(), storage);
+  EXPECT_EQ(copy.slice().buffer().get(), payload.slice().buffer().get());
+  EXPECT_EQ(copy, std::string(2048, 'p'));
+  EXPECT_EQ(dfunc::DataPlaneStats::Get().snapshot().bytes_copied - before.bytes_copied, 0u);
 }
 
 // ------------------------------------------------- Fan-out sharing invariant
@@ -260,7 +244,6 @@ TEST(ScrubTest, PooledReuseAfterAliasedReadbackLeaksNothing) {
     auto loaded = ctx->LoadOutputSetsAliased(ctx);
     ASSERT_TRUE(loaded.ok());
     outputs = std::move(loaded).value();
-    ASSERT_TRUE(outputs[0].items[0].data.aliased());
     // The payload really points into the context region (zero-copy).
     ASSERT_TRUE(ctx->Contains(outputs[0].items[0].data.data()));
   }  // `ctx` handle dropped — but the aliased outputs still pin the region.
@@ -287,7 +270,6 @@ TEST(ScrubTest, TinyOutputsAreCopiedNotAliased) {
   ASSERT_TRUE(ctx->StoreOutcome(dbase::OkStatus(), produced).ok());
   auto loaded = ctx->LoadOutputSetsAliased(ctx);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE((*loaded)[0].items[0].data.aliased());
   EXPECT_FALSE(ctx->Contains((*loaded)[0].items[0].data.data()));
 }
 

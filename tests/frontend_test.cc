@@ -884,8 +884,6 @@ const std::vector<std::string> kStatzSchema = {
     "data_plane:object",
     "data_plane.bytes_copied:number",
     "data_plane.bytes_aliased:number",
-    "data_plane.payload_promotions:number",
-    "data_plane.cow_detaches:number",
     "data_plane.binding_materializations:number",
     "control_plane:object",
     "control_plane.enabled:bool",

@@ -74,11 +74,11 @@ TEST_P(MarshalPropertyTest, RandomRoundTrip) {
       if (rng.Bernoulli(0.5)) {
         item.key = "key" + std::to_string(rng.NextBounded(10));
       }
-      const size_t len = rng.NextBounded(2000);
-      item.data.MutableString().resize(len);
-      for (auto& c : item.data.MutableString()) {
+      std::string bytes(rng.NextBounded(2000), '\0');
+      for (auto& c : bytes) {
         c = static_cast<char>(rng.NextBounded(256));
       }
+      item.data = std::move(bytes);
       set.items.push_back(std::move(item));
     }
     sets.push_back(std::move(set));

@@ -15,6 +15,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <filesystem>
@@ -1682,7 +1683,24 @@ TEST(ThreadCensusTest, ControlPlaneAddsOnlyEnginesAndTheReactor) {
     }
     ASSERT_GE(platform.control_plane()->GetSummary().decisions, 2u);
 
-    const std::vector<std::string> after = ThreadNames();
+    // A thread names itself first thing in its body, so until the scheduler
+    // first runs it, it still carries its creator's name; on a loaded host
+    // an engine worker that has had no work can stay unnamed past the
+    // invocations. Give the new threads time to run that far: the census
+    // below then judges the names they chose.
+    std::string creator;
+    std::getline(std::ifstream("/proc/self/comm"), creator);
+    const auto unnamed = [&creator](const std::vector<std::string>& names) {
+      return std::count(names.begin(), names.end(), creator);
+    };
+    std::vector<std::string> after = ThreadNames();
+    const dbase::Micros named_by =
+        dbase::MonotonicClock::Get()->NowMicros() + 2 * dbase::kMicrosPerSecond;
+    while (unnamed(after) > unnamed(before) &&
+           dbase::MonotonicClock::Get()->NowMicros() < named_by) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      after = ThreadNames();
+    }
     std::multiset<std::string> added(after.begin(), after.end());
     for (const std::string& name : before) {
       if (const auto it = added.find(name); it != added.end()) {
