@@ -315,11 +315,35 @@ bool EventLoop::Scope::State::Take(TimerId id) {
 
 bool EventLoop::Scope::OnLoop() const { return loop_->IsLoopThread() || !loop_->running(); }
 
+void EventLoop::Scope::RunOnLoop(const std::function<void()>& fn) {
+  if (OnLoop()) {
+    fn();
+    return;
+  }
+  Latch ran(1);
+  loop_->Post([&] {
+    fn();
+    ran.CountDown();
+  });
+  ran.Wait();
+}
+
+bool EventLoop::Scope::Run(const std::function<void()>& fn) {
+  bool ran = false;
+  RunOnLoop([&] {
+    if (!state_->closed.load(std::memory_order_acquire)) {
+      fn();
+      ran = true;
+    }
+  });
+  return ran;
+}
+
 void EventLoop::Scope::Close(std::function<void()> last) {
   if (state_->closed.load(std::memory_order_acquire)) {
     return;
   }
-  const auto close_on_loop = [this, &last] {
+  RunOnLoop([this, &last] {
     if (state_->closed.exchange(true, std::memory_order_acq_rel)) {
       return;  // A concurrent Close() got here first.
     }
@@ -338,17 +362,7 @@ void EventLoop::Scope::Close(std::function<void()> last) {
     for (TimerId id : timers) {
       loop_->CancelTimer(id);
     }
-  };
-  if (OnLoop()) {
-    close_on_loop();
-    return;
-  }
-  Latch closed(1);
-  loop_->Post([&] {
-    close_on_loop();
-    closed.CountDown();
   });
-  closed.Wait();
 }
 
 }  // namespace dbase

@@ -133,7 +133,7 @@ class EventLoop {
 };
 
 // One component's registrations on a loop: its fds, its timers, and the
-// closures it posts. Post(), AddTimer(), CancelTimer() and Close() are
+// closures it posts. Post(), AddTimer(), CancelTimer(), Run() and Close() are
 // thread-safe; the fd calls are loop-thread-only. Owners whose completions
 // may outlive them hold the scope by shared_ptr and let those completions
 // post through it.
@@ -164,19 +164,31 @@ class EventLoop::Scope {
   TimerId AddTimer(Micros delay, std::function<void()> fn);
   void CancelTimer(TimerId id);
 
+  // Runs fn on the loop and returns once it ran: inline on the loop thread
+  // (or on a loop nobody runs), otherwise posted with the loop's own Post
+  // and waited for, so a running callback finishes first and a scope
+  // closing meanwhile never strands the caller. Returns false, with fn not
+  // run, once the scope has closed. Off-loop owners reach their
+  // loop-thread-only state through it; on the loop it never blocks.
+  bool Run(const std::function<void()>& fn);
+
   // Runs `last` (if any) on the loop, then removes the scope's fds and
   // cancels its timers; closures posted through it that have not run yet
   // never will. Inline on the loop thread (from the scope's own callbacks
   // too), or on a loop nobody runs; otherwise it posts itself and waits,
-  // so a running callback finishes first. Once it returns nothing
-  // registered through the scope runs again. Idempotent; `last` sees the
-  // scope already closed, so it may Remove and CancelTimer, not register.
+  // as Run does. Once it returns nothing registered through the scope runs
+  // again. Idempotent; `last` sees the scope already closed, so it may
+  // Remove and CancelTimer, not register.
   void Close(std::function<void()> last = nullptr);
 
  private:
   // True on the loop thread, or on a loop nobody runs: loop state may be
   // touched inline; otherwise it is posted to the loop.
   bool OnLoop() const;
+  // Run and Close's one post-and-wait: fn inline when OnLoop(), otherwise
+  // posted with loop_->Post (which a closed scope does not drop) and
+  // waited for.
+  void RunOnLoop(const std::function<void()>& fn);
 
   // Shared with the wrapped closures and timers, which may outlive the
   // scope.

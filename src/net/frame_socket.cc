@@ -150,7 +150,7 @@ void FrameSocket::OnReadable() {
         Close(dbase::Unavailable("read() failed"));
         return;
       }
-      counters_->bytes_received.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      counters_->bytes_received += static_cast<uint64_t>(n);
       budget -= static_cast<size_t>(n) < budget ? static_cast<size_t>(n) : budget;
       header_.append(scratch, static_cast<size_t>(n));
       if (header_.size() >= 4) {
@@ -206,7 +206,7 @@ void FrameSocket::OnReadable() {
       return;
     }
     body_filled_ += static_cast<size_t>(n);
-    counters_->bytes_received.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    counters_->bytes_received += static_cast<uint64_t>(n);
     budget -= static_cast<size_t>(n) < budget ? static_cast<size_t>(n) : budget;
     if (body_filled_ < body_.size()) {
       continue;
@@ -224,7 +224,7 @@ void FrameSocket::FlushWrites() {
     Close(sent.status());
     return;
   }
-  counters_->bytes_sent.fetch_add(*sent, std::memory_order_relaxed);
+  counters_->bytes_sent += *sent;
   UpdateInterest();
 }
 

@@ -8,15 +8,14 @@
 // vanished peer is an error return, not a SIGPIPE, and frames sent while a
 // connect is still in flight wait in the queue until it completes.
 //
-// Threading: all methods are loop-thread-only unless noted. Cross-thread
-// senders (NodeClient callers) post through the owner's scope. Lifetime is
-// shared_ptr-managed: callbacks pin the socket for the duration of a
-// dispatch, so an on_close handler may drop the owner's last reference
-// mid-callback safely.
+// Threading: all methods are loop-thread-only unless noted, as are its
+// owners (NodeClient, NodeServer): cross-thread callers post through the
+// owner's scope. Lifetime is shared_ptr-managed: callbacks pin the socket
+// for the duration of a dispatch, so an on_close handler may drop the
+// owner's last reference mid-callback safely.
 #ifndef SRC_NET_FRAME_SOCKET_H_
 #define SRC_NET_FRAME_SOCKET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,14 +31,14 @@
 namespace dnet {
 
 // Per-peer wire counters, shared by the peer's FrameSocket (bytes, header
-// and body, both directions) and its owner (requests). Relaxed atomics:
-// written on the reactor, read from any thread.
+// and body, both directions) and its owner (requests). Loop-thread-only,
+// like the socket.
 struct PeerCounters {
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> invokes_sent{0};
-  std::atomic<uint64_t> sheds_received{0};
-  std::atomic<uint64_t> peer_lost_failures{0};
+  uint64_t bytes_sent = 0;
+  uint64_t bytes_received = 0;
+  uint64_t invokes_sent = 0;
+  uint64_t sheds_received = 0;
+  uint64_t peer_lost_failures = 0;
 };
 
 class FrameSocket : public std::enable_shared_from_this<FrameSocket> {

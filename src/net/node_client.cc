@@ -44,8 +44,8 @@ void NodeClient::Stop() {
         peer.socket->SendFrame(FrameType::kLeave, 0, 0, std::string());
         peer.socket->Close(dbase::Unavailable("client stopping"));
       }
+      peer.socket.reset();
     }
-    peers_.clear();
     pending_.clear();
   });
 }
@@ -54,50 +54,35 @@ void NodeClient::AddPeer(const std::string& name, uint16_t port) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  // A re-added peer keeps counting into its existing counters.
-  std::shared_ptr<PeerCounters> counters = std::make_shared<PeerCounters>();
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    counters = counters_.try_emplace(name, counters).first->second;
+  Peer& peer = peers_[name];
+  if (peer.socket != nullptr && peer.port != port) {
+    peer.socket->Close(dbase::Unavailable("peer re-addressed"));
   }
-  scope_->Post([this, name, port, counters = std::move(counters)] {
-    Peer& peer = peers_[name];
-    if (peer.socket != nullptr && peer.port != port) {
-      peer.socket->Close(dbase::Unavailable("peer re-addressed"));
-    }
-    peer.port = port;
-    peer.counters = counters;
-    // Join now, so the connect and kJoin round trip overlap the caller's
-    // own start-up instead of the first request. A peer that is not up
-    // yet fails nothing: no request is pending on it.
-    EnsureConnected(name);
-  });
+  peer.port = port;
+  // Join now, so the connect and kJoin round trip overlap the caller's
+  // own start-up instead of the first request. A peer that is not up
+  // yet fails nothing: no request is pending on it.
+  EnsureConnected(name);
 }
 
 void NodeClient::RemovePeer(const std::string& name) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.erase(name);
+  auto it = peers_.find(name);
+  if (it == peers_.end()) {
+    return;
   }
-  scope_->Post([this, name] {
-    auto it = peers_.find(name);
-    if (it == peers_.end()) {
-      return;
-    }
-    if (it->second.socket != nullptr && !it->second.socket->closed()) {
-      it->second.socket->SendFrame(FrameType::kLeave, 0, 0, std::string());
-      it->second.socket->Close(dbase::Unavailable("peer removed"));
-    }
-    peers_.erase(name);
-  });
+  if (it->second.socket != nullptr && !it->second.socket->closed()) {
+    it->second.socket->SendFrame(FrameType::kLeave, 0, 0, std::string());
+    it->second.socket->Close(dbase::Unavailable("peer removed"));
+  }
+  peers_.erase(name);
 }
 
-std::map<std::string, std::shared_ptr<const PeerCounters>> NodeClient::SnapshotPeers() const {
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  return {counters_.begin(), counters_.end()};
+const PeerCounters* NodeClient::counters(const std::string& peer) const {
+  const auto it = peers_.find(peer);
+  return it != peers_.end() ? it->second.counters.get() : nullptr;
 }
 
 FrameSocket* NodeClient::EnsureConnected(const std::string& name) {
@@ -144,8 +129,8 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t r
   FrameSocket* socket = EnsureConnected(name);
   auto peer_it = peers_.find(name);
   if (socket == nullptr || peer_it == peers_.end()) {
-    if (peer_it != peers_.end()) {
-      peer_it->second.counters->peer_lost_failures.fetch_add(1, std::memory_order_relaxed);
+    if (peer_it != peers_.end() && type == FrameType::kInvoke) {
+      ++peer_it->second.counters->peer_lost_failures;
     }
     pending.Fail(dbase::Unavailable("peer lost: connect to '" + name + "' failed"));
     return;
@@ -169,7 +154,7 @@ void NodeClient::SendRequest(const std::string& name, FrameType type, uint64_t r
     });
   }
   if (type == FrameType::kInvoke) {
-    peer_it->second.counters->invokes_sent.fetch_add(1, std::memory_order_relaxed);
+    ++peer_it->second.counters->invokes_sent;
   }
   pending_.emplace(request_id, std::move(pending));
   socket->SendFrame(type, 0, request_id, std::move(body));
@@ -194,15 +179,18 @@ void NodeClient::OnPeerClosed(const std::string& name, const dbase::Status& reas
     it->second.socket.reset();
   }
   // Everything pending on this peer dies as "peer lost" — the Cluster
-  // maps this to the retry-eligible kPeerLost failure kind.
+  // maps this to the retry-eligible kPeerLost failure kind. Only invokes
+  // count as lost: a gossip probe is no invocation.
   std::vector<uint64_t> doomed;
+  uint64_t invokes = 0;
   for (const auto& [request_id, pending] : pending_) {
     if (pending.peer == name) {
       doomed.push_back(request_id);
+      invokes += pending.expect == FrameType::kOutcome ? 1 : 0;
     }
   }
   if (it != peers_.end()) {
-    it->second.counters->peer_lost_failures.fetch_add(doomed.size(), std::memory_order_relaxed);
+    it->second.counters->peer_lost_failures += invokes;
   }
   const dbase::Status lost =
       dbase::Unavailable("peer lost: '" + name + "' " +
@@ -240,7 +228,7 @@ void NodeClient::OnFrame(const std::string& name, const FrameHeader& header,
     if (outcome.ok()) {
       outcome->shed = (header.flags & kFlagShed) != 0;
       if (outcome->shed && peer != peers_.end()) {
-        peer->second.counters->sheds_received.fetch_add(1, std::memory_order_relaxed);
+        ++peer->second.counters->sheds_received;
       }
     } else {
       // A peer sending garbage is as gone as a dead one.
@@ -260,22 +248,13 @@ uint64_t NodeClient::InvokeAsync(const std::string& peer, WireInvoke invoke,
     callback(dbase::FailedPrecondition("NodeClient not started"));
     return 0;
   }
-  // Encode on the caller's thread: the framing is built here, keeping the
-  // reactor on socket work.
-  auto chunks = EncodeInvoke(invoke);
-  auto shared_cb = std::make_shared<OutcomeCallback>(std::move(callback));
-  const uint64_t request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  scope_->Post([this, peer, request_id, chunks = std::move(chunks), timeout_us,
-               shared_cb]() mutable {
-    Pending pending;
-    pending.expect = FrameType::kOutcome;
-    pending.peer = peer;
-    pending.on_outcome = [shared_cb](dbase::Result<WireOutcome> outcome) {
-      (*shared_cb)(std::move(outcome));
-    };
-    SendRequest(peer, FrameType::kInvoke, request_id, std::move(chunks), timeout_us,
-                std::move(pending));
-  });
+  Pending pending;
+  pending.expect = FrameType::kOutcome;
+  pending.peer = peer;
+  pending.on_outcome = std::move(callback);
+  const uint64_t request_id = next_request_id_++;
+  SendRequest(peer, FrameType::kInvoke, request_id, EncodeInvoke(invoke), timeout_us,
+              std::move(pending));
   return request_id;
 }
 
@@ -285,27 +264,22 @@ void NodeClient::GossipAsync(const std::string& peer, dbase::Micros timeout_us,
     callback(dbase::FailedPrecondition("NodeClient not started"));
     return;
   }
-  scope_->Post([this, peer, timeout_us, callback = std::move(callback)]() mutable {
-    Pending pending;
-    pending.expect = FrameType::kGossip;
-    pending.peer = peer;
-    pending.on_gossip = std::move(callback);
-    SendRequest(peer, FrameType::kGossipReq,
-                next_request_id_.fetch_add(1, std::memory_order_relaxed), {},
-                timeout_us > 0 ? timeout_us : kDefaultRequestTimeout, std::move(pending));
-  });
+  Pending pending;
+  pending.expect = FrameType::kGossip;
+  pending.peer = peer;
+  pending.on_gossip = std::move(callback);
+  SendRequest(peer, FrameType::kGossipReq, next_request_id_++, {},
+              timeout_us > 0 ? timeout_us : kDefaultRequestTimeout, std::move(pending));
 }
 
 void NodeClient::Cancel(const std::string& peer, uint64_t request_id) {
   if (!running_.load(std::memory_order_relaxed)) {
     return;
   }
-  scope_->Post([this, peer, request_id] {
-    auto it = peers_.find(peer);
-    if (it != peers_.end() && it->second.socket != nullptr && !it->second.socket->closed()) {
-      it->second.socket->SendFrame(FrameType::kCancel, 0, request_id, std::string());
-    }
-  });
+  auto it = peers_.find(peer);
+  if (it != peers_.end() && it->second.socket != nullptr && !it->second.socket->closed()) {
+    it->second.socket->SendFrame(FrameType::kCancel, 0, request_id, std::string());
+  }
 }
 
 }  // namespace dnet

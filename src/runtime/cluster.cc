@@ -28,6 +28,8 @@ constexpr dbase::Micros kGossipTimeoutCapUs = 500 * dbase::kMicrosPerMilli;
 // chains, batch work can afford more.
 constexpr int kPeerLostReroutesInteractive = 1;
 constexpr int kPeerLostReroutesBatch = 3;
+
+std::string LocalName(int n) { return "local-" + std::to_string(n); }
 }  // namespace
 
 // An in-process engine: a Platform served by its own NodeAgent on an
@@ -47,10 +49,10 @@ struct Cluster::Routed {
   RoutedCallback callback;
   std::shared_ptr<InvocationControl> control;
 
-  std::mutex mu;
   // The attempt on the wire now: where the stop hook sends kCancel.
-  std::string peer;         // Guarded by mu.
-  uint64_t request_id = 0;  // Guarded by mu; 0 = none sent yet.
+  // Reactor-only.
+  std::string peer;
+  uint64_t request_id = 0;  // 0 = none sent yet.
 
   void Finish(dbase::Result<dfunc::DataSetList> result, int node, int attempts) {
     control->MarkDone(result.status(), dbase::MonotonicClock::Get()->NowMicros());
@@ -60,56 +62,67 @@ struct Cluster::Routed {
 
 Cluster::Cluster(Config config)
     : config_(std::move(config)),
-      client_(std::make_shared<dnet::NodeClient>(config_.router_name)),
-      membership_(config_.membership) {
+      client_(config_.router_name),
+      membership_(config_.membership),
+      scope_(std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process())) {
   // A client that cannot start fails every invoke with kFailedPrecondition.
-  (void)client_->Start();
+  (void)client_.Start();
   // With remote nodes configured a router-only cluster (0 in-process
   // nodes) is legitimate; a fully empty cluster is not.
   const int locals = config_.remote_nodes.empty() ? std::max(1, config_.num_nodes)
                                                   : std::max(0, config_.num_nodes);
   for (int n = 0; n < locals; ++n) {
-    const std::string name = "local-" + std::to_string(n);
+    const std::string name = LocalName(n);
     auto local = std::make_unique<LocalNode>(config_.node_config, name);
     const dbase::Status started = local->agent.Start();
     if (!started.ok()) {
       DLOG(Warning) << name << " cannot serve the node wire: " << started.ToString();
     }
-    (void)AddNode(name, local->agent.port(), /*remote=*/false);
     locals_.push_back(std::move(local));
   }
-  for (const RemoteNode& remote : config_.remote_nodes) {
-    (void)AddRemoteNode(remote.name, remote.port);
-  }
-  if (config_.gossip_interval_us > 0) {
-    gossip_tick_ = std::make_unique<dbase::EventLoop::Scope>(dbase::EventLoop::Process());
-    ArmGossipTick();
-  }
+  // Every join in one reactor round trip.
+  scope_->Run([this] {
+    for (size_t n = 0; n < locals_.size(); ++n) {
+      (void)AddNode(LocalName(static_cast<int>(n)), locals_[n]->agent.port(), /*remote=*/false);
+    }
+    for (const RemoteNode& remote : config_.remote_nodes) {
+      (void)AddNode(remote.name, remote.port, /*remote=*/true);
+    }
+    if (config_.gossip_interval_us > 0) {
+      ArmGossipTick();
+    }
+  });
 }
 
 void Cluster::ArmGossipTick() {
-  gossip_tick_->AddTimer(config_.gossip_interval_us, [this] {
+  scope_->AddTimer(config_.gossip_interval_us, [this] {
+    if (shut_down_.load(std::memory_order_relaxed)) {
+      return;
+    }
     // A tick while the previous round is still open skips.
     StartGossipRound(nullptr);
     ArmGossipTick();
   });
 }
 
-Cluster::~Cluster() { Shutdown(); }
+Cluster::~Cluster() {
+  Shutdown();
+  scope_->Close();
+}
 
 Platform& Cluster::node(int index) { return locals_[static_cast<size_t>(index)]->platform; }
 
 dbase::Status Cluster::AddRemoteNode(const std::string& name, uint16_t port) {
-  return AddNode(name, port, /*remote=*/true);
+  dbase::Status added = dbase::FailedPrecondition("cluster destroyed");
+  scope_->Run([&] { added = AddNode(name, port, /*remote=*/true); });
+  return added;
 }
 
 dbase::Status Cluster::AddNode(const std::string& name, uint16_t port, bool remote) {
-  std::lock_guard<std::mutex> lock(slots_mu_);
   for (auto& slot : slots_) {
     if (slot->name != name) {
       continue;
     }
-    std::lock_guard<std::mutex> slot_lock(slot->mu);
     if (slot->state != dpolicy::MemberState::kLeft) {
       return dbase::AlreadyExists("node already joined: " + name);
     }
@@ -117,11 +130,11 @@ dbase::Status Cluster::AddNode(const std::string& name, uint16_t port, bool remo
     // port after a restart).
     slot->state = dpolicy::MemberState::kActive;
     slot->last_gossip_us = 0;
-    client_->RemovePeer(name);
-    client_->AddPeer(name, port);
+    client_.RemovePeer(name);
+    client_.AddPeer(name, port);
     return dbase::OkStatus();
   }
-  client_->AddPeer(name, port);
+  client_.AddPeer(name, port);
   auto slot = std::make_unique<NodeSlot>();
   slot->name = name;
   slot->remote = remote;
@@ -130,29 +143,27 @@ dbase::Status Cluster::AddNode(const std::string& name, uint16_t port, bool remo
 }
 
 void Cluster::RemoveRemoteNode(const std::string& name) {
-  std::lock_guard<std::mutex> lock(slots_mu_);
-  for (auto& slot : slots_) {
-    if (slot->name != name) {
-      continue;
+  scope_->Run([&] {
+    for (auto& slot : slots_) {
+      if (slot->name == name) {
+        slot->state = dpolicy::MemberState::kLeft;
+        // Administrative leave really disconnects (unlike staleness
+        // eviction, which keeps probing so the node can rejoin when it
+        // recovers).
+        client_.RemovePeer(name);
+        return;
+      }
     }
-    {
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      slot->state = dpolicy::MemberState::kLeft;
-    }
-    // Administrative leave really disconnects (unlike staleness eviction,
-    // which keeps probing so the node can rejoin when it recovers).
-    client_->RemovePeer(name);
-    return;
-  }
+  });
 }
 
 int Cluster::total_nodes() const {
-  std::lock_guard<std::mutex> lock(slots_mu_);
-  return static_cast<int>(slots_.size());
+  int total = 0;
+  scope_->Run([&] { total = static_cast<int>(slots_.size()); });
+  return total;
 }
 
 Cluster::NodeSlot* Cluster::slot_at(int index) const {
-  std::lock_guard<std::mutex> lock(slots_mu_);
   if (index < 0 || index >= static_cast<int>(slots_.size())) {
     return nullptr;
   }
@@ -183,11 +194,10 @@ bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspe
   if (exclude.count(index) > 0) {
     return false;
   }
-  NodeSlot* slot = slot_at(index);
+  const NodeSlot* slot = slot_at(index);
   if (slot == nullptr) {
     return false;
   }
-  std::lock_guard<std::mutex> lock(slot->mu);
   switch (slot->state) {
     case dpolicy::MemberState::kActive:
       return true;
@@ -199,23 +209,16 @@ bool Cluster::Eligible(int index, const std::set<int>& exclude, bool allow_suspe
   return false;
 }
 
-double Cluster::NodeLoad(int index) const {
-  NodeSlot* slot = slot_at(index);
-  if (slot == nullptr) {
-    return std::numeric_limits<double>::max();
-  }
-  const double router_inflight =
-      static_cast<double>(slot->inflight.load(std::memory_order_relaxed));
-  std::lock_guard<std::mutex> lock(slot->mu);
-  if (slot->last_gossip_us == 0) {
+double Cluster::NodeLoad(const NodeSlot& slot) const {
+  const double router_inflight = static_cast<double>(slot.inflight);
+  if (slot.last_gossip_us == 0) {
     // Never heard: a fresh joiner is presumed idle — only what we have in
     // flight toward it counts.
     return router_inflight;
   }
-  double load = router_inflight + static_cast<double>(slot->status.inflight) +
-                static_cast<double>(slot->status.backlog);
-  const dbase::Micros age =
-      dbase::MonotonicClock::Get()->NowMicros() - slot->last_gossip_us;
+  double load = router_inflight + static_cast<double>(slot.status.inflight) +
+                static_cast<double>(slot.status.backlog);
+  const dbase::Micros age = dbase::MonotonicClock::Get()->NowMicros() - slot.last_gossip_us;
   if (age > config_.membership.suspect_after_us) {
     // Stale signals: rank below every fresh node without hard-excluding.
     load += 1e6;
@@ -224,7 +227,7 @@ double Cluster::NodeLoad(int index) const {
 }
 
 int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exclude) {
-  const int total = total_nodes();
+  const int total = static_cast<int>(slots_.size());
   if (total == 0) {
     return -1;
   }
@@ -235,7 +238,7 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
                     request.priority != PriorityClass::kBatch && total > 1;
   for (const bool allow_suspect : {false, true}) {
     if (!scan) {
-      const uint64_t start = round_robin_.fetch_add(1, std::memory_order_relaxed);
+      const uint64_t start = round_robin_++;
       for (int i = 0; i < total; ++i) {
         const int candidate = static_cast<int>((start + static_cast<uint64_t>(i)) %
                                                static_cast<uint64_t>(total));
@@ -251,7 +254,7 @@ int Cluster::PickNode(const InvocationRequest& request, const std::set<int>& exc
       if (!Eligible(n, exclude, allow_suspect)) {
         continue;
       }
-      const double load = NodeLoad(n);
+      const double load = NodeLoad(*slots_[static_cast<size_t>(n)]);
       if (load < best_load) {
         best_load = load;
         best = n;
@@ -274,7 +277,7 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
   }
   const int index = PickNode(request, tried);
   if (index < 0) {
-    no_eligible_node_.fetch_add(1, std::memory_order_relaxed);
+    ++no_eligible_node_;
     routed->Finish(
         dbase::Unavailable("no eligible cluster node for '" + request.composition + "'"), -1,
         attempts + 1);
@@ -298,14 +301,14 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
     timeout = std::min(timeout, remaining + kDeadlineGraceUs);
   }
 
-  slot->inflight.fetch_add(1, std::memory_order_relaxed);
-  // From here on `request` is read-only shared state: the completion may
-  // already be running (and re-routing) on the reactor.
-  const uint64_t request_id = client_->InvokeAsync(
+  ++slot->inflight;
+  // A refused connect runs the completion (and its re-route) inside this
+  // call.
+  const uint64_t request_id = client_.InvokeAsync(
       slot->name, std::move(wire), timeout,
       [this, index, slot, routed, attempts, tried = std::move(tried),
        shed_rerouted](dbase::Result<dnet::WireOutcome> raw) mutable {
-        slot->inflight.fetch_sub(1, std::memory_order_relaxed);
+        --slot->inflight;
         const bool interactive = routed->request.priority != PriorityClass::kBatch;
 
         if (!raw.ok()) {
@@ -316,19 +319,16 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
           // keeps new traffic off the node. Everything else (deadline,
           // shutdown) is the client's own doing and surfaces.
           if (raw.status().code() == dbase::StatusCode::kUnavailable) {
-            {
-              std::lock_guard<std::mutex> slot_lock(slot->mu);
-              if (slot->state == dpolicy::MemberState::kActive) {
-                slot->state = dpolicy::MemberState::kSuspect;
-              }
+            if (slot->state == dpolicy::MemberState::kActive) {
+              slot->state = dpolicy::MemberState::kSuspect;
             }
             if (attempts < (interactive ? kPeerLostReroutesInteractive : kPeerLostReroutesBatch)) {
-              reroutes_peer_lost_.fetch_add(1, std::memory_order_relaxed);
+              ++reroutes_peer_lost_;
               tried.insert(index);
               Dispatch(std::move(routed), attempts + 1, std::move(tried), shed_rerouted);
               return;
             }
-            reroute_denied_.fetch_add(1, std::memory_order_relaxed);
+            ++reroute_denied_;
           }
           routed->Finish(raw.status(), index, attempts + 1);
           return;
@@ -337,13 +337,13 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
         dnet::WireOutcome outcome = std::move(raw).value();
         if (outcome.shed && !shed_rerouted) {
           // 429-style admission shed: re-route once, then surface.
-          reroutes_shed_.fetch_add(1, std::memory_order_relaxed);
+          ++reroutes_shed_;
           tried.insert(index);
           Dispatch(std::move(routed), attempts + 1, std::move(tried), /*shed_rerouted=*/true);
           return;
         }
         if (outcome.code == dbase::StatusCode::kOk) {
-          slot->served.fetch_add(1, std::memory_order_relaxed);
+          ++slot->served;
           routed->Finish(std::move(outcome.sets), index, attempts + 1);
           return;
         }
@@ -353,19 +353,12 @@ void Cluster::Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<in
         routed->Finish(dbase::Status(outcome.code, std::move(outcome.message)), index,
                        attempts + 1);
       });
-  {
-    std::lock_guard<std::mutex> lock(routed->mu);
-    // Request ids only grow, so a stale attempt never overwrites the
-    // re-route that already replaced it.
-    if (request_id > routed->request_id) {
-      routed->peer = slot->name;
-      routed->request_id = request_id;
-    }
-  }
-  // A stop that ran before this attempt was recorded had nothing to
-  // chase; send its kCancel now.
-  if (routed->control->stop_requested()) {
-    client_->Cancel(slot->name, request_id);
+  // Request ids only grow, so a stale attempt never overwrites the
+  // re-route that already replaced it. A stop hook's kCancel is posted, so
+  // it runs after this record.
+  if (request_id > routed->request_id) {
+    routed->peer = slot->name;
+    routed->request_id = request_id;
   }
 }
 
@@ -381,24 +374,29 @@ InvocationHandle Cluster::InvokeRouted(InvocationRequest request, RoutedCallback
       dbase::MonotonicClock::Get()->NowMicros());
   routed->request = std::move(request);
   routed->callback = std::move(callback);
-  // The stop hook chases the attempt on the wire with kCancel. It holds the
-  // client and the invocation weakly: a stop after the Cluster is gone, or
-  // after the invocation finished, does nothing.
-  routed->control->set_stop_hook(
-      [weak_client = std::weak_ptr<dnet::NodeClient>(client_),
-       weak_routed = std::weak_ptr<Routed>(routed)] {
-        const std::shared_ptr<dnet::NodeClient> client = weak_client.lock();
+  // The stop hook chases the attempt on the wire with kCancel, posted to
+  // the reactor behind the first placement. It holds the router's scope
+  // and the invocation weakly: a stop after the Cluster is gone, or after
+  // the invocation finished, does nothing.
+  routed->control->set_stop_hook([this, weak_scope = std::weak_ptr(scope_),
+                                  weak_routed = std::weak_ptr<Routed>(routed)] {
+    if (const auto scope = weak_scope.lock()) {
+      scope->Post([this, weak_routed] {
         const std::shared_ptr<Routed> live = weak_routed.lock();
-        if (client == nullptr || live == nullptr) {
-          return;
-        }
-        std::lock_guard<std::mutex> lock(live->mu);
-        if (live->request_id != 0) {
-          client->Cancel(live->peer, live->request_id);
+        if (live != nullptr && live->request_id != 0) {
+          client_.Cancel(live->peer, live->request_id);
         }
       });
+    }
+  });
   InvocationHandle handle(routed->control);
-  Dispatch(std::move(routed), /*attempts=*/0, {}, /*shed_rerouted=*/false);
+  if (dbase::EventLoop::Process()->IsLoopThread()) {
+    Dispatch(std::move(routed), /*attempts=*/0, {}, /*shed_rerouted=*/false);
+  } else {
+    scope_->Post([this, routed = std::move(routed)]() mutable {
+      Dispatch(std::move(routed), /*attempts=*/0, {}, /*shed_rerouted=*/false);
+    });
+  }
   return handle;
 }
 
@@ -440,7 +438,7 @@ Cluster::RoutedResult Cluster::Invoke(InvocationRequest request) {
 }
 
 std::string Cluster::NodeName(int index) const {
-  NodeSlot* slot = slot_at(index);
+  const NodeSlot* slot = slot_at(index);
   return slot != nullptr ? slot->name : "";
 }
 
@@ -460,38 +458,34 @@ std::vector<Cluster::CoreSplit> Cluster::CoreSplits() const {
 
 struct Cluster::GossipRound {
   std::vector<NodeSlot*> slots;  // Every slot, in node-index order.
-  std::atomic<size_t> outstanding{0};
+  size_t outstanding = 0;
 };
 
 void Cluster::GossipNow() {
   dbase::Latch closed(1);
-  StartGossipRound([&closed] { closed.CountDown(); });
-  closed.Wait();
+  if (scope_->Run([&] { StartGossipRound([&closed] { closed.CountDown(); }); })) {
+    closed.Wait();
+  }
 }
 
 void Cluster::StartGossipRound(std::function<void()> on_closed) {
-  {
-    std::lock_guard<std::mutex> lock(gossip_mu_);
-    if (on_closed) {
-      gossip_waiters_.push_back(std::move(on_closed));
-    }
-    if (gossip_open_) {
-      return;
-    }
-    gossip_open_ = true;
+  if (on_closed) {
+    gossip_waiters_.push_back(std::move(on_closed));
   }
+  if (gossip_open_) {
+    return;
+  }
+  gossip_open_ = true;
   auto round = std::make_shared<GossipRound>();
-  {
-    std::lock_guard<std::mutex> lock(slots_mu_);
-    for (const auto& slot : slots_) {
-      round->slots.push_back(slot.get());
-    }
+  for (const auto& slot : slots_) {
+    round->slots.push_back(slot.get());
   }
   // One share per probe plus the starter's, released once every probe is
-  // out, so the round cannot close while probes are still being sent.
-  round->outstanding.store(round->slots.size() + 1, std::memory_order_relaxed);
+  // out: a probe refused on the spot completes inside GossipAsync, and
+  // the round must not close while probes are still being sent.
+  round->outstanding = round->slots.size() + 1;
   const auto release = [this, round] {
-    if (round->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (--round->outstanding == 0) {
       CloseGossipRound(*round);
     }
   };
@@ -500,21 +494,15 @@ void Cluster::StartGossipRound(std::function<void()> on_closed) {
           ? std::min(config_.gossip_interval_us, kGossipTimeoutCapUs)
           : kGossipTimeoutCapUs;
   for (NodeSlot* slot : round->slots) {
-    bool probe = true;
-    {
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
-      // Administratively removed nodes (disconnected peer) are skipped
-      // entirely; staleness-evicted ones keep getting probed so they can
-      // rejoin when they come back.
-      probe = !(slot->state == dpolicy::MemberState::kLeft && slot->last_gossip_us == 0);
-    }
-    if (!probe) {
+    // Administratively removed nodes (disconnected peer) are skipped
+    // entirely; staleness-evicted ones keep getting probed so they can
+    // rejoin when they come back.
+    if (slot->state == dpolicy::MemberState::kLeft && slot->last_gossip_us == 0) {
       release();
       continue;
     }
-    client_->GossipAsync(slot->name, timeout, [slot, release](auto status) {
+    client_.GossipAsync(slot->name, timeout, [slot, release](auto status) {
       if (status.ok()) {
-        std::lock_guard<std::mutex> slot_lock(slot->mu);
         slot->status = std::move(status).value();
         slot->last_gossip_us = dbase::MonotonicClock::Get()->NowMicros();
       }
@@ -528,24 +516,15 @@ void Cluster::CloseGossipRound(const GossipRound& round) {
   if (!round.slots.empty()) {
     std::vector<dpolicy::MemberSignals> signals;
     signals.reserve(round.slots.size());
-    for (NodeSlot* slot : round.slots) {
-      std::lock_guard<std::mutex> slot_lock(slot->mu);
+    for (const NodeSlot* slot : round.slots) {
       signals.push_back({slot->name, slot->last_gossip_us});
     }
-    dpolicy::MembershipDecision decision;
-    {
-      std::lock_guard<std::mutex> lock(policy_mu_);
-      decision = membership_.Tick(dbase::MonotonicClock::Get()->NowMicros(), signals);
-    }
-    ApplyMembership(decision);
-    gossip_rounds_.fetch_add(1, std::memory_order_relaxed);
+    ApplyMembership(membership_.Tick(dbase::MonotonicClock::Get()->NowMicros(), signals));
+    ++gossip_rounds_;
   }
+  gossip_open_ = false;
   std::vector<std::function<void()>> waiters;
-  {
-    std::lock_guard<std::mutex> lock(gossip_mu_);
-    gossip_open_ = false;
-    waiters.swap(gossip_waiters_);
-  }
+  waiters.swap(gossip_waiters_);
   for (const auto& waiter : waiters) {
     waiter();
   }
@@ -553,69 +532,50 @@ void Cluster::CloseGossipRound(const GossipRound& round) {
 
 void Cluster::ApplyMembership(const dpolicy::MembershipDecision& decision) {
   for (const dpolicy::MemberTransition& transition : decision.transitions) {
-    NodeSlot* found = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(slots_mu_);
-      for (const auto& slot : slots_) {
-        if (slot->name == transition.name) {
-          found = slot.get();
-          break;
-        }
+    for (const auto& slot : slots_) {
+      if (slot->name == transition.name) {
+        slot->state = transition.to;
+        break;
       }
     }
-    if (found == nullptr) {
-      continue;
-    }
-    std::lock_guard<std::mutex> slot_lock(found->mu);
-    found->state = transition.to;
   }
 }
 
 Cluster::ClusterStats Cluster::Stats() const {
   ClusterStats stats;
-  stats.reroutes_shed = reroutes_shed_.load(std::memory_order_relaxed);
-  stats.reroutes_peer_lost = reroutes_peer_lost_.load(std::memory_order_relaxed);
-  stats.reroute_denied = reroute_denied_.load(std::memory_order_relaxed);
-  stats.no_eligible_node = no_eligible_node_.load(std::memory_order_relaxed);
-  stats.gossip_rounds = gossip_rounds_.load(std::memory_order_relaxed);
-
-  const auto wire = client_->SnapshotPeers();
-  const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-  {
-    std::lock_guard<std::mutex> lock(slots_mu_);
+  scope_->Run([&] {
+    stats.reroutes_shed = reroutes_shed_;
+    stats.reroutes_peer_lost = reroutes_peer_lost_;
+    stats.reroute_denied = reroute_denied_;
+    stats.no_eligible_node = no_eligible_node_;
+    stats.gossip_rounds = gossip_rounds_;
+    stats.membership = membership_.stats();
+    const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     for (const auto& slot : slots_) {
       PeerStats peer;
       peer.name = slot->name;
       peer.remote = slot->remote;
-      peer.served = slot->served.load(std::memory_order_relaxed);
-      peer.inflight = slot->inflight.load(std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> slot_lock(slot->mu);
-        peer.state = dpolicy::MemberStateName(slot->state);
-        peer.gossip_age_us =
-            slot->last_gossip_us > 0 ? static_cast<int64_t>(now - slot->last_gossip_us) : -1;
-        peer.remote_inflight = slot->status.inflight;
-        peer.remote_admission_cap = slot->status.admission_cap;
-        if (slot->status.admission_cap > 0) {
-          peer.utilization = static_cast<double>(slot->status.inflight) /
-                             static_cast<double>(slot->status.admission_cap);
-        }
+      peer.served = slot->served;
+      peer.inflight = slot->inflight;
+      peer.state = dpolicy::MemberStateName(slot->state);
+      peer.gossip_age_us =
+          slot->last_gossip_us > 0 ? static_cast<int64_t>(now - slot->last_gossip_us) : -1;
+      peer.remote_inflight = slot->status.inflight;
+      peer.remote_admission_cap = slot->status.admission_cap;
+      if (slot->status.admission_cap > 0) {
+        peer.utilization = static_cast<double>(slot->status.inflight) /
+                           static_cast<double>(slot->status.admission_cap);
       }
-      if (const auto it = wire.find(slot->name); it != wire.end()) {
-        const dnet::PeerCounters& counters = *it->second;
-        peer.invokes_sent = counters.invokes_sent.load(std::memory_order_relaxed);
-        peer.sheds_received = counters.sheds_received.load(std::memory_order_relaxed);
-        peer.peer_lost_failures = counters.peer_lost_failures.load(std::memory_order_relaxed);
-        peer.bytes_sent = counters.bytes_sent.load(std::memory_order_relaxed);
-        peer.bytes_received = counters.bytes_received.load(std::memory_order_relaxed);
+      if (const dnet::PeerCounters* counters = client_.counters(slot->name)) {
+        peer.invokes_sent = counters->invokes_sent;
+        peer.sheds_received = counters->sheds_received;
+        peer.peer_lost_failures = counters->peer_lost_failures;
+        peer.bytes_sent = counters->bytes_sent;
+        peer.bytes_received = counters->bytes_received;
       }
       stats.peers.push_back(std::move(peer));
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    stats.membership = membership_.stats();
-  }
+  });
   return stats;
 }
 
@@ -623,15 +583,13 @@ void Cluster::Shutdown() {
   if (shut_down_.exchange(true, std::memory_order_relaxed)) {
     return;
   }
-  // Neither under slots_mu_: a running tick takes it, and stopping the
-  // client fails the open round's probes, whose close applies membership
-  // (taking slots_mu_) on the reactor. Stopping the client
-  // first fails every routed invoke still on the wire; the in-process
-  // nodes then see their router gone and cancel what it left behind.
-  if (gossip_tick_ != nullptr) {
-    gossip_tick_->Close();
-  }
-  client_->Stop();
+  // Stopping the client fails every routed invoke still on the wire, and
+  // the open gossip round's probes, on the reactor; an invoke placed after
+  // it fails at the stopped client. The in-process nodes then see their
+  // router gone and cancel what it left behind. The router's scope stays
+  // open until the destructor, so Stats() still answers; the gossip tick
+  // sees shut_down_ and stops.
+  client_.Stop();
   for (auto& local : locals_) {
     local->agent.Stop();
     local->platform.Shutdown();

@@ -31,13 +31,23 @@
 // dpolicy::MembershipPolicy, which suspects stale peers, evicts dead ones
 // and re-admits rejoiners. Nodes join and leave the fleet only by
 // administration (AddRemoteNode, RemoveRemoteNode).
+//
+// Threading: the router's state (node slots, membership, counters, the
+// round-robin cursor, the open gossip round and each routed invocation's
+// current attempt) belongs to the process reactor, like the NodeClient
+// and every socket under it, and takes no lock. It is touched only from
+// reactor callbacks and the router's one EventLoop::Scope. Off-reactor
+// callers reach it through that scope: InvokeAsync posts its first
+// placement (on the reactor, as from the frontend, it places inline),
+// and Stats, total_nodes, AddRemoteNode, RemoveRemoteNode and GossipNow
+// run on the reactor and wait for it (Scope::Run). The scope closes in
+// the destructor, so the router still answers after Shutdown().
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -148,7 +158,7 @@ class Cluster {
 
   // Runs one gossip + membership round and blocks until it closes (joining
   // the periodic round when one is already open). Tests and benches call it
-  // to refresh membership on demand.
+  // to refresh membership on demand; never from the reactor.
   void GossipNow();
 
   // The statz "cluster" section's source of truth.
@@ -158,7 +168,7 @@ class Cluster {
     std::string_view state = "active";
     uint64_t served = 0;
     int64_t inflight = 0;  // Router-side in-flight toward this node.
-    // Wire counters, loaded from the NodeClient's live PeerCounters.
+    // Wire counters, read from the NodeClient's live PeerCounters.
     uint64_t invokes_sent = 0;
     uint64_t sheds_received = 0;
     uint64_t peer_lost_failures = 0;
@@ -191,11 +201,10 @@ class Cluster {
   struct NodeSlot {
     std::string name;
     bool remote = false;
-    std::atomic<uint64_t> served{0};
-    std::atomic<int64_t> inflight{0};
-    mutable std::mutex mu;
-    dnet::WireNodeStatus status;              // Last gossip snapshot.
-    dbase::Micros last_gossip_us = 0;         // 0 = never heard.
+    uint64_t served = 0;
+    int64_t inflight = 0;
+    dnet::WireNodeStatus status;       // Last gossip snapshot.
+    dbase::Micros last_gossip_us = 0;  // 0 = never heard.
     dpolicy::MemberState state = dpolicy::MemberState::kActive;
   };
   struct LocalNode;
@@ -206,62 +215,58 @@ class Cluster {
   using RoutedCallback =
       std::function<void(dbase::Result<dfunc::DataSetList>, int node, int attempts)>;
 
+  InvocationHandle InvokeRouted(InvocationRequest request, RoutedCallback callback);
+
+  // Reactor-only, as is everything below that handles slots or gossip.
   dbase::Status AddNode(const std::string& name, uint16_t port, bool remote);
   int PickNode(const InvocationRequest& request, const std::set<int>& exclude);
-  double NodeLoad(int index) const;
+  double NodeLoad(const NodeSlot& slot) const;
   bool Eligible(int index, const std::set<int>& exclude, bool allow_suspect) const;
   void Dispatch(std::shared_ptr<Routed> routed, int attempts, std::set<int> tried,
                 bool shed_rerouted);
-  InvocationHandle InvokeRouted(InvocationRequest request, RoutedCallback callback);
   std::string NodeName(int index) const;
   NodeSlot* slot_at(int index) const;
   void ApplyMembership(const dpolicy::MembershipDecision& decision);
 
   // Gossip rounds. A round probes every slot asynchronously; the replies
-  // land on the process reactor, and the last one closes the round:
-  // membership Tick, ApplyMembership, gossip_rounds_ += 1 (skipped when
-  // there are no slots), then the waiters run. At most one round is open at
-  // a time; `on_closed` (may be null) joins the open one.
+  // land on the reactor, and the last one closes the round: membership
+  // Tick, ApplyMembership, gossip_rounds_ += 1 (skipped when there are no
+  // slots), then the waiters run. At most one round is open at a time;
+  // `on_closed` (may be null) joins the open one.
   struct GossipRound;
   void StartGossipRound(std::function<void()> on_closed);
   void CloseGossipRound(const GossipRound& round);
-  // The periodic round: a reactor timer that re-arms at the end of each
-  // run, so the interval counts from the end of the previous start.
+  // The periodic round: a timer on scope_ that re-arms at the end of each
+  // run, so the interval counts from the end of the previous start. It
+  // stops at Shutdown().
   void ArmGossipTick();
 
   Config config_;
-  // Shared so a routed invocation's stop hook can hold it weakly: a handle
-  // that outlives the Cluster cancels nothing.
-  std::shared_ptr<dnet::NodeClient> client_;
-  std::atomic<uint64_t> round_robin_{0};
+  dnet::NodeClient client_;
   std::atomic<uint64_t> next_invocation_id_{1};
 
-  // slots_ is append-only under slots_mu_; slots are heap-allocated so raw
-  // pointers stay valid across growth.
-  mutable std::mutex slots_mu_;
-  std::vector<std::unique_ptr<NodeSlot>> slots_;
   // The engines behind the in-process slots; fixed after construction.
   std::vector<std::unique_ptr<LocalNode>> locals_;
 
-  // Router-side policy state.
-  mutable std::mutex policy_mu_;
+  // Reactor-only. slots_ is append-only; slots are heap-allocated so raw
+  // pointers stay valid across growth.
+  std::vector<std::unique_ptr<NodeSlot>> slots_;
   dpolicy::MembershipPolicy membership_;
-
-  // Re-route + gossip counters.
-  std::atomic<uint64_t> reroutes_shed_{0};
-  std::atomic<uint64_t> reroutes_peer_lost_{0};
-  std::atomic<uint64_t> reroute_denied_{0};
-  std::atomic<uint64_t> no_eligible_node_{0};
-  std::atomic<uint64_t> gossip_rounds_{0};
-
-  std::mutex gossip_mu_;
-  bool gossip_open_ = false;                           // Guarded by gossip_mu_.
-  std::vector<std::function<void()>> gossip_waiters_;  // Guarded by gossip_mu_.
-
-  // Null when gossip_interval_us is 0; closed by Shutdown.
-  std::unique_ptr<dbase::EventLoop::Scope> gossip_tick_;
+  uint64_t round_robin_ = 0;
+  uint64_t reroutes_shed_ = 0;
+  uint64_t reroutes_peer_lost_ = 0;
+  uint64_t reroute_denied_ = 0;
+  uint64_t no_eligible_node_ = 0;
+  uint64_t gossip_rounds_ = 0;
+  bool gossip_open_ = false;
+  std::vector<std::function<void()>> gossip_waiters_;
 
   std::atomic<bool> shut_down_{false};
+  // The router's registrations on the reactor: the gossip tick and the
+  // closures off-reactor callers post. Shared so a routed invocation's
+  // stop hook can hold it weakly: a handle that outlives the Cluster
+  // cancels nothing.
+  const std::shared_ptr<dbase::EventLoop::Scope> scope_;
 };
 
 }  // namespace dandelion

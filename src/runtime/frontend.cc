@@ -32,6 +32,14 @@ constexpr uint64_t kMaxBodyBytes = 64ull * 1024 * 1024;
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 // Bytes a draining connection will discard before giving up on the client.
 constexpr size_t kMaxDrainBytes = 1u << 20;
+// Bound on the respond-then-drain window after a request-framing error.
+constexpr dbase::Micros kDrainTimeout = dbase::kMicrosPerSecond;
+// The response-side twin of FrontendConfig::max_total_buffered_bytes:
+// completed responses waiting in slots or in write buffers, across ALL
+// connections. A client that sends requests but never reads the answers
+// accumulates here; the connection that breaches the budget is closed (its
+// write path is clogged, so no error response could reach it anyway).
+constexpr size_t kMaxTotalResponseBytes = 256 * 1024 * 1024;
 // One read(2) into a connection's `in`. A body with more than this still
 // missing once its head is parsed is read into its own region instead
 // (body mode); a smaller rest is cheaper to append to `in` than to map.
@@ -690,7 +698,7 @@ void HttpFrontend::ReleaseDeadInput(const ConnectionPtr& conn) {
 
 bool HttpFrontend::AccountResponseBytes(const ConnectionPtr& conn, size_t bytes) {
   total_response_bytes_ += bytes;
-  if (total_response_bytes_ > config_.max_total_response_bytes) {
+  if (total_response_bytes_ > kMaxTotalResponseBytes) {
     // A reader this far behind has clogged its own write path; an error
     // response could not reach it. Closing releases its share.
     CloseConnection(conn);
@@ -858,7 +866,7 @@ void HttpFrontend::BeginDrain(const ConnectionPtr& conn) {
     return;  // The interest change failed and closed the connection.
   }
   std::weak_ptr<Connection> weak_conn = conn;
-  scope_->AddTimer(config_.drain_timeout, [this, weak_conn] {
+  scope_->AddTimer(kDrainTimeout, [this, weak_conn] {
     const ConnectionPtr locked = weak_conn.lock();
     if (locked != nullptr && locked->fd >= 0) {
       CloseConnection(locked);

@@ -75,8 +75,6 @@ struct FrontendConfig {
   // the inactivity check with one byte per idle_timeout. Enforced with up
   // to idle_timeout of lag (the reaper shares the idle timer).
   dbase::Micros request_timeout = 30 * dbase::kMicrosPerSecond;
-  // Bound on the respond-then-drain window after a request-framing error.
-  dbase::Micros drain_timeout = dbase::kMicrosPerSecond;
   // Beyond this many open connections, new accepts get an immediate 503
   // (one non-blocking send) and are closed.
   size_t max_connections = 1024;
@@ -85,12 +83,6 @@ struct FrontendConfig {
   // would otherwise let a fleet of hostile clients buffer tens of GiB. A
   // connection whose read would breach the budget is failed with 503.
   size_t max_total_buffered_bytes = 256 * 1024 * 1024;
-  // Same idea on the response side: completed responses waiting in slots
-  // or in write buffers, across ALL connections. A client that sends
-  // requests but never reads the answers accumulates here; the connection
-  // that breaches the budget is closed (its write path is clogged, so no
-  // error response could reach it anyway).
-  size_t max_total_response_bytes = 256 * 1024 * 1024;
   // Pipelining backpressure: stop reading from a connection once this many
   // requests are awaiting responses on it.
   size_t max_pipeline_depth = 64;
@@ -241,7 +233,7 @@ class HttpFrontend {
                   const dhttp::HttpResponse& response);
   // Accounts a newly-completed response against the response budget;
   // closes the connection (and returns false) when it tips the total over
-  // max_total_response_bytes.
+  // kMaxTotalResponseBytes.
   bool AccountResponseBytes(const ConnectionPtr& conn, size_t bytes);
   // Reactor half of an invocation's completion: marks the slot ready and
   // queues the connection for a deferred flush, so a burst of completions
@@ -290,7 +282,7 @@ class HttpFrontend {
   size_t total_buffered_bytes_ = 0;
   // Sum of completed-but-unsent response bytes (ready slots + unsent
   // `out` tails) across connections (reactor only); enforces
-  // FrontendConfig::max_total_response_bytes.
+  // kMaxTotalResponseBytes (frontend.cc).
   size_t total_response_bytes_ = 0;
   Ingress ingress_;  // Admits every invoke.
   // Invokes cancelled by their client's disconnect (reactor only).

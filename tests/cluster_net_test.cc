@@ -830,6 +830,29 @@ TEST(ClusterNetTest, PeerAddedBeforeItListensCostsNothing) {
   EXPECT_EQ(stats.reroutes_peer_lost, 0u);
 }
 
+// A dead peer's gossip probes fail as peer lost, but they are no
+// invocations: the peer's peer_lost_failures stays at the invokes it lost.
+TEST(ClusterNetTest, GossipProbesOfADeadPeerAreNotPeerLostFailures) {
+  auto probe = dnet::ListenLoopback(0, 1);
+  if (!probe.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << probe.status().ToString();
+  }
+  const auto port = dnet::BoundPort(*probe);
+  close(*probe);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  Cluster cluster(RemoteClusterConfig({{"gone", *port}}, LoadBalancePolicy::kRoundRobin));
+  for (int round = 0; round < 3; ++round) {
+    cluster.GossipNow();
+  }
+  const auto stats = cluster.Stats();
+  EXPECT_EQ(stats.gossip_rounds, 3u);
+  const Cluster::PeerStats* peer = FindPeer(stats, "gone");
+  ASSERT_NE(peer, nullptr);
+  EXPECT_EQ(peer->invokes_sent, 0u);
+  EXPECT_EQ(peer->peer_lost_failures, 0u);
+}
+
 // ------------------------------------------------------------- membership
 
 TEST(ClusterNetTest, MembershipSuspectsEvictsAndReadmits) {

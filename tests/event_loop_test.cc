@@ -162,13 +162,8 @@ TEST(EventLoopTest, StopWakesABlockedRun) {
 // ------------------------------------------------------- Scope on Process()
 
 // Runs fn on the reactor through `scope` and waits for it.
-void RunOn(EventLoop::Scope& scope, std::function<void()> fn) {
-  Latch ran(1);
-  scope.Post([&] {
-    fn();
-    ran.CountDown();
-  });
-  ASSERT_TRUE(ran.WaitFor(5 * kMicrosPerSecond));
+void RunOn(EventLoop::Scope& scope, const std::function<void()>& fn) {
+  ASSERT_TRUE(scope.Run(fn));
 }
 
 TEST(EventLoopScopeTest, ProcessLoopRunsOnTheReactorThread) {
@@ -286,6 +281,50 @@ TEST(EventLoopScopeTest, ASecondScopeKeepsWorkingAfterTheFirstCloses) {
   RunOn(second, [&] { second.Remove(fds[0]); });
   close(fds[0]);
   close(fds[1]);
+}
+
+TEST(EventLoopScopeTest, RunOnTheLoopThreadRunsInline) {
+  EventLoop* loop = EventLoop::Process();
+  EventLoop::Scope scope(loop);
+  bool inline_ran = false;
+  bool returned = false;
+  RunOn(scope, [&] {
+    // Posting here and waiting would deadlock the loop.
+    returned = scope.Run([&] { inline_ran = loop->IsLoopThread(); });
+  });
+  EXPECT_TRUE(returned);
+  EXPECT_TRUE(inline_ran);
+}
+
+TEST(EventLoopScopeTest, RunFromAnotherThreadWaitsForTheLoop) {
+  EventLoop* loop = EventLoop::Process();
+  EventLoop::Scope scope(loop);
+  Latch entered(1);
+  std::atomic<bool> finished{false};
+  scope.Post([&] {
+    entered.CountDown();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished = true;
+  });
+  ASSERT_TRUE(entered.WaitFor(5 * kMicrosPerSecond));
+  // The running callback finishes before fn starts, and fn has run, on the
+  // loop thread, by the time Run returns.
+  bool on_loop = false;
+  bool after_callback = false;
+  EXPECT_TRUE(scope.Run([&] {
+    on_loop = loop->IsLoopThread();
+    after_callback = finished.load();
+  }));
+  EXPECT_TRUE(on_loop);
+  EXPECT_TRUE(after_callback);
+}
+
+TEST(EventLoopScopeTest, RunOnAClosedScopeRunsNothing) {
+  EventLoop::Scope scope(EventLoop::Process());
+  scope.Close();
+  bool ran = false;
+  EXPECT_FALSE(scope.Run([&] { ran = true; }));
+  EXPECT_FALSE(ran);
 }
 
 // --------------------------------------------------- Timers from any thread

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/event_loop.h"
 #include "src/base/thread.h"
 #include "src/func/registry.h"
 #include "src/net/node_client.h"
@@ -467,9 +468,11 @@ TEST_F(JailTest, CancelledForkedInvokeCarriesCancelKillOnTheWire) {
   if (!agent.Start().ok()) {
     GTEST_SKIP() << "loopback sockets unavailable";
   }
+  // The client is reactor-only: drive it through a scope.
+  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
   dnet::NodeClient client("router");
   ASSERT_TRUE(client.Start().ok());
-  client.AddPeer("jailed", agent.port());
+  ASSERT_TRUE(scope.Run([&] { client.AddPeer("jailed", agent.port()); }));
 
   dnet::WireInvoke invoke;
   invoke.composition = "RunSpin";
@@ -478,15 +481,17 @@ TEST_F(JailTest, CancelledForkedInvokeCarriesCancelKillOnTheWire) {
   dbase::Latch latch(1);
   dbase::Result<dnet::WireOutcome> outcome = dbase::Internal("no outcome");
   const dbase::Stopwatch watch;
-  const uint64_t request_id =
-      client.InvokeAsync("jailed", std::move(invoke), 10 * kMicrosPerSecond,
-                         [&](dbase::Result<dnet::WireOutcome> result) {
-                           outcome = std::move(result);
-                           latch.CountDown();
-                         });
+  uint64_t request_id = 0;
+  ASSERT_TRUE(scope.Run([&] {
+    request_id = client.InvokeAsync("jailed", std::move(invoke), 10 * kMicrosPerSecond,
+                                    [&](dbase::Result<dnet::WireOutcome> result) {
+                                      outcome = std::move(result);
+                                      latch.CountDown();
+                                    });
+  }));
   ASSERT_NE(request_id, 0u);
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  client.Cancel("jailed", request_id);
+  ASSERT_TRUE(scope.Run([&] { client.Cancel("jailed", request_id); }));
   ASSERT_TRUE(latch.WaitFor(10 * kMicrosPerSecond));
   EXPECT_LT(watch.ElapsedMicros(), 2 * kMicrosPerSecond) << "the spinner ran to its end";
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();

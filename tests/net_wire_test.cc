@@ -580,15 +580,19 @@ TEST(NodeClientTest, WedgedPeerDoesNotStallTheReactor) {
   }
   ASSERT_TRUE(wedged) << "the listener never stopped completing handshakes";
 
+  // The client is reactor-only: drive it through a scope.
+  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
   NodeClient client("router");
   ASSERT_TRUE(client.Start().ok());
-  client.AddPeer("wedged", *port);
+  ASSERT_TRUE(scope.Run([&] { client.AddPeer("wedged", *port); }));
   const dbase::Stopwatch watch;
   std::promise<std::pair<dbase::Status, dbase::Micros>> gossiped;
-  client.GossipAsync("wedged", 5 * dbase::kMicrosPerSecond,
-                     [&gossiped, &watch](dbase::Result<WireNodeStatus> status) {
-                       gossiped.set_value({status.status(), watch.ElapsedMicros()});
-                     });
+  ASSERT_TRUE(scope.Run([&] {
+    client.GossipAsync("wedged", 5 * dbase::kMicrosPerSecond,
+                       [&gossiped, &watch](dbase::Result<WireNodeStatus> status) {
+                         gossiped.set_value({status.status(), watch.ElapsedMicros()});
+                       });
+  }));
   std::promise<dbase::Micros> posted;
   dbase::EventLoop::Process()->Post([&posted, &watch] { posted.set_value(watch.ElapsedMicros()); });
 
