@@ -110,7 +110,9 @@ void NodeServer::OnPeerClosed(int fd, const dbase::Status& reason) {
   // Cancel work owed to the dead connection: its router is gone, nobody
   // will consume the results.
   for (const auto& [request_id, cancel] : it->second.inflight) {
-    cancel();
+    if (cancel != nullptr) {  // Null only while its handler runs.
+      cancel();
+    }
   }
   peers_.erase(it);
 }
@@ -200,14 +202,14 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
                                  EncodeOutcome(refused));
     return;
   }
-  // The completion may fire from any thread, possibly after this
-  // connection (or the whole server) is gone — it re-enters through the
-  // scope, which drops it once the server stopped, and re-checks the peer
-  // map. Even called inline it is posted, so it always finds the entry
-  // below already made.
+  // The completion runs on the reactor, possibly inline before on_invoke_
+  // returns, possibly after this connection (or the whole server) is gone:
+  // it re-enters through the scope, which drops it once the server
+  // stopped, and re-checks the peer map. The entry is made first, so an
+  // outcome sent inline erases it and nothing is left owed.
   const uint64_t request_id = header.request_id;
   auto done = [this, scope = scope_, fd, request_id](WireOutcome outcome) {
-    scope->Post([this, fd, request_id, outcome = std::move(outcome)]() mutable {
+    scope->Run([&] {
       auto peer = peers_.find(fd);
       if (peer == peers_.end() || peer->second.socket == nullptr ||
           peer->second.socket->closed()) {
@@ -219,9 +221,20 @@ void NodeServer::HandleInvoke(int fd, const FrameHeader& header,
                                      EncodeOutcome(outcome));
     });
   };
+  it->second.inflight.emplace(request_id, nullptr);
   CancelFn cancel = on_invoke_(std::move(invoke).value(), std::move(done));
+  auto peer = peers_.find(fd);
+  if (peer == peers_.end()) {
+    return;
+  }
+  auto owed = peer->second.inflight.find(request_id);
+  if (owed == peer->second.inflight.end()) {
+    return;  // Answered inline.
+  }
   if (cancel != nullptr) {
-    it->second.inflight.emplace(request_id, std::move(cancel));
+    owed->second = std::move(cancel);
+  } else {
+    peer->second.inflight.erase(owed);
   }
 }
 

@@ -45,16 +45,19 @@ class NodeServer {
     FrameLimits limits;
   };
 
-  // Completes one invocation: thread-safe, callable at most once. The
-  // outcome's `shed` field becomes the kFlagShed frame flag.
+  // Completes one invocation: called on the reactor, possibly inline
+  // inside the InvokeHandler, at most once. The outcome's `shed` field
+  // becomes the kFlagShed frame flag.
   using OutcomeFn = std::function<void(WireOutcome outcome)>;
   // Stops one invocation; runs on the reactor, at most once, and only
   // while its outcome is still owed.
   using CancelFn = std::function<void()>;
   // Receives a decoded invoke plus its completion and returns how to
   // cancel it (null: nothing to cancel). Runs on the reactor — hand the
-  // work to the engines (Submit never blocks) and call `done` when it
-  // finishes, from any thread, even after Stop().
+  // work to the engines (Submit never blocks) and call `done` on the
+  // reactor when it finishes, possibly inline before returning, even after
+  // Stop(). A `done` called inline leaves nothing owed, so its CancelFn
+  // never runs.
   using InvokeHandler = std::function<CancelFn(WireInvoke invoke, OutcomeFn done)>;
   // Snapshot for kGossipReq. Runs on the reactor; must be cheap.
   using StatusProvider = std::function<WireNodeStatus()>;
@@ -105,7 +108,7 @@ class NodeServer {
   uint16_t port_ = 0;
   int listen_fd_ = -1;
   // One per Start(); shared with outcome completions, which may fire after
-  // Stop() and then post into a closed scope.
+  // Stop() and then find it closed.
   std::shared_ptr<dbase::EventLoop::Scope> scope_;
   std::atomic<bool> running_{false};
 

@@ -10,44 +10,6 @@
 
 namespace dandelion {
 
-// ------------------------------------------------------------- Registry
-
-dbase::Status CompositionRegistry::Register(ddsl::CompositionGraph graph) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = graph.name();
-  auto [it, inserted] =
-      graphs_.emplace(name, std::make_shared<const ddsl::CompositionGraph>(std::move(graph)));
-  if (!inserted) {
-    return dbase::AlreadyExists("composition already registered: " + name);
-  }
-  return dbase::OkStatus();
-}
-
-dbase::Result<std::shared_ptr<const ddsl::CompositionGraph>> CompositionRegistry::Lookup(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
-    return dbase::NotFound("no registered composition named " + name);
-  }
-  return it->second;
-}
-
-bool CompositionRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return graphs_.count(name) > 0;
-}
-
-std::vector<std::string> CompositionRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(graphs_.size());
-  for (const auto& [name, graph] : graphs_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 // ------------------------------------------------------- Invocation state
 
 namespace {
@@ -71,10 +33,10 @@ struct Dispatcher::InvocationState {
   // class, and cancel flag govern the whole invocation tree.
   std::shared_ptr<InvocationControl> control;
 
-  std::mutex mu;
+  // Reactor-only from here on.
   std::map<std::string, dfunc::DataSet> values;  // Ready values by name.
+  // One per graph node; empty until StartGraph.
   std::vector<NodeRuntime> nodes;
-  size_t nodes_remaining = 0;
   bool done = false;
   ResultCallback callback;
   // A root's deadline timer, cancelled at its end; 0 = none.
@@ -87,7 +49,7 @@ Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
                        const CompositionRegistry* compositions,
                        const CommFunctionRegistry* comm_functions, WorkerSet* workers,
                        MemoryAccountant* accountant, Config config)
-    : timers_(std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process())),
+    : scope_(std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process())),
       functions_(functions),
       compositions_(compositions),
       comm_functions_(comm_functions),
@@ -97,46 +59,36 @@ Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
       retry_policy_(config.retry) {}
 
 Dispatcher::~Dispatcher() {
-  // Timers first: once the scope is closed no deadline, stop hook or
-  // relaunch runs, or ever will. Each pending relaunch then fails with its
-  // original status, so every in-flight invocation still completes exactly
-  // once.
-  timers_->Close();
-  std::map<dbase::EventLoop::TimerId, std::shared_ptr<RetryJob>> retries;
-  {
-    std::lock_guard<std::mutex> lock(retry_mu_);
-    retries.swap(retry_jobs_);
-  }
-  for (const auto& [timer, job] : retries) {
-    OnInstanceDone(job->inv, job->node_index, job->instance_index, job->original_status);
-  }
+  // The close runs after every closure posted before it, so engine
+  // completions the workers' shutdown drained still land. From then on no
+  // completion, deadline, stop hook or relaunch runs; each pending relaunch
+  // fails with its original status, so every in-flight invocation still
+  // completes exactly once.
+  scope_->Close([this] {
+    for (RetryJob& job : std::exchange(retry_jobs_, {})) {
+      OnInstanceDone(job.inv, job.node_index, job.instance_index, job.original_status);
+    }
+  });
 }
 
 DispatcherStats Dispatcher::Stats() const {
   DispatcherStats stats;
-  stats.invocations_started = invocations_started_.load(std::memory_order_relaxed);
-  stats.invocations_completed = invocations_completed_.load(std::memory_order_relaxed);
-  stats.invocations_failed = invocations_failed_.load(std::memory_order_relaxed);
-  stats.invocations_cancelled = invocations_cancelled_.load(std::memory_order_relaxed);
-  stats.invocations_deadline_exceeded =
-      invocations_deadline_exceeded_.load(std::memory_order_relaxed);
-  stats.compute_instances = compute_instances_.load(std::memory_order_relaxed);
-  stats.comm_instances = comm_instances_.load(std::memory_order_relaxed);
-  stats.skipped_instances = skipped_instances_.load(std::memory_order_relaxed);
-  const auto gauge = [&](PriorityClass priority) {
-    const int64_t value =
-        inflight_by_class_[static_cast<size_t>(priority)].load(std::memory_order_relaxed);
-    return static_cast<uint64_t>(std::max<int64_t>(0, value));
-  };
-  stats.inflight_interactive = gauge(PriorityClass::kInteractive);
-  stats.inflight_batch = gauge(PriorityClass::kBatch);
-  const auto data_plane = dfunc::DataPlaneStats::Get().snapshot();
-  stats.bytes_copied = data_plane.bytes_copied;
-  stats.bytes_aliased = data_plane.bytes_aliased;
-  stats.binding_materializations = data_plane.binding_materializations;
-  stats.sandbox_failures = sandbox_failures_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(retry_mu_);
+  const auto read = [&] {
+    stats.invocations_started = invocations_started_;
+    stats.invocations_completed = invocations_completed_;
+    stats.invocations_failed = invocations_failed_;
+    stats.invocations_cancelled = invocations_cancelled_;
+    stats.invocations_deadline_exceeded = invocations_deadline_exceeded_;
+    stats.compute_instances = compute_instances_;
+    stats.comm_instances = comm_instances_;
+    stats.skipped_instances = skipped_instances_;
+    const auto gauge = [&](PriorityClass priority) {
+      return static_cast<uint64_t>(
+          std::max<int64_t>(0, inflight_by_class_[static_cast<size_t>(priority)]));
+    };
+    stats.inflight_interactive = gauge(PriorityClass::kInteractive);
+    stats.inflight_batch = gauge(PriorityClass::kBatch);
+    stats.sandbox_failures = sandbox_failures_;
     const dpolicy::RetryPolicyStats retry = retry_policy_.Stats();
     stats.retries_attempted = retry.retries_granted;
     stats.retries_denied = retry.retries_denied_budget + retry.retries_denied_kind;
@@ -144,13 +96,24 @@ DispatcherStats Dispatcher::Stats() const {
     stats.breaker_trips = retry.breaker_trips;
     stats.breaker_recoveries = retry.breaker_recoveries;
     stats.breakers_open = retry.breakers_open;
+  };
+  if (!scope_->Run(read)) {
+    read();  // Closed: no writer remains.
   }
+  const auto data_plane = dfunc::DataPlaneStats::Get().snapshot();
+  stats.bytes_copied = data_plane.bytes_copied;
+  stats.bytes_aliased = data_plane.bytes_aliased;
+  stats.binding_materializations = data_plane.binding_materializations;
   return stats;
 }
 
 std::vector<dpolicy::BreakerSnapshot> Dispatcher::Breakers() const {
-  std::lock_guard<std::mutex> lock(retry_mu_);
-  return retry_policy_.Breakers();
+  std::vector<dpolicy::BreakerSnapshot> breakers;
+  const auto read = [&] { breakers = retry_policy_.Breakers(); };
+  if (!scope_->Run(read)) {
+    read();  // Closed: no writer remains.
+  }
+  return breakers;
 }
 
 InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback callback) {
@@ -160,23 +123,30 @@ InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback ca
   auto control =
       std::make_shared<InvocationControl>(id, request.priority, request.deadline_us, now);
   InvocationHandle handle(control);
+  // Inline on the reactor; an off-reactor caller posts it.
+  const auto on_reactor = [this](auto fn) {
+    if (dbase::EventLoop::Process()->IsLoopThread()) {
+      fn();
+    } else {
+      scope_->Post(std::move(fn));
+    }
+  };
   auto graph = compositions_->Lookup(request.composition);
   if (!graph.ok()) {
     control->MarkDone(graph.status(), now);
     if (callback) {
-      callback(graph.status());
+      on_reactor([callback = std::move(callback), status = graph.status()] { callback(status); });
     }
     return handle;
   }
   const auto class_index = static_cast<size_t>(request.priority);
-  inflight_by_class_[class_index].fetch_add(1, std::memory_order_relaxed);
 
   // Root-terminal bookkeeping wraps the user callback so it runs no matter
   // which path (completion, failure, stop hook) finishes first.
   ResultCallback wrapped = [this, control, class_index, cb = std::move(callback)](
-                               dbase::Result<dfunc::DataSetList> result) mutable {
+                               dbase::Result<dfunc::DataSetList> result) {
     control->MarkDone(result.status(), dbase::MonotonicClock::Get()->NowMicros());
-    inflight_by_class_[class_index].fetch_sub(1, std::memory_order_relaxed);
+    --inflight_by_class_[class_index];
     if (cb) {
       cb(std::move(result));
     }
@@ -186,37 +156,44 @@ InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback ca
 
   // The one stop path: whichever of Cancel(), the deadline timer, a seam's
   // RetireStatus or a blocking caller's timeout stops the invocation first,
-  // the hook fails the root with the recorded reason. A seam runs it under
-  // the invocation's lock, so it only posts; the post is dropped once the
-  // dispatcher is gone. While a forked instance runs, the hook leaves the
-  // end to that instance: the stop kills it within a stop-check slice and
-  // its report, carrying the kill's failure kind, fails the root.
-  control->set_stop_hook([this, timers = timers_, weak = std::weak_ptr<InvocationState>(inv)] {
-    timers->Post([this, weak] {
+  // the hook fails the root with the recorded reason. A seam runs it in the
+  // middle of a graph walk, so it only posts; the post is dropped once the
+  // dispatcher is gone. A root that has not started yet is left to
+  // StartGraph, whose first node start retires it. While a forked instance
+  // runs, the hook leaves the end to that instance: the stop kills it
+  // within a stop-check slice and its report, carrying the kill's failure
+  // kind, fails the root.
+  control->set_stop_hook([this, scope = scope_, weak = std::weak_ptr<InvocationState>(inv)] {
+    scope->Post([this, weak] {
       const std::shared_ptr<InvocationState> root = weak.lock();
-      if (root == nullptr || root->control->forked_running()) {
+      if (root == nullptr || root->nodes.empty() || root->control->forked_running()) {
         return;
       }
-      std::unique_lock<std::mutex> lock(root->mu);
-      FailLocked(root, root->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros()));
+      Fail(root, root->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros()));
     });
   });
+  dbase::EventLoop::TimerId deadline_timer = 0;
   if (request.deadline_us > 0) {
-    // Stored under the lock: a deadline already past fires at once, and
-    // the hook's FailLocked must find the id to cancel.
-    std::lock_guard<std::mutex> lock(inv->mu);
-    inv->deadline_timer = timers_->AddTimer(
+    deadline_timer = scope_->AddTimer(
         request.deadline_us - now, [weak = std::weak_ptr<InvocationControl>(control)] {
           if (const std::shared_ptr<InvocationControl> live = weak.lock()) {
             live->RequestStop(dbase::StatusCode::kDeadlineExceeded);
           }
         });
   }
-  StartGraph(inv, std::move(request.args));
+  on_reactor([this, inv, class_index, deadline_timer, args = std::move(request.args)]() mutable {
+    ++inflight_by_class_[class_index];
+    inv->deadline_timer = deadline_timer;
+    StartGraph(inv, std::move(args));
+  });
   return handle;
 }
 
 dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(InvocationRequest request) {
+  if (dbase::EventLoop::Process()->IsLoopThread()) {
+    return dbase::FailedPrecondition(
+        "blocking Invoke on the reactor would wait on itself; use Submit");
+  }
   dbase::Micros until_us =
       dbase::MonotonicClock::Get()->NowMicros() + config_.max_blocking_wait_us;
   // When the request's own deadline bounds the wait, that is the recorded
@@ -240,20 +217,19 @@ dbase::Result<dfunc::DataSetList> Dispatcher::Invoke(InvocationRequest request) 
 std::shared_ptr<Dispatcher::InvocationState> Dispatcher::NewInvocation(
     std::shared_ptr<const ddsl::CompositionGraph> graph, int depth, ResultCallback callback,
     std::shared_ptr<InvocationControl> control) {
-  invocations_started_.fetch_add(1, std::memory_order_relaxed);
   auto inv = std::make_shared<InvocationState>();
   inv->graph = std::move(graph);
   inv->depth = depth;
   inv->control = std::move(control);
   inv->callback = std::move(callback);
-  inv->nodes.resize(inv->graph->nodes().size());
-  inv->nodes_remaining = inv->graph->nodes().size();
   return inv;
 }
 
 void Dispatcher::StartGraph(const std::shared_ptr<InvocationState>& inv,
                             dfunc::DataSetList args) {
-  std::lock_guard<std::mutex> lock(inv->mu);
+  ++invocations_started_;
+  const auto& nodes = inv->graph->nodes();
+  inv->nodes.resize(nodes.size());
   // Bind arguments to parameters. A missing argument set becomes an empty
   // set — downstream conditional execution then decides what runs (§4.4).
   for (const auto& param : inv->graph->params()) {
@@ -268,7 +244,6 @@ void Dispatcher::StartGraph(const std::shared_ptr<InvocationState>& inv,
 
   // Count dependencies, then start every node whose inputs are all
   // parameters (or whose deps are already satisfied).
-  const auto& nodes = inv->graph->nodes();
   for (size_t n = 0; n < nodes.size(); ++n) {
     int deps = 0;
     for (const auto& in : nodes[n].inputs) {
@@ -280,13 +255,13 @@ void Dispatcher::StartGraph(const std::shared_ptr<InvocationState>& inv,
   }
   for (size_t n = 0; n < nodes.size(); ++n) {
     if (inv->nodes[n].deps_remaining == 0) {
-      StartNodeLocked(inv, n);
+      StartNode(inv, n);
       if (inv->done) {
         return;
       }
     }
   }
-  MaybeCompleteLocked(inv);
+  MaybeComplete(inv);
 }
 
 namespace {
@@ -334,7 +309,7 @@ bool InstanceShouldRun(const ddsl::GraphNode& node, const dfunc::DataSetList& in
 
 }  // namespace
 
-void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, size_t node_index) {
+void Dispatcher::StartNode(const std::shared_ptr<InvocationState>& inv, size_t node_index) {
   NodeRuntime& rt = inv->nodes[node_index];
   if (rt.started || inv->done) {
     return;
@@ -344,7 +319,7 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
   if (const dbase::Status dead =
           inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
       !dead.ok()) {
-    FailLocked(inv, dead);
+    Fail(inv, dead);
     return;
   }
   rt.started = true;
@@ -419,7 +394,7 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
     dfunc::DataSetList inputs =
         BuildInstanceInputs(node, shared_items, fanout_binding, std::move(groups[g]));
     if (!InstanceShouldRun(node, inputs)) {
-      skipped_instances_.fetch_add(1, std::memory_order_relaxed);
+      ++skipped_instances_;
       continue;  // Slot stays empty: contributes no output items.
     }
     launches.push_back(PendingLaunch{g, std::move(inputs)});
@@ -427,7 +402,7 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
   rt.instances_pending = launches.size();
 
   if (launches.empty()) {
-    MergeNodeLocked(inv, node_index);
+    MergeNode(inv, node_index);
     return;
   }
 
@@ -449,10 +424,10 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
     kind = Kind::kComposition;
     subgraph = std::move(sub).value();
   } else {
-    FailLocked(inv, dbase::NotFound(dbase::StrFormat(
-                        "callee '%s' is neither a registered function, a platform "
-                        "communication function, nor a composition",
-                        node.callee.c_str())));
+    Fail(inv, dbase::NotFound(dbase::StrFormat(
+                  "callee '%s' is neither a registered function, a platform "
+                  "communication function, nor a composition",
+                  node.callee.c_str())));
     return;
   }
 
@@ -471,13 +446,13 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
       batch.push_back(std::move(*task));
     }
     if (!workers_->SubmitComputeBatch(std::move(batch))) {
-      FailLocked(inv, dbase::Unavailable("compute engines are shut down"));
+      Fail(inv, dbase::Unavailable("compute engines are shut down"));
     }
     return;
   }
 
-  // Launch outside the loop that mutated runtime state but still under the
-  // invocation lock; engine callbacks land on other threads and re-lock.
+  // A launch may fail the invocation synchronously, and a nested one may
+  // even complete it.
   for (auto& launch : launches) {
     switch (kind) {
       case Kind::kComm:
@@ -499,22 +474,18 @@ void Dispatcher::StartNodeLocked(const std::shared_ptr<InvocationState>& inv, si
 std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     const std::shared_ptr<InvocationState>& inv, size_t node_index, size_t instance_index,
     dfunc::DataSetList inputs, const dfunc::FunctionSpec& spec, int attempt) {
-  compute_instances_.fetch_add(1, std::memory_order_relaxed);
+  ++compute_instances_;
 
   // Breaker admission gate on fresh launches only: a relaunch the policy
   // already granted must not be fast-failed mid-flight by a breaker that
   // tripped in the meantime — its own OnFailure will feed the breaker.
   if (attempt == 0 && config_.retry.enabled) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    dpolicy::AdmitDecision admit;
-    {
-      std::lock_guard<std::mutex> lock(retry_mu_);
-      admit = retry_policy_.Admit(spec.name, now);
-    }
+    const dpolicy::AdmitDecision admit = retry_policy_.Admit(spec.name, now);
     if (!admit.allow) {
-      FailLocked(inv, dbase::Unavailable(dbase::StrFormat(
-                          "circuit breaker open for function '%s' (%s)", spec.name.c_str(),
-                          admit.reason)));
+      Fail(inv, dbase::Unavailable(dbase::StrFormat(
+                    "circuit breaker open for function '%s' (%s)", spec.name.c_str(),
+                    admit.reason)));
       return std::nullopt;
     }
   }
@@ -533,7 +504,7 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   auto context_result =
       MemoryContext::Create(spec.context_bytes, accountant_, config_.shared_contexts);
   if (!context_result.ok()) {
-    FailLocked(inv, context_result.status());
+    Fail(inv, context_result.status());
     return std::nullopt;
   }
   std::shared_ptr<MemoryContext> context = std::move(context_result).value();
@@ -547,11 +518,11 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     // on both paths.
     const uint64_t need = dfunc::MarshalledSize(inputs);
     if (need > context->payload_capacity()) {
-      FailLocked(inv, dbase::ResourceExhausted(dbase::StrFormat(
-                          "inputs (%zu bytes) exceed context capacity (%llu bytes); raise the "
-                          "function's declared memory requirement",
-                          static_cast<size_t>(need),
-                          static_cast<unsigned long long>(context->capacity()))));
+      Fail(inv, dbase::ResourceExhausted(dbase::StrFormat(
+                    "inputs (%zu bytes) exceed context capacity (%llu bytes); raise the "
+                    "function's declared memory requirement",
+                    static_cast<size_t>(need),
+                    static_cast<unsigned long long>(context->capacity()))));
       return std::nullopt;
     }
     uint64_t payload_bytes = 0;
@@ -569,18 +540,22 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     // Address-space-crossing backends (process) must see the inputs through
     // the MAP_SHARED mapping — marshal them in as before.
     if (dbase::Status stored = context->StoreInputSets(inputs); !stored.ok()) {
-      FailLocked(inv, stored);
+      Fail(inv, stored);
       return std::nullopt;
     }
   }
   task.spec = spec;
   task.context = context;
   task.control = inv->control;
-  auto self = this;
-  task.done = [self, inv, node_index, instance_index, context, spec, retained,
-               attempt](ExecOutcome outcome) {
-    self->OnComputeOutcome(inv, node_index, instance_index, spec, retained, attempt,
-                           std::move(outcome));
+  // The engine's one crossing: the outcome is handled on the reactor.
+  task.done = [this, scope = scope_, inv, node_index, instance_index, context, spec, retained,
+               attempt](ExecOutcome outcome) mutable {
+    scope->Post([this, inv = std::move(inv), node_index, instance_index, spec = std::move(spec),
+                 retained = std::move(retained), attempt,
+                 outcome = std::move(outcome)]() mutable {
+      OnComputeOutcome(inv, node_index, instance_index, spec, std::move(retained), attempt,
+                       std::move(outcome));
+    });
   };
   return task;
 }
@@ -592,7 +567,6 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
   const std::shared_ptr<InvocationControl>& control = inv->control;
   dbase::Status status = outcome.status;
   if (status.ok() && config_.retry.enabled) {
-    std::lock_guard<std::mutex> lock(retry_mu_);
     retry_policy_.OnSuccess(spec.name);
   }
   // The sandbox reports any external-flag preemption as kCancelled — it
@@ -613,7 +587,7 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
 
   const dpolicy::FailureKind failure = outcome.failure;
   if (failure != dpolicy::FailureKind::kNone) {
-    sandbox_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++sandbox_failures_;
     control->NoteFailure(failure);
   }
   if (config_.retry.enabled && failure != dpolicy::FailureKind::kNone &&
@@ -621,13 +595,10 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
     const bool alive = control->RetireStatus(now).ok();
     const bool interactive = control->priority() == PriorityClass::kInteractive;
-    dpolicy::RetryDecision decision;
-    {
-      std::lock_guard<std::mutex> lock(retry_mu_);
-      // The breaker must see every failure, even from an invocation that is
-      // already dead — only the relaunch itself is gated on liveness.
-      decision = retry_policy_.OnFailure(spec.name, failure, interactive, attempt, now);
-    }
+    // The breaker must see every failure, even from an invocation that is
+    // already dead — only the relaunch itself is gated on liveness.
+    const dpolicy::RetryDecision decision =
+        retry_policy_.OnFailure(spec.name, failure, interactive, attempt, now);
     if (decision.retry && alive) {
       control->CountRetry();
       RetryJob job;
@@ -648,33 +619,22 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
 // --------------------------------------------------------- Retry relaunch
 
 void Dispatcher::ScheduleRetry(dbase::Micros due_us, RetryJob job) {
-  auto pending = std::make_shared<RetryJob>(std::move(job));
-  std::lock_guard<std::mutex> lock(retry_mu_);
-  // The callback takes retry_mu_ before reading `timer`, so it always sees
-  // the id assigned here.
-  const dbase::Micros delay = due_us - dbase::MonotonicClock::Get()->NowMicros();
-  pending->timer = timers_->AddTimer(delay, [this, pending] {
-    {
-      std::lock_guard<std::mutex> callback_lock(retry_mu_);
-      if (retry_jobs_.erase(pending->timer) == 0) {
-        return;  // The destructor took the job and fails it.
-      }
-    }
-    RelaunchCompute(std::move(*pending));
+  const auto pending = retry_jobs_.insert(retry_jobs_.end(), std::move(job));
+  scope_->AddTimer(due_us - dbase::MonotonicClock::Get()->NowMicros(), [this, pending] {
+    RetryJob due = std::move(*pending);
+    retry_jobs_.erase(pending);
+    RelaunchCompute(std::move(due));
   });
-  retry_jobs_.emplace(pending->timer, pending);
 }
 
 void Dispatcher::RelaunchCompute(RetryJob job) {
-  const std::shared_ptr<InvocationState> inv = job.inv;
-  std::unique_lock<std::mutex> lock(inv->mu);
+  const std::shared_ptr<InvocationState>& inv = job.inv;
   if (inv->done) {
     return;
   }
   if (const dbase::Status dead =
           inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
       !dead.ok()) {
-    lock.unlock();
     OnInstanceDone(inv, job.node_index, job.instance_index, dead);
     return;
   }
@@ -688,21 +648,21 @@ void Dispatcher::RelaunchCompute(RetryJob job) {
   std::vector<ComputeTask> batch;
   batch.push_back(std::move(*task));
   if (!workers_->SubmitComputeBatch(std::move(batch))) {
-    FailLocked(inv, dbase::Unavailable("compute engines are shut down"));
+    Fail(inv, dbase::Unavailable("compute engines are shut down"));
   }
 }
 
 void Dispatcher::LaunchCommInstance(const std::shared_ptr<InvocationState>& inv,
                                     size_t node_index, size_t instance_index,
                                     dfunc::DataSetList inputs, const CommFunctionSpec& spec) {
-  comm_instances_.fetch_add(1, std::memory_order_relaxed);
+  ++comm_instances_;
 
   // Communication functions take exactly one input set of requests;
   // validation at registration enforces the shape, this is the runtime
   // guard.
   if (inputs.size() != 1) {
-    FailLocked(inv, dbase::InvalidArgument("communication function '" + spec.name +
-                                           "' takes exactly one input set"));
+    Fail(inv, dbase::InvalidArgument("communication function '" + spec.name +
+                                     "' takes exactly one input set"));
     return;
   }
 
@@ -711,19 +671,22 @@ void Dispatcher::LaunchCommInstance(const std::shared_ptr<InvocationState>& inv,
   auto items = std::make_shared<std::vector<dfunc::DataItem>>(std::move(inputs[0].items));
   if (items->empty()) {
     // Optional empty request set: the instance runs vacuously and produces
-    // an empty response set. Resolved inline — we already hold the lock.
+    // an empty response set, resolved inline.
     NodeRuntime& rt = inv->nodes[node_index];
     rt.instance_outputs[instance_index].push_back(dfunc::DataSet{spec.response_set, {}});
     if (--rt.instances_pending == 0) {
-      MergeNodeLocked(inv, node_index);
+      MergeNode(inv, node_index);
     }
     return;
   }
-  auto responses = std::make_shared<std::vector<dfunc::DataItem>>(items->size());
-  auto remaining = std::make_shared<std::atomic<size_t>>(items->size());
-
-  auto self = this;
-  const std::string response_set = spec.response_set;
+  // The instance's response set, filled on the reactor as the calls return.
+  struct FanIn {
+    dfunc::DataSet responses;
+    size_t remaining;
+  };
+  auto fan_in = std::make_shared<FanIn>(FanIn{
+      dfunc::DataSet{spec.response_set, std::vector<dfunc::DataItem>(items->size())},
+      items->size()});
   for (size_t i = 0; i < items->size(); ++i) {
     CommTask task;
     // Each item is consumed exactly once; its payload moves as a slice
@@ -731,19 +694,23 @@ void Dispatcher::LaunchCommInstance(const std::shared_ptr<InvocationState>& inv,
     task.raw_request = std::move((*items)[i].data);
     task.handler = spec.handler;
     task.control = inv->control;
-    task.done = [self, inv, node_index, instance_index, responses, remaining, response_set, i](
+    // The comm worker serializes the response and posts it to the reactor.
+    task.done = [this, scope = scope_, inv, node_index, instance_index, fan_in, i](
                     dhttp::HttpResponse response, dbase::Micros) {
-      (*responses)[i] = dfunc::DataItem{"", response.Serialize()};
-      if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        dfunc::DataSetList outputs;
-        outputs.push_back(dfunc::DataSet{response_set, std::move(*responses)});
-        self->OnInstanceDone(inv, node_index, instance_index, std::move(outputs));
-      }
+      scope->Post([this, inv, node_index, instance_index, fan_in, i,
+                   item = dfunc::DataItem{"", response.Serialize()}]() mutable {
+        fan_in->responses.items[i] = std::move(item);
+        if (--fan_in->remaining == 0) {
+          dfunc::DataSetList outputs;
+          outputs.push_back(std::move(fan_in->responses));
+          OnInstanceDone(inv, node_index, instance_index, std::move(outputs));
+        }
+      });
     };
     if (!workers_->SubmitComm(std::move(task))) {
-      FailLocked(inv, workers_->comm_workers() == 0
-                          ? dbase::FailedPrecondition("no communication engine on one worker")
-                          : dbase::Unavailable("communication engines are shut down"));
+      Fail(inv, workers_->comm_workers() == 0
+                    ? dbase::FailedPrecondition("no communication engine on one worker")
+                    : dbase::Unavailable("communication engines are shut down"));
       return;
     }
   }
@@ -754,58 +721,45 @@ void Dispatcher::LaunchNestedInstance(const std::shared_ptr<InvocationState>& in
                                       dfunc::DataSetList inputs,
                                       std::shared_ptr<const ddsl::CompositionGraph> subgraph) {
   if (inv->depth + 1 >= kMaxCompositionDepth) {
-    FailLocked(inv, dbase::ResourceExhausted("composition nesting exceeds maximum depth"));
+    Fail(inv, dbase::ResourceExhausted("composition nesting exceeds maximum depth"));
     return;
   }
   // Map instance input sets to sub-composition parameters by name; the DSL
-  // binding's set name must equal the parameter name.
-  //
-  // The nested invocation may complete (or fail) synchronously — e.g. when
-  // every inner node is skipped by conditional execution — in which case
-  // its callback re-enters OnInstanceDone for *this* invocation. Release
-  // our lock across the call so that re-entry cannot deadlock; the node's
-  // instances_pending count was fixed before any launches, so concurrent
-  // completions of sibling instances cannot prematurely merge the node.
-  //
-  // The nested graph shares this invocation's control block: cancelling or
-  // timing out the root stops the whole tree.
-  auto self = this;
-  const std::shared_ptr<InvocationState> nested = NewInvocation(
-      std::move(subgraph), inv->depth + 1,
-      [self, inv, node_index, instance_index](dbase::Result<dfunc::DataSetList> result) {
-        self->OnInstanceDone(inv, node_index, instance_index, std::move(result));
-      },
-      inv->control);
-  inv->mu.unlock();
-  StartGraph(nested, std::move(inputs));
-  inv->mu.lock();
+  // binding's set name must equal the parameter name. The nested graph
+  // shares this invocation's control block: cancelling or timing out the
+  // root stops the whole tree.
+  StartGraph(NewInvocation(std::move(subgraph), inv->depth + 1,
+                           [this, inv, node_index, instance_index](
+                               dbase::Result<dfunc::DataSetList> result) {
+                             OnInstanceDone(inv, node_index, instance_index, std::move(result));
+                           },
+                           inv->control),
+             std::move(inputs));
 }
 
 void Dispatcher::OnInstanceDone(const std::shared_ptr<InvocationState>& inv, size_t node_index,
                                 size_t instance_index,
                                 dbase::Result<dfunc::DataSetList> outputs) {
-  std::unique_lock<std::mutex> lock(inv->mu);
   if (inv->done) {
     return;  // Invocation already failed or completed; late stragglers drop.
   }
   NodeRuntime& rt = inv->nodes[node_index];
   if (!outputs.ok()) {
-    FailLocked(inv, outputs.status());
+    Fail(inv, outputs.status());
     return;
   }
   rt.instance_outputs[instance_index] = std::move(outputs).value();
   if (--rt.instances_pending == 0) {
-    MergeNodeLocked(inv, node_index);
+    MergeNode(inv, node_index);
   }
 }
 
-void Dispatcher::MergeNodeLocked(const std::shared_ptr<InvocationState>& inv, size_t node_index) {
+void Dispatcher::MergeNode(const std::shared_ptr<InvocationState>& inv, size_t node_index) {
   NodeRuntime& rt = inv->nodes[node_index];
   if (rt.merged || inv->done) {
     return;
   }
   rt.merged = true;
-  --inv->nodes_remaining;
 
   const ddsl::GraphNode& node = inv->graph->nodes()[node_index];
   for (const auto& out : node.outputs) {
@@ -820,16 +774,16 @@ void Dispatcher::MergeNodeLocked(const std::shared_ptr<InvocationState>& inv, si
                             std::make_move_iterator(set->items.end()));
       }
     }
-    DeliverValueLocked(inv, out.value, std::move(merged));
+    DeliverValue(inv, out.value, std::move(merged));
     if (inv->done) {
       return;
     }
   }
   rt.instance_outputs.clear();  // Release intermediate copies eagerly.
-  MaybeCompleteLocked(inv);
+  MaybeComplete(inv);
 }
 
-void Dispatcher::DeliverValueLocked(const std::shared_ptr<InvocationState>& inv,
+void Dispatcher::DeliverValue(const std::shared_ptr<InvocationState>& inv,
                                     const std::string& value, dfunc::DataSet set) {
   inv->values.emplace(value, std::move(set));
   const auto& nodes = inv->graph->nodes();
@@ -844,7 +798,7 @@ void Dispatcher::DeliverValueLocked(const std::shared_ptr<InvocationState>& inv,
       }
     }
     if (rt.deps_remaining == 0) {
-      StartNodeLocked(inv, n);
+      StartNode(inv, n);
       if (inv->done) {
         return;
       }
@@ -852,14 +806,14 @@ void Dispatcher::DeliverValueLocked(const std::shared_ptr<InvocationState>& inv,
   }
 }
 
-void Dispatcher::FailLocked(const std::shared_ptr<InvocationState>& inv, dbase::Status status) {
+void Dispatcher::Fail(const std::shared_ptr<InvocationState>& inv, dbase::Status status) {
   if (inv->done) {
     return;
   }
   inv->done = true;
   switch (status.code()) {
     case dbase::StatusCode::kCancelled:
-      invocations_cancelled_.fetch_add(1, std::memory_order_relaxed);
+      ++invocations_cancelled_;
       break;
     case dbase::StatusCode::kDeadlineExceeded: {
       // Only the invocation-level deadline feeds the deadline counter. A
@@ -869,23 +823,22 @@ void Dispatcher::FailLocked(const std::shared_ptr<InvocationState>& inv, dbase::
       const bool invocation_deadline =
           inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros()).code() ==
           dbase::StatusCode::kDeadlineExceeded;
-      (invocation_deadline ? invocations_deadline_exceeded_ : invocations_failed_)
-          .fetch_add(1, std::memory_order_relaxed);
+      ++(invocation_deadline ? invocations_deadline_exceeded_ : invocations_failed_);
       break;
     }
     default:
-      invocations_failed_.fetch_add(1, std::memory_order_relaxed);
+      ++invocations_failed_;
   }
-  FinishLocked(inv, std::move(status));
+  Finish(inv, std::move(status));
 }
 
-void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv) {
+void Dispatcher::MaybeComplete(const std::shared_ptr<InvocationState>& inv) {
   if (inv->done) {
     return;
   }
   // Complete when every declared result value is available. (Some nodes may
-  // still be pending if their outputs feed nothing — with nodes_remaining
-  // they will be waited for only if they produce results.)
+  // still be pending if their outputs feed nothing; they are not waited
+  // for.)
   for (const auto& result : inv->graph->results()) {
     if (inv->values.count(result) == 0) {
       return;
@@ -897,11 +850,11 @@ void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv
   if (const dbase::Status dead =
           inv->control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
       !dead.ok()) {
-    FailLocked(inv, dead);
+    Fail(inv, dead);
     return;
   }
   inv->done = true;
-  invocations_completed_.fetch_add(1, std::memory_order_relaxed);
+  ++invocations_completed_;
 
   dfunc::DataSetList results;
   results.reserve(inv->graph->results().size());
@@ -912,21 +865,16 @@ void Dispatcher::MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv
     set.name = result;
     results.push_back(std::move(set));
   }
-  FinishLocked(inv, std::move(results));
+  Finish(inv, std::move(results));
 }
 
-void Dispatcher::FinishLocked(const std::shared_ptr<InvocationState>& inv,
-                              dbase::Result<dfunc::DataSetList> result) {
+void Dispatcher::Finish(const std::shared_ptr<InvocationState>& inv,
+                        dbase::Result<dfunc::DataSetList> result) {
   if (inv->deadline_timer != 0) {
-    timers_->CancelTimer(std::exchange(inv->deadline_timer, 0));
+    scope_->CancelTimer(std::exchange(inv->deadline_timer, 0));
   }
   ResultCallback callback = std::move(inv->callback);
-  // The callback runs outside the lock: unlock responsibility lies with the
-  // caller's scope — we temporarily release here to avoid re-entrancy
-  // deadlocks when the callback immediately invokes more compositions.
-  inv->mu.unlock();
   callback(std::move(result));
-  inv->mu.lock();
 }
 
 }  // namespace dandelion

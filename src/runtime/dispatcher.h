@@ -6,6 +6,13 @@
 // conditional-execution rule (§4.4: a function runs only when every
 // non-optional input set contains at least one item).
 //
+// The dispatcher runs on the process reactor (dbase::EventLoop::Process()),
+// beside the frontend, the router and NodeServer: its per-invocation DAG
+// state, merging, retry scheduling and counters are reactor-only and take
+// no lock. An engine completion is the one crossing: each compute and comm
+// instance's `done` posts its outcome to the dispatcher's scope, and
+// completions that land in one loop turn run as one batch.
+//
 // Invocations are first-class (src/runtime/invocation.h): Submit() takes an
 // InvocationRequest (deadline, priority class, id) and returns an
 // InvocationHandle. The shared InvocationControl propagates the deadline
@@ -21,9 +28,8 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
+#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,26 +40,12 @@
 #include "src/func/data.h"
 #include "src/func/registry.h"
 #include "src/policy/retry.h"
+#include "src/runtime/composition_registry.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/memory_context.h"
 
 namespace dandelion {
-
-// Thread-safe name → composition graph catalog (the "Function / DAG
-// Registry" box of Figure 4, composition half).
-class CompositionRegistry {
- public:
-  dbase::Status Register(ddsl::CompositionGraph graph);
-  dbase::Result<std::shared_ptr<const ddsl::CompositionGraph>> Lookup(
-      const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const ddsl::CompositionGraph>> graphs_;
-};
 
 // Aggregate counters exported by the dispatcher. The invocation counters
 // count graph invocations (nested compositions count once per level); the
@@ -117,16 +109,23 @@ class Dispatcher {
   using ResultCallback = std::function<void(dbase::Result<dfunc::DataSetList>)>;
 
   // Primary entry point: submits the invocation and returns a handle. The
-  // callback fires exactly once — possibly on an engine thread, possibly
-  // before Submit returns — with the results or the terminal status
-  // (kCancelled / kDeadlineExceeded / the first instance failure).
+  // callback fires exactly once, on the reactor, with the results or the
+  // terminal status (kCancelled / kDeadlineExceeded / the first instance
+  // failure). Called on the reactor (the frontend, NodeAgent) it runs
+  // inline, and a synchronous failure (unknown callee, breaker fast-fail,
+  // every instance skipped) may run the callback before Submit returns.
+  // From any other thread the caller builds the handle, the stop hook and
+  // the deadline timer, and posts the graph's start to the reactor.
   InvocationHandle Submit(InvocationRequest request, ResultCallback callback);
 
   // Blocking counterpart: waits for the result, bounded by the request
   // deadline (and Config::max_blocking_wait_us as a backstop). On timeout
-  // the invocation is stopped and kDeadlineExceeded returned.
+  // the invocation is stopped and kDeadlineExceeded returned. On the
+  // reactor it would wait on itself: there it submits nothing and returns
+  // kFailedPrecondition at once.
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
 
+  // Thread-safe: off the reactor they read through the scope's Run.
   DispatcherStats Stats() const;
   // Per-function circuit-breaker states (statz's `breaker` section).
   std::vector<dpolicy::BreakerSnapshot> Breakers() const;
@@ -151,21 +150,21 @@ class Dispatcher {
     // The failure that triggered the retry — surfaced if the dispatcher is
     // destroyed while the retry is pending.
     dbase::Status original_status;
-    dbase::EventLoop::TimerId timer = 0;  // Set under retry_mu_ when armed.
   };
 
   // One graph invocation in two steps, so that Submit can install the stop
-  // hook and arm the deadline on the root before anything runs. The control
-  // block is shared across nesting levels (the root's deadline and cancel
-  // flag govern the whole tree).
+  // hook and arm the deadline on the root before anything runs; StartGraph
+  // and everything after it run on the reactor. The control block is
+  // shared across nesting levels (the root's deadline and cancel flag
+  // govern the whole tree).
   std::shared_ptr<InvocationState> NewInvocation(
       std::shared_ptr<const ddsl::CompositionGraph> graph, int depth, ResultCallback callback,
       std::shared_ptr<InvocationControl> control);
   void StartGraph(const std::shared_ptr<InvocationState>& inv, dfunc::DataSetList args);
 
-  void StartNodeLocked(const std::shared_ptr<InvocationState>& inv, size_t node_index);
+  void StartNode(const std::shared_ptr<InvocationState>& inv, size_t node_index);
   // Prepares one compute instance (context + marshalled inputs + done
-  // callback) without submitting it; nullopt after a FailLocked. Instances
+  // callback) without submitting it; nullopt after a Fail. Instances
   // of one fan-out are then handed to the engines as a single batch.
   std::optional<ComputeTask> BuildComputeTask(const std::shared_ptr<InvocationState>& inv,
                                               size_t node_index, size_t instance_index,
@@ -179,15 +178,15 @@ class Dispatcher {
                             std::shared_ptr<const ddsl::CompositionGraph> subgraph);
   void OnInstanceDone(const std::shared_ptr<InvocationState>& inv, size_t node_index,
                       size_t instance_index, dbase::Result<dfunc::DataSetList> outputs);
-  void MergeNodeLocked(const std::shared_ptr<InvocationState>& inv, size_t node_index);
-  void DeliverValueLocked(const std::shared_ptr<InvocationState>& inv, const std::string& value,
-                          dfunc::DataSet set);
-  void FailLocked(const std::shared_ptr<InvocationState>& inv, dbase::Status status);
-  void MaybeCompleteLocked(const std::shared_ptr<InvocationState>& inv);
+  void MergeNode(const std::shared_ptr<InvocationState>& inv, size_t node_index);
+  void DeliverValue(const std::shared_ptr<InvocationState>& inv, const std::string& value,
+                    dfunc::DataSet set);
+  void Fail(const std::shared_ptr<InvocationState>& inv, dbase::Status status);
+  void MaybeComplete(const std::shared_ptr<InvocationState>& inv);
   // The end of an invocation, failed or completed: cancels a root's
-  // deadline timer and runs the callback outside the lock.
-  void FinishLocked(const std::shared_ptr<InvocationState>& inv,
-                    dbase::Result<dfunc::DataSetList> result);
+  // deadline timer and runs the callback.
+  void Finish(const std::shared_ptr<InvocationState>& inv,
+              dbase::Result<dfunc::DataSetList> result);
 
   // --- Retry executive ------------------------------------------------------
   // Every compute instance completes through OnComputeOutcome: it feeds the
@@ -202,11 +201,13 @@ class Dispatcher {
   void ScheduleRetry(dbase::Micros due_us, RetryJob job);
   void RelaunchCompute(RetryJob job);
 
-  // The deadline timers, the stop hooks' posts and the retry backoff's
-  // timers, on the process reactor. Shared with every stop hook, so a
-  // handle that outlives the dispatcher posts into a closed scope and
-  // cancels nothing; the destructor closes it before anything else.
-  const std::shared_ptr<dbase::EventLoop::Scope> timers_;
+  // Everything the dispatcher runs on the process reactor: the graph starts
+  // posted by off-reactor Submits, the engines' completions, the stop
+  // hooks' posts, the deadline timers and the retry backoff's timers.
+  // Shared with every stop hook and engine completion, so one that outlives
+  // the dispatcher posts into a closed scope and touches nothing; the
+  // destructor closes it before anything else.
+  const std::shared_ptr<dbase::EventLoop::Scope> scope_;
 
   const dfunc::FunctionRegistry* functions_;
   const CompositionRegistry* compositions_;
@@ -215,24 +216,27 @@ class Dispatcher {
   MemoryAccountant* accountant_;
   Config config_;
 
+  // The one field written off the reactor: an off-reactor Submit takes its
+  // id on the caller's thread.
   std::atomic<uint64_t> next_invocation_id_{1};
-  std::atomic<uint64_t> invocations_started_{0};
-  std::atomic<uint64_t> invocations_completed_{0};
-  std::atomic<uint64_t> invocations_failed_{0};
-  std::atomic<uint64_t> invocations_cancelled_{0};
-  std::atomic<uint64_t> invocations_deadline_exceeded_{0};
-  std::atomic<uint64_t> compute_instances_{0};
-  std::atomic<uint64_t> comm_instances_{0};
-  std::atomic<uint64_t> skipped_instances_{0};
-  std::atomic<int64_t> inflight_by_class_[kNumPriorityClasses] = {};
+
+  // Reactor-only from here on.
+  uint64_t invocations_started_ = 0;
+  uint64_t invocations_completed_ = 0;
+  uint64_t invocations_failed_ = 0;
+  uint64_t invocations_cancelled_ = 0;
+  uint64_t invocations_deadline_exceeded_ = 0;
+  uint64_t compute_instances_ = 0;
+  uint64_t comm_instances_ = 0;
+  uint64_t skipped_instances_ = 0;
+  int64_t inflight_by_class_[kNumPriorityClasses] = {};
 
   // --- Retry policy + pending relaunches ------------------------------------
-  std::atomic<uint64_t> sandbox_failures_{0};
-  mutable std::mutex retry_mu_;
-  dpolicy::RetryPolicy retry_policy_;  // Guarded by retry_mu_.
-  // Pending relaunches by timer id, guarded by retry_mu_. Whoever erases a
-  // job owns it: its timer callback relaunches it, the destructor fails it.
-  std::map<dbase::EventLoop::TimerId, std::shared_ptr<RetryJob>> retry_jobs_;
+  uint64_t sandbox_failures_ = 0;
+  dpolicy::RetryPolicy retry_policy_;
+  // Pending relaunches, each until its backoff timer relaunches it or the
+  // destructor fails it.
+  std::list<RetryJob> retry_jobs_;
 };
 
 }  // namespace dandelion

@@ -559,17 +559,16 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
 
   // Per-class admission control: reject early with 429 once the class's
   // in-flight cap is reached, instead of queueing blindly until buffers or
-  // clients give up. The completion runs on an engine thread (or inline,
-  // on an immediate failure), possibly after Stop() or the frontend's
-  // destruction: it touches only what it captured, and its post through
-  // the scope is dropped once the frontend has stopped, so `this` is only
+  // clients give up. The completion runs on the reactor (inline, on an
+  // immediate failure), possibly after Stop() or the frontend's
+  // destruction: it touches only what it captured, and it runs through the
+  // scope, which drops it once the frontend has stopped, so `this` is only
   // ever used on a live frontend.
   Dispatcher::ResultCallback completion = ingress_.Admit(
       priority, [this, scope = scope_, weak_conn = std::weak_ptr<Connection>(conn),
                  slot](dbase::Result<dfunc::DataSetList> result) {
-        WireChunks bytes = InvocationResponseWire(std::move(result));
-        scope->Post([this, weak_conn, slot, bytes = std::move(bytes)]() mutable {
-          ApplySlotCompletion(weak_conn, slot, std::move(bytes));
+        scope->Run([&] {
+          ApplySlotCompletion(weak_conn, slot, InvocationResponseWire(std::move(result)));
         });
       });
   if (completion == nullptr) {

@@ -34,9 +34,9 @@
 // Connections are non-blocking with keep-alive and pipelining: requests are
 // parsed incrementally as bytes arrive, invocations are dispatched inline
 // on the reactor through Platform::Submit (or the attached Cluster), and
-// each completion is posted back to the reactor and written out in request
-// order — the reactor never blocks on engine work, so one slow invocation
-// cannot stall other connections.
+// each completion, which the dispatcher or the router runs on the reactor,
+// is written out in request order — the reactor never blocks on engine
+// work, so one slow invocation cannot stall other connections.
 // Responses carry marshalled DataSetList bodies for invocations.
 #ifndef SRC_RUNTIME_FRONTEND_H_
 #define SRC_RUNTIME_FRONTEND_H_
@@ -224,8 +224,8 @@ class HttpFrontend {
   // releases its charge.
   void DropBody(const ConnectionPtr& conn);
   // POST /invoke/<composition>: resolves the arguments and hands the work
-  // to Platform::Submit (or the cluster); the completion posts back to the
-  // reactor. Never blocks: engine work is async, only the dispatch setup
+  // to Platform::Submit (or the cluster); the completion runs on the
+  // reactor, through the scope. Never blocks: engine work is async, only the dispatch setup
   // happens here. Early rejections finish the slot like FinishSlot.
   void DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot,
                       const dhttp::HttpRequest& request, dbase::BufferSlice body);
@@ -272,7 +272,7 @@ class HttpFrontend {
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
   // One per Start(). Shared with invocation completions, which may fire
-  // after Stop() and then post into a closed scope.
+  // after Stop() and then find it closed.
   std::shared_ptr<dbase::EventLoop::Scope> scope_;
   std::unordered_map<int, ConnectionPtr> connections_;  // Reactor only.
   std::vector<ConnectionPtr> dirty_connections_;        // Reactor only.

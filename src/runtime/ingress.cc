@@ -9,14 +9,15 @@ namespace dandelion {
 struct Ingress::Slot {
   ~Slot() { Free(); }
   void Free() {
-    if (!freed.exchange(true, std::memory_order_relaxed)) {
-      counters->inflight[klass].fetch_sub(1, std::memory_order_relaxed);
+    if (!freed) {
+      freed = true;
+      --counters->inflight[klass];
     }
   }
 
-  std::shared_ptr<Counters> counters;
+  std::shared_ptr<Stats> counters;
   size_t klass;
-  std::atomic<bool> freed{false};
+  bool freed = false;
 };
 
 Ingress::Ingress(size_t max_inflight_interactive, size_t max_inflight_batch)
@@ -26,35 +27,23 @@ Dispatcher::ResultCallback Ingress::Admit(PriorityClass priority,
                                           Dispatcher::ResultCallback done) {
   const auto klass = static_cast<size_t>(priority);
   const size_t cap = caps_[klass];
-  // Counted when uncapped too, for /statz.
-  const auto before =
-      static_cast<size_t>(counters_->inflight[klass].fetch_add(1, std::memory_order_relaxed));
-  if (cap != 0 && before >= cap) {
-    counters_->inflight[klass].fetch_sub(1, std::memory_order_relaxed);
-    counters_->shed.fetch_add(1, std::memory_order_relaxed);
+  if (cap != 0 && static_cast<size_t>(counters_->inflight[klass]) >= cap) {
+    ++counters_->shed;
     return nullptr;
   }
+  ++counters_->inflight[klass];  // Counted when uncapped too, for /statz.
   return [slot = std::make_shared<Slot>(counters_, klass),
           done = std::move(done)](dbase::Result<dfunc::DataSetList> result) {
     slot->Free();
-    Counters& counters = *slot->counters;
-    counters.served.fetch_add(1, std::memory_order_relaxed);
+    Stats& counters = *slot->counters;
+    ++counters.served;
     if (result.status().code() == dbase::StatusCode::kDeadlineExceeded) {
-      counters.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+      ++counters.deadline_exceeded;
     }
     done(std::move(result));
   };
 }
 
-Ingress::Stats Ingress::stats() const {
-  Stats stats;
-  for (int klass = 0; klass < kNumPriorityClasses; ++klass) {
-    stats.inflight[klass] = counters_->inflight[klass].load(std::memory_order_relaxed);
-  }
-  stats.served = counters_->served.load(std::memory_order_relaxed);
-  stats.shed = counters_->shed.load(std::memory_order_relaxed);
-  stats.deadline_exceeded = counters_->deadline_exceeded.load(std::memory_order_relaxed);
-  return stats;
-}
+Ingress::Stats Ingress::stats() const { return *counters_; }
 
 }  // namespace dandelion

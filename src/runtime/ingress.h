@@ -5,11 +5,13 @@
 // caller's completion wrapped: running the wrapper frees the class slot
 // and counts the outcome, and dropping it unrun (a request rejected after
 // admission) frees the slot too. Wrappers share the counters, so a
-// completion may fire after its Ingress is gone.
+// completion may fire after its Ingress is gone. Reactor-only: admission,
+// the wrapped completions (dispatcher and router callbacks run there) and
+// stats() all run on the process reactor, so the counters are plain
+// fields.
 #ifndef SRC_RUNTIME_INGRESS_H_
 #define SRC_RUNTIME_INGRESS_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,22 +34,17 @@ class Ingress {
   Ingress(size_t max_inflight_interactive, size_t max_inflight_batch);
 
   // Takes a slot of `priority`'s class and returns `done` wrapped, or null
-  // (counted as shed) when the class is full. Thread-safe.
+  // (counted as shed) when the class is full. Reactor-only.
   Dispatcher::ResultCallback Admit(PriorityClass priority, Dispatcher::ResultCallback done);
 
-  Stats stats() const;
+  Stats stats() const;  // Reactor-only.
 
  private:
-  struct Counters {
-    std::atomic<int64_t> inflight[kNumPriorityClasses] = {};
-    std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<uint64_t> deadline_exceeded{0};
-  };
   struct Slot;
 
   const size_t caps_[kNumPriorityClasses];
-  const std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
+  // Shared with the wrappers, which may run after the Ingress is gone.
+  const std::shared_ptr<Stats> counters_ = std::make_shared<Stats>();
 };
 
 }  // namespace dandelion

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 namespace dandelion {
@@ -37,20 +36,11 @@ dnet::NodeServer::CancelFn NodeAgent::HandleInvoke(dnet::WireInvoke invoke,
       invoke.priority == static_cast<uint8_t>(PriorityClass::kBatch) ? PriorityClass::kBatch
                                                                      : PriorityClass::kInteractive;
   // The submitted invocation, for the completion's report (failure kind,
-  // absorbed retries); still empty when the completion outruns Submit.
-  struct Submitted {
-    std::mutex mu;
-    InvocationHandle handle;
-  };
-  auto submitted = std::make_shared<Submitted>();
+  // absorbed retries); still empty when the completion runs inside Submit.
+  auto submitted = std::make_shared<InvocationHandle>();
   Dispatcher::ResultCallback completion = ingress_.Admit(
       priority, [done, submitted](dbase::Result<dfunc::DataSetList> result) {
-        InvocationHandle self;
-        {
-          std::lock_guard<std::mutex> lock(submitted->mu);
-          self = submitted->handle;
-        }
-        const InvocationReport report = self.Report();
+        const InvocationReport report = submitted->Report();
         dnet::WireOutcome outcome;
         outcome.failure_kind = static_cast<uint8_t>(report.failure_kind);
         outcome.retries_attempted = static_cast<uint32_t>(report.retries_attempted);
@@ -85,10 +75,14 @@ dnet::NodeServer::CancelFn NodeAgent::HandleInvoke(dnet::WireInvoke invoke,
     request.deadline_us = InvocationRequest::DeadlineIn(
         std::min(invoke.remaining_deadline_us, InvocationRequest::kMaxDeadlineInUs));
   }
-  InvocationHandle handle = platform_->Submit(std::move(request), std::move(completion));
-  std::lock_guard<std::mutex> lock(submitted->mu);
-  submitted->handle = handle;
-  return [handle = std::move(handle)] { handle.Cancel(); };
+  *submitted = platform_->Submit(std::move(request), std::move(completion));
+  return [handle = *submitted] { handle.Cancel(); };
+}
+
+Ingress::Stats NodeAgent::ingress_stats() const {
+  Ingress::Stats stats;
+  scope_.Run([&] { stats = ingress_.stats(); });
+  return stats;
 }
 
 dnet::WireNodeStatus NodeAgent::BuildStatus() {

@@ -12,9 +12,10 @@
 //             tasks (the router's load and membership input).
 //
 // Both run inline on the process reactor: Submit only queues work for the
-// engines. A completion never touches the agent, so Stop() only stops the
-// server, whose closing connections cancel every invoke still owed an
-// answer, and does not wait for them.
+// engines, and the completion runs there too, possibly inside Submit. A
+// completion never touches the agent, so Stop() only stops the server,
+// whose closing connections cancel every invoke still owed an answer, and
+// does not wait for them.
 #ifndef SRC_RUNTIME_NODE_AGENT_H_
 #define SRC_RUNTIME_NODE_AGENT_H_
 
@@ -59,8 +60,8 @@ class NodeAgent {
   const dnet::NodeServer& server() const { return server_; }
 
   // Counters for statz/tests (thread-safe).
-  uint64_t invocations_served() const { return ingress_.stats().served; }
-  uint64_t invocations_shed() const { return ingress_.stats().shed; }
+  uint64_t invocations_served() const { return ingress_stats().served; }
+  uint64_t invocations_shed() const { return ingress_stats().shed; }
 
   // The gossip snapshot; also callable directly by tests.
   dnet::WireNodeStatus BuildStatus();
@@ -69,8 +70,12 @@ class NodeAgent {
   dnet::NodeServer::CancelFn HandleInvoke(dnet::WireInvoke invoke,
                                           dnet::NodeServer::OutcomeFn done);
 
+  // The ingress counters, read on the reactor through scope_.
+  Ingress::Stats ingress_stats() const;
+
   Platform* const platform_;
   NodeAgentConfig config_;
+  mutable dbase::EventLoop::Scope scope_{dbase::EventLoop::Process()};
   Ingress ingress_;
   dnet::NodeServer server_;
 };

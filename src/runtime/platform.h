@@ -71,11 +71,11 @@ class Platform {
   // --- Invocation ----------------------------------------------------------
   // Primary API: a first-class InvocationRequest (deadline, priority class,
   // id) observed through the returned InvocationHandle (Cancel, completion
-  // state, InvocationReport). The callback fires exactly once, possibly on
-  // an engine thread.
+  // state, InvocationReport). The callback fires exactly once, on the
+  // process reactor (Dispatcher::Submit).
   InvocationHandle Submit(InvocationRequest request, Dispatcher::ResultCallback callback);
   // Blocking counterpart; deadline-aware (returns kDeadlineExceeded instead
-  // of waiting forever).
+  // of waiting forever). Off the reactor only: on it, kFailedPrecondition.
   dbase::Result<dfunc::DataSetList> Invoke(InvocationRequest request);
 
   // --- Introspection -------------------------------------------------------

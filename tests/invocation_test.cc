@@ -3,8 +3,10 @@
 // deadlines and cancels terminate invocations at once (including ones
 // parked on slow communication calls, via the stop hook), a cancel after
 // the platform is gone does nothing, the blocking Invoke wrapper is
-// deadline-aware instead of hanging forever, and interactive work
-// overtakes batch backlog in the engine queues.
+// deadline-aware instead of hanging forever (and refused on the reactor),
+// interactive work overtakes batch backlog in the engine queues, every
+// result callback runs on the reactor, and a relaunch pending when the
+// platform goes fails once.
 #include "src/runtime/invocation.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "src/func/builtins.h"
 #include "src/http/services.h"
 #include "src/runtime/dispatcher.h"
+#include "src/runtime/fault.h"
 #include "src/runtime/platform.h"
 
 namespace dandelion {
@@ -142,6 +145,11 @@ composition Work(in) => out { echo(in = all in) => (out = out); }
     victim_result = std::move(result);
     victim_done.CountDown();
   });
+  // An off-reactor Submit posts the graph's start; wait until the victim's
+  // instance is queued behind the blocker.
+  while (platform.engine_stats().compute_queue_len == 0) {
+    std::this_thread::yield();
+  }
   handle.Cancel();  // Before its instance can reach the engine.
 
   release->store(true, std::memory_order_release);
@@ -555,6 +563,104 @@ TEST(InvocationTest, StatsExposePerClassInflightGauges) {
     std::this_thread::yield();
   }
   EXPECT_EQ(platform.dispatcher_stats().inflight_batch, 0u);
+}
+
+// The dispatcher runs on the reactor: whatever ends an invocation, its
+// callback runs there.
+TEST(InvocationTest, CallbacksRunOnTheReactor) {
+  FaultInjector::Get().Reset();
+  Platform platform(SmallPlatformConfig(3));  // One comm worker.
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform.RegisterCompositionDsl(R"(
+composition Id(in) => out { echo(in = all in) => (out = out); }
+composition Call(req) => resp { HTTP(Request = each req) => (resp = Response); }
+composition Outer(in) => out { Id(in = all in) => (out = out); }
+composition Ghost(in) => out { nowhere(in = all in) => (out = out); }
+)")
+                  .ok());
+  platform.mesh().Register("echo.internal", std::make_shared<dhttp::EchoService>());
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kPost;
+  req.target = "http://echo.internal/";
+  req.body = "ping";
+
+  // Submits one invocation from this thread and reports whether its
+  // callback ran on the reactor, and with which status.
+  const auto on_reactor = [&](InvocationRequest request) {
+    dbase::Latch done(1);
+    bool loop_thread = false;
+    dbase::StatusCode code = dbase::StatusCode::kInternal;
+    platform.Submit(std::move(request), [&](dbase::Result<DataSetList> result) {
+      loop_thread = dbase::EventLoop::Process()->IsLoopThread();
+      code = result.status().code();
+      done.CountDown();
+    });
+    EXPECT_TRUE(done.WaitFor(10 * dbase::kMicrosPerSecond));
+    return std::make_pair(loop_thread, code);
+  };
+  using Seen = std::pair<bool, dbase::StatusCode>;
+  EXPECT_EQ(on_reactor({"Id", SingleArg("in", "x")}), Seen(true, dbase::StatusCode::kOk));
+  EXPECT_EQ(on_reactor({"Call", SingleArg("req", req.Serialize())}),
+            Seen(true, dbase::StatusCode::kOk));
+  EXPECT_EQ(on_reactor({"Outer", SingleArg("in", "x")}), Seen(true, dbase::StatusCode::kOk));
+  FaultInjector::Get().Arm(FaultPoint::kTransientResourceExhausted,
+                           FaultPlan{.every_n = 1, .limit = 1});
+  EXPECT_EQ(on_reactor({"Id", SingleArg("in", "retried")}), Seen(true, dbase::StatusCode::kOk));
+  FaultInjector::Get().Reset();
+  EXPECT_EQ(platform.dispatcher_stats().retries_attempted, 1u);
+  EXPECT_EQ(on_reactor({"Ghost", SingleArg("in", "x")}),
+            Seen(true, dbase::StatusCode::kNotFound));
+  EXPECT_EQ(on_reactor({"Missing", SingleArg("in", "x")}),
+            Seen(true, dbase::StatusCode::kNotFound));
+
+  // On the reactor the blocking Invoke would wait on itself: it submits
+  // nothing and fails at once.
+  const uint64_t started = platform.dispatcher_stats().invocations_started;
+  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
+  dbase::Result<DataSetList> blocking = dbase::Internal("unset");
+  ASSERT_TRUE(scope.Run([&] { blocking = platform.Invoke({"Id", SingleArg("in", "x")}); }));
+  EXPECT_EQ(blocking.status().code(), dbase::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(platform.dispatcher_stats().invocations_started, started);
+}
+
+// A relaunch still in its backoff when the platform goes fails with the
+// failure that triggered it, exactly once, and the teardown does not wait
+// out the backoff.
+TEST(InvocationTest, DestroyingThePlatformFailsAPendingRelaunchOnce) {
+  FaultInjector::Get().Reset();
+  std::atomic<int> callbacks{0};
+  std::atomic<int> code{-1};
+  dbase::Stopwatch teardown;
+  {
+    PlatformConfig config = SmallPlatformConfig(2);
+    config.retry.backoff_base_us = 10 * dbase::kMicrosPerSecond;
+    config.retry.backoff_cap_us = 10 * dbase::kMicrosPerSecond;
+    Platform platform(config);
+    ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+    ASSERT_TRUE(platform
+                    .RegisterCompositionDsl(
+                        "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                    .ok());
+    FaultInjector::Get().Arm(FaultPoint::kTransientResourceExhausted,
+                             FaultPlan{.every_n = 1, .limit = 1});
+    platform.Submit({"Id", SingleArg("in", "x")}, [&](dbase::Result<DataSetList> result) {
+      code.store(static_cast<int>(result.status().code()));
+      callbacks.fetch_add(1);
+    });
+    const dbase::Micros give_up =
+        dbase::MonotonicClock::Get()->NowMicros() + 5 * dbase::kMicrosPerSecond;
+    while (platform.dispatcher_stats().retries_attempted == 0 &&
+           dbase::MonotonicClock::Get()->NowMicros() < give_up) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(platform.dispatcher_stats().retries_attempted, 1u);
+    EXPECT_EQ(callbacks.load(), 0);
+    teardown.Restart();
+  }
+  EXPECT_LT(teardown.ElapsedMicros(), 1 * dbase::kMicrosPerSecond);
+  FaultInjector::Get().Reset();
+  EXPECT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(code.load(), static_cast<int>(dbase::StatusCode::kResourceExhausted));
 }
 
 }  // namespace

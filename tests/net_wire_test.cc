@@ -2,10 +2,10 @@
 // rejection path, invoke/outcome/status/join body round trips, the
 // zero-copy aliasing contract of DecodeInvoke, checked (never clamping)
 // parsing of truncated or corrupt bodies, FrameSocket's SIGPIPE-free
-// writes, NodeServer adopting an already-bound listener, and the socket
-// layer under all of them: SendQueue's gathered writes, an accept loop that
-// does not spin when descriptors run out, and a connect that cannot stall
-// the process reactor.
+// writes, NodeServer adopting an already-bound listener and answering an
+// invoke inline, and the socket layer under all of them: SendQueue's
+// gathered writes, an accept loop that does not spin when descriptors run
+// out, and a connect that cannot stall the process reactor.
 #include "src/net/wire.h"
 
 #include <arpa/inet.h>
@@ -18,6 +18,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <functional>
@@ -362,6 +363,49 @@ TEST(NodeServerTest, AdoptedListenerServesAndIsClosedOnStop) {
   errno = 0;
   EXPECT_EQ(fcntl(*listener, F_GETFD), -1);
   EXPECT_EQ(errno, EBADF);
+}
+
+// A handler may answer inline, before it returns its CancelFn. That invoke
+// is owed nothing: the client gets its outcome, and Stop(), which cancels
+// every invoke still owed an answer, runs the CancelFn 0 times.
+TEST(NodeServerTest, InlineOutcomeLeavesNothingOwed) {
+  std::atomic<int> cancels{0};
+  NodeServer server(NodeServer::Config{});
+  server.set_invoke_handler([&cancels](WireInvoke, NodeServer::OutcomeFn done) {
+    WireOutcome refused;
+    refused.code = dbase::StatusCode::kUnavailable;
+    refused.message = "refused inline";
+    done(std::move(refused));
+    return NodeServer::CancelFn([&cancels] { cancels.fetch_add(1); });
+  });
+  if (const dbase::Status started = server.Start(); !started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+
+  // The client is reactor-only: drive it through a scope.
+  dbase::EventLoop::Scope scope(dbase::EventLoop::Process());
+  NodeClient client("router");
+  ASSERT_TRUE(client.Start().ok());
+  std::promise<dbase::Result<WireOutcome>> answered;
+  ASSERT_TRUE(scope.Run([&] {
+    client.AddPeer("node", server.port());
+    WireInvoke invoke;
+    invoke.composition = "Any";
+    client.InvokeAsync("node", std::move(invoke), 5 * dbase::kMicrosPerSecond,
+                       [&answered](dbase::Result<WireOutcome> outcome) {
+                         answered.set_value(std::move(outcome));
+                       });
+  }));
+  auto outcome_done = answered.get_future();
+  ASSERT_EQ(outcome_done.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  const dbase::Result<WireOutcome> outcome = outcome_done.get();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->code, dbase::StatusCode::kUnavailable);
+  EXPECT_EQ(outcome->message, "refused inline");
+
+  server.Stop();  // Closes the client's connection with it.
+  EXPECT_EQ(cancels.load(), 0);
+  client.Stop();
 }
 
 // ------------------------------------------------------------ SendQueue
