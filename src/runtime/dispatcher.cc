@@ -160,9 +160,9 @@ InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback ca
   // middle of a graph walk, so it only posts; the post is dropped once the
   // dispatcher is gone. A root that has not started yet is left to
   // StartGraph, whose first node start retires it. While a forked instance
-  // runs, the hook leaves the end to that instance: the stop kills it
-  // within a stop-check slice and its report, carrying the kill's failure
-  // kind, fails the root.
+  // runs, the hook leaves the end to that instance: the stop's eventfd
+  // wakes its wait, which kills the child at once, and its report,
+  // carrying the kill's failure kind, fails the root.
   control->set_stop_hook([this, scope = scope_, weak = std::weak_ptr<InvocationState>(inv)] {
     scope->Post([this, weak] {
       const std::shared_ptr<InvocationState> root = weak.lock();
@@ -569,14 +569,11 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
   if (status.ok() && config_.retry.enabled) {
     retry_policy_.OnSuccess(spec.name);
   }
-  // The sandbox reports any external-flag preemption as kCancelled — it
-  // cannot know whether the flag meant a client cancel or the invocation
-  // deadline. The control block recorded the reason; make it
-  // authoritative so counters, report, and the HTTP status agree. An
-  // instance that finished just before its stop's kill fails with it too:
-  // the stop hook may have left the end of the invocation to this report.
-  if (control->stop_requested() &&
-      (status.ok() || status.code() == dbase::StatusCode::kCancelled)) {
+  // The sandbox classified a stop it ended by the control's recorded
+  // reason. An instance that finished just before its stop's kill fails
+  // with that reason too: the stop hook may have left the end of the
+  // invocation to this report.
+  if (control->stop_requested() && status.ok()) {
     status = control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros());
   }
 

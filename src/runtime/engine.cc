@@ -141,6 +141,8 @@ EngineStats WorkerSet::Stats() const {
     stats.compute_wait_p99_us = compute_wait_us_.ApproxPercentile(99);
     stats.comm_wait_p50_us = comm_wait_us_.ApproxPercentile(50);
     stats.comm_wait_p99_us = comm_wait_us_.ApproxPercentile(99);
+    stats.child_cpu_p50_us = child_cpu_us_.ApproxPercentile(50);
+    stats.child_cpu_p99_us = child_cpu_us_.ApproxPercentile(99);
   }
   return stats;
 }
@@ -196,7 +198,7 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     }
     task.control->MarkFirstRun(now);
     task.control->CountLaunched();
-    options.cancel_flag = task.control->stop_flag();
+    options.control = task.control.get();
     if (task.control->deadline_us() > 0) {
       // The invocation deadline clamps the per-function timeout, which
       // registration keeps positive, so the sandbox preempts at whichever
@@ -228,6 +230,10 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
   options.context_keepalive = task.context;
   ExecOutcome outcome = sandbox_->Execute(task.spec, *task.context, options);
   compute_done_.fetch_add(1, std::memory_order_relaxed);
+  if (sandbox_->backend() == IsolationBackend::kProcess) {
+    std::lock_guard<std::mutex> lock(wait_mu_);
+    child_cpu_us_.Add(static_cast<uint64_t>(outcome.timings.child_cpu_us));
+  }
   if (forked) {
     task.control->ExitForkedRun();
   }

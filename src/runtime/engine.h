@@ -92,6 +92,10 @@ struct EngineStats {
   uint64_t compute_wait_p99_us = 0;
   uint64_t comm_wait_p50_us = 0;
   uint64_t comm_wait_p99_us = 0;
+  // Forked children's own CPU (user + system, from their reap), µs.
+  // Approximate like the waits; 0 on the thread backend.
+  uint64_t child_cpu_p50_us = 0;
+  uint64_t child_cpu_p99_us = 0;
 };
 
 // The pool of engine workers. Each role has one two-lane task queue that
@@ -203,6 +207,7 @@ class WorkerSet {
   mutable std::mutex wait_mu_;
   dbase::LogHistogram compute_wait_us_;  // Guarded by wait_mu_.
   dbase::LogHistogram comm_wait_us_;     // Guarded by wait_mu_.
+  dbase::LogHistogram child_cpu_us_;     // Guarded by wait_mu_.
 };
 
 }  // namespace dandelion

@@ -923,6 +923,8 @@ std::string HttpFrontend::StatzJson() const {
       .Field("comm_queue_len", engine.comm_queue_len)
       .Field("compute_workers", engine.compute_workers)
       .Field("comm_workers", engine.comm_workers)
+      .Field("child_cpu_p50_us", engine.child_cpu_p50_us)
+      .Field("child_cpu_p99_us", engine.child_cpu_p99_us)
       .EndObject();
   json.BeginObject("dispatcher")
       .Field("invocations_started", dispatcher.invocations_started)

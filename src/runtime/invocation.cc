@@ -1,5 +1,8 @@
 #include "src/runtime/invocation.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 namespace dandelion {
 
 std::string_view PriorityClassName(PriorityClass priority) {
@@ -48,15 +51,57 @@ InvocationControl::InvocationControl(uint64_t id, PriorityClass priority,
                                      dbase::Micros deadline_us, dbase::Micros submit_time_us)
     : id_(id), priority_(priority), deadline_us_(deadline_us), submit_time_us_(submit_time_us) {}
 
+InvocationControl::~InvocationControl() {
+  if (const int fd = stop_fd_.load(); fd >= 0) {
+    close(fd);
+  }
+}
+
+namespace {
+
+// Leaves the stop fd readable for good: nothing ever reads it.
+void MarkStopped(int fd) {
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = write(fd, &one, sizeof(one));
+}
+
+}  // namespace
+
+int InvocationControl::StopFd() {
+  if (const int fd = stop_fd_.load(); fd >= 0) {
+    return fd;
+  }
+  const int made = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (made < 0) {
+    return -1;
+  }
+  int expected = -1;
+  if (!stop_fd_.compare_exchange_strong(expected, made)) {
+    close(made);  // Another waiter published first.
+    return expected;
+  }
+  // seq_cst against RequestStop's flag exchange and fd load: a stop that
+  // raced the publish either sees the fd or is seen here.
+  if (stop_.load()) {
+    MarkStopped(made);
+  }
+  return made;
+}
+
 void InvocationControl::RequestStop(dbase::StatusCode reason) {
   // First reason wins: record it before publishing the flag so a reader
   // that observes stop_ always sees a reason.
   int expected = 0;
   stop_reason_.compare_exchange_strong(expected, static_cast<int>(reason),
                                        std::memory_order_relaxed);
-  // The flag's exchange is the hook's once-guard.
-  if (!stop_.exchange(true) && stop_hook_) {
-    stop_hook_();
+  // The flag's exchange is the once-guard of the fd's write and the hook.
+  if (!stop_.exchange(true)) {
+    if (const int fd = stop_fd_.load(); fd >= 0) {
+      MarkStopped(fd);
+    }
+    if (stop_hook_) {
+      stop_hook_();
+    }
   }
 }
 
@@ -67,8 +112,7 @@ bool InvocationControl::done() const {
 
 dbase::Status InvocationControl::RetireStatus(dbase::Micros now_us) {
   if (stop_.load()) {
-    const auto reason = static_cast<dbase::StatusCode>(stop_reason_.load(std::memory_order_relaxed));
-    if (reason == dbase::StatusCode::kDeadlineExceeded) {
+    if (stop_reason() == dbase::StatusCode::kDeadlineExceeded) {
       return dbase::DeadlineExceeded("invocation deadline exceeded");
     }
     return dbase::Cancelled("invocation cancelled");

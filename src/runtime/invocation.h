@@ -108,11 +108,15 @@ struct InvocationReport {
 // The shared control block. One per external invocation; nested
 // compositions launched on its behalf share it, so cancelling the root
 // stops the whole tree. All members are lock-free: the flags sit on the
-// engine pop path and the sandbox poll path.
+// engine pop path and the sandbox wait.
 class InvocationControl {
  public:
   InvocationControl(uint64_t id, PriorityClass priority, dbase::Micros deadline_us,
                     dbase::Micros submit_time_us);
+  ~InvocationControl();  // Closes the stop fd.
+
+  InvocationControl(const InvocationControl&) = delete;
+  InvocationControl& operator=(const InvocationControl&) = delete;
 
   uint64_t id() const { return id_; }
   PriorityClass priority() const { return priority_; }
@@ -121,6 +125,11 @@ class InvocationControl {
 
   // The cooperative kill switch sandboxes poll (FunctionCtx::cancelled()).
   const std::atomic<bool>* stop_flag() const { return &stop_; }
+  // The stop as an eventfd a forked instance's wait polls beside its
+  // child: readable once a stop is requested, and never read, so every
+  // waiter of a fan-out wakes without a list of waiters. Made on first
+  // use; -1 when eventfd fails. Closed with the control.
+  int StopFd();
 
   // Requests termination; the first reason recorded wins. Idempotent. The
   // first call, of any reason, runs the stop hook once, on the caller's
@@ -133,7 +142,12 @@ class InvocationControl {
   // kCancel. Set before the control is shared.
   void set_stop_hook(std::function<void()> hook) { stop_hook_ = std::move(hook); }
 
-  bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
+  // Acquires, so a reader that sees the stop sees its reason.
+  bool stop_requested() const { return stop_.load(std::memory_order_acquire); }
+  // The first reason recorded; meaningful once stop_requested().
+  dbase::StatusCode stop_reason() const {
+    return static_cast<dbase::StatusCode>(stop_reason_.load(std::memory_order_relaxed));
+  }
   bool done() const;
 
   // OkStatus while the invocation may keep launching work. Otherwise the
@@ -157,11 +171,11 @@ class InvocationControl {
   void CountRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
 
   // Forked instances between their dequeue check and their report. A
-  // stop kills each within a stop-check slice, and its report, carrying
-  // the kill's failure kind, ends the invocation; so the dispatcher's stop
-  // hook leaves the end to it while any is counted. seq_cst with the stop
-  // flag: a stop either finds an instance counted or the instance's
-  // dequeue check finds the stop.
+  // stop wakes each one's wait through the stop fd and kills its child at
+  // once, and its report, carrying the kill's failure kind, ends the
+  // invocation; so the dispatcher's stop hook leaves the end to it while
+  // any is counted. seq_cst with the stop flag: a stop either finds an
+  // instance counted or the instance's dequeue check finds the stop.
   void EnterForkedRun() { forked_running_.fetch_add(1); }
   void ExitForkedRun() { forked_running_.fetch_sub(1); }
   bool forked_running() const { return forked_running_.load() > 0; }
@@ -185,6 +199,7 @@ class InvocationControl {
   std::atomic<int> failure_kind_{static_cast<int>(dpolicy::FailureKind::kNone)};
   std::atomic<uint64_t> retries_{0};
   std::atomic<int> forked_running_{0};
+  std::atomic<int> stop_fd_{-1};
   std::function<void()> stop_hook_;  // Immutable once shared.
 };
 

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -15,6 +16,7 @@
 #include "src/base/string_util.h"
 #include "src/func/function.h"
 #include "src/runtime/fault.h"
+#include "src/runtime/invocation.h"
 #include "src/runtime/jail.h"
 
 namespace dandelion {
@@ -77,6 +79,22 @@ dbase::Status RunFunctionBodyAgainstContext(
   return status;
 }
 
+// Fails an execution the sandbox ended before its body finished: a
+// requested stop by the reason its control recorded, otherwise the
+// sandbox's own timeout. Both backends classify a stop here.
+void FailStopped(const dfunc::FunctionSpec& spec, const SandboxOptions& options,
+                 ExecOutcome& outcome) {
+  const InvocationControl* control = options.control;
+  const bool cancelled = control != nullptr && control->stop_requested() &&
+                         control->stop_reason() != dbase::StatusCode::kDeadlineExceeded;
+  const char* name = spec.name.c_str();
+  outcome.failure = cancelled ? dpolicy::FailureKind::kCancelKill
+                              : dpolicy::FailureKind::kDeadlineKill;
+  outcome.status = cancelled ? dbase::Cancelled(dbase::StrFormat("function '%s' cancelled", name))
+                             : dbase::DeadlineExceeded(dbase::StrFormat(
+                                   "function '%s' stopped at its deadline", name));
+}
+
 // Reads the outcome a finished body left in the context: zero-copy when the
 // caller pins the context, copying otherwise.
 void ReadBackOutputs(const MemoryContext& context, const SandboxOptions& options,
@@ -105,30 +123,22 @@ class ThreadSandbox : public SandboxExecutor {
                       const SandboxOptions& options) override {
     ExecOutcome outcome;
     // Execute inline with a cooperative deadline: the body's cancelled()
-    // poll turns true once the deadline passes or the invocation's cancel
-    // flag flips. A body that returns at or after the deadline timed out
-    // unless it was cancelled externally.
+    // poll turns true once the deadline passes or the invocation is
+    // stopped. A body that returns stopped or at or after the deadline
+    // was ended by the sandbox.
     dbase::Stopwatch watch;
-    const dbase::Micros timeout = EffectiveTimeout(spec, options);
-    const dbase::Micros deadline = dbase::MonotonicClock::Get()->NowMicros() + timeout;
-    (void)RunFunctionBodyAgainstContext(spec, context, options.cancel_flag, deadline,
-                                        options.input_sets.get());
-    const bool externally_cancelled =
-        options.cancel_flag != nullptr && options.cancel_flag->load(std::memory_order_relaxed);
-    const bool timed_out =
-        !externally_cancelled && dbase::MonotonicClock::Get()->NowMicros() >= deadline;
+    const dbase::Micros deadline =
+        dbase::MonotonicClock::Get()->NowMicros() + EffectiveTimeout(spec, options);
+    (void)RunFunctionBodyAgainstContext(
+        spec, context, options.control != nullptr ? options.control->stop_flag() : nullptr,
+        deadline, options.input_sets.get());
+    const bool stopped = (options.control != nullptr && options.control->stop_requested()) ||
+                         dbase::MonotonicClock::Get()->NowMicros() >= deadline;
     outcome.timings.execute_us = watch.ElapsedMicros();
 
     watch.Restart();
-    if (externally_cancelled) {
-      outcome.failure = dpolicy::FailureKind::kCancelKill;
-      outcome.status = dbase::Cancelled(
-          dbase::StrFormat("function '%s' cancelled", spec.name.c_str()));
-    } else if (timed_out) {
-      outcome.failure = dpolicy::FailureKind::kDeadlineKill;
-      outcome.status = dbase::DeadlineExceeded(
-          dbase::StrFormat("function '%s' exceeded %lld us timeout", spec.name.c_str(),
-                           static_cast<long long>(timeout)));
+    if (stopped) {
+      FailStopped(spec, options, outcome);
     } else {
       ReadBackOutputs(context, options, outcome);
     }
@@ -143,20 +153,6 @@ class ThreadSandbox : public SandboxExecutor {
 // Process sandbox children: fork at dispatch, jail, wait on a pidfd, read
 // back.
 // ---------------------------------------------------------------------------
-
-// The longest a waiting worker sleeps between checks of the stop flag: a
-// cancel lands within this bound, while the child's exit wakes the worker
-// at once.
-constexpr dbase::Micros kStopCheckUs = 1000;
-
-template <typename Call>
-auto RetryOnEintr(Call call) {
-  decltype(call()) n;
-  do {
-    n = call();
-  } while (n < 0 && errno == EINTR);
-  return n;
-}
 
 // Jail and fault-point decisions for one child, taken before fork: the
 // child is the unit of injection.
@@ -212,56 +208,59 @@ ChildPlan SampleChildPlan() {
   __builtin_unreachable();
 }
 
-enum class ChildEnd { kExited, kCancelled, kTimedOut, kNoPidfd, kReapFailed };
+enum class ChildEnd { kExited, kStopped, kNoFd, kWaitFailed };
 
 struct ChildWait {
   ChildEnd end = ChildEnd::kExited;
-  int status = 0;  // The waitpid status once reaped.
+  int status = 0;  // The wait4 status once reaped.
+  rusage usage{};  // The child's own cost, kept by the reap.
 };
 
-// The one wait on a sandbox child. It sleeps in poll on a pidfd, so waiting
-// costs the worker no CPU and the child's exit wakes it at once; every wake
-// re-checks the stop flag and the deadline, at least each kStopCheckUs.
-// Any end but the child's own exit SIGKILLs it; the child is always reaped.
-ChildWait WaitChild(pid_t pid, dbase::Micros deadline, const std::atomic<bool>* stop_flag) {
+// The one wait on a sandbox child: a single ppoll on its pidfd and the
+// invocation's stop fd, with the time left to the deadline as the timeout,
+// so the worker sleeps until the child exits, the invocation stops or the
+// deadline passes. Any end but the child's own exit SIGKILLs it; the child
+// is always reaped, with wait4 so its rusage is kept.
+ChildWait WaitChild(pid_t pid, dbase::Micros deadline, InvocationControl* control) {
   ChildWait wait;
-  const int pidfd = static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
-  if (pidfd < 0) {
-    wait.end = ChildEnd::kNoPidfd;
+  // poll ignores a negative fd, so a wait with no control has no stop source.
+  pollfd fds[2] = {{static_cast<int>(syscall(SYS_pidfd_open, pid, 0)), POLLIN, 0},
+                   {control != nullptr ? control->StopFd() : -1, POLLIN, 0}};
+  if (fds[0].fd < 0 || (control != nullptr && fds[1].fd < 0)) {
+    wait.end = ChildEnd::kNoFd;
   } else {
-    const dbase::Clock* clock = dbase::MonotonicClock::Get();
-    pollfd pfd{pidfd, POLLIN, 0};
-    while (true) {
-      const dbase::Micros slice =
-          std::clamp<dbase::Micros>(deadline - clock->NowMicros(), 0, kStopCheckUs);
-      const timespec timeout{0, static_cast<long>(slice * 1000)};
-      if (ppoll(&pfd, 1, &timeout, nullptr) > 0) {
-        break;
-      }
-      if (stop_flag != nullptr && stop_flag->load(std::memory_order_relaxed)) {
-        wait.end = ChildEnd::kCancelled;
-        break;
-      }
-      if (clock->NowMicros() >= deadline) {
-        wait.end = ChildEnd::kTimedOut;
-        break;
-      }
+    int ready;
+    do {
+      const dbase::Micros left =
+          std::max<dbase::Micros>(deadline - dbase::MonotonicClock::Get()->NowMicros(), 0);
+      const timespec timeout{left / dbase::kMicrosPerSecond, left % dbase::kMicrosPerSecond * 1000};
+      ready = ppoll(fds, 2, &timeout, nullptr);
+    } while (ready < 0 && errno == EINTR);
+    if (ready < 0) {
+      wait.end = ChildEnd::kWaitFailed;
+    } else if (ready == 0 || fds[1].revents != 0) {
+      wait.end = ChildEnd::kStopped;  // The deadline passed or a stop came.
     }
-    close(pidfd);
+  }
+  if (fds[0].fd >= 0) {
+    close(fds[0].fd);
   }
   if (wait.end != ChildEnd::kExited) {
     kill(pid, SIGKILL);
   }
-  if (RetryOnEintr([&] { return waitpid(pid, &wait.status, 0); }) != pid &&
-      wait.end == ChildEnd::kExited) {
-    wait.end = ChildEnd::kReapFailed;
+  pid_t reaped;
+  do {
+    reaped = wait4(pid, &wait.status, 0, &wait.usage);
+  } while (reaped < 0 && errno == EINTR);
+  if (reaped != pid && wait.end == ChildEnd::kExited) {
+    wait.end = ChildEnd::kWaitFailed;
   }
   return wait;
 }
 
-// Classifies a death the parent did not cause (deadline and cancel kills are
-// resolved before this: the parent knows why it killed). Returns false for
-// a clean exit, leaving `outcome` untouched.
+// Classifies a death the parent did not cause (stops are resolved before
+// this: the parent knows why it killed). Returns false for a clean exit,
+// leaving `outcome` untouched.
 bool DecodeWaitStatus(int wait_status, const std::string& function_name, ExecOutcome& outcome) {
   if (WIFSIGNALED(wait_status)) {
     const int sig = WTERMSIG(wait_status);
@@ -333,40 +332,36 @@ class ProcessSandbox : public SandboxExecutor {
     return pid;
   }
 
-  // Waits for the child and reaps it: the cancel flag or the deadline
-  // SIGKILLs it, otherwise its exit wakes the caller at once. The outcome is
-  // the cancel, the deadline, the crash or jail kill, or the read-back of
-  // what the child wrote.
+  // Waits for the child and reaps it: a stop or the deadline SIGKILLs it,
+  // otherwise its exit wakes the caller at once. The outcome is the stop,
+  // the crash or jail kill, or the read-back of what the child wrote.
   static void AwaitChild(pid_t pid, const dfunc::FunctionSpec& spec, MemoryContext& context,
                          const SandboxOptions& options, ExecOutcome& outcome) {
     dbase::Stopwatch watch;
-    const dbase::Micros timeout = EffectiveTimeout(spec, options);
-    const ChildWait wait = WaitChild(pid, dbase::MonotonicClock::Get()->NowMicros() + timeout,
-                                     options.cancel_flag);
+    const ChildWait wait = WaitChild(
+        pid, dbase::MonotonicClock::Get()->NowMicros() + EffectiveTimeout(spec, options),
+        options.control);
     outcome.timings.execute_us = watch.ElapsedMicros();
+    const rusage& usage = wait.usage;
+    outcome.timings.child_cpu_us =
+        (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * dbase::kMicrosPerSecond +
+        usage.ru_utime.tv_usec + usage.ru_stime.tv_usec;
+    outcome.timings.child_maxrss_kib = usage.ru_maxrss;
 
     watch.Restart();
     switch (wait.end) {
-      case ChildEnd::kNoPidfd:
+      case ChildEnd::kNoFd:
         // Treated like a failed fork: the sandbox could not be run.
         outcome.failure = dpolicy::FailureKind::kResourceExhausted;
-        outcome.status = dbase::ResourceExhausted("pidfd_open failed");
+        outcome.status = dbase::ResourceExhausted("pidfd_open or eventfd failed");
         break;
-      case ChildEnd::kReapFailed:
+      case ChildEnd::kWaitFailed:
         // The child's end is unknown, so nothing it wrote can be trusted.
         outcome.failure = dpolicy::FailureKind::kCrash;
-        outcome.status = dbase::Internal("waitpid failed");
+        outcome.status = dbase::Internal("waiting on the sandbox child failed");
         break;
-      case ChildEnd::kCancelled:
-        outcome.failure = dpolicy::FailureKind::kCancelKill;
-        outcome.status = dbase::Cancelled(
-            dbase::StrFormat("function '%s' killed on cancellation", spec.name.c_str()));
-        break;
-      case ChildEnd::kTimedOut:
-        outcome.failure = dpolicy::FailureKind::kDeadlineKill;
-        outcome.status = dbase::DeadlineExceeded(
-            dbase::StrFormat("function '%s' killed after %lld us timeout", spec.name.c_str(),
-                             static_cast<long long>(timeout)));
+      case ChildEnd::kStopped:
+        FailStopped(spec, options, outcome);
         break;
       case ChildEnd::kExited:
         // The child wrote through the MAP_SHARED mapping; the read-back can

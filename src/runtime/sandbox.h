@@ -17,7 +17,7 @@
 #ifndef SRC_RUNTIME_SANDBOX_H_
 #define SRC_RUNTIME_SANDBOX_H_
 
-#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -30,6 +30,8 @@
 #include "src/runtime/memory_context.h"
 
 namespace dandelion {
+
+class InvocationControl;
 
 enum class IsolationBackend { kProcess, kThread };
 
@@ -44,6 +46,12 @@ struct SandboxTimings {
   dbase::Micros setup_us = 0;    // Sandbox creation (fork / none).
   dbase::Micros execute_us = 0;  // User code.
   dbase::Micros output_us = 0;   // "Get/send output": outcome readback.
+  // The forked child's own cost, from the rusage wait4 returns on reap; 0
+  // on the thread backend. CPU is its user plus system time. The peak RSS
+  // is per sandbox and counts the pages the child shares copy-on-write
+  // with its engine, so it is not memory the sandbox committed.
+  dbase::Micros child_cpu_us = 0;
+  int64_t child_maxrss_kib = 0;
 
   dbase::Micros Total() const { return load_us + setup_us + execute_us + output_us; }
 };
@@ -61,11 +69,13 @@ struct ExecOutcome {
 struct SandboxOptions {
   // Overrides the FunctionSpec timeout when > 0.
   dbase::Micros timeout_us = 0;
-  // External kill switch (the invocation's cancel flag). The thread
-  // backend hands it to the function with the execution deadline, so the
-  // cancelled() poll sees both; the process backend SIGKILLs the child
-  // when it flips. A set flag yields a kCancelled outcome.
-  const std::atomic<bool>* cancel_flag = nullptr;
+  // The one stop source: the invocation's control. The thread backend
+  // hands its stop flag to the function with the execution deadline, so
+  // the cancelled() poll sees both; the process backend's wait polls its
+  // stop fd beside the child and SIGKILLs the child when it turns
+  // readable. A stop is classified by the reason the control recorded:
+  // kDeadlineKill for the invocation deadline, kCancelKill otherwise.
+  InvocationControl* control = nullptr;
   // By-reference input handoff for in-process backends: when set, the
   // function body reads these sets directly (refcount bumps, no payload
   // copies) and StoreInputSets is skipped entirely. Address-space-crossing

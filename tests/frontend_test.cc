@@ -862,6 +862,8 @@ const std::vector<std::string> kStatzSchema = {
     "engine.comm_queue_len:number",
     "engine.compute_workers:number",
     "engine.comm_workers:number",
+    "engine.child_cpu_p50_us:number",
+    "engine.child_cpu_p99_us:number",
     "dispatcher:object",
     "dispatcher.invocations_started:number",
     "dispatcher.invocations_completed:number",

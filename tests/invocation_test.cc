@@ -5,16 +5,20 @@
 // the platform is gone does nothing, the blocking Invoke wrapper is
 // deadline-aware instead of hanging forever (and refused on the reactor),
 // interactive work overtakes batch backlog in the engine queues, every
-// result callback runs on the reactor, and a relaunch pending when the
-// platform goes fails once.
+// result callback runs on the reactor, a relaunch pending when the
+// platform goes fails once, and a stop racing the first use of the stop
+// fd wakes every waiter.
 #include "src/runtime/invocation.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/thread.h"
@@ -78,6 +82,59 @@ TEST(InvocationTest, PriorityClassNamesRoundTrip) {
     EXPECT_EQ(*parsed, priority);
   }
   EXPECT_FALSE(PriorityClassFromName("urgent").ok());
+}
+
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// Threads race RequestStop against the first use of the stop fd: every
+// waiter finds the fd readable, even one that saw the stop flag set before
+// it took the fd (a forked instance's wait does not check the flag), the
+// stop hook runs once, and each fd closes with its control.
+TEST(InvocationTest, StopRacingTheFirstStopFdWakesEveryWaiter) {
+  const size_t fds_before = OpenFdCount();
+  for (int round = 0; round < 500; ++round) {
+    auto control = std::make_shared<InvocationControl>(
+        round + 1, PriorityClass::kInteractive, 0, dbase::MonotonicClock::Get()->NowMicros());
+    std::atomic<int> hook_runs{0};
+    control->set_stop_hook([&hook_runs] { hook_runs.fetch_add(1); });
+    std::atomic<bool> go{false};
+    std::atomic<int> missed{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 4; ++i) {
+      threads.emplace_back([&] {
+        while (!go.load()) {
+          std::this_thread::yield();
+        }
+        pollfd pfd{control->StopFd(), POLLIN, 0};
+        // Long enough to tell a lost wake from a slow one.
+        if (pfd.fd < 0 || poll(&pfd, 1, 5000) != 1) {
+          missed.fetch_add(1);
+        }
+      });
+    }
+    for (const dbase::StatusCode reason :
+         {dbase::StatusCode::kCancelled, dbase::StatusCode::kDeadlineExceeded}) {
+      threads.emplace_back([&, reason] {
+        while (!go.load()) {
+          std::this_thread::yield();
+        }
+        control->RequestStop(reason);
+      });
+    }
+    go.store(true);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(missed.load(), 0) << "round " << round;
+    EXPECT_EQ(hook_runs.load(), 1) << "round " << round;
+  }
+  EXPECT_EQ(OpenFdCount(), fds_before);
 }
 
 TEST(InvocationTest, ReportTracksLifecycle) {

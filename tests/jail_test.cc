@@ -1,7 +1,9 @@
 // Fault-contained untrusted execution: the seccomp-BPF syscall jail on the
 // process backend, the failure taxonomy (distinct FailureKinds for jail
 // kill, genuine crash, deadline kill, cancel kill — on the report and on
-// a node's wire outcome when the callback fires), the dispatcher's
+// a node's wire outcome when the callback fires), the one wait on a
+// forked child (one sleep, a stop reaped at once, an invocation-deadline
+// stop classified as a deadline kill on both backends), the dispatcher's
 // policy-driven retries with per-function circuit breaking, and the
 // deterministic fault-injection seams that drive all of it. Jail assertions degrade to capability-checked
 // skips on kernels without seccomp — with the explicit fallback assertion
@@ -17,8 +19,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -35,6 +40,7 @@
 #include "src/runtime/jail.h"
 #include "src/runtime/node_agent.h"
 #include "src/runtime/platform.h"
+#include "src/runtime/sandbox.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 // The crash case's SIGSEGV must end its jailed child as a plain signal:
@@ -499,6 +505,176 @@ TEST_F(JailTest, CancelledForkedInvokeCarriesCancelKillOnTheWire) {
   EXPECT_EQ(outcome->failure_kind, static_cast<uint8_t>(FailureKind::kCancelKill));
   client.Stop();
   agent.Stop();
+}
+
+// ----------------------------------------------------- The one child wait
+
+// Spins until its cancelled() poll turns true, for at most 2 s: the thread
+// backend's poll sees the stop, while a forked child's never turns and it
+// spins until its parent kills it.
+dbase::Status SpinUntilCancelled(dfunc::FunctionCtx& ctx) {
+  const dbase::Stopwatch watch;
+  while (!ctx.cancelled() && watch.ElapsedMicros() < 2 * kMicrosPerSecond) {
+  }
+  ctx.EmitOutput("out", "spun");
+  return dbase::OkStatus();
+}
+
+// The invocation deadline stops a spinning instance as a deadline kill on
+// either backend, whichever of the reactor's deadline timer and the
+// sandbox's own clamped timeout ends it: a stop is classified by the
+// reason the control recorded, never read as a cancel.
+TEST_F(JailTest, InvocationDeadlineStopIsADeadlineKillOnBothBackends) {
+  for (const IsolationBackend backend : {IsolationBackend::kProcess, IsolationBackend::kThread}) {
+    dandelion::PlatformConfig config =
+        backend == IsolationBackend::kProcess ? ProcessConfig() : ThreadConfig();
+    config.retry.enabled = false;
+    dandelion::Platform platform(config);
+    dfunc::FunctionSpec spinner = EchoSpec("spinner");
+    spinner.body = SpinUntilCancelled;
+    ASSERT_TRUE(platform.RegisterFunction(std::move(spinner)).ok());
+    ASSERT_TRUE(platform
+                    .RegisterCompositionDsl(
+                        "composition RunSpin(in) => out { spinner(in = all in) => (out = out); }")
+                    .ok());
+    int deadline_kills = 0;
+    for (int run = 0; run < 20; ++run) {
+      dandelion::InvocationRequest request;
+      request.composition = "RunSpin";
+      request.args = OneInput("x");
+      request.deadline_us = dandelion::InvocationRequest::DeadlineIn(30 * kMicrosPerMilli);
+      dbase::Latch latch(1);
+      dbase::Result<dfunc::DataSetList> result = dfunc::DataSetList{};
+      auto handle = platform.Submit(std::move(request),
+                                    [&](dbase::Result<dfunc::DataSetList> r) {
+                                      result = std::move(r);
+                                      latch.CountDown();
+                                    });
+      ASSERT_TRUE(latch.WaitFor(10 * kMicrosPerSecond));
+      EXPECT_EQ(result.status().code(), dbase::StatusCode::kDeadlineExceeded);
+      // A thread-backend instance records its kind when it returns, which
+      // may be after the callback.
+      const dbase::Stopwatch waited;
+      while (handle.Report().failure_kind == FailureKind::kNone &&
+             waited.ElapsedMicros() < 5 * kMicrosPerSecond) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const FailureKind kind = handle.Report().failure_kind;
+      EXPECT_EQ(kind, FailureKind::kDeadlineKill)
+          << dandelion::IsolationBackendName(backend) << " run " << run << ": "
+          << dpolicy::FailureKindName(kind);
+      deadline_kills += kind == FailureKind::kDeadlineKill ? 1 : 0;
+    }
+    std::printf("[ deadline ] %s: %d of 20 runs ended as deadline_kill\n",
+                std::string(dandelion::IsolationBackendName(backend)).c_str(), deadline_kills);
+  }
+}
+
+// The calling thread's voluntary context switches so far.
+uint64_t VoluntarySwitches() {
+  std::ifstream status("/proc/thread-self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+      return std::stoull(line.substr(line.find(':') + 1));
+    }
+  }
+  ADD_FAILURE() << "no voluntary_ctxt_switches in /proc/thread-self/status";
+  return 0;
+}
+
+// The forked child's wait is one sleep: the thread that runs Execute wakes
+// when the child exits, not on a periodic re-check while it spins.
+TEST_F(JailTest, WaitingOnAForkedChildSleepsOnce) {
+  dfunc::FunctionSpec spinner = EchoSpec("spinner");
+  spinner.body = [](dfunc::FunctionCtx& ctx) {
+    dbase::SpinFor(20 * kMicrosPerMilli);
+    ctx.EmitOutput("out", "spun");
+    return dbase::OkStatus();
+  };
+  const auto executor = dandelion::CreateSandboxExecutor(IsolationBackend::kProcess);
+  auto context = dandelion::MemoryContext::Create(spinner.context_bytes, nullptr, true);
+  ASSERT_TRUE(context.ok());
+  ASSERT_TRUE((*context)->StoreInputSets(OneInput("x")).ok());
+  dandelion::InvocationControl control(1, dandelion::PriorityClass::kInteractive, 0,
+                                       dbase::MonotonicClock::Get()->NowMicros());
+  dandelion::SandboxOptions options;
+  options.control = &control;
+
+  const uint64_t before = VoluntarySwitches();
+  const dandelion::ExecOutcome outcome = executor->Execute(spinner, **context, options);
+  const uint64_t switches = VoluntarySwitches() - before;
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_GE(outcome.timings.execute_us, 20 * kMicrosPerMilli);  // The wait spanned the spin.
+  EXPECT_LE(switches, 3u) << "voluntary switches of the waiting thread";
+}
+
+// Stops a spinning jailed child 50 times through Cancel() and 50 times
+// through its invocation deadline (the reason the dispatcher's deadline
+// timer records), each once the child's body runs, and times the stop to
+// the reaped child. Each stop ends as its reason's kill, long before the
+// child would have spun out: a lost wake shows, and nothing finer is bound.
+TEST_F(JailTest, StoppedForkedChildIsKilledAndReapedAtOnce) {
+  constexpr dbase::Micros kSpinUs = 2 * kMicrosPerSecond;
+  // Raised by each child once its body runs: a shared page survives fork.
+  void* page = mmap(nullptr, sizeof(std::atomic<int>), PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* running = new (page) std::atomic<int>(0);
+  dfunc::FunctionSpec spinner = EchoSpec("spinner");
+  spinner.body = [running](dfunc::FunctionCtx& ctx) {
+    running->store(1);
+    dbase::SpinFor(kSpinUs);
+    ctx.EmitOutput("out", "spun");
+    return dbase::OkStatus();
+  };
+  const auto executor = dandelion::CreateSandboxExecutor(IsolationBackend::kProcess);
+  const dbase::Clock* clock = dbase::MonotonicClock::Get();
+  for (const dbase::StatusCode reason :
+       {dbase::StatusCode::kCancelled, dbase::StatusCode::kDeadlineExceeded}) {
+    const FailureKind expected = reason == dbase::StatusCode::kCancelled
+                                     ? FailureKind::kCancelKill
+                                     : FailureKind::kDeadlineKill;
+    std::vector<dbase::Micros> latencies;
+    for (int run = 0; run < 50; ++run) {
+      auto context = dandelion::MemoryContext::Create(spinner.context_bytes, nullptr, true);
+      ASSERT_TRUE(context.ok());
+      ASSERT_TRUE((*context)->StoreInputSets(OneInput("x")).ok());
+      dandelion::InvocationControl control(run + 1, dandelion::PriorityClass::kInteractive, 0,
+                                           clock->NowMicros());
+      dandelion::SandboxOptions options;
+      options.control = &control;
+      running->store(0);
+      dandelion::ExecOutcome outcome;
+      std::atomic<dbase::Micros> reaped_at{0};
+      std::thread waiter([&] {
+        outcome = executor->Execute(spinner, **context, options);
+        reaped_at.store(clock->NowMicros());
+      });
+      while (running->load() == 0 && reaped_at.load() == 0) {
+        std::this_thread::yield();
+      }
+      const dbase::Micros stopped_at = clock->NowMicros();
+      if (reason == dbase::StatusCode::kCancelled) {
+        control.Cancel();
+      } else {
+        control.RequestStop(reason);
+      }
+      waiter.join();
+      const dbase::Micros latency = reaped_at.load() - stopped_at;
+      latencies.push_back(latency);
+      EXPECT_EQ(outcome.failure, expected)
+          << "run " << run << ": " << outcome.status.ToString();
+      EXPECT_LT(latency, kSpinUs) << "run " << run << ": the child spun out";
+    }
+    std::sort(latencies.begin(), latencies.end());
+    std::printf("[ stop latency ] %s: p50 %lld us, p99 %lld us, max %lld us over %zu stops\n",
+                std::string(dpolicy::FailureKindName(expected)).c_str(),
+                static_cast<long long>(latencies[latencies.size() / 2]),
+                static_cast<long long>(latencies[latencies.size() * 99 / 100]),
+                static_cast<long long>(latencies.back()), latencies.size());
+  }
+  munmap(page, sizeof(std::atomic<int>));
 }
 
 // --------------------------------------------------- Retry recovers crash

@@ -266,6 +266,35 @@ TEST_P(SandboxBackendTest, TimeoutPreempts) {
   EXPECT_LT(watch.ElapsedMicros(), 5 * dbase::kMicrosPerSecond);
 }
 
+// A forked child's own CPU comes back with its reap: more than 0 and no
+// more than the time from fork to reap. Not the wait alone: a child that
+// shares its parent's CPU can run before fork returns in the parent. The
+// thread backend forks no child and reports 0.
+TEST_P(SandboxBackendTest, ReportsTheForkedChildsOwnCpu) {
+  const IsolationBackend backend = GetParam();
+  auto executor = CreateSandboxExecutor(backend);
+  dfunc::FunctionSpec spec = EchoSpec();
+  spec.body = [](dfunc::FunctionCtx& ctx) {
+    dbase::SpinFor(20 * dbase::kMicrosPerMilli);
+    ctx.EmitOutput("out", "spun");
+    return dbase::OkStatus();
+  };
+  auto ctx = MemoryContext::Create(1 << 20, nullptr, backend == IsolationBackend::kProcess);
+  ASSERT_TRUE(ctx.ok());
+  ASSERT_TRUE((*ctx)->StoreInputSets(EchoInputs("x")).ok());
+  const ExecOutcome outcome = executor->Execute(spec, **ctx, SandboxOptions{});
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  if (backend == IsolationBackend::kProcess) {
+    EXPECT_GT(outcome.timings.child_cpu_us, 0);
+    EXPECT_LE(outcome.timings.child_cpu_us,
+              outcome.timings.setup_us + outcome.timings.execute_us);
+    EXPECT_GT(outcome.timings.child_maxrss_kib, 0);
+  } else {
+    EXPECT_EQ(outcome.timings.child_cpu_us, 0);
+    EXPECT_EQ(outcome.timings.child_maxrss_kib, 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, SandboxBackendTest,
                          ::testing::Values(IsolationBackend::kThread,
                                            IsolationBackend::kProcess),
