@@ -126,14 +126,14 @@ dbase::Status InfiniteLoopFunction(FunctionCtx& ctx) {
   return dbase::DeadlineExceeded("preempted by engine timeout");
 }
 
-dbase::Status RegisterBuiltins(FunctionRegistry& registry) {
-  RETURN_IF_ERROR(registry.Register({.name = "matmul", .body = MatMulFunction}));
-  RETURN_IF_ERROR(registry.Register({.name = "array_stats", .body = ArrayStatsFunction}));
-  RETURN_IF_ERROR(registry.Register({.name = "echo", .body = EchoFunction}));
-  RETURN_IF_ERROR(registry.Register({.name = "fail", .body = FailingFunction}));
-  RETURN_IF_ERROR(registry.Register(
-      {.name = "spin", .body = InfiniteLoopFunction, .timeout_us = 50 * dbase::kMicrosPerMilli}));
-  return dbase::OkStatus();
+std::vector<FunctionSpec> Builtins() {
+  return {
+      {.name = "matmul", .body = MatMulFunction},
+      {.name = "array_stats", .body = ArrayStatsFunction},
+      {.name = "echo", .body = EchoFunction},
+      {.name = "fail", .body = FailingFunction},
+      {.name = "spin", .body = InfiniteLoopFunction, .timeout_us = 50 * dbase::kMicrosPerMilli},
+  };
 }
 
 }  // namespace dfunc

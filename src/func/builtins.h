@@ -13,7 +13,6 @@
 
 #include "src/base/status.h"
 #include "src/func/function.h"
-#include "src/func/registry.h"
 
 namespace dfunc {
 
@@ -49,9 +48,9 @@ dbase::Status FailingFunction(FunctionCtx& ctx);
 // Spins forever; used to exercise the engine timeout/preemption path.
 dbase::Status InfiniteLoopFunction(FunctionCtx& ctx);
 
-// Registers all of the above under their canonical names
-// ("matmul", "array_stats", "echo", "fail", "spin").
-dbase::Status RegisterBuiltins(FunctionRegistry& registry);
+// All of the above under their canonical names ("matmul", "array_stats",
+// "echo", "fail", "spin"), for callers to register.
+std::vector<FunctionSpec> Builtins();
 
 }  // namespace dfunc
 

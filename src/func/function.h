@@ -7,6 +7,7 @@
 #define SRC_FUNC_FUNCTION_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -62,6 +63,23 @@ class FunctionCtx {
 // the dispatcher converts it into an error signal on the output edges
 // (§4.4). Must not block, must not touch global state.
 using ComputeFunction = std::function<dbase::Status(FunctionCtx&)>;
+
+// A compute function as it is registered (§5): in the paper users upload
+// compiled binaries; here the body is linked in. The platform's one callee
+// registry (src/runtime/registry.h) validates and holds it.
+struct FunctionSpec {
+  std::string name;
+  ComputeFunction body;
+  // Memory requirement declared at registration (like AWS Lambda, §5);
+  // the dispatcher sizes the memory context from this.
+  uint64_t context_bytes = 16 * 1024 * 1024;
+  // Synthetic binary size. Nothing reads it: function bodies are linked in,
+  // so no binary is loaded. Kept because bench/e2e sets it.
+  uint64_t binary_bytes = 256 * 1024;
+  // Preemption deadline for run-to-completion compute engines (§5 fn.2).
+  // Must be positive; registration rejects anything else.
+  dbase::Micros timeout_us = 5 * dbase::kMicrosPerSecond;
+};
 
 }  // namespace dfunc
 

@@ -7,15 +7,10 @@
 #define SRC_RUNTIME_COMM_FUNCTION_H_
 
 #include <functional>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/base/clock.h"
-#include "src/base/status.h"
 #include "src/http/service_mesh.h"
 
 namespace dandelion {
@@ -52,24 +47,8 @@ struct CommFunctionSpec {
   std::function<CommCallResult(dhttp::ServiceMesh&, std::string_view raw)> handler;
 };
 
-// Thread-safe catalog of communication functions. Every platform starts
-// with "HTTP" registered.
-class CommFunctionRegistry {
- public:
-  CommFunctionRegistry();
-
-  dbase::Status Register(CommFunctionSpec spec);
-  dbase::Result<CommFunctionSpec> Lookup(const std::string& name) const;
-  // Like Lookup but allocation-free on a miss — for callers probing every
-  // composition callee, where misses are the common case.
-  std::optional<CommFunctionSpec> TryLookup(const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, CommFunctionSpec> functions_;
-};
+// "HTTP", the communication function every platform's registry starts with.
+CommFunctionSpec HttpFunction();
 
 }  // namespace dandelion
 

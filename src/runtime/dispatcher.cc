@@ -45,14 +45,10 @@ struct Dispatcher::InvocationState {
 
 // -------------------------------------------------------------- Dispatcher
 
-Dispatcher::Dispatcher(const dfunc::FunctionRegistry* functions,
-                       const CompositionRegistry* compositions,
-                       const CommFunctionRegistry* comm_functions, WorkerSet* workers,
+Dispatcher::Dispatcher(const Registry* registry, WorkerSet* workers,
                        MemoryAccountant* accountant, Config config)
     : scope_(std::make_shared<dbase::EventLoop::Scope>(dbase::EventLoop::Process())),
-      functions_(functions),
-      compositions_(compositions),
-      comm_functions_(comm_functions),
+      registry_(registry),
       workers_(workers),
       accountant_(accountant),
       config_(config),
@@ -131,7 +127,7 @@ InvocationHandle Dispatcher::Submit(InvocationRequest request, ResultCallback ca
       scope_->Post(std::move(fn));
     }
   };
-  auto graph = compositions_->Lookup(request.composition);
+  auto graph = registry_->Lookup(request.composition);
   if (!graph.ok()) {
     control->MarkDone(graph.status(), now);
     if (callback) {
@@ -406,24 +402,9 @@ void Dispatcher::StartNode(const std::shared_ptr<InvocationState>& inv, size_t n
     return;
   }
 
-  // Resolve the callee once. Communication functions shadow everything —
-  // their names are platform-reserved.
-  enum class Kind { kComm, kCompute, kComposition } kind;
-  dfunc::FunctionSpec spec;
-  CommFunctionSpec comm_spec;
-  std::shared_ptr<const ddsl::CompositionGraph> subgraph;
-  // TryLookup: a Lookup miss allocates a NotFound message, and the common
-  // (compute) case would pay that on every node start.
-  if (auto comm = comm_functions_->TryLookup(node.callee); comm.has_value()) {
-    kind = Kind::kComm;
-    comm_spec = std::move(*comm);
-  } else if (auto fn = functions_->Lookup(node.callee); fn.ok()) {
-    kind = Kind::kCompute;
-    spec = std::move(fn).value();
-  } else if (auto sub = compositions_->Lookup(node.callee); sub.ok()) {
-    kind = Kind::kComposition;
-    subgraph = std::move(sub).value();
-  } else {
+  // Resolve the callee once: a name names one callee of one kind.
+  const Callee callee = registry_->Resolve(node.callee);
+  if (std::holds_alternative<std::monostate>(callee)) {
     Fail(inv, dbase::NotFound(dbase::StrFormat(
                   "callee '%s' is neither a registered function, a platform "
                   "communication function, nor a composition",
@@ -434,12 +415,12 @@ void Dispatcher::StartNode(const std::shared_ptr<InvocationState>& inv, size_t n
   // Compute fan-outs are prepared instance by instance but handed to the
   // engines as one batch — a single queue crossing per each/key fan-out
   // instead of one per instance.
-  if (kind == Kind::kCompute) {
+  if (const auto* spec = std::get_if<std::shared_ptr<const dfunc::FunctionSpec>>(&callee)) {
     std::vector<ComputeTask> batch;
     batch.reserve(launches.size());
     for (auto& launch : launches) {
       auto task = BuildComputeTask(inv, node_index, launch.instance, std::move(launch.inputs),
-                                   spec);
+                                   *spec);
       if (!task.has_value()) {
         return;  // BuildComputeTask already failed the invocation.
       }
@@ -453,17 +434,13 @@ void Dispatcher::StartNode(const std::shared_ptr<InvocationState>& inv, size_t n
 
   // A launch may fail the invocation synchronously, and a nested one may
   // even complete it.
+  const auto* comm = std::get_if<std::shared_ptr<const CommFunctionSpec>>(&callee);
   for (auto& launch : launches) {
-    switch (kind) {
-      case Kind::kComm:
-        LaunchCommInstance(inv, node_index, launch.instance, std::move(launch.inputs),
-                           comm_spec);
-        break;
-      case Kind::kCompute:
-        break;  // Handled above as a batch.
-      case Kind::kComposition:
-        LaunchNestedInstance(inv, node_index, launch.instance, std::move(launch.inputs), subgraph);
-        break;
+    if (comm != nullptr) {
+      LaunchCommInstance(inv, node_index, launch.instance, std::move(launch.inputs), **comm);
+    } else {
+      LaunchNestedInstance(inv, node_index, launch.instance, std::move(launch.inputs),
+                           std::get<std::shared_ptr<const ddsl::CompositionGraph>>(callee));
     }
     if (inv->done) {
       return;  // A synchronous failure aborted the invocation.
@@ -473,7 +450,7 @@ void Dispatcher::StartNode(const std::shared_ptr<InvocationState>& inv, size_t n
 
 std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     const std::shared_ptr<InvocationState>& inv, size_t node_index, size_t instance_index,
-    dfunc::DataSetList inputs, const dfunc::FunctionSpec& spec, int attempt) {
+    dfunc::DataSetList inputs, std::shared_ptr<const dfunc::FunctionSpec> spec, int attempt) {
   ++compute_instances_;
 
   // Breaker admission gate on fresh launches only: a relaunch the policy
@@ -481,10 +458,10 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   // tripped in the meantime — its own OnFailure will feed the breaker.
   if (attempt == 0 && config_.retry.enabled) {
     const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-    const dpolicy::AdmitDecision admit = retry_policy_.Admit(spec.name, now);
+    const dpolicy::AdmitDecision admit = retry_policy_.Admit(spec->name, now);
     if (!admit.allow) {
       Fail(inv, dbase::Unavailable(dbase::StrFormat(
-                    "circuit breaker open for function '%s' (%s)", spec.name.c_str(),
+                    "circuit breaker open for function '%s' (%s)", spec->name.c_str(),
                     admit.reason)));
       return std::nullopt;
     }
@@ -502,7 +479,7 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
   // "ensures that the outputs from prior functions are copied as inputs
   // into the new function's context").
   auto context_result =
-      MemoryContext::Create(spec.context_bytes, accountant_, config_.shared_contexts);
+      MemoryContext::Create(spec->context_bytes, accountant_, config_.shared_contexts);
   if (!context_result.ok()) {
     Fail(inv, context_result.status());
     return std::nullopt;
@@ -544,30 +521,31 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
       return std::nullopt;
     }
   }
-  task.spec = spec;
+  task.spec = *spec;
   task.context = context;
   task.control = inv->control;
   // The engine's one crossing: the outcome is handled on the reactor.
-  task.done = [this, scope = scope_, inv, node_index, instance_index, context, spec, retained,
-               attempt](ExecOutcome outcome) mutable {
+  task.done = [this, scope = scope_, inv, node_index, instance_index, context,
+               spec = std::move(spec), retained, attempt](ExecOutcome outcome) mutable {
     scope->Post([this, inv = std::move(inv), node_index, instance_index, spec = std::move(spec),
                  retained = std::move(retained), attempt,
                  outcome = std::move(outcome)]() mutable {
-      OnComputeOutcome(inv, node_index, instance_index, spec, std::move(retained), attempt,
-                       std::move(outcome));
+      OnComputeOutcome(inv, node_index, instance_index, std::move(spec), std::move(retained),
+                       attempt, std::move(outcome));
     });
   };
   return task;
 }
 
 void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, size_t node_index,
-                                  size_t instance_index, const dfunc::FunctionSpec& spec,
+                                  size_t instance_index,
+                                  std::shared_ptr<const dfunc::FunctionSpec> spec,
                                   std::shared_ptr<const dfunc::DataSetList> retained_inputs,
                                   int attempt, ExecOutcome outcome) {
   const std::shared_ptr<InvocationControl>& control = inv->control;
   dbase::Status status = outcome.status;
   if (status.ok() && config_.retry.enabled) {
-    retry_policy_.OnSuccess(spec.name);
+    retry_policy_.OnSuccess(spec->name);
   }
   // The sandbox classified a stop it ended by the control's recorded
   // reason. An instance that finished just before its stop's kill fails
@@ -595,14 +573,14 @@ void Dispatcher::OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, s
     // The breaker must see every failure, even from an invocation that is
     // already dead — only the relaunch itself is gated on liveness.
     const dpolicy::RetryDecision decision =
-        retry_policy_.OnFailure(spec.name, failure, interactive, attempt, now);
+        retry_policy_.OnFailure(spec->name, failure, interactive, attempt, now);
     if (decision.retry && alive) {
       control->CountRetry();
       RetryJob job;
       job.inv = inv;
       job.node_index = node_index;
       job.instance_index = instance_index;
-      job.spec = spec;
+      job.spec = std::move(spec);
       job.inputs = std::move(retained_inputs);
       job.attempt = attempt + 1;
       job.original_status = status;
@@ -638,7 +616,7 @@ void Dispatcher::RelaunchCompute(RetryJob job) {
   // Always a fresh context: the failed child may have corrupted the old one
   // arbitrarily before it died.
   auto task = BuildComputeTask(inv, job.node_index, job.instance_index,
-                               dfunc::DataSetList(*job.inputs), job.spec, job.attempt);
+                               dfunc::DataSetList(*job.inputs), std::move(job.spec), job.attempt);
   if (!task.has_value()) {
     return;  // BuildComputeTask already failed the invocation.
   }

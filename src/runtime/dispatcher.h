@@ -38,12 +38,11 @@
 #include "src/base/event_loop.h"
 #include "src/dsl/graph.h"
 #include "src/func/data.h"
-#include "src/func/registry.h"
 #include "src/policy/retry.h"
-#include "src/runtime/composition_registry.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/memory_context.h"
+#include "src/runtime/registry.h"
 
 namespace dandelion {
 
@@ -101,9 +100,10 @@ class Dispatcher {
     dpolicy::RetryOptions retry;
   };
 
-  Dispatcher(const dfunc::FunctionRegistry* functions, const CompositionRegistry* compositions,
-             const CommFunctionRegistry* comm_functions, WorkerSet* workers,
-             MemoryAccountant* accountant, Config config);
+  // Every composition and callee is resolved in `registry`, where a name
+  // names one function, communication function or composition.
+  Dispatcher(const Registry* registry, WorkerSet* workers, MemoryAccountant* accountant,
+             Config config);
   ~Dispatcher();
 
   using ResultCallback = std::function<void(dbase::Result<dfunc::DataSetList>)>;
@@ -144,7 +144,7 @@ class Dispatcher {
     std::shared_ptr<InvocationState> inv;
     size_t node_index = 0;
     size_t instance_index = 0;
-    dfunc::FunctionSpec spec;
+    std::shared_ptr<const dfunc::FunctionSpec> spec;
     std::shared_ptr<const dfunc::DataSetList> inputs;
     int attempt = 0;
     // The failure that triggered the retry — surfaced if the dispatcher is
@@ -169,7 +169,8 @@ class Dispatcher {
   std::optional<ComputeTask> BuildComputeTask(const std::shared_ptr<InvocationState>& inv,
                                               size_t node_index, size_t instance_index,
                                               dfunc::DataSetList inputs,
-                                              const dfunc::FunctionSpec& spec, int attempt = 0);
+                                              std::shared_ptr<const dfunc::FunctionSpec> spec,
+                                              int attempt = 0);
   void LaunchCommInstance(const std::shared_ptr<InvocationState>& inv, size_t node_index,
                           size_t instance_index, dfunc::DataSetList inputs,
                           const CommFunctionSpec& spec);
@@ -195,7 +196,7 @@ class Dispatcher {
   // failure surface through OnInstanceDone. A relaunch is a reactor timer
   // at the backoff's due time.
   void OnComputeOutcome(const std::shared_ptr<InvocationState>& inv, size_t node_index,
-                        size_t instance_index, const dfunc::FunctionSpec& spec,
+                        size_t instance_index, std::shared_ptr<const dfunc::FunctionSpec> spec,
                         std::shared_ptr<const dfunc::DataSetList> retained_inputs, int attempt,
                         ExecOutcome outcome);
   void ScheduleRetry(dbase::Micros due_us, RetryJob job);
@@ -209,9 +210,7 @@ class Dispatcher {
   // destructor closes it before anything else.
   const std::shared_ptr<dbase::EventLoop::Scope> scope_;
 
-  const dfunc::FunctionRegistry* functions_;
-  const CompositionRegistry* compositions_;
-  const CommFunctionRegistry* comm_functions_;
+  const Registry* registry_;
   WorkerSet* workers_;
   MemoryAccountant* accountant_;
   Config config_;

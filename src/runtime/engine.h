@@ -23,7 +23,7 @@
 #include "src/base/queue.h"
 #include "src/base/stats.h"
 #include "src/base/thread.h"
-#include "src/func/registry.h"
+#include "src/func/function.h"
 #include "src/http/service_mesh.h"
 #include "src/policy/elasticity.h"
 #include "src/runtime/comm_function.h"

@@ -506,7 +506,7 @@ bool HttpFrontend::HandleRequest(const ConnectionPtr& conn, std::string_view hea
   } else if (request.method == dhttp::Method::kGet && target == "/compositions") {
     dbase::JsonWriter json;
     json.BeginObject().BeginArray("compositions");
-    for (const std::string& name : platform_->compositions().Names()) {
+    for (const std::string& name : platform_->registry().CompositionNames()) {
       json.Value(name);
     }
     json.EndArray().EndObject();
@@ -592,7 +592,7 @@ void HttpFrontend::DispatchInvoke(const ConnectionPtr& conn, const SlotPtr& slot
   if (request.headers.Get("X-Dandelion-Raw").has_value()) {
     // Plain-text convenience: the body becomes the single item of a set
     // named after the composition's first parameter.
-    auto graph = platform_->compositions().Lookup(composition);
+    auto graph = platform_->registry().Lookup(composition);
     if (!graph.ok() || graph.value()->params().empty()) {
       FinishSlot(conn, slot, dhttp::HttpResponse::NotFound("unknown composition"));
       return;

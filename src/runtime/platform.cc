@@ -1,9 +1,9 @@
 #include "src/runtime/platform.h"
 
-#include "src/base/log.h"
-#include "src/base/string_util.h"
+#include <utility>
+#include <vector>
+
 #include "src/dsl/parser.h"
-#include "src/runtime/comm_function.h"
 
 namespace dandelion {
 
@@ -20,8 +20,8 @@ Platform::Platform(PlatformConfig config) : config_(config) {
   Dispatcher::Config dispatcher_config;
   dispatcher_config.shared_contexts = config.backend == IsolationBackend::kProcess;
   dispatcher_config.retry = config.retry;
-  dispatcher_ = std::make_unique<Dispatcher>(&functions_, &compositions_, &comm_functions_,
-                                             workers_.get(), &accountant_, dispatcher_config);
+  dispatcher_ = std::make_unique<Dispatcher>(&registry_, workers_.get(), &accountant_,
+                                             dispatcher_config);
 
   if (config.enable_control_plane) {
     ControlPlane::Config control_config;
@@ -46,53 +46,28 @@ void Platform::Shutdown() {
 }
 
 dbase::Status Platform::RegisterFunction(dfunc::FunctionSpec spec) {
-  if (comm_functions_.Contains(spec.name)) {
-    return dbase::InvalidArgument("'" + spec.name +
-                                  "' names a platform communication function and cannot be a "
-                                  "compute function");
-  }
-  return functions_.Register(std::move(spec));
+  return registry_.Add(std::move(spec));
 }
 
 dbase::Status Platform::RegisterCommFunction(CommFunctionSpec spec) {
-  if (functions_.Contains(spec.name)) {
-    return dbase::InvalidArgument("'" + spec.name + "' is already a compute function");
-  }
-  return comm_functions_.Register(std::move(spec));
-}
-
-dbase::Status Platform::ValidateCommNodes(const ddsl::CompositionGraph& graph) const {
-  for (const auto& node : graph.nodes()) {
-    auto comm = comm_functions_.Lookup(node.callee);
-    if (!comm.ok()) {
-      continue;
-    }
-    if (node.inputs.size() != 1 || node.inputs[0].set_name != comm->request_set) {
-      return dbase::InvalidArgument(dbase::StrFormat(
-          "composition '%s': %s nodes take exactly one input set named '%s'",
-          graph.name().c_str(), node.callee.c_str(), comm->request_set.c_str()));
-    }
-    if (node.outputs.size() != 1 || node.outputs[0].set_name != comm->response_set) {
-      return dbase::InvalidArgument(dbase::StrFormat(
-          "composition '%s': %s nodes produce exactly one output set named '%s'",
-          graph.name().c_str(), node.callee.c_str(), comm->response_set.c_str()));
-    }
-  }
-  return dbase::OkStatus();
+  return registry_.Add(std::move(spec));
 }
 
 dbase::Status Platform::RegisterComposition(ddsl::CompositionGraph graph) {
-  RETURN_IF_ERROR(ValidateCommNodes(graph));
-  return compositions_.Register(std::move(graph));
+  std::vector<ddsl::CompositionGraph> graphs;
+  graphs.push_back(std::move(graph));
+  return registry_.Add(std::move(graphs));
 }
 
 dbase::Status Platform::RegisterCompositionDsl(std::string_view dsl_source) {
   ASSIGN_OR_RETURN(auto asts, ddsl::ParseCompositions(dsl_source));
+  std::vector<ddsl::CompositionGraph> graphs;
+  graphs.reserve(asts.size());
   for (const auto& ast : asts) {
     ASSIGN_OR_RETURN(auto graph, ddsl::CompositionGraph::FromAst(ast));
-    RETURN_IF_ERROR(RegisterComposition(std::move(graph)));
+    graphs.push_back(std::move(graph));
   }
-  return dbase::OkStatus();
+  return registry_.Add(std::move(graphs));
 }
 
 InvocationHandle Platform::Submit(InvocationRequest request,

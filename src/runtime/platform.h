@@ -1,5 +1,5 @@
 // The Platform facade: one Dandelion worker node (Figure 4). Owns the
-// function/DAG registries, the service mesh, the engine worker set, the
+// callee registry, the service mesh, the engine worker set, the
 // dispatcher, and the control plane. This is the public API examples and
 // benchmarks program against.
 #ifndef SRC_RUNTIME_PLATFORM_H_
@@ -14,7 +14,7 @@
 #include "src/base/status.h"
 #include "src/dsl/graph.h"
 #include "src/func/data.h"
-#include "src/func/registry.h"
+#include "src/func/function.h"
 #include "src/http/service_mesh.h"
 #include "src/policy/elasticity.h"
 #include "src/runtime/controller.h"
@@ -22,6 +22,7 @@
 #include "src/runtime/engine.h"
 #include "src/runtime/invocation.h"
 #include "src/runtime/memory_context.h"
+#include "src/runtime/registry.h"
 #include "src/runtime/sandbox.h"
 
 namespace dandelion {
@@ -60,11 +61,15 @@ class Platform {
   Platform& operator=(const Platform&) = delete;
 
   // --- Registration --------------------------------------------------------
+  // Each goes to the one Registry, where a name names one callee: taking a
+  // name any function, communication function or composition holds fails
+  // with kAlreadyExists.
   dbase::Status RegisterFunction(dfunc::FunctionSpec spec);
   // Registers an additional platform communication function (trusted code;
-  // "HTTP" is pre-registered). The name becomes reserved in compositions.
+  // "HTTP" is pre-registered).
   dbase::Status RegisterCommFunction(CommFunctionSpec spec);
-  // Parses DSL text (possibly several compositions) and registers each.
+  // Parses DSL text (possibly several compositions) and registers all of
+  // them or, on any error, none.
   dbase::Status RegisterCompositionDsl(std::string_view dsl_source);
   dbase::Status RegisterComposition(ddsl::CompositionGraph graph);
 
@@ -81,9 +86,9 @@ class Platform {
   // --- Introspection -------------------------------------------------------
   dhttp::ServiceMesh& mesh() { return mesh_; }
   MemoryAccountant& accountant() { return accountant_; }
-  const dfunc::FunctionRegistry& functions() const { return functions_; }
-  const CompositionRegistry& compositions() const { return compositions_; }
-  const CommFunctionRegistry& comm_functions() const { return comm_functions_; }
+  const Registry& registry() const { return registry_; }
+  // The same registry, under the name bench/e2e's trace replay reads it by.
+  const Registry& compositions() const { return registry_; }
   EngineStats engine_stats() const { return workers_->Stats(); }
   DispatcherStats dispatcher_stats() const { return dispatcher_->Stats(); }
   // Per-function circuit-breaker states (statz's `breaker` section).
@@ -102,15 +107,8 @@ class Platform {
   void Shutdown();
 
  private:
-  // Validates communication-function node shapes at registration time
-  // (§6.3): exactly one input set with the function's declared request-set
-  // name, exactly one output set with its response-set name.
-  dbase::Status ValidateCommNodes(const ddsl::CompositionGraph& graph) const;
-
   PlatformConfig config_;
-  dfunc::FunctionRegistry functions_;
-  CompositionRegistry compositions_;
-  CommFunctionRegistry comm_functions_;
+  Registry registry_;
   dhttp::ServiceMesh mesh_;
   MemoryAccountant accountant_;
   std::unique_ptr<WorkerSet> workers_;

@@ -25,7 +25,7 @@
 #include "src/base/clock.h"
 #include "src/base/status.h"
 #include "src/func/data.h"
-#include "src/func/registry.h"
+#include "src/func/function.h"
 #include "src/policy/retry.h"
 #include "src/runtime/memory_context.h"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <variant>
 
 #include "src/base/clock.h"
 #include "src/base/thread.h"
@@ -41,8 +42,10 @@ TEST(ClusterTest, RegistrationReachesEveryNode) {
   ASSERT_TRUE(cluster.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
   ASSERT_TRUE(cluster.RegisterCompositionDsl(kIdDsl).ok());
   for (int n = 0; n < cluster.num_nodes(); ++n) {
-    EXPECT_TRUE(cluster.node(n).functions().Contains("echo"));
-    EXPECT_TRUE(cluster.node(n).compositions().Contains("Id"));
+    const Registry& registry = cluster.node(n).registry();
+    EXPECT_TRUE(std::holds_alternative<std::shared_ptr<const dfunc::FunctionSpec>>(
+        registry.Resolve("echo")));
+    EXPECT_TRUE(registry.Lookup("Id").ok());
   }
 }
 

@@ -94,7 +94,7 @@ TEST(FrontendTest, RegisterCompositionEndpoint) {
   auto response = dhttp::ParseResponse(RoundTripHttp(frontend.port(), reg));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status_code, 201);
-  EXPECT_TRUE(platform.compositions().Contains("Id"));
+  EXPECT_TRUE(platform.registry().Lookup("Id").ok());
 
   // Bad DSL → 400.
   reg.body = "composition Broken(";

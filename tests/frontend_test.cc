@@ -594,6 +594,34 @@ TEST(FrontendTest, CompositionsEndpointListsRegisteredNames) {
   close(fd);
 }
 
+// A source whose second composition takes a registered name registers
+// neither: the POST answers 400 and the first one is not listed after.
+TEST(FrontendTest, FailedCompositionBatchRegistersNone) {
+  FrontendFixture fixture;
+  SKIP_WITHOUT_LOOPBACK(fixture);
+
+  dhttp::HttpRequest reg;
+  reg.method = dhttp::Method::kPost;
+  reg.target = "/register/composition";
+  reg.body = R"(
+composition Fresh(in) => out { echo(in = all in) => (out = out); }
+composition Id(in) => out { echo(in = all in) => (out = out); }
+)";
+  const int fd = ConnectTo(fixture.port());
+  SendAll(fd, reg.Serialize());
+  std::string carry;
+  auto registered = ReadOneResponse(fd, &carry);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  EXPECT_EQ(registered->status_code, 400) << registered->body;
+
+  SendAll(fd, "GET /compositions HTTP/1.1\r\n\r\n");
+  auto listed = ReadOneResponse(fd, &carry);
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  EXPECT_EQ(listed->body.find("\"Fresh\""), std::string::npos) << listed->body;
+  EXPECT_NE(listed->body.find("\"Id\""), std::string::npos) << listed->body;
+  close(fd);
+}
+
 TEST(FrontendTest, StatzEndpointExposesLifecycleCounters) {
   FrontendFixture fixture;
   SKIP_WITHOUT_LOOPBACK(fixture);

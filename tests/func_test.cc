@@ -1,13 +1,11 @@
 // Tests for the function ABI: data sets, marshalling (property round-trips),
-// the function context, the registry, and
-// the built-in compute functions.
+// the function context, and the built-in compute functions.
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
 #include "src/func/builtins.h"
 #include "src/func/data.h"
 #include "src/func/function.h"
-#include "src/func/registry.h"
 
 namespace dfunc {
 namespace {
@@ -141,43 +139,6 @@ TEST(FunctionCtxTest, CancelFlag) {
   EXPECT_FALSE(ctx.cancelled());
   ctx.set_deadline(now);
   EXPECT_TRUE(ctx.cancelled());
-}
-
-// --------------------------------------------------------------- Registry
-
-TEST(RegistryTest, RegisterLookup) {
-  FunctionRegistry registry;
-  ASSERT_TRUE(registry.Register({.name = "f", .body = EchoFunction}).ok());
-  EXPECT_TRUE(registry.Contains("f"));
-  EXPECT_FALSE(registry.Contains("g"));
-  auto spec = registry.Lookup("f");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->name, "f");
-  EXPECT_FALSE(registry.Lookup("g").ok());
-  EXPECT_EQ(registry.size(), 1u);
-}
-
-TEST(RegistryTest, RejectsDuplicatesAndInvalid) {
-  FunctionRegistry registry;
-  ASSERT_TRUE(registry.Register({.name = "f", .body = EchoFunction}).ok());
-  EXPECT_FALSE(registry.Register({.name = "f", .body = EchoFunction}).ok());
-  EXPECT_FALSE(registry.Register({.name = "", .body = EchoFunction}).ok());
-  EXPECT_FALSE(registry.Register({.name = "nobody", .body = nullptr}).ok());
-  // The sandbox and the engine each need a positive per-function timeout.
-  for (const dbase::Micros timeout : {dbase::Micros{0}, dbase::Micros{-1}}) {
-    EXPECT_EQ(registry.Register({.name = "g", .body = EchoFunction, .timeout_us = timeout}).code(),
-              dbase::StatusCode::kInvalidArgument)
-        << timeout;
-  }
-  EXPECT_FALSE(registry.Contains("g"));
-}
-
-TEST(RegistryTest, RegisterBuiltins) {
-  FunctionRegistry registry;
-  ASSERT_TRUE(RegisterBuiltins(registry).ok());
-  for (const char* name : {"matmul", "array_stats", "echo", "fail", "spin"}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
-  }
 }
 
 // --------------------------------------------------------------- Builtins

@@ -504,9 +504,7 @@ TEST(InvocationTest, BlockingInvokeReturnsDeadlineExceededInsteadOfHanging) {
   // A raw dispatcher with a tight blocking-wait cap: even with no request
   // deadline, the blocking wrapper must not wait forever on a lost or slow
   // completion.
-  dfunc::FunctionRegistry functions;
-  CompositionRegistry compositions;
-  CommFunctionRegistry comm_functions;
+  Registry registry;
   dhttp::ServiceMesh mesh;
   MemoryAccountant accountant;
   WorkerSet::Config worker_config;
@@ -520,18 +518,19 @@ TEST(InvocationTest, BlockingInvokeReturnsDeadlineExceededInsteadOfHanging) {
     std::this_thread::sleep_for(std::chrono::milliseconds(400));  // Ignores cancel.
     return dbase::OkStatus();
   };
-  ASSERT_TRUE(functions.Register(std::move(sleeper)).ok());
+  ASSERT_TRUE(registry.Add(std::move(sleeper)).ok());
   auto asts = ddsl::ParseCompositions(
       "composition Nap(in) => out { sleeper(in = all in) => (out = out); }");
   ASSERT_TRUE(asts.ok());
   auto graph = ddsl::CompositionGraph::FromAst((*asts)[0]);
   ASSERT_TRUE(graph.ok());
-  ASSERT_TRUE(compositions.Register(std::move(graph).value()).ok());
+  std::vector<ddsl::CompositionGraph> graphs;
+  graphs.push_back(std::move(graph).value());
+  ASSERT_TRUE(registry.Add(std::move(graphs)).ok());
 
   Dispatcher::Config config;
   config.max_blocking_wait_us = 50 * dbase::kMicrosPerMilli;
-  Dispatcher dispatcher(&functions, &compositions, &comm_functions, &workers, &accountant,
-                        config);
+  Dispatcher dispatcher(&registry, &workers, &accountant, config);
 
   const dbase::Stopwatch watch;
   auto result = dispatcher.Invoke({"Nap", SingleArg("in", "x")});

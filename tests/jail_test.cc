@@ -32,7 +32,7 @@
 #include "src/base/clock.h"
 #include "src/base/event_loop.h"
 #include "src/base/thread.h"
-#include "src/func/registry.h"
+#include "src/func/function.h"
 #include "src/net/node_client.h"
 #include "src/net/wire.h"
 #include "src/runtime/fault.h"

@@ -1,7 +1,8 @@
 // Tests for the runtime: memory contexts + accounting, the two sandbox
 // backends (including real process isolation, timeout preemption and a
 // worker that sleeps while its child runs),
-// engines with role shifting, the policy-driven control plane, and the
+// engines with role shifting, the policy-driven control plane, the callee
+// registry (one name per callee, all-or-none composition batches), and the
 // dispatcher / platform running full compositions (fan-out, key grouping,
 // optional sets, failure propagation, nesting). Policy decision logic
 // itself is covered by tests/policy_test.cc.
@@ -22,6 +23,8 @@
 #include <fstream>
 #include <optional>
 #include <set>
+#include <thread>
+#include <variant>
 
 #include "src/base/clock.h"
 #include "src/base/event_loop.h"
@@ -38,6 +41,7 @@
 #include "src/runtime/jail.h"
 #include "src/runtime/memory_context.h"
 #include "src/runtime/platform.h"
+#include "src/runtime/registry.h"
 #include "src/runtime/sandbox.h"
 
 namespace dandelion {
@@ -902,9 +906,9 @@ TEST(PlatformTest, OneWorkerPlatformFailsCommNodeAtOnce) {
 
 TEST(PlatformTest, MatMulComposition) {
   Platform platform(FastPlatformConfig());
-  ASSERT_TRUE(dfunc::RegisterBuiltins(
-                  const_cast<dfunc::FunctionRegistry&>(platform.functions()))
-                  .ok());
+  for (dfunc::FunctionSpec& spec : dfunc::Builtins()) {
+    ASSERT_TRUE(platform.RegisterFunction(std::move(spec)).ok()) << spec.name;
+  }
   ASSERT_TRUE(platform
                   .RegisterCompositionDsl(
                       "composition MM(A, B) => C { matmul(A = all A, B = all B) => (C = C); }")
@@ -1209,30 +1213,205 @@ TEST(PlatformTest, MemoryReleasedAfterInvocation) {
 
 // ----------------------------------------------- Communication functions
 
-TEST(CommRegistryTest, HttpPreRegistered) {
-  CommFunctionRegistry registry;
-  EXPECT_TRUE(registry.Contains(kHttpFunctionName));
-  auto spec = registry.Lookup(kHttpFunctionName);
-  ASSERT_TRUE(spec.ok());
+// --------------------------------------------------------------- Registry
+
+// The callee `name` resolves to if it is a T; null otherwise.
+template <typename T>
+std::shared_ptr<const T> ResolveAs(const Registry& registry, const std::string& name) {
+  const Callee callee = registry.Resolve(name);
+  const auto* held = std::get_if<std::shared_ptr<const T>>(&callee);
+  return held != nullptr ? *held : nullptr;
+}
+
+CommFunctionSpec NullCommFunction(std::string name) {
+  CommFunctionSpec spec;
+  spec.name = std::move(name);
+  spec.handler = [](dhttp::ServiceMesh&, std::string_view) { return CommCallResult{}; };
+  return spec;
+}
+
+TEST(RegistryTest, RegisterLookup) {
+  Registry registry;
+  ASSERT_TRUE(registry.Add(dfunc::FunctionSpec{.name = "f", .body = dfunc::EchoFunction}).ok());
+  const auto spec = ResolveAs<dfunc::FunctionSpec>(registry, "f");
+  ASSERT_NE(spec, nullptr);
+  EXPECT_EQ(spec->name, "f");
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(registry.Resolve("g")));
+  // Lookup finds compositions only.
+  EXPECT_EQ(registry.Lookup("f").status().code(), dbase::StatusCode::kNotFound);
+  EXPECT_TRUE(registry.CompositionNames().empty());
+}
+
+TEST(RegistryTest, RejectsDuplicatesAndInvalid) {
+  Registry registry;
+  ASSERT_TRUE(registry.Add(dfunc::FunctionSpec{.name = "f", .body = dfunc::EchoFunction}).ok());
+  EXPECT_EQ(registry.Add(dfunc::FunctionSpec{.name = "f", .body = dfunc::EchoFunction}).code(),
+            dbase::StatusCode::kAlreadyExists);
+  EXPECT_FALSE(registry.Add(dfunc::FunctionSpec{.name = "", .body = dfunc::EchoFunction}).ok());
+  EXPECT_FALSE(registry.Add(dfunc::FunctionSpec{.name = "nobody", .body = nullptr}).ok());
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(registry.Resolve("nobody")));
+  // The sandbox and the engine each need a positive per-function timeout.
+  for (const dbase::Micros timeout : {dbase::Micros{0}, dbase::Micros{-1}}) {
+    EXPECT_EQ(registry
+                  .Add(dfunc::FunctionSpec{
+                      .name = "g", .body = dfunc::EchoFunction, .timeout_us = timeout})
+                  .code(),
+              dbase::StatusCode::kInvalidArgument)
+        << timeout;
+  }
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(registry.Resolve("g")));
+}
+
+TEST(RegistryTest, RegisterBuiltins) {
+  Registry registry;
+  for (dfunc::FunctionSpec& spec : dfunc::Builtins()) {
+    ASSERT_TRUE(registry.Add(std::move(spec)).ok());
+  }
+  for (const char* name : {"matmul", "array_stats", "echo", "fail", "spin"}) {
+    EXPECT_NE(ResolveAs<dfunc::FunctionSpec>(registry, name), nullptr) << name;
+  }
+}
+
+TEST(RegistryTest, HttpPreRegistered) {
+  Registry registry;
+  const auto spec = ResolveAs<CommFunctionSpec>(registry, kHttpFunctionName);
+  ASSERT_NE(spec, nullptr);
   EXPECT_EQ(spec->request_set, kHttpRequestSet);
   EXPECT_EQ(spec->response_set, kHttpResponseSet);
 }
 
-TEST(CommRegistryTest, RegistrationRules) {
-  CommFunctionRegistry registry;
-  CommFunctionSpec spec;
-  spec.name = "GRPC";
-  spec.handler = [](dhttp::ServiceMesh&, std::string_view) { return CommCallResult{}; };
-  EXPECT_TRUE(registry.Register(spec).ok());
-  EXPECT_FALSE(registry.Register(spec).ok());  // Duplicate.
+TEST(RegistryTest, CommRegistrationRules) {
+  Registry registry;
+  const CommFunctionSpec spec = NullCommFunction("GRPC");
+  EXPECT_TRUE(registry.Add(spec).ok());
+  EXPECT_EQ(registry.Add(spec).code(), dbase::StatusCode::kAlreadyExists);
   CommFunctionSpec no_handler;
   no_handler.name = "X";
-  EXPECT_FALSE(registry.Register(no_handler).ok());
-  CommFunctionSpec no_name;
-  no_name.handler = spec.handler;
+  EXPECT_FALSE(registry.Add(no_handler).ok());
+  CommFunctionSpec no_name = spec;
   no_name.name = "";
-  EXPECT_FALSE(registry.Register(no_name).ok());
-  EXPECT_EQ(registry.Names().size(), 2u);  // HTTP + GRPC.
+  EXPECT_FALSE(registry.Add(no_name).ok());
+  CommFunctionSpec no_set = NullCommFunction("Y");
+  no_set.response_set = "";
+  EXPECT_FALSE(registry.Add(no_set).ok());
+  // HTTP and GRPC only.
+  EXPECT_NE(ResolveAs<CommFunctionSpec>(registry, kHttpFunctionName), nullptr);
+  EXPECT_NE(ResolveAs<CommFunctionSpec>(registry, "GRPC"), nullptr);
+  for (const char* name : {"X", "", "Y"}) {
+    EXPECT_TRUE(std::holds_alternative<std::monostate>(registry.Resolve(name))) << name;
+  }
+}
+
+// Two threads race to register one name, as a compute function and as a
+// communication function: exactly one of them gets it, every round.
+TEST(PlatformTest, RacingKindsTakeANameOnce) {
+  Platform platform(FastPlatformConfig());
+  constexpr int kRounds = 2000;
+  std::vector<char> compute_won(kRounds, 0);
+  std::vector<char> comm_won(kRounds, 0);
+  // This thread starts each round once both racers wait for it, and the
+  // rounds sweep the racers' start offset across about ±2 µs, so some
+  // registrations overlap whichever racer is faster. A thread waiting
+  // long yields, for a loaded host.
+  const auto spin_until = [](const auto& done) {
+    for (int spins = 0; !done(); ++spins) {
+      if (spins > 100000) {
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::atomic<int> ready{0};
+  std::atomic<int> started{0};
+  const auto await_start = [&](int i, int delay) {
+    ready.fetch_add(1);
+    spin_until([&] { return started.load() > i; });
+    volatile int sink = 0;
+    for (int n = 0; n < delay; ++n) {
+      sink = n;
+    }
+    (void)sink;
+  };
+  const auto skew = [](int i) { return (i % 100) * 20 - 1000; };
+  std::thread compute([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      dfunc::FunctionSpec spec{.name = "n" + std::to_string(i), .body = dfunc::EchoFunction};
+      await_start(i, std::max(skew(i), 0));
+      compute_won[i] = platform.RegisterFunction(std::move(spec)).ok();
+    }
+  });
+  std::thread comm([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      CommFunctionSpec spec = NullCommFunction("n" + std::to_string(i));
+      await_start(i, std::max(-skew(i), 0));
+      comm_won[i] = platform.RegisterCommFunction(std::move(spec)).ok();
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    spin_until([&] { return ready.load() == 2 * (i + 1); });
+    started.store(i + 1);
+  }
+  compute.join();
+  comm.join();
+  int both = 0;
+  int neither = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    both += compute_won[i] && comm_won[i];
+    neither += !compute_won[i] && !comm_won[i];
+  }
+  EXPECT_EQ(both, 0);
+  EXPECT_EQ(neither, 0);
+}
+
+// A name names one callee: a composition cannot take a communication
+// function's or a function's name, nor a function a composition's.
+TEST(PlatformTest, CompositionNamesShareTheCalleeNamespace) {
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Id(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  EXPECT_EQ(platform
+                .RegisterCompositionDsl(
+                    "composition HTTP(in) => out { echo(in = all in) => (out = out); }")
+                .code(),
+            dbase::StatusCode::kAlreadyExists);
+  EXPECT_EQ(platform
+                .RegisterCompositionDsl(
+                    "composition echo(in) => out { Id(in = all in) => (out = out); }")
+                .code(),
+            dbase::StatusCode::kAlreadyExists);
+  EXPECT_EQ(platform.RegisterFunction({.name = "Id", .body = dfunc::EchoFunction}).code(),
+            dbase::StatusCode::kAlreadyExists);
+  // The callees kept their kinds: Id still runs echo.
+  auto result = platform.Invoke({"Id", SingleArg("in", "x")});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ((*result)[0].items[0].data, "x");
+}
+
+// A DSL source registers all of its compositions or none: one taken name
+// leaves the others unregistered, so the corrected source registers.
+TEST(PlatformTest, FailedCompositionBatchRegistersNone) {
+  Platform platform(FastPlatformConfig());
+  ASSERT_TRUE(platform.RegisterFunction({.name = "echo", .body = dfunc::EchoFunction}).ok());
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition B(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  EXPECT_EQ(platform
+                .RegisterCompositionDsl(R"(
+composition C(in) => out { echo(in = all in) => (out = out); }
+composition B(in) => out { echo(in = all in) => (out = out); }
+)")
+                .code(),
+            dbase::StatusCode::kAlreadyExists);
+  EXPECT_EQ(platform.Invoke({"C", SingleArg("in", "x")}).status().code(),
+            dbase::StatusCode::kNotFound);
+  EXPECT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition C(in) => out { echo(in = all in) => (out = out); }")
+                  .ok());
+  EXPECT_TRUE(platform.Invoke({"C", SingleArg("in", "x")}).ok());
 }
 
 TEST(PlatformTest, CustomCommFunctionRunsInComposition) {
