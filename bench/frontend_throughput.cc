@@ -373,26 +373,18 @@ int main() {
     }
   }
 
-  // Three stacks, so the table separates the frontend win from the
-  // platform win this PR ships alongside it:
-  //   serial/mmap   — the full pre-PR stack: serial accept loop AND
-  //                   per-request mmap/munmap contexts (pool disabled).
-  //                   This is the PR's "serial baseline".
-  //   serial/pool   — the old frontend on the new platform (context
-  //                   recycling on), isolating the frontend contribution.
-  //   epoll/pool    — this PR's stack, keep-alive and (last row) pipelined.
+  // Two stacks: the serial accept loop (the baseline) and the epoll
+  // frontend, keep-alive and (last row) pipelined.
   struct Scenario {
     const char* label;
     bool epoll_frontend;
-    bool context_pool;
     int conns;
     int depth;  // Pipelined requests in flight per connection (epoll only).
   };
   const std::vector<Scenario> scenarios = {
-      {"serial/mmap", false, false, 1, 1},  {"serial/mmap", false, false, 8, 1},
-      {"serial/mmap", false, false, 32, 1}, {"serial/pool", false, true, 32, 1},
-      {"epoll/pool", true, true, 1, 1},     {"epoll/pool", true, true, 8, 1},
-      {"epoll/pool", true, true, 32, 1},    {"epoll/pool", true, true, 32, 16},
+      {"serial", false, 1, 1}, {"serial", false, 8, 1}, {"serial", false, 32, 1},
+      {"epoll", true, 1, 1},   {"epoll", true, 8, 1},   {"epoll", true, 32, 1},
+      {"epoll", true, 32, 16},
   };
   dbench::Table table({"stack", "conns", "pipeline", "requests", "wall_ms", "rps",
                        "vs_baseline"});
@@ -417,8 +409,6 @@ int main() {
   }
 
   for (const Scenario& s : scenarios) {
-    // Pool off ⇒ every context is a fresh mmap + munmap, as before this PR.
-    dandelion::ContextPool::Get()->set_max_entries(s.context_pool ? 64 : 0);
     const uint16_t port = s.epoll_frontend ? frontend.port() : serial.port();
     const int per_conn = std::max(1, total_requests / s.conns);
     // Warm-up pass primes engine workers and the loopback path.
@@ -433,23 +423,20 @@ int main() {
       }
     }
     double speedup = 0;
-    if (!s.epoll_frontend && !s.context_pool) {
+    if (!s.epoll_frontend) {
       speedup = 1.0;
       if (s.conns == 32) {
         baseline_rps_at_32 = run.rps();
       }
     } else if (baseline_rps_at_32 > 0 && s.conns == 32) {
       speedup = run.rps() / baseline_rps_at_32;
-      if (s.epoll_frontend) {
-        speedup_at_32 = std::max(speedup_at_32, speedup);
-      }
+      speedup_at_32 = std::max(speedup_at_32, speedup);
     }
     table.AddRow({s.label, std::to_string(s.conns), std::to_string(s.depth),
                   std::to_string(run.requests), dbench::Table::Num(run.wall_ms),
                   dbench::Table::Num(run.rps(), 0),
                   speedup > 0 ? dbench::Table::Num(speedup) : "-"});
   }
-  dandelion::ContextPool::Get()->set_max_entries(64);
 
   table.Print();
   dbench::PrintNote(dbase::StrFormat(

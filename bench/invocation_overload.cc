@@ -287,7 +287,7 @@ composition SlowWork(in) => out { slowwork(in = all in) => (out = out); }
   const std::string impossible_wire =
       InvokeWire("SlowWork", {{"X-Dandelion-Deadline-Ms", "5"}});
 
-  // Warm-up: prime engines, context pool, and the loopback path.
+  // Warm-up: prime engines and the loopback path.
   RunClientFleet(frontend.port(), interactive_wire, kInteractiveConns,
                  std::max(1, per_conn / 10));
 

@@ -4,7 +4,7 @@
 // it. Every consumer of a slice holds the buffer alive through the shared
 // refcount, so a frontend request body survives exactly until the last
 // composition node that references it completes, and a memory-context
-// region is not recycled while any reader still views its bytes.
+// region is not unmapped while any reader still views its bytes.
 //
 // Buffers are immutable after construction: a slice never observes a
 // mutation, which is what makes handing one region to N fan-out instances
@@ -28,7 +28,7 @@ namespace dbase {
 //  - owning: adopts a std::string's storage (no byte copy on creation);
 //  - pinning: views external memory (an mmap'd MemoryContext region, a
 //    static blob) and keeps an arbitrary owner token alive so the memory
-//    cannot be unmapped or recycled while the buffer exists.
+//    cannot be unmapped while the buffer exists.
 class Buffer {
  public:
   // Adopts `bytes` (moves the string's storage; no copy).

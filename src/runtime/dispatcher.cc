@@ -475,31 +475,38 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     retained = std::make_shared<const dfunc::DataSetList>(inputs);
   }
 
-  // Prepare the isolated memory context and copy the inputs in (§5:
-  // "ensures that the outputs from prior functions are copied as inputs
-  // into the new function's context").
-  auto context_result =
-      MemoryContext::Create(spec->context_bytes, accountant_, config_.shared_contexts);
-  if (!context_result.ok()) {
-    Fail(inv, context_result.status());
-    return std::nullopt;
-  }
-  std::shared_ptr<MemoryContext> context = std::move(context_result).value();
   ComputeTask task;
-  if (!config_.shared_contexts) {
-    // The in-process thread backend reads inputs by reference: no marshal
-    // into the context, no unmarshal out of it — payloads reach the
-    // function body as refcount bumps. The
-    // capacity bound still applies (outputs must marshal back into the
-    // context), so an under-declared memory requirement fails identically
-    // on both paths.
+  // The declared memory is charged to the accountant while the task lives:
+  // through the context a forked child needs, or directly for a thread
+  // instance, which maps none.
+  std::shared_ptr<const MemoryCharge> charge;
+  if (config_.shared_contexts) {
+    // A forked child sees its inputs only through the MAP_SHARED mapping
+    // (§5: "ensures that the outputs from prior functions are copied as
+    // inputs into the new function's context").
+    auto context = MemoryContext::Create(spec->context_bytes, accountant_, /*shared=*/true);
+    if (!context.ok()) {
+      Fail(inv, context.status());
+      return std::nullopt;
+    }
+    if (dbase::Status stored = (*context)->StoreInputSets(inputs); !stored.ok()) {
+      Fail(inv, stored);
+      return std::nullopt;
+    }
+    task.context = std::move(context).value();
+  } else {
+    // A thread instance runs in its engine's address space: the body reads
+    // the inputs by reference and its outputs come back the same way, so
+    // payloads cross as refcount bumps. The declared size still bounds the
+    // marshalled inputs here and the outputs in the sandbox, so an
+    // under-declared memory requirement fails identically on both backends.
     const uint64_t need = dfunc::MarshalledSize(inputs);
-    if (need > context->payload_capacity()) {
+    if (need > MemoryContext::PayloadCapacity(spec->context_bytes)) {
       Fail(inv, dbase::ResourceExhausted(dbase::StrFormat(
                     "inputs (%zu bytes) exceed context capacity (%llu bytes); raise the "
                     "function's declared memory requirement",
                     static_cast<size_t>(need),
-                    static_cast<unsigned long long>(context->capacity()))));
+                    static_cast<unsigned long long>(spec->context_bytes))));
       return std::nullopt;
     }
     uint64_t payload_bytes = 0;
@@ -513,19 +520,13 @@ std::optional<ComputeTask> Dispatcher::BuildComputeTask(
     task.options.input_sets =
         retained != nullptr ? retained
                             : std::make_shared<const dfunc::DataSetList>(std::move(inputs));
-  } else {
-    // Address-space-crossing backends (process) must see the inputs through
-    // the MAP_SHARED mapping — marshal them in as before.
-    if (dbase::Status stored = context->StoreInputSets(inputs); !stored.ok()) {
-      Fail(inv, stored);
-      return std::nullopt;
-    }
+    charge = std::make_shared<const MemoryCharge>(accountant_, spec->context_bytes);
   }
   task.spec = *spec;
-  task.context = context;
   task.control = inv->control;
-  // The engine's one crossing: the outcome is handled on the reactor.
-  task.done = [this, scope = scope_, inv, node_index, instance_index, context,
+  // The engine's one crossing: the outcome is handled on the reactor. The
+  // charge ends when the engine drops the task.
+  task.done = [this, scope = scope_, inv, node_index, instance_index, charge,
                spec = std::move(spec), retained, attempt](ExecOutcome outcome) mutable {
     scope->Post([this, inv = std::move(inv), node_index, instance_index, spec = std::move(spec),
                  retained = std::move(retained), attempt,

@@ -1,6 +1,7 @@
 // The dispatcher (§5, §6.1): orchestrates composition invocations. It
 // tracks input/output dependencies, decides when each function is ready,
-// prepares an isolated memory context per compute instance, enqueues tasks
+// prepares each compute instance (an isolated memory context on the process
+// backend, its input sets by reference on the thread backend), enqueues tasks
 // on the engine queues, fans instances out according to the all/each/key
 // distribution keywords, merges instance outputs, and applies the
 // conditional-execution rule (§4.4: a function runs only when every
@@ -85,7 +86,8 @@ constexpr int kMaxCompositionDepth = 16;
 class Dispatcher {
  public:
   struct Config {
-    // Process isolation requires MAP_SHARED contexts.
+    // Process isolation requires MAP_SHARED contexts; without it (the
+    // thread backend) an instance maps no context.
     bool shared_contexts = false;
     // Upper bound on how long the blocking Invoke() wrapper waits for a
     // completion when the request's deadline is later or absent — a lost
@@ -163,9 +165,10 @@ class Dispatcher {
   void StartGraph(const std::shared_ptr<InvocationState>& inv, dfunc::DataSetList args);
 
   void StartNode(const std::shared_ptr<InvocationState>& inv, size_t node_index);
-  // Prepares one compute instance (context + marshalled inputs + done
-  // callback) without submitting it; nullopt after a Fail. Instances
-  // of one fan-out are then handed to the engines as a single batch.
+  // Prepares one compute instance (inputs, a context on the process
+  // backend, done callback) without submitting it; nullopt after a Fail.
+  // Instances of one fan-out are then handed to the engines as a single
+  // batch.
   std::optional<ComputeTask> BuildComputeTask(const std::shared_ptr<InvocationState>& inv,
                                               size_t node_index, size_t instance_index,
                                               dfunc::DataSetList inputs,

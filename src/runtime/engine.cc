@@ -225,10 +225,11 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
     }
     return;
   }
-  // The context is this task's own: pin it so the read-back can alias its
-  // region instead of copying outputs out.
+  // A forked instance's context is this task's own: pin it so the read-back
+  // can alias its region instead of copying outputs out. A thread instance
+  // has none.
   options.context_keepalive = task.context;
-  ExecOutcome outcome = sandbox_->Execute(task.spec, *task.context, options);
+  ExecOutcome outcome = sandbox_->Execute(task.spec, task.context.get(), options);
   compute_done_.fetch_add(1, std::memory_order_relaxed);
   if (sandbox_->backend() == IsolationBackend::kProcess) {
     std::lock_guard<std::mutex> lock(wait_mu_);
@@ -259,6 +260,7 @@ void WorkerSet::StartCommTask(CommTask task) {
     Deliver({dhttp::HttpResponse::Make(499, "Client Closed Request", ""), 0, std::move(task.done)});
     return;
   }
+  const dbase::Micros call_start = dbase::MonotonicClock::Get()->NowMicros();
   CommCallResult call = task.handler ? task.handler(*mesh_, task.raw_request)
                                      : ExecuteHttpFunction(*mesh_, task.raw_request);
   Reply reply{std::move(call.response), call.latency_us, std::move(task.done)};
@@ -271,8 +273,12 @@ void WorkerSet::StartCommTask(CommTask task) {
   }
   const auto held = held_.insert(held_.end(), std::move(reply));
   lock.unlock();
+  // The modelled latency covers the service's own work (LatencyModel's
+  // base_us is RTT plus service overhead), so the reply is due that long
+  // after the call started, not after the call returned.
+  const dbase::Micros elapsed = dbase::MonotonicClock::Get()->NowMicros() - call_start;
   // Only this timer or Shutdown, after the scope closed, moves `held`.
-  timers_.AddTimer(call.latency_us, [this, held] {
+  timers_.AddTimer(std::max<dbase::Micros>(0, call.latency_us - elapsed), [this, held] {
     {
       std::lock_guard<std::mutex> due_lock(replies_mu_);
       due_.splice(due_.end(), held_, held);

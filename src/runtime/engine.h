@@ -35,12 +35,13 @@ namespace dandelion {
 
 enum class EngineType { kCompute, kCommunication };
 
-// A unit of compute work: a prepared memory context plus metadata. The
-// engine invokes `done` exactly once with the outcome. When `control` is
-// set, the task belongs to a tracked invocation: its class picks the queue
-// lane, a task of a dead invocation is dropped at dequeue (done fires with
-// the terminal status, the sandbox never runs), and the invocation
-// deadline clamps the sandbox timeout.
+// A unit of compute work: the function, its inputs (a prepared memory
+// context on the process backend, SandboxOptions::input_sets on the thread
+// backend) and metadata. The engine invokes `done` exactly once with the
+// outcome. When `control` is set, the task belongs to a tracked invocation:
+// its class picks the queue lane, a task of a dead invocation is dropped at
+// dequeue (done fires with the terminal status, the sandbox never runs),
+// and the invocation deadline clamps the sandbox timeout.
 struct ComputeTask {
   dfunc::FunctionSpec spec;
   std::shared_ptr<MemoryContext> context;

@@ -2,39 +2,11 @@
 
 #include <sys/mman.h>
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/base/string_util.h"
 
 namespace dandelion {
-namespace {
-
-// Zeroes the first `extent` bytes of a context region, the only part that
-// was written, leaving it indistinguishable from a fresh mapping. Two
-// regimes:
-//  - small extents are memset in place: ~0.3 µs for a few pages versus
-//    several µs of madvise + demand-zero refaults in the kernel, at the
-//    cost of keeping those pages committed while shelved (bounded by
-//    kZeroExtentBytes × the pool's max entries ≈ 4 MB platform-wide);
-//  - large extents are genuinely uncommitted with MADV_DONTNEED, so
-//    committed memory keeps tracking demand (§7.8); on MAP_PRIVATE
-//    anonymous memory refaults read fresh zeros.
-// Only private regions are scrubbed: a MAP_SHARED context is never reused,
-// because MADV_DONTNEED would leave its shmem object's bytes in place.
-void ScrubRegion(char* region, uint64_t extent) {
-  if (extent == 0) {
-    return;
-  }
-  if (extent <= ContextPool::kZeroExtentBytes) {
-    std::memset(region, 0, extent);
-    return;
-  }
-  const uint64_t page = 4096;
-  madvise(region, (extent + page - 1) / page * page, MADV_DONTNEED);
-}
-
-}  // namespace
 
 void MemoryAccountant::Acquire(uint64_t bytes) {
   const uint64_t now = current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
@@ -48,60 +20,16 @@ void MemoryAccountant::Release(uint64_t bytes) {
   current_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
-ContextPool* ContextPool::Get() {
-  // Intentionally leaked: contexts may be released during static teardown,
-  // after a function-local static pool would already be gone.
-  static ContextPool* pool = new ContextPool();
-  return pool;
-}
-
-char* ContextPool::Take(uint64_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = free_by_capacity_.find(capacity);
-  if (it == free_by_capacity_.end() || it->second.empty()) {
-    ++stats_.misses;
-    return nullptr;
+MemoryCharge::MemoryCharge(MemoryAccountant* accountant, uint64_t bytes)
+    : accountant_(accountant), bytes_(bytes) {
+  if (accountant_ != nullptr) {
+    accountant_->Acquire(bytes_);
   }
-  char* region = it->second.back();
-  it->second.pop_back();
-  --entries_;
-  ++stats_.hits;
-  return region;
 }
 
-bool ContextPool::Put(char* region, uint64_t capacity, uint64_t touched) {
-  // Scrub outside the lock. Scrub-before-reserve wastes one scrub when the
-  // pool turns out to be full, but keeps the capacity check and the
-  // shelving atomic — a concurrent set_max_entries() shrink cannot
-  // interleave with a half-registered entry.
-  ScrubRegion(region, std::min(touched, capacity));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_ >= max_entries_) {
-    ++stats_.dropped;
-    return false;
-  }
-  ++entries_;
-  ++stats_.recycled;
-  free_by_capacity_[capacity].push_back(region);
-  return true;
-}
-
-ContextPool::Stats ContextPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ContextPool::set_max_entries(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_entries_ = n;
-  // Shrink below the new bound so lowering it (benchmark baselines, tests)
-  // takes effect immediately rather than after organic churn.
-  for (auto& [capacity, regions] : free_by_capacity_) {
-    while (entries_ > max_entries_ && !regions.empty()) {
-      munmap(regions.back(), capacity);
-      regions.pop_back();
-      --entries_;
-    }
+MemoryCharge::~MemoryCharge() {
+  if (accountant_ != nullptr) {
+    accountant_->Release(bytes_);
   }
 }
 
@@ -111,44 +39,24 @@ dbase::Result<std::unique_ptr<MemoryContext>> MemoryContext::Create(uint64_t cap
   if (capacity < kHeaderSize) {
     return dbase::InvalidArgument("context capacity below header size");
   }
-  char* mem = nullptr;
-  if (!shared) {
-    mem = ContextPool::Get()->Take(capacity);
+  const int visibility = shared ? MAP_SHARED : MAP_PRIVATE;
+  void* mem = mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                   visibility | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mem == MAP_FAILED) {
+    return dbase::ResourceExhausted(dbase::StrFormat(
+        "mmap of %llu-byte context failed", static_cast<unsigned long long>(capacity)));
   }
-  if (mem == nullptr) {
-    const int visibility = shared ? MAP_SHARED : MAP_PRIVATE;
-    void* fresh = mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
-                       visibility | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (fresh == MAP_FAILED) {
-      return dbase::ResourceExhausted(
-          dbase::StrFormat("mmap of %llu-byte context failed",
-                           static_cast<unsigned long long>(capacity)));
-    }
-    mem = static_cast<char*>(fresh);
-  }
-  if (accountant != nullptr) {
-    accountant->Acquire(capacity);
-  }
-  return std::unique_ptr<MemoryContext>(new MemoryContext(mem, capacity, accountant, shared));
+  return std::unique_ptr<MemoryContext>(
+      new MemoryContext(static_cast<char*>(mem), capacity, accountant, shared));
 }
 
-MemoryContext::~MemoryContext() {
-  if (data_ != nullptr) {
-    if (shared_ || !ContextPool::Get()->Put(data_, capacity_, touched_)) {
-      munmap(data_, capacity_);
-    }
-    if (accountant_ != nullptr) {
-      accountant_->Release(capacity_);
-    }
-  }
-}
+MemoryContext::~MemoryContext() { munmap(data_, capacity_); }
 
 dbase::Status MemoryContext::WriteAt(uint64_t offset, std::string_view bytes) {
   if (offset > capacity_ || bytes.size() > capacity_ - offset) {
     return dbase::ResourceExhausted("write exceeds context bounds");
   }
   std::memcpy(data_ + offset, bytes.data(), bytes.size());
-  touched_ = std::max(touched_, offset + bytes.size());
   return dbase::OkStatus();
 }
 
@@ -177,7 +85,6 @@ void MemoryContext::WriteHeader(const ContextHeader& header) {
   std::memcpy(data_, &header.magic, 4);
   std::memcpy(data_ + 4, &header.state, 4);
   std::memcpy(data_ + 8, &header.payload_len, 8);
-  touched_ = std::max(touched_, kHeaderSize);
 }
 
 dbase::Status MemoryContext::StoreInputSets(const dfunc::DataSetList& inputs) {
@@ -196,7 +103,6 @@ dbase::Status MemoryContext::StoreInputSets(const dfunc::DataSetList& inputs) {
   // Marshal straight into the region — no intermediate string of the full
   // input size. MarshalledSize was checked against capacity above.
   dfunc::MarshalSetsInto(inputs, data_ + kHeaderSize);
-  touched_ = std::max(touched_, kHeaderSize + payload_len);
   return dbase::OkStatus();
 }
 
@@ -260,7 +166,6 @@ dbase::Status MemoryContext::StoreOutcome(const dbase::Status& status,
   }
   WriteHeader(header);
   dfunc::MarshalSetsInto(outputs, data_ + kHeaderSize);
-  touched_ = std::max(touched_, kHeaderSize + payload_len);
   return dbase::OkStatus();
 }
 

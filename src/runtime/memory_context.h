@@ -1,33 +1,26 @@
 // Memory contexts (§5): "a bounded, contiguous memory region with methods to
 // read or write at particular offsets and methods to transfer data to other
-// contexts." The dispatcher prepares one per function instance; engines hand
-// it to the isolation backend; the accountant tracks platform-wide committed
-// bytes (the metric in Figures 1 and 10).
+// contexts." Only an instance that crosses an address space needs one: the
+// dispatcher maps a MAP_SHARED context per kProcess instance and marshals
+// its inputs in, and the forked child leaves its outcome there. A kThread
+// instance (the CHERI stand-in) runs inside its engine's address space and
+// maps none: its inputs and outputs are refcounted sets passed by reference,
+// and its declared size is charged to the accountant (MemoryCharge) while
+// it lives, so the committed-memory metric keeps its meaning.
 //
 // Contexts are backed by anonymous mmap with MAP_NORESERVE, so the reserved
 // virtual size is the user-declared memory requirement while physical pages
-// appear on demand — exactly the paper's demand-paging behaviour.
-//
-// Creating and destroying one mmap per instance serializes every invocation
-// on the kernel's per-process mmap_lock (~30 µs each, flat across threads —
-// the whole node caps near 33k instances/s regardless of cores). Private
-// contexts therefore recycle their virtual regions through a bounded
-// process-wide ContextPool: on release the touched extent is uncommitted
-// with madvise(MADV_DONTNEED) — committed memory still tracks demand and
-// the next user reads fresh zero pages, so no state survives between
-// instances — while the VMA itself is reused, keeping mmap_lock off the
-// hot path. Shared (MAP_SHARED, process-isolation) contexts are not pooled.
+// appear on demand — exactly the paper's demand-paging behaviour. A context
+// is mapped when created and unmapped when released; no region is reused,
+// so no instance can read bytes another left behind.
 #ifndef SRC_RUNTIME_MEMORY_CONTEXT_H_
 #define SRC_RUNTIME_MEMORY_CONTEXT_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/func/data.h"
@@ -53,45 +46,38 @@ class MemoryAccountant {
   std::atomic<uint64_t> total_acquired_{0};
 };
 
-// Process-wide recycler of private context regions, keyed by capacity.
-// Returned regions have had their touched extent MADV_DONTNEED'd, so a
-// reused region is indistinguishable from a fresh mapping (zero pages,
-// uncommitted) without paying mmap/munmap under the process mmap_lock.
+// Charges `bytes` to an accountant (none when null) for its lifetime: a
+// context's capacity, or the declared memory of a thread-backend instance,
+// which maps no context.
+class MemoryCharge {
+ public:
+  MemoryCharge(MemoryAccountant* accountant, uint64_t bytes);
+  ~MemoryCharge();
+
+  MemoryCharge(const MemoryCharge&) = delete;
+  MemoryCharge& operator=(const MemoryCharge&) = delete;
+
+ private:
+  MemoryAccountant* accountant_;
+  uint64_t bytes_;
+};
+
+// Context regions are not recycled: every context is unmapped on release,
+// and a thread-backend instance maps none. Kept because bench/e2e reads it
+// (e2e.cc:253); its counters stay zero.
 class ContextPool {
  public:
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t recycled = 0;
-    uint64_t dropped = 0;
   };
 
-  // Never destroyed (contexts may be released during static teardown).
-  static ContextPool* Get();
+  static ContextPool* Get() {
+    static ContextPool pool;
+    return &pool;
+  }
 
-  // A region of exactly `capacity` bytes, or nullptr on miss.
-  char* Take(uint64_t capacity);
-  // Uncommits [0, touched) and shelves the region for reuse. Returns false
-  // when the pool is full — the caller munmaps as before.
-  bool Put(char* region, uint64_t capacity, uint64_t touched);
-
-  Stats stats() const;
-  // Bounds the number of shelved regions (virtual address space, plus up
-  // to kZeroExtentBytes of committed-but-zeroed pages each). 0 disables
-  // pooling.
-  void set_max_entries(size_t n);
-
-  // Touched extents up to this size are zeroed in place on release instead
-  // of uncommitted — cheaper than re-faulting the pages on reuse, with
-  // committed-memory retention bounded by this × max_entries.
-  static constexpr uint64_t kZeroExtentBytes = 64 * 1024;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::vector<char*>> free_by_capacity_;
-  size_t entries_ = 0;
-  size_t max_entries_ = 64;
-  Stats stats_;
+  Stats stats() const { return {}; }
 };
 
 // Wire protocol inside a context, shared with sandboxed children:
@@ -121,10 +107,13 @@ class MemoryContext {
   MemoryContext& operator=(const MemoryContext&) = delete;
 
   uint64_t capacity() const { return capacity_; }
-  // Payload bytes the header+payload protocol can hold. By-reference input
-  // handoff still enforces this bound (outputs must marshal back into the
-  // context), so under-declared memory fails identically on both paths.
-  uint64_t payload_capacity() const { return capacity_ - kHeaderSize; }
+  // Payload bytes the header+payload protocol can hold in a context of
+  // `capacity` bytes. A thread-backend instance maps no context, yet its
+  // marshalled inputs and outputs must each fit this bound for its declared
+  // size, so under-declared memory fails identically on both backends.
+  static uint64_t PayloadCapacity(uint64_t capacity) {
+    return capacity > kHeaderSize ? capacity - kHeaderSize : 0;
+  }
   char* data() { return data_; }
   const char* data() const { return data_; }
   bool shared() const { return shared_; }
@@ -159,8 +148,8 @@ class MemoryContext {
 
   // Zero-copy variant: output item payloads become slices aliasing this
   // context's memory, with `keepalive` (the owning shared_ptr of this
-  // context) held until the last slice dies — so the region is not scrubbed
-  // or recycled while downstream nodes still read it. Payloads below
+  // context) held until the last slice dies — so the region stays mapped
+  // while downstream nodes still read it. Payloads below
   // kAliasReadbackMinBytes fall back to the copying path: pinning a whole
   // context for a few bytes would hold its committed pages hostage.
   dbase::Result<dfunc::DataSetList> LoadOutputSetsAliased(
@@ -180,7 +169,7 @@ class MemoryContext {
 
  private:
   MemoryContext(char* data, uint64_t capacity, MemoryAccountant* accountant, bool shared)
-      : data_(data), capacity_(capacity), accountant_(accountant), shared_(shared) {}
+      : data_(data), capacity_(capacity), shared_(shared), charge_(accountant, capacity) {}
 
   static constexpr uint64_t kHeaderSize = 16;
 
@@ -190,13 +179,8 @@ class MemoryContext {
 
   char* data_ = nullptr;
   uint64_t capacity_ = 0;
-  MemoryAccountant* accountant_ = nullptr;
   bool shared_ = false;
-  // High-water mark of bytes written through this object; on release only
-  // this extent needs uncommitting. Writes that bypass WriteAt (a forked
-  // child's stores into a MAP_SHARED region) are invisible here, which is
-  // why shared contexts are never pooled.
-  uint64_t touched_ = 0;
+  MemoryCharge charge_;
 };
 
 }  // namespace dandelion

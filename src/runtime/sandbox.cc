@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/base/string_util.h"
 #include "src/func/function.h"
@@ -47,36 +46,17 @@ dbase::Micros EffectiveTimeout(const dfunc::FunctionSpec& spec, const SandboxOpt
   return options.timeout_us > 0 ? options.timeout_us : spec.timeout_us;
 }
 
-// Runs the function body in-process against a context already holding
-// marshalled inputs, leaving the outcome in the context: inline for
-// kThread, inside the child for kProcess. `cancel_flag` and `deadline_us`
-// feed the body's cancelled() poll; forked children pass neither, because
-// the parent SIGKILLs them. `preloaded_inputs`, when
-// non-null, bypasses LoadInputSets — the in-process zero-copy input path.
-dbase::Status RunFunctionBodyAgainstContext(
-    const dfunc::FunctionSpec& spec, MemoryContext& context,
-    const std::atomic<bool>* cancel_flag = nullptr,
-    dbase::Micros deadline_us = dfunc::FunctionCtx::kNoDeadline,
-    const dfunc::DataSetList* preloaded_inputs = nullptr) {
-  dfunc::DataSetList input_sets;
-  if (preloaded_inputs != nullptr) {
-    // By-reference handoff: copying the list is refcount bumps, not byte
-    // copies.
-    input_sets = *preloaded_inputs;
-  } else {
-    auto inputs = context.LoadInputSets();
-    if (!inputs.ok()) {
-      (void)context.StoreOutcome(inputs.status(), {});
-      return inputs.status();
-    }
-    input_sets = std::move(inputs).value();
+// Runs the function body inside a forked child against the context holding
+// its marshalled inputs, leaving the outcome in the context. The body gets
+// no cancel flag and no deadline: the parent SIGKILLs the child instead.
+void RunFunctionBodyAgainstContext(const dfunc::FunctionSpec& spec, MemoryContext& context) {
+  auto inputs = context.LoadInputSets();
+  if (!inputs.ok()) {
+    (void)context.StoreOutcome(inputs.status(), {});
+    return;
   }
-  dfunc::FunctionCtx ctx(std::move(input_sets));
-  ctx.set_cancel_flag(cancel_flag);
-  ctx.set_deadline(deadline_us);
-  const dbase::Status status = spec.body(ctx);
-  (void)context.StoreOutcome(status, ctx.outputs());
-  return status;
+  dfunc::FunctionCtx ctx(std::move(inputs).value());
+  (void)context.StoreOutcome(spec.body(ctx), ctx.outputs());
 }
 
 // Fails an execution the sandbox ended before its body finished: a
@@ -95,7 +75,7 @@ void FailStopped(const dfunc::FunctionSpec& spec, const SandboxOptions& options,
                                    "function '%s' stopped at its deadline", name));
 }
 
-// Reads the outcome a finished body left in the context: zero-copy when the
+// Reads the outcome a forked child left in its context: zero-copy when the
 // caller pins the context, copying otherwise.
 void ReadBackOutputs(const MemoryContext& context, const SandboxOptions& options,
                      ExecOutcome& outcome) {
@@ -115,13 +95,26 @@ void ReadBackOutputs(const MemoryContext& context, const SandboxOptions& options
 // core — run-to-completion, no context switch (§5) — with a deadline the
 // body polls providing cooperative preemption. There is no sandbox to
 // create: on CHERI a sandbox is a capability switch within the address
-// space, so load_us and setup_us stay 0.
+// space, so load_us and setup_us stay 0. Inputs and outputs are refcounted
+// sets handed over by reference; nothing is marshalled or copied.
 // ---------------------------------------------------------------------------
 class ThreadSandbox : public SandboxExecutor {
  public:
-  ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext& context,
+  ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext* context,
                       const SandboxOptions& options) override {
     ExecOutcome outcome;
+    dfunc::DataSetList inputs;
+    if (options.input_sets != nullptr) {
+      // Copying the list is refcount bumps, not byte copies.
+      inputs = *options.input_sets;
+    } else if (context != nullptr) {
+      auto loaded = context->LoadInputSets();
+      if (!loaded.ok()) {
+        outcome.status = loaded.status();
+        return outcome;
+      }
+      inputs = std::move(loaded).value();
+    }
     // Execute inline with a cooperative deadline: the body's cancelled()
     // poll turns true once the deadline passes or the invocation is
     // stopped. A body that returns stopped or at or after the deadline
@@ -129,9 +122,10 @@ class ThreadSandbox : public SandboxExecutor {
     dbase::Stopwatch watch;
     const dbase::Micros deadline =
         dbase::MonotonicClock::Get()->NowMicros() + EffectiveTimeout(spec, options);
-    (void)RunFunctionBodyAgainstContext(
-        spec, context, options.control != nullptr ? options.control->stop_flag() : nullptr,
-        deadline, options.input_sets.get());
+    dfunc::FunctionCtx ctx(std::move(inputs));
+    ctx.set_cancel_flag(options.control != nullptr ? options.control->stop_flag() : nullptr);
+    ctx.set_deadline(deadline);
+    const dbase::Status status = spec.body(ctx);
     const bool stopped = (options.control != nullptr && options.control->stop_requested()) ||
                          dbase::MonotonicClock::Get()->NowMicros() >= deadline;
     outcome.timings.execute_us = watch.ElapsedMicros();
@@ -139,8 +133,15 @@ class ThreadSandbox : public SandboxExecutor {
     watch.Restart();
     if (stopped) {
       FailStopped(spec, options, outcome);
+    } else if (!status.ok()) {
+      outcome.status = status;
+    } else if (dfunc::MarshalledSize(ctx.outputs()) >
+               MemoryContext::PayloadCapacity(spec.context_bytes)) {
+      // The bound a forked child's context enforces, so an under-declared
+      // memory requirement fails the same on both backends.
+      outcome.status = dbase::ResourceExhausted("outputs exceed context capacity");
     } else {
-      ReadBackOutputs(context, options, outcome);
+      outcome.outputs = std::move(ctx.outputs());
     }
     outcome.timings.output_us = watch.ElapsedMicros();
     return outcome;
@@ -294,23 +295,23 @@ bool DecodeWaitStatus(int wait_status, const std::string& function_name, ExecOut
 // ---------------------------------------------------------------------------
 class ProcessSandbox : public SandboxExecutor {
  public:
-  ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext& context,
+  ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext* context,
                       const SandboxOptions& options) override {
     ExecOutcome outcome;
-    if (!context.shared()) {
+    if (context == nullptr || !context->shared()) {
       outcome.status =
           dbase::FailedPrecondition("process sandbox requires a shared memory context");
       return outcome;
     }
     dbase::Stopwatch watch;
-    const pid_t pid = ForkChild(spec, context);
+    const pid_t pid = ForkChild(spec, *context);
     if (pid < 0) {
       outcome.failure = dpolicy::FailureKind::kResourceExhausted;
       outcome.status = dbase::ResourceExhausted("fork failed");
       return outcome;
     }
     outcome.timings.setup_us = watch.ElapsedMicros();
-    AwaitChild(pid, spec, context, options, outcome);
+    AwaitChild(pid, spec, *context, options, outcome);
     return outcome;
   }
 

@@ -45,7 +45,9 @@ struct SandboxTimings {
   dbase::Micros load_us = 0;
   dbase::Micros setup_us = 0;    // Sandbox creation (fork / none).
   dbase::Micros execute_us = 0;  // User code.
-  dbase::Micros output_us = 0;   // "Get/send output": outcome readback.
+  // "Get/send output": reading a forked child's outcome back out of its
+  // context; on the thread backend, only checking the outputs' bound.
+  dbase::Micros output_us = 0;
   // The forked child's own cost, from the rusage wait4 returns on reap; 0
   // on the thread backend. CPU is its user plus system time. The peak RSS
   // is per sandbox and counts the pages the child shares copy-on-write
@@ -76,16 +78,14 @@ struct SandboxOptions {
   // readable. A stop is classified by the reason the control recorded:
   // kDeadlineKill for the invocation deadline, kCancelKill otherwise.
   InvocationControl* control = nullptr;
-  // By-reference input handoff for in-process backends: when set, the
-  // function body reads these sets directly (refcount bumps, no payload
-  // copies) and StoreInputSets is skipped entirely. Address-space-crossing
-  // backends (process) ignore this — their children can only see the
-  // marshalled context mapping.
+  // The thread backend's inputs, read by reference (refcount bumps, no
+  // payload copies). When null it reads them from the context. The process
+  // backend ignores this: its child sees only the marshalled context.
   std::shared_ptr<const dfunc::DataSetList> input_sets;
-  // When set, outputs are read back zero-copy: payloads alias the context
-  // region and this keepalive (the owning shared_ptr of the context) pins
-  // it until the last downstream reader drops its slice. Null ⇒ copying
-  // read-back.
+  // When set, a forked child's outputs are read back zero-copy: payloads
+  // alias the context region and this keepalive (the owning shared_ptr of
+  // the context) pins it until the last downstream reader drops its slice.
+  // Null ⇒ copying read-back.
   std::shared_ptr<const void> context_keepalive;
 };
 
@@ -95,11 +95,17 @@ class SandboxExecutor {
  public:
   virtual ~SandboxExecutor() = default;
 
-  // The context must already contain the marshalled inputs
-  // (MemoryContext::StoreInputSets). On return it contains the outcome and
-  // the parsed outputs are in ExecOutcome::outputs.
-  virtual ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext& context,
+  // The process backend needs a shared context already holding the
+  // marshalled inputs (MemoryContext::StoreInputSets); its child leaves the
+  // outcome there, parsed into ExecOutcome::outputs. The thread backend
+  // takes a null context and runs on options.input_sets, returning the
+  // outputs its body emitted by reference.
+  virtual ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext* context,
                               const SandboxOptions& options) = 0;
+  ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext& context,
+                      const SandboxOptions& options) {
+    return Execute(spec, &context, options);
+  }
 
   virtual IsolationBackend backend() const = 0;
 };

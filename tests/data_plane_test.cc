@@ -222,13 +222,12 @@ composition Fan(in) => out {
   EXPECT_GT(after.bytes_aliased, before.bytes_aliased);
 }
 
-// ----------------------------------------------------- Scrub / alias safety
+// ----------------------------------------------------------- Alias safety
 
-// Aliased output read-back pins the context through the keep-alive token;
-// the region must reach the pool only after the last slice dies, and the
-// next user of the recycled region must read zeros, never stale payload.
-TEST(ScrubTest, PooledReuseAfterAliasedReadbackLeaksNothing) {
-  // A capacity no other test uses, so this test observes its own recycling.
+// Aliased output read-back pins the context through the keep-alive token:
+// the region stays mapped until the last slice dies, and the next context
+// of its capacity reads zeros, never the stale payload.
+TEST(ScrubTest, AliasedReadbackPinsTheContextUntilItsLastSlice) {
   constexpr uint64_t kCapacity = (1 << 20) + 7 * 4096;
   const std::string marker(MemoryContext::kAliasReadbackMinBytes, 'L');
 
@@ -250,7 +249,7 @@ TEST(ScrubTest, PooledReuseAfterAliasedReadbackLeaksNothing) {
 
   EXPECT_EQ(outputs[0].items[0].data, marker);
 
-  // Releasing the last reference sends the region through the pool scrub.
+  // Releasing the last reference unmaps the region.
   outputs.clear();
   auto reused = MemoryContext::Create(kCapacity, nullptr);
   ASSERT_TRUE(reused.ok());
@@ -260,7 +259,7 @@ TEST(ScrubTest, PooledReuseAfterAliasedReadbackLeaksNothing) {
 }
 
 // Small outputs fall back to the copying path: pinning a whole context's
-// committed pages for a few bytes would defeat the pool.
+// committed pages for a few bytes would hold them hostage.
 TEST(ScrubTest, TinyOutputsAreCopiedNotAliased) {
   auto created = MemoryContext::Create(1 << 16, nullptr);
   ASSERT_TRUE(created.ok());

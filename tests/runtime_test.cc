@@ -86,22 +86,18 @@ TEST(MemoryContextTest, RejectsTinyCapacity) {
   EXPECT_FALSE(MemoryContext::Create(8, nullptr).ok());
 }
 
-// Private contexts recycle their mmap regions through the process-wide
-// ContextPool; a reused region must be indistinguishable from a fresh
-// mapping — no bytes from the previous instance may survive.
-TEST(MemoryContextTest, PooledReuseReadsAsZeros) {
-  // A capacity distinct from every other test's, so this test observes its
-  // own recycling rather than another test's leftovers.
+// A context is mapped fresh and unmapped on release: a later context of the
+// same capacity reads zeros, whether its predecessor wrote a few bytes or
+// more than 64 KiB.
+TEST(MemoryContextTest, ReleasedContextLeavesNoBytesBehind) {
   constexpr uint64_t kCapacity = (1 << 20) + 3 * 4096;
+  constexpr uint64_t kLargeExtent = 64 * 1024 + 4096;
 
-  // Small touched extent: the pool zeroes it in place.
   {
     auto ctx = MemoryContext::Create(kCapacity, nullptr);
     ASSERT_TRUE(ctx.ok());
     ASSERT_TRUE((*ctx)->WriteAt(0, "secret-small").ok());
   }
-  const auto after_small = ContextPool::Get()->stats();
-  EXPECT_GT(after_small.recycled, 0u);
   {
     auto ctx = MemoryContext::Create(kCapacity, nullptr);
     ASSERT_TRUE(ctx.ok());
@@ -109,29 +105,16 @@ TEST(MemoryContextTest, PooledReuseReadsAsZeros) {
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(view->find_first_not_of('\0'), std::string_view::npos);
 
-    // Large touched extent (past ContextPool::kZeroExtentBytes): the pool
-    // uncommits with MADV_DONTNEED instead.
-    const std::string big(ContextPool::kZeroExtentBytes + 4096, 'X');
+    const std::string big(kLargeExtent, 'X');
     ASSERT_TRUE((*ctx)->WriteAt(0, big).ok());
   }
   {
     auto ctx = MemoryContext::Create(kCapacity, nullptr);
     ASSERT_TRUE(ctx.ok());
-    auto view = (*ctx)->ReadAt(0, ContextPool::kZeroExtentBytes + 4096);
+    auto view = (*ctx)->ReadAt(0, kLargeExtent);
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(view->find_first_not_of('\0'), std::string_view::npos);
   }
-
-  // set_max_entries(0) disables pooling and drains shelved regions.
-  ContextPool::Get()->set_max_entries(0);
-  {
-    auto ctx = MemoryContext::Create(kCapacity, nullptr);
-    ASSERT_TRUE(ctx.ok());
-    ASSERT_TRUE((*ctx)->WriteAt(0, "dropped").ok());
-  }
-  const auto drained = ContextPool::Get()->stats();
-  EXPECT_GT(drained.dropped, 0u);
-  ContextPool::Get()->set_max_entries(64);
 }
 
 TEST(MemoryContextTest, TransferBetweenContexts) {
@@ -232,7 +215,7 @@ TEST_P(SandboxBackendTest, ExecutesEcho) {
   ASSERT_EQ(outcome.outputs.size(), 1u);
   EXPECT_EQ(outcome.outputs[0].name, "out");
   EXPECT_EQ(outcome.outputs[0].items[0].data, "hello sandbox");
-  // The key the body set reaches the caller through the context read-back.
+  // The key the body set reaches the caller with its payload.
   EXPECT_EQ(outcome.outputs[0].items[0].key, "key");
   EXPECT_GE(outcome.timings.Total(), 0);
 }
@@ -1211,7 +1194,98 @@ TEST(PlatformTest, MemoryReleasedAfterInvocation) {
   EXPECT_GT(platform.accountant().total_acquired(), 0u);
 }
 
+// A thread-backend instance maps no context: the output its body emits
+// comes back by reference, small or large, never copied out of a region.
+// The test holds the emitted payload, so a copy could not reuse its bytes.
+TEST(PlatformTest, ThreadBackendOutputsComeBackByReference) {
+  for (const size_t bytes : {size_t{1024}, size_t{128 * 1024}}) {
+    Platform platform(FastPlatformConfig());
+    dfunc::Payload emitted;
+    ASSERT_TRUE(platform
+                    .RegisterFunction({.name = "emit",
+                                       .body =
+                                           [&emitted, bytes](dfunc::FunctionCtx& ctx) {
+                                             ctx.EmitOutput("out", std::string(bytes, 'o'));
+                                             emitted = ctx.outputs()[0].items[0].data;
+                                             return dbase::OkStatus();
+                                           }})
+                    .ok());
+    ASSERT_TRUE(platform
+                    .RegisterCompositionDsl(
+                        "composition Emit(in) => out { emit(in = all in) => (out = out); }")
+                    .ok());
+    auto result = platform.Invoke({"Emit", SingleArg("in", "x")});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ((*result)[0].items[0].data.size(), bytes);
+    EXPECT_EQ((*result)[0].items[0].data.data(), emitted.data()) << bytes << " B";
+  }
+}
+
+// An output past the declared memory fails the same on both backends,
+// although only the process backend marshals it into a context.
+TEST(PlatformTest, OversizedOutputFailsAlikeOnBothBackends) {
+  std::vector<dbase::Status> failures;
+  for (const IsolationBackend backend : {IsolationBackend::kThread, IsolationBackend::kProcess}) {
+    Platform platform(FastPlatformConfig(backend));
+    ASSERT_TRUE(platform
+                    .RegisterFunction({.name = "big",
+                                       .body =
+                                           [](dfunc::FunctionCtx& ctx) {
+                                             ctx.EmitOutput("out", std::string(96 * 1024, 'b'));
+                                             return dbase::OkStatus();
+                                           },
+                                       .context_bytes = 64 * 1024})
+                    .ok());
+    ASSERT_TRUE(platform
+                    .RegisterCompositionDsl(
+                        "composition Big(in) => out { big(in = all in) => (out = out); }")
+                    .ok());
+    auto result = platform.Invoke({"Big", SingleArg("in", "x")});
+    ASSERT_FALSE(result.ok()) << IsolationBackendName(backend);
+    EXPECT_EQ(result.status().code(), dbase::StatusCode::kResourceExhausted)
+        << IsolationBackendName(backend) << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("outputs exceed context capacity"),
+              std::string::npos)
+        << result.status().ToString();
+    failures.push_back(result.status());
+  }
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(failures[0].message(), failures[1].message());
+}
+
 // ----------------------------------------------- Communication functions
+
+// The modelled latency covers the service's own work, so a reply lands
+// `latency_us` after its call started: a 100 ms service behind a 100 ms
+// latency model answers after about 100 ms, not 200.
+TEST(PlatformTest, CommReplyLatencyIncludesTheServicesOwnWork) {
+  PlatformConfig config = FastPlatformConfig();
+  config.sleep_for_modeled_latency = true;
+  Platform platform(config);
+  platform.mesh().Register(
+      "slow.internal",
+      std::make_shared<dhttp::LambdaService>([](const dhttp::HttpRequest&, const dhttp::Uri&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        return dhttp::HttpResponse::Ok("done");
+      }),
+      dhttp::LatencyModel{.base_us = 100 * dbase::kMicrosPerMilli, .per_kb_us = 0.0,
+                          .jitter_sigma = 0.0});
+  ASSERT_TRUE(platform
+                  .RegisterCompositionDsl(
+                      "composition Call(req) => resp { HTTP(Request = each req) => (resp = "
+                      "Response); }")
+                  .ok());
+  dhttp::HttpRequest req;
+  req.method = dhttp::Method::kGet;
+  req.target = "http://slow.internal/";
+
+  const dbase::Stopwatch watch;
+  auto result = platform.Invoke({"Call", SingleArg("req", req.Serialize())});
+  const dbase::Micros took = watch.ElapsedMicros();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GE(took, 100 * dbase::kMicrosPerMilli);
+  EXPECT_LT(took, 170 * dbase::kMicrosPerMilli);
+}
 
 // --------------------------------------------------------------- Registry
 
