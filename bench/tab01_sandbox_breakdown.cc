@@ -29,8 +29,9 @@ struct Breakdown {
   double total_us = 0;
 };
 
-Breakdown MeasureBackend(dandelion::IsolationBackend backend, int iterations) {
-  auto executor = dandelion::CreateSandboxExecutor(backend);
+Breakdown MeasureBackend(dandelion::IsolationBackend backend, int iterations,
+                         dandelion::JailMode jail = dandelion::JailMode::kRequired) {
+  auto executor = dandelion::CreateSandboxExecutor(backend, jail);
   dfunc::FunctionSpec spec;
   spec.name = "matmul";
   spec.body = dfunc::MatMulFunction;
@@ -122,21 +123,19 @@ int main() {
                     " paper numbers only: this repo models them in dsim, not in the runtime");
 
   // Syscall-jail overhead on the process backend: identical fork()+wait
-  // runs with the seccomp-BPF filter installed in the child vs bypassed.
+  // runs on a jailed executor and on one built with the jail off.
   // The delta is the prctl(NO_NEW_PRIVS) + filter-load cost on the cold
   // path — the price of SECCOMP_RET_KILL_PROCESS containment per launch.
   dbench::PrintHeader("Table 1 addendum: seccomp jail cost, process backend [us]");
   const bool jail_available = dandelion::SandboxCapabilities::Get().seccomp_filter;
   dbench::Table jail_table({"row", "jail on", "jail off", "delta"});
   if (jail_available) {
-    const bool was_enabled = dandelion::SyscallJailEnabled();
-    dandelion::SetSyscallJailEnabled(true);
+    constexpr auto kOff = dandelion::JailMode::kOff;
     (void)MeasureBackend(dandelion::IsolationBackend::kProcess, kWarmup);
     const Breakdown jailed = MeasureBackend(dandelion::IsolationBackend::kProcess, kIterations);
-    dandelion::SetSyscallJailEnabled(false);
-    (void)MeasureBackend(dandelion::IsolationBackend::kProcess, kWarmup);
-    const Breakdown open = MeasureBackend(dandelion::IsolationBackend::kProcess, kIterations);
-    dandelion::SetSyscallJailEnabled(was_enabled);
+    (void)MeasureBackend(dandelion::IsolationBackend::kProcess, kWarmup, kOff);
+    const Breakdown open =
+        MeasureBackend(dandelion::IsolationBackend::kProcess, kIterations, kOff);
     auto jail_row = [&](const char* name, double Breakdown::* field) {
       jail_table.AddRow({name, dbench::Table::Num(jailed.*field, 1),
                          dbench::Table::Num(open.*field, 1),

@@ -133,19 +133,27 @@ void LogHistogram::Add(uint64_t value) {
   if (idx >= kNumBuckets) {
     idx = kNumBuckets - 1;
   }
-  ++buckets_[idx];
-  ++total_;
+  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+  total_.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint64_t LogHistogram::ApproxPercentile(double p) const {
-  if (total_ == 0) {
+  // The rank comes from the buckets read here, not from total_: an Add
+  // racing this read may have counted its total and not yet its bucket.
+  uint64_t counts[kNumBuckets];
+  uint64_t total = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    counts[i] = bucket(i);
+    total += counts[i];
+  }
+  if (total == 0) {
     return 0;
   }
   const uint64_t target =
-      static_cast<uint64_t>(p / 100.0 * static_cast<double>(total_ - 1)) + 1;
+      static_cast<uint64_t>(p / 100.0 * static_cast<double>(total - 1)) + 1;
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i];
+    seen += counts[i];
     if (seen >= target) {
       return i == 0 ? 0 : (1ULL << i) - 1;  // Upper bound of bucket i.
     }
@@ -155,17 +163,18 @@ uint64_t LogHistogram::ApproxPercentile(double p) const {
 
 std::string LogHistogram::ToString() const {
   std::ostringstream os;
-  os << "hist(total=" << total_ << ")[";
+  os << "hist(total=" << count() << ")[";
   bool first = true;
   for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) {
+    const uint64_t n = bucket(i);
+    if (n == 0) {
       continue;
     }
     if (!first) {
       os << ", ";
     }
     first = false;
-    os << "<" << (i == 0 ? 1ULL : (1ULL << i)) << ":" << buckets_[i];
+    os << "<" << (i == 0 ? 1ULL : (1ULL << i)) << ":" << n;
   }
   os << "]";
   return os.str();

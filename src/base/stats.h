@@ -3,6 +3,7 @@
 #ifndef SRC_BASE_STATS_H_
 #define SRC_BASE_STATS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,20 +100,23 @@ class TimeSeries {
 
 // Log-spaced histogram for cheap latency distribution summaries (used by
 // engines to export queue-wait distributions without storing every sample).
+// Lock-free: Add and the reads may run on any threads at once; a read
+// racing an Add may miss it.
 class LogHistogram {
  public:
   // Buckets: [0,1), [1,2), [2,4), ... up to 2^62, values in arbitrary units.
   static constexpr int kNumBuckets = 64;
 
   void Add(uint64_t value);
-  uint64_t count() const { return total_; }
+  uint64_t count() const { return total_.load(std::memory_order_relaxed); }
+  uint64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
   // Approximate percentile from bucket boundaries (upper bound of bucket).
   uint64_t ApproxPercentile(double p) const;
   std::string ToString() const;
 
  private:
-  uint64_t buckets_[kNumBuckets] = {};
-  uint64_t total_ = 0;
+  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
+  std::atomic<uint64_t> total_{0};
 };
 
 }  // namespace dbase

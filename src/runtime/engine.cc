@@ -135,15 +135,12 @@ EngineStats WorkerSet::Stats() const {
   stats.comm_inflight = static_cast<uint64_t>(comm_inflight_.load(std::memory_order_relaxed));
   stats.compute_workers = compute_workers();
   stats.comm_workers = comm_workers();
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    stats.compute_wait_p50_us = compute_wait_us_.ApproxPercentile(50);
-    stats.compute_wait_p99_us = compute_wait_us_.ApproxPercentile(99);
-    stats.comm_wait_p50_us = comm_wait_us_.ApproxPercentile(50);
-    stats.comm_wait_p99_us = comm_wait_us_.ApproxPercentile(99);
-    stats.child_cpu_p50_us = child_cpu_us_.ApproxPercentile(50);
-    stats.child_cpu_p99_us = child_cpu_us_.ApproxPercentile(99);
-  }
+  stats.compute_wait_p50_us = compute_wait_us_.ApproxPercentile(50);
+  stats.compute_wait_p99_us = compute_wait_us_.ApproxPercentile(99);
+  stats.comm_wait_p50_us = comm_wait_us_.ApproxPercentile(50);
+  stats.comm_wait_p99_us = comm_wait_us_.ApproxPercentile(99);
+  stats.child_cpu_p50_us = child_cpu_us_.ApproxPercentile(50);
+  stats.child_cpu_p99_us = child_cpu_us_.ApproxPercentile(99);
   return stats;
 }
 
@@ -166,11 +163,8 @@ void WorkerSet::Shutdown() {
 
 void WorkerSet::RunComputeTask(ComputeTask task) {
   const dbase::Micros now = dbase::MonotonicClock::Get()->NowMicros();
-  {
-    const dbase::Micros wait = now - task.enqueue_time_us;
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    compute_wait_us_.Add(static_cast<uint64_t>(std::max<dbase::Micros>(0, wait)));
-  }
+  const dbase::Micros wait = now - task.enqueue_time_us;
+  compute_wait_us_.Add(static_cast<uint64_t>(std::max<dbase::Micros>(0, wait)));
   SandboxOptions options = task.options;
   // A forked instance is counted on its control before the dequeue check
   // and until just before its report, so a stop leaves the end to it.
@@ -232,7 +226,6 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
   ExecOutcome outcome = sandbox_->Execute(task.spec, task.context.get(), options);
   compute_done_.fetch_add(1, std::memory_order_relaxed);
   if (sandbox_->backend() == IsolationBackend::kProcess) {
-    std::lock_guard<std::mutex> lock(wait_mu_);
     child_cpu_us_.Add(static_cast<uint64_t>(outcome.timings.child_cpu_us));
   }
   if (forked) {
@@ -245,12 +238,8 @@ void WorkerSet::RunComputeTask(ComputeTask task) {
 
 void WorkerSet::StartCommTask(CommTask task) {
   comm_done_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const dbase::Micros wait =
-        dbase::MonotonicClock::Get()->NowMicros() - task.enqueue_time_us;
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    comm_wait_us_.Add(static_cast<uint64_t>(std::max<dbase::Micros>(0, wait)));
-  }
+  const dbase::Micros wait = dbase::MonotonicClock::Get()->NowMicros() - task.enqueue_time_us;
+  comm_wait_us_.Add(static_cast<uint64_t>(std::max<dbase::Micros>(0, wait)));
   if (task.control != nullptr &&
       !task.control->RetireStatus(dbase::MonotonicClock::Get()->NowMicros()).ok()) {
     // Dead invocation: skip the mesh call and its modelled latency. The

@@ -205,10 +205,9 @@ class WorkerSet {
   std::list<Reply> held_;  // On their timers. Guarded by replies_mu_.
   std::list<Reply> due_;   // Guarded by replies_mu_.
 
-  mutable std::mutex wait_mu_;
-  dbase::LogHistogram compute_wait_us_;  // Guarded by wait_mu_.
-  dbase::LogHistogram comm_wait_us_;     // Guarded by wait_mu_.
-  dbase::LogHistogram child_cpu_us_;     // Guarded by wait_mu_.
+  dbase::LogHistogram compute_wait_us_;
+  dbase::LogHistogram comm_wait_us_;
+  dbase::LogHistogram child_cpu_us_;
 };
 
 }  // namespace dandelion

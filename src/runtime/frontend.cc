@@ -984,13 +984,13 @@ std::string HttpFrontend::StatzJson() const {
   }
   json.EndObject();
   // Fault containment: jail capability, injected faults, retry/breaker
-  // activity. `seccomp_filter` false means the process backend runs
-  // unconfined (kernel without seccomp) — tests and operators must be able
-  // to tell that apart from "jailed".
+  // activity. `enabled` means this platform's process children run jailed:
+  // a Platform always requires the jail, so it is the probe's answer, and
+  // without seccomp the process backend fails every instance instead.
   const SandboxCapabilities& caps = SandboxCapabilities::Get();
   json.BeginObject("jail")
       .Field("seccomp_filter", caps.seccomp_filter)
-      .Field("enabled", SyscallJailEnabled())
+      .Field("enabled", caps.seccomp_filter)
       .Field("detail", caps.detail)
       .EndObject();
   json.BeginObject("faults");

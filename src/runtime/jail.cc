@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 
 #include <linux/audit.h>
 #include <linux/filter.h>
@@ -25,8 +24,6 @@ constexpr uint32_t kAuditArch = AUDIT_ARCH_AARCH64;
 #else
 constexpr uint32_t kAuditArch = 0;
 #endif
-
-std::atomic<bool> g_jail_enabled{true};
 
 // Offsets into struct seccomp_data.
 constexpr uint32_t kNrOffset = offsetof(seccomp_data, nr);
@@ -49,8 +46,7 @@ SandboxCapabilities ProbeCapabilities() {
     caps.detail = "seccomp-BPF filter available";
   } else {
     caps.seccomp_filter = false;
-    caps.detail =
-        std::string("seccomp filter unavailable (") + strerror(errno) + "), running unconfined";
+    caps.detail = std::string("seccomp filter unavailable (") + strerror(errno) + ")";
   }
   return caps;
 }
@@ -158,11 +154,6 @@ void EmitTree(FilterEmitter& emit, const JailRule* rules, size_t count) {
 const SandboxCapabilities& SandboxCapabilities::Get() {
   static const SandboxCapabilities caps = ProbeCapabilities();
   return caps;
-}
-
-bool SyscallJailEnabled() { return g_jail_enabled.load(std::memory_order_relaxed); }
-void SetSyscallJailEnabled(bool enabled) {
-  g_jail_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 JailFilter BuildJailFilter() {

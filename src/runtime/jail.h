@@ -17,8 +17,8 @@
 namespace dandelion {
 
 // Probed once at first use: whether this kernel accepts
-// SECCOMP_SET_MODE_FILTER. When false, kProcess children run unconfined
-// (the pre-jail behaviour) and tests/statz report the fallback explicitly.
+// SECCOMP_SET_MODE_FILTER. When false, a process sandbox that requires the
+// jail forks nothing and fails each instance instead (fail closed).
 struct SandboxCapabilities {
   bool seccomp_filter = false;
   std::string detail;  // Human-readable probe outcome for /statz and logs.
@@ -26,11 +26,11 @@ struct SandboxCapabilities {
   static const SandboxCapabilities& Get();
 };
 
-// Process-wide switch (default on). Benches toggle it to measure what
-// confinement costs; it only gates *installation* — capability probing is
-// unaffected.
-bool SyscallJailEnabled();
-void SetSyscallJailEnabled(bool enabled);
+// Whether a process sandbox jails its children, fixed when the executor is
+// built. Every Platform requires the jail; kOff exists only for measuring
+// what confinement costs and for tests whose children make syscalls the
+// jail forbids on purpose.
+enum class JailMode { kRequired, kOff };
 
 // The jail's classic-BPF program. It is built in the parent, before fork,
 // so a child only installs it.
@@ -55,9 +55,8 @@ const JailFilter& ColdJailFilter();
 // Installs `filter` in the calling (child) process. Async-signal-safe: no
 // allocation, no locks — callable between fork and the function body.
 // Returns 0 on success, -errno on failure. Callers must have decided
-// *before* forking whether to install (capability + enabled flag) and
-// built the filter there, so the child never touches lazily-initialised
-// state.
+// *before* forking whether to install (the executor's jail mode) and built
+// the filter there, so the child never touches lazily-initialised state.
 int InstallSyscallJail(const JailFilter& filter);
 
 }  // namespace dandelion

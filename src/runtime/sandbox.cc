@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/string_util.h"
 #include "src/func/function.h"
@@ -164,10 +165,10 @@ struct ChildPlan {
   bool forbidden_syscall = false;
 };
 
-ChildPlan SampleChildPlan() {
+ChildPlan SampleChildPlan(JailMode mode, const SandboxCapabilities& caps) {
   FaultInjector& faults = FaultInjector::Get();
   ChildPlan plan;
-  plan.install_jail = SyscallJailEnabled() && SandboxCapabilities::Get().seccomp_filter;
+  plan.install_jail = mode == JailMode::kRequired && caps.seccomp_filter;
   plan.crash_before = faults.ShouldFire(FaultPoint::kChildCrashBeforeOutcome);
   plan.crash_partial = faults.ShouldFire(FaultPoint::kChildCrashAfterPartialWrite);
   plan.forbidden_syscall = faults.ShouldFire(FaultPoint::kChildForbiddenSyscall);
@@ -295,9 +296,16 @@ bool DecodeWaitStatus(int wait_status, const std::string& function_name, ExecOut
 // ---------------------------------------------------------------------------
 class ProcessSandbox : public SandboxExecutor {
  public:
+  ProcessSandbox(JailMode mode, SandboxCapabilities caps) : mode_(mode), caps_(std::move(caps)) {}
+
   ExecOutcome Execute(const dfunc::FunctionSpec& spec, MemoryContext* context,
                       const SandboxOptions& options) override {
     ExecOutcome outcome;
+    if (mode_ == JailMode::kRequired && !caps_.seccomp_filter) {
+      // Fail closed: a child this executor forked would run unjailed.
+      outcome.status = dbase::FailedPrecondition("process backend unavailable: " + caps_.detail);
+      return outcome;
+    }
     if (context == nullptr || !context->shared()) {
       outcome.status =
           dbase::FailedPrecondition("process sandbox requires a shared memory context");
@@ -322,8 +330,8 @@ class ProcessSandbox : public SandboxExecutor {
   // never touch lazily-initialised parent state — then forks a child that
   // runs `spec` over the MAP_SHARED `context`. Returns the child's pid, or
   // < 0 when fork failed.
-  static pid_t ForkChild(const dfunc::FunctionSpec& spec, MemoryContext& context) {
-    const ChildPlan plan = SampleChildPlan();
+  pid_t ForkChild(const dfunc::FunctionSpec& spec, MemoryContext& context) const {
+    const ChildPlan plan = SampleChildPlan(mode_, caps_);
     // The jail program is built here, in the parent, once per process.
     const JailFilter* jail = plan.install_jail ? &ColdJailFilter() : nullptr;
     const pid_t pid = fork();
@@ -374,14 +382,18 @@ class ProcessSandbox : public SandboxExecutor {
     }
     outcome.timings.output_us = watch.ElapsedMicros();
   }
+
+  const JailMode mode_;
+  const SandboxCapabilities caps_;
 };
 
 }  // namespace
 
-std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend) {
+std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend, JailMode mode,
+                                                       const SandboxCapabilities& caps) {
   switch (backend) {
     case IsolationBackend::kProcess:
-      return std::make_unique<ProcessSandbox>();
+      return std::make_unique<ProcessSandbox>(mode, caps);
     case IsolationBackend::kThread:
       return std::make_unique<ThreadSandbox>();
   }

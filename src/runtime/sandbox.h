@@ -27,6 +27,7 @@
 #include "src/func/data.h"
 #include "src/func/function.h"
 #include "src/policy/retry.h"
+#include "src/runtime/jail.h"
 #include "src/runtime/memory_context.h"
 
 namespace dandelion {
@@ -110,7 +111,14 @@ class SandboxExecutor {
   virtual IsolationBackend backend() const = 0;
 };
 
-std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(IsolationBackend backend);
+// `mode` and `caps` fix a process sandbox's jail for its lifetime; the
+// thread backend ignores both. A kRequired executor whose `caps` found no
+// seccomp filter forks nothing: every instance fails kFailedPrecondition
+// with FailureKind::kNone, so the dispatcher neither retries it nor feeds a
+// breaker. Tests pass a failed probe record as `caps`.
+std::unique_ptr<SandboxExecutor> CreateSandboxExecutor(
+    IsolationBackend backend, JailMode mode = JailMode::kRequired,
+    const SandboxCapabilities& caps = SandboxCapabilities::Get());
 
 }  // namespace dandelion
 

@@ -302,6 +302,31 @@ TEST(LogHistogramTest, PercentileBounds) {
   EXPECT_GE(hist.ApproxPercentile(99), 511u);
 }
 
+// Engine workers add to one histogram from several threads with no lock:
+// every Add lands in the count and in exactly one bucket.
+TEST(LogHistogramTest, ConcurrentAddsAreAllCounted) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kAdds = 100000;
+  LogHistogram hist;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist] {
+      for (uint64_t i = 0; i < kAdds; ++i) {
+        hist.Add(i % 1024);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  uint64_t bucket_sum = 0;
+  for (int i = 0; i < LogHistogram::kNumBuckets; ++i) {
+    bucket_sum += hist.bucket(i);
+  }
+  EXPECT_EQ(hist.count(), kThreads * kAdds);
+  EXPECT_EQ(bucket_sum, kThreads * kAdds);
+}
+
 // ------------------------------------------------------------------- Queue
 
 TEST(MpmcQueueTest, FifoOrder) {

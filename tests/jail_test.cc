@@ -5,9 +5,11 @@
 // forked child (one sleep, a stop reaped at once, an invocation-deadline
 // stop classified as a deadline kill on both backends), the dispatcher's
 // policy-driven retries with per-function circuit breaking, and the
-// deterministic fault-injection seams that drive all of it. Jail assertions degrade to capability-checked
-// skips on kernels without seccomp — with the explicit fallback assertion
-// that the unconfined path still executes correctly.
+// deterministic fault-injection seams that drive all of it. A sandbox
+// executor's jail mode is fixed when it is built, so jailed and unjailed
+// executors run side by side. Jail assertions degrade to capability-checked
+// skips on kernels without seccomp, where the process backend fails closed:
+// it forks nothing and fails each instance kFailedPrecondition.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <linux/audit.h>
@@ -55,6 +57,7 @@ using dandelion::FaultInjector;
 using dandelion::FaultPlan;
 using dandelion::FaultPoint;
 using dandelion::IsolationBackend;
+using dandelion::JailMode;
 using dandelion::SandboxCapabilities;
 using dpolicy::FailureKind;
 using dbase::kMicrosPerMilli;
@@ -234,7 +237,7 @@ TEST(JailFilterTest, VerdictMatchesTheAllowlistForEveryNumber) {
 
 // A function that reaches for the filesystem. Jailed, the openat never
 // returns — SECCOMP_RET_KILL_PROCESS delivers SIGSYS and the parent decodes
-// kJailKill. Unconfined (no seccomp on this kernel), it is a harmless open.
+// kJailKill. On an executor built with the jail off, it is a harmless open.
 dfunc::FunctionSpec FileGrabberSpec() {
   dfunc::FunctionSpec spec = EchoSpec();
   spec.body = [](dfunc::FunctionCtx& ctx) {
@@ -266,10 +269,10 @@ TEST_F(JailTest, ForbiddenSyscallIsKilledNotExecuted) {
   ASSERT_TRUE(latch.WaitFor(10 * kMicrosPerSecond));
 
   if (!SandboxCapabilities::Get().seccomp_filter) {
-    // Unconfined fallback: the capability record must say so, and the
-    // function must have executed normally (the open succeeds).
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ((*result)[0].items[0].data, "opened");
+    // Fail closed: without seccomp the platform forks no child at all.
+    ASSERT_FALSE(result.ok()) << "process function ran unjailed";
+    EXPECT_EQ(result.status().code(), dbase::StatusCode::kFailedPrecondition)
+        << result.status().message();
     GTEST_SKIP() << "seccomp filters unavailable: " << SandboxCapabilities::Get().detail;
   }
 
@@ -280,6 +283,77 @@ TEST_F(JailTest, ForbiddenSyscallIsKilledNotExecuted) {
   EXPECT_EQ(report.failure_kind, FailureKind::kJailKill);
   // Deterministic function behaviour is never retried.
   EXPECT_EQ(report.retries_attempted, 0u);
+}
+
+// A process executor that requires the jail, on a kernel whose probe found
+// no seccomp filter, forks nothing: the body never runs, and the failure is
+// no sandbox fault, so the dispatcher neither retries it nor trips a breaker.
+TEST_F(JailTest, RequiredJailWithoutSeccompForksNothing) {
+  // Raised by the body if a child ever runs it: a shared page survives fork.
+  void* page = mmap(nullptr, sizeof(std::atomic<int>), PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* ran = new (page) std::atomic<int>(0);
+  dfunc::FunctionSpec marker = EchoSpec("marker");
+  marker.body = [ran](dfunc::FunctionCtx& ctx) {
+    ran->store(1);
+    ctx.EmitOutput("out", "ran");
+    return dbase::OkStatus();
+  };
+  SandboxCapabilities no_seccomp;
+  no_seccomp.detail = "seccomp filter unavailable (probe failed)";
+  const auto executor =
+      dandelion::CreateSandboxExecutor(IsolationBackend::kProcess, JailMode::kRequired, no_seccomp);
+  auto context = dandelion::MemoryContext::Create(marker.context_bytes, nullptr, true);
+  ASSERT_TRUE(context.ok());
+  ASSERT_TRUE((*context)->StoreInputSets(OneInput("x")).ok());
+
+  const dandelion::ExecOutcome outcome =
+      executor->Execute(marker, **context, dandelion::SandboxOptions{});
+  EXPECT_EQ(outcome.status.code(), dbase::StatusCode::kFailedPrecondition)
+      << outcome.status.ToString();
+  EXPECT_NE(outcome.status.message().find("process backend unavailable"), std::string::npos)
+      << outcome.status.message();
+  EXPECT_EQ(outcome.failure, FailureKind::kNone);
+  EXPECT_EQ(ran->load(), 0) << "a child ran the body unjailed";
+  EXPECT_EQ(outcome.timings.setup_us, 0);
+  munmap(page, sizeof(std::atomic<int>));
+}
+
+// The jail belongs to the executor, not the process: a jailed and an
+// unjailed executor run the same file-opening body at once, and each keeps
+// its own verdict on every run.
+TEST_F(JailTest, JailModeIsPerExecutor) {
+  if (!SandboxCapabilities::Get().seccomp_filter) {
+    GTEST_SKIP() << "seccomp filters unavailable: " << SandboxCapabilities::Get().detail;
+  }
+  constexpr int kRuns = 50;
+  const dfunc::FunctionSpec grabber = FileGrabberSpec();
+  auto run = [&](JailMode mode, int* matched) {
+    const auto executor = dandelion::CreateSandboxExecutor(IsolationBackend::kProcess, mode);
+    for (int i = 0; i < kRuns; ++i) {
+      auto context = dandelion::MemoryContext::Create(grabber.context_bytes, nullptr, true);
+      ASSERT_TRUE(context.ok());
+      ASSERT_TRUE((*context)->StoreInputSets(OneInput("x")).ok());
+      const dandelion::ExecOutcome outcome =
+          executor->Execute(grabber, **context, dandelion::SandboxOptions{});
+      const bool ok = mode == JailMode::kRequired
+                          ? outcome.failure == FailureKind::kJailKill
+                          : outcome.status.ok() && outcome.outputs.size() == 1 &&
+                                outcome.outputs[0].items[0].data == "opened";
+      EXPECT_TRUE(ok) << (mode == JailMode::kRequired ? "jailed" : "unjailed") << " run " << i
+                      << ": " << outcome.status.ToString();
+      *matched += ok ? 1 : 0;
+    }
+  };
+  int jailed = 0;
+  int unjailed = 0;
+  std::thread required(run, JailMode::kRequired, &jailed);
+  std::thread off(run, JailMode::kOff, &unjailed);
+  required.join();
+  off.join();
+  EXPECT_EQ(jailed, kRuns);
+  EXPECT_EQ(unjailed, kRuns);
 }
 
 // Making memory executable is still outside the allowlist, even though

@@ -290,12 +290,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, SandboxBackendTest,
                          });
 
 TEST(SandboxTest, ProcessIsolationSurvivesCrash) {
-  // Jail bypassed: raise() is a forbidden syscall under seccomp, which
-  // would turn this into a SIGSYS jail kill (covered by jail_test). This
-  // test pins the plain die-by-signal decode path.
-  const bool jail_was_enabled = SyscallJailEnabled();
-  SetSyscallJailEnabled(false);
-  auto executor = CreateSandboxExecutor(IsolationBackend::kProcess);
+  // Jail off: raise() is a forbidden syscall under seccomp, which would
+  // turn this into a SIGSYS jail kill (covered by jail_test). This test
+  // pins the plain die-by-signal decode path.
+  auto executor = CreateSandboxExecutor(IsolationBackend::kProcess, JailMode::kOff);
   dfunc::FunctionSpec spec;
   spec.name = "crasher";
   spec.body = [](dfunc::FunctionCtx&) -> dbase::Status {
@@ -309,7 +307,6 @@ TEST(SandboxTest, ProcessIsolationSurvivesCrash) {
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE((*ctx)->StoreInputSets({}).ok());
   ExecOutcome outcome = executor->Execute(spec, **ctx, SandboxOptions{});
-  SetSyscallJailEnabled(jail_was_enabled);
   EXPECT_FALSE(outcome.status.ok());
   EXPECT_NE(outcome.status.message().find("signal"), std::string::npos);
   EXPECT_EQ(outcome.failure, dpolicy::FailureKind::kCrash);
@@ -365,8 +362,8 @@ dbase::Micros ThreadCpuMicros() {
 // engine where the child does not get the worker's core: sharing one core,
 // a spinning waiter would hand it to the child on every yield and look
 // idle. The wait is measured, not the confinement (jail_test covers that),
-// so the jail is off: it would kill the child for sched_setaffinity, and
-// sanitizer runtimes make syscalls of their own.
+// so the executor's jail is off: it would kill the child for
+// sched_setaffinity, and sanitizer runtimes make syscalls of their own.
 class ProcessWaitCpuTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -383,14 +380,12 @@ class ProcessWaitCpuTest : public ::testing::Test {
     child_cpu_ = cpus[1];
     ASSERT_TRUE(PinTo(cpus[0]));
     pinned_ = true;
-    SetSyscallJailEnabled(false);
   }
 
   void TearDown() override {
     if (pinned_) {
       sched_setaffinity(0, sizeof(saved_), &saved_);
     }
-    SetSyscallJailEnabled(jail_was_enabled_);
   }
 
   // Pins the calling thread (or a single-threaded child) to one core.
@@ -404,7 +399,6 @@ class ProcessWaitCpuTest : public ::testing::Test {
   int child_cpu_ = -1;
 
  private:
-  const bool jail_was_enabled_ = SyscallJailEnabled();
   cpu_set_t saved_;
   bool pinned_ = false;
 };
@@ -419,7 +413,7 @@ TEST_F(ProcessWaitCpuTest, WaitingOnTheChildCostsNoCpu) {
     ctx.EmitOutput("out", "spun");
     return dbase::OkStatus();
   };
-  const auto executor = CreateSandboxExecutor(IsolationBackend::kProcess);
+  const auto executor = CreateSandboxExecutor(IsolationBackend::kProcess, JailMode::kOff);
   auto ctx = MemoryContext::Create(spec.context_bytes, nullptr, /*shared=*/true);
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE((*ctx)->StoreInputSets(EchoInputs("x")).ok());
