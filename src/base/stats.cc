@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 namespace dbase {
 
@@ -159,25 +158,6 @@ uint64_t LogHistogram::ApproxPercentile(double p) const {
     }
   }
   return ~0ULL;
-}
-
-std::string LogHistogram::ToString() const {
-  std::ostringstream os;
-  os << "hist(total=" << count() << ")[";
-  bool first = true;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t n = bucket(i);
-    if (n == 0) {
-      continue;
-    }
-    if (!first) {
-      os << ", ";
-    }
-    first = false;
-    os << "<" << (i == 0 ? 1ULL : (1ULL << i)) << ":" << n;
-  }
-  os << "]";
-  return os.str();
 }
 
 }  // namespace dbase

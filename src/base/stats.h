@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -112,7 +111,6 @@ class LogHistogram {
   uint64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
   // Approximate percentile from bucket boundaries (upper bound of bucket).
   uint64_t ApproxPercentile(double p) const;
-  std::string ToString() const;
 
  private:
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};

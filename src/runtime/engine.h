@@ -1,12 +1,14 @@
 // Engines (§5): compute engines run one sandboxed task at a time to
-// completion on a dedicated core; communication engines keep many calls
-// outstanding at once. A WorkerSet owns one worker thread per core and one
-// task queue per role; a worker blocks in one place, on its role's queue,
-// until a task arrives or (comm) a reply is due; comm latency is a reactor
-// timer, so no worker holds a call. The control plane re-labels workers
-// between the two roles at runtime ("re-assigns a CPU core from the
-// communication engine type to the compute engine type") and wakes the
-// re-labelled worker.
+// completion; communication engines keep many calls outstanding at once.
+// A WorkerSet owns a fixed number of worker threads and one task queue per
+// role; a worker blocks in one place, on its role's queue, until a task
+// arrives or (comm) a reply is due; comm latency is a reactor timer, so no
+// worker holds a call. A role is a label on a worker thread: no worker is
+// pinned to a CPU, so the scheduler places engines, the reactor and any
+// other thread of the process wherever it likes. The control plane
+// re-labels workers between the two roles at runtime (the paper's
+// "re-assigns a CPU core from the communication engine type to the compute
+// engine type") and wakes the re-labelled worker.
 #ifndef SRC_RUNTIME_ENGINE_H_
 #define SRC_RUNTIME_ENGINE_H_
 
@@ -100,7 +102,7 @@ struct EngineStats {
 };
 
 // The pool of engine workers. Each role has one two-lane task queue that
-// all of its workers block on, so a task binds late to the first free core
+// all of its workers block on, so a task binds late to the first free worker
 // of its role (§5). A role shift flips the worker's role and wakes the old
 // role's waiters; the shifted worker leaves that queue and takes nothing
 // from it.
@@ -132,7 +134,7 @@ class WorkerSet {
   // the source role is at its minimum of one worker.
   bool ShiftWorkerToCompute();
   bool ShiftWorkerToComm();
-  // Multi-core shift: moves up to |n| workers toward compute (n > 0) or
+  // Multi-worker shift: moves up to |n| workers toward compute (n > 0) or
   // toward comm (n < 0), stopping at one worker per role. Returns the
   // signed count actually moved.
   int ShiftWorkers(int n);

@@ -1,5 +1,5 @@
 // Unit tests for src/base: status/result, clocks, RNG, stats, queues,
-// threads, strings.
+// threads, strings, logging.
 #include <gtest/gtest.h>
 #include <sys/prctl.h>
 
@@ -16,6 +16,8 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -807,6 +809,29 @@ TEST(StringTest, FormatHelpers) {
 TEST(StringTest, JoinStrings) {
   EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(JoinStrings({}, ","), "");
+}
+
+// --------------------------------------------------------------------- Log
+
+TEST(LogTest, FormatsStringsAndIntegersIntoOneLine) {
+  testing::internal::CaptureStderr();
+  const int line = __LINE__ + 1;
+  DLOG(Error) << "a" << std::string("b") << std::string_view("c") << 42 << -7;
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            StrFormat("[E base_test.cc:%d] abc42-7\n", line));
+}
+
+TEST(LogTest, SuppressedLevelDoesNotEvaluateItsOperands) {
+  ASSERT_EQ(GetLogLevel(), LogLevel::kWarning);
+  int touched = 0;
+  auto touch = [&touched] {
+    ++touched;
+    return std::string("touched");
+  };
+  testing::internal::CaptureStderr();
+  DLOG(Verbose) << touch();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(touched, 0);
 }
 
 }  // namespace
